@@ -89,8 +89,12 @@ impl Job {
     }
 }
 
+/// Requests per `fleet_cold` cell: a round takes about a second, so a run
+/// times a score of them.
+const FLEET_COLD_REQUESTS: usize = 2000;
+
 /// The 96-cell Mamba-2 fleet grid.
-pub fn fleet_job(seed: u64, requests: usize) -> Job {
+fn fleet_job(seed: u64, requests: usize) -> Job {
     Job::new(
         format!(
             r#"{{"kind":"fleet_grid","model":{{"family":"mamba2","scale":"small"}},"systems":["gpu","pimba"],"scenarios":["chat","reasoning"],"rates_rps":[16,48],"replicas":[1,2,4,8],"routers":["round_robin","jsq","po2"],"requests_per_cell":{requests},"seed":{seed}}}"#
@@ -102,6 +106,10 @@ pub fn fleet_job(seed: u64, requests: usize) -> Job {
 const FAMILIES: [&str; 7] = ["opt", "llama", "zamba2", "mamba2", "gla", "retnet", "hgrn2"];
 const SYSTEMS: &str = r#"["gpu","gpu_quant","gpu_pim","pimba","neupims"]"#;
 const SCENARIOS: &str = r#"["chat","summarization","rag_long_context","reasoning"]"#;
+
+/// Requests per `sweep_cold` traffic-grid cell: a round of all 28 jobs takes
+/// about a second and a half, so a run times each job a dozen times or more.
+const SWEEP_REQUESTS: usize = 100;
 
 /// Per scale and family: one 120-cell traffic grid at `seq_bucket` 1 and one
 /// 20-search SLO capacity job.
@@ -116,7 +124,7 @@ pub fn sweep_jobs(variant: u64) -> Vec<Job> {
             );
             jobs.push(Job::new(
                 format!(
-                    r#"{{"kind":"traffic_grid",{model},"rates_rps":[1,2,4,8,16,24],"requests_per_cell":300,"seq_bucket":1,"seed":{seed}}}"#
+                    r#"{{"kind":"traffic_grid",{model},"rates_rps":[1,2,4,8,16,24],"requests_per_cell":{SWEEP_REQUESTS},"seq_bucket":1,"seed":{seed}}}"#
                 ),
                 true,
             ));
@@ -181,7 +189,7 @@ fn warm_round_plan() -> Vec<usize> {
 }
 
 /// Requests per `fleet_fault` cell, and the fleet-level rate.
-const FAULT_REQUESTS: usize = 30_000;
+const FAULT_REQUESTS: usize = 10_000;
 const FAULT_RATE_RPS: f64 = 32.0;
 const FAULT_REPLICAS: usize = 4;
 const KILLS: u32 = 2;
@@ -273,7 +281,10 @@ pub fn canonical_lines(workload: Workload, variant: u64) -> Vec<String> {
             .collect()
     };
     match workload {
-        Workload::FleetCold => direct(vec![fleet_job(spec_seed(variant, workload.tag()), 6000)]),
+        Workload::FleetCold => direct(vec![fleet_job(
+            spec_seed(variant, workload.tag()),
+            FLEET_COLD_REQUESTS,
+        )]),
         Workload::SweepCold => direct(sweep_jobs(variant)),
         Workload::StoreWarm => direct(warm_fill_jobs(variant)),
         Workload::FleetFault => fault_grids(variant)
@@ -333,56 +344,45 @@ impl E2e {
 
     /// `(name, value, unit)` of every end-to-end metric.
     ///
-    /// A shared host slows a job down by up to half for seconds at a time
-    /// and never speeds it up. Work rates therefore take each job's best
-    /// round: throughput divides the list's cells by the sum of the jobs'
-    /// fastest times, and the grid p50 is over those times. Latencies keep
-    /// what a user sees: the p50 and p99 of each round, median over rounds.
+    /// A shared host slows the program down by up to half for seconds at a
+    /// time and never speeds it up, so each job's time is the lower quartile
+    /// of its times over the run's rounds: that skips the slowed rounds
+    /// without resting on the one luckiest, and moves least from run to run.
+    /// Throughput divides the list's cells by the sum of those times; the p50
+    /// and p99 are over the single-answer jobs' times, the grid p50 over the
+    /// grid jobs' times.
     pub fn metrics(&self, peak_rss_mb: f64) -> Vec<(&'static str, f64, &'static str)> {
         let Some(first) = self.rounds.first() else {
             return Vec::new();
         };
-        let best: Vec<f64> = (0..first.job_s.len())
+        let typical: Vec<f64> = (0..first.job_s.len())
             .map(|j| {
-                self.rounds
-                    .iter()
-                    .map(|r| r.job_s[j])
-                    .fold(f64::INFINITY, f64::min)
+                let times: Vec<f64> = self.rounds.iter().map(|r| r.job_s[j]).collect();
+                percentile(&times, 0.25)
             })
             .collect();
         // Single-answer jobs when the workload has them, else every job.
         let has_singles = first.grid.iter().any(|&g| !g);
-        let pick = |values: &[f64], grid: bool| -> Vec<f64> {
-            values
+        let pick = |grid: bool| -> Vec<f64> {
+            typical
                 .iter()
                 .zip(&first.grid)
                 .filter(|(_, &g)| g == grid || (!grid && !has_singles))
                 .map(|(&v, _)| v)
                 .collect()
         };
-        let per_round = |q: f64| {
-            let values: Vec<f64> = self
-                .rounds
-                .iter()
-                .map(|r| percentile(&pick(&r.job_s, false), q))
-                .collect();
-            median(&values) * 1e3
-        };
+        let singles = pick(false);
         let cells: usize = first.cells.iter().sum();
         vec![
             ("setup_s", median(&self.setup_s), "s"),
             (
                 "cells_per_s",
-                cells as f64 / best.iter().sum::<f64>(),
+                cells as f64 / typical.iter().sum::<f64>(),
                 "cells/s",
             ),
-            ("job_p50_ms", per_round(0.5), "ms"),
-            ("job_p99_ms", per_round(0.99), "ms"),
-            (
-                "grid_job_p50_ms",
-                percentile(&pick(&best, true), 0.5) * 1e3,
-                "ms",
-            ),
+            ("job_p50_ms", percentile(&singles, 0.5) * 1e3, "ms"),
+            ("job_p99_ms", percentile(&singles, 0.99) * 1e3, "ms"),
+            ("grid_job_p50_ms", percentile(&pick(true), 0.5) * 1e3, "ms"),
             ("peak_rss_mb", peak_rss_mb, "MB"),
         ]
     }
@@ -500,7 +500,7 @@ impl Plan {
             Workload::FleetCold => {
                 let jobs = vec![fleet_job(
                     spec_seed(self.variant, self.workload.tag()),
-                    6000,
+                    FLEET_COLD_REQUESTS,
                 )];
                 (jobs, vec![0], Expect::Digest(self.digest.clone()))
             }
