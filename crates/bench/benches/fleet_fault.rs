@@ -7,12 +7,12 @@
 //! Every run opens with two gates:
 //!
 //! 1. **Empty-plan byte-identity** — `run_faulted` with an empty
-//!    [`FaultPlan`] must be bit-identical to `run` across topologies,
-//!    routers and worker counts. The fault layer is not allowed to change a
-//!    single output bit when no fault is injected.
+//!    [`FaultPlan`] must be bit-identical to `run` across topologies and
+//!    routers. The fault layer is not allowed to change a single output bit
+//!    when no fault is injected.
 //! 2. **Kill-and-migrate determinism** — one kill storm with live migration
-//!    must produce bit-identical `FleetResult`s at every worker count, and
-//!    conserve requests (completed + lost == submitted).
+//!    must produce bit-identical `FleetResult`s across repeats, and conserve
+//!    requests (completed + lost == submitted).
 //!
 //! Any mismatch panics (and fails CI, where this bench runs as a smoke with
 //! `FLEET_FAULT_REQUESTS` shrinking the traces).
@@ -76,31 +76,28 @@ fn assert_empty_plan_byte_identity(n: usize) {
         let trace = Scenario::chat().generate(RATE_RPS, n.min(120), 2026);
         for mode in modes {
             for router in [RouterKind::RoundRobin, RouterKind::Jsq] {
-                for workers in [0usize, 2, 8] {
-                    let config = FleetConfig {
-                        mode,
-                        router,
-                        workers,
-                        ..FleetConfig::colocated(REPLICAS)
-                    };
-                    let baseline = fleet.run(&trace, &config);
-                    let faulted = fleet
-                        .run_faulted(&trace, &config, &plan)
-                        .expect("empty plan validates");
-                    assert!(
-                        baseline == faulted,
-                        "empty fault plan changed bits: {kind:?}/{mode:?}/{}/workers={workers}",
-                        router.name()
-                    );
-                }
+                let config = FleetConfig {
+                    mode,
+                    router,
+                    ..FleetConfig::colocated(REPLICAS)
+                };
+                let baseline = fleet.run(&trace, &config);
+                let faulted = fleet
+                    .run_faulted(&trace, &config, &plan)
+                    .expect("empty plan validates");
+                assert!(
+                    baseline == faulted,
+                    "empty fault plan changed bits: {kind:?}/{mode:?}/{}",
+                    router.name()
+                );
             }
         }
     }
     println!("  identity gate: empty fault plan == fault-free fleet (bit-identical)");
 }
 
-/// Gate 2: one kill-and-migrate scenario is bit-identical across worker
-/// counts and conserves every request.
+/// Gate 2: one kill-and-migrate scenario is bit-identical across repeats and
+/// conserves every request.
 fn assert_kill_and_migrate_determinism(n: usize) {
     let model = model();
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
@@ -108,13 +105,12 @@ fn assert_kill_and_migrate_determinism(n: usize) {
     let n = n.min(120);
     let trace = Scenario::chat().generate(RATE_RPS, n, 2026);
     let plan = storm(n, RecoveryPolicy::Migrate);
+    let config = FleetConfig {
+        router: RouterKind::Jsq,
+        ..FleetConfig::colocated(REPLICAS)
+    };
     let mut reference = None;
-    for workers in [1usize, 2, 8] {
-        let config = FleetConfig {
-            router: RouterKind::Jsq,
-            workers,
-            ..FleetConfig::colocated(REPLICAS)
-        };
+    for repeat in 0..3 {
         let result = fleet
             .run_faulted(&trace, &config, &plan)
             .expect("storm validates");
@@ -128,13 +124,13 @@ fn assert_kill_and_migrate_determinism(n: usize) {
             None => reference = Some(result),
             Some(reference) => assert!(
                 *reference == result,
-                "kill-and-migrate diverged at workers={workers}"
+                "kill-and-migrate diverged at repeat={repeat}"
             ),
         }
     }
     let migrations = reference.unwrap().fault.migrations;
     println!(
-        "  determinism gate: kill-and-migrate bit-identical at workers 1/2/8 \
+        "  determinism gate: kill-and-migrate bit-identical across 3 repeats \
          ({migrations} migrations)"
     );
 }

@@ -1,33 +1,31 @@
-//! Parallel intra-fleet co-simulation and memoized what-if grids: the
-//! wall-clock study behind "million-request fleet sweeps in seconds". Writes
-//! `results/BENCH_fleet_parallel.json`.
+//! Fleet drivers vs the sequential baseline, plus memoized what-if grids:
+//! the wall-clock study behind "million-request fleet sweeps in seconds".
+//! Writes `results/BENCH_fleet_parallel.json`.
 //!
-//! Every run opens with the **divergence gates**: the parallel drivers
-//! (decoupled free-run and windowed lockstep, colocated and disaggregated)
-//! must reproduce the sequential fleet driver bit for bit, and a warm memo
+//! Every run opens with the **divergence gates**: the colocated loop's
+//! decoupled free-run must reproduce the stepped loop (the named sequential
+//! baseline) bit for bit on this bench's workloads, and a warm memo
 //! re-evaluation must return records byte-identical to the cold run. Any
 //! mismatch panics (and fails CI, where this bench runs as a smoke with
 //! `FLEET_PARALLEL_REQUESTS` shrinking the workload).
 //!
 //! Headlines:
-//! * events/s of an 8-replica colocated fleet, sequential vs 2/4/8 workers.
-//!   The primary regime is a uniform batch workload under FCFS-static
-//!   scheduling (fixed prompt/output, the standard throughput-benchmark
-//!   shape): whole batches complete together, so the decoupled free-run pays
-//!   one batch replay per *batch* while the sequential driver still parks
-//!   every replica at every fleet arrival. A continuous-batching long-decode
-//!   regime is reported alongside it.
-//! * optimistic speculation vs windowed lockstep for the load-aware routers
-//!   (JSQ, po2): wall-clock, speculation hit/miss rates, rollback counts —
-//!   all three drivers bit-identical,
+//! * drivers vs sequential on an 8-replica colocated fleet: the stepped loop
+//!   (every replica paused at every arrival — forced with a no-op fault
+//!   plan) vs the free-run for round-robin, plus the JSQ/po2 stepped loop.
+//!   Every row reports median, min/max and `nproc`. The primary regime is a
+//!   uniform batch workload under FCFS-static scheduling; a
+//!   continuous-batching long-decode regime is reported alongside it.
 //! * cold vs warm evaluation of a what-if grid against a shared
 //!   [`FleetMemo`] (warm cells skip simulation entirely),
 //! * routed-prefix checkpoints: a grid that extends each cell's trace
 //!   restores the shorter grid's routed prefixes instead of re-running them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
+use pimba_fleet::cluster::{FleetConfig, FleetSim};
+use pimba_fleet::fault::FaultPlan;
 use pimba_fleet::memo::FleetMemo;
+use pimba_fleet::metrics::FleetResult;
 use pimba_fleet::router::RouterKind;
 use pimba_fleet::runner::{FleetGrid, FleetRunner};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
@@ -37,8 +35,8 @@ use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::obs::{MetricValue, MetricsHub};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::RunControl;
-use pimba_system::transfer::StateTransferModel;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Sums a counter series across all label sets.
 fn counter_total(hub: &MetricsHub, name: &str) -> u64 {
@@ -50,6 +48,27 @@ fn counter_total(hub: &MetricsHub, name: &str) -> u64 {
             _ => 0,
         })
         .sum()
+}
+
+/// `(median, min, max)` wall-clock seconds of `reps` runs of `f`.
+fn time_runs(reps: usize, mut f: impl FnMut() -> FleetResult) -> (f64, f64, f64) {
+    let times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let median = pimba_system::stats::median(&times).expect("at least one rep");
+    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = times.iter().copied().fold(0.0, f64::max);
+    (median, min, max)
+}
+
+/// A restart of a replica that is already live: a no-op plan that still
+/// forces the stepped colocated loop — the sequential baseline.
+fn stepped_plan() -> FaultPlan {
+    FaultPlan::default().restart(0.0, 0)
 }
 
 fn requests() -> usize {
@@ -69,7 +88,6 @@ struct Regime {
     scenario: Scenario,
     policy: PolicyKind,
     rate_rps: f64,
-    workers: &'static [usize],
 }
 
 /// Uniform batch workload (fixed prompt/output, the standard
@@ -101,87 +119,47 @@ fn regimes() -> Vec<Regime> {
             scenario: uniform_batch(),
             policy: PolicyKind::FcfsStatic,
             rate_rps: 60.0,
-            workers: &[0, 2, 4, 8],
         },
         Regime {
             key: "continuous_long_decode",
             scenario: long_decode(),
             policy: PolicyKind::Continuous,
             rate_rps: 42.0,
-            workers: &[0, 4],
         },
     ]
 }
 
 const REPLICAS: usize = 8;
 
-fn fleet_config(router: RouterKind, policy: PolicyKind, workers: usize) -> FleetConfig {
+fn fleet_config(router: RouterKind, policy: PolicyKind) -> FleetConfig {
     let mut config = FleetConfig::colocated(REPLICAS);
     config.router = router;
     config.policy = policy;
     config.engine.max_batch = 16;
     config.engine.seq_bucket = 512;
     config.engine.timeline_sample_every = 0;
-    config.workers = workers;
     config
 }
 
-/// The gates: every parallel execution mode must be bit-identical to the
-/// sequential driver, on this bench's own workloads and policies.
-fn assert_parallel_bit_identity(n: usize) -> Vec<(String, bool)> {
+/// The gate: the free-run must be bit-identical to the stepped loop on this
+/// bench's own workloads and policies.
+fn assert_free_run_bit_identity(n: usize) -> Vec<(String, bool)> {
     let model = model();
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let fleet = FleetSim::new(&sim, &model);
     let mut gates = Vec::new();
     for regime in regimes() {
         let trace = regime.scenario.generate(regime.rate_rps, n.min(400), 2026);
-        for (label, mode) in [
-            ("colocated", FleetMode::Colocated { replicas: REPLICAS }),
-            (
-                "disaggregated",
-                FleetMode::Disaggregated {
-                    prefill_replicas: 3,
-                    decode_replicas: 5,
-                    transfer: StateTransferModel::nvlink(),
-                },
-            ),
-        ] {
-            // Round-robin exercises the decoupled driver; JSQ and po2 the
-            // optimistic speculative one (speculation defaults on), with the
-            // windowed lockstep re-run below as the oracle.
-            for router in RouterKind::ALL {
-                let mut config = fleet_config(router, regime.policy, 0);
-                config.mode = mode;
-                let sequential = fleet.run(&trace, &config);
-                for workers in [2, 4, 8] {
-                    config.workers = workers;
-                    let parallel = fleet.run(&trace, &config);
-                    assert!(
-                        parallel == sequential,
-                        "parallel fleet diverged: {}/{label}/{}/workers={workers}",
-                        regime.key,
-                        router.name()
-                    );
-                }
-                gates.push((format!("{}_{label}_{}", regime.key, router.name()), true));
-                if label == "colocated" && !router.load_oblivious() {
-                    // Lockstep oracle: the same load-aware workloads with
-                    // speculation forced off must also match sequential.
-                    config.speculation = false;
-                    for workers in [2, 8] {
-                        config.workers = workers;
-                        let lockstep = fleet.run(&trace, &config);
-                        assert!(
-                            lockstep == sequential,
-                            "lockstep fleet diverged: {}/{}/workers={workers}",
-                            regime.key,
-                            router.name()
-                        );
-                    }
-                    gates.push((format!("{}_lockstep_{}", regime.key, router.name()), true));
-                }
-            }
-        }
+        let config = fleet_config(RouterKind::RoundRobin, regime.policy);
+        let stepped = fleet
+            .run_faulted(&trace, &config, &stepped_plan())
+            .expect("valid plan");
+        assert!(
+            fleet.run(&trace, &config) == stepped,
+            "free-run diverged from the stepped loop: {}",
+            regime.key
+        );
+        gates.push((format!("{}_free_run_eq_stepped", regime.key), true));
     }
     gates
 }
@@ -192,160 +170,105 @@ fn record_results(_c: &mut Criterion) {
         return;
     }
     let n = requests();
-    let gates = assert_parallel_bit_identity(n);
+    let gates = assert_free_run_bit_identity(n);
     println!(
-        "  divergence gates passed: {} parallel modes bit-identical",
+        "  divergence gates passed: free-run == stepped on {} regimes",
         gates.len()
     );
 
     let model = model();
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let fleet = FleetSim::new(&sim, &model);
-    let reps = if n <= 1000 { 1 } else { 3 };
+    let reps = if n <= 1000 { 3 } else { 5 };
+    let nproc = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
 
     // ------------------------------------------------------------------
-    // 1. Intra-fleet parallelism: events/s, sequential vs workers.
+    // 1. Drivers vs sequential: the stepped loop is the named baseline.
     // ------------------------------------------------------------------
     let mut regime_json: Vec<String> = Vec::new();
     for regime in regimes() {
         let trace = regime.scenario.generate(regime.rate_rps, n, 2026);
-        let reference = fleet.run(
-            &trace,
-            &fleet_config(RouterKind::RoundRobin, regime.policy, 0),
-        );
+        let plan = stepped_plan();
+        // (path, router): the stepped rows run under the no-op plan.
+        let paths = [
+            ("stepped", RouterKind::RoundRobin),
+            ("free_run", RouterKind::RoundRobin),
+            ("stepped", RouterKind::Jsq),
+            ("stepped", RouterKind::PowerOfTwo),
+        ];
         let mut rows: Vec<Vec<String>> = Vec::new();
-        let mut parallel_json: Vec<String> = Vec::new();
-        let mut sequential_wall = 0.0;
-        for &workers in regime.workers {
-            let config = fleet_config(RouterKind::RoundRobin, regime.policy, workers);
-            let result = fleet.run(&trace, &config);
-            assert!(
-                result == reference,
-                "bench workload diverged at {}/workers={workers}",
-                regime.key
-            );
-            let wall = bench::median_secs(reps, || fleet.run(&trace, &config));
-            if workers == 0 {
-                sequential_wall = wall;
-            }
-            let throughput = result.throughput(wall);
-            let speedup = sequential_wall / wall;
+        let mut rows_json: Vec<String> = Vec::new();
+        let mut baseline_wall = 0.0;
+        for (path, router_kind) in paths {
+            let config = fleet_config(router_kind, regime.policy);
+            let run = || match path {
+                "stepped" => fleet
+                    .run_faulted(&trace, &config, &plan)
+                    .expect("valid plan"),
+                _ => fleet.run(&trace, &config),
+            };
+            let events = run().throughput(1.0).events;
+            let (median, min, max) = time_runs(reps, run);
+            let router = router_kind.name();
+            let speedup = if router_kind == RouterKind::RoundRobin {
+                if path == "stepped" {
+                    baseline_wall = median;
+                }
+                Some(baseline_wall / median)
+            } else {
+                None
+            };
             rows.push(vec![
-                if workers == 0 {
-                    "seq".into()
-                } else {
-                    workers.to_string()
-                },
-                bench::fmt(wall * 1e3, 1),
-                throughput.events.to_string(),
-                bench::fmt(throughput.events_per_sec / 1e6, 3),
-                bench::fmt(speedup, 2),
+                path.to_string(),
+                router.to_string(),
+                bench::fmt(median * 1e3, 2),
+                format!("{}-{}", bench::fmt(min * 1e3, 2), bench::fmt(max * 1e3, 2)),
+                bench::fmt(events as f64 / median / 1e6, 3),
+                speedup.map_or("-".into(), |s| bench::fmt(s, 2)),
             ]);
-            parallel_json.push(format!(
-                "      {{\"workers\": {workers}, \"wall_ms\": {:.2}, \"events\": {}, \
-                 \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}",
-                wall * 1e3,
-                throughput.events,
-                throughput.events_per_sec,
-                speedup,
+            rows_json.push(format!(
+                "      {{\"path\": \"{path}\", \"router\": \"{router}\", \
+                 \"median_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}, \
+                 \"events\": {events}, \"events_per_sec\": {:.0}, \
+                 \"speedup_vs_stepped_rr\": {}}}",
+                median * 1e3,
+                min * 1e3,
+                max * 1e3,
+                events as f64 / median,
+                speedup.map_or("null".into(), |s| format!("{s:.3}")),
             ));
         }
         bench::print_table(
             &format!(
-                "Intra-fleet parallel co-simulation [{}]: {REPLICAS} replicas, round-robin, \
-                 {} @ {} rps, {n} requests (bit-identical, median of {reps})",
+                "Fleet drivers vs sequential [{}]: {REPLICAS} replicas, {} @ {} rps, \
+                 {n} requests, nproc {nproc} (median of {reps}; baseline = stepped round-robin)",
                 regime.key, regime.scenario.name, regime.rate_rps
             ),
-            &["workers", "wall_ms", "events", "Mevents/s", "speedup"],
+            &[
+                "path",
+                "router",
+                "median_ms",
+                "min-max_ms",
+                "Mevents/s",
+                "speedup",
+            ],
             &rows,
         );
         regime_json.push(format!(
             "    {{\"regime\": \"{}\", \"scenario\": \"{}\", \"policy\": \"{}\", \
-             \"rate_rps\": {}, \"runs\": [\n{}\n    ]}}",
+             \"rate_rps\": {}, \"rows\": [\n{}\n    ]}}",
             regime.key,
             regime.scenario.name,
-            match regime.policy {
-                PolicyKind::FcfsStatic => "fcfs_static",
-                _ => "continuous",
-            },
+            regime.policy.name(),
             regime.rate_rps,
-            parallel_json.join(",\n"),
+            rows_json.join(",\n"),
         ));
     }
 
     // ------------------------------------------------------------------
-    // 2. Optimistic speculation vs windowed lockstep: load-aware routers.
-    // ------------------------------------------------------------------
-    let spec_trace = uniform_batch().generate(60.0, n, 2026);
-    let mut spec_rows: Vec<Vec<String>> = Vec::new();
-    let mut spec_json: Vec<String> = Vec::new();
-    for router in [RouterKind::Jsq, RouterKind::PowerOfTwo] {
-        let mut config = fleet_config(router, PolicyKind::FcfsStatic, 8);
-        config.speculation = false;
-        let reference = fleet.run(&spec_trace, &config);
-        let lockstep_wall = bench::median_secs(reps, || fleet.run(&spec_trace, &config));
-        config.speculation = true;
-        assert!(
-            fleet.run(&spec_trace, &config) == reference,
-            "optimistic diverged from lockstep: {}",
-            router.name()
-        );
-        let optimistic_wall = bench::median_secs(reps, || fleet.run(&spec_trace, &config));
-
-        // Hit rates from a metered run (attaching a hub cannot perturb
-        // results — asserted here on the full bench workload).
-        let hub = MetricsHub::new();
-        let metered = FleetSim::new(&sim, &model)
-            .with_metrics(hub.clone())
-            .run(&spec_trace, &config);
-        assert!(
-            metered == reference,
-            "metered run diverged: {}",
-            router.name()
-        );
-        let hits = counter_total(&hub, "fleet_speculation_hits");
-        let misses = counter_total(&hub, "fleet_speculation_misses");
-        let rollbacks = counter_total(&hub, "fleet_speculation_rollbacks");
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        let speedup = lockstep_wall / optimistic_wall;
-        spec_rows.push(vec![
-            router.name().into(),
-            bench::fmt(lockstep_wall * 1e3, 1),
-            bench::fmt(optimistic_wall * 1e3, 1),
-            bench::fmt(speedup, 2),
-            format!("{hits}/{misses}"),
-            bench::fmt(hit_rate * 100.0, 1),
-        ]);
-        spec_json.push(format!(
-            "    {{\"router\": \"{}\", \"lockstep_wall_ms\": {:.2}, \
-             \"optimistic_wall_ms\": {:.2}, \"speedup\": {:.3}, \
-             \"speculation_hits\": {hits}, \"speculation_misses\": {misses}, \
-             \"rollbacks\": {rollbacks}, \"hit_rate\": {:.4}}}",
-            router.name(),
-            lockstep_wall * 1e3,
-            optimistic_wall * 1e3,
-            speedup,
-            hit_rate,
-        ));
-    }
-    bench::print_table(
-        &format!(
-            "Optimistic speculation vs windowed lockstep: {REPLICAS} replicas, 8 workers, \
-             fcfs uniform_batch @ 60 rps, {n} requests (bit-identical, median of {reps})"
-        ),
-        &[
-            "router",
-            "lockstep_ms",
-            "optimistic_ms",
-            "speedup",
-            "hit/miss",
-            "hit_%",
-        ],
-        &spec_rows,
-    );
-
-    // ------------------------------------------------------------------
-    // 3. Memoized what-if grid: cold vs warm.
+    // 2. Memoized what-if grid: cold vs warm.
     // ------------------------------------------------------------------
     let grid = FleetGrid::new(model.clone())
         .with_systems(vec![SystemConfig::small_scale(SystemKind::Pimba)])
@@ -422,7 +345,7 @@ fn record_results(_c: &mut Criterion) {
     );
 
     // ------------------------------------------------------------------
-    // 4. Routed-prefix checkpoints: a grid that extends each cell's trace
+    // 3. Routed-prefix checkpoints: a grid that extends each cell's trace
     //    restores the shorter grid's routed prefixes instead of re-running
     //    them (trace generation draws per-request, so the shorter trace is
     //    a literal prefix of the longer one).
@@ -508,12 +431,12 @@ fn record_results(_c: &mut Criterion) {
         .join(", ");
     let json = format!(
         "{{\n  \"bench\": \"fleet_parallel\",\n  \"requests\": {n},\n  \
-         \"fleet\": {{\"replicas\": {REPLICAS}, \"router\": \"round_robin\", \
-         \"max_batch\": 16}},\n  \
+         \"nproc\": {nproc},\n  \"reps\": {reps},\n  \
+         \"fleet\": {{\"replicas\": {REPLICAS}, \"max_batch\": 16}},\n  \
+         \"baseline\": \"stepped colocated loop, round-robin\",\n  \
          \"divergence_gates\": {{{gates_json}, \"memo_warm_byte_identical\": true, \
          \"prefix_warm_byte_identical\": true}},\n  \
-         \"parallel\": [\n{}\n  ],\n  \
-         \"speculation\": [\n{}\n  ],\n  \
+         \"drivers\": [\n{}\n  ],\n  \
          \"memo_grid\": {{\"cells\": {}, \"requests_per_cell\": {}, \
          \"cold_wall_ms\": {:.2}, \"warm_wall_ms\": {:.3}, \"speedup\": {:.1}}},\n  \
          \"prefix_reuse\": {{\"cells\": {}, \"base_requests_per_cell\": {base_cell}, \
@@ -522,7 +445,6 @@ fn record_results(_c: &mut Criterion) {
          \"arrivals_restored\": {restored}, \"arrivals_total\": {total_arrivals}, \
          \"restored_fraction\": {:.4}}}\n}}\n",
         regime_json.join(",\n"),
-        spec_json.join(",\n"),
         grid.len(),
         grid.requests_per_cell,
         cold_wall * 1e3,

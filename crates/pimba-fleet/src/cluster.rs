@@ -30,85 +30,42 @@
 //! earlier handoff can appear later), so the co-simulation stays
 //! deterministic for any worker-thread count of the grid runner above it.
 //!
-//! # Parallel intra-fleet execution
+//! # One event loop per topology
 //!
-//! With [`FleetConfig::workers`] > 1 one fleet advances its replicas on
-//! worker threads, **bit-identically** to the sequential driver (asserted on
-//! every `fleet_parallel` bench run and by the parallel property suite). The
-//! legality rests on the *conservative-window invariant*: between two
-//! consecutive synchronization horizons — the next trace arrival for the
-//! pool being routed into, or the next handoff delivery instant for a decode
-//! pool — no information flows between replicas. A replica's evolution
-//! through the window is a pure function of its own prior state and its own
-//! injections, and the handoff instant is a conservative (early) bound: the
-//! [`StateTransferModel`] latency is the soonest a prefill completion can
-//! touch the decode pool. Router load snapshots are only ever taken at
-//! window boundaries, after every replica of the pool has reached the
-//! horizon — exactly when the sequential driver takes them. Two drivers
-//! exploit this:
+//! A fleet runs on exactly two drivers, one per topology, and both take a
+//! [`FaultPlan`]: [`FleetSim::run`] is [`FleetSim::run_faulted`] with the
+//! empty plan. The colocated loop walks the trace with an arrival cursor
+//! merged against one heap of fault and recovery events; the disaggregated
+//! loop merges the cursor against the plan's slowdown windows, with
+//! prefill→decode handoffs on their own heap. An empty plan schedules no
+//! events, so the fault-free fleet is the faulted fleet with nothing to
+//! interrupt it — byte-identical by construction.
 //!
-//! * **windowed** ([`run_windowed`]) — persistent per-replica workers with a
-//!   barrier per window. The per-replica `step_until` horizon sequence is
-//!   the sequential driver's, verbatim, so every bit of the result is too;
-//!   only the thread executing each window differs.
-//! * **decoupled** ([`fleet_map`]) — when the router is
-//!   [load-oblivious](RouterKind::load_oblivious), the routing sequence is
-//!   replayed up front against idle load snapshots (the policy never reads
-//!   them), the trace splits into per-replica injection plans, and every
-//!   replica free-runs to completion with no synchronization at all. Replica
-//!   state is insensitive to *foreign* horizons (stepping to an instant with
-//!   nothing to inject is a bit-level no-op), so dropping the other
-//!   replicas' arrival horizons leaves its result untouched.
-//! * **optimistic** (speculation; the default for load-aware routers when
-//!   [`FleetConfig::speculation`] is on and no trace recorder is attached) —
-//!   replicas free-run whole *chunks* of arrivals at a time instead of
-//!   pausing at every arrival horizon, with the lockstep windowed driver
-//!   kept as the oracle. The protocol, per chunk of up to 32 arrivals:
+//! **Decoupled free-run.** When the router is
+//! [load-oblivious](RouterKind::load_oblivious) and nothing needs mid-trace
+//! fleet state — an empty plan and no checkpoint store — the colocated loop
+//! skips the per-arrival `step_until`: it routes and injects every arrival
+//! up front (the policy never reads the loads) and the final drain steps each
+//! replica to ∞ once. Replica state is insensitive to *foreign* horizons
+//! (stepping to an instant with nothing to inject is a bit-level no-op), so
+//! dropping the other replicas' arrival horizons leaves every replica's
+//! result untouched — gated free-run ≡ stepped in
+//! `tests/parallel_equivalence.rs`.
 //!
-//!   1. **Checkpoint.** Every replica takes a [`SessionSnapshot`] and forks
-//!      its scheduler; its live `outstanding` count seeds the prediction.
-//!   2. **Predict.** A fork of the committed router routes the whole chunk
-//!      against *predicted* loads — `outstanding` grows by one per
-//!      speculated assignment and ignores completions (an overestimate that
-//!      preserves the relative ordering load-aware policies compare).
-//!   3. **Speculate.** The chunk's arrivals are published as per-replica
-//!      injection plans and every replica free-runs to the chunk's last
-//!      arrival in one window — one barrier per chunk instead of one per
-//!      arrival.
-//!   4. **Validate & roll back.** The loads the *sequential* driver would
-//!      have routed against are reconstructed exactly from the speculated
-//!      runs: `outstanding` at arrival `k` is the checkpointed count, plus
-//!      chunk injections before `k`, minus completions strictly before
-//!      `t_k` — and completions strictly before `t_k` are unaffected by any
-//!      mis-speculated injection at `t_j ≥ t_k` (an arrival event cannot
-//!      influence events strictly before its own timestamp), so the
-//!      reconstruction is exact up to the *first* divergence. A fresh fork
-//!      of the committed router re-routes the chunk against those loads; at
-//!      the first mismatch the corrected choice is adopted, the two
-//!      affected replicas restore their snapshots and replay their
-//!      corrected plans, and validation restarts. Each pass either commits
-//!      the chunk or strictly advances the first-divergence index, so the
-//!      loop terminates. On a clean pass the validation router *becomes*
-//!      the committed router — it consumed exactly one `route` call per
-//!      arrival with exactly the sequential loads, entropy stream included.
-//!
-//!   Validation reconstructs only the `outstanding` field: every shipped
-//!   load-aware [`RouterKind`] reads nothing else (`queue_depth` and
-//!   `occupancy` are reported for observability, not consulted), and the
-//!   parallel-equivalence suite gates the protocol against the sequential
-//!   driver for the whole closed [`RouterKind`] set at workers {1,2,4,8}.
-//!   A replica whose chunk was mispredicted replays at most the chunk — the
-//!   snapshot is O(live state), taken once per replica per chunk under the
-//!   `snapshot_clone` profile phase; replays run under `speculation_replay`
-//!   and restores under `rollback`.
+//! Fleets run on the calling thread; grids get their parallelism across
+//! cells instead (`pimba_system::sweep::parallel_map`). Intra-fleet parallel
+//! execution does not pay at this event granularity: a conservative window
+//! is one inter-arrival gap long, so workers spend their time at barriers,
+//! and optimistic speculation rolls back too often to win it back (measured
+//! 3.5–100× slower than this loop on JSQ/po2 fleets).
 //!
 //! # Routed-prefix checkpoints (cross-cell sub-run reuse)
 //!
-//! [`FleetSim::run_checkpointed`] is the sequential colocated driver plus a
-//! content-addressed checkpoint store: every `every` arrivals (and at the
-//! trace end) it snapshots the whole fleet — per-replica sessions and
-//! schedulers, the router, the assignment prefix — into a
-//! [`FleetCheckpoint`] keyed by the *routed prefix's* complete input
+//! [`FleetSim::run_checkpointed`] is the colocated loop with a
+//! content-addressed checkpoint store hooked at arrival boundaries: every
+//! `every` arrivals (and at the trace end) it snapshots the whole fleet —
+//! per-replica sessions and schedulers, the router, the assignment prefix —
+//! into a [`FleetCheckpoint`] keyed by the *routed prefix's* complete input
 //! identity: system, model, fleet mode, router, policy, engine config, seed,
 //! and the first `p` trace requests folded exactly as a standalone trace of
 //! length `p` ([`fold_trace_prefix`]). A later cell whose trace shares that
@@ -131,22 +88,19 @@
 //! maintains these invariants:
 //!
 //! * **Empty plans are byte-identical, not merely equivalent.** A plan with
-//!   no events and no timeout delegates to the untouched [`FleetSim::run`],
-//!   so the fault machinery cannot perturb the fault-free fleet at any
-//!   worker count (gated in `tests/parallel_equivalence.rs` and on every
-//!   `fleet_fault` bench run).
-//! * **Faulted runs are sequential and bit-reproducible.** Migration moves
-//!   state *between* replicas mid-window, which breaks the
-//!   conservative-window invariant the parallel drivers rest on — so a
-//!   non-empty plan always runs the dedicated sequential event-driven
-//!   driver, whatever `config.workers` says. A given
-//!   `(system, model, trace, config, plan)` is therefore trivially
-//!   bit-identical across worker counts, threads and repeats.
+//!   no events and no timeout schedules nothing, so the loop executes
+//!   exactly the fault-free event sequence (gated in
+//!   `tests/fault_determinism.rs` and on every `fleet_fault` bench run).
+//! * **Faulted runs are bit-reproducible.** A given
+//!   `(system, model, trace, config, plan)` produces the same bits across
+//!   repeats and grid-runner thread counts.
 //! * **Causal global-time order.** Driver events (arrivals, faults,
 //!   detections, migration deliveries, retries, timeouts) execute in
-//!   `(time, creation-seq)` order off one event heap; every live replica is
-//!   stepped to an event's instant before the event acts, so a migrated
-//!   request can never resume earlier than the crash that evicted it.
+//!   `(time, creation-seq)` order — arrivals come off the trace cursor and
+//!   win ties (they are created first), everything else pops off one event
+//!   heap; every live replica is stepped to an event's instant before the
+//!   event acts, so a migrated request can never resume earlier than the
+//!   crash that evicted it.
 //! * **Migration prices the state, and only the state.** A victim with `g`
 //!   decoded tokens re-enters a survivor via `inject_prefilled` at context
 //!   `prompt + g` after `transfer_ns(dynamic_bytes(1, prompt + g))` on the
@@ -171,22 +125,20 @@
 //!
 //! [`FleetSim::with_trace`] attaches a
 //! [`TraceRecorder`]: the drivers then emit route
-//! decisions, handoff deliveries, window advances and the full fault
-//! vocabulary (crash/detect/migrate/retry/restart/slowdown/timeout/
-//! blackhole/lost) onto a `fleet` track, and every replica session records
-//! its engine events onto a per-replica track. Sinks are **write-only**:
-//! no driver or replica ever reads a recorded event back, so an attached
-//! recorder cannot change a single bit of the simulation output — the same
-//! no-perturbation invariant `pimba_system::obs` documents, gated here by
+//! decisions, handoff deliveries and the full fault vocabulary
+//! (crash/detect/migrate/retry/restart/slowdown/timeout/blackhole/lost)
+//! onto a `fleet` track, and every replica session records its engine
+//! events onto a per-replica track. Sinks are **write-only**: no driver or
+//! replica ever reads a recorded event back, so an attached recorder cannot
+//! change a single bit of the simulation output — the same no-perturbation
+//! invariant `pimba_system::obs` documents, gated here by
 //! `tests/obs_identity.rs` alongside the bit-identity invariants above.
 
 use crate::fault::{FaultError, FaultKind, FaultPlan, FaultStats, RecoveryPolicy};
 use crate::metrics::{FleetResult, ReplicaReport, ReplicaRole};
 use crate::router::{streams, ReplicaLoad, Router, RouterKind};
 use pimba_models::config::ModelConfig;
-use pimba_serve::engine::{
-    CompletedRequest, DroppedRequest, Engine, EngineConfig, Session, SessionSnapshot,
-};
+use pimba_serve::engine::{DroppedRequest, Engine, EngineConfig, Session, SessionSnapshot};
 use pimba_serve::metrics::{PreemptionStats, RequestOutcome, SimResult, TelemetryStats};
 use pimba_serve::runner::fold_trace_prefix;
 use pimba_serve::sched::{PolicyKind, Scheduler};
@@ -195,7 +147,6 @@ use pimba_system::memo::{FingerprintBuilder, MemoStore};
 use pimba_system::memory::MemoryModel;
 use pimba_system::obs::{profile_phase, MetricsHub, TraceEvent, TraceRecorder, TraceSink};
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{fleet_map, run_windowed, FleetWindows};
 use pimba_system::transfer::StateTransferModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -250,19 +201,11 @@ pub struct FleetConfig {
     pub engine: EngineConfig,
     /// Seed of the router's sampling substreams.
     pub seed: u64,
-    /// Worker threads for intra-fleet parallel co-simulation; `0` or `1`
-    /// runs the sequential driver. Any value produces bit-identical results
-    /// (see the module docs) — this knob trades threads for wall-clock only.
+    /// Ignored: every fleet runs its topology's sequential event loop (see
+    /// the module docs). Kept only so existing struct literals compile;
+    /// excluded from memo cell keys.
     pub workers: usize,
-    /// Allows the *optimistic* parallel driver for load-aware routers
-    /// (colocated, `workers > 1`, untraced): replicas speculate past the
-    /// conservative horizon in free-running chunks, the router's decisions
-    /// are validated against exactly reconstructed loads at commit time, and
-    /// a mispredicted replica rolls back to its chunk snapshot and replays.
-    /// Bit-identical to the sequential driver either way (module docs) —
-    /// `false` forces the windowed-lockstep driver, kept as the oracle (and
-    /// as the baseline the `fleet_parallel` bench measures speculation
-    /// against). Execution knob only: excluded from memo cell keys.
+    /// Ignored, like [`FleetConfig::workers`].
     pub speculation: bool,
 }
 
@@ -282,7 +225,16 @@ impl FleetConfig {
     }
 }
 
-/// A pool of co-simulated replica sessions advancing in lockstep windows.
+/// A session's load as the router sees it.
+fn session_load(session: &Session<'_>) -> ReplicaLoad {
+    ReplicaLoad {
+        outstanding: session.outstanding(),
+        queue_depth: session.queue_depth(),
+        occupancy: session.occupancy(),
+    }
+}
+
+/// One pool of a disaggregated fleet: replica sessions advancing together.
 struct Pool<'a> {
     sessions: Vec<Session<'a>>,
     schedulers: Vec<Box<dyn Scheduler>>,
@@ -328,11 +280,7 @@ impl<'a> Pool<'a> {
             .zip(self.loads.iter_mut())
         {
             session.step_until(t, scheduler.as_mut());
-            *load = ReplicaLoad {
-                outstanding: session.outstanding(),
-                queue_depth: session.queue_depth(),
-                occupancy: session.occupancy(),
-            };
+            *load = session_load(session);
         }
     }
 
@@ -368,21 +316,7 @@ impl<'a> Pool<'a> {
     /// Rebuilds the load snapshot from the sessions — the reference the
     /// incremental snapshot is asserted against.
     fn rebuilt_loads(&self) -> Vec<ReplicaLoad> {
-        self.sessions
-            .iter()
-            .map(|s| ReplicaLoad {
-                outstanding: s.outstanding(),
-                queue_depth: s.queue_depth(),
-                occupancy: s.occupancy(),
-            })
-            .collect()
-    }
-
-    /// Recomputes every load entry from its session — required after
-    /// restoring sessions from a prefix checkpoint, which bypasses the
-    /// incremental update paths.
-    fn refresh_loads(&mut self) {
-        self.loads = self.rebuilt_loads();
+        self.sessions.iter().map(session_load).collect()
     }
 
     /// Drains every replica to completion and returns the per-replica results.
@@ -392,104 +326,12 @@ impl<'a> Pool<'a> {
     }
 }
 
-/// An idle load snapshot — what a load-oblivious router is replayed against
-/// by the decoupled parallel drivers (the policy never reads it).
+/// An idle load snapshot — a fresh replica's load.
 const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     outstanding: 0,
     queue_depth: 0,
     occupancy: 0,
 };
-
-/// One replica's movable execution state: the engine session plus its boxed
-/// scheduling policy, shipped across worker threads as a unit by the
-/// parallel fleet drivers.
-struct ReplicaRun<'a> {
-    session: Session<'a>,
-    scheduler: Box<dyn Scheduler>,
-}
-
-impl<'a> ReplicaRun<'a> {
-    fn pool(
-        engine: &'a Engine<'a>,
-        replicas: usize,
-        policy: PolicyKind,
-        max_seq_hint: usize,
-        max_prompt_hint: usize,
-    ) -> Vec<Self> {
-        assert!(replicas > 0, "a pool needs at least one replica");
-        (0..replicas)
-            .map(|_| ReplicaRun {
-                session: engine.session(max_seq_hint, max_prompt_hint),
-                scheduler: policy.build(),
-            })
-            .collect()
-    }
-
-    /// Advances the replica through its events strictly before `horizon`.
-    fn step_until(&mut self, horizon: f64) {
-        self.session.step_until(horizon, self.scheduler.as_mut());
-    }
-
-    /// The replica's load as the router sees it.
-    fn load(&self) -> ReplicaLoad {
-        ReplicaLoad {
-            outstanding: self.session.outstanding(),
-            queue_depth: self.session.queue_depth(),
-            occupancy: self.session.occupancy(),
-        }
-    }
-}
-
-/// Arrivals per speculation chunk of the optimistic driver: one window
-/// barrier (and one snapshot per replica) per chunk, instead of one barrier
-/// per arrival. Large enough to amortize the barrier, small enough that a
-/// mispredicted replica replays little.
-const SPEC_CHUNK: usize = 32;
-
-/// One replica under the optimistic driver: the run plus its chunk-entry
-/// checkpoint and the injection plan its worker replays next window.
-struct SpecReplica<'a> {
-    run: ReplicaRun<'a>,
-    /// Chunk-entry session snapshot — the rollback target.
-    snapshot: Option<SessionSnapshot>,
-    /// Chunk-entry scheduler state (forked again on every rollback, so the
-    /// saved copy stays pristine).
-    saved_sched: Option<Box<dyn Scheduler>>,
-    /// Completions logged before the chunk: validation reads the completion
-    /// times appended since.
-    base_completed: usize,
-    /// `(arrival_ns, id)` injections for the next window, in trace order.
-    plan: Vec<(f64, usize)>,
-    /// Roll back to the chunk-entry checkpoint before replaying `plan`.
-    restore_first: bool,
-}
-
-impl SpecReplica<'_> {
-    /// Executes one speculation window on the worker thread: optionally roll
-    /// back to the chunk checkpoint, replay the injection plan (pausing at
-    /// each arrival, the sequential driver's exact call pattern), then
-    /// free-run to the window horizon.
-    fn step_window(&mut self, trace: &Trace, horizon: f64) {
-        if self.restore_first {
-            let _replay = profile_phase("speculation_replay");
-            self.run
-                .session
-                .restore(self.snapshot.as_ref().expect("rollback without a snapshot"));
-            self.run.scheduler = self
-                .saved_sched
-                .as_ref()
-                .expect("rollback without a scheduler")
-                .fork();
-            self.restore_first = false;
-        }
-        for &(t, id) in &self.plan {
-            self.run.session.step_until(t, self.run.scheduler.as_mut());
-            self.run.session.inject(id, trace.requests[id]);
-        }
-        self.plan.clear();
-        self.run.step_until(horizon);
-    }
-}
 
 /// A routed-prefix checkpoint: the whole colocated fleet's state after
 /// routing and injecting the first `p` trace arrivals, with every replica
@@ -519,22 +361,21 @@ impl std::fmt::Debug for FleetCheckpoint {
     }
 }
 
-/// A pending prefill→decode handoff, ordered earliest-first with a creation
-/// sequence number breaking timestamp ties (completion order, which is itself
-/// deterministic).
-struct Handoff {
+/// A driver event, ordered earliest-first with a creation sequence number
+/// breaking timestamp ties (creation order is itself deterministic).
+struct Timed<T> {
     time_ns: f64,
     seq: u64,
-    id: usize,
+    ev: T,
 }
 
-impl PartialEq for Handoff {
+impl<T> PartialEq for Timed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.time_ns == other.time_ns && self.seq == other.seq
     }
 }
-impl Eq for Handoff {}
-impl Ord for Handoff {
+impl<T> Eq for Timed<T> {}
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap and we want earliest-first.
         other
@@ -543,16 +384,18 @@ impl Ord for Handoff {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl PartialOrd for Handoff {
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// One event of the faulted colocated driver.
-enum FaultedEv {
-    /// Trace request `id` arrives at the front door.
-    Arrival(usize),
+/// A pending prefill→decode handoff of trace request `ev`, sequenced in
+/// completion order.
+type Handoff = Timed<usize>;
+
+/// One heap event of the colocated loop (trace arrivals come off a cursor).
+enum FleetEv {
     /// `plan.events[index]` fires.
     Fault(usize),
     /// The failure detector notices `replica`'s crash — stale if the replica
@@ -573,41 +416,11 @@ enum FaultedEv {
     TimeoutCheck { id: usize, attempt: u32 },
 }
 
-/// A faulted-driver event, ordered earliest-first with a creation sequence
-/// number breaking timestamp ties (creation order is deterministic).
-struct FaultedEvent {
-    time_ns: f64,
-    seq: u64,
-    ev: FaultedEv,
-}
-
-impl PartialEq for FaultedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_ns == other.time_ns && self.seq == other.seq
-    }
-}
-impl Eq for FaultedEvent {}
-impl Ord for FaultedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        other
-            .time_ns
-            .total_cmp(&self.time_ns)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for FaultedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One replica's state under the faulted colocated driver.
-struct FaultedReplica<'a> {
-    /// `None` only transiently inside a crash handler.
+/// One replica of the colocated loop.
+struct ColocatedReplica<'a> {
+    /// The live incarnation's session; `None` while the replica is down.
     session: Option<Session<'a>>,
     scheduler: Box<dyn Scheduler>,
-    alive: bool,
     /// A dead replica stays *visible* to the router until detected.
     detected: bool,
     /// Bumped on every restart; stamps detection events so a detector racing
@@ -624,6 +437,13 @@ struct FaultedReplica<'a> {
     black_holed: Vec<usize>,
     /// Finished results of previous incarnations.
     retired: Vec<SimResult>,
+}
+
+impl ColocatedReplica<'_> {
+    /// Live replicas and undetected zombies are routable.
+    fn visible(&self) -> bool {
+        self.session.is_some() || !self.detected
+    }
 }
 
 /// Recovery bookkeeping for one trace request.
@@ -661,11 +481,16 @@ impl Track {
     }
 }
 
-/// The faulted colocated driver's mutable world: replicas, request tracks,
-/// the event heap, and the recovery counters.
-struct FaultedFleet<'a, 'p> {
+/// The colocated loop's mutable world: replicas, request tracks, the event
+/// heap, and the recovery counters.
+struct ColocatedFleet<'a, 'p> {
     engine: &'a Engine<'a>,
-    replicas: Vec<FaultedReplica<'a>>,
+    replicas: Vec<ColocatedReplica<'a>>,
+    /// Load of every live replica, refreshed while stepping and bumped on
+    /// injection (entries of dead replicas are stale until restart).
+    loads: Vec<ReplicaLoad>,
+    /// Replicas currently down; while zero the router reads `loads` as is.
+    dead: usize,
     router: Box<dyn Router>,
     tracks: Vec<Track>,
     stats: FaultStats,
@@ -673,7 +498,7 @@ struct FaultedFleet<'a, 'p> {
     /// restart: `(id, attempt, generated)`.
     hold: Vec<(usize, u32, usize)>,
     assignment: Vec<u32>,
-    heap: BinaryHeap<FaultedEvent>,
+    heap: BinaryHeap<Timed<FleetEv>>,
     seq: u64,
     plan: &'p FaultPlan,
     trace: &'p Trace,
@@ -687,9 +512,9 @@ struct FaultedFleet<'a, 'p> {
     replica_sinks: Vec<TraceSink>,
 }
 
-impl<'a, 'p> FaultedFleet<'a, 'p> {
-    fn push(&mut self, time_ns: f64, ev: FaultedEv) {
-        self.heap.push(FaultedEvent {
+impl<'a, 'p> ColocatedFleet<'a, 'p> {
+    fn push(&mut self, time_ns: f64, ev: FleetEv) {
+        self.heap.push(Timed {
             time_ns,
             seq: self.seq,
             ev,
@@ -697,36 +522,22 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         self.seq += 1;
     }
 
-    /// Replicas the router can see: live ones plus undetected zombies.
-    fn visible(&self) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.alive || !r.detected)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     fn load_of(&self, index: usize) -> ReplicaLoad {
         let r = &self.replicas[index];
-        match r.session.as_ref() {
-            Some(s) if r.alive => ReplicaLoad {
-                outstanding: s.outstanding(),
-                queue_depth: s.queue_depth(),
-                occupancy: s.occupancy(),
-            },
-            _ => r.frozen,
+        match r.session {
+            Some(_) => self.loads[index],
+            None => r.frozen,
         }
     }
 
-    /// Advances every live replica through its events strictly before `t`.
+    /// Advances every live replica through its events strictly before `t`,
+    /// refreshing its load entry in the same pass.
     fn step_live(&mut self, t: f64) {
         let _stepping = profile_phase("stepping");
-        for r in self.replicas.iter_mut() {
-            if r.alive {
-                if let Some(session) = r.session.as_mut() {
-                    session.step_until(t, r.scheduler.as_mut());
-                }
+        for (r, load) in self.replicas.iter_mut().zip(self.loads.iter_mut()) {
+            if let Some(session) = r.session.as_mut() {
+                session.step_until(t, r.scheduler.as_mut());
+                *load = session_load(session);
             }
         }
     }
@@ -736,33 +547,48 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     /// the detector fires; with every replica dead *and* detected, the
     /// request holds at the front door until a restart.
     fn place(&mut self, id: usize, generated: usize, t: f64) {
-        let visible = self.visible();
-        if visible.is_empty() {
-            let attempt = self.tracks[id].attempt;
-            self.hold.push((id, attempt, generated));
-            return;
-        }
+        debug_assert!(
+            self.replicas
+                .iter()
+                .zip(&self.loads)
+                .all(|(r, load)| r.session.as_ref().is_none_or(|s| session_load(s) == *load)),
+            "incremental load snapshot diverged from the sessions"
+        );
         let original = self.trace.requests[id];
-        let request = if generated > 0 {
-            TraceRequest {
-                arrival_ns: t,
-                prompt_len: original.prompt_len + generated,
-                output_len: original.output_len - generated,
-                ..original
-            }
+        let request = TraceRequest {
+            arrival_ns: t,
+            prompt_len: original.prompt_len + generated,
+            output_len: original.output_len - generated,
+            ..original
+        };
+        let target = if self.dead == 0 {
+            // Every replica is live, hence visible: route on the loads as is.
+            let choice = {
+                let _routing = profile_phase("routing");
+                self.router.route(id, &request, &self.loads)
+            };
+            assert!(
+                choice < self.loads.len(),
+                "router returned replica {choice}"
+            );
+            choice
         } else {
-            TraceRequest {
-                arrival_ns: t,
-                ..original
+            let visible: Vec<usize> = (0..self.replicas.len())
+                .filter(|&i| self.replicas[i].visible())
+                .collect();
+            if visible.is_empty() {
+                let attempt = self.tracks[id].attempt;
+                self.hold.push((id, attempt, generated));
+                return;
             }
+            let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| self.load_of(i)).collect();
+            let choice = {
+                let _routing = profile_phase("routing");
+                self.router.route(id, &request, &loads)
+            };
+            assert!(choice < visible.len(), "router returned replica {choice}");
+            visible[choice]
         };
-        let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| self.load_of(i)).collect();
-        let choice = {
-            let _routing = profile_phase("routing");
-            self.router.route(id, &request, &loads)
-        };
-        assert!(choice < visible.len(), "router returned replica {choice}");
-        let target = visible[choice];
         self.sink.emit(|| {
             TraceEvent::instant("route", t, id as u64)
                 .arg("replica", target as f64)
@@ -771,36 +597,33 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         if self.assignment[id] == u32::MAX {
             self.assignment[id] = target as u32;
         }
-        if !self.replicas[target].alive {
+        self.tracks[id].location = Some(target);
+        let r = &mut self.replicas[target];
+        let Some(session) = r.session.as_mut() else {
             // Zombie window: the request (and any shipped state) vanishes
             // until the failure detector fires; its frozen load grows so
             // load-aware routers steer away from the pile-up.
-            self.replicas[target].black_holed.push(id);
-            self.replicas[target].frozen.outstanding += 1;
-            self.replicas[target].frozen.queue_depth += 1;
+            r.black_holed.push(id);
+            r.frozen.outstanding += 1;
+            r.frozen.queue_depth += 1;
             self.stats.black_holed += 1;
             self.sink.emit(|| {
                 TraceEvent::instant("blackhole", t, id as u64).arg("replica", target as f64)
             });
-            self.tracks[id].location = Some(target);
             return;
-        }
-        let session = self.replicas[target]
-            .session
-            .as_mut()
-            .expect("live replica has a session");
+        };
         if generated > 0 {
             session.inject_prefilled(id, request);
         } else {
             session.inject(id, request);
         }
-        self.tracks[id].location = Some(target);
+        self.loads[target].outstanding += 1;
         self.tracks[id].resumed_generated = generated;
         if self.plan.retry.timeout_ns > 0.0 {
             let attempt = self.tracks[id].attempt;
             self.push(
                 t + self.plan.retry.timeout_ns,
-                FaultedEv::TimeoutCheck { id, attempt },
+                FleetEv::TimeoutCheck { id, attempt },
             );
         }
     }
@@ -828,7 +651,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
             .emit(|| TraceEvent::span("retry", t, at - t, id as u64).arg("attempt", next as f64));
         self.push(
             at,
-            FaultedEv::Resume {
+            FleetEv::Resume {
                 id,
                 attempt: next,
                 generated: 0,
@@ -870,7 +693,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
             });
             self.push(
                 at,
-                FaultedEv::Resume {
+                FleetEv::Resume {
                     id,
                     attempt,
                     generated: cumulative,
@@ -882,40 +705,29 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     }
 
     fn crash(&mut self, victim: usize, t: f64) {
-        if !self.replicas[victim].alive {
+        let r = &mut self.replicas[victim];
+        let Some(mut session) = r.session.take() else {
             return;
-        }
+        };
         self.stats.crashes += 1;
-        let dropped_ids: Vec<usize>;
-        let incarnation;
-        {
-            let r = &mut self.replicas[victim];
-            r.alive = false;
-            r.detected = false;
-            r.slow_token += 1;
-            let mut session = r.session.take().expect("live replica has a session");
-            r.frozen = ReplicaLoad {
-                outstanding: session.outstanding(),
-                queue_depth: session.queue_depth(),
-                occupancy: session.occupancy(),
-            };
-            let dropped = session.crash_drop();
-            r.retired.push(session.finish());
-            dropped_ids = dropped.iter().map(|d| d.id).collect();
-            r.dropped = dropped;
-            incarnation = r.incarnation;
+        self.dead += 1;
+        r.detected = false;
+        r.slow_token += 1;
+        r.frozen = session_load(&session);
+        r.dropped = session.crash_drop();
+        r.retired.push(session.finish());
+        for d in &r.dropped {
+            self.tracks[d.id].location = None;
         }
-        for id in dropped_ids {
-            self.tracks[id].location = None;
-        }
+        let (incarnation, dropped) = (r.incarnation, r.dropped.len());
         self.sink.emit(|| {
             TraceEvent::instant("crash", t, victim as u64)
                 .arg("replica", victim as f64)
-                .arg("dropped", self.replicas[victim].dropped.len() as f64)
+                .arg("dropped", dropped as f64)
         });
         self.push(
             t + self.plan.detection_latency_ns,
-            FaultedEv::Detect {
+            FleetEv::Detect {
                 replica: victim,
                 incarnation,
             },
@@ -946,7 +758,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     }
 
     fn restart(&mut self, replica: usize, t: f64) {
-        if self.replicas[replica].alive {
+        if self.replicas[replica].session.is_some() {
             return;
         }
         if !self.replicas[replica].detected {
@@ -956,24 +768,24 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
             self.recover(replica, t);
         }
         self.stats.restarts += 1;
+        self.dead -= 1;
         self.sink.emit(|| {
             TraceEvent::instant("restart", t, replica as u64).arg("replica", replica as f64)
         });
         let mut session = self.engine.session(self.max_seq_hint, self.max_prompt_hint);
         session.set_trace(self.replica_sinks[replica].clone());
         let r = &mut self.replicas[replica];
-        r.alive = true;
         r.detected = false;
         r.incarnation += 1;
         r.slow_token += 1;
         r.session = Some(session);
         r.scheduler = self.policy.build();
-        r.frozen = IDLE_LOAD;
+        self.loads[replica] = IDLE_LOAD;
         let held = std::mem::take(&mut self.hold);
         for (id, attempt, generated) in held {
             self.push(
                 t,
-                FaultedEv::Resume {
+                FleetEv::Resume {
                     id,
                     attempt,
                     generated,
@@ -991,23 +803,20 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
                 factor,
                 duration_ns,
             } => {
-                if !self.replicas[replica].alive {
+                let r = &mut self.replicas[replica];
+                let Some(session) = r.session.as_mut() else {
                     return;
-                }
+                };
+                session.set_compute_scale(factor);
+                r.slow_token += 1;
+                let token = r.slow_token;
                 self.stats.slowdowns += 1;
                 self.sink.emit(|| {
                     TraceEvent::span("slowdown", t, duration_ns, replica as u64)
                         .arg("replica", replica as f64)
                         .arg("factor", factor)
                 });
-                let r = &mut self.replicas[replica];
-                r.session
-                    .as_mut()
-                    .expect("live replica has a session")
-                    .set_compute_scale(factor);
-                r.slow_token += 1;
-                let token = r.slow_token;
-                self.push(t + duration_ns, FaultedEv::SlowEnd { replica, token });
+                self.push(t + duration_ns, FleetEv::SlowEnd { replica, token });
             }
             FaultKind::LinkDown { .. } => {
                 unreachable!("validated: colocated plans carry no link faults")
@@ -1031,17 +840,14 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         let Some(location) = track.location else {
             return;
         };
-        if !self.replicas[location].alive {
-            return; // the crash path owns recovery of this request
-        }
-        let cancelled = self.replicas[location]
-            .session
-            .as_mut()
-            .expect("live replica has a session")
-            .cancel_queued(id);
-        if !cancelled {
+        // A dead location means the crash path owns recovery of this request.
+        let Some(session) = self.replicas[location].session.as_mut() else {
+            return;
+        };
+        if !session.cancel_queued(id) {
             return; // admitted (or finished) before the deadline
         }
+        self.loads[location] = session_load(session);
         self.stats.timeouts += 1;
         self.sink
             .emit(|| TraceEvent::instant("timeout", t, id as u64).arg("replica", location as f64));
@@ -1050,6 +856,54 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         // progress while queued, and bounding attempts keeps the driver
         // finite even under Migrate.
         self.retry_or_lose(id, t);
+    }
+
+    /// Snapshots the whole fleet after routing the first `prefix` arrivals
+    /// into a routed-prefix checkpoint (fault-free fleets only).
+    fn checkpoint(&self, prefix: usize) -> FleetCheckpoint {
+        let _clone = profile_phase("snapshot_clone");
+        FleetCheckpoint {
+            replicas: self
+                .replicas
+                .iter()
+                .map(|r| {
+                    let session = r.session.as_ref().expect("checkpointed fleets never crash");
+                    (session.snapshot(), Mutex::new(r.scheduler.fork()))
+                })
+                .collect(),
+            router: Mutex::new(self.router.fork()),
+            assignment: self.assignment[..prefix].to_vec(),
+        }
+    }
+
+    /// Restores a routed-prefix checkpoint into a fresh fleet.
+    fn restore(&mut self, checkpoint: &FleetCheckpoint) {
+        let _restore = profile_phase("snapshot_clone");
+        assert_eq!(
+            checkpoint.replicas.len(),
+            self.replicas.len(),
+            "checkpoint key covers replicas"
+        );
+        for ((r, load), (snapshot, scheduler)) in self
+            .replicas
+            .iter_mut()
+            .zip(self.loads.iter_mut())
+            .zip(&checkpoint.replicas)
+        {
+            let session = r.session.as_mut().expect("fresh replicas are live");
+            session.restore(snapshot);
+            *load = session_load(session);
+            r.scheduler = scheduler
+                .lock()
+                .expect("checkpoint scheduler poisoned")
+                .fork();
+        }
+        self.router = checkpoint
+            .router
+            .lock()
+            .expect("checkpoint router poisoned")
+            .fork();
+        self.assignment[..checkpoint.assignment.len()].copy_from_slice(&checkpoint.assignment);
     }
 }
 
@@ -1123,8 +977,8 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Attaches a metrics hub: the drivers then count speculation
-    /// commits/rollbacks and prefix-checkpoint hits/misses onto it.
+    /// Attaches a metrics hub: the colocated loop then counts
+    /// prefix-checkpoint hits/misses onto it.
     /// Write-only, like the trace recorder — an attached hub never changes
     /// the simulation output (module docs).
     pub fn with_metrics(mut self, metrics: MetricsHub) -> Self {
@@ -1133,7 +987,7 @@ impl<'a> FleetSim<'a> {
     }
 
     /// Records every run onto `recorder`: driver events (routes, handoffs,
-    /// windows, faults, recovery) on a `fleet` track plus one engine-event
+    /// faults, recovery) on a `fleet` track plus one engine-event
     /// track per replica. Write-only — an attached recorder never changes
     /// the simulation output (module docs).
     pub fn with_trace(mut self, recorder: Arc<TraceRecorder>) -> Self {
@@ -1168,71 +1022,60 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Runs `trace` through the fleet. Deterministic in
-    /// `(system, model, trace, config)`; a single-replica colocated fleet is
-    /// bit-identical to `Engine::run` on the same trace.
+    /// Runs `trace` through the fleet: [`FleetSim::run_faulted`] with the
+    /// empty plan. Deterministic in `(system, model, trace, config)`; a
+    /// single-replica colocated fleet is bit-identical to `Engine::run` on
+    /// the same trace.
     pub fn run(&self, trace: &Trace, config: &FleetConfig) -> FleetResult {
-        assert!(
-            trace
-                .requests
-                .windows(2)
-                .all(|w| w[0].arrival_ns <= w[1].arrival_ns),
-            "fleet traces must be time-sorted (use Trace::from_requests)"
-        );
-        let parallel = config.workers > 1;
-        match config.mode {
-            FleetMode::Colocated { replicas } if parallel && replicas > 1 => {
-                self.run_colocated_parallel(trace, replicas, config)
-            }
-            FleetMode::Colocated { replicas } => self.run_colocated(trace, replicas, config),
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-            } if parallel => self.run_disaggregated_parallel(
-                trace,
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-                config,
-            ),
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-            } => self.run_disaggregated(trace, prefill_replicas, decode_replicas, transfer, config),
-        }
+        self.simulate(trace, config, &FaultPlan::default(), None)
     }
 
     /// Runs `trace` through the fleet under a [`FaultPlan`]: scheduled
     /// crashes/restarts/slowdowns (colocated) or slowdowns/link partitions
     /// (disaggregated), with the recovery stack — detection lag, live
     /// migration, bounded retry — layered on top. See the module docs for
-    /// the migration-path invariants.
-    ///
-    /// An [empty](FaultPlan::is_empty) plan delegates to [`FleetSim::run`]
-    /// (byte-identical output at any worker count); a non-empty plan runs
-    /// the dedicated sequential driver regardless of `config.workers`.
-    /// Structurally impossible plans return a [`FaultError`] naming the
-    /// offending field.
+    /// the migration-path invariants; an [empty](FaultPlan::is_empty) plan
+    /// is [`FleetSim::run`]. Structurally impossible plans return a
+    /// [`FaultError`] naming the offending field.
     pub fn run_faulted(
         &self,
         trace: &Trace,
         config: &FleetConfig,
         plan: &FaultPlan,
     ) -> Result<FleetResult, FaultError> {
-        let (total_replicas, disaggregated) = match config.mode {
-            FleetMode::Colocated { replicas } => (replicas, false),
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                ..
-            } => (prefill_replicas + decode_replicas, true),
-        };
-        plan.validate(total_replicas, disaggregated)?;
-        if plan.is_empty() {
-            return Ok(self.run(trace, config));
-        }
+        let disaggregated = matches!(config.mode, FleetMode::Disaggregated { .. });
+        plan.validate(config.mode.replicas(), disaggregated)?;
+        Ok(self.simulate(trace, config, plan, None))
+    }
+
+    /// The colocated loop with routed-prefix checkpointing: the run restores
+    /// the longest stored checkpoint matching its trace prefix and semantic
+    /// config, simulates only the tail, and stores fresh checkpoints every
+    /// `every` arrivals (and at the trace end) for later cells to reuse —
+    /// byte-identical to a cold [`FleetSim::run`] (module docs). Checkpoints
+    /// are skipped when they cannot apply: `every == 0`, an empty trace, a
+    /// non-colocated mode, or an attached trace recorder (snapshots don't
+    /// capture trace sinks).
+    pub fn run_checkpointed(
+        &self,
+        trace: &Trace,
+        config: &FleetConfig,
+        checkpoints: &MemoStore<FleetCheckpoint>,
+        every: usize,
+    ) -> FleetResult {
+        let hook = (every > 0 && !trace.is_empty() && self.recorder.is_none())
+            .then_some((checkpoints, every));
+        self.simulate(trace, config, &FaultPlan::default(), hook)
+    }
+
+    /// Dispatches a validated plan to its topology's event loop.
+    fn simulate(
+        &self,
+        trace: &Trace,
+        config: &FleetConfig,
+        plan: &FaultPlan,
+        checkpoints: Option<(&MemoStore<FleetCheckpoint>, usize)>,
+    ) -> FleetResult {
         assert!(
             trace
                 .requests
@@ -1240,15 +1083,15 @@ impl<'a> FleetSim<'a> {
                 .all(|w| w[0].arrival_ns <= w[1].arrival_ns),
             "fleet traces must be time-sorted (use Trace::from_requests)"
         );
-        Ok(match config.mode {
+        match config.mode {
             FleetMode::Colocated { replicas } => {
-                self.run_colocated_faulted(trace, replicas, config, plan)
+                self.run_colocated(trace, replicas, config, plan, checkpoints)
             }
             FleetMode::Disaggregated {
                 prefill_replicas,
                 decode_replicas,
                 transfer,
-            } => self.run_disaggregated_faulted(
+            } => self.run_disaggregated(
                 trace,
                 prefill_replicas,
                 decode_replicas,
@@ -1256,19 +1099,21 @@ impl<'a> FleetSim<'a> {
                 config,
                 plan,
             ),
-        })
+        }
     }
 
-    /// The sequential event-driven faulted colocated driver: one heap of
-    /// (arrival, fault, detection, migration-delivery, retry, timeout)
+    /// The colocated event loop: trace arrivals off a cursor merged with one
+    /// heap of (fault, detection, migration-delivery, retry, timeout)
     /// events in `(time, creation-seq)` order, every live replica stepped to
-    /// each event's instant before it acts.
-    fn run_colocated_faulted(
+    /// each event's instant before it acts. Load-oblivious routers with
+    /// nothing mid-trace to observe free-run instead (module docs).
+    fn run_colocated(
         &self,
         trace: &Trace,
         replicas: usize,
         config: &FleetConfig,
         plan: &FaultPlan,
+        checkpoints: Option<(&MemoStore<FleetCheckpoint>, usize)>,
     ) -> FleetResult {
         assert!(replicas > 0, "a pool needs at least one replica");
         let engine = Engine::new(self.sim, self.model, config.engine);
@@ -1276,22 +1121,29 @@ impl<'a> FleetSim<'a> {
         // Migrated requests resume at context `prompt + generated`, which can
         // reach one short of the full sequence — size the hint accordingly.
         let (max_seq_hint, max_prompt_hint) = (max_seq + 1, max_prompt);
-        let mut fleet = FaultedFleet {
+        let replica_sinks = self.replica_sinks("replica", replicas);
+        let mut fleet = ColocatedFleet {
             engine: &engine,
-            replicas: (0..replicas)
-                .map(|_| FaultedReplica {
-                    session: Some(engine.session(max_seq_hint, max_prompt_hint)),
-                    scheduler: config.policy.build(),
-                    alive: true,
-                    detected: false,
-                    incarnation: 0,
-                    slow_token: 0,
-                    frozen: IDLE_LOAD,
-                    dropped: Vec::new(),
-                    black_holed: Vec::new(),
-                    retired: Vec::new(),
+            replicas: replica_sinks
+                .iter()
+                .map(|sink| {
+                    let mut session = engine.session(max_seq_hint, max_prompt_hint);
+                    session.set_trace(sink.clone());
+                    ColocatedReplica {
+                        session: Some(session),
+                        scheduler: config.policy.build(),
+                        detected: false,
+                        incarnation: 0,
+                        slow_token: 0,
+                        frozen: IDLE_LOAD,
+                        dropped: Vec::new(),
+                        black_holed: Vec::new(),
+                        retired: Vec::new(),
+                    }
                 })
                 .collect(),
+            loads: vec![IDLE_LOAD; replicas],
+            dead: 0,
             router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
             tracks: trace.requests.iter().map(|_| Track::new()).collect(),
             stats: FaultStats::default(),
@@ -1306,65 +1158,102 @@ impl<'a> FleetSim<'a> {
             max_seq_hint,
             max_prompt_hint,
             sink: self.fleet_sink(),
-            replica_sinks: self.replica_sinks("replica", replicas),
+            replica_sinks,
         };
-        for (r, sink) in fleet.replicas.iter_mut().zip(fleet.replica_sinks.iter()) {
-            r.session
-                .as_mut()
-                .expect("fresh replicas have sessions")
-                .set_trace(sink.clone());
-        }
-        // Arrivals enqueue before faults, so a request arriving at the
-        // instant of a crash is routed (and dropped) rather than skipped —
-        // matching the step-then-inject order of the fault-free driver.
-        for (id, request) in trace.requests.iter().enumerate() {
-            fleet.push(request.arrival_ns, FaultedEv::Arrival(id));
-        }
-        let mut order: Vec<usize> = (0..plan.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            plan.events[a]
-                .time_ns
-                .total_cmp(&plan.events[b].time_ns)
-                .then(a.cmp(&b))
-        });
-        for index in order {
-            fleet.push(plan.events[index].time_ns, FaultedEv::Fault(index));
+        // Pushed in plan order, so simultaneous faults fire in plan order.
+        for (index, event) in plan.events.iter().enumerate() {
+            fleet.push(event.time_ns, FleetEv::Fault(index));
         }
 
-        while let Some(event) = fleet.heap.pop() {
+        // The routed-prefix hook: restore the longest stored prefix — the
+        // whole trace first, then multiples of `every` descending.
+        let key_base = checkpoints.map(|_| self.checkpoint_key_base(config));
+        let key = |prefix: usize| {
+            let base = key_base.clone().expect("keys fold only when checkpointing");
+            fold_trace_prefix(base, trace, prefix).finish()
+        };
+        let mut start = 0usize;
+        if let Some((store, every)) = checkpoints {
+            let mut probe = trace.len();
+            while probe > 0 {
+                if let Some(checkpoint) = store.get(key(probe)) {
+                    fleet.restore(&checkpoint);
+                    start = probe;
+                    break;
+                }
+                probe = (probe - 1) / every * every;
+            }
+            let labels: &[(&str, &str)] = &[("router", config.router.name())];
+            let outcome = if start > 0 {
+                "fleet_prefix_checkpoint_hits"
+            } else {
+                "fleet_prefix_checkpoint_misses"
+            };
+            self.metrics.counter(outcome, labels, 1);
+            self.metrics
+                .counter("fleet_prefix_arrivals_restored", labels, start as u64);
+            self.metrics
+                .counter("fleet_prefix_arrivals_total", labels, trace.len() as u64);
+        }
+
+        let free_run = plan.is_empty() && checkpoints.is_none() && config.router.load_oblivious();
+        let mut cursor = start;
+        loop {
+            // Arrivals were created before any heap event, so they win ties.
+            let arrival = trace.requests.get(cursor).filter(|request| {
+                fleet
+                    .heap
+                    .peek()
+                    .is_none_or(|event| request.arrival_ns <= event.time_ns)
+            });
+            if let Some(request) = arrival {
+                let (id, t) = (cursor, request.arrival_ns);
+                cursor += 1;
+                if let Some((store, every)) = checkpoints {
+                    if id > start && id % every == 0 {
+                        store.get_or_insert_with(key(id), || fleet.checkpoint(id));
+                    }
+                }
+                if !free_run {
+                    fleet.step_live(t);
+                }
+                fleet.place(id, 0, t);
+                continue;
+            }
+            let Some(event) = fleet.heap.pop() else {
+                break;
+            };
             let t = event.time_ns;
             fleet.step_live(t);
             match event.ev {
-                FaultedEv::Arrival(id) => fleet.place(id, 0, t),
-                FaultedEv::Fault(index) => fleet.apply_fault(index, t),
-                FaultedEv::Detect {
+                FleetEv::Fault(index) => fleet.apply_fault(index, t),
+                FleetEv::Detect {
                     replica,
                     incarnation,
                 } => {
-                    let fresh = {
-                        let r = &fleet.replicas[replica];
-                        !r.alive && !r.detected && r.incarnation == incarnation
-                    };
-                    if fresh {
+                    let r = &fleet.replicas[replica];
+                    if r.session.is_none() && !r.detected && r.incarnation == incarnation {
                         fleet.replicas[replica].detected = true;
                         fleet.recover(replica, t);
                     }
                 }
-                FaultedEv::SlowEnd { replica, token } => {
+                FleetEv::SlowEnd { replica, token } => {
                     let r = &mut fleet.replicas[replica];
-                    if r.alive && r.slow_token == token {
-                        r.session
-                            .as_mut()
-                            .expect("live replica has a session")
-                            .set_compute_scale(1.0);
+                    if let Some(session) = r.session.as_mut().filter(|_| r.slow_token == token) {
+                        session.set_compute_scale(1.0);
                     }
                 }
-                FaultedEv::Resume {
+                FleetEv::Resume {
                     id,
                     attempt,
                     generated,
                 } => fleet.resume(id, attempt, generated, t),
-                FaultedEv::TimeoutCheck { id, attempt } => fleet.timeout_check(id, attempt, t),
+                FleetEv::TimeoutCheck { id, attempt } => fleet.timeout_check(id, attempt, t),
+            }
+        }
+        if let Some((store, _)) = checkpoints {
+            if start < trace.len() {
+                store.get_or_insert_with(key(trace.len()), || fleet.checkpoint(trace.len()));
             }
         }
         // Requests still held never saw a live replica again: lost.
@@ -1374,23 +1263,26 @@ impl<'a> FleetSim<'a> {
                 fleet.stats.lost += 1;
             }
         }
-        let FaultedFleet {
+        let ColocatedFleet {
             replicas: fleet_replicas,
             tracks,
             stats,
             assignment,
             ..
         } = fleet;
-        let results: Vec<SimResult> = fleet_replicas
-            .into_iter()
-            .map(|mut r| {
-                if let Some(mut session) = r.session.take() {
-                    session.step_until(f64::INFINITY, r.scheduler.as_mut());
-                    r.retired.push(session.finish());
-                }
-                merge_sim_results(r.retired)
-            })
-            .collect();
+        let results: Vec<SimResult> = {
+            let _stepping = profile_phase("stepping");
+            fleet_replicas
+                .into_iter()
+                .map(|mut r| {
+                    if let Some(mut session) = r.session.take() {
+                        session.step_until(f64::INFINITY, r.scheduler.as_mut());
+                        r.retired.push(session.finish());
+                    }
+                    merge_sim_results(r.retired)
+                })
+                .collect()
+        };
         let mut out = colocated_result(results, assignment);
         // Patch recovered outcomes back to trace-native shape: original
         // arrival and lengths, the true first-token instant for migrations,
@@ -1413,11 +1305,11 @@ impl<'a> FleetSim<'a> {
         out
     }
 
-    /// The faulted disaggregated driver: the sequential fault-free walk with
-    /// slowdown windows applied at their instants and handoff departures
-    /// queued behind link partitions. Crash faults are colocated-only (the
-    /// validator rejects them here).
-    fn run_disaggregated_faulted(
+    /// The disaggregated event loop: trace arrivals off a cursor merged with
+    /// the plan's slowdown starts/ends, handoff departures queued behind
+    /// link partitions, and handoff deliveries off their own heap. Crash
+    /// faults are colocated-only (the validator rejects them here).
+    fn run_disaggregated(
         &self,
         trace: &Trace,
         prefill_replicas: usize,
@@ -1428,6 +1320,8 @@ impl<'a> FleetSim<'a> {
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
         let (max_seq, max_prompt) = trace_bounds(trace);
+        // Prefill replicas never hold a sequence past prompt+1; decode
+        // replicas never prefill (their prompt table hint stays minimal).
         let mut prefill = Pool::new(
             &engine,
             prefill_replicas,
@@ -1479,10 +1373,11 @@ impl<'a> FleetSim<'a> {
             completion_ns
         };
 
-        // The driver timeline: trace arrivals merged with the (statically
-        // known) slowdown starts/ends, in (time, creation-seq) order —
-        // arrivals first at equal instants, later slowdowns superseding
-        // earlier ones per replica via tokens.
+        // The (statically known) slowdown starts/ends in creation order,
+        // stably sorted by time; later slowdowns supersede earlier ones per
+        // replica via tokens. Trace arrivals merge in ahead of them at equal
+        // instants.
+        #[derive(Clone, Copy)]
         enum DisEv {
             Arrival(usize),
             Slow {
@@ -1494,12 +1389,6 @@ impl<'a> FleetSim<'a> {
                 replica: usize,
                 token: u64,
             },
-        }
-        let mut timeline: Vec<(f64, u64, DisEv)> = Vec::new();
-        let mut seq = 0u64;
-        for (id, request) in trace.requests.iter().enumerate() {
-            timeline.push((request.arrival_ns, seq, DisEv::Arrival(id)));
-            seq += 1;
         }
         let mut slow: Vec<(f64, usize, f64, f64)> = plan
             .events
@@ -1514,22 +1403,18 @@ impl<'a> FleetSim<'a> {
             })
             .collect();
         slow.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut shifts: Vec<(f64, DisEv)> = Vec::with_capacity(2 * slow.len());
         for (token, &(t, replica, factor, duration_ns)) in slow.iter().enumerate() {
             let token = token as u64;
-            timeline.push((
-                t,
-                seq,
-                DisEv::Slow {
-                    replica,
-                    factor,
-                    token,
-                },
-            ));
-            seq += 1;
-            timeline.push((t + duration_ns, seq, DisEv::SlowEnd { replica, token }));
-            seq += 1;
+            let slow_start = DisEv::Slow {
+                replica,
+                factor,
+                token,
+            };
+            shifts.push((t, slow_start));
+            shifts.push((t + duration_ns, DisEv::SlowEnd { replica, token }));
         }
-        timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        shifts.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut active: Vec<Option<u64>> = vec![None; prefill_replicas + decode_replicas];
 
         let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
@@ -1537,6 +1422,10 @@ impl<'a> FleetSim<'a> {
         let mut assignment = Vec::with_capacity(trace.len());
         let mut decode_assignment = vec![u32::MAX; trace.len()];
 
+        // Collects newly completed prefills into the handoff heap: the state
+        // ships `transfer_ns(dynamic bytes at prompt+1 context)` after the
+        // first token (or after the link heals). Single-token requests never
+        // hand off.
         let collect =
             |prefill: &mut Pool<'_>, handoffs: &mut BinaryHeap<Handoff>, handoff_seq: &mut u64| {
                 let mut fresh = Vec::new();
@@ -1554,18 +1443,38 @@ impl<'a> FleetSim<'a> {
                         continue;
                     }
                     let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                    handoffs.push(Handoff {
+                    handoffs.push(Timed {
                         time_ns: departs_at(done.completion_ns) + transfer.transfer_ns(bytes),
                         seq: *handoff_seq,
-                        id: done.id,
+                        ev: done.id,
                     });
                     *handoff_seq += 1;
                 }
             };
 
-        for &(t, _, ref ev) in &timeline {
+        let (mut next_arrival, mut next_shift) = (0usize, 0usize);
+        loop {
+            let arrival = trace.requests.get(next_arrival).filter(|request| {
+                shifts
+                    .get(next_shift)
+                    .is_none_or(|shift| request.arrival_ns <= shift.0)
+            });
+            let (t, ev) = match (arrival, shifts.get(next_shift)) {
+                (Some(request), _) => {
+                    next_arrival += 1;
+                    (request.arrival_ns, DisEv::Arrival(next_arrival - 1))
+                }
+                (None, Some(&shift)) => {
+                    next_shift += 1;
+                    shift
+                }
+                (None, None) => break,
+            };
             prefill.step_until(t);
             collect(&mut prefill, &mut handoffs, &mut handoff_seq);
+            // Handoffs before the next driver event are final: every future
+            // prefill completion happens at or after `t`, so nothing earlier
+            // can still appear. Deliver them in time order.
             while handoffs.peek().is_some_and(|h| h.time_ns < t) {
                 let h = handoffs.pop().expect("peeked handoff vanished");
                 deliver(
@@ -1581,13 +1490,11 @@ impl<'a> FleetSim<'a> {
             // first, so events before the change keep the old latency (the
             // decode pool otherwise only advances at handoff deliveries;
             // stepping it here injects nothing, a bit-level no-op).
-            match *ev {
+            match ev {
                 DisEv::Arrival(id) => {
-                    let request = trace.requests[id];
                     let pre_request = TraceRequest {
-                        arrival_ns: t,
                         output_len: 1,
-                        ..request
+                        ..trace.requests[id]
                     };
                     let choice = {
                         let _routing = profile_phase("routing");
@@ -1636,6 +1543,8 @@ impl<'a> FleetSim<'a> {
             }
         }
 
+        // Drain the prefill pool, then deliver every remaining handoff and
+        // drain the decode pool.
         prefill.step_until(f64::INFINITY);
         collect(&mut prefill, &mut handoffs, &mut handoff_seq);
         while let Some(h) = handoffs.pop() {
@@ -1661,516 +1570,10 @@ impl<'a> FleetSim<'a> {
         out
     }
 
-    fn run_colocated(&self, trace: &Trace, replicas: usize, config: &FleetConfig) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut pool = Pool::new(&engine, replicas, config.policy, max_seq, max_prompt);
-        let sink = self.fleet_sink();
-        pool.attach_traces(self.replica_sinks("replica", replicas));
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut assignment = Vec::with_capacity(trace.len());
-
-        for (id, request) in trace.requests.iter().enumerate() {
-            pool.step_until(request.arrival_ns);
-            let choice = {
-                let _routing = profile_phase("routing");
-                router.route(id, request, pool.loads())
-            };
-            assert!(choice < replicas, "router returned replica {choice}");
-            sink.emit(|| {
-                TraceEvent::instant("route", request.arrival_ns, id as u64)
-                    .arg("replica", choice as f64)
-            });
-            pool.inject(choice, id, *request);
-            assignment.push(choice as u32);
-        }
-        colocated_result(pool.finish(), assignment)
-    }
-
-    fn run_disaggregated(
-        &self,
-        trace: &Trace,
-        prefill_replicas: usize,
-        decode_replicas: usize,
-        transfer: StateTransferModel,
-        config: &FleetConfig,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        // Prefill replicas never hold a sequence past prompt+1; decode
-        // replicas never prefill (their prompt table hint stays minimal).
-        let mut prefill = Pool::new(
-            &engine,
-            prefill_replicas,
-            config.policy,
-            max_prompt + 1,
-            max_prompt,
-        );
-        let mut decode = Pool::new(&engine, decode_replicas, config.policy, max_seq + 1, 1);
-        let sink = self.fleet_sink();
-        prefill.attach_traces(self.replica_sinks("prefill", prefill_replicas));
-        decode.attach_traces(self.replica_sinks("decode", decode_replicas));
-        let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let memory = MemoryModel::new(self.sim.config(), self.model);
-
-        let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
-        let mut handoff_seq = 0u64;
-        let mut assignment = Vec::with_capacity(trace.len());
-        let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-        // Collects newly completed prefills into the handoff heap: the state
-        // ships `transfer_ns(dynamic bytes at prompt+1 context)` after the
-        // first token. Single-token requests never hand off.
-        let collect =
-            |prefill: &mut Pool<'_>, handoffs: &mut BinaryHeap<Handoff>, handoff_seq: &mut u64| {
-                let mut fresh = Vec::new();
-                for session in prefill.sessions.iter_mut() {
-                    fresh.extend(session.drain_completions());
-                }
-                fresh.sort_by(|a, b| {
-                    a.completion_ns
-                        .total_cmp(&b.completion_ns)
-                        .then_with(|| a.id.cmp(&b.id))
-                });
-                for done in fresh {
-                    let original = trace.requests[done.id];
-                    if original.output_len <= 1 {
-                        continue;
-                    }
-                    let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                    handoffs.push(Handoff {
-                        time_ns: done.completion_ns + transfer.transfer_ns(bytes),
-                        seq: *handoff_seq,
-                        id: done.id,
-                    });
-                    *handoff_seq += 1;
-                }
-            };
-
-        for (id, request) in trace.requests.iter().enumerate() {
-            let t = request.arrival_ns;
-            prefill.step_until(t);
-            collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-            // Handoffs before the next trace arrival are final: every future
-            // prefill completion happens at or after `t`, so nothing earlier
-            // can still appear. Deliver them in time order.
-            while handoffs.peek().is_some_and(|h| h.time_ns < t) {
-                let h = handoffs.pop().expect("peeked handoff vanished");
-                deliver(
-                    &mut decode,
-                    back.as_mut(),
-                    trace,
-                    &h,
-                    &mut decode_assignment,
-                    &sink,
-                );
-            }
-            let pre_request = TraceRequest {
-                arrival_ns: t,
-                output_len: 1,
-                ..*request
-            };
-            let choice = {
-                let _routing = profile_phase("routing");
-                front.route(id, &pre_request, prefill.loads())
-            };
-            assert!(
-                choice < prefill_replicas,
-                "router returned replica {choice}"
-            );
-            sink.emit(|| TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64));
-            prefill.inject(choice, id, pre_request);
-            assignment.push(choice as u32);
-        }
-
-        // Drain the prefill pool, then deliver every remaining handoff and
-        // drain the decode pool.
-        prefill.step_until(f64::INFINITY);
-        collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-        while let Some(h) = handoffs.pop() {
-            deliver(
-                &mut decode,
-                back.as_mut(),
-                trace,
-                &h,
-                &mut decode_assignment,
-                &sink,
-            );
-        }
-        let prefill_results = prefill.finish();
-        let decode_results = decode.finish();
-        disaggregated_result(
-            trace,
-            prefill_results,
-            decode_results,
-            assignment,
-            decode_assignment,
-        )
-    }
-
-    /// Parallel colocated execution. Load-oblivious routers take the
-    /// decoupled free-running driver; load-aware routers take the optimistic
-    /// speculation driver when [`FleetConfig::speculation`] allows it and no
-    /// trace recorder is attached (recorders want per-arrival window/route
-    /// instants, which only lockstep emits), otherwise the windowed lockstep
-    /// driver whose per-replica horizon sequence is [`Self::run_colocated`]'s
-    /// verbatim. All three are bit-identical to the sequential driver
-    /// (module docs).
-    fn run_colocated_parallel(
-        &self,
-        trace: &Trace,
-        replicas: usize,
-        config: &FleetConfig,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut runs = ReplicaRun::pool(&engine, replicas, config.policy, max_seq, max_prompt);
-        let sink = self.fleet_sink();
-        for (run, replica_sink) in runs.iter_mut().zip(self.replica_sinks("replica", replicas)) {
-            run.session.set_trace(replica_sink);
-        }
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-
-        if config.router.load_oblivious() {
-            // Decoupled: replay the routing sequence against idle loads,
-            // split the trace into per-replica injection plans, free-run.
-            let idle = vec![IDLE_LOAD; replicas];
-            let mut assignment = Vec::with_capacity(trace.len());
-            let mut plans: Vec<Vec<usize>> = vec![Vec::new(); replicas];
-            for (id, request) in trace.requests.iter().enumerate() {
-                let choice = {
-                    let _routing = profile_phase("routing");
-                    router.route(id, request, &idle)
-                };
-                assert!(choice < replicas, "router returned replica {choice}");
-                sink.emit(|| {
-                    TraceEvent::instant("route", request.arrival_ns, id as u64)
-                        .arg("replica", choice as f64)
-                });
-                plans[choice].push(id);
-                assignment.push(choice as u32);
-            }
-            let mut work: Vec<(ReplicaRun<'_>, Vec<usize>)> = runs.into_iter().zip(plans).collect();
-            fleet_map(&mut work, config.workers, |_, work| {
-                let (run, plan) = work;
-                // The whole plan is known upfront, and pausing at each
-                // arrival horizon before injecting is a bit-level no-op
-                // (module docs), so skip the pauses: inject everything and
-                // free-run once — the plain `Engine::run` event pattern.
-                for &id in plan.iter() {
-                    run.session.inject(id, trace.requests[id]);
-                }
-                run.step_until(f64::INFINITY);
-            });
-            let results = work
-                .into_iter()
-                .map(|(run, _)| run.session.finish())
-                .collect();
-            colocated_result(results, assignment)
-        } else if config.speculation && self.recorder.is_none() {
-            self.run_colocated_speculative(trace, replicas, config, runs, router)
-        } else {
-            // Windowed: advance every replica to each arrival horizon, then
-            // snapshot loads — the sequential driver's exact call pattern.
-            let (runs, assignment) = run_windowed(
-                runs,
-                config.workers,
-                |_, run: &mut ReplicaRun<'_>, horizon| run.step_until(horizon),
-                |windows| {
-                    let mut assignment = Vec::with_capacity(trace.len());
-                    for (id, request) in trace.requests.iter().enumerate() {
-                        windows.advance(request.arrival_ns);
-                        sink.emit(|| TraceEvent::instant("window", request.arrival_ns, id as u64));
-                        let loads: Vec<ReplicaLoad> = windows.map(|run| run.load());
-                        let choice = {
-                            let _routing = profile_phase("routing");
-                            router.route(id, request, &loads)
-                        };
-                        assert!(choice < replicas, "router returned replica {choice}");
-                        sink.emit(|| {
-                            TraceEvent::instant("route", request.arrival_ns, id as u64)
-                                .arg("replica", choice as f64)
-                        });
-                        windows.with(choice, |run| run.session.inject(id, *request));
-                        assignment.push(choice as u32);
-                    }
-                    windows.advance(f64::INFINITY);
-                    assignment
-                },
-            );
-            let results = runs.into_iter().map(|run| run.session.finish()).collect();
-            colocated_result(results, assignment)
-        }
-    }
-
-    /// The optimistic chunked-speculation driver for load-aware routers in a
-    /// parallel colocated fleet: checkpoint → predict → speculate →
-    /// validate/rollback, per [`SPEC_CHUNK`]-arrival chunk (full protocol
-    /// and exactness argument in the module docs). Bit-identical to
-    /// [`Self::run_colocated`] for any worker count; the windowed lockstep
-    /// driver remains the oracle (`FleetConfig { speculation: false, .. }`).
-    fn run_colocated_speculative(
-        &self,
-        trace: &Trace,
-        replicas: usize,
-        config: &FleetConfig,
-        runs: Vec<ReplicaRun<'_>>,
-        router: Box<dyn Router>,
-    ) -> FleetResult {
-        let router_name = router.name();
-        let specs: Vec<SpecReplica<'_>> = runs
-            .into_iter()
-            .map(|run| SpecReplica {
-                run,
-                snapshot: None,
-                saved_sched: None,
-                base_completed: 0,
-                plan: Vec::with_capacity(SPEC_CHUNK),
-                restore_first: false,
-            })
-            .collect();
-        let (specs, assignment) = run_windowed(
-            specs,
-            config.workers,
-            |_, spec: &mut SpecReplica<'_>, horizon| spec.step_window(trace, horizon),
-            |windows| {
-                let mut committed = router;
-                let mut assignment: Vec<u32> = Vec::with_capacity(trace.len());
-                let (mut fixes, mut rollbacks, mut chunks) = (0u64, 0u64, 0u64);
-                let mut start = 0usize;
-                while start < trace.len() {
-                    let end = (start + SPEC_CHUNK).min(trace.len());
-                    let t_last = trace.requests[end - 1].arrival_ns;
-                    // 1. Checkpoint every replica; its live outstanding
-                    // count seeds the prediction.
-                    let outstanding0: Vec<usize> = (0..replicas)
-                        .map(|r| {
-                            windows.with(r, |spec| {
-                                let _clone = profile_phase("snapshot_clone");
-                                spec.snapshot = Some(spec.run.session.snapshot());
-                                spec.saved_sched = Some(spec.run.scheduler.fork());
-                                spec.base_completed = spec.run.session.completed();
-                                spec.run.session.outstanding()
-                            })
-                        })
-                        .collect();
-                    // 2. Predict: a router fork routes the chunk against
-                    // loads that count speculated injections but ignore
-                    // completions.
-                    let mut spec_router = committed.fork();
-                    let mut predicted = outstanding0.clone();
-                    let mut choices: Vec<usize> = Vec::with_capacity(end - start);
-                    for k in start..end {
-                        let loads: Vec<ReplicaLoad> = predicted
-                            .iter()
-                            .map(|&outstanding| ReplicaLoad {
-                                outstanding,
-                                queue_depth: 0,
-                                occupancy: 0,
-                            })
-                            .collect();
-                        let choice = {
-                            let _routing = profile_phase("routing");
-                            spec_router.route(k, &trace.requests[k], &loads)
-                        };
-                        assert!(choice < replicas, "router returned replica {choice}");
-                        predicted[choice] += 1;
-                        choices.push(choice);
-                    }
-                    // 3. Speculate: publish per-replica injection plans and
-                    // free-run the whole chunk in one window.
-                    for r in 0..replicas {
-                        let plan = chunk_plan(trace, start..end, &choices, r);
-                        windows.with(r, |spec| spec.plan = plan);
-                    }
-                    windows.advance(t_last);
-                    // 4. Validate against exactly reconstructed sequential
-                    // loads; fix the first divergence, roll the two affected
-                    // replicas back, repeat. Completions strictly before an
-                    // arrival are unaffected by mispredictions at or after
-                    // it (module docs), and each pass strictly advances the
-                    // first-divergence index, so this terminates.
-                    loop {
-                        let done: Vec<Vec<f64>> = (0..replicas)
-                            .map(|r| {
-                                windows.with(r, |spec| {
-                                    (spec.base_completed..spec.run.session.completed())
-                                        .map(|nth| spec.run.session.completion_time_at(nth))
-                                        .collect()
-                                })
-                            })
-                            .collect();
-                        let mut validator = committed.fork();
-                        let mut cursor = vec![0usize; replicas];
-                        let mut injected = vec![0usize; replicas];
-                        let mut divergence: Option<(usize, usize, usize)> = None;
-                        for k in start..end {
-                            let t_k = trace.requests[k].arrival_ns;
-                            let loads: Vec<ReplicaLoad> = (0..replicas)
-                                .map(|r| {
-                                    while cursor[r] < done[r].len() && done[r][cursor[r]] < t_k {
-                                        cursor[r] += 1;
-                                    }
-                                    ReplicaLoad {
-                                        outstanding: outstanding0[r] + injected[r] - cursor[r],
-                                        queue_depth: 0,
-                                        occupancy: 0,
-                                    }
-                                })
-                                .collect();
-                            let choice = {
-                                let _routing = profile_phase("routing");
-                                validator.route(k, &trace.requests[k], &loads)
-                            };
-                            assert!(choice < replicas, "router returned replica {choice}");
-                            if choice != choices[k - start] {
-                                divergence = Some((k, choices[k - start], choice));
-                                break;
-                            }
-                            injected[choice] += 1;
-                        }
-                        let Some((k, wrong, right)) = divergence else {
-                            // Clean pass: the validator consumed exactly the
-                            // sequential driver's route calls — commit it.
-                            committed = validator;
-                            break;
-                        };
-                        let _rollback = profile_phase("rollback");
-                        fixes += 1;
-                        rollbacks += 2;
-                        choices[k - start] = right;
-                        for r in [wrong, right] {
-                            let plan = chunk_plan(trace, start..end, &choices, r);
-                            windows.with(r, |spec| {
-                                spec.restore_first = true;
-                                spec.plan = plan;
-                            });
-                        }
-                        windows.advance(t_last);
-                    }
-                    assignment.extend(choices.iter().map(|&c| c as u32));
-                    chunks += 1;
-                    start = end;
-                }
-                windows.advance(f64::INFINITY);
-                let labels: &[(&str, &str)] = &[("router", router_name)];
-                self.metrics
-                    .counter("fleet_speculation_hits", labels, trace.len() as u64 - fixes);
-                self.metrics
-                    .counter("fleet_speculation_misses", labels, fixes);
-                self.metrics
-                    .counter("fleet_speculation_rollbacks", labels, rollbacks);
-                self.metrics
-                    .counter("fleet_speculation_chunks", labels, chunks);
-                assignment
-            },
-        );
-        let results = specs
-            .into_iter()
-            .map(|spec| spec.run.session.finish())
-            .collect();
-        colocated_result(results, assignment)
-    }
-
-    /// The sequential colocated driver with routed-prefix checkpointing: the
-    /// run restores the longest stored checkpoint matching its trace prefix
-    /// and semantic config, simulates only the tail, and stores fresh
-    /// checkpoints every `every` arrivals (and at the trace end) for later
-    /// cells to reuse — byte-identical to a cold [`FleetSim::run`] (module
-    /// docs). Falls back to [`FleetSim::run`] when checkpointing cannot
-    /// apply: `every == 0`, an empty trace, a non-colocated mode, or an
-    /// attached trace recorder (snapshots don't capture trace sinks).
-    pub fn run_checkpointed(
-        &self,
-        trace: &Trace,
-        config: &FleetConfig,
-        checkpoints: &MemoStore<FleetCheckpoint>,
-        every: usize,
-    ) -> FleetResult {
-        let FleetMode::Colocated { replicas } = config.mode else {
-            return self.run(trace, config);
-        };
-        if every == 0 || trace.is_empty() || self.recorder.is_some() {
-            return self.run(trace, config);
-        }
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut pool = Pool::new(&engine, replicas, config.policy, max_seq, max_prompt);
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut assignment = Vec::with_capacity(trace.len());
-        let labels: &[(&str, &str)] = &[("router", config.router.name())];
-        // The Debug-rendered config half of the key is identical for every
-        // probe and store of this run — fold it once and branch per prefix.
-        let key_base = self.checkpoint_key_base(config);
-        let key = |prefix: usize| fold_trace_prefix(key_base.clone(), trace, prefix).finish();
-
-        // Longest stored prefix: the whole trace first, then multiples of
-        // `every` descending.
-        let mut start = 0usize;
-        let mut probe = trace.len();
-        while probe > 0 {
-            if let Some(cp) = checkpoints.get(key(probe)) {
-                let _restore = profile_phase("snapshot_clone");
-                assert_eq!(
-                    cp.replicas.len(),
-                    replicas,
-                    "checkpoint key covers replicas"
-                );
-                for (slot, (snap, sched)) in cp.replicas.iter().enumerate() {
-                    pool.sessions[slot].restore(snap);
-                    pool.schedulers[slot] =
-                        sched.lock().expect("checkpoint scheduler poisoned").fork();
-                }
-                pool.refresh_loads();
-                router = cp.router.lock().expect("checkpoint router poisoned").fork();
-                assignment = cp.assignment.clone();
-                start = probe;
-                break;
-            }
-            probe = (probe - 1) / every * every;
-        }
-        self.metrics.counter(
-            if start > 0 {
-                "fleet_prefix_checkpoint_hits"
-            } else {
-                "fleet_prefix_checkpoint_misses"
-            },
-            labels,
-            1,
-        );
-        self.metrics
-            .counter("fleet_prefix_arrivals_restored", labels, start as u64);
-        self.metrics
-            .counter("fleet_prefix_arrivals_total", labels, trace.len() as u64);
-
-        for (id, request) in trace.requests.iter().enumerate().skip(start) {
-            if id > 0 && id % every == 0 && id > start {
-                checkpoints.get_or_insert_with(key(id), || {
-                    fleet_checkpoint(&pool, router.as_ref(), &assignment)
-                });
-            }
-            pool.step_until(request.arrival_ns);
-            let choice = {
-                let _routing = profile_phase("routing");
-                router.route(id, request, pool.loads())
-            };
-            assert!(choice < replicas, "router returned replica {choice}");
-            pool.inject(choice, id, *request);
-            assignment.push(choice as u32);
-        }
-        if start < trace.len() {
-            checkpoints.get_or_insert_with(key(trace.len()), || {
-                fleet_checkpoint(&pool, router.as_ref(), &assignment)
-            });
-        }
-        colocated_result(pool.finish(), assignment)
-    }
-
     /// The prefix-independent half of a checkpoint key: every semantic input
     /// that shapes the fleet's state — system, model, mode, router, policy,
-    /// engine config, seed — and nothing that cannot change bits (worker
-    /// counts, the speculation knob, `every` itself). Callers clone the
+    /// engine config, seed — and nothing that cannot change bits (the
+    /// ignored `workers`/`speculation` fields, `every` itself). Callers clone the
     /// returned builder and fold the routed prefix as a standalone trace.
     fn checkpoint_key_base(&self, config: &FleetConfig) -> FingerprintBuilder {
         /// Domain tag separating checkpoint keys from every other memo key.
@@ -2185,338 +1588,9 @@ impl<'a> FleetSim<'a> {
             .debug(&config.engine)
             .u64(config.seed)
     }
-
-    /// Parallel disaggregated execution: decoupled two-phase reconstruction
-    /// for load-oblivious routers, otherwise one windowed executor spanning
-    /// both pools with per-pool horizon streams.
-    fn run_disaggregated_parallel(
-        &self,
-        trace: &Trace,
-        prefill_replicas: usize,
-        decode_replicas: usize,
-        transfer: StateTransferModel,
-        config: &FleetConfig,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut prefill = ReplicaRun::pool(
-            &engine,
-            prefill_replicas,
-            config.policy,
-            max_prompt + 1,
-            max_prompt,
-        );
-        let mut decode = ReplicaRun::pool(&engine, decode_replicas, config.policy, max_seq + 1, 1);
-        let sink = self.fleet_sink();
-        for (run, replica_sink) in prefill
-            .iter_mut()
-            .zip(self.replica_sinks("prefill", prefill_replicas))
-        {
-            run.session.set_trace(replica_sink);
-        }
-        for (run, replica_sink) in decode
-            .iter_mut()
-            .zip(self.replica_sinks("decode", decode_replicas))
-        {
-            run.session.set_trace(replica_sink);
-        }
-        let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let memory = MemoryModel::new(self.sim.config(), self.model);
-
-        if config.router.load_oblivious() {
-            // Phase 1 — replay front routing against idle loads, free-run
-            // the prefill pool over its per-replica plans.
-            let idle = vec![IDLE_LOAD; prefill_replicas];
-            let mut assignment = Vec::with_capacity(trace.len());
-            let mut plans: Vec<Vec<usize>> = vec![Vec::new(); prefill_replicas];
-            for (id, request) in trace.requests.iter().enumerate() {
-                let pre_request = TraceRequest {
-                    output_len: 1,
-                    ..*request
-                };
-                let choice = {
-                    let _routing = profile_phase("routing");
-                    front.route(id, &pre_request, &idle)
-                };
-                assert!(
-                    choice < prefill_replicas,
-                    "router returned replica {choice}"
-                );
-                sink.emit(|| {
-                    TraceEvent::instant("route", request.arrival_ns, id as u64)
-                        .arg("replica", choice as f64)
-                });
-                plans[choice].push(id);
-                assignment.push(choice as u32);
-            }
-            let mut prefill_work: Vec<(ReplicaRun<'_>, Vec<usize>)> =
-                prefill.into_iter().zip(plans).collect();
-            fleet_map(&mut prefill_work, config.workers, |_, work| {
-                let (run, plan) = work;
-                // As in the colocated driver: horizon pauses are no-ops, so
-                // inject the full plan and free-run once.
-                for &id in plan.iter() {
-                    let pre_request = TraceRequest {
-                        output_len: 1,
-                        ..trace.requests[id]
-                    };
-                    run.session.inject(id, pre_request);
-                }
-                run.step_until(f64::INFINITY);
-            });
-
-            // Phase 2 — reconstruct the sequential handoff stream. The
-            // windowed collector drains completions in non-overlapping time
-            // ranges and sorts each batch by (completion, id), so the
-            // concatenation of its batches is the *global* (completion, id)
-            // order; sequence numbers assigned in that order, and deliveries
-            // replayed by (time, seq), reproduce its heap pops exactly.
-            let mut done: Vec<CompletedRequest> = prefill_work
-                .iter_mut()
-                .flat_map(|(run, _)| run.session.drain_completions())
-                .collect();
-            done.sort_by(|a, b| {
-                a.completion_ns
-                    .total_cmp(&b.completion_ns)
-                    .then_with(|| a.id.cmp(&b.id))
-            });
-            let mut deliveries: Vec<Handoff> = Vec::new();
-            for d in &done {
-                let original = trace.requests[d.id];
-                if original.output_len <= 1 {
-                    continue;
-                }
-                let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                deliveries.push(Handoff {
-                    time_ns: d.completion_ns + transfer.transfer_ns(bytes),
-                    seq: deliveries.len() as u64,
-                    id: d.id,
-                });
-            }
-            deliveries.sort_by(|a, b| {
-                a.time_ns
-                    .total_cmp(&b.time_ns)
-                    .then_with(|| a.seq.cmp(&b.seq))
-            });
-
-            // Phase 3 — replay back routing in delivery order, free-run the
-            // decode pool over its per-replica (request, instant) plans.
-            let idle = vec![IDLE_LOAD; decode_replicas];
-            let mut decode_assignment = vec![u32::MAX; trace.len()];
-            let mut plans: Vec<Vec<(usize, f64)>> = vec![Vec::new(); decode_replicas];
-            for h in &deliveries {
-                let request = decode_request(trace, h);
-                let choice = {
-                    let _routing = profile_phase("routing");
-                    back.route(h.id, &request, &idle)
-                };
-                assert!(choice < decode_replicas, "router returned replica {choice}");
-                sink.emit(|| {
-                    TraceEvent::instant("handoff", h.time_ns, h.id as u64)
-                        .arg("replica", choice as f64)
-                });
-                plans[choice].push((h.id, h.time_ns));
-                decode_assignment[h.id] = choice as u32;
-            }
-            let mut decode_work: Vec<(ReplicaRun<'_>, Vec<(usize, f64)>)> =
-                decode.into_iter().zip(plans).collect();
-            fleet_map(&mut decode_work, config.workers, |_, work| {
-                let (run, plan) = work;
-                // Handoff instants are all known by now — inject the full
-                // plan and free-run once (horizon pauses are no-ops).
-                for &(id, time_ns) in plan.iter() {
-                    let handoff = Handoff {
-                        time_ns,
-                        seq: 0,
-                        id,
-                    };
-                    let request = decode_request(trace, &handoff);
-                    run.session.inject_prefilled(id, request);
-                }
-                run.step_until(f64::INFINITY);
-            });
-
-            let prefill_results = prefill_work
-                .into_iter()
-                .map(|(run, _)| run.session.finish())
-                .collect();
-            let decode_results = decode_work
-                .into_iter()
-                .map(|(run, _)| run.session.finish())
-                .collect();
-            disaggregated_result(
-                trace,
-                prefill_results,
-                decode_results,
-                assignment,
-                decode_assignment,
-            )
-        } else {
-            // Windowed: one executor spans both pools (prefill replicas at
-            // indices 0..P, decode at P..). Each pool advances to its own
-            // horizon stream via sub-range windows, replaying the sequential
-            // driver's per-session `step_until` sequence verbatim.
-            let mut runs = prefill;
-            runs.extend(decode);
-            let (runs, (assignment, decode_assignment)) = run_windowed(
-                runs,
-                config.workers,
-                |_, run: &mut ReplicaRun<'_>, horizon| run.step_until(horizon),
-                |windows| {
-                    let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
-                    let mut handoff_seq = 0u64;
-                    let mut assignment = Vec::with_capacity(trace.len());
-                    let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-                    let collect = |windows: &mut FleetWindows<'_, ReplicaRun<'_>>,
-                                   handoffs: &mut BinaryHeap<Handoff>,
-                                   handoff_seq: &mut u64| {
-                        let mut fresh = Vec::new();
-                        for replica in 0..prefill_replicas {
-                            windows.with(replica, |run| {
-                                fresh.extend(run.session.drain_completions());
-                            });
-                        }
-                        fresh.sort_by(|a, b| {
-                            a.completion_ns
-                                .total_cmp(&b.completion_ns)
-                                .then_with(|| a.id.cmp(&b.id))
-                        });
-                        for done in fresh {
-                            let original = trace.requests[done.id];
-                            if original.output_len <= 1 {
-                                continue;
-                            }
-                            let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                            handoffs.push(Handoff {
-                                time_ns: done.completion_ns + transfer.transfer_ns(bytes),
-                                seq: *handoff_seq,
-                                id: done.id,
-                            });
-                            *handoff_seq += 1;
-                        }
-                    };
-                    let sink = &sink;
-                    let mut deliver =
-                        |windows: &mut FleetWindows<'_, ReplicaRun<'_>>,
-                         h: &Handoff,
-                         decode_assignment: &mut [u32]| {
-                            let _delivery = profile_phase("handoff_delivery");
-                            let pool = prefill_replicas..prefill_replicas + decode_replicas;
-                            windows.advance_range(pool.clone(), h.time_ns);
-                            let request = decode_request(trace, h);
-                            let loads: Vec<ReplicaLoad> =
-                                pool.map(|i| windows.with(i, |run| run.load())).collect();
-                            let choice = back.route(h.id, &request, &loads);
-                            assert!(choice < decode_replicas, "router returned replica {choice}");
-                            sink.emit(|| {
-                                TraceEvent::instant("handoff", h.time_ns, h.id as u64)
-                                    .arg("replica", choice as f64)
-                            });
-                            windows.with(prefill_replicas + choice, |run| {
-                                run.session.inject_prefilled(h.id, request);
-                            });
-                            decode_assignment[h.id] = choice as u32;
-                        };
-
-                    for (id, request) in trace.requests.iter().enumerate() {
-                        let t = request.arrival_ns;
-                        windows.advance_range(0..prefill_replicas, t);
-                        sink.emit(|| TraceEvent::instant("window", t, id as u64));
-                        collect(windows, &mut handoffs, &mut handoff_seq);
-                        while handoffs.peek().is_some_and(|h| h.time_ns < t) {
-                            let h = handoffs.pop().expect("peeked handoff vanished");
-                            deliver(windows, &h, &mut decode_assignment);
-                        }
-                        let pre_request = TraceRequest {
-                            arrival_ns: t,
-                            output_len: 1,
-                            ..*request
-                        };
-                        let loads: Vec<ReplicaLoad> = (0..prefill_replicas)
-                            .map(|i| windows.with(i, |run| run.load()))
-                            .collect();
-                        let choice = {
-                            let _routing = profile_phase("routing");
-                            front.route(id, &pre_request, &loads)
-                        };
-                        assert!(
-                            choice < prefill_replicas,
-                            "router returned replica {choice}"
-                        );
-                        sink.emit(|| {
-                            TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64)
-                        });
-                        windows.with(choice, |run| run.session.inject(id, pre_request));
-                        assignment.push(choice as u32);
-                    }
-
-                    windows.advance_range(0..prefill_replicas, f64::INFINITY);
-                    collect(windows, &mut handoffs, &mut handoff_seq);
-                    while let Some(h) = handoffs.pop() {
-                        deliver(windows, &h, &mut decode_assignment);
-                    }
-                    // Mirror the sequential pool-finish horizon calls.
-                    windows.advance_range(0..prefill_replicas, f64::INFINITY);
-                    windows.advance_range(
-                        prefill_replicas..prefill_replicas + decode_replicas,
-                        f64::INFINITY,
-                    );
-                    (assignment, decode_assignment)
-                },
-            );
-            let (prefill_results, decode_results) = {
-                let mut results: Vec<SimResult> =
-                    runs.into_iter().map(|run| run.session.finish()).collect();
-                let decode_results = results.split_off(prefill_replicas);
-                (results, decode_results)
-            };
-            disaggregated_result(
-                trace,
-                prefill_results,
-                decode_results,
-                assignment,
-                decode_assignment,
-            )
-        }
-    }
 }
 
-/// Assembles a colocated fleet's per-replica results — shared by the
-/// sequential and both parallel drivers, so they cannot drift.
-/// The `(arrival_ns, id)` injection plan for `replica` over the speculation
-/// chunk `range`, given the chunk's per-arrival `choices` (indexed from
-/// `range.start`) — trace order, the sequential driver's injection order.
-fn chunk_plan(
-    trace: &Trace,
-    range: std::ops::Range<usize>,
-    choices: &[usize],
-    replica: usize,
-) -> Vec<(f64, usize)> {
-    let start = range.start;
-    range
-        .filter(|&k| choices[k - start] == replica)
-        .map(|k| (trace.requests[k].arrival_ns, k))
-        .collect()
-}
-
-/// Snapshots the whole colocated fleet into a routed-prefix checkpoint:
-/// per-replica sessions and schedulers, the router, the assignment so far.
-fn fleet_checkpoint(pool: &Pool<'_>, router: &dyn Router, assignment: &[u32]) -> FleetCheckpoint {
-    let _clone = profile_phase("snapshot_clone");
-    FleetCheckpoint {
-        replicas: pool
-            .sessions
-            .iter()
-            .zip(pool.schedulers.iter())
-            .map(|(session, scheduler)| (session.snapshot(), Mutex::new(scheduler.fork())))
-            .collect(),
-        router: Mutex::new(router.fork()),
-        assignment: assignment.to_vec(),
-    }
-}
-
+/// Assembles a colocated fleet's per-replica results.
 fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResult {
     // Request ids are trace indices, so a linear scatter by id recovers the
     // same ascending order a comparison sort would — without the O(n log n).
@@ -2549,8 +1623,7 @@ fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResul
     }
 }
 
-/// Stitches the prefill and decode stages into end-to-end outcomes — shared
-/// by the sequential and both parallel disaggregated drivers.
+/// Stitches the prefill and decode stages into end-to-end outcomes.
 fn disaggregated_result(
     trace: &Trace,
     prefill_results: Vec<SimResult>,
@@ -2623,7 +1696,7 @@ fn disaggregated_result(
 /// prompt+1 (prefill plus first token), `output_len - 1` tokens remain, and
 /// it arrives at the handoff instant (tenant/priority tags ride along).
 fn decode_request(trace: &Trace, handoff: &Handoff) -> TraceRequest {
-    let original = trace.requests[handoff.id];
+    let original = trace.requests[handoff.ev];
     TraceRequest {
         arrival_ns: handoff.time_ns,
         prompt_len: original.prompt_len + 1,
@@ -2645,13 +1718,13 @@ fn deliver(
     let _delivery = profile_phase("handoff_delivery");
     decode.step_until(handoff.time_ns);
     let request = decode_request(trace, handoff);
-    let choice = back.route(handoff.id, &request, decode.loads());
+    let choice = back.route(handoff.ev, &request, decode.loads());
     sink.emit(|| {
-        TraceEvent::instant("handoff", handoff.time_ns, handoff.id as u64)
+        TraceEvent::instant("handoff", handoff.time_ns, handoff.ev as u64)
             .arg("replica", choice as f64)
     });
-    decode.inject_prefilled(choice, handoff.id, request);
-    decode_assignment[handoff.id] = choice as u32;
+    decode.inject_prefilled(choice, handoff.ev, request);
+    decode_assignment[handoff.ev] = choice as u32;
 }
 
 /// `(max final sequence, max prompt)` of a trace — the latency-table sizing
@@ -2722,32 +1795,7 @@ mod tests {
         }
     }
 
-    /// The speculative driver's in-module smoke: optimistic ≡ sequential ≡
-    /// lockstep for a JSQ fleet, with the config knob selecting the driver.
-    #[test]
-    fn speculative_driver_matches_sequential_and_lockstep() {
-        let (sim, model) = setup();
-        let fleet = FleetSim::new(&sim, &model);
-        let trace = Scenario::summarization().generate(20.0, 70, 0xCAFE);
-        let mut config = FleetConfig {
-            router: RouterKind::Jsq,
-            ..FleetConfig::colocated(3)
-        };
-        let sequential = fleet.run(&trace, &config);
-        config.workers = 4;
-        assert!(
-            fleet.run(&trace, &config) == sequential,
-            "optimistic diverged"
-        );
-        config.speculation = false;
-        assert!(
-            fleet.run(&trace, &config) == sequential,
-            "lockstep diverged"
-        );
-    }
-
-    /// Checkpointed sequential driver ≡ plain sequential driver, cold and
-    /// warm, including a warm run that restores the full-trace checkpoint.
+    /// Checkpointed colocated loop ≡ plain colocated loop, cold and warm, including a warm run that restores the full-trace checkpoint.
     #[test]
     fn checkpointed_driver_is_bit_identical_cold_and_warm() {
         let (sim, model) = setup();
@@ -2861,19 +1909,16 @@ mod tests {
         let trace = small_trace(60);
         let plan = FaultPlan::default();
         for router in RouterKind::ALL {
-            for workers in [1, 4] {
-                let config = FleetConfig {
-                    router,
-                    workers,
-                    ..FleetConfig::colocated(4)
-                };
-                let fleet = FleetSim::new(&sim, &model);
-                let baseline = fleet.run(&trace, &config);
-                let faulted = fleet
-                    .run_faulted(&trace, &config, &plan)
-                    .expect("empty plan validates");
-                assert_eq!(baseline, faulted, "{} workers={workers}", router.name());
-            }
+            let config = FleetConfig {
+                router,
+                ..FleetConfig::colocated(4)
+            };
+            let fleet = FleetSim::new(&sim, &model);
+            let baseline = fleet.run(&trace, &config);
+            let faulted = fleet
+                .run_faulted(&trace, &config, &plan)
+                .expect("empty plan validates");
+            assert_eq!(baseline, faulted, "{}", router.name());
         }
     }
 
@@ -2903,7 +1948,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_runs_are_bit_identical_across_worker_counts_and_repeats() {
+    fn faulted_runs_are_bit_identical_across_repeats() {
         let (sim, model) = setup();
         let trace = small_trace(60);
         let plan = FaultPlan::default()
@@ -2911,19 +1956,16 @@ mod tests {
             .restart(0.45e9, 1)
             .slowdown(0.1e9, 2, 3.0, 0.2e9);
         let fleet = FleetSim::new(&sim, &model);
-        let mut results = Vec::new();
-        for workers in [1, 2, 8] {
-            for _ in 0..2 {
-                let config = FleetConfig {
-                    router: RouterKind::PowerOfTwo,
-                    workers,
-                    ..FleetConfig::colocated(4)
-                };
-                results.push(fleet.run_faulted(&trace, &config, &plan).expect("valid"));
-            }
-        }
-        for r in &results[1..] {
-            assert_eq!(results[0], *r);
+        let config = FleetConfig {
+            router: RouterKind::PowerOfTwo,
+            ..FleetConfig::colocated(4)
+        };
+        let first = fleet.run_faulted(&trace, &config, &plan).expect("valid");
+        for _ in 0..3 {
+            assert_eq!(
+                first,
+                fleet.run_faulted(&trace, &config, &plan).expect("valid")
+            );
         }
     }
 

@@ -9,10 +9,9 @@
 //! [`crate::cluster::FleetSim::run_faulted`] folds it into the co-simulation
 //! loop, and every byte of the result is a function of
 //! `(system, model, trace, config, plan)`. An [empty](FaultPlan::is_empty)
-//! plan is not merely equivalent to the fault-free fleet — `run_faulted`
-//! delegates to the untouched driver, so the output is byte-identical at any
-//! worker count (asserted by the equivalence suite and on every
-//! `fleet_fault` bench run).
+//! plan is not merely equivalent to the fault-free fleet — it schedules no
+//! driver events, so the output is byte-identical by construction (asserted
+//! by the fault-determinism suite and on every `fleet_fault` bench run).
 //!
 //! Plans serialize as JSON Lines — one header object carrying the recovery
 //! knobs, then one object per fault event — through [`FaultPlan::to_jsonl`] /
@@ -197,9 +196,9 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// `true` when the plan can have no effect on the simulation — no
-    /// scheduled faults and no queue-wait timeout. `run_faulted` delegates
-    /// such plans to the fault-free driver, making the output byte-identical
-    /// by construction.
+    /// scheduled faults and no queue-wait timeout. Such a plan schedules no
+    /// driver events, so `run_faulted` executes exactly the fault-free event
+    /// sequence — byte-identical to `run` by construction.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.retry.timeout_ns == 0.0
     }

@@ -17,8 +17,7 @@
 //!   co-simulation entirely and returns bytes identical to a cold run (the
 //!   simulation is deterministic bit-for-bit in its fingerprinted inputs).
 //!
-//! Execution knobs that cannot change results — runner thread counts and the
-//! intra-fleet [`workers`](crate::cluster::FleetConfig::workers) count — are
+//! Execution knobs that cannot change results — runner thread counts — are
 //! deliberately *excluded* from every fingerprint, so a grid evaluated
 //! sequentially warms the memo for a parallel re-evaluation and vice versa.
 

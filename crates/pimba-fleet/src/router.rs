@@ -51,9 +51,8 @@ pub struct ReplicaLoad {
 /// A request-routing policy.
 ///
 /// `Send` is a supertrait so a boxed router can be stored in a shared
-/// checkpoint (the fleet memo's prefix checkpoints) and forked across the
-/// speculative driver's validation passes; routers are plain state machines,
-/// so every implementation satisfies it structurally.
+/// checkpoint (the fleet memo's prefix checkpoints); routers are plain state
+/// machines, so every implementation satisfies it structurally.
 pub trait Router: Send {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
@@ -63,11 +62,9 @@ pub trait Router: Send {
     fn route(&mut self, id: usize, request: &TraceRequest, loads: &[ReplicaLoad]) -> usize;
 
     /// Clones the router's current state (rotation cursor, RNG stream
-    /// position) into an independent boxed copy. The speculative fleet driver
-    /// forks the committed router to speculate and to validate — the
-    /// committed copy only ever advances by *confirmed* decisions — and the
-    /// memo grids fork a stored checkpoint's router on every restore so the
-    /// stored copy stays pristine.
+    /// position) into an independent boxed copy. The memo grids fork a
+    /// stored checkpoint's router on every restore so the stored copy stays
+    /// pristine.
     fn fork(&self) -> Box<dyn Router>;
 }
 
@@ -247,12 +244,11 @@ impl RouterKind {
 
     /// `true` when the policy's choices never read the [`ReplicaLoad`]
     /// snapshot — its full decision sequence is a function of the arrival
-    /// order alone. This licenses the *decoupled* parallel fleet driver:
-    /// routing can be replayed up front against zeroed loads and every
-    /// replica free-runs its injection plan with no synchronization windows.
-    /// Only [`RouterKind::RoundRobin`] qualifies; every load-aware policy
-    /// must take its snapshots at the same co-sim instants as the sequential
-    /// driver (the windowed executor's job).
+    /// order alone. This licenses the colocated loop's *decoupled free-run*:
+    /// every arrival is routed and injected up front and each replica steps
+    /// to completion once, with no per-arrival horizons. Only
+    /// [`RouterKind::RoundRobin`] qualifies; every load-aware policy must
+    /// read its snapshots at each arrival instant.
     pub fn load_oblivious(&self) -> bool {
         matches!(self, RouterKind::RoundRobin)
     }

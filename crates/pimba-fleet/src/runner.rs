@@ -324,7 +324,6 @@ pub struct FleetRecord {
 #[derive(Debug, Clone, Default)]
 pub struct FleetRunner {
     threads: usize,
-    fleet_workers: usize,
     memo: Option<Arc<FleetMemo>>,
     trace: Option<Arc<TraceRecorder>>,
 }
@@ -338,14 +337,6 @@ impl FleetRunner {
     /// Overrides the worker-thread count (0 = all cores; clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets [`FleetConfig::workers`] for every cell: intra-fleet parallel
-    /// co-simulation (0 or 1 = sequential). Bit-identical either way — an
-    /// execution knob, not a result knob, so it is excluded from memo keys.
-    pub fn with_fleet_workers(mut self, workers: usize) -> Self {
-        self.fleet_workers = workers;
         self
     }
 
@@ -498,7 +489,7 @@ impl FleetRunner {
                 },
                 // Every cell gets its own deterministic router stream.
                 seed: Pcg32::new_stream(grid.seed, 0x7007 + i as u64).next_u64(),
-                workers: self.fleet_workers,
+                workers: 0,
                 speculation: true,
             };
             let trace = &traces[scn * grid.rates_rps.len() + rate];
@@ -547,9 +538,9 @@ impl FleetRunner {
 
 /// The content address of one grid cell's [`FleetRecord`]: everything the
 /// record is a function of — system, model, SLOs, cell config and the raw
-/// trace bits — and nothing that cannot change it (thread counts and
-/// [`FleetConfig::workers`] are execution knobs, deliberately excluded, so
-/// sequential and parallel runs share entries).
+/// trace bits — and nothing that cannot change it (runner thread counts are
+/// an execution knob, deliberately excluded, so runs at any thread count
+/// share entries).
 fn cell_key(
     grid: &FleetGrid,
     config: &FleetConfig,

@@ -1,7 +1,7 @@
 //! Fault-injection determinism: a faulted fleet run is a pure function of
-//! (plan, trace, config) — **bit-identical** across worker counts and
-//! repeats for *random* fault plans — and an empty plan is **byte-identical**
-//! to the fault-free fleet at any worker count. Also pins the plan JSONL
+//! (plan, trace, config) — **bit-identical** across repeats for *random*
+//! fault plans — and an empty plan is **byte-identical** to the fault-free
+//! fleet. Also pins the plan JSONL
 //! contract: round-trips are exact, malformed plans come back as structured
 //! errors naming the offending field, never a panic.
 
@@ -40,28 +40,27 @@ fn assert_faulted_run_is_pure(
     let (sim, model) = setup();
     let fleet = FleetSim::new(&sim, &model);
     let trace = Scenario::chat().generate(rate_rps, n_requests, trace_seed);
+    let config = FleetConfig {
+        router,
+        ..FleetConfig::colocated(REPLICAS)
+    };
     let mut reference = None;
-    for workers in [1usize, 2, 8] {
-        for repeat in 0..2 {
-            let config = FleetConfig {
-                router,
-                workers,
-                ..FleetConfig::colocated(REPLICAS)
-            };
-            let result = fleet
-                .run_faulted(&trace, &config, plan)
-                .expect("generated plans validate");
-            assert_eq!(
-                result.outcomes.len() + result.fault.lost as usize,
-                trace.len(),
-                "every request completes or is counted lost"
-            );
-            match &reference {
-                None => reference = Some(result),
-                Some(reference) => assert_eq!(
+    for repeat in 0..3 {
+        let result = fleet
+            .run_faulted(&trace, &config, plan)
+            .expect("generated plans validate");
+        assert_eq!(
+            result.outcomes.len() + result.fault.lost as usize,
+            trace.len(),
+            "every request completes or is counted lost"
+        );
+        match &reference {
+            None => reference = Some(result),
+            Some(reference) => {
+                assert_eq!(
                     *reference, result,
-                    "faulted run diverged at workers={workers} repeat={repeat}"
-                ),
+                    "faulted run diverged at repeat={repeat}"
+                )
             }
         }
     }
@@ -70,7 +69,7 @@ fn assert_faulted_run_is_pure(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
     #[test]
-    fn faulted_fleets_are_bit_identical_across_workers_and_repeats(
+    fn faulted_fleets_are_bit_identical_across_repeats(
         rate_rps in 10.0f64..60.0,
         n_requests in 20usize..60,
         trace_seed in 0u64..u64::MAX,
@@ -120,10 +119,8 @@ proptest! {
     }
 }
 
-/// The non-negotiable invariant, over both topologies, every router and
-/// worker counts {1, 2, 8}: an **empty** fault plan is byte-identical to the
-/// fault-free fleet (which the parallel-equivalence suite already ties to
-/// the sequential driver).
+/// The non-negotiable invariant, over both topologies and every router: an
+/// **empty** fault plan is byte-identical to the fault-free fleet.
 #[test]
 fn empty_plan_is_byte_identical_to_fault_free_fleet() {
     let (sim, model) = setup();
@@ -141,24 +138,21 @@ fn empty_plan_is_byte_identical_to_fault_free_fleet() {
     ];
     for mode in modes {
         for router in RouterKind::ALL {
-            for workers in [1, 2, 8] {
-                let config = FleetConfig {
-                    mode,
-                    router,
-                    workers,
-                    ..FleetConfig::colocated(REPLICAS)
-                };
-                let baseline = fleet.run(&trace, &config);
-                let faulted = fleet
-                    .run_faulted(&trace, &config, &plan)
-                    .expect("empty plan validates");
-                assert_eq!(
-                    baseline,
-                    faulted,
-                    "empty plan diverged: {mode:?}/{}/workers={workers}",
-                    router.name()
-                );
-            }
+            let config = FleetConfig {
+                mode,
+                router,
+                ..FleetConfig::colocated(REPLICAS)
+            };
+            let baseline = fleet.run(&trace, &config);
+            let faulted = fleet
+                .run_faulted(&trace, &config, &plan)
+                .expect("empty plan validates");
+            assert_eq!(
+                baseline,
+                faulted,
+                "empty plan diverged: {mode:?}/{}",
+                router.name()
+            );
         }
     }
 }

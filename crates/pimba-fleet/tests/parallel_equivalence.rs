@@ -1,10 +1,16 @@
-//! The parallel co-simulation contract: for any worker count, any topology
-//! and any router, the parallel fleet drivers produce results **bit-identical**
-//! to the sequential driver — same outcomes, same per-replica telemetry, same
-//! assignments, same makespan. And the memoized grid contract: a warm
-//! re-evaluation returns byte-identical records without stepping an engine.
+//! The execution-path contract: the colocated loop's decoupled free-run
+//! (load-oblivious routers with nothing mid-trace to observe) is
+//! **bit-identical** to the stepped loop that pauses every replica at every
+//! arrival — same outcomes, same per-replica telemetry, same assignments,
+//! same makespan. The stepped loop is forced through the public API with a
+//! no-op fault plan (a restart of a replica that is already live). Also the
+//! ignored `workers` knob moving no bit on any topology, router or policy, the
+//! empty-plan identity across both topologies, a handoff landing exactly on
+//! an arrival instant, and the memoized grid contract: a warm re-evaluation
+//! returns byte-identical records without stepping an engine.
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
+use pimba_fleet::fault::{FaultPlan, FaultStats};
 use pimba_fleet::memo::FleetMemo;
 use pimba_fleet::router::RouterKind;
 use pimba_fleet::runner::{FleetGrid, FleetRunner};
@@ -14,6 +20,7 @@ use pimba_serve::traffic::{Scenario, Trace, TraceRequest};
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn setup() -> (ServingSimulator, ModelConfig) {
@@ -34,10 +41,51 @@ fn modes() -> [FleetMode; 2] {
     ]
 }
 
-/// The tentpole property: parallel ≡ sequential to the bit, across
+const POLICIES: [PolicyKind; 3] = [
+    PolicyKind::FcfsStatic,
+    PolicyKind::Continuous,
+    PolicyKind::ChunkedPrefill { chunk_tokens: 128 },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Free-run ≡ stepped to the bit, over seeded traces × every scheduling
+    /// policy × replica counts {2, 3, 8}.
+    #[test]
+    fn free_run_is_bit_identical_to_the_stepped_loop(
+        seed in 0u64..u64::MAX,
+        rate in 10.0f64..90.0,
+        n in 20usize..120,
+        policy_idx in 0usize..3,
+        replicas_idx in 0usize..3,
+        scenario_idx in 0usize..2,
+    ) {
+        let (sim, model) = setup();
+        let fleet = FleetSim::new(&sim, &model);
+        let scenario = [Scenario::chat(), Scenario::reasoning()][scenario_idx].clone();
+        let trace = scenario.generate(rate, n, seed);
+        let mut config = FleetConfig::colocated([2, 3, 8][replicas_idx]);
+        config.router = RouterKind::RoundRobin;
+        config.policy = POLICIES[policy_idx];
+        config.engine.max_batch = 12;
+        config.engine.seq_bucket = 32;
+        let free_run = fleet.run(&trace, &config);
+        let noop = FaultPlan::default().restart(0.0, 0);
+        let stepped = fleet.run_faulted(&trace, &config, &noop).expect("valid plan");
+        prop_assert!(
+            free_run == stepped,
+            "free-run diverged: {}/replicas={}/n={n}/seed={seed:#x}",
+            config.policy.name(),
+            config.mode.replicas()
+        );
+    }
+}
+
+/// `FleetConfig::workers` is kept for compatibility and ignored by the single
+/// event loop: any worker count is bit-identical to the default, across
 /// {colocated, disaggregated} × every router × worker counts {1, 2, 8} ×
-/// seeded traces. Worker count 1 exercises the parallel drivers' dispatch
-/// falling back to the sequential path; 8 oversubscribes 4 replicas.
+/// seeded traces.
 #[test]
 fn parallel_fleet_is_bit_identical_to_sequential_for_any_worker_count() {
     let (sim, model) = setup();
@@ -66,18 +114,14 @@ fn parallel_fleet_is_bit_identical_to_sequential_for_any_worker_count() {
     }
 }
 
-/// Scheduling policies ride along unchanged: the windowed and decoupled
-/// drivers replay the same per-replica policy decisions.
+/// Scheduling policies ride along unchanged: the worker knob moves no
+/// per-replica policy decision, and neither does the stepped loop.
 #[test]
 fn parallel_fleet_is_bit_identical_across_policies() {
     let (sim, model) = setup();
     let fleet = FleetSim::new(&sim, &model);
     let trace = Scenario::reasoning().generate(30.0, 70, 17);
-    for policy in [
-        PolicyKind::FcfsStatic,
-        PolicyKind::Continuous,
-        PolicyKind::ChunkedPrefill { chunk_tokens: 128 },
-    ] {
+    for policy in POLICIES {
         for router in [RouterKind::RoundRobin, RouterKind::Jsq] {
             let mut config = FleetConfig::colocated(3);
             config.router = router;
@@ -93,25 +137,28 @@ fn parallel_fleet_is_bit_identical_across_policies() {
                 policy.name(),
                 router.name()
             );
+            let noop = FaultPlan::default().restart(0.0, 0);
+            let stepped = fleet.run_faulted(&trace, &config, &noop).expect("valid plan");
+            assert!(
+                stepped == sequential,
+                "stepped loop diverged: {}/{}",
+                policy.name(),
+                router.name()
+            );
         }
     }
 }
 
-/// The sharpest window edge: a handoff landing *exactly* on a synchronization
-/// horizon (an arrival at precisely the handoff instant). The sequential
-/// driver's strict `h.time_ns < t` delivery test must be reproduced by both
-/// parallel disaggregated drivers — the handoff delivers after that arrival's
-/// window, not inside it.
+/// The sharpest horizon edge: a handoff landing *exactly* on an arrival
+/// instant. The loop's strict `h.time_ns < t` delivery test delivers it after
+/// that arrival is routed; a no-op slowdown event at the same instant (the
+/// faulted path through the merged timeline) must not move a bit either.
 #[test]
 fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
     let (sim, model) = setup();
     let fleet = FleetSim::new(&sim, &model);
     let mut config = FleetConfig::colocated(1);
-    config.mode = FleetMode::Disaggregated {
-        prefill_replicas: 2,
-        decode_replicas: 2,
-        transfer: StateTransferModel::nvlink(),
-    };
+    config.mode = modes()[1];
     config.engine.max_batch = 8;
     config.engine.seq_bucket = 32;
 
@@ -138,19 +185,20 @@ fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
     });
     let trace = Trace::from_requests(requests);
 
+    let noop = FaultPlan::default()
+        .slowdown(handoff_at, 0, 1.0, 1.0e6)
+        .slowdown(handoff_at, 3, 1.0, 1.0e6);
     for router in RouterKind::ALL {
         config.router = router;
-        config.workers = 0;
-        let sequential = fleet.run(&trace, &config);
-        for workers in [2, 8] {
-            config.workers = workers;
-            let parallel = fleet.run(&trace, &config);
-            assert!(
-                parallel == sequential,
-                "boundary handoff diverged: {}/workers={workers}",
-                router.name()
-            );
-        }
+        let plain = fleet.run(&trace, &config);
+        let mut faulted = fleet.run_faulted(&trace, &config, &noop).expect("valid");
+        assert_eq!(faulted.fault.slowdowns, 2);
+        faulted.fault = FaultStats::default();
+        assert!(
+            faulted == plain,
+            "boundary handoff diverged: {}",
+            router.name()
+        );
     }
 }
 
@@ -193,19 +241,18 @@ fn warm_grid_reevaluation_is_byte_identical_with_zero_simulations() {
     );
 
     // Memoless and memoized runs agree (memo is invisible in the results),
-    // and so does a memoized run with a different execution configuration.
+    // and so does a memoized run at another runner thread count.
     let plain = FleetRunner::new().run(&grid);
     assert_eq!(plain, cold);
-    let parallel = FleetRunner::new()
+    let single = FleetRunner::new()
         .with_threads(1)
-        .with_fleet_workers(4)
         .with_memo(memo.clone())
         .run(&grid);
-    assert_eq!(parallel, cold, "workers are an execution knob, not a key");
+    assert_eq!(single, cold, "threads are an execution knob, not a key");
     let (_, _, cells) = memo.stats();
     assert_eq!(
         cells.misses as usize, total,
-        "parallel rerun hit every cell"
+        "single-threaded rerun hit every cell"
     );
 
     // One changed knob only recomputes what it invalidates: comparing one
@@ -227,34 +274,30 @@ fn warm_grid_reevaluation_is_byte_identical_with_zero_simulations() {
 }
 
 /// The fault-injection identity gate: an **empty** `FaultPlan` routed through
-/// `run_faulted` is byte-identical to `run` for every topology, router and
-/// worker count this suite covers. (Non-empty plans are covered by
-/// `tests/fault_determinism.rs`.)
+/// `run_faulted` is byte-identical to `run` for every topology and router.
+/// (Non-empty plans are covered by `tests/fault_determinism.rs`.)
 #[test]
 fn empty_fault_plan_rides_the_parallel_equivalence_matrix() {
     let (sim, model) = setup();
     let fleet = FleetSim::new(&sim, &model);
     let trace = Scenario::chat().generate(45.0, 90, 0xFA17);
-    let plan = pimba_fleet::fault::FaultPlan::default();
+    let plan = FaultPlan::default();
     for mode in modes() {
         for router in RouterKind::ALL {
-            for workers in [0, 2, 8] {
-                let mut config = FleetConfig::colocated(1);
-                config.mode = mode;
-                config.router = router;
-                config.workers = workers;
-                config.engine.max_batch = 16;
-                config.engine.seq_bucket = 32;
-                let baseline = fleet.run(&trace, &config);
-                let faulted = fleet
-                    .run_faulted(&trace, &config, &plan)
-                    .expect("empty plan validates");
-                assert!(
-                    baseline == faulted,
-                    "empty plan diverged: {mode:?}/{}/workers={workers}",
-                    router.name()
-                );
-            }
+            let mut config = FleetConfig::colocated(1);
+            config.mode = mode;
+            config.router = router;
+            config.engine.max_batch = 16;
+            config.engine.seq_bucket = 32;
+            let baseline = fleet.run(&trace, &config);
+            let faulted = fleet
+                .run_faulted(&trace, &config, &plan)
+                .expect("empty plan validates");
+            assert!(
+                baseline == faulted,
+                "empty plan diverged: {mode:?}/{}",
+                router.name()
+            );
         }
     }
 }

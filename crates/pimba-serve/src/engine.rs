@@ -1287,14 +1287,6 @@ impl<'a> Session<'a> {
         self.telemetry.record(self.now_ns, queue_depth, occupancy);
     }
 
-    /// Completion timestamp of the `nth` completed request in completion
-    /// order (non-decreasing in `nth`). Lets a speculative fleet driver
-    /// reconstruct a replica's outstanding-load trajectory at arbitrary past
-    /// instants after a free-run, without re-stepping the session.
-    pub fn completion_time_at(&self, nth: usize) -> f64 {
-        self.completion[self.completed_log[nth]]
-    }
-
     /// Captures a [`SessionSnapshot`] of the session's entire mutable state
     /// (see the snapshot type for exactly what is and is not copied). Valid
     /// at any point — including mid-macro-step, while a fast-forward decode

@@ -178,15 +178,14 @@ pub trait Scheduler: Send {
     }
 
     /// Clones the policy's current state into an independent boxed copy — the
-    /// scheduler half of a replica checkpoint. A speculative fleet driver
-    /// forks the policy alongside [`Session::snapshot`](crate::engine::Session::snapshot)
-    /// so a rollback rewinds *both* halves of the replica; the memo grids fork
-    /// a stored checkpoint's policy on every restore so the stored copy stays
-    /// pristine.
+    /// scheduler half of a replica checkpoint, taken alongside
+    /// [`Session::snapshot`](crate::engine::Session::snapshot). The memo
+    /// grids fork a stored checkpoint's policy on every restore so the stored
+    /// copy stays pristine.
     ///
     /// Every shipped policy overrides this with a plain state clone. The
-    /// default panics: a custom policy that never meets a speculative or
-    /// checkpointing driver need not be forkable.
+    /// default panics: a custom policy that never meets a checkpointing
+    /// driver need not be forkable.
     fn fork(&self) -> Box<dyn Scheduler> {
         panic!("scheduler '{}' does not support forking", self.name());
     }

@@ -70,9 +70,6 @@ pub use memory::MemoryModel;
 pub use pipeline::PipelineDeployment;
 pub use serving::{EnergyBreakdown, ServingSimulator, StepBreakdown, StepFunction};
 pub use stats::{exact_percentile, median, percentile_of_sorted};
-pub use sweep::{
-    fleet_map, max_batch_within_slo, parallel_map, run_windowed, FleetWindows, SweepGrid,
-    SweepRecord, SweepRunner,
-};
+pub use sweep::{max_batch_within_slo, parallel_map, SweepGrid, SweepRecord, SweepRunner};
 pub use table::{PrefillLatencyTable, StepLatencyTable};
 pub use transfer::{handoff_bytes, StateTransferModel};

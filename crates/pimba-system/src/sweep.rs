@@ -188,183 +188,6 @@ where
         .collect()
 }
 
-/// Runs `run(index, &mut item)` once per item of `items` across up to
-/// `workers` scoped threads, claiming items off a shared cursor. The
-/// fire-and-join sibling of [`run_windowed`]: each item is visited exactly
-/// once, by exactly one worker, with exclusive access — the free-running
-/// execution mode of a fleet whose replicas need no synchronization points
-/// (a load-oblivious router and no cross-replica handoffs). `run` must be
-/// deterministic per item for the results to be thread-count-independent;
-/// the fleet drivers guarantee this by giving each item its full injection
-/// plan up front.
-pub fn fleet_map<S, F>(items: &mut [S], workers: usize, run: F)
-where
-    S: Send,
-    F: Fn(usize, &mut S) + Sync,
-{
-    let total = items.len();
-    if total == 0 {
-        return;
-    }
-    let workers = workers.clamp(1, total);
-    if workers == 1 {
-        for (index, item) in items.iter_mut().enumerate() {
-            run(index, item);
-        }
-        return;
-    }
-    let slots: Vec<std::sync::Mutex<&mut S>> =
-        items.iter_mut().map(std::sync::Mutex::new).collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (run, slots, cursor) = (&run, &slots, &cursor);
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= total {
-                    break;
-                }
-                let mut item = slots[index].lock().expect("fleet item poisoned");
-                run(index, &mut item);
-            });
-        }
-    });
-}
-
-/// Horizon bits signalling the persistent workers of [`run_windowed`] to
-/// exit — a NaN payload no real horizon can carry (`f64::INFINITY` is a
-/// legitimate final window).
-const WINDOW_STOP: u64 = u64::MAX;
-
-/// The main-thread handle onto one [`run_windowed`] execution: advances all
-/// items through one synchronization window at a time and gives the driver
-/// exclusive access to items between windows.
-pub struct FleetWindows<'e, S> {
-    slots: &'e [std::sync::Mutex<&'e mut S>],
-    barrier: &'e std::sync::Barrier,
-    horizon_bits: &'e std::sync::atomic::AtomicU64,
-    /// The item range of the current window, packed `start << 32 | end`.
-    range_bits: &'e std::sync::atomic::AtomicU64,
-}
-
-impl<S> FleetWindows<'_, S> {
-    /// Number of items under execution.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` for an empty pool (never the case under [`run_windowed`]).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Runs one window: every item is stepped to `horizon` by its worker
-    /// (the entry barrier publishes the horizon, the exit barrier joins the
-    /// window), then control returns to the driver with all workers parked.
-    pub fn advance(&mut self, horizon: f64) {
-        self.advance_range(0..self.slots.len(), horizon);
-    }
-
-    /// Runs one window over `range` only — the sub-pool window of a
-    /// disaggregated fleet, where prefill and decode pools advance to
-    /// *different* horizon streams (stepping a pool backwards to the other
-    /// pool's earlier horizon is never attempted this way).
-    pub fn advance_range(&mut self, range: std::ops::Range<usize>, horizon: f64) {
-        debug_assert!(!horizon.is_nan(), "window horizons must be comparable");
-        debug_assert!(range.end <= self.slots.len() && (range.end as u64) < (1 << 32));
-        self.range_bits.store(
-            ((range.start as u64) << 32) | range.end as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        self.horizon_bits
-            .store(horizon.to_bits(), std::sync::atomic::Ordering::Relaxed);
-        let _barrier_wait = crate::obs::profile_phase("window_barrier");
-        self.barrier.wait();
-        self.barrier.wait();
-    }
-
-    /// Exclusive access to item `index` between windows.
-    pub fn with<T>(&mut self, index: usize, f: impl FnOnce(&mut S) -> T) -> T {
-        let mut item = self.slots[index].lock().expect("fleet item poisoned");
-        f(&mut item)
-    }
-
-    /// Maps every item between windows, in index order.
-    pub fn map<T>(&mut self, mut f: impl FnMut(&mut S) -> T) -> Vec<T> {
-        (0..self.slots.len())
-            .map(|i| self.with(i, &mut f))
-            .collect()
-    }
-}
-
-/// Conservative-window fleet execution: persistent per-item workers with a
-/// barrier per window.
-///
-/// Spawns up to `workers` scoped threads that each own a strided subset of
-/// `items` for the whole execution, then hands the main thread a
-/// [`FleetWindows`] driver handle. Each [`FleetWindows::advance`] runs one
-/// *synchronization window*: the workers step every item to the published
-/// horizon via `step(index, item, horizon)` in parallel, a barrier joins
-/// them, and the driver regains exclusive access (to snapshot loads, route
-/// and inject — whatever happens *between* windows). Window-ordering and the
-/// per-item call sequence are exactly those of a sequential
-/// `for item in items { step(item, horizon) }` loop per window, so any
-/// deterministic per-item `step` makes the execution bit-identical to the
-/// sequential driver for every worker count.
-///
-/// Returns the items (in order) and the driver's result.
-pub fn run_windowed<S, R, W, D>(mut items: Vec<S>, workers: usize, step: W, drive: D) -> (Vec<S>, R)
-where
-    S: Send,
-    W: Fn(usize, &mut S, f64) + Sync,
-    D: FnOnce(&mut FleetWindows<'_, S>) -> R,
-{
-    let total = items.len();
-    assert!(total > 0, "a windowed fleet needs at least one item");
-    let workers = workers.clamp(1, total);
-    let slots: Vec<std::sync::Mutex<&mut S>> =
-        items.iter_mut().map(std::sync::Mutex::new).collect();
-    let barrier = std::sync::Barrier::new(workers + 1);
-    let horizon_bits = std::sync::atomic::AtomicU64::new(WINDOW_STOP);
-    let range_bits = std::sync::atomic::AtomicU64::new(0);
-    let result = std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let (step, slots, barrier) = (&step, &slots, &barrier);
-            let (horizon_bits, range_bits) = (&horizon_bits, &range_bits);
-            scope.spawn(move || loop {
-                barrier.wait();
-                let bits = horizon_bits.load(std::sync::atomic::Ordering::Relaxed);
-                if bits == WINDOW_STOP {
-                    break;
-                }
-                let horizon = f64::from_bits(bits);
-                let packed = range_bits.load(std::sync::atomic::Ordering::Relaxed);
-                let (lo, hi) = ((packed >> 32) as usize, (packed & u32::MAX as u64) as usize);
-                for index in (worker..total).step_by(workers) {
-                    if index >= lo && index < hi {
-                        let mut item = slots[index].lock().expect("fleet item poisoned");
-                        step(index, &mut item, horizon);
-                    }
-                }
-                barrier.wait();
-            });
-        }
-        let mut windows = FleetWindows {
-            slots: &slots,
-            barrier: &barrier,
-            horizon_bits: &horizon_bits,
-            range_bits: &range_bits,
-        };
-        let result = drive(&mut windows);
-        // Release the workers from their entry barrier with the stop
-        // sentinel.
-        horizon_bits.store(WINDOW_STOP, std::sync::atomic::Ordering::Relaxed);
-        barrier.wait();
-        result
-    });
-    (items, result)
-}
-
 /// The cartesian evaluation grid of one sweep.
 #[derive(Debug, Clone, Default)]
 pub struct SweepGrid {
@@ -716,62 +539,6 @@ mod tests {
         let expect: Vec<u64> = (0..50).map(cost).collect();
         for threads in [2, 3, 8] {
             assert_eq!(parallel_map(50, threads, cost), expect, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn fleet_map_visits_every_item_exactly_once_for_any_worker_count() {
-        for workers in [0, 1, 2, 3, 9] {
-            let mut items: Vec<(usize, u64)> = (0..9).map(|i| (i, 0)).collect();
-            fleet_map(&mut items, workers, |index, item| {
-                assert_eq!(item.0, index, "items keep their identity and order");
-                item.1 += 100 + index as u64;
-            });
-            for (i, item) in items.iter().enumerate() {
-                assert_eq!(item.1, 100 + i as u64, "{workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn run_windowed_matches_the_sequential_window_loop_bit_for_bit() {
-        // Each item integrates a float chain over the horizons it is stepped
-        // through — the same accumulation order the sequential loop performs,
-        // so any divergence (a skipped window, a double step, a horizon race)
-        // changes the bits.
-        let horizons = [1.5, 2.25, 2.25, 7.0, 11.5, f64::INFINITY];
-        let sequential: Vec<(f64, u32)> = {
-            let mut items = vec![(0.0f64, 0u32); 5];
-            for &h in &horizons {
-                for (i, item) in items.iter_mut().enumerate() {
-                    item.0 = item.0 * 0.5 + h.min(1e9) * (i + 1) as f64;
-                    item.1 += 1;
-                }
-            }
-            items
-        };
-        for workers in [1, 2, 5, 8] {
-            let (items, windows_run) = run_windowed(
-                vec![(0.0f64, 0u32); 5],
-                workers,
-                |i, item: &mut (f64, u32), h| {
-                    item.0 = item.0 * 0.5 + h.min(1e9) * (i + 1) as f64;
-                    item.1 += 1;
-                },
-                |windows| {
-                    assert_eq!(windows.len(), 5);
-                    assert!(!windows.is_empty());
-                    for &h in &horizons {
-                        windows.advance(h);
-                    }
-                    // Between-window access composes with the stepping.
-                    let snapshot = windows.map(|item| item.1);
-                    assert_eq!(snapshot, vec![horizons.len() as u32; 5]);
-                    windows.with(2, |item| item.1)
-                },
-            );
-            assert_eq!(items, sequential, "{workers} workers");
-            assert_eq!(windows_run, horizons.len() as u32);
         }
     }
 

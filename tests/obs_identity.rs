@@ -1,6 +1,6 @@
 //! The observability no-perturbation property, end to end: enabling tracing
 //! and metrics must never change a single output bit — in the engine, in the
-//! fleet at every worker count, and under injected faults — and the trace
+//! fleet on both topologies and every router, and under injected faults — and the trace
 //! codecs must round-trip byte-stably (emit → parse → re-emit). These are
 //! the root gates behind the invariant stated in `pimba_system::obs` and
 //! `pimba_fleet::cluster`.
@@ -68,7 +68,7 @@ fn engine_tracing_never_changes_results() {
 }
 
 #[test]
-fn fleet_tracing_is_identical_across_worker_counts() {
+fn fleet_tracing_is_identical_on_every_topology_and_router() {
     let model = model();
     let sim = sim();
     let trace = Scenario::chat().generate(50.0, 100, 2026);
@@ -81,11 +81,10 @@ fn fleet_tracing_is_identical_across_worker_counts() {
         },
     ];
     for mode in modes {
-        for workers in [1usize, 2, 8] {
+        for router in RouterKind::ALL {
             let config = FleetConfig {
                 mode,
-                router: RouterKind::Jsq,
-                workers,
+                router,
                 ..FleetConfig::colocated(3)
             };
             let baseline = FleetSim::new(&sim, &model).run(&trace, &config);
@@ -95,11 +94,13 @@ fn fleet_tracing_is_identical_across_worker_counts() {
                 .run(&trace, &config);
             assert!(
                 traced == baseline,
-                "tracing changed fleet output: {mode:?}, workers={workers}"
+                "tracing changed fleet output: {mode:?}, {}",
+                router.name()
             );
             assert!(
                 recorder.event_count() > 0,
-                "the fleet must emit route events: {mode:?}, workers={workers}"
+                "the fleet must emit route events: {mode:?}, {}",
+                router.name()
             );
         }
     }
