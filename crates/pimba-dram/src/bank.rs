@@ -1,9 +1,7 @@
 //! Per-bank row-buffer state tracking.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing-relevant state of one DRAM bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankState {
     /// Currently open row, if any.
     pub open_row: Option<usize>,

@@ -1,10 +1,8 @@
 //! The DRAM command set: standard JEDEC-style commands plus the five Pimba extensions
 //! described in Section 5.5 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// A command issued to one pseudo-channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramCommand {
     /// Activate `row` in `bank`, bringing it into the row buffer.
     Activate {

@@ -15,11 +15,10 @@ use crate::bank::BankState;
 use crate::command::DramCommand;
 use crate::geometry::DramGeometry;
 use crate::timing::TimingParams;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A command was issued earlier than a timing constraint allows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingViolation {
     /// The command that violated a constraint.
     pub command: String,
@@ -44,7 +43,7 @@ impl std::fmt::Display for TimingViolation {
 impl std::error::Error for TimingViolation {}
 
 /// Per-pseudo-channel statistics (feed the energy model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Row activations (ACT and each bank of ACT4).
     pub activations: u64,

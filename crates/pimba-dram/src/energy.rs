@@ -8,10 +8,9 @@
 
 use crate::controller::ChannelStats;
 use crate::geometry::DramGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation energy coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one row activation + precharge pair, in picojoules.
     pub activation_pj: f64,
@@ -74,7 +73,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy consumed, broken down by component (all picojoules).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyCounters {
     /// Row activation + precharge energy.
     pub activation_pj: f64,

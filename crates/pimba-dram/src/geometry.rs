@@ -5,10 +5,8 @@
 //! of 16 banks (4 bank groups x 4 banks, Table 1). Pimba places one SPU per two banks,
 //! i.e. 8 SPUs per pseudo-channel.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical organization of the HBM attached to one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramGeometry {
     /// Number of independent channels per device.
     pub channels: usize,

@@ -4,10 +4,8 @@
 //! paper. The PIM compute units (SPUs) are clocked at a quarter of the bus frequency
 //! because one `COMP` occupies `tCCD_L = 4` bus cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing parameters of one HBM generation (all values in memory-bus cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingParams {
     /// Memory bus frequency in GHz (command/address clock).
     pub bus_ghz: f64,

@@ -140,7 +140,7 @@ use crate::router::{streams, ReplicaLoad, Router, RouterKind};
 use pimba_models::config::ModelConfig;
 use pimba_serve::engine::{DroppedRequest, Engine, EngineConfig, Session, SessionSnapshot};
 use pimba_serve::metrics::{PreemptionStats, RequestOutcome, SimResult, TelemetryStats};
-use pimba_serve::runner::fold_trace_prefix;
+use pimba_serve::runner::{fold_trace_prefix, longest_stored_prefix};
 use pimba_serve::sched::{PolicyKind, Scheduler};
 use pimba_serve::traffic::{Trace, TraceRequest};
 use pimba_system::memo::{FingerprintBuilder, MemoStore};
@@ -1165,8 +1165,7 @@ impl<'a> FleetSim<'a> {
             fleet.push(event.time_ns, FleetEv::Fault(index));
         }
 
-        // The routed-prefix hook: restore the longest stored prefix — the
-        // whole trace first, then multiples of `every` descending.
+        // The routed-prefix hook: restore the longest stored prefix.
         let key_base = checkpoints.map(|_| self.checkpoint_key_base(config));
         let key = |prefix: usize| {
             let base = key_base.clone().expect("keys fold only when checkpointing");
@@ -1174,14 +1173,11 @@ impl<'a> FleetSim<'a> {
         };
         let mut start = 0usize;
         if let Some((store, every)) = checkpoints {
-            let mut probe = trace.len();
-            while probe > 0 {
-                if let Some(checkpoint) = store.get(key(probe)) {
-                    fleet.restore(&checkpoint);
-                    start = probe;
-                    break;
-                }
-                probe = (probe - 1) / every * every;
+            if let Some((prefix, checkpoint)) =
+                longest_stored_prefix(store, trace.len(), every, key)
+            {
+                fleet.restore(&checkpoint);
+                start = prefix;
             }
             let labels: &[(&str, &str)] = &[("router", config.router.name())];
             let outcome = if start > 0 {

@@ -27,9 +27,10 @@
 //! * [`runner`] — the parallel (system × scenario × rate × replica-count ×
 //!   router) grid runner and the [`replicas_to_hold`]
 //!   SLO-scaling search,
-//! * [`memo`] — the content-addressed [`memo::FleetMemo`] making
-//!   repeated what-if grids incremental: warm cells skip simulation and
-//!   return byte-identical records.
+//! * [`memo`] — the [`FleetRecord`] codec and [`memo::FleetMemo`], the
+//!   shared [`GridMemo`](pimba_serve::runner::GridMemo) over fleet records
+//!   making repeated what-if grids incremental: warm cells skip simulation
+//!   and return byte-identical records.
 //!
 //! Replicas are [`Session`](pimba_serve::Session)s of the single-replica
 //! engine, so everything the engine guarantees carries over: a colocated

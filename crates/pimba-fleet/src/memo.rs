@@ -1,25 +1,10 @@
-//! Content-addressed memoization of fleet what-if grids.
+//! The [`FleetRecord`] codec and the fleet runner's memo type.
 //!
-//! A what-if study re-runs a grid with one knob changed — a router swapped,
-//! one more rate point, a different replica count — and today re-simulates
-//! every cell from scratch even though most cells' inputs are untouched.
-//! [`FleetMemo`] makes such grids incremental: every artifact the runner
-//! produces is keyed by a [`Fingerprint`] of its *complete* input identity
-//! (see [`pimba_system::memo`] for the purity contract) and stored in a
-//! concurrent [`MemoStore`], so a re-evaluation only pays for the cells whose
-//! inputs actually changed. Three stores cover the runner's three costs:
-//!
-//! * **traces** — per-(scenario, rate) arrival traces, the shared-prefix fast
-//!   path across systems/replica-counts/routers *and* across grids,
-//! * **max_batches** — the per-(system, scenario) SLO capacity searches
-//!   (`max_batch_within_slo` binary searches, each tens of simulator steps),
-//! * **cells** — full [`FleetRecord`]s: a warm hit skips the fleet
-//!   co-simulation entirely and returns bytes identical to a cold run (the
-//!   simulation is deterministic bit-for-bit in its fingerprinted inputs).
-//!
-//! Execution knobs that cannot change results — runner thread counts — are
-//! deliberately *excluded* from every fingerprint, so a grid evaluated
-//! sequentially warms the memo for a parallel re-evaluation and vice versa.
+//! [`FleetMemo`] is the shared [`GridMemo`] over fleet records; this module
+//! supplies the record's exact binary codec ([`MemoValue`], every float by
+//! bit pattern — see [`pimba_serve::codec`] for the schema-tag convention) and
+//! its `fleet_{traces,capacity,cells}.seg` segment names, disjoint from the
+//! traffic memo's so both can share one store directory.
 
 use crate::cluster::FleetCheckpoint;
 use crate::fault::FaultStats;
@@ -28,12 +13,11 @@ use crate::runner::FleetRecord;
 use pimba_serve::codec::{
     decode_summary, decode_tenant_summaries, encode_summary, encode_tenant_summaries,
 };
-use pimba_serve::traffic::Trace;
-use pimba_system::memo::{Fingerprint, MemoStats, MemoStore};
-use pimba_system::persist::{ByteReader, ByteWriter, LoadReport, MemoValue};
-use std::path::Path;
+use pimba_serve::runner::{GridMemo, GridRecord};
+use pimba_system::persist::{ByteReader, ByteWriter, MemoValue};
 
-pub use pimba_serve::runner::{fold_trace, trace_fingerprint};
+/// The memo of [`FleetRunner`](crate::runner::FleetRunner) grids.
+pub type FleetMemo = GridMemo<FleetRecord, FleetCheckpoint>;
 
 /// Schema tag of the [`FleetRecord`] codec (see [`pimba_serve::codec`] for
 /// the tagging convention).
@@ -56,6 +40,10 @@ fn router_from_tag(tag: u8) -> Option<RouterKind> {
         3 => RouterKind::TenantAffinity,
         _ => return None,
     })
+}
+
+impl GridRecord for FleetRecord {
+    const SEGMENTS: [&'static str; 3] = ["fleet_traces", "fleet_capacity", "fleet_cells"];
 }
 
 impl MemoValue for FleetRecord {
@@ -116,138 +104,6 @@ impl MemoValue for FleetRecord {
                 migrated_bytes: reader.f64()?,
             },
         })
-    }
-}
-
-/// The memo of fleet grid evaluations — share one (behind an
-/// [`Arc`](std::sync::Arc)) across every [`FleetRunner`](crate::runner::FleetRunner)
-/// run that should reuse results.
-#[derive(Debug, Default)]
-pub struct FleetMemo {
-    /// Per-(scenario, rate, request-count, seed) arrival traces.
-    pub(crate) traces: MemoStore<Trace>,
-    /// Per-(system, scenario) SLO batch-capacity searches.
-    pub(crate) max_batches: MemoStore<usize>,
-    /// Fully evaluated grid cells.
-    pub(crate) cells: MemoStore<FleetRecord>,
-    /// Routed-prefix fleet checkpoints (see
-    /// [`FleetCheckpoint`](crate::cluster::FleetCheckpoint)): execution
-    /// accelerators keyed by (semantic config, trace prefix). **In-memory
-    /// only** — [`FleetMemo::persistent`] deliberately does not persist
-    /// them; results are what the disk holds, checkpoints are rebuilt warm
-    /// within a process.
-    pub(crate) checkpoints: MemoStore<FleetCheckpoint>,
-}
-
-impl FleetMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A disk-backed memo rooted at `dir` (created if absent): each store
-    /// appends to its own crash-safe segment file
-    /// (`fleet_{traces,capacity,cells}.seg` — see [`pimba_system::persist`]),
-    /// and entries persisted by earlier processes are loaded up front, so
-    /// repeated what-ifs across restarts are warm hits returning
-    /// bit-identical records. A fleet store can share `dir` with a
-    /// [`TrafficMemo`](pimba_serve::runner::TrafficMemo) store — the file
-    /// names are disjoint.
-    pub fn persistent(dir: &Path) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        Ok(Self {
-            traces: MemoStore::persistent(&dir.join("fleet_traces.seg"))?,
-            max_batches: MemoStore::persistent(&dir.join("fleet_capacity.seg"))?,
-            cells: MemoStore::persistent(&dir.join("fleet_cells.seg"))?,
-            // Checkpoints stay in memory even for disk-backed memos.
-            checkpoints: MemoStore::new(),
-        })
-    }
-
-    /// Forces persisted entries to stable storage (no-op for in-memory
-    /// memos).
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.traces.sync()?;
-        self.max_batches.sync()?;
-        self.cells.sync()
-    }
-
-    /// `(traces, max_batches, cells)` disk-load reports (`None` entries for
-    /// in-memory stores).
-    pub fn load_reports(&self) -> (Option<LoadReport>, Option<LoadReport>, Option<LoadReport>) {
-        (
-            self.traces.load_report(),
-            self.max_batches.load_report(),
-            self.cells.load_report(),
-        )
-    }
-
-    /// `(traces, max_batches, cells)` hit/miss counters.
-    pub fn stats(&self) -> (MemoStats, MemoStats, MemoStats) {
-        (
-            self.traces.stats(),
-            self.max_batches.stats(),
-            self.cells.stats(),
-        )
-    }
-
-    /// Number of memoized grid cells.
-    pub fn cells_stored(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Number of stored routed-prefix checkpoints.
-    pub fn checkpoints_stored(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Hit/miss counters of the routed-prefix checkpoint store.
-    pub fn checkpoint_stats(&self) -> MemoStats {
-        self.checkpoints.stats()
-    }
-
-    /// Every memoized cell fingerprint, sorted by `(hi, lo)` words (a
-    /// deterministic enumeration order).
-    pub fn cell_keys(&self) -> Vec<Fingerprint> {
-        self.cells.keys()
-    }
-
-    /// Looks up one memoized cell record by fingerprint (the serving
-    /// daemon's `query` verb). Counts as a hit/miss in [`FleetMemo::stats`].
-    pub fn cell(&self, key: Fingerprint) -> Option<std::sync::Arc<FleetRecord>> {
-        self.cells.get(key)
-    }
-
-    /// Per-store `(name, len_bytes, dead_bytes)` of the backing segment
-    /// files — all zeros for in-memory memos. Feeds the serving daemon's
-    /// `stats` response.
-    pub fn segment_stats(&self) -> Vec<(&'static str, u64, u64)> {
-        vec![
-            (
-                "fleet_traces",
-                self.traces.len_bytes(),
-                self.traces.dead_bytes(),
-            ),
-            (
-                "fleet_capacity",
-                self.max_batches.len_bytes(),
-                self.max_batches.dead_bytes(),
-            ),
-            (
-                "fleet_cells",
-                self.cells.len_bytes(),
-                self.cells.dead_bytes(),
-            ),
-        ]
-    }
-
-    /// Compacts every disk-backed store whose dead-byte ratio is at least
-    /// `threshold` (see [`MemoStore::compact`]); returns the total bytes
-    /// reclaimed. A no-op (`Ok(0)`) for in-memory memos.
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        Ok(self.traces.compact(threshold)?
-            + self.max_batches.compact(threshold)?
-            + self.cells.compact(threshold)?)
     }
 }
 

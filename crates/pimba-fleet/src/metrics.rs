@@ -6,10 +6,9 @@ use pimba_serve::metrics::{
     PreemptionStats, RequestOutcome, SimResult, SloSpec, TelemetryStats, TenantSlos, TenantSummary,
     Throughput, TrafficSummary,
 };
-use serde::{Deserialize, Serialize};
 
 /// What a replica did in the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaRole {
     /// Full-lifecycle replica of a colocated fleet.
     Colocated,

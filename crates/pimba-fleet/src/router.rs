@@ -19,7 +19,6 @@
 use pimba_serve::traffic::TraceRequest;
 use rand::rngs::Pcg32;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Keyed-substream domains of the fleet (see
 /// [`Pcg32::keyed_stream`](rand::rngs::Pcg32::keyed_stream)): one constant
@@ -35,7 +34,7 @@ pub mod streams {
 }
 
 /// One replica's load as the router sees it at an arrival instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaLoad {
     /// Requests assigned to the replica and not yet completed — the primary
     /// balancing metric (it is exact at any co-sim instant, independent of
@@ -208,7 +207,7 @@ impl Router for TenantAffinity {
 
 /// Router selector — the value-level form used by fleet configs, grids and
 /// benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterKind {
     /// [`RoundRobin`].
     RoundRobin,

@@ -2,33 +2,31 @@
 //! router) grids evaluated in parallel, plus the SLO-scaling search the
 //! `fleet_scale` bench reports.
 //!
-//! Mirrors `pimba-serve`'s `TrafficRunner`: traces are generated once per
-//! (scenario, rate) from split PCG streams and shared by every system,
-//! replica count and router, so any two cells differing in one axis are
-//! compared under *identical* arrivals; cells fan out over
-//! [`parallel_map`] and come back in grid order, bit-identical for any
-//! worker-thread count (each cell is a pure function of the grid).
+//! Shares `pimba-serve`'s grid front half ([`run_grid`]) with its
+//! `TrafficRunner`: traces are generated once per (scenario, rate) from split
+//! PCG streams and shared by every system, replica count and router, so any
+//! two cells differing in one axis are compared under *identical* arrivals;
+//! cells fan out over the runner's threads and come back in grid order,
+//! bit-identical for any worker-thread count (each cell is a pure function
+//! of the grid).
 
-use crate::cluster::{FleetConfig, FleetMode, FleetSim};
+use crate::cluster::{FleetCheckpoint, FleetConfig, FleetMode, FleetSim};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::memo::{fold_trace, FleetMemo};
-use crate::metrics::FleetResult;
+use crate::memo::FleetMemo;
 use crate::router::RouterKind;
 use pimba_models::config::ModelConfig;
 use pimba_serve::engine::EngineConfig;
 use pimba_serve::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
+use pimba_serve::runner::{fold_trace, run_grid, GridAxes, GridCell};
 use pimba_serve::sched::PolicyKind;
-use pimba_serve::traffic::{Scenario, Trace};
-use pimba_system::cache::LatencyCache;
+use pimba_serve::traffic::Scenario;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder};
 use pimba_system::obs::TraceRecorder;
-use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{max_batch_within_slo, parallel_map, RunAborted, RunControl};
+use pimba_system::sweep::{RunAborted, RunControl, SweepRunner};
 use pimba_system::transfer::StateTransferModel;
 use rand::rngs::Pcg32;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Replica-topology axis of a fleet grid: all cells colocated, or all cells
@@ -321,9 +319,13 @@ pub struct FleetRecord {
 }
 
 /// Parallel evaluator of [`FleetGrid`]s.
+///
+/// Thread-count configuration is delegated to an embedded [`SweepRunner`],
+/// as in `pimba-serve`'s `TrafficRunner`; fleet simulators always share
+/// latency caches.
 #[derive(Debug, Clone, Default)]
 pub struct FleetRunner {
-    threads: usize,
+    runner: SweepRunner,
     memo: Option<Arc<FleetMemo>>,
     trace: Option<Arc<TraceRecorder>>,
 }
@@ -334,9 +336,9 @@ impl FleetRunner {
         Self::default()
     }
 
-    /// Overrides the worker-thread count (0 = all cores; clamped to ≥ 1).
+    /// Overrides the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.runner = self.runner.with_threads(threads);
         self
     }
 
@@ -360,16 +362,6 @@ impl FleetRunner {
         self
     }
 
-    fn thread_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
-
     /// Evaluates every cell and returns records in grid order. Deterministic
     /// for any thread count: every cell derives its traces and router streams
     /// from the grid seed alone.
@@ -388,151 +380,98 @@ impl FleetRunner {
         grid: &FleetGrid,
         control: &RunControl,
     ) -> Result<Vec<FleetRecord>, RunAborted> {
-        let total = grid.len();
-        if total == 0 {
-            return Ok(Vec::new());
+        let axes = GridAxes {
+            systems: &grid.systems,
+            scenarios: &grid.scenarios,
+            rates_rps: &grid.rates_rps,
+            model: &grid.model,
+            requests_per_cell: grid.requests_per_cell,
+            seed: grid.seed,
+            tpot_ms: grid.slo.tpot_ms,
+            max_batch: grid.max_batch,
+            cells_per_point: grid.replica_counts.len() * grid.routers.len(),
+        };
+        run_grid(
+            &self.runner,
+            &axes,
+            self.memo.as_deref(),
+            control,
+            |cell| cell_key(grid, cell),
+            |cell| self.eval(grid, cell, control),
+        )
+    }
+
+    /// Simulates one cell and summarizes it into its record.
+    fn eval(
+        &self,
+        grid: &FleetGrid,
+        cell: &GridCell<'_, FleetCheckpoint>,
+        control: &RunControl,
+    ) -> FleetRecord {
+        let config = cell_config(grid, cell);
+        let mut fleet =
+            FleetSim::new(cell.sim, &grid.model).with_metrics(control.metrics().clone());
+        if let Some(recorder) = &self.trace {
+            fleet = fleet
+                .with_trace(Arc::clone(recorder))
+                .with_trace_prefix(&format!("cell {} / ", cell.index));
         }
-        if control.cancelled() {
-            return Err(RunAborted);
+        let checkpoints = cell
+            .checkpoints
+            .filter(|_| grid.prefix_checkpoint_every > 0);
+        let result = match (&grid.fault, checkpoints) {
+            (Some(plan), _) => fleet
+                .run_faulted(cell.trace, &config, plan)
+                .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
+            (None, Some(checkpoints)) => fleet.run_checkpointed(
+                cell.trace,
+                &config,
+                checkpoints,
+                grid.prefix_checkpoint_every,
+            ),
+            (None, None) => fleet.run(cell.trace, &config),
+        };
+        let index = cell.index.to_string();
+        result.export_metrics(control.metrics(), &[("cell", &index)]);
+        let tenant_slos = grid
+            .tenant_slos
+            .clone()
+            .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
+        FleetRecord {
+            system: cell.system,
+            scenario: cell.scenario,
+            rate_rps: grid.rates_rps[cell.rate],
+            replicas: config.mode.replicas(),
+            router: config.router,
+            max_batch: config.engine.max_batch,
+            summary: result.summary(&grid.slo),
+            goodput_per_replica: result.goodput_per_replica(&grid.slo),
+            per_replica_completed: result.per_replica_completed(),
+            per_tenant: result.per_tenant_summary(&tenant_slos),
+            fault: result.fault,
         }
-        // One simulator per system with a shared shape-keyed cache: every
-        // cell of that system — across replica counts, routers and worker
-        // threads — deduplicates its latency evaluations globally.
-        let sims: Vec<ServingSimulator> = grid
-            .systems
-            .iter()
-            .map(|config| {
-                ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-            })
-            .collect();
+    }
+}
 
-        let memo = self.memo.as_deref();
-        // One trace per (scenario, rate), shared by every other axis (and,
-        // through the memo, by every other grid run with the same inputs).
-        let traces: Vec<Arc<Trace>> = grid
-            .scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(scn_idx, scenario)| {
-                grid.rates_rps
-                    .iter()
-                    .enumerate()
-                    .map(move |(r_idx, &rate)| {
-                        let stream = (scn_idx * grid.rates_rps.len() + r_idx) as u64;
-                        let trace_seed = Pcg32::new_stream(grid.seed, stream).next_u64();
-                        let generate =
-                            || scenario.generate(rate, grid.requests_per_cell, trace_seed);
-                        match memo {
-                            Some(memo) => {
-                                let key = FingerprintBuilder::new()
-                                    .debug(scenario)
-                                    .f64(rate)
-                                    .usize(grid.requests_per_cell)
-                                    .u64(trace_seed)
-                                    .finish();
-                                memo.traces.get_or_insert_with(key, generate)
-                            }
-                            None => Arc::new(generate()),
-                        }
-                    })
-            })
-            .collect();
-
-        // Per-replica capacity planning once per (system, scenario).
-        let max_batches: Vec<usize> = parallel_map(
-            grid.systems.len() * grid.scenarios.len(),
-            self.thread_count(),
-            |i| {
-                if let Some(max_batch) = grid.max_batch {
-                    return max_batch;
-                }
-                let (sys, scn) = (i / grid.scenarios.len(), i % grid.scenarios.len());
-                let anchor_seq = (grid.scenarios[scn].mean_total_tokens() as usize).max(1);
-                let search = || {
-                    max_batch_within_slo(&sims[sys], &grid.model, anchor_seq, grid.slo.tpot_ms, 512)
-                        .unwrap_or(1)
-                };
-                match memo {
-                    Some(memo) => {
-                        let key = FingerprintBuilder::new()
-                            .debug(&grid.systems[sys])
-                            .debug(&grid.model)
-                            .usize(anchor_seq)
-                            .f64(grid.slo.tpot_ms)
-                            .usize(512)
-                            .finish();
-                        *memo.max_batches.get_or_insert_with(key, search)
-                    }
-                    None => search(),
-                }
-            },
-        );
-
-        let completed = AtomicUsize::new(0);
-        let cells: Vec<Option<FleetRecord>> = parallel_map(total, self.thread_count(), |i| {
-            if control.cancelled() {
-                return None;
-            }
-            let (sys, scn, rate, reps, router) = grid.indices(i);
-            let replicas = grid.replica_counts[reps];
-            let config = FleetConfig {
-                mode: grid.mode.mode_for(replicas),
-                router: grid.routers[router],
-                policy: grid.policy,
-                engine: EngineConfig {
-                    max_batch: max_batches[sys * grid.scenarios.len() + scn],
-                    capacity_bytes: None,
-                    seq_bucket: grid.seq_bucket,
-                    fast_forward: grid.fast_forward,
-                    timeline_sample_every: grid.timeline_sample_every,
-                    ..EngineConfig::default()
-                },
-                // Every cell gets its own deterministic router stream.
-                seed: Pcg32::new_stream(grid.seed, 0x7007 + i as u64).next_u64(),
-                workers: 0,
-                speculation: true,
-            };
-            let trace = &traces[scn * grid.rates_rps.len() + rate];
-            let eval = || {
-                let mut fleet =
-                    FleetSim::new(&sims[sys], &grid.model).with_metrics(control.metrics().clone());
-                if let Some(recorder) = &self.trace {
-                    fleet = fleet
-                        .with_trace(Arc::clone(recorder))
-                        .with_trace_prefix(&format!("cell {i} / "));
-                }
-                let result = match &grid.fault {
-                    Some(plan) => fleet
-                        .run_faulted(trace, &config, plan)
-                        .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
-                    None => match memo.filter(|_| grid.prefix_checkpoint_every > 0) {
-                        Some(memo) => fleet.run_checkpointed(
-                            trace,
-                            &config,
-                            &memo.checkpoints,
-                            grid.prefix_checkpoint_every,
-                        ),
-                        None => fleet.run(trace, &config),
-                    },
-                };
-                let cell = i.to_string();
-                result.export_metrics(control.metrics(), &[("cell", &cell)]);
-                record_of(grid, &result, sys, scn, grid.rates_rps[rate], &config)
-            };
-            let record = match memo {
-                Some(memo) => {
-                    let key = cell_key(grid, &config, trace, sys, scn, grid.rates_rps[rate]);
-                    (*memo.cells.get_or_insert_with(key, eval)).clone()
-                }
-                None => eval(),
-            };
-            control.report(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
-            Some(record)
-        });
-        cells
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(RunAborted)
+/// The fleet configuration of one grid cell.
+fn cell_config(grid: &FleetGrid, cell: &GridCell<'_, FleetCheckpoint>) -> FleetConfig {
+    let (_, _, _, reps, router) = grid.indices(cell.index);
+    FleetConfig {
+        mode: grid.mode.mode_for(grid.replica_counts[reps]),
+        router: grid.routers[router],
+        policy: grid.policy,
+        engine: EngineConfig {
+            max_batch: cell.max_batch,
+            capacity_bytes: None,
+            seq_bucket: grid.seq_bucket,
+            fast_forward: grid.fast_forward,
+            timeline_sample_every: grid.timeline_sample_every,
+            ..EngineConfig::default()
+        },
+        // Every cell gets its own deterministic router stream.
+        seed: Pcg32::new_stream(grid.seed, 0x7007 + cell.index as u64).next_u64(),
+        workers: 0,
+        speculation: true,
     }
 }
 
@@ -541,19 +480,13 @@ impl FleetRunner {
 /// trace bits — and nothing that cannot change it (runner thread counts are
 /// an execution knob, deliberately excluded, so runs at any thread count
 /// share entries).
-fn cell_key(
-    grid: &FleetGrid,
-    config: &FleetConfig,
-    trace: &Trace,
-    sys: usize,
-    scn: usize,
-    rate_rps: f64,
-) -> Fingerprint {
+fn cell_key(grid: &FleetGrid, cell: &GridCell<'_, FleetCheckpoint>) -> Fingerprint {
+    let config = cell_config(grid, cell);
     let builder = FingerprintBuilder::new()
-        .usize(sys)
-        .usize(scn)
-        .f64(rate_rps)
-        .debug(&grid.systems[sys])
+        .usize(cell.system)
+        .usize(cell.scenario)
+        .f64(grid.rates_rps[cell.rate])
+        .debug(&grid.systems[cell.system])
         .debug(&grid.model)
         .debug(&grid.slo)
         .debug(&grid.tenant_slos)
@@ -568,34 +501,7 @@ fn cell_key(
         Some(plan) => builder.debug(plan),
         None => builder,
     };
-    fold_trace(builder, trace).finish()
-}
-
-fn record_of(
-    grid: &FleetGrid,
-    result: &FleetResult,
-    system: usize,
-    scenario: usize,
-    rate_rps: f64,
-    config: &FleetConfig,
-) -> FleetRecord {
-    let tenant_slos = grid
-        .tenant_slos
-        .clone()
-        .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
-    FleetRecord {
-        system,
-        scenario,
-        rate_rps,
-        replicas: config.mode.replicas(),
-        router: config.router,
-        max_batch: config.engine.max_batch,
-        summary: result.summary(&grid.slo),
-        goodput_per_replica: result.goodput_per_replica(&grid.slo),
-        per_replica_completed: result.per_replica_completed(),
-        per_tenant: result.per_tenant_summary(&tenant_slos),
-        fault: result.fault,
-    }
+    fold_trace(builder, cell.trace).finish()
 }
 
 /// The scaling headline: the smallest replica count among `records` (matching

@@ -138,7 +138,9 @@ fn parallel_fleet_is_bit_identical_across_policies() {
                 router.name()
             );
             let noop = FaultPlan::default().restart(0.0, 0);
-            let stepped = fleet.run_faulted(&trace, &config, &noop).expect("valid plan");
+            let stepped = fleet
+                .run_faulted(&trace, &config, &noop)
+                .expect("valid plan");
             assert!(
                 stepped == sequential,
                 "stepped loop diverged: {}/{}",

@@ -7,10 +7,9 @@
 //! after the FFN.
 
 use crate::device::GpuDevice;
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous group of GPUs (with attached PIM, in the Pimba configurations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuCluster {
     /// Device type of every member.
     pub device: GpuDevice,

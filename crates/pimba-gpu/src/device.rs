@@ -1,9 +1,7 @@
 //! GPU device descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// Datasheet-level description of one GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuDevice {
     /// Marketing name.
     pub name: String,

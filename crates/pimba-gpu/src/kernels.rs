@@ -8,10 +8,9 @@
 
 use crate::device::GpuDevice;
 use pimba_models::ops::{OpCost, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Per-operator efficiency factors (fraction of peak actually achieved).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelEfficiency {
     /// Fraction of peak compute achieved.
     pub compute: f64,
@@ -20,7 +19,7 @@ pub struct KernelEfficiency {
 }
 
 /// Analytic latency model for GPU kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuKernelModel {
     device: GpuDevice,
 }

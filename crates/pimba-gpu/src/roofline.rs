@@ -1,16 +1,15 @@
 //! Roofline analysis (Figure 1b).
 
 use crate::device::GpuDevice;
-use serde::{Deserialize, Serialize};
 
 /// A roofline for one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Roofline {
     device: GpuDevice,
 }
 
 /// Classification of an operator under the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundedness {
     /// Attainable performance is limited by memory bandwidth.
     MemoryBound,

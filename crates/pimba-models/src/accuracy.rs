@@ -22,10 +22,9 @@ use crate::config::ModelFamily;
 use crate::state_update::{output_cosine_distance, StateUpdateEngine, StateUpdateHead};
 use crate::synth::SynthStream;
 use pimba_num::{QuantFormat, Rounding};
-use serde::{Deserialize, Serialize};
 
 /// Dimensions and length of the synthetic study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StudyConfig {
     /// Rows of the per-head state (and attention head dimension).
     pub dim_head: usize,
@@ -295,7 +294,7 @@ pub fn perplexity(
 }
 
 /// Downstream evaluation tasks of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Task {
     /// Physical commonsense QA (2-way).
     Piqa,

@@ -7,10 +7,8 @@
 //! below follow the publicly documented shapes of each family; they drive parameter
 //! counts, state/KV footprints and per-operator workload generation.
 
-use serde::{Deserialize, Serialize};
-
 /// The model families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Retentive network — linear attention with a per-head scalar decay.
     RetNet,
@@ -91,7 +89,7 @@ impl std::fmt::Display for ModelFamily {
 }
 
 /// Shape of the decay operand of the state update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecayKind {
     /// Per-head scalar decay (RetNet, Mamba-2).
     Scalar,
@@ -102,7 +100,7 @@ pub enum DecayKind {
 }
 
 /// Evaluation scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelScale {
     /// The largest publicly available pretrained checkpoint (2.7B for SU-LLMs, 7B for
     /// Zamba2/OPT/LLaMA).
@@ -125,7 +123,7 @@ impl ModelScale {
 }
 
 /// Full architectural configuration of one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Which family the model belongs to.
     pub family: ModelFamily,

@@ -5,10 +5,8 @@
 //! communication and "others". Each operator instance carries its aggregate FLOP and
 //! byte counts plus the structural shape the PIM mapping needs.
 
-use serde::{Deserialize, Serialize};
-
 /// Operator categories used in the latency/energy breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// The generalized state update (Equation 2), all SU layers of the model.
     StateUpdate,
@@ -64,7 +62,7 @@ impl std::fmt::Display for OpKind {
 }
 
 /// Aggregate FLOP / byte cost of one operator instance.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpCost {
     /// Floating point operations (multiply and add counted separately).
     pub flops: f64,
@@ -123,7 +121,7 @@ impl OpCost {
 /// Shapes are plain integers, so they are `Eq + Hash` and serve directly as the
 /// structural part of the shape-keyed latency-cache keys (see
 /// `pimba_system::cache`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpShape {
     /// State update shape: `batch` independent requests, `layers * heads` total heads,
     /// each with a `dim_head x dim_state` state.
@@ -166,7 +164,7 @@ pub enum OpShape {
 }
 
 /// One operator instance of a generation step (aggregated over layers and batch).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpInstance {
     /// Operator category.
     pub kind: OpKind,

@@ -24,10 +24,9 @@
 use crate::synth::StepInputs;
 use pimba_num::mx::MxGroup;
 use pimba_num::{MxAdder, MxDotProductUnit, MxMultiplier, QuantFormat, Rounding, StochasticSource};
-use serde::{Deserialize, Serialize};
 
 /// Decay operand of one step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DecayInput {
     /// Single scalar applied to the whole state.
     Scalar(f32),
@@ -46,7 +45,7 @@ impl DecayInput {
 }
 
 /// How the state is stored and the update arithmetic is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StateUpdateEngine {
     /// Double-precision golden model.
     Exact,

@@ -10,10 +10,9 @@
 use crate::config::ModelConfig;
 use crate::ops::{OpCost, OpInstance, OpKind, OpShape};
 use pimba_num::QuantFormat;
-use serde::{Deserialize, Serialize};
 
 /// Storage formats used by a serving configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StorageFormats {
     /// Format of model weights.
     pub weights: QuantFormat,
@@ -55,7 +54,7 @@ impl Default for StorageFormats {
 
 /// The operator workload of one generation step (one new token for every request in
 /// the batch) for a given model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationWorkload {
     /// Model configuration the workload was generated from.
     pub config: ModelConfig,

@@ -10,10 +10,9 @@ use crate::fp8::Fp8Kind;
 use crate::int8::{int8_bits_per_value, int8_store_roundtrip};
 use crate::mx::{mx8_bits_per_value, mx8_store_roundtrip};
 use crate::rounding::{Rounding, StochasticSource};
-use serde::{Deserialize, Serialize};
 
 /// Storage formats for the state / KV cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantFormat {
     /// IEEE binary32 (lossless reference; not evaluated in the paper but useful as a
     /// golden model).
@@ -31,7 +30,7 @@ pub enum QuantFormat {
 }
 
 /// Error statistics produced by a store round-trip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StoreError {
     /// Largest absolute difference between the original and stored values.
     pub max_abs_error: f32,

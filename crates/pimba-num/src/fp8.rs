@@ -7,10 +7,9 @@
 
 use crate::fp16::{decode_small_float, encode_small_float};
 use crate::rounding::{Rounding, StochasticSource};
-use serde::{Deserialize, Serialize};
 
 /// An 8-bit floating point layout (exponent/mantissa split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fp8Kind {
     /// 4 exponent bits, 3 mantissa bits, bias 7 (max finite 448 in the OCP spec;
     /// here the generic saturating encoder gives 480 = (2 - 2^-3) * 2^8 / 2... ).

@@ -9,7 +9,6 @@
 //! numerical behaviour.
 
 use crate::rounding::{Rounding, StochasticSource};
-use serde::{Deserialize, Serialize};
 
 /// Number of elements sharing one scale factor.
 pub const INT8_GROUP_SIZE: usize = 32;
@@ -17,7 +16,7 @@ pub const INT8_GROUP_SIZE: usize = 32;
 pub const INT8_CODE_MAX: i32 = 127;
 
 /// One quantized group: 32 signed byte codes plus an fp32 scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Int8Group {
     /// Scale such that `value ≈ code * scale`.
     pub scale: f32,

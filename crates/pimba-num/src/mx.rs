@@ -21,7 +21,6 @@
 //! idea of "shared microexponents".
 
 use crate::rounding::{Rounding, StochasticSource};
-use serde::{Deserialize, Serialize};
 
 /// Number of elements that share one 8-bit exponent.
 pub const MX_GROUP_SIZE: usize = 16;
@@ -41,7 +40,7 @@ pub const MX_EXP_MIN: i32 = -MX_EXP_BIAS;
 pub const MX_EXP_MAX: i32 = 255 - MX_EXP_BIAS;
 
 /// One MX8 group of up to [`MX_GROUP_SIZE`] elements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MxGroup {
     /// Unbiased shared exponent of the group.
     pub shared_exp: i32,

@@ -7,10 +7,8 @@
 //! Linear Feedback Shift Register plus one adder (Section 4.2), which is why the SPE
 //! implements it.
 
-use serde::{Deserialize, Serialize};
-
 /// Rounding mode used when a real value is converted into a low-precision format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
     /// Round to nearest, ties to even (the IEEE-754 default).
     #[default]
@@ -44,7 +42,7 @@ const LFSR_BITS: u32 = 16;
 /// let mut b = StochasticSource::from_seed(42);
 /// assert_eq!(a.next_bits(12), b.next_bits(12));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StochasticSource {
     state: u16,
     /// Number of bits drawn so far (diagnostic only).

@@ -23,18 +23,17 @@
 
 use crate::mx::{MxGroup, MX_FRAC_BITS, MX_MANTISSA_MAX, MX_PAIR_SIZE};
 use crate::rounding::{Rounding, StochasticSource};
-use serde::{Deserialize, Serialize};
 
 /// Element-wise MX multiplier (Figure 9a).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MxMultiplier;
 
 /// Element-wise MX adder (Figure 9b).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MxAdder;
 
 /// Dot-product unit with a wide accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MxDotProductUnit;
 
 /// Shifts `value` right by `shift` bits with the requested rounding of the discarded

@@ -17,11 +17,10 @@
 
 use crate::designs::PimDesignKind;
 use pimba_num::{QuantFormat, Rounding};
-use serde::{Deserialize, Serialize};
 
 /// Area/power breakdown of one processing unit (per two banks, the paper's reporting
 /// granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeAreaBreakdown {
     /// Compute (datapath) area in mm².
     pub compute_mm2: f64,
@@ -36,7 +35,7 @@ pub struct SpeAreaBreakdown {
 }
 
 /// The analytic area model with its calibration constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area of one MX8 lane (6-bit multiply + add + shift) in mm² at 10 nm.
     pub mx8_lane_mm2: f64,

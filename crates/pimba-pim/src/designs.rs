@@ -19,10 +19,9 @@ use pimba_dram::geometry::DramGeometry;
 use pimba_dram::timing::TimingParams;
 use pimba_models::ops::OpShape;
 use pimba_num::QuantFormat;
-use serde::{Deserialize, Serialize};
 
 /// Which PIM design is being modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimDesignKind {
     /// The proposed design: shared SPU with access interleaving and MX8 arithmetic.
     Pimba,
@@ -67,7 +66,7 @@ impl std::fmt::Display for PimDesignKind {
 }
 
 /// A concrete PIM configuration (design point + memory technology).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimDesign {
     /// Design point.
     pub kind: PimDesignKind,

@@ -21,10 +21,9 @@
 use crate::designs::PimDesign;
 use pimba_dram::energy::{EnergyCounters, EnergyModel};
 use pimba_models::ops::OpShape;
-use serde::{Deserialize, Serialize};
 
 /// Latency / energy result of running one operator on the PIM of a single device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimLatency {
     /// End-to-end latency in nanoseconds.
     pub latency_ns: f64,

@@ -18,10 +18,9 @@ use pimba_dram::command::DramCommand;
 use pimba_dram::controller::PseudoChannel;
 use pimba_dram::geometry::DramGeometry;
 use pimba_dram::timing::TimingParams;
-use serde::{Deserialize, Serialize};
 
 /// Description of one row-group command stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowGroupPlan {
     /// Number of COMP commands issued (each advances every active SPU by one column).
     pub comps: usize,
@@ -35,7 +34,7 @@ pub struct RowGroupPlan {
 }
 
 /// Measured outcome of executing a row-group stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowGroupTiming {
     /// Total cycles from the first ACT4 to the final PRECHARGES.
     pub total_cycles: u64,

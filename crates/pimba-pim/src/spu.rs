@@ -16,13 +16,11 @@
 //! structural hazard. [`SpuPipeline`] simulates this slot-by-slot and is used by tests
 //! to demonstrate both properties.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of pipeline stages (fetch, multiply, add, dot-product/write-back).
 pub const SPU_PIPELINE_STAGES: usize = 4;
 
 /// Which of the two banks an access targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankSide {
     /// The even-numbered bank of the pair.
     Upper,
@@ -41,7 +39,7 @@ impl BankSide {
 }
 
 /// Row-buffer access performed in one slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotAccess {
     /// Read of a sub-chunk (pipeline stage 1).
     Read(BankSide),
@@ -50,7 +48,7 @@ pub enum SlotAccess {
 }
 
 /// One scheduling policy for feeding the SPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedPolicy {
     /// Pimba's access interleaving: alternate the source bank every slot.
     AccessInterleaving,
@@ -60,7 +58,7 @@ pub enum FeedPolicy {
 }
 
 /// Result of simulating the pipeline for a number of sub-chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineRun {
     /// Total slots taken to retire all sub-chunks.
     pub slots: usize,
@@ -84,7 +82,7 @@ impl PipelineRun {
 }
 
 /// Slot-accurate model of one SPU shared between two banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpuPipeline {
     /// Pipeline depth from fetch to write-back.
     pub stages: usize,

@@ -10,7 +10,7 @@
 //! "undecodable" (skipped) instead of as garbage.
 
 use crate::metrics::{Percentiles, PreemptionStats, TenantSummary, TrafficSummary};
-use crate::runner::TrafficRecord;
+use crate::runner::{GridRecord, TrafficRecord};
 use crate::traffic::{Trace, TraceRequest};
 use pimba_system::persist::{encode_vec, ByteReader, ByteWriter, MemoValue};
 
@@ -130,6 +130,10 @@ fn decode_preemption(reader: &mut ByteReader<'_>) -> Option<PreemptionStats> {
         checkpoint_stall_ns: reader.f64()?,
         restore_stall_ns: reader.f64()?,
     })
+}
+
+impl GridRecord for TrafficRecord {
+    const SEGMENTS: [&'static str; 3] = ["traffic_traces", "traffic_capacity", "traffic_cells"];
 }
 
 impl MemoValue for TrafficRecord {

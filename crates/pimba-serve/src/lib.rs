@@ -120,8 +120,8 @@ pub use metrics::{
     TenantSlos, TenantSummary, TimelinePoint, TrafficSummary,
 };
 pub use runner::{
-    fold_trace_prefix, slo_curve, SessionCheckpoint, TrafficGrid, TrafficMemo, TrafficRecord,
-    TrafficRunner,
+    fold_trace_prefix, slo_curve, GridMemo, SessionCheckpoint, TrafficGrid, TrafficMemo,
+    TrafficRecord, TrafficRunner,
 };
 pub use sched::{
     Action, ChunkedPrefill, ContinuousBatching, DecodeStability, FcfsStatic,

@@ -18,10 +18,9 @@
 //! resolution of the stored time series does.
 
 use pimba_system::stats::percentile_of_sorted;
-use serde::{Deserialize, Serialize};
 
 /// The lifecycle timestamps of one completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOutcome {
     /// Index of the request in its trace.
     pub id: usize,
@@ -71,7 +70,7 @@ impl RequestOutcome {
 }
 
 /// One sample of the engine's queue/batch state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelinePoint {
     /// Sample time in nanoseconds.
     pub time_ns: f64,
@@ -84,7 +83,7 @@ pub struct TimelinePoint {
 /// Exact whole-run aggregates of the queue/occupancy telemetry, maintained at
 /// every simulation event regardless of how sparsely [`TimelinePoint`]s are
 /// stored.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetryStats {
     /// Event *timestamps* observed: arrivals and completed work items, with
     /// simultaneous events coalesced into one (the engine drains every event
@@ -255,7 +254,7 @@ impl Telemetry {
 /// over the checkpoint link, and how long the engine was stalled shipping
 /// them. All zeros for preemption-free runs (every pre-preemption policy),
 /// so adding the stats changes no existing result.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PreemptionStats {
     /// Decoding requests checkpointed out of the batch.
     pub evictions: u64,
@@ -272,7 +271,7 @@ pub struct PreemptionStats {
 }
 
 /// The raw output of one simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Completed requests, in trace order.
     pub outcomes: Vec<RequestOutcome>,
@@ -293,7 +292,7 @@ pub struct SimResult {
 /// second. Kept *outside* [`SimResult`] (derived through
 /// [`SimResult::throughput`]) so results stay comparable bit-for-bit across
 /// execution modes — wall time varies run to run, the simulation must not.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
     /// Wall-clock duration of the run, in seconds.
     pub wall_secs: f64,
@@ -387,7 +386,7 @@ impl SimResult {
 }
 
 /// A latency service-level objective on TTFT and TPOT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Time-to-first-token bound in milliseconds.
     pub ttft_ms: f64,
@@ -415,7 +414,7 @@ impl Default for SloSpec {
 /// Per-tenant SLO targets: a default objective plus per-tenant overrides —
 /// the vocabulary of multi-tenant goodput ("the interactive tenant holds a
 /// 200 ms TTFT, the batch tenant only 2 s").
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantSlos {
     /// The objective of every tenant without an override.
     pub default: SloSpec,
@@ -450,7 +449,7 @@ impl TenantSlos {
 }
 
 /// One tenant's aggregate metrics within a multi-tenant run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSummary {
     /// The tenant tag.
     pub tenant: u32,
@@ -463,7 +462,7 @@ pub struct TenantSummary {
 
 /// Exact p50/p90/p99 of one latency population (nearest-rank order statistics,
 /// see [`pimba_system::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Percentiles {
     /// Median.
     pub p50: f64,
@@ -490,7 +489,7 @@ impl Percentiles {
 }
 
 /// Aggregate metrics of one simulation under one SLO.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSummary {
     /// Completed requests.
     pub completed: usize,

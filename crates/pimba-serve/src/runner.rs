@@ -1,5 +1,7 @@
 //! The traffic sweep runner: (system × scenario × arrival-rate) grids evaluated
-//! in parallel, with shared latency caches and reproducible per-cell traces.
+//! in parallel, with shared latency caches and reproducible per-cell traces —
+//! plus the grid machinery it shares with `pimba-fleet`'s fleet runner: one
+//! memo type ([`GridMemo`]) and one front half ([`run_grid`]).
 //!
 //! The runner mirrors the design of [`pimba_system::sweep::SweepRunner`] — in
 //! fact it reuses its builder-configured thread/caching settings and the shared
@@ -19,7 +21,7 @@ use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
 use pimba_system::obs::{MetricsHub, TraceRecorder, TraceSink};
-use pimba_system::persist::LoadReport;
+use pimba_system::persist::{LoadReport, MemoValue};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
     max_batch_within_slo, parallel_map, RunAborted, RunControl, SweepRunner,
@@ -66,6 +68,26 @@ pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
     fold_trace(FingerprintBuilder::new(), trace).finish()
 }
 
+/// The longest routed prefix of a `len`-arrival trace with a checkpoint in
+/// `store`, probing the whole trace first, then multiples of `every`
+/// descending; `key_of(prefix)` is the checkpoint key of each probe. Returns
+/// the prefix length and its checkpoint, or `None` when no probe hits.
+pub fn longest_stored_prefix<C>(
+    store: &MemoStore<C>,
+    len: usize,
+    every: usize,
+    key_of: impl Fn(usize) -> Fingerprint,
+) -> Option<(usize, Arc<C>)> {
+    let mut probe = len;
+    while probe > 0 {
+        if let Some(checkpoint) = store.get(key_of(probe)) {
+            return Some((probe, checkpoint));
+        }
+        probe = (probe - 1) / every * every;
+    }
+    None
+}
+
 /// The incremental-session driver with routed-prefix checkpointing: restores
 /// the longest stored checkpoint whose key (from `key_of`) matches a prefix
 /// of `trace`, simulates only the tail, and stores fresh checkpoints every
@@ -99,22 +121,15 @@ fn run_trace_checkpointed(
     let mut session = engine.session(max_seq, max_prompt);
     let mut scheduler = policy.build();
 
-    // Longest stored prefix: the whole trace first, then multiples of
-    // `every` descending.
     let mut start = 0usize;
-    let mut probe = trace.requests.len();
-    while probe > 0 {
-        if let Some(cp) = checkpoints.get(key_of(probe)) {
-            session.restore(&cp.snap);
-            scheduler = cp
-                .scheduler
-                .lock()
-                .expect("checkpoint scheduler poisoned")
-                .fork();
-            start = probe;
-            break;
-        }
-        probe = (probe - 1) / every * every;
+    if let Some((prefix, cp)) = longest_stored_prefix(checkpoints, trace.len(), every, &key_of) {
+        session.restore(&cp.snap);
+        scheduler = cp
+            .scheduler
+            .lock()
+            .expect("checkpoint scheduler poisoned")
+            .fork();
+        start = prefix;
     }
     metrics.counter(
         if start > 0 {
@@ -152,68 +167,79 @@ fn run_trace_checkpointed(
     session.finish()
 }
 
-/// The memo of traffic-grid evaluations — share one (behind an [`Arc`])
-/// across every [`TrafficRunner`] run that should reuse results. Keys cover
-/// each artifact's complete input identity (see [`pimba_system::memo`] for
-/// the purity contract); execution knobs that cannot change bits — thread
-/// counts, latency caching — are deliberately excluded, so any run warms the
-/// memo for any other.
-#[derive(Debug, Default)]
-pub struct TrafficMemo {
+/// A grid cell record a [`GridMemo`] persists: its codec plus the names of
+/// the memo's segment files.
+pub trait GridRecord: MemoValue {
+    /// File stems of the `(traces, capacity, cells)` segments, each stored as
+    /// `<stem>.seg` under the memo's directory. Distinct per record type, so
+    /// memos of different runners can share one directory.
+    const SEGMENTS: [&'static str; 3];
+}
+
+/// The memo of one grid runner's evaluations — share one (behind an [`Arc`])
+/// across every run that should reuse results. Every artifact a run produces
+/// is keyed by a [`Fingerprint`] of its complete input identity (see
+/// [`pimba_system::memo`] for the purity contract), so re-running a grid with
+/// one knob changed only pays for the cells whose inputs changed. Execution
+/// knobs that cannot change bits — thread counts, latency caching — are
+/// deliberately excluded, so any run warms the memo for any other.
+///
+/// `R` is the cell record and `C` the routed-prefix checkpoint:
+/// [`TrafficMemo`] for [`TrafficRunner`], `pimba_fleet`'s `FleetMemo` for
+/// its fleet runner. Both drive their memo through [`run_grid`].
+#[derive(Debug)]
+pub struct GridMemo<R, C> {
     /// Per-(scenario, rate, request-count, seed) arrival traces.
-    pub(crate) traces: MemoStore<Trace>,
+    traces: MemoStore<Trace>,
     /// Per-(system, scenario) SLO batch-capacity searches.
-    pub(crate) max_batches: MemoStore<usize>,
+    max_batches: MemoStore<usize>,
     /// Fully evaluated grid cells: a warm hit skips the whole simulation and
     /// returns bytes identical to a cold run.
-    pub(crate) cells: MemoStore<TrafficRecord>,
-    /// Routed-prefix session checkpoints (see [`SessionCheckpoint`]):
-    /// execution accelerators keyed by (semantic config, trace prefix).
-    /// **In-memory only** — [`TrafficMemo::persistent`] deliberately does
-    /// not persist them; results are what the disk holds, checkpoints are
-    /// rebuilt warm within a process.
-    pub(crate) checkpoints: MemoStore<SessionCheckpoint>,
+    cells: MemoStore<R>,
+    /// Routed-prefix checkpoints: execution accelerators keyed by (semantic
+    /// config, trace prefix). **In-memory only** — [`GridMemo::persistent`]
+    /// deliberately does not persist them; results are what the disk holds,
+    /// checkpoints are rebuilt warm within a process.
+    checkpoints: MemoStore<C>,
 }
 
-/// A routed-prefix checkpoint of one single-replica cell: the engine session
-/// after injecting the first `p` trace arrivals (stepped strictly before the
-/// `p`-th arrival instant) plus its scheduler state — a pure function of the
-/// prefix and the cell's semantic config, which is exactly what its content
-/// address covers. A later cell whose trace shares the prefix restores it
-/// and simulates only the tail, byte-identical to a cold run.
-pub struct SessionCheckpoint {
-    /// The session state ([`crate::engine::Session::snapshot`]).
-    snap: SessionSnapshot,
-    /// Scheduler state behind a mutex only to make the stored trait object
-    /// shareable; restores fork the state out and never mutate the stored
-    /// copy.
-    scheduler: Mutex<Box<dyn Scheduler>>,
-}
+/// The memo of [`TrafficRunner`] grids.
+pub type TrafficMemo = GridMemo<TrafficRecord, SessionCheckpoint>;
 
-impl std::fmt::Debug for SessionCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCheckpoint").finish_non_exhaustive()
+// Manual impl: the derive would demand `R: Default, C: Default`.
+impl<R, C> Default for GridMemo<R, C> {
+    fn default() -> Self {
+        Self {
+            traces: MemoStore::new(),
+            max_batches: MemoStore::new(),
+            cells: MemoStore::new(),
+            checkpoints: MemoStore::new(),
+        }
     }
 }
 
-impl TrafficMemo {
+impl<R, C> GridMemo<R, C> {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// A disk-backed memo rooted at `dir` (created if absent): each store
-    /// appends to its own crash-safe segment file
-    /// (`traffic_{traces,capacity,cells}.seg` — see
-    /// [`pimba_system::persist`]), and entries persisted by earlier processes
-    /// are loaded up front, so repeated what-ifs across restarts are warm
-    /// hits returning bit-identical records.
-    pub fn persistent(dir: &Path) -> std::io::Result<Self> {
+    /// appends to its own crash-safe segment file (named by
+    /// [`GridRecord::SEGMENTS`] — see [`pimba_system::persist`]), and entries
+    /// persisted by earlier processes are loaded up front, so repeated
+    /// what-ifs across restarts are warm hits returning bit-identical
+    /// records.
+    pub fn persistent(dir: &Path) -> std::io::Result<Self>
+    where
+        R: GridRecord,
+    {
         std::fs::create_dir_all(dir)?;
+        let [traces, capacity, cells] = R::SEGMENTS.map(|stem| dir.join(format!("{stem}.seg")));
         Ok(Self {
-            traces: MemoStore::persistent(&dir.join("traffic_traces.seg"))?,
-            max_batches: MemoStore::persistent(&dir.join("traffic_capacity.seg"))?,
-            cells: MemoStore::persistent(&dir.join("traffic_cells.seg"))?,
+            traces: MemoStore::persistent(&traces)?,
+            max_batches: MemoStore::persistent(&capacity)?,
+            cells: MemoStore::persistent(&cells)?,
             // Checkpoints stay in memory even for disk-backed memos.
             checkpoints: MemoStore::new(),
         })
@@ -269,31 +295,27 @@ impl TrafficMemo {
 
     /// The memoized record under exactly `key`, if any — the lookup behind
     /// the serving daemon's `query` verb. Counts as a hit/miss in
-    /// [`TrafficMemo::stats`] like any other cell lookup.
-    pub fn cell(&self, key: Fingerprint) -> Option<Arc<TrafficRecord>> {
+    /// [`GridMemo::stats`] like any other cell lookup.
+    pub fn cell(&self, key: Fingerprint) -> Option<Arc<R>> {
         self.cells.get(key)
     }
 
     /// Per-store `(name, total_bytes, dead_bytes)` of the backing segment
     /// files (all zeros for in-memory stores) — the compaction-observability
     /// numbers the daemon's `stats` verb reports.
-    pub fn segment_stats(&self) -> Vec<(&'static str, u64, u64)> {
+    pub fn segment_stats(&self) -> Vec<(&'static str, u64, u64)>
+    where
+        R: GridRecord,
+    {
+        let [traces, capacity, cells] = R::SEGMENTS;
         vec![
+            (traces, self.traces.len_bytes(), self.traces.dead_bytes()),
             (
-                "traffic_traces",
-                self.traces.len_bytes(),
-                self.traces.dead_bytes(),
-            ),
-            (
-                "traffic_capacity",
+                capacity,
                 self.max_batches.len_bytes(),
                 self.max_batches.dead_bytes(),
             ),
-            (
-                "traffic_cells",
-                self.cells.len_bytes(),
-                self.cells.dead_bytes(),
-            ),
+            (cells, self.cells.len_bytes(), self.cells.dead_bytes()),
         ]
     }
 
@@ -305,6 +327,225 @@ impl TrafficMemo {
             + self.max_batches.compact(threshold)?
             + self.cells.compact(threshold)?)
     }
+}
+
+/// A routed-prefix checkpoint of one single-replica cell: the engine session
+/// after injecting the first `p` trace arrivals (stepped strictly before the
+/// `p`-th arrival instant) plus its scheduler state — a pure function of the
+/// prefix and the cell's semantic config, which is exactly what its content
+/// address covers. A later cell whose trace shares the prefix restores it
+/// and simulates only the tail, byte-identical to a cold run.
+pub struct SessionCheckpoint {
+    /// The session state ([`crate::engine::Session::snapshot`]).
+    snap: SessionSnapshot,
+    /// Scheduler state behind a mutex only to make the stored trait object
+    /// shareable; restores fork the state out and never mutate the stored
+    /// copy.
+    scheduler: Mutex<Box<dyn Scheduler>>,
+}
+
+impl std::fmt::Debug for SessionCheckpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionCheckpoint").finish_non_exhaustive()
+    }
+}
+
+/// The SLO batch-capacity search of one (system, scenario) pair: the largest
+/// batch (at most 512) whose decode step on `sim` holds `tpot_ms` at the
+/// scenario's mean total sequence length, or 1 when even batch 1 misses.
+/// Returns `(anchor_seq, max_batch)`; with a `store`, the search is memoized
+/// under the system, model, anchor, SLO and search bound.
+pub fn slo_capacity(
+    sim: &ServingSimulator,
+    model: &ModelConfig,
+    scenario: &Scenario,
+    tpot_ms: f64,
+    store: Option<&MemoStore<usize>>,
+) -> (usize, usize) {
+    const SEARCH_BOUND: usize = 512;
+    let anchor_seq = (scenario.mean_total_tokens() as usize).max(1);
+    let search =
+        || max_batch_within_slo(sim, model, anchor_seq, tpot_ms, SEARCH_BOUND).unwrap_or(1);
+    let max_batch = match store {
+        Some(store) => {
+            let key = FingerprintBuilder::new()
+                .debug(sim.config())
+                .debug(model)
+                .usize(anchor_seq)
+                .f64(tpot_ms)
+                .usize(SEARCH_BOUND)
+                .finish();
+            *store.get_or_insert_with(key, search)
+        }
+        None => search(),
+    };
+    (anchor_seq, max_batch)
+}
+
+/// The axes and capacity knobs both grid runners share — what [`run_grid`]
+/// needs to build simulators, traces and batch caps.
+#[derive(Debug)]
+pub struct GridAxes<'g> {
+    /// Serving systems (one simulator each).
+    pub systems: &'g [SystemConfig],
+    /// Traffic scenarios.
+    pub scenarios: &'g [Scenario],
+    /// Mean arrival rates in requests/second.
+    pub rates_rps: &'g [f64],
+    /// The model every system serves.
+    pub model: &'g ModelConfig,
+    /// Requests generated per (scenario, rate) trace.
+    pub requests_per_cell: usize,
+    /// Base seed; the trace of (scenario, rate) draws its seed from PCG
+    /// stream `scenario × rates + rate` of it.
+    pub seed: u64,
+    /// Per-token SLO of the capacity search, in milliseconds.
+    pub tpot_ms: f64,
+    /// A fixed batch cap, or `None` to run [`slo_capacity`] per (system,
+    /// scenario).
+    pub max_batch: Option<usize>,
+    /// Cells per (system, scenario, rate) point: the product of the axes a
+    /// runner varies faster than rate (1 for traffic grids).
+    pub cells_per_point: usize,
+}
+
+/// One cell of a [`run_grid`] run, handed to the runner's key and eval
+/// closures.
+#[derive(Debug)]
+pub struct GridCell<'g, C> {
+    /// Flat index in grid order.
+    pub index: usize,
+    /// Index into [`GridAxes::systems`].
+    pub system: usize,
+    /// Index into [`GridAxes::scenarios`].
+    pub scenario: usize,
+    /// Index into [`GridAxes::rates_rps`].
+    pub rate: usize,
+    /// The system's simulator, shared by all of its cells.
+    pub sim: &'g ServingSimulator,
+    /// The (scenario, rate) trace, shared by every cell of that point.
+    pub trace: &'g Trace,
+    /// The per-replica batch cap of the (system, scenario).
+    pub max_batch: usize,
+    /// The memo's routed-prefix checkpoint store, when a memo is attached.
+    pub checkpoints: Option<&'g MemoStore<C>>,
+}
+
+/// The front half both grid runners share. Flat cell `i` maps to its
+/// (system, scenario, rate) point as `i / cells_per_point`, rate fastest, so
+/// runners order cells system-major with their own axes innermost. Builds one
+/// simulator per system (sharing a shape-keyed latency cache across that
+/// system's cells when `runner` caches), one trace per (scenario, rate)
+/// shared by every system, and one batch cap per (system, scenario) — traces
+/// and capacity searches memoized when a `memo` is attached. Then fans the
+/// cells out over `runner`'s threads: each is looked up in the memo under
+/// `key(cell)` and evaluated by `eval(cell)` on a miss (or always, without a
+/// memo). Records come back in grid order; per-cell progress and
+/// cell-granular cancellation follow `control` — a cancelled run returns
+/// [`RunAborted`], and cells finished before the flag went up stay in the
+/// memo.
+pub fn run_grid<R, C>(
+    runner: &SweepRunner,
+    grid: &GridAxes<'_>,
+    memo: Option<&GridMemo<R, C>>,
+    control: &RunControl,
+    key: impl Fn(&GridCell<'_, C>) -> Fingerprint + Sync,
+    eval: impl Fn(&GridCell<'_, C>) -> R + Sync,
+) -> Result<Vec<R>, RunAborted>
+where
+    R: Clone + Send + Sync,
+    C: Send + Sync,
+{
+    let (scenarios, rates) = (grid.scenarios.len(), grid.rates_rps.len());
+    let total = grid.systems.len() * scenarios * rates * grid.cells_per_point;
+    if total == 0 {
+        return Ok(Vec::new());
+    }
+    if control.cancelled() {
+        return Err(RunAborted);
+    }
+
+    let sims: Vec<ServingSimulator> = grid
+        .systems
+        .iter()
+        .map(|config| {
+            if runner.cached() {
+                ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
+            } else {
+                ServingSimulator::uncached(config.clone())
+            }
+        })
+        .collect();
+
+    // Each trace draws from its own stream of the grid seed.
+    let traces: Vec<Arc<Trace>> = (0..scenarios * rates)
+        .map(|point| {
+            let (scenario, rate) = (
+                &grid.scenarios[point / rates],
+                grid.rates_rps[point % rates],
+            );
+            let stream = point as u64;
+            let trace_seed = Pcg32::new_stream(grid.seed, stream).next_u64();
+            let generate = || scenario.generate(rate, grid.requests_per_cell, trace_seed);
+            match memo {
+                Some(memo) => {
+                    let key = FingerprintBuilder::new()
+                        .debug(scenario)
+                        .f64(rate)
+                        .usize(grid.requests_per_cell)
+                        .u64(trace_seed)
+                        .finish();
+                    memo.traces.get_or_insert_with(key, generate)
+                }
+                None => Arc::new(generate()),
+            }
+        })
+        .collect();
+
+    // Independent of the rate axis, so hoisted out of the cell loop.
+    let max_batches: Vec<usize> = match grid.max_batch {
+        Some(max_batch) => vec![max_batch; grid.systems.len() * scenarios],
+        None => {
+            let store = memo.map(|memo| &memo.max_batches);
+            parallel_map(grid.systems.len() * scenarios, runner.threads(), |i| {
+                let (sim, scenario) = (&sims[i / scenarios], &grid.scenarios[i % scenarios]);
+                slo_capacity(sim, grid.model, scenario, grid.tpot_ms, store).1
+            })
+        }
+    };
+
+    let completed = AtomicUsize::new(0);
+    let cells: Vec<Option<R>> = parallel_map(total, runner.threads(), |index| {
+        if control.cancelled() {
+            return None;
+        }
+        let point = index / grid.cells_per_point;
+        let (system, scenario, rate) = (
+            point / rates / scenarios,
+            point / rates % scenarios,
+            point % rates,
+        );
+        let cell = GridCell {
+            index,
+            system,
+            scenario,
+            rate,
+            sim: &sims[system],
+            trace: &traces[scenario * rates + rate],
+            max_batch: max_batches[system * scenarios + scenario],
+            checkpoints: memo.map(|memo| &memo.checkpoints),
+        };
+        let record = match memo {
+            Some(memo) => (*memo.cells.get_or_insert_with(key(&cell), || eval(&cell))).clone(),
+            None => eval(&cell),
+        };
+        control.report(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
+        Some(record)
+    });
+    cells
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or(RunAborted)
 }
 
 /// The cartesian (system × scenario × arrival-rate) grid of one traffic study.
@@ -480,11 +721,32 @@ impl TrafficGrid {
         self.len() == 0
     }
 
-    /// The (system, scenario, rate) index tuple of flat cell `i`, rate fastest.
-    fn indices(&self, i: usize) -> (usize, usize, usize) {
-        let r = i % self.rates_rps.len();
-        let rest = i / self.rates_rps.len();
-        (rest / self.scenarios.len(), rest % self.scenarios.len(), r)
+    /// The grid's shared axes for [`run_grid`].
+    fn axes(&self) -> GridAxes<'_> {
+        GridAxes {
+            systems: &self.systems,
+            scenarios: &self.scenarios,
+            rates_rps: &self.rates_rps,
+            model: &self.model,
+            requests_per_cell: self.requests_per_cell,
+            seed: self.seed,
+            tpot_ms: self.slo.tpot_ms,
+            max_batch: None,
+            cells_per_point: 1,
+        }
+    }
+
+    /// The engine configuration of a cell running with batch cap `max_batch`.
+    fn engine_config(&self, max_batch: usize) -> EngineConfig {
+        EngineConfig {
+            max_batch,
+            capacity_bytes: self.capacity_bytes,
+            seq_bucket: self.seq_bucket,
+            fast_forward: self.fast_forward,
+            timeline_sample_every: self.timeline_sample_every,
+            admission: self.admission,
+            ..EngineConfig::default()
+        }
     }
 }
 
@@ -575,190 +837,92 @@ impl TrafficRunner {
         grid: &TrafficGrid,
         control: &RunControl,
     ) -> Result<Vec<TrafficRecord>, RunAborted> {
-        let total = grid.len();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        if control.cancelled() {
-            return Err(RunAborted);
-        }
+        // Everything the record is a function of; thread count and latency
+        // caching are execution knobs and excluded.
+        let key = |cell: &GridCell<'_, SessionCheckpoint>| {
+            let builder = FingerprintBuilder::new()
+                .usize(cell.system)
+                .usize(cell.scenario)
+                .f64(grid.rates_rps[cell.rate])
+                .debug(&grid.systems[cell.system])
+                .debug(&grid.model)
+                .debug(&grid.slo)
+                .debug(&grid.tenant_slos)
+                .debug(&grid.policy)
+                .debug(&grid.engine_config(cell.max_batch));
+            fold_trace(builder, cell.trace).finish()
+        };
+        run_grid(
+            &self.runner,
+            &grid.axes(),
+            self.memo.as_deref(),
+            control,
+            key,
+            |cell| self.eval(grid, cell, control),
+        )
+    }
 
-        // One simulator per system, sharing a shape-keyed cache across all of
-        // that system's cells (and worker threads) when caching is on.
-        let sims: Vec<ServingSimulator> = grid
-            .systems
-            .iter()
-            .map(|config| {
-                if self.runner.cached() {
-                    ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-                } else {
-                    ServingSimulator::uncached(config.clone())
-                }
-            })
-            .collect();
-
-        let memo = self.memo.as_deref();
-        // One trace per (scenario, rate), shared by every system so the
-        // comparison sees identical arrivals. Each trace draws from its own
-        // stream of the grid seed.
-        let traces: Vec<Arc<Trace>> = grid
-            .scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(scn_idx, scenario)| {
-                grid.rates_rps
-                    .iter()
-                    .enumerate()
-                    .map(move |(r_idx, &rate)| {
-                        let stream = (scn_idx * grid.rates_rps.len() + r_idx) as u64;
-                        let trace_seed = Pcg32::new_stream(grid.seed, stream).next_u64();
-                        let generate =
-                            || scenario.generate(rate, grid.requests_per_cell, trace_seed);
-                        match memo {
-                            Some(memo) => {
-                                let key = FingerprintBuilder::new()
-                                    .debug(scenario)
-                                    .f64(rate)
-                                    .usize(grid.requests_per_cell)
-                                    .u64(trace_seed)
-                                    .finish();
-                                memo.traces.get_or_insert_with(key, generate)
-                            }
-                            None => Arc::new(generate()),
-                        }
-                    })
-            })
-            .collect();
-
-        // Capacity planning once per (system, scenario): the largest batch that
-        // holds the per-step SLO at the scenario's typical sequence length.
-        // Independent of the rate axis, so hoisted out of the cell loop.
-        let max_batches: Vec<usize> = parallel_map(
-            grid.systems.len() * grid.scenarios.len(),
-            self.runner.threads(),
-            |i| {
-                let (sys, scn) = (i / grid.scenarios.len(), i % grid.scenarios.len());
-                let anchor_seq = (grid.scenarios[scn].mean_total_tokens() as usize).max(1);
-                let search = || {
-                    max_batch_within_slo(&sims[sys], &grid.model, anchor_seq, grid.slo.tpot_ms, 512)
-                        .unwrap_or(1)
-                };
-                match memo {
-                    Some(memo) => {
-                        let key = FingerprintBuilder::new()
-                            .debug(&grid.systems[sys])
-                            .debug(&grid.model)
-                            .usize(anchor_seq)
-                            .f64(grid.slo.tpot_ms)
-                            .usize(512)
-                            .finish();
-                        *memo.max_batches.get_or_insert_with(key, search)
-                    }
-                    None => search(),
-                }
-            },
-        );
-
-        let completed = AtomicUsize::new(0);
-        let cells: Vec<Option<TrafficRecord>> = parallel_map(total, self.runner.threads(), |i| {
-            if control.cancelled() {
-                return None;
-            }
-            let (sys, scn, r) = grid.indices(i);
-            let sim = &sims[sys];
-            let trace = &traces[scn * grid.rates_rps.len() + r];
-            let max_batch = max_batches[sys * grid.scenarios.len() + scn];
-            let engine_config = EngineConfig {
-                max_batch,
-                capacity_bytes: grid.capacity_bytes,
-                seq_bucket: grid.seq_bucket,
-                fast_forward: grid.fast_forward,
-                timeline_sample_every: grid.timeline_sample_every,
-                admission: grid.admission,
-                ..EngineConfig::default()
-            };
-            let eval = || {
-                let engine = Engine::new(sim, &grid.model, engine_config);
-                let checkpointing = memo.filter(|_| {
-                    grid.prefix_checkpoint_every > 0
-                        && self.trace.is_none()
-                        && !trace.requests.is_empty()
-                });
-                let result = if let Some(memo) = checkpointing {
-                    // Snapshots don't capture trace sinks, so the
-                    // checkpointed driver only runs untraced (gated above).
-                    /// Domain tag separating session-checkpoint keys from
-                    /// every other memo key.
-                    const SESSION_CHECKPOINT_DOMAIN: u64 = 0xC0FF_EE7C;
-                    // The Debug-rendered config half of the key is identical
-                    // for every probe and store — fold it once per cell.
-                    let key_base = FingerprintBuilder::new()
-                        .u64(SESSION_CHECKPOINT_DOMAIN)
-                        .debug(sim.config())
-                        .debug(&grid.model)
-                        .debug(&grid.policy)
-                        .debug(&engine_config);
-                    let key_of =
-                        |prefix: usize| fold_trace_prefix(key_base.clone(), trace, prefix).finish();
-                    run_trace_checkpointed(
-                        &engine,
-                        trace,
-                        grid.policy,
-                        &memo.checkpoints,
-                        grid.prefix_checkpoint_every,
-                        key_of,
-                        control.metrics(),
-                    )
-                } else {
-                    let mut policy = grid.policy.build();
-                    let sink = match &self.trace {
-                        Some(recorder) => recorder.track(&format!("cell {i}")),
-                        None => TraceSink::disabled(),
-                    };
-                    engine.run_traced(trace, policy.as_mut(), sink)
-                };
-                let cell = i.to_string();
-                result.export_metrics(control.metrics(), &[("cell", &cell)]);
-                let tenant_slos = grid
-                    .tenant_slos
-                    .clone()
-                    .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
-                TrafficRecord {
-                    system: sys,
-                    scenario: scn,
-                    rate_rps: grid.rates_rps[r],
-                    max_batch,
-                    summary: result.summary(&grid.slo),
-                    per_tenant: result.per_tenant_summaries(&tenant_slos),
-                    preemption: result.preemption,
-                }
-            };
-            let record = match memo {
-                Some(memo) => {
-                    // Everything the record is a function of; thread count
-                    // and latency caching are execution knobs and excluded.
-                    let builder = FingerprintBuilder::new()
-                        .usize(sys)
-                        .usize(scn)
-                        .f64(grid.rates_rps[r])
-                        .debug(&grid.systems[sys])
-                        .debug(&grid.model)
-                        .debug(&grid.slo)
-                        .debug(&grid.tenant_slos)
-                        .debug(&grid.policy)
-                        .debug(&engine_config);
-                    let key = fold_trace(builder, trace).finish();
-                    (*memo.cells.get_or_insert_with(key, eval)).clone()
-                }
-                None => eval(),
-            };
-            control.report(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
-            Some(record)
+    /// Simulates one cell and summarizes it into its record.
+    fn eval(
+        &self,
+        grid: &TrafficGrid,
+        cell: &GridCell<'_, SessionCheckpoint>,
+        control: &RunControl,
+    ) -> TrafficRecord {
+        let (sim, trace) = (cell.sim, cell.trace);
+        let engine_config = grid.engine_config(cell.max_batch);
+        let engine = Engine::new(sim, &grid.model, engine_config);
+        let checkpointing = cell.checkpoints.filter(|_| {
+            grid.prefix_checkpoint_every > 0 && self.trace.is_none() && !trace.requests.is_empty()
         });
-        cells
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(RunAborted)
+        let result = if let Some(checkpoints) = checkpointing {
+            // Snapshots don't capture trace sinks, so the checkpointed driver
+            // only runs untraced (gated above).
+            /// Domain tag separating session-checkpoint keys from every other
+            /// memo key.
+            const SESSION_CHECKPOINT_DOMAIN: u64 = 0xC0FF_EE7C;
+            // The Debug-rendered config half of the key is identical for
+            // every probe and store — fold it once per cell.
+            let key_base = FingerprintBuilder::new()
+                .u64(SESSION_CHECKPOINT_DOMAIN)
+                .debug(sim.config())
+                .debug(&grid.model)
+                .debug(&grid.policy)
+                .debug(&engine_config);
+            let key_of =
+                |prefix: usize| fold_trace_prefix(key_base.clone(), trace, prefix).finish();
+            run_trace_checkpointed(
+                &engine,
+                trace,
+                grid.policy,
+                checkpoints,
+                grid.prefix_checkpoint_every,
+                key_of,
+                control.metrics(),
+            )
+        } else {
+            let mut policy = grid.policy.build();
+            let sink = match &self.trace {
+                Some(recorder) => recorder.track(&format!("cell {}", cell.index)),
+                None => TraceSink::disabled(),
+            };
+            engine.run_traced(trace, policy.as_mut(), sink)
+        };
+        let index = cell.index.to_string();
+        result.export_metrics(control.metrics(), &[("cell", &index)]);
+        let tenant_slos = grid
+            .tenant_slos
+            .clone()
+            .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
+        TrafficRecord {
+            system: cell.system,
+            scenario: cell.scenario,
+            rate_rps: grid.rates_rps[cell.rate],
+            max_batch: cell.max_batch,
+            summary: result.summary(&grid.slo),
+            per_tenant: result.per_tenant_summaries(&tenant_slos),
+            preemption: result.preemption,
+        }
     }
 }
 
@@ -848,10 +1012,15 @@ mod tests {
         let grid = small_grid();
         let records = TrafficRunner::new().with_threads(3).run(&grid);
         assert_eq!(records.len(), grid.len());
-        for (i, rec) in records.iter().enumerate() {
-            let (sys, scn, r) = grid.indices(i);
+        // Rate fastest, then scenario, then system.
+        let rates = &grid.rates_rps;
+        let order = (0..grid.systems.len()).flat_map(|sys| {
+            (0..grid.scenarios.len())
+                .flat_map(move |scn| rates.iter().map(move |&rate| (sys, scn, rate)))
+        });
+        for (rec, (sys, scn, rate)) in records.iter().zip(order) {
             assert_eq!((rec.system, rec.scenario), (sys, scn));
-            assert_eq!(rec.rate_rps, grid.rates_rps[r]);
+            assert_eq!(rec.rate_rps, rate);
             assert_eq!(rec.summary.completed, grid.requests_per_cell);
             assert!(rec.summary.ttft_ms.p50 > 0.0);
             assert!(rec.summary.e2e_ms.p99 >= rec.summary.e2e_ms.p50);

@@ -13,7 +13,6 @@
 
 use rand::rngs::Pcg32;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One request of a traffic trace.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// serialization) is unchanged from the pre-tenant schema; multi-tenant
 /// scenarios tag requests so schedulers (weighted fair queueing), routers and
 /// the per-tenant metrics can tell traffic classes apart.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TraceRequest {
     /// Wall-clock arrival time in nanoseconds from the trace start.
     pub arrival_ns: f64,
@@ -37,7 +36,7 @@ pub struct TraceRequest {
 }
 
 /// A time-sorted sequence of requests driving one simulation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// The requests, ascending in `arrival_ns`.
     pub requests: Vec<TraceRequest>,
@@ -258,7 +257,7 @@ fn parse_jsonl_request(line: &str) -> Result<TraceRequest, String> {
 }
 
 /// The shape of an arrival process (the rate is supplied at generation time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalKind {
     /// Memoryless arrivals: exponential inter-arrival times.
     Poisson,
@@ -275,7 +274,7 @@ pub enum ArrivalKind {
 
 /// A canned traffic scenario: arrival shape plus request-length distributions,
 /// optionally tagged with the tenant (traffic class) it models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Display name (used in records and bench output).
     pub name: String,

@@ -6,7 +6,7 @@
 //! * `"traffic_grid"` — a [`TrafficGrid`] (system × scenario × rate) run,
 //! * `"fleet_grid"` — a [`FleetGrid`] (× replicas × router) run,
 //! * `"slo_capacity"` — the per-(system, scenario) SLO batch-capacity
-//!   searches alone ([`max_batch_within_slo`]),
+//!   searches alone ([`slo_capacity`]),
 //! * `"what_if"` — a single traffic cell (every axis exactly one value).
 //!
 //! Parsing is strict and structured: every rejection is a [`SpecError`]
@@ -22,14 +22,14 @@ use pimba_fleet::router::RouterKind;
 use pimba_fleet::runner::{FleetGrid, FleetRecord, FleetRunner};
 use pimba_models::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::metrics::{Percentiles, SloSpec, TenantSummary, TrafficSummary};
-use pimba_serve::runner::{TrafficGrid, TrafficRecord, TrafficRunner};
+use pimba_serve::runner::{slo_capacity, TrafficGrid, TrafficRecord, TrafficRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::cache::LatencyCache;
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::obs::TraceRecorder;
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{max_batch_within_slo, RunAborted, RunControl};
+use pimba_system::sweep::{RunAborted, RunControl};
 use std::fmt;
 use std::sync::Arc;
 
@@ -491,15 +491,8 @@ impl Experiment {
                         if control.cancelled() {
                             return Err(RunAborted);
                         }
-                        let anchor_seq = (scenario.mean_total_tokens() as usize).max(1);
-                        let max_batch = max_batch_within_slo(
-                            &sim,
-                            &cap.model,
-                            anchor_seq,
-                            cap.slo.tpot_ms,
-                            512,
-                        )
-                        .unwrap_or(1);
+                        let (anchor_seq, max_batch) =
+                            slo_capacity(&sim, &cap.model, scenario, cap.slo.tpot_ms, None);
                         lines.push(
                             Json::obj(vec![
                                 ("system", Json::Int(sys as i64)),

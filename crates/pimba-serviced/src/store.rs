@@ -4,7 +4,7 @@
 //! In-memory mode answers repeated queries within one process; persistent
 //! mode ([`ResultStore::persistent`]) roots both memos' crash-safe segment
 //! files in one directory (disjoint file names — see
-//! [`TrafficMemo::persistent`] and [`FleetMemo::persistent`]), so identical
+//! [`GridMemo::persistent`](pimba_serve::runner::GridMemo::persistent)), so identical
 //! specs are warm, byte-identical hits across daemon restarts.
 
 use netline::Json;

@@ -5,10 +5,9 @@ use pimba_gpu::device::GpuDevice;
 use pimba_models::workload::StorageFormats;
 use pimba_num::QuantFormat;
 use pimba_pim::designs::{PimDesign, PimDesignKind};
-use serde::{Deserialize, Serialize};
 
 /// The serving systems compared throughout the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Plain GPU serving with fp16 state / KV cache.
     Gpu,
@@ -51,7 +50,7 @@ impl std::fmt::Display for SystemKind {
 }
 
 /// GPU generation the system is built around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuGeneration {
     /// NVIDIA A100 with HBM2E-based PIM modules (the primary evaluation platform).
     A100,
@@ -60,7 +59,7 @@ pub enum GpuGeneration {
 }
 
 /// A fully-specified serving system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Which design point this is.
     pub kind: SystemKind,

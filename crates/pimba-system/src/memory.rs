@@ -3,10 +3,9 @@
 use crate::config::SystemConfig;
 use pimba_models::config::ModelConfig;
 use pimba_models::workload::GenerationWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Memory footprint of a serving configuration, broken down by component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBreakdown {
     /// Model parameters (replicated per tensor-parallel shard only once in aggregate).
     pub params_bytes: f64,

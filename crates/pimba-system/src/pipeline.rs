@@ -11,10 +11,9 @@
 use crate::config::SystemConfig;
 use crate::serving::ServingSimulator;
 use pimba_models::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// A pipeline-parallel deployment of one model over several identical devices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineDeployment {
     /// Number of pipeline stages (devices).
     pub stages: usize,
@@ -23,7 +22,7 @@ pub struct PipelineDeployment {
 }
 
 /// Steady-state performance of a pipeline-parallel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelinePerformance {
     /// Latency of one token step through the whole pipeline (fill included), in ns.
     pub token_latency_ns: f64,

@@ -9,11 +9,10 @@ use pimba_models::config::ModelConfig;
 use pimba_models::dedup::dedup_ops;
 use pimba_models::ops::{OpCost, OpInstance, OpKind, OpShape};
 use pimba_models::workload::GenerationWorkload;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Where an operator executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionSide {
     /// Executed by GPU kernels.
     Gpu,
@@ -22,7 +21,7 @@ pub enum ExecutionSide {
 }
 
 /// Latency contribution of one operator kind within a generation step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpLatency {
     /// Operator kind.
     pub kind: OpKind,
@@ -33,7 +32,7 @@ pub struct OpLatency {
 }
 
 /// The latency breakdown of one generation step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepBreakdown {
     /// Per-operator latencies.
     pub ops: Vec<OpLatency>,
@@ -63,7 +62,7 @@ impl StepBreakdown {
 }
 
 /// Energy breakdown of one generation step (all values in picojoules).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Energy of state-update data movement between GPU and HBM (zero when offloaded).
     pub state_update_io_pj: f64,
@@ -92,7 +91,7 @@ impl EnergyBreakdown {
 }
 
 /// Latency of serving one batch of requests end to end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestLatency {
     /// Prefill latency in milliseconds.
     pub prefill_ms: f64,

@@ -131,11 +131,11 @@ impl std::error::Error for RunAborted {}
 ///
 /// This is the one fork-join fan-out of the workspace (the environment has no
 /// crates.io access, so `std::thread::scope` stands in for a `rayon` parallel
-/// iterator): [`SweepRunner::run`] partitions step-latency grids over it and the
-/// traffic runner of `pimba-serve` partitions (system × scenario × rate) cells
-/// over it. `eval` must be deterministic per index for the output to be
-/// reproducible — both callers guarantee this (and their regression tests assert
-/// bit-identical results across thread counts).
+/// iterator): [`SweepRunner::run`] partitions step-latency grids over it and
+/// `pimba-serve`'s `run_grid` partitions the cells of the traffic and fleet
+/// grid runners over it. `eval` must be deterministic per index for the output
+/// to be reproducible — both callers guarantee this (and their regression tests
+/// assert bit-identical results across thread counts).
 pub fn parallel_map<T, F>(total: usize, threads: usize, eval: F) -> Vec<T>
 where
     T: Send,

@@ -18,11 +18,10 @@
 use crate::config::SystemConfig;
 use crate::memory::memory_breakdown;
 use pimba_models::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Latency model of one prefill→decode state handoff: a fixed per-transfer
 /// setup cost plus a bandwidth term over the shipped bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateTransferModel {
     /// Link bandwidth in GB/s (1 GB/s = 1 byte/ns, so the bandwidth term is
     /// simply `bytes / link_gbps` nanoseconds).
