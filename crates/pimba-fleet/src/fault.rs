@@ -16,13 +16,15 @@
 //! Plans serialize as JSON Lines — one header object carrying the recovery
 //! knobs, then one object per fault event — through [`FaultPlan::to_jsonl`] /
 //! [`FaultPlan::from_jsonl`], mirroring the trace dump format of
-//! `pimba_serve::traffic`. Malformed dumps produce structured
-//! [`FaultParseError`]s naming the offending line and field; structurally
+//! `pimba_serve::traffic` and read and written by the same `netline::Json`
+//! codec. Malformed dumps produce structured [`LineError`]s naming the
+//! offending line and field; structurally
 //! valid but semantically impossible plans (replica out of range, negative
 //! durations, crash events against a disaggregated fleet) are rejected by
 //! [`FaultPlan::validate`] with a [`FaultError`] naming the field.
 
 use crate::router::streams;
+use netline::{Json, JsonLine, JsonLines, LineError};
 use pimba_system::transfer::StateTransferModel;
 use rand::rngs::Pcg32;
 use rand::Rng;
@@ -351,81 +353,67 @@ impl FaultPlan {
     }
 
     /// Serializes the plan as JSON Lines: one header object with the
-    /// recovery knobs, then one object per event in plan order. `f64` fields
-    /// use Rust's shortest round-trip formatting, so
+    /// recovery knobs, then one object per event in plan order, rendered by
+    /// [`Json`]. `f64` fields use Rust's shortest round-trip formatting, so
     /// [`from_jsonl`](Self::from_jsonl) reconstructs the plan bit for bit.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 64);
-        out.push_str(&format!(
-            "{{\"plan\":\"fault\",\"seed\":{},\"detection_latency_ns\":{},\"recovery\":\"{}\",\
-             \"max_attempts\":{},\"base_backoff_ns\":{},\"max_backoff_ns\":{},\"jitter_ns\":{},\
-             \"timeout_ns\":{},\"link_gbps\":{},\"link_base_latency_us\":{}}}\n",
-            self.seed,
-            self.detection_latency_ns,
-            self.recovery.name(),
-            self.retry.max_attempts,
-            self.retry.base_backoff_ns,
-            self.retry.max_backoff_ns,
-            self.retry.jitter_ns,
-            self.retry.timeout_ns,
-            self.migration_link.link_gbps,
-            self.migration_link.base_latency_us,
-        ));
+        let mut out = String::with_capacity(256 + self.events.len() * 64);
+        Json::obj(vec![
+            ("plan", Json::str("fault")),
+            ("seed", Json::uint(self.seed)),
+            ("detection_latency_ns", Json::Num(self.detection_latency_ns)),
+            ("recovery", Json::str(self.recovery.name())),
+            ("max_attempts", Json::uint(self.retry.max_attempts.into())),
+            ("base_backoff_ns", Json::Num(self.retry.base_backoff_ns)),
+            ("max_backoff_ns", Json::Num(self.retry.max_backoff_ns)),
+            ("jitter_ns", Json::Num(self.retry.jitter_ns)),
+            ("timeout_ns", Json::Num(self.retry.timeout_ns)),
+            ("link_gbps", Json::Num(self.migration_link.link_gbps)),
+            (
+                "link_base_latency_us",
+                Json::Num(self.migration_link.base_latency_us),
+            ),
+        ])
+        .render_into(&mut out);
+        out.push('\n');
         for e in &self.events {
-            out.push_str(&format!("{{\"time_ns\":{}", e.time_ns));
-            match e.kind {
-                FaultKind::Crash { replica } => {
-                    out.push_str(&format!(",\"kind\":\"crash\",\"replica\":{replica}"));
-                }
-                FaultKind::Restart { replica } => {
-                    out.push_str(&format!(",\"kind\":\"restart\",\"replica\":{replica}"));
-                }
+            let (kind, replica, factor, duration_ns) = match e.kind {
+                FaultKind::Crash { replica } => ("crash", Some(replica), None, None),
+                FaultKind::Restart { replica } => ("restart", Some(replica), None, None),
                 FaultKind::Slowdown {
                     replica,
                     factor,
                     duration_ns,
-                } => {
-                    out.push_str(&format!(
-                        ",\"kind\":\"slowdown\",\"replica\":{replica},\"factor\":{factor},\
-                         \"duration_ns\":{duration_ns}"
-                    ));
-                }
-                FaultKind::LinkDown { duration_ns } => {
-                    out.push_str(&format!(
-                        ",\"kind\":\"link_down\",\"duration_ns\":{duration_ns}"
-                    ));
-                }
-            }
-            out.push_str("}\n");
+                } => ("slowdown", Some(replica), Some(factor), Some(duration_ns)),
+                FaultKind::LinkDown { duration_ns } => ("link_down", None, None, Some(duration_ns)),
+            };
+            let mut fields = vec![("time_ns", Json::Num(e.time_ns)), ("kind", Json::str(kind))];
+            fields.extend(replica.map(|r| ("replica", Json::uint(r as u64))));
+            fields.extend(factor.map(|f| ("factor", Json::Num(f))));
+            fields.extend(duration_ns.map(|d| ("duration_ns", Json::Num(d))));
+            Json::obj(fields).render_into(&mut out);
+            out.push('\n');
         }
         out
     }
 
     /// Parses a JSONL plan produced by [`to_jsonl`](Self::to_jsonl) (blank
     /// lines are skipped; header fields may appear in any order and default
-    /// when absent). Malformed input produces a [`FaultParseError`] naming
-    /// the line and field — never a panic.
-    pub fn from_jsonl(text: &str) -> Result<Self, FaultParseError> {
-        let mut plan = FaultPlan::default();
-        let mut saw_header = false;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if !saw_header {
-                parse_header(line, lineno + 1, &mut plan)?;
-                saw_header = true;
-            } else {
-                plan.events.push(parse_event(line, lineno + 1)?);
-            }
-        }
-        if !saw_header {
-            return Err(FaultParseError {
-                line: 1,
-                field: "plan".to_string(),
-                message: "missing header line (`{\"plan\":\"fault\",...}`)".to_string(),
-            });
+    /// when absent). Malformed input produces a [`LineError`] naming the line
+    /// and field — never a panic.
+    pub fn from_jsonl(text: &str) -> Result<Self, LineError> {
+        let mut lines = JsonLines::new(DOC, text);
+        let Some(header) = lines.next() else {
+            return Err(LineError::new(
+                DOC,
+                1,
+                "plan",
+                "missing header line (`{\"plan\":\"fault\",...}`)",
+            ));
+        };
+        let mut plan = parse_header(&header?)?;
+        for line in lines {
+            plan.events.push(parse_event(&line?)?);
         }
         Ok(plan)
     }
@@ -490,174 +478,88 @@ impl fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// A malformed line in a JSONL fault-plan dump.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// The field that failed to parse.
-    pub field: String,
-    /// What was wrong with it.
-    pub message: String,
-}
+/// The document name fault-plan parse errors carry.
+const DOC: &str = "fault plan";
 
-impl fmt::Display for FaultParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan line {}: field `{}`: {}",
-            self.line, self.field, self.message
-        )
+fn parse_header(line: &JsonLine) -> Result<FaultPlan, LineError> {
+    line.check_keys(&[
+        "plan",
+        "seed",
+        "detection_latency_ns",
+        "recovery",
+        "max_attempts",
+        "base_backoff_ns",
+        "max_backoff_ns",
+        "jitter_ns",
+        "timeout_ns",
+        "link_gbps",
+        "link_base_latency_us",
+    ])?;
+    match line.opt::<String>("plan")?.as_deref() {
+        Some("fault") => {}
+        Some(other) => return Err(line.error("plan", format!("expected \"fault\", got `{other}`"))),
+        None => return Err(line.error("plan", "header must carry `\"plan\":\"fault\"`")),
     }
-}
-
-impl std::error::Error for FaultParseError {}
-
-/// Splits one flat JSONL object into `(key, raw value)` pairs (no nesting;
-/// the only string values in the schema contain no commas or braces).
-fn jsonl_fields(line: &str, lineno: usize) -> Result<Vec<(&str, &str)>, FaultParseError> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| FaultParseError {
-            line: lineno,
-            field: String::new(),
-            message: "expected one flat JSON object per line".to_string(),
-        })?;
-    let mut fields = Vec::new();
-    for part in body.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = part.split_once(':').ok_or_else(|| FaultParseError {
-            line: lineno,
-            field: part.to_string(),
-            message: "expected `\"key\": value`".to_string(),
-        })?;
-        fields.push((key.trim().trim_matches('"'), value.trim()));
-    }
-    Ok(fields)
-}
-
-fn parse_num<T: std::str::FromStr>(
-    value: &str,
-    field: &str,
-    lineno: usize,
-) -> Result<T, FaultParseError> {
-    value.parse().map_err(|_| FaultParseError {
-        line: lineno,
-        field: field.to_string(),
-        message: format!("bad number `{value}`"),
+    let d = FaultPlan::default();
+    let recovery = match line.opt::<String>("recovery")? {
+        None => d.recovery,
+        Some(name) => RecoveryPolicy::parse(&name).ok_or_else(|| {
+            line.error(
+                "recovery",
+                format!("unknown policy `{name}` (expected none | retry-only | migrate)"),
+            )
+        })?,
+    };
+    Ok(FaultPlan {
+        events: Vec::new(),
+        detection_latency_ns: line
+            .opt("detection_latency_ns")?
+            .unwrap_or(d.detection_latency_ns),
+        recovery,
+        retry: RetryPolicy {
+            max_attempts: line.opt("max_attempts")?.unwrap_or(d.retry.max_attempts),
+            base_backoff_ns: line
+                .opt("base_backoff_ns")?
+                .unwrap_or(d.retry.base_backoff_ns),
+            max_backoff_ns: line
+                .opt("max_backoff_ns")?
+                .unwrap_or(d.retry.max_backoff_ns),
+            jitter_ns: line.opt("jitter_ns")?.unwrap_or(d.retry.jitter_ns),
+            timeout_ns: line.opt("timeout_ns")?.unwrap_or(d.retry.timeout_ns),
+        },
+        migration_link: StateTransferModel {
+            link_gbps: line.opt("link_gbps")?.unwrap_or(d.migration_link.link_gbps),
+            base_latency_us: line
+                .opt("link_base_latency_us")?
+                .unwrap_or(d.migration_link.base_latency_us),
+        },
+        seed: line.opt("seed")?.unwrap_or(d.seed),
     })
 }
 
-fn parse_header(line: &str, lineno: usize, plan: &mut FaultPlan) -> Result<(), FaultParseError> {
-    let mut saw_plan_tag = false;
-    for (key, value) in jsonl_fields(line, lineno)? {
-        match key {
-            "plan" => {
-                let value = value.trim_matches('"');
-                if value != "fault" {
-                    return Err(FaultParseError {
-                        line: lineno,
-                        field: "plan".to_string(),
-                        message: format!("expected \"fault\", got `{value}`"),
-                    });
-                }
-                saw_plan_tag = true;
-            }
-            "seed" => plan.seed = parse_num(value, key, lineno)?,
-            "detection_latency_ns" => plan.detection_latency_ns = parse_num(value, key, lineno)?,
-            "recovery" => {
-                let value = value.trim_matches('"');
-                plan.recovery = RecoveryPolicy::parse(value).ok_or_else(|| FaultParseError {
-                    line: lineno,
-                    field: "recovery".to_string(),
-                    message: format!(
-                        "unknown policy `{value}` (expected none | retry-only | migrate)"
-                    ),
-                })?;
-            }
-            "max_attempts" => plan.retry.max_attempts = parse_num(value, key, lineno)?,
-            "base_backoff_ns" => plan.retry.base_backoff_ns = parse_num(value, key, lineno)?,
-            "max_backoff_ns" => plan.retry.max_backoff_ns = parse_num(value, key, lineno)?,
-            "jitter_ns" => plan.retry.jitter_ns = parse_num(value, key, lineno)?,
-            "timeout_ns" => plan.retry.timeout_ns = parse_num(value, key, lineno)?,
-            "link_gbps" => plan.migration_link.link_gbps = parse_num(value, key, lineno)?,
-            "link_base_latency_us" => {
-                plan.migration_link.base_latency_us = parse_num(value, key, lineno)?
-            }
-            other => {
-                return Err(FaultParseError {
-                    line: lineno,
-                    field: other.to_string(),
-                    message: "unknown header field".to_string(),
-                })
-            }
-        }
-    }
-    if !saw_plan_tag {
-        return Err(FaultParseError {
-            line: lineno,
-            field: "plan".to_string(),
-            message: "header must carry `\"plan\":\"fault\"`".to_string(),
-        });
-    }
-    Ok(())
-}
-
-fn parse_event(line: &str, lineno: usize) -> Result<FaultEvent, FaultParseError> {
-    let mut time_ns: Option<f64> = None;
-    let mut kind: Option<&str> = None;
-    let mut replica: Option<usize> = None;
-    let mut factor: Option<f64> = None;
-    let mut duration_ns: Option<f64> = None;
-    for (key, value) in jsonl_fields(line, lineno)? {
-        match key {
-            "time_ns" => time_ns = Some(parse_num(value, key, lineno)?),
-            "kind" => kind = Some(value.trim_matches('"')),
-            "replica" => replica = Some(parse_num(value, key, lineno)?),
-            "factor" => factor = Some(parse_num(value, key, lineno)?),
-            "duration_ns" => duration_ns = Some(parse_num(value, key, lineno)?),
-            other => {
-                return Err(FaultParseError {
-                    line: lineno,
-                    field: other.to_string(),
-                    message: "unknown event field".to_string(),
-                })
-            }
-        }
-    }
-    let missing = |field: &str| FaultParseError {
-        line: lineno,
-        field: field.to_string(),
-        message: "missing field".to_string(),
-    };
-    let time_ns = time_ns.ok_or_else(|| missing("time_ns"))?;
-    let kind = match kind.ok_or_else(|| missing("kind"))? {
+fn parse_event(line: &JsonLine) -> Result<FaultEvent, LineError> {
+    line.check_keys(&["time_ns", "kind", "replica", "factor", "duration_ns"])?;
+    let time_ns = line.req("time_ns")?;
+    let kind = match line.req::<String>("kind")?.as_str() {
         "crash" => FaultKind::Crash {
-            replica: replica.ok_or_else(|| missing("replica"))?,
+            replica: line.req("replica")?,
         },
         "restart" => FaultKind::Restart {
-            replica: replica.ok_or_else(|| missing("replica"))?,
+            replica: line.req("replica")?,
         },
         "slowdown" => FaultKind::Slowdown {
-            replica: replica.ok_or_else(|| missing("replica"))?,
-            factor: factor.ok_or_else(|| missing("factor"))?,
-            duration_ns: duration_ns.ok_or_else(|| missing("duration_ns"))?,
+            replica: line.req("replica")?,
+            factor: line.req("factor")?,
+            duration_ns: line.req("duration_ns")?,
         },
         "link_down" => FaultKind::LinkDown {
-            duration_ns: duration_ns.ok_or_else(|| missing("duration_ns"))?,
+            duration_ns: line.req("duration_ns")?,
         },
         other => {
-            return Err(FaultParseError {
-                line: lineno,
-                field: "kind".to_string(),
-                message: format!(
-                    "unknown kind `{other}` (expected crash | restart | slowdown | link_down)"
-                ),
-            })
+            return Err(line.error(
+                "kind",
+                format!("unknown kind `{other}` (expected crash | restart | slowdown | link_down)"),
+            ))
         }
     };
     Ok(FaultEvent { time_ns, kind })

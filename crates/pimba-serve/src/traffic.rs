@@ -11,6 +11,7 @@
 //! regenerating a trace — on any thread, in any order, next to any other trace —
 //! reproduces it bit for bit.
 
+use netline::{Json, JsonLines, LineError};
 use rand::rngs::Pcg32;
 use rand::Rng;
 
@@ -110,51 +111,58 @@ impl Trace {
 
     /// Serializes the trace as JSON Lines: one
     /// `{"arrival_ns":…,"prompt_len":…,"output_len":…}` object per request,
-    /// in trace order. Arrival times use Rust's shortest round-trip `f64`
-    /// formatting, so [`Trace::from_jsonl`] reconstructs them bit for bit —
-    /// the property that lets a fleet run and a single-replica run replay the
-    /// *identical* trace from one file.
+    /// in trace order, rendered by [`Json`]. Arrival times use Rust's shortest
+    /// round-trip `f64` formatting, so [`Trace::from_jsonl`] reconstructs them
+    /// bit for bit — the property that lets a fleet run and a single-replica
+    /// run replay the *identical* trace from one file.
     ///
     /// `tenant`/`priority` fields are appended only when non-zero, so a
-    /// single-tenant trace serializes byte-identically to the pre-tenant
-    /// schema (and pre-tenant dumps round-trip unchanged).
+    /// single-tenant trace serializes to the pre-tenant schema (and
+    /// pre-tenant dumps round-trip unchanged).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.len() * 64);
         for r in &self.requests {
-            out.push_str(&format!(
-                "{{\"arrival_ns\":{},\"prompt_len\":{},\"output_len\":{}",
-                r.arrival_ns, r.prompt_len, r.output_len
-            ));
+            let mut fields = vec![
+                ("arrival_ns", Json::Num(r.arrival_ns)),
+                ("prompt_len", Json::uint(r.prompt_len as u64)),
+                ("output_len", Json::uint(r.output_len as u64)),
+            ];
             if r.tenant != 0 {
-                out.push_str(&format!(",\"tenant\":{}", r.tenant));
+                fields.push(("tenant", Json::uint(r.tenant.into())));
             }
             if r.priority != 0 {
-                out.push_str(&format!(",\"priority\":{}", r.priority));
+                fields.push(("priority", Json::uint(r.priority.into())));
             }
-            out.push_str("}\n");
+            Json::obj(fields).render_into(&mut out);
+            out.push('\n');
         }
         out
     }
 
     /// Parses a JSON Lines trace produced by [`Trace::to_jsonl`] (or by any
-    /// tool emitting one flat object per line with the three required fields
-    /// in any order; blank lines are skipped). The `tenant` and `priority`
+    /// tool emitting one object per line with the three required fields in
+    /// any order; blank lines are skipped). The `tenant` and `priority`
     /// fields are optional and default to 0, so pre-tenant trace files load
     /// unchanged. Requests are re-sorted by arrival time — a no-op for
     /// well-formed dumps — so the result is always a valid trace.
-    pub fn from_jsonl(text: &str) -> Result<Self, TraceParseError> {
+    pub fn from_jsonl(text: &str) -> Result<Self, LineError> {
         let mut requests = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            requests.push(
-                parse_jsonl_request(line).map_err(|message| TraceParseError {
-                    line: lineno + 1,
-                    message,
-                })?,
-            );
+        for line in JsonLines::new("trace", text) {
+            let line = line?;
+            line.check_keys(&[
+                "arrival_ns",
+                "prompt_len",
+                "output_len",
+                "tenant",
+                "priority",
+            ])?;
+            requests.push(TraceRequest {
+                arrival_ns: line.req("arrival_ns")?,
+                prompt_len: line.req("prompt_len")?,
+                output_len: line.req("output_len")?,
+                tenant: line.opt("tenant")?.unwrap_or(0),
+                priority: line.opt("priority")?.unwrap_or(0),
+            });
         }
         Ok(Self::from_requests(requests))
     }
@@ -171,89 +179,6 @@ impl Trace {
         Self::from_jsonl(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
-}
-
-/// A malformed line in a JSONL trace dump.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// Parses one flat JSONL object (no nesting, string values unsupported — the
-/// trace schema needs none) into a [`TraceRequest`].
-fn parse_jsonl_request(line: &str) -> Result<TraceRequest, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "expected one flat JSON object per line".to_string())?;
-    let mut arrival_ns: Option<f64> = None;
-    let mut prompt_len: Option<usize> = None;
-    let mut output_len: Option<usize> = None;
-    let mut tenant: u32 = 0;
-    let mut priority: u8 = 0;
-    for field in body.split(',') {
-        let field = field.trim();
-        if field.is_empty() {
-            continue;
-        }
-        let (key, value) = field
-            .split_once(':')
-            .ok_or_else(|| format!("field `{field}` is not key:value"))?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "arrival_ns" => {
-                let v: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad arrival_ns `{value}`"))?;
-                if !v.is_finite() {
-                    return Err(format!("non-finite arrival_ns `{value}`"));
-                }
-                arrival_ns = Some(v);
-            }
-            "prompt_len" => {
-                prompt_len = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad prompt_len `{value}`"))?,
-                );
-            }
-            "output_len" => {
-                output_len = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad output_len `{value}`"))?,
-                );
-            }
-            "tenant" => {
-                tenant = value.parse().map_err(|_| format!("bad tenant `{value}`"))?;
-            }
-            "priority" => {
-                priority = value
-                    .parse()
-                    .map_err(|_| format!("bad priority `{value}`"))?;
-            }
-            other => return Err(format!("unknown field `{other}`")),
-        }
-    }
-    Ok(TraceRequest {
-        arrival_ns: arrival_ns.ok_or("missing arrival_ns")?,
-        prompt_len: prompt_len.ok_or("missing prompt_len")?,
-        output_len: output_len.ok_or("missing output_len")?,
-        tenant,
-        priority,
-    })
 }
 
 /// The shape of an arrival process (the rate is supplied at generation time).

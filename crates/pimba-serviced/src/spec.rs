@@ -336,9 +336,7 @@ impl Experiment {
         let seed = match spec.get("seed") {
             None => None,
             Some(v) => Some(
-                v.as_i64()
-                    .filter(|n| *n >= 0)
-                    .map(|n| n as u64)
+                v.as_u64()
                     .ok_or_else(|| SpecError::new("seed", "must be a non-negative integer"))?,
             ),
         };
@@ -638,6 +636,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(Experiment::from_json(&cap).unwrap().total_cells(), 4);
+    }
+
+    #[test]
+    fn seeds_take_the_full_u64_range() {
+        let spec = |seed: &str| {
+            Json::parse(&format!(
+                r#"{{"kind":"fleet_grid","model":{{"family":"mamba2","scale":"small"}},
+                    "systems":["pimba"],"scenarios":["chat"],"rates_rps":[16.0],
+                    "replicas":[2],"routers":["jsq"],"seed":{seed}}}"#
+            ))
+            .unwrap()
+        };
+        for seed in [0, i64::MAX as u64 + 1, u64::MAX] {
+            match Experiment::from_json(&spec(&seed.to_string())).unwrap() {
+                Experiment::Fleet(grid) => assert_eq!(grid.seed, seed),
+                _ => panic!("a fleet_grid spec builds a fleet grid"),
+            }
+        }
+        for bad in ["-1", "1.5", "18446744073709551616", "\"7\""] {
+            let err = Experiment::from_json(&spec(bad)).unwrap_err();
+            assert_eq!(err.field, "seed", "seed {bad}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   guards (no clock read unless profiling was enabled).
 //! * **Deterministic output.** Events are stamped in *simulated* nanoseconds,
 //!   tracks are registered in driver-thread creation order, and every
-//!   exporter renders floats with Rust's shortest round-trip `{:?}`
-//!   representation — so traces and metric snapshots are themselves
+//!   exporter renders through `netline::Json` (floats in Rust's shortest
+//!   round-trip form) — so traces and metric snapshots are themselves
 //!   reproducible artifacts (modulo the optional wall-time channel, which is
 //!   confined to the profiler).
 //!
@@ -40,6 +40,7 @@
 //!   lookup, persist I/O, window-barrier wait) so benches can report where
 //!   host time goes. Wall time never feeds back into simulated time.
 
+use netline::{Json, JsonLines, LineError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -212,52 +213,23 @@ impl TraceRecorder {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters + the JSONL round-trip parser
+// Exporters + the JSONL round-trip reader
 // ---------------------------------------------------------------------------
 
-/// Renders `value` in Rust's shortest round-trip representation — parsing the
-/// result with [`str::parse::<f64>`] recovers the exact bits, which is what
-/// makes [`parse_jsonl`] a lossless inverse of [`render_jsonl`].
-fn fmt_f64(value: f64) -> String {
-    format!("{value:?}")
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn render_event_line(out: &mut String, track: &str, ev: &TraceEvent) {
-    out.push_str("{\"track\":\"");
-    escape_into(out, track);
-    out.push_str("\",\"name\":\"");
-    escape_into(out, &ev.name);
-    out.push_str("\",\"t\":");
-    out.push_str(&fmt_f64(ev.time_ns));
-    out.push_str(",\"dur\":");
-    out.push_str(&fmt_f64(ev.dur_ns));
-    out.push_str(",\"id\":");
-    out.push_str(&ev.id.to_string());
-    out.push_str(",\"args\":[");
-    for (i, (key, value)) in ev.args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("[\"");
-        escape_into(out, key);
-        out.push_str("\",");
-        out.push_str(&fmt_f64(*value));
-        out.push(']');
-    }
-    out.push_str("]}\n");
+fn event_json(track: &str, ev: &TraceEvent) -> Json {
+    let args = ev
+        .args
+        .iter()
+        .map(|(key, value)| Json::Arr(vec![Json::str(key), Json::Num(*value)]))
+        .collect();
+    Json::obj(vec![
+        ("track", Json::str(track)),
+        ("name", Json::str(&ev.name)),
+        ("t", Json::Num(ev.time_ns)),
+        ("dur", Json::Num(ev.dur_ns)),
+        ("id", Json::uint(ev.id)),
+        ("args", Json::Arr(args)),
+    ])
 }
 
 /// Renders tracks as the canonical JSONL stream: one event per line, shaped
@@ -265,132 +237,21 @@ fn render_event_line(out: &mut String, track: &str, ev: &TraceEvent) {
 /// floats in shortest round-trip form. [`parse_jsonl`] inverts this exactly,
 /// so `render → parse → render` is byte-stable.
 pub fn render_jsonl(tracks: &[TraceTrack]) -> String {
+    // Keeps an empty track visible in the stream (and round-trippable).
+    let placeholder = TraceEvent::instant("", 0.0, 0);
     let mut out = String::new();
     for track in tracks {
-        if track.events.is_empty() {
-            // Keep empty tracks visible in the stream (and round-trippable).
-            out.push_str("{\"track\":\"");
-            escape_into(&mut out, &track.name);
-            out.push_str("\",\"name\":\"\",\"t\":0.0,\"dur\":0.0,\"id\":0,\"args\":[]}\n");
-            continue;
-        }
-        for ev in &track.events {
-            render_event_line(&mut out, &track.name, ev);
+        let events = if track.events.is_empty() {
+            std::slice::from_ref(&placeholder)
+        } else {
+            &track.events[..]
+        };
+        for ev in events {
+            event_json(&track.name, ev).render_into(&mut out);
+            out.push('\n');
         }
     }
     out
-}
-
-/// A malformed line handed to [`parse_jsonl`]: the 1-based line number and a
-/// short description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was expected.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// A strict cursor over one canonical JSONL line (the exact grammar
-/// [`render_jsonl`] emits — this is a round-trip codec, not a general JSON
-/// parser).
-struct LineCursor<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> LineCursor<'a> {
-    fn fail<T>(&self, message: &str) -> Result<T, TraceParseError> {
-        Err(TraceParseError {
-            line: self.line,
-            message: message.to_string(),
-        })
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), TraceParseError> {
-        match self.rest.strip_prefix(lit) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => self.fail(&format!("expected `{lit}`")),
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest.chars().next()
-    }
-
-    fn string(&mut self) -> Result<String, TraceParseError> {
-        self.literal("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
-                return self.fail("unterminated string");
-            };
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((j, 'u')) => {
-                        let hex = self.rest.get(j + 1..j + 5);
-                        let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
-                        match code.and_then(char::from_u32) {
-                            Some(c) => out.push(c),
-                            None => return self.fail("bad \\u escape"),
-                        }
-                        for _ in 0..4 {
-                            chars.next();
-                        }
-                    }
-                    _ => return self.fail("bad escape"),
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number_str(&mut self) -> Result<&'a str, TraceParseError> {
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return self.fail("expected a number");
-        }
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Ok(num)
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceParseError> {
-        let text = self.number_str()?;
-        match text.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.fail("bad float"),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceParseError> {
-        let text = self.number_str()?;
-        match text.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.fail("bad integer"),
-        }
-    }
 }
 
 /// Parses a [`render_jsonl`] stream back into tracks: the exact inverse, so
@@ -398,47 +259,32 @@ impl<'a> LineCursor<'a> {
 /// the round-trip tests). Tracks appear in first-occurrence order; the
 /// placeholder line an empty track renders as is folded back into an empty
 /// track.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceTrack>, TraceParseError> {
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceTrack>, LineError> {
     let mut tracks: Vec<TraceTrack> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut cur = LineCursor {
-            rest: line,
-            line: idx + 1,
+    for line in JsonLines::new("trace", text) {
+        let line = line?;
+        line.check_keys(&["track", "name", "t", "dur", "id", "args"])?;
+        let track: String = line.req("track")?;
+        let args = line
+            .get("args")
+            .and_then(Json::as_arr)
+            .and_then(|pairs| {
+                pairs
+                    .iter()
+                    .map(|pair| match pair.as_arr() {
+                        Some([Json::Str(key), value]) => Some((key.clone(), value.as_f64()?)),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()
+            })
+            .ok_or_else(|| line.error("args", "expected an array of [key, number] pairs"))?;
+        let event = TraceEvent {
+            name: line.req("name")?,
+            time_ns: line.req("t")?,
+            dur_ns: line.req("dur")?,
+            id: line.req("id")?,
+            args,
         };
-        cur.literal("{\"track\":")?;
-        let track = cur.string()?;
-        cur.literal(",\"name\":")?;
-        let name = cur.string()?;
-        cur.literal(",\"t\":")?;
-        let time_ns = cur.f64()?;
-        cur.literal(",\"dur\":")?;
-        let dur_ns = cur.f64()?;
-        cur.literal(",\"id\":")?;
-        let id = cur.u64()?;
-        cur.literal(",\"args\":[")?;
-        let mut args = Vec::new();
-        if cur.peek() != Some(']') {
-            loop {
-                cur.literal("[")?;
-                let key = cur.string()?;
-                cur.literal(",")?;
-                let value = cur.f64()?;
-                cur.literal("]")?;
-                args.push((key, value));
-                if cur.peek() == Some(',') {
-                    cur.literal(",")?;
-                } else {
-                    break;
-                }
-            }
-        }
-        cur.literal("]}")?;
-        if !cur.rest.is_empty() {
-            return cur.fail("trailing bytes");
-        }
         let slot = match tracks.iter_mut().find(|t| t.name == track) {
             Some(slot) => slot,
             None => {
@@ -450,16 +296,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceTrack>, TraceParseError> {
             }
         };
         // The placeholder an empty track renders as (empty name, all zeros).
-        if name.is_empty() && time_ns == 0.0 && dur_ns == 0.0 && id == 0 && args.is_empty() {
-            continue;
+        if event != TraceEvent::instant("", 0.0, 0) {
+            slot.events.push(event);
         }
-        slot.events.push(TraceEvent {
-            name,
-            time_ns,
-            dur_ns,
-            id,
-            args,
-        });
     }
     Ok(tracks)
 }
@@ -467,53 +306,42 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceTrack>, TraceParseError> {
 /// Renders tracks as Chrome trace-event JSON (the `{"traceEvents": [...]}`
 /// envelope understood by Perfetto and `chrome://tracing`): one `tid` per
 /// track with a `thread_name` metadata record, spans as `"ph":"X"` complete
-/// events and instants as `"ph":"i"`, timestamps in microseconds.
+/// events and instants as `"ph":"i"`, timestamps in microseconds. Each
+/// record sits on its own line.
 pub fn render_chrome_json(tracks: &[TraceTrack]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: &str| {
-        if !*first {
+    let body = out.len();
+    let mut push = |record: Json| {
+        if out.len() > body {
             out.push_str(",\n");
         }
-        *first = false;
-        out.push_str(line);
+        record.render_into(&mut out);
     };
     for (tid, track) in tracks.iter().enumerate() {
-        let mut meta = String::from("{\"ph\":\"M\",\"pid\":0,\"tid\":");
-        meta.push_str(&tid.to_string());
-        meta.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-        escape_into(&mut meta, &track.name);
-        meta.push_str("\"}}");
-        push(&mut out, &mut first, &meta);
+        let tid = Json::uint(tid as u64);
+        push(Json::obj(vec![
+            ("ph", Json::str("M")),
+            ("pid", Json::Int(0)),
+            ("tid", tid.clone()),
+            ("name", Json::str("thread_name")),
+            ("args", Json::obj(vec![("name", Json::str(&track.name))])),
+        ]));
         for ev in &track.events {
-            let mut line = String::from("{\"ph\":\"");
+            let mut fields = vec![
+                ("ph", Json::str(if ev.dur_ns > 0.0 { "X" } else { "i" })),
+                ("pid", Json::Int(0)),
+                ("tid", tid.clone()),
+                ("ts", Json::Num(ev.time_ns / 1000.0)),
+            ];
             if ev.dur_ns > 0.0 {
-                line.push('X');
+                fields.push(("dur", Json::Num(ev.dur_ns / 1000.0)));
             } else {
-                line.push('i');
+                fields.push(("s", Json::str("t")));
             }
-            line.push_str("\",\"pid\":0,\"tid\":");
-            line.push_str(&tid.to_string());
-            line.push_str(",\"ts\":");
-            line.push_str(&fmt_f64(ev.time_ns / 1000.0));
-            if ev.dur_ns > 0.0 {
-                line.push_str(",\"dur\":");
-                line.push_str(&fmt_f64(ev.dur_ns / 1000.0));
-            } else {
-                line.push_str(",\"s\":\"t\"");
-            }
-            line.push_str(",\"name\":\"");
-            escape_into(&mut line, &ev.name);
-            line.push_str("\",\"args\":{\"id\":");
-            line.push_str(&ev.id.to_string());
-            for (key, value) in &ev.args {
-                line.push_str(",\"");
-                escape_into(&mut line, key);
-                line.push_str("\":");
-                line.push_str(&fmt_f64(*value));
-            }
-            line.push_str("}}");
-            push(&mut out, &mut first, &line);
+            let mut args = vec![("id".to_string(), Json::uint(ev.id))];
+            args.extend(ev.args.iter().map(|(k, v)| (k.clone(), Json::Num(*v))));
+            fields.extend([("name", Json::str(&ev.name)), ("args", Json::Obj(args))]);
+            push(Json::obj(fields));
         }
     }
     out.push_str("\n]}\n");
@@ -697,58 +525,42 @@ impl MetricsHub {
     /// Histograms list only their non-empty buckets as `[index, count]`
     /// pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, series) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_into(&mut out, &series.name);
-            out.push_str("\",\"labels\":[");
-            for (j, (k, v)) in series.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("[\"");
-                escape_into(&mut out, k);
-                out.push_str("\",\"");
-                escape_into(&mut out, v);
-                out.push_str("\"]");
-            }
-            out.push_str("],");
-            match &series.value {
+        let series = self.snapshot().into_iter().map(|series| {
+            let labels = series
+                .labels
+                .into_iter()
+                .map(|(k, v)| Json::Arr(vec![Json::Str(k), Json::Str(v)]))
+                .collect();
+            let mut fields = vec![
+                ("name", Json::Str(series.name)),
+                ("labels", Json::Arr(labels)),
+            ];
+            match series.value {
                 MetricValue::Counter(n) => {
-                    out.push_str("\"kind\":\"counter\",\"value\":");
-                    out.push_str(&n.to_string());
+                    fields.extend([("kind", Json::str("counter")), ("value", Json::uint(n))]);
                 }
                 MetricValue::Gauge(v) => {
-                    out.push_str("\"kind\":\"gauge\",\"value\":");
-                    out.push_str(&fmt_f64(*v));
+                    fields.extend([("kind", Json::str("gauge")), ("value", Json::Num(v))]);
                 }
                 MetricValue::Histogram(h) => {
-                    out.push_str("\"kind\":\"histogram\",\"count\":");
-                    out.push_str(&h.count.to_string());
-                    out.push_str(",\"sum\":");
-                    out.push_str(&fmt_f64(h.sum));
-                    out.push_str(",\"buckets\":[");
-                    let mut first = true;
-                    for (b, &n) in h.buckets.iter().enumerate() {
-                        if n == 0 {
-                            continue;
-                        }
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push_str(&format!("[{b},{n}]"));
-                    }
-                    out.push(']');
+                    let buckets = h
+                        .buckets
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &n)| n > 0)
+                        .map(|(b, &n)| Json::Arr(vec![Json::uint(b as u64), Json::uint(n)]))
+                        .collect();
+                    fields.extend([
+                        ("kind", Json::str("histogram")),
+                        ("count", Json::uint(h.count)),
+                        ("sum", Json::Num(h.sum)),
+                        ("buckets", Json::Arr(buckets)),
+                    ]);
                 }
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            Json::obj(fields)
+        });
+        Json::obj(vec![("metrics", Json::Arr(series.collect()))]).render()
     }
 }
 

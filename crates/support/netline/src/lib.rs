@@ -1,29 +1,34 @@
-//! Minimal std-only JSONL-over-TCP plumbing for the serving daemon.
+//! Minimal std-only JSON codec and JSONL-over-TCP plumbing.
 //!
 //! The workspace builds hermetically without crates.io access, so this crate
-//! provides the small networking/serialization slice `pimba-serviced` needs
-//! and nothing more:
+//! provides the one JSON reader and writer every crate uses — the serving
+//! daemon's line protocol, the trace and fault-plan dumps, and the
+//! observability exports — plus the small networking slice the daemon needs:
 //!
 //! * [`Json`] — a JSON value model with a strict parser ([`Json::parse`],
-//!   structured [`JsonError`]s carrying a byte offset) and a deterministic
-//!   renderer ([`Json::render`]; object keys keep insertion order, floats use
-//!   Rust's shortest round-trip formatting so re-rendering a parsed line is
-//!   byte-stable),
+//!   structured [`JsonError`]s carrying a byte offset and, inside an object
+//!   member, its key) and a deterministic renderer ([`Json::render`]; object
+//!   keys keep insertion order, floats use Rust's shortest round-trip
+//!   formatting so re-rendering a parsed line is byte-stable),
+//! * [`JsonLines`] — a JSON Lines reader yielding one [`JsonLine`] object per
+//!   non-blank line with typed field getters; every failure is a
+//!   [`LineError`] naming the line and the field,
 //! * [`LineServer`] — a thread-per-connection TCP accept loop with
 //!   non-blocking polling and a [`Stopper`] for graceful shutdown (stops
 //!   accepting, then joins every live connection thread),
 //! * [`LineConn`] — one newline-delimited text connection, used by both the
 //!   server handler and clients ([`LineConn::connect`]).
 //!
-//! Numbers distinguish [`Json::Int`] (i64, no fractional part written) from
-//! [`Json::Num`] (f64) so integer fields such as seeds and counts round-trip
-//! without a float detour.
+//! Numbers distinguish [`Json::Int`] (i64, no fractional part written) and
+//! [`Json::UInt`] (integers above `i64::MAX`) from [`Json::Num`] (f64), so
+//! integer fields such as seeds, ids and counts round-trip exactly across the
+//! whole `i64` and `u64` ranges without a float detour.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,6 +46,10 @@ pub enum Json {
     Bool(bool),
     /// A number with no fractional/exponent part that fits an `i64`.
     Int(i64),
+    /// An integer above `i64::MAX` that fits a `u64`. Build integers with
+    /// [`Json::uint`], which picks [`Json::Int`] whenever the value fits, so
+    /// equal integers always compare equal.
+    UInt(u64),
     /// Any other number.
     Num(f64),
     /// A string.
@@ -51,11 +60,16 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// A structured JSON parse error: what went wrong and the byte offset where.
+/// A structured JSON parse error: what went wrong, the byte offset where,
+/// and the object member it happened in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset into the input where the error was detected.
     pub pos: usize,
+    /// Key of the outermost object member whose value holds the error
+    /// (`None` when the error is not inside a member's value) — what lets a
+    /// line reader name the field of a malformed line.
+    pub key: Option<String>,
     /// Human-readable description of the problem.
     pub message: String,
 }
@@ -77,6 +91,12 @@ impl Json {
     /// Builds a string value.
     pub fn str(s: &str) -> Json {
         Json::Str(s.to_string())
+    }
+
+    /// Builds an unsigned integer: [`Json::Int`] when it fits an `i64`,
+    /// [`Json::UInt`] above that.
+    pub fn uint(n: u64) -> Json {
+        i64::try_from(n).map_or(Json::UInt(n), Json::Int)
     }
 
     /// Object field lookup (`None` for non-objects and missing keys).
@@ -111,11 +131,22 @@ impl Json {
         }
     }
 
-    /// The numeric payload as `f64` (accepts both [`Json::Int`] and
-    /// [`Json::Num`]).
+    /// The unsigned integer payload (a non-negative [`Json::Int`] or a
+    /// [`Json::UInt`] — floats do not coerce).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => u64::try_from(*n).ok(),
+            Json::UInt(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as `f64` (accepts [`Json::Int`], [`Json::UInt`]
+    /// and [`Json::Num`]).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(n) => Some(*n as f64),
+            Json::UInt(n) => Some(*n as f64),
             Json::Num(x) => Some(*x),
             _ => None,
         }
@@ -143,6 +174,7 @@ impl Json {
     /// error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -164,19 +196,27 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// [`Json::render`] appending to `out` — lets a JSON Lines writer render
+    /// many values into one buffer.
+    pub fn render_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Num(x) => {
                 if x.is_finite() {
-                    let s = format!("{x}");
-                    out.push_str(&s);
+                    let start = out.len();
+                    let _ = write!(out, "{x}");
                     // Keep the int/float distinction visible in the text so a
                     // parse→render round trip is stable.
-                    if !s.contains(['.', 'e', 'E']) {
+                    if !out[start..].contains(['.', 'e', 'E']) {
                         out.push_str(".0");
                     }
                 } else {
@@ -220,7 +260,7 @@ fn render_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -229,6 +269,7 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -237,6 +278,7 @@ impl Parser<'_> {
     fn error(&self, message: &str) -> JsonError {
         JsonError {
             pos: self.pos,
+            key: None,
             message: message.to_string(),
         }
     }
@@ -321,13 +363,22 @@ impl Parser<'_> {
             if pairs.iter().any(|(k, _)| *k == key) {
                 return Err(JsonError {
                     pos: key_pos,
+                    key: None,
                     message: format!("duplicate object key '{key}'"),
                 });
             }
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = match self.value() {
+                Ok(value) => value,
+                Err(mut e) => {
+                    // Outer members overwrite inner ones: a line reader names
+                    // the top-level field.
+                    e.key = Some(key);
+                    return Err(e);
+                }
+            };
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -393,17 +444,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.error("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through as-is: the input
-                    // is a &str, so slicing on char boundaries is safe.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.error("unescaped control character in string"));
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so the run ends on a char
+                    // boundary of the `&str` input and slices cleanly.
+                    let start = self.pos;
+                    while let Some(b) = self.peek() {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -411,16 +466,18 @@ impl Parser<'_> {
 
     /// Reads exactly four hex digits starting at `pos`, advancing past them.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.error("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.error("invalid \\u escape digits"));
         }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..end])
-            .ok()
-            .and_then(|s| u32::from_str_radix(s, 16).ok())
-            .ok_or_else(|| self.error("invalid \\u escape digits"))?;
-        self.pos = end;
-        Ok(digits)
+        let unit = digits.iter().fold(0, |acc, &d| {
+            (acc << 4) | (d as char).to_digit(16).unwrap_or(0)
+        });
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -439,10 +496,13 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Json::Int(n));
+            }
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::UInt(n));
             }
         }
         match text.parse::<f64>() {
@@ -452,6 +512,187 @@ impl Parser<'_> {
                 Err(self.error("invalid number"))
             }
         }
+    }
+}
+
+/// A malformed line of a JSON Lines document: which line, where in it, which
+/// field, and what is wrong.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineError {
+    /// What the document is (`"trace"`, `"fault plan"`, ...); prefixes the
+    /// `Display` form.
+    pub doc: &'static str,
+    /// 1-based line number of the offending line.
+    pub line: usize,
+    /// Byte offset within the line where a syntax error was detected; `0`
+    /// for a well-formed line whose fields are wrong.
+    pub pos: usize,
+    /// Top-level key of the offending field; empty when the error is not
+    /// inside one (e.g. a line that is not an object at all).
+    pub field: String,
+    /// What is wrong, naming the field when there is one.
+    pub message: String,
+}
+
+impl LineError {
+    /// An error about `field` of line `line` (at offset 0). The message is
+    /// prefixed with the field name unless `field` is empty.
+    pub fn new(doc: &'static str, line: usize, field: &str, what: impl fmt::Display) -> Self {
+        let message = if field.is_empty() {
+            what.to_string()
+        } else {
+            format!("field `{field}`: {what}")
+        };
+        Self {
+            doc,
+            line,
+            pos: 0,
+            field: field.to_string(),
+            message,
+        }
+    }
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} line {}: {}", self.doc, self.line, self.message)
+    }
+}
+
+impl std::error::Error for LineError {}
+
+/// A JSON Lines reader: yields every non-blank line of `text`, parsed as a
+/// JSON object, or the [`LineError`] that stops it.
+#[derive(Debug)]
+pub struct JsonLines<'a> {
+    doc: &'static str,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+}
+
+impl<'a> JsonLines<'a> {
+    /// Reads `text`; `doc` names the document in every error.
+    pub fn new(doc: &'static str, text: &'a str) -> Self {
+        Self {
+            doc,
+            lines: text.lines().enumerate(),
+        }
+    }
+}
+
+impl Iterator for JsonLines<'_> {
+    type Item = Result<JsonLine, LineError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (index, text) = self.lines.find(|(_, text)| !text.trim().is_empty())?;
+        let line = index + 1;
+        Some(match Json::parse(text) {
+            Ok(Json::Obj(fields)) => Ok(JsonLine {
+                doc: self.doc,
+                line,
+                fields,
+            }),
+            Ok(_) => Err(LineError::new(
+                self.doc,
+                line,
+                "",
+                "expected one JSON object per line",
+            )),
+            Err(e) => Err(LineError {
+                pos: e.pos,
+                ..LineError::new(
+                    self.doc,
+                    line,
+                    e.key.as_deref().unwrap_or(""),
+                    format_args!("{} at byte {}", e.message, e.pos),
+                )
+            }),
+        })
+    }
+}
+
+/// A JSON value a [`JsonLine`] field getter converts to.
+pub trait FromJson: Sized {
+    /// What a field of this type must hold, for error messages.
+    const EXPECTED: &'static str;
+
+    /// The converted value, or `None` when `value` does not fit.
+    fn from_json(value: &Json) -> Option<Self>;
+}
+
+impl FromJson for f64 {
+    const EXPECTED: &'static str = "expected a number";
+
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_f64()
+    }
+}
+
+impl FromJson for String {
+    const EXPECTED: &'static str = "expected a string";
+
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_str().map(str::to_string)
+    }
+}
+
+macro_rules! from_json_uint {
+    ($($ty:ty),*) => {$(
+        impl FromJson for $ty {
+            const EXPECTED: &'static str =
+                concat!("expected an integer in the range of `", stringify!($ty), "`");
+
+            fn from_json(value: &Json) -> Option<Self> {
+                value.as_u64().and_then(|n| Self::try_from(n).ok())
+            }
+        }
+    )*};
+}
+
+from_json_uint!(u8, u32, u64, usize);
+
+/// One object line of a [`JsonLines`] document, with typed field getters
+/// whose errors name the line and the field.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonLine {
+    doc: &'static str,
+    line: usize,
+    fields: Vec<(String, Json)>,
+}
+
+impl JsonLine {
+    /// The raw value of `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// An error about `field` of this line.
+    pub fn error(&self, field: &str, what: impl fmt::Display) -> LineError {
+        LineError::new(self.doc, self.line, field, what)
+    }
+
+    /// Rejects the first field whose key is not in `known`.
+    pub fn check_keys(&self, known: &[&str]) -> Result<(), LineError> {
+        match self
+            .fields
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            Some((key, _)) => Err(self.error(key, "unknown field")),
+            None => Ok(()),
+        }
+    }
+
+    /// The value of `key` converted to `T`; absent or ill-typed is an error.
+    pub fn req<T: FromJson>(&self, key: &str) -> Result<T, LineError> {
+        self.opt(key)?.ok_or_else(|| self.error(key, "missing"))
+    }
+
+    /// The value of `key` converted to `T`, `None` when absent; ill-typed is
+    /// an error.
+    pub fn opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, LineError> {
+        self.get(key)
+            .map(|value| T::from_json(value).ok_or_else(|| self.error(key, T::EXPECTED)))
+            .transpose()
     }
 }
 
@@ -650,6 +891,122 @@ mod tests {
             Json::parse(r#""😀""#).unwrap(),
             Json::Str("\u{1F600}".into())
         );
+    }
+
+    #[test]
+    fn integers_cover_the_whole_i64_and_u64_ranges() {
+        for n in [0, 1, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let value = Json::uint(n);
+            assert_eq!(value.as_u64(), Some(n));
+            assert_eq!(value.render(), n.to_string());
+            assert_eq!(Json::parse(&n.to_string()).unwrap(), value);
+        }
+        assert_eq!(Json::uint(7), Json::Int(7));
+        assert_eq!(Json::uint(u64::MAX), Json::UInt(u64::MAX));
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Json::Num(1.0).as_u64(), None);
+        assert_eq!(Json::UInt(u64::MAX).as_i64(), None);
+        assert_eq!(Json::UInt(u64::MAX).as_f64(), Some(u64::MAX as f64));
+        assert_eq!(
+            Json::parse(&i64::MIN.to_string()).unwrap(),
+            Json::Int(i64::MIN)
+        );
+        // Past u64::MAX an integer literal falls back to a float.
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Num(18446744073709551616.0)
+        );
+    }
+
+    #[test]
+    fn errors_name_the_outermost_member() {
+        let err = Json::parse(r#"{"a":1,"b":oops}"#).unwrap_err();
+        assert_eq!(err.key.as_deref(), Some("b"));
+        assert_eq!(err.pos, 11);
+        let err = Json::parse(r#"{"a":{"inner":[1,}}"#).unwrap_err();
+        assert_eq!(err.key.as_deref(), Some("a"));
+        // Errors outside a member's value carry no key.
+        assert_eq!(Json::parse(r#"{"a":1 "b":2}"#).unwrap_err().key, None);
+        assert_eq!(Json::parse(r#"{"a":1,"a":2}"#).unwrap_err().key, None);
+        assert_eq!(Json::parse("[oops]").unwrap_err().key, None);
+    }
+
+    /// The string scan is linear: an ~800 KB string value (the size of a
+    /// traced grid's embedded trace) parses in well under a second even in
+    /// the debug profile.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let chunk = "{\"track\":\"replica 3\",\"name\":\"admit\",\"t\":1.5e9}\nünï\t";
+        let long: String = chunk.repeat(800_000 / chunk.len());
+        let line = Json::obj(vec![("data", Json::Str(long.clone()))]).render();
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            parsed.get("data").and_then(Json::as_str),
+            Some(long.as_str())
+        );
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "800 KB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_are_strict() {
+        assert_eq!(Json::parse(r#""é""#).unwrap(), Json::Str("é".into()));
+        assert!(Json::parse(r#""\u+0e9""#).is_err());
+        assert!(Json::parse(r#""\u00""#).is_err());
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
+    }
+
+    #[test]
+    fn json_lines_read_objects_with_typed_fields() {
+        let text =
+            "{\"a\":1.5,\"n\":3,\"s\":\"x\"}\n\n  \n{\"a\":2,\"big\":18446744073709551615}\n";
+        let lines: Vec<JsonLine> = JsonLines::new("doc", text)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(lines.len(), 2);
+        // Blank lines are skipped but still counted.
+        assert_eq!(lines[1].error("a", "bad").line, 4);
+        assert_eq!(lines[0].req::<f64>("a"), Ok(1.5));
+        assert_eq!(lines[0].req::<u8>("n"), Ok(3));
+        assert_eq!(lines[0].req::<String>("s").as_deref(), Ok("x"));
+        assert_eq!(lines[1].req::<f64>("a"), Ok(2.0));
+        assert_eq!(lines[1].req::<u64>("big"), Ok(u64::MAX));
+        assert_eq!(lines[1].opt::<u64>("n"), Ok(None));
+
+        let err = lines[1].req::<u32>("big").unwrap_err();
+        assert_eq!((err.line, err.field.as_str()), (4, "big"));
+        assert!(err.message.contains("big"), "{err}");
+        let err = lines[0].req::<f64>("s").unwrap_err();
+        assert_eq!(err.to_string(), "doc line 1: field `s`: expected a number");
+        let err = lines[0].req::<f64>("gone").unwrap_err();
+        assert_eq!(err.to_string(), "doc line 1: field `gone`: missing");
+        let err = lines[0].check_keys(&["a", "n"]).unwrap_err();
+        assert_eq!(err.field, "s");
+        assert!(lines[0].check_keys(&["a", "n", "s"]).is_ok());
+    }
+
+    #[test]
+    fn json_lines_name_the_line_field_and_offset_of_syntax_errors() {
+        let text = "{\"a\":1}\n{\"a\":2,\"b\":oops}\n";
+        let err = JsonLines::new("doc", text)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err();
+        assert_eq!((err.line, err.pos, err.field.as_str()), (2, 11, "b"));
+        assert!(err.message.contains("`b`"), "{err}");
+        assert!(err.to_string().starts_with("doc line 2: "), "{err}");
+
+        let err = JsonLines::new("doc", "[1,2]").next().unwrap().unwrap_err();
+        assert_eq!((err.line, err.field.as_str()), (1, ""));
+        let err = JsonLines::new("doc", "{\"a\":1,\"tr")
+            .next()
+            .unwrap()
+            .unwrap_err();
+        assert_eq!((err.line, err.pos, err.field.as_str()), (1, 10, ""));
+        assert!(JsonLines::new("doc", "\n \n").next().is_none());
     }
 
     #[test]
