@@ -1,25 +1,26 @@
-//! Sweep-engine throughput: how fast the simulator itself runs.
+//! Sweep-engine throughput: how fast the simulator itself evaluates
+//! (system × model × batch × seq-len) grids.
 //!
-//! Times the evaluation of serving-simulator grids three ways —
+//! The named baseline is the canonical serial path (`run_canonical_serial`):
+//! fresh uncached simulators, one `generation_step` plus one
+//! `memory_usage_bytes` per point, one thread. Against it the bench times
+//! `SweepRunner::run` — seq-invariant row evaluation through `StepFunction`,
+//! fanned out over worker threads — at one thread and at every core, on the
+//! 4-system × 8-point acceptance grid and on a 576-point figure-scale grid.
 //!
-//! 1. **naive**: single-threaded, uncached, per-layer operator evaluation
-//!    (`generation_step_per_layer` — one latency-model invocation per block per
-//!    operator, the O(layers × ops) path a layer-by-layer simulator executes),
-//! 2. **canonical**: single-threaded, uncached, fused per-kind evaluation
-//!    (`generation_step`, the seed's path),
-//! 3. **sweep**: the `SweepRunner` fast path (shape-keyed caching + dedup +
-//!    worker threads),
-//!
-//! on the 4-system × 8-point grid of the acceptance criterion and on a full
-//! figure-scale fleet grid. Besides the criterion-style per-variant lines it
-//! writes `results/BENCH_sweep_throughput.json` with median wall-clock numbers and
-//! the naive→sweep speedup, establishing the perf-trajectory baseline.
+//! Every run opens with the **divergence gate**: every `SweepRecord` step
+//! total and memory value must be bit-identical to the canonical path's, at
+//! one thread and at every core, or the bench panics (and fails CI, where it
+//! runs as a smoke). It then writes `results/BENCH_sweep_throughput.json`:
+//! per grid and path the median, min and max wall-clock milliseconds,
+//! `nproc`, and the speedup over the canonical serial path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{SweepGrid, SweepRunner};
+use std::time::Instant;
 
 fn systems() -> Vec<SystemConfig> {
     SystemKind::MAIN_COMPARISON
@@ -51,38 +52,19 @@ fn fleet_grid() -> SweepGrid {
     }
 }
 
-/// The naive baseline: fresh uncached simulators, one point at a time, per-layer
-/// operator evaluation.
-fn run_naive_per_layer(grid: &SweepGrid) -> f64 {
-    let sims: Vec<ServingSimulator> = grid
-        .systems
+fn uncached_sims(grid: &SweepGrid) -> Vec<ServingSimulator> {
+    grid.systems
         .iter()
         .map(|c| ServingSimulator::uncached(c.clone()))
-        .collect();
-    let mut checksum = 0.0;
-    for sim in &sims {
-        for model in &grid.models {
-            for &batch in &grid.batches {
-                for &seq in &grid.seq_lens {
-                    checksum += sim.generation_step_per_layer(model, batch, seq).total_ns;
-                }
-            }
-        }
-    }
-    checksum
+        .collect()
 }
 
-/// The seed's path: uncached fused per-kind evaluation, one `generation_step`
-/// plus one `memory_usage_bytes` per point, single thread. (Hand-rolled: the
-/// `SweepRunner` itself — even its `naive()` flavor — now evaluates rows
-/// through the seq-invariant `StepFunction`, so the point-by-point baseline
-/// must be spelled out to stay the baseline.)
+/// The baseline: uncached fused per-kind evaluation, one `generation_step`
+/// plus one `memory_usage_bytes` per point, single thread. (Hand-rolled:
+/// `SweepRunner` evaluates rows through the seq-invariant `StepFunction` at
+/// any thread count, so the point-by-point path must be spelled out.)
 fn run_canonical_serial(grid: &SweepGrid) -> f64 {
-    let sims: Vec<ServingSimulator> = grid
-        .systems
-        .iter()
-        .map(|c| ServingSimulator::uncached(c.clone()))
-        .collect();
+    let sims = uncached_sims(grid);
     let mut checksum = 0.0;
     for sim in &sims {
         for model in &grid.models {
@@ -97,83 +79,147 @@ fn run_canonical_serial(grid: &SweepGrid) -> f64 {
     checksum
 }
 
-/// The fast path under test.
-fn run_sweep(grid: &SweepGrid) -> f64 {
-    SweepRunner::new()
+/// The path under test. The runner is built outside the timed region:
+/// `SweepRunner::new` asks the OS for the core count, which costs about as
+/// much as evaluating the whole 32-point grid.
+fn run_sweep(runner: &SweepRunner, grid: &SweepGrid) -> f64 {
+    runner
         .run(grid)
         .iter()
-        .map(|r| r.step.total_ns)
+        .map(|r| r.step.total_ns + r.memory_bytes)
         .sum()
+}
+
+/// The gate: every record's step total and memory value equals the
+/// point-by-point canonical evaluation bit for bit.
+fn assert_sweep_bit_identity(grid: &SweepGrid, threads: usize) {
+    let sims = uncached_sims(grid);
+    let records = SweepRunner::new().with_threads(threads).run(grid);
+    assert_eq!(records.len(), grid.len(), "sweep dropped grid points");
+    for r in &records {
+        let (sim, model) = (&sims[r.system], &grid.models[r.model]);
+        let step = sim.generation_step(model, r.batch, r.seq_len).total_ns;
+        let memory = sim.memory_usage_bytes(model, r.batch, r.seq_len);
+        assert!(
+            r.step.total_ns.to_bits() == step.to_bits()
+                && r.memory_bytes.to_bits() == memory.to_bits(),
+            "sweep diverged from generation_step/memory_usage_bytes at system {} model {} \
+             batch {} seq {} ({threads} threads): step {} vs {step}, memory {} vs {memory}",
+            r.system,
+            r.model,
+            r.batch,
+            r.seq_len,
+            r.step.total_ns,
+            r.memory_bytes,
+        );
+    }
+}
+
+fn nproc() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// `(median, min, max)` wall-clock seconds of `reps` runs of `f`.
+fn time_runs(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64, f64) {
+    let times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let median = pimba_system::stats::median(&times).expect("at least one rep");
+    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = times.iter().copied().fold(0.0, f64::max);
+    (median, min, max)
 }
 
 fn bench_grids(c: &mut Criterion) {
     let small = small_grid();
     let fleet = fleet_grid();
-    c.bench_function("sweep_small_naive_per_layer_serial", |b| {
-        b.iter(|| run_naive_per_layer(&small))
-    });
-    c.bench_function("sweep_small_canonical_uncached_serial", |b| {
+    let runner = SweepRunner::new().with_threads(nproc());
+    c.bench_function("sweep_small_canonical_serial", |b| {
         b.iter(|| run_canonical_serial(&small))
     });
-    c.bench_function("sweep_small_cached_parallel", |b| {
-        b.iter(|| run_sweep(&small))
+    c.bench_function("sweep_small_runner_parallel", |b| {
+        b.iter(|| run_sweep(&runner, &small))
     });
-    c.bench_function("sweep_fleet_canonical_uncached_serial", |b| {
+    c.bench_function("sweep_fleet_canonical_serial", |b| {
         b.iter(|| run_canonical_serial(&fleet))
     });
-    c.bench_function("sweep_fleet_cached_parallel", |b| {
-        b.iter(|| run_sweep(&fleet))
+    c.bench_function("sweep_fleet_runner_parallel", |b| {
+        b.iter(|| run_sweep(&runner, &fleet))
     });
 }
 
-/// Measures the headline speedups and records the perf-trajectory baseline.
-/// Skipped when a bench-name filter is given, so targeted runs stay fast.
+/// Runs the divergence gate, then measures every path against the canonical
+/// serial baseline and records the artifact. Recording is skipped when a
+/// bench-name filter is given, so targeted runs stay fast.
 fn record_trajectory(_c: &mut Criterion) {
+    let grids = [("small", small_grid(), 201), ("fleet", fleet_grid(), 51)];
+    let cores = nproc();
+    for (_, grid, _) in &grids {
+        for threads in [1, cores] {
+            assert_sweep_bit_identity(grid, threads);
+        }
+    }
+    println!("  divergence gate passed: sweep records == generation_step + memory_usage_bytes");
     if criterion::cli_filter().is_some() {
         println!("(bench filter given — skipping trajectory recording)");
         return;
     }
-    let small = small_grid();
-    let fleet = fleet_grid();
 
-    let naive_small = bench::median_secs(9, || run_naive_per_layer(&small));
-    let canonical_small = bench::median_secs(9, || run_canonical_serial(&small));
-    let sweep_small = bench::median_secs(9, || run_sweep(&small));
-    let canonical_fleet = bench::median_secs(5, || run_canonical_serial(&fleet));
-    let sweep_fleet = bench::median_secs(5, || run_sweep(&fleet));
-
-    let speedup_small = naive_small / sweep_small;
-    let speedup_fleet = canonical_fleet / sweep_fleet;
-
-    println!("\n== sweep engine wall-clock (medians) ==");
-    println!(
-        "small grid (32 pts):  naive/per-layer {:.3} ms | canonical {:.3} ms | sweep {:.3} ms",
-        naive_small * 1e3,
-        canonical_small * 1e3,
-        sweep_small * 1e3
-    );
-    println!(
-        "fleet grid (576 pts): canonical {:.3} ms | sweep {:.3} ms",
-        canonical_fleet * 1e3,
-        sweep_fleet * 1e3
-    );
-    println!("speedup vs naive uncached single-threaded (small grid): {speedup_small:.1}x");
-    println!("speedup vs canonical uncached single-threaded (fleet grid): {speedup_fleet:.1}x");
-    println!(
-        "sweep throughput: {:.0} pts/s (small grid) | {:.0} pts/s (fleet grid)",
-        32.0 / sweep_small,
-        576.0 / sweep_fleet
-    );
+    println!("\n== sweep engine wall-clock (nproc {cores}) ==");
+    let mut grid_json = Vec::new();
+    for (name, grid, reps) in &grids {
+        let points = grid.len();
+        let (serial, parallel) = (
+            SweepRunner::new().with_threads(1),
+            SweepRunner::new().with_threads(cores),
+        );
+        let canonical = time_runs(*reps, || run_canonical_serial(grid));
+        let paths = [
+            ("canonical_serial", 1, canonical),
+            (
+                "sweep_runner",
+                1,
+                time_runs(*reps, || run_sweep(&serial, grid)),
+            ),
+            (
+                "sweep_runner",
+                cores,
+                time_runs(*reps, || run_sweep(&parallel, grid)),
+            ),
+        ];
+        let mut rows = Vec::new();
+        for (path, threads, (median, min, max)) in paths {
+            let speedup = canonical.0 / median;
+            println!(
+                "{name} grid ({points} pts) {path:>16} x{threads}: median {:.4} ms \
+                 [{:.4}, {:.4}] | {speedup:.2}x vs canonical serial",
+                median * 1e3,
+                min * 1e3,
+                max * 1e3,
+            );
+            rows.push(format!(
+                "      {{\"path\": \"{path}\", \"threads\": {threads}, \"median_ms\": {:.4}, \"min_ms\": {:.4}, \"max_ms\": {:.4}, \"points_per_sec\": {:.0}, \"speedup_vs_canonical_serial\": {speedup:.3}}}",
+                median * 1e3,
+                min * 1e3,
+                max * 1e3,
+                points as f64 / median,
+            ));
+        }
+        grid_json.push(format!(
+            "    {{\"grid\": \"{name}\", \"points\": {points}, \"reps\": {reps}, \"rows\": [\n{}\n    ]}}",
+            rows.join(",\n")
+        ));
+    }
 
     let json = format!(
-        "{{\n  \"bench\": \"sweep_throughput\",\n  \"small_grid_points\": 32,\n  \"fleet_grid_points\": 576,\n  \"naive_per_layer_small_ms\": {:.4},\n  \"canonical_uncached_small_ms\": {:.4},\n  \"sweep_small_ms\": {:.4},\n  \"canonical_uncached_fleet_ms\": {:.4},\n  \"sweep_fleet_ms\": {:.4},\n  \"speedup_small_vs_naive\": {:.2},\n  \"speedup_fleet_vs_canonical\": {:.2}\n}}\n",
-        naive_small * 1e3,
-        canonical_small * 1e3,
-        sweep_small * 1e3,
-        canonical_fleet * 1e3,
-        sweep_fleet * 1e3,
-        speedup_small,
-        speedup_fleet,
+        "{{\n  \"bench\": \"sweep_throughput\",\n  \"nproc\": {cores},\n  \"baseline\": \"canonical_serial: uncached generation_step + memory_usage_bytes per point, one thread\",\n  \"divergence_gates\": {{\"sweep_records_bit_identical_to_canonical\": true}},\n  \"grids\": [\n{}\n  ]\n}}\n",
+        grid_json.join(",\n")
     );
     let path = bench::results_dir().join("BENCH_sweep_throughput.json");
     std::fs::write(&path, json).expect("failed to write BENCH_sweep_throughput.json");

@@ -966,7 +966,7 @@ pub struct FleetSim<'a> {
 
 impl<'a> FleetSim<'a> {
     /// A fleet of replicas of `sim` serving `model`. All replicas share the
-    /// simulator (and therefore its shape-keyed latency cache).
+    /// simulator (and therefore its prefill cache).
     pub fn new(sim: &'a ServingSimulator, model: &'a ModelConfig) -> Self {
         Self {
             sim,

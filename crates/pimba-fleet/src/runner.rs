@@ -321,8 +321,8 @@ pub struct FleetRecord {
 /// Parallel evaluator of [`FleetGrid`]s.
 ///
 /// Thread-count configuration is delegated to an embedded [`SweepRunner`],
-/// as in `pimba-serve`'s `TrafficRunner`; fleet simulators always share
-/// latency caches.
+/// as in `pimba-serve`'s `TrafficRunner`; each system's simulator shares one
+/// prefill cache across its cells.
 #[derive(Debug, Clone, Default)]
 pub struct FleetRunner {
     runner: SweepRunner,

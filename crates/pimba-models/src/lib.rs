@@ -16,8 +16,6 @@
 //! * [`attention`] — reference single-step attention with a KV cache,
 //! * [`ops`] / [`workload`] — the operator taxonomy and per-generation-step workload
 //!   (FLOPs, bytes, shapes) that the GPU and PIM backends consume,
-//! * [`dedup`] — collapsing the `n_layers` bit-identical per-block operators into
-//!   canonical instances with multiplicities (the serving simulator's fast path),
 //! * [`synth`] — deterministic synthetic input generators (the repository substitutes
 //!   synthetic token streams for the paper's proprietary datasets; see DESIGN.md),
 //! * [`accuracy`] — the long-horizon state quantization study behind Figure 4,
@@ -40,14 +38,12 @@
 pub mod accuracy;
 pub mod attention;
 pub mod config;
-pub mod dedup;
 pub mod ops;
 pub mod state_update;
 pub mod synth;
 pub mod workload;
 
 pub use config::{ModelConfig, ModelFamily, ModelScale};
-pub use dedup::{dedup_ops, DedupOp};
 pub use ops::{OpCost, OpInstance, OpKind};
 pub use state_update::{DecayInput, StateUpdateEngine, StateUpdateHead};
 pub use workload::GenerationWorkload;

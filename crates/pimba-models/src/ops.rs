@@ -118,9 +118,7 @@ impl OpCost {
 
 /// Structural shape attached to operators that the PIM maps onto banks.
 ///
-/// Shapes are plain integers, so they are `Eq + Hash` and serve directly as the
-/// structural part of the shape-keyed latency-cache keys (see
-/// `pimba_system::cache`).
+/// Shapes are plain integers, so they are `Eq + Hash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpShape {
     /// State update shape: `batch` independent requests, `layers * heads` total heads,

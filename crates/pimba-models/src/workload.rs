@@ -263,73 +263,6 @@ impl GenerationWorkload {
         wl
     }
 
-    /// How many per-layer instances stand behind one aggregate operator of this
-    /// workload: the state-update-family operators repeat once per SU block,
-    /// attention once per attention block, and the dense/element-wise glue once per
-    /// block of any kind.
-    pub fn layer_multiplicity(&self, kind: OpKind) -> usize {
-        let n = match kind {
-            OpKind::StateUpdate | OpKind::CausalConv | OpKind::Discretization => {
-                self.config.n_state_update_layers()
-            }
-            OpKind::Attention => self.config.n_attention_layers,
-            OpKind::Gemm | OpKind::Others => self.config.n_layers,
-            OpKind::Communication => 1,
-        };
-        n.max(1)
-    }
-
-    /// The naive O(layers × ops) representation of this step: every aggregate
-    /// operator is expanded into one instance per model block, each carrying an
-    /// equal share of the aggregate cost and a single-layer shape.
-    ///
-    /// This is what a layer-by-layer simulator would evaluate (one kernel-model or
-    /// PIM-schedule invocation per block) and is the baseline the deduplication
-    /// layer ([`crate::dedup`]) collapses back to one canonical instance per unique
-    /// shape. The per-instance costs are the aggregate split evenly, so re-merging
-    /// the expansion recovers the aggregate up to floating-point rounding of the
-    /// `1/n`-scaling (exact whenever `n` is a power of two).
-    pub fn expanded_ops(&self) -> Vec<OpInstance> {
-        let mut expanded = Vec::new();
-        for op in &self.ops {
-            let n = self.layer_multiplicity(op.kind);
-            let per_layer_cost = op.cost.scaled(1.0 / n as f64);
-            let per_layer_shape = match op.shape {
-                OpShape::StateUpdate {
-                    batch,
-                    heads,
-                    dim_head,
-                    dim_state,
-                    ..
-                } => OpShape::StateUpdate {
-                    batch,
-                    layers: 1,
-                    heads,
-                    dim_head,
-                    dim_state,
-                },
-                OpShape::Attention {
-                    batch,
-                    heads,
-                    dim_head,
-                    seq_len,
-                    ..
-                } => OpShape::Attention {
-                    batch,
-                    layers: 1,
-                    heads,
-                    dim_head,
-                    seq_len,
-                },
-                other => other,
-            };
-            for _ in 0..n {
-                expanded.push(OpInstance::new(op.kind, per_layer_cost, per_layer_shape));
-            }
-        }
-        expanded
-    }
-
     /// Total FLOPs of the step.
     pub fn total_flops(&self) -> f64 {
         self.ops.iter().map(|o| o.cost.flops).sum()

@@ -7,10 +7,10 @@
 //! batched prefill, one generation step, or a checkpoint/restore state
 //! transfer — the blocked GPU/PIM execution model of the paper has no
 //! intra-replica overlap). Latencies come
-//! from the analytic step models of `pimba_system::ServingSimulator`, sharing
-//! its shape-keyed [`LatencyCache`](pimba_system::LatencyCache), so the event
-//! simulation composes *exactly* from the same numbers the steady-state figure
-//! benches report — the consistency oracle in `tests/oracle.rs` pins this down.
+//! from the analytic step models of `pimba_system::ServingSimulator` (prefills
+//! through its shared [`LatencyCache`](pimba_system::LatencyCache)), so the
+//! event simulation composes *exactly* from the same numbers the steady-state
+//! figure benches report — the consistency oracle in `tests/oracle.rs` pins this down.
 //!
 //! # Preemption (checkpoint-restore eviction)
 //!
@@ -37,9 +37,9 @@
 //!
 //! [`EngineConfig::fast_forward`] selects between two executions of the same
 //! simulation. `false` is the unoptimized step-by-step oracle — one heap
-//! event, one scheduler consult and one latency evaluation through the
-//! simulator (and its shared, locked
-//! [`LatencyCache`](pimba_system::LatencyCache)) per decode step. `true`
+//! event, one scheduler consult and one
+//! [`generation_step`](pimba_system::ServingSimulator::generation_step)
+//! evaluation per decode step. `true`
 //! (the default) layers three optimizations on top, none of which changes a
 //! single output bit (`tests/fastforward.rs` asserts bit-identity property-
 //! style, and the `serve_hotloop` bench re-asserts it on every run):
@@ -127,8 +127,9 @@ pub struct EngineConfig {
     pub capacity_bytes: Option<f64>,
     /// Rounds sequence/prompt lengths up to a multiple of this before decode
     /// and prefill latency lookups (1 = exact). Larger buckets trade a
-    /// slightly conservative latency for far fewer unique shapes in the
-    /// latency caches — and proportionally longer fast-forward macro-steps.
+    /// slightly conservative latency for far fewer entries in the latency
+    /// tables and the prefill cache — and proportionally longer fast-forward
+    /// macro-steps.
     pub seq_bucket: usize,
     /// Macro-step fast-forwarding of stable pure-decode runs (see the module
     /// docs). Results are bit-identical either way; `false` forces the
@@ -789,10 +790,10 @@ impl<'a> Engine<'a> {
         };
 
         // Fast mode: per-run dense latency memos, so the hot loop reads
-        // step/prefill latencies with O(1) array indexing (the shared
-        // shape-keyed cache, when the simulator carries one, still
-        // deduplicates the fills across engines, grid cells and worker
-        // threads). Oracle mode evaluates through the simulator per step,
+        // step/prefill latencies with O(1) array indexing (the simulator's
+        // shared prefill cache, when it carries one, still deduplicates the
+        // prefill fills across engines, grid cells and worker threads).
+        // Oracle mode evaluates through the simulator per step,
         // exactly as the pre-fast-forward engine did.
         let latencies = if self.config.fast_forward {
             let max_seq = trace

@@ -1,10 +1,10 @@
 //! The traffic sweep runner: (system × scenario × arrival-rate) grids evaluated
-//! in parallel, with shared latency caches and reproducible per-cell traces —
+//! in parallel, with shared prefill caches and reproducible per-cell traces —
 //! plus the grid machinery it shares with `pimba-fleet`'s fleet runner: one
 //! memo type ([`GridMemo`]) and one front half ([`run_grid`]).
 //!
 //! The runner mirrors the design of [`pimba_system::sweep::SweepRunner`] — in
-//! fact it reuses its builder-configured thread/caching settings and the shared
+//! fact it reuses its builder-configured thread count and the shared
 //! [`parallel_map`] fan-out — but each grid point is a whole discrete-event
 //! simulation rather than one step evaluation. Traces are generated once per
 //! (scenario, rate) from split PCG streams and shared by every system, so
@@ -17,7 +17,6 @@ use crate::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
 use crate::sched::{PolicyKind, Scheduler};
 use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
-use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
 use pimba_system::obs::{MetricsHub, TraceRecorder, TraceSink};
@@ -181,7 +180,7 @@ pub trait GridRecord: MemoValue {
 /// is keyed by a [`Fingerprint`] of its complete input identity (see
 /// [`pimba_system::memo`] for the purity contract), so re-running a grid with
 /// one knob changed only pays for the cells whose inputs changed. Execution
-/// knobs that cannot change bits — thread counts, latency caching — are
+/// knobs that cannot change bits — thread counts — are
 /// deliberately excluded, so any run warms the memo for any other.
 ///
 /// `R` is the cell record and `C` the routed-prefix checkpoint:
@@ -434,8 +433,8 @@ pub struct GridCell<'g, C> {
 /// The front half both grid runners share. Flat cell `i` maps to its
 /// (system, scenario, rate) point as `i / cells_per_point`, rate fastest, so
 /// runners order cells system-major with their own axes innermost. Builds one
-/// simulator per system (sharing a shape-keyed latency cache across that
-/// system's cells when `runner` caches), one trace per (scenario, rate)
+/// simulator per system (sharing a prefill cache across that system's
+/// cells), one trace per (scenario, rate)
 /// shared by every system, and one batch cap per (system, scenario) — traces
 /// and capacity searches memoized when a `memo` is attached. Then fans the
 /// cells out over `runner`'s threads: each is looked up in the memo under
@@ -468,13 +467,7 @@ where
     let sims: Vec<ServingSimulator> = grid
         .systems
         .iter()
-        .map(|config| {
-            if runner.cached() {
-                ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-            } else {
-                ServingSimulator::uncached(config.clone())
-            }
-        })
+        .map(|config| ServingSimulator::new(config.clone()))
         .collect();
 
     // Each trace draws from its own stream of the grid seed.
@@ -773,9 +766,9 @@ pub struct TrafficRecord {
 
 /// Parallel evaluator of [`TrafficGrid`]s.
 ///
-/// Thread-count and caching configuration is delegated to an embedded
-/// [`SweepRunner`] so both sweep flavors share one builder vocabulary
-/// (`with_threads`, `with_caching`) and one fork-join implementation.
+/// The thread count is delegated to an embedded [`SweepRunner`] so both
+/// sweep flavors share one builder vocabulary (`with_threads`) and one
+/// fork-join implementation.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficRunner {
     runner: SweepRunner,
@@ -784,7 +777,7 @@ pub struct TrafficRunner {
 }
 
 impl TrafficRunner {
-    /// A runner using every available core and shared latency caches.
+    /// A runner using every available core and shared prefill caches.
     pub fn new() -> Self {
         Self::default()
     }
@@ -792,12 +785,6 @@ impl TrafficRunner {
     /// Overrides the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.runner = self.runner.with_threads(threads);
-        self
-    }
-
-    /// Enables or disables the per-system shared latency caches.
-    pub fn with_caching(mut self, cached: bool) -> Self {
-        self.runner = self.runner.with_caching(cached);
         self
     }
 
@@ -837,8 +824,8 @@ impl TrafficRunner {
         grid: &TrafficGrid,
         control: &RunControl,
     ) -> Result<Vec<TrafficRecord>, RunAborted> {
-        // Everything the record is a function of; thread count and latency
-        // caching are execution knobs and excluded.
+        // Everything the record is a function of; the thread count is an
+        // execution knob and excluded.
         let key = |cell: &GridCell<'_, SessionCheckpoint>| {
             let builder = FingerprintBuilder::new()
                 .usize(cell.system)

@@ -1,12 +1,14 @@
 //! Determinism regression: traffic-grid results must be bit-identical across
-//! worker-thread counts, across repeat runs, and with caching on or off —
-//! the acceptance property that makes queueing studies reproducible.
+//! worker-thread counts, across repeat runs, and with the prefill cache on or
+//! off — the acceptance property that makes queueing studies reproducible.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
+use pimba_serve::engine::{Engine, EngineConfig};
 use pimba_serve::runner::{TrafficGrid, TrafficRecord, TrafficRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::{SystemConfig, SystemKind};
+use pimba_system::serving::ServingSimulator;
 
 fn grid(policy: PolicyKind) -> TrafficGrid {
     TrafficGrid::new(ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small))
@@ -70,10 +72,36 @@ fn records_are_bit_identical_across_thread_counts_and_repeats() {
 
 #[test]
 fn caching_does_not_change_results() {
-    let g = grid(PolicyKind::Continuous);
-    let cached = bits(&TrafficRunner::new().run(&g));
-    let uncached = bits(&TrafficRunner::new().with_caching(false).run(&g));
-    assert_eq!(cached, uncached, "latency caching changed traffic results");
+    // Consecutive cells on one cached simulator share its warm prefill memo;
+    // every cell must match a cache-free simulator bit for bit. `{:?}` prints
+    // each f64 in shortest round-trip form, so equal strings mean equal bits.
+    let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
+    let config = EngineConfig {
+        seq_bucket: 32,
+        ..EngineConfig::default()
+    };
+    for kind in [SystemKind::Gpu, SystemKind::Pimba] {
+        let cached = ServingSimulator::new(SystemConfig::small_scale(kind));
+        let uncached = ServingSimulator::uncached(SystemConfig::small_scale(kind));
+        for scenario in [Scenario::chat(), Scenario::rag_long_context()] {
+            for rate in [4.0, 24.0] {
+                let trace = scenario.generate(rate, 30, 1234);
+                let run = |sim: &ServingSimulator| {
+                    let mut scheduler = PolicyKind::Continuous.build();
+                    let result = Engine::new(sim, &model, config).run(&trace, scheduler.as_mut());
+                    format!("{result:?}")
+                };
+                assert_eq!(
+                    run(&cached),
+                    run(&uncached),
+                    "{kind:?}/{}/{rate}: the prefill cache changed a result",
+                    scenario.name
+                );
+            }
+        }
+        let stats = cached.cache().expect("cached simulator").prefill_stats();
+        assert!(stats.hits > 0, "cells must share prefills: {stats:?}");
+    }
 }
 
 #[test]

@@ -25,7 +25,6 @@ use pimba_serve::metrics::{Percentiles, SloSpec, TenantSummary, TrafficSummary};
 use pimba_serve::runner::{slo_capacity, TrafficGrid, TrafficRecord, TrafficRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
-use pimba_system::cache::LatencyCache;
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::obs::TraceRecorder;
 use pimba_system::serving::ServingSimulator;
@@ -483,8 +482,7 @@ impl Experiment {
                 let total = cap.systems.len() * cap.scenarios.len();
                 let mut lines = Vec::with_capacity(total);
                 for (sys, system) in cap.systems.iter().enumerate() {
-                    let sim =
-                        ServingSimulator::with_cache(system.clone(), Arc::new(LatencyCache::new()));
+                    let sim = ServingSimulator::new(system.clone());
                     for (scn, scenario) in cap.scenarios.iter().enumerate() {
                         if control.cancelled() {
                             return Err(RunAborted);

@@ -1,40 +1,36 @@
-//! Shape-keyed latency caching for the serving simulator.
+//! The prefill latency cache of the serving simulator, plus the fast hasher
+//! the memo and persist layers share.
 //!
-//! Sweeps over (batch × seq-len × model × system) grids evaluate the same operator
-//! shapes over and over: the state-update cost of a model is independent of the
-//! sequence length, `request_latency` samples eight decode points that share every
-//! operator except attention, and neighbouring grid points differ in only one
-//! dimension. The [`LatencyCache`] memoizes the two per-point computations —
-//! workload construction and per-operator latency evaluation — behind interior
-//! mutability so a shared simulator can be used concurrently from the sweep
-//! worker threads.
+//! Event-driven traffic and fleet grids re-ask the same whole-prefill latency
+//! — same model, batch and prompt length — across cells and replicas. The
+//! [`LatencyCache`] memoizes it behind interior mutability, so one simulator
+//! can be shared by the grid worker threads. Decode steps are not cached:
+//! [`StepFunction`](crate::serving::StepFunction) and the dense
+//! [`table`](crate::table)s already amortize them, and a per-operator lookup
+//! costs more than the roofline recompute it would save.
 //!
 //! # Bit-identical by construction
 //!
-//! A cache entry stores the exact `f64` the uncached evaluation produced, and the
-//! key covers every input of that evaluation: operator kind, structural
-//! [`OpShape`](pimba_models::ops::OpShape), the IEEE-754 bit patterns of the FLOP/byte costs and the storage
-//! formats. Everything else that influences a latency (GPU device, PIM design,
-//! tensor-parallel width, …) is fixed per simulator instance, and caches are never
-//! shared across differently-configured simulators. Cached and uncached runs are
-//! therefore bit-identical — asserted by `tests/sweep_regression.rs`.
+//! An entry stores the exact `f64` the uncached evaluation produced, and the
+//! [`WorkloadKey`] covers every input of that evaluation: every model field,
+//! the batch, the prompt length and the storage formats. Everything else that
+//! influences a latency (GPU device, tensor-parallel width, …) is fixed per
+//! simulator instance, and caches are never shared across differently
+//! configured simulators. Cached and uncached runs are therefore bit-identical
+//! — asserted by `tests/sweep_regression.rs`.
 
 use pimba_models::config::ModelConfig;
-use pimba_models::dedup::OpIdentity;
-use pimba_models::ops::OpInstance;
-use pimba_models::workload::{GenerationWorkload, StorageFormats};
+use pimba_models::workload::StorageFormats;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// FxHash-style multiply-rotate hasher.
 ///
-/// The cache sits on the sweep hot path, where the memoized computations are only
-/// a few dozen floating-point operations — with the default SipHash the lookup
-/// costs more than the recompute it saves. Keys are fixed-width structs of
-/// trusted, non-adversarial integers, so a fast non-cryptographic hash is the
-/// right trade.
+/// Used by the prefill cache and by the memo and persist layers, whose keys
+/// are fixed-width structs of trusted, non-adversarial integers, so a fast
+/// non-cryptographic hash is the right trade over the default SipHash.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -93,28 +89,8 @@ impl Hasher for FxHasher {
 
 type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Cache key for one operator-latency evaluation: the operator's bit-exact
-/// identity (shared with the dedup layer, so the two can never disagree on what
-/// identifies an operator) plus the storage formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OpKey {
-    /// Bit-exact operator identity (kind, structural shape, cost bit patterns).
-    pub identity: OpIdentity,
-    /// Storage formats the workload was generated with.
-    pub formats: StorageFormats,
-}
-
-impl OpKey {
-    /// Builds the key for `op` under `formats`.
-    pub fn new(op: &OpInstance, formats: StorageFormats) -> Self {
-        Self {
-            identity: OpIdentity::of(op),
-            formats,
-        }
-    }
-}
-
-/// Cache key for one generation-step workload construction.
+/// Cache key of one prefill: the model, batch, prompt length and storage
+/// formats.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WorkloadKey {
     family: pimba_models::config::ModelFamily,
@@ -194,11 +170,10 @@ impl CacheStats {
     }
 }
 
-/// Number of independently locked sub-maps per cache layer. Lookups pick a
+/// Number of independently locked sub-maps of the cache. Lookups pick a
 /// sub-shard from the high bits of the key hash (the map itself indexes by the
-/// low bits), so concurrent sweep/traffic workers contend on a lock only when
-/// they race on keys that land in the same 1/16th of the key space — instead of
-/// on one global `RwLock` per layer as before.
+/// low bits), so concurrent grid workers contend on a lock only when they race
+/// on keys that land in the same 1/16th of the key space.
 const SHARD_WAYS: usize = 16;
 
 #[derive(Debug)]
@@ -218,7 +193,7 @@ impl<K, V> Default for SubShard<K, V> {
     }
 }
 
-/// One cache layer: a 16-way sharded, read-mostly hash map. Reads take a shared
+/// A 16-way sharded, read-mostly hash map. Reads take a shared
 /// lock on a single sub-shard; writes (misses) take that sub-shard's exclusive
 /// lock only while inserting the already-computed value.
 #[derive(Debug)]
@@ -282,30 +257,19 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 }
 
-/// Memoization state shared by the simulators of one system configuration.
+/// Whole-prefill latency memo shared by the simulators of one system
+/// configuration, keyed by [`WorkloadKey`] at the prompt length.
 ///
-/// Three layers: per-operator latency results keyed by [`OpKey`], constructed
-/// [`GenerationWorkload`]s keyed by [`WorkloadKey`], and whole-prefill latencies
-/// keyed by [`WorkloadKey`] at the prompt length (prefill always runs on the
-/// GPU, so a separate layer keeps it from colliding with the PIM-aware decode
-/// evaluations). Each layer is a 16-way sharded, read-mostly map, so worker
+/// Prefill always runs on the GPU and is a sum over every prefill operator,
+/// so one entry saves a whole workload construction plus a kernel-model pass;
+/// fleet and traffic grids re-ask the same `(batch, prompt)` prefills across
+/// cells and replicas. The map is 16-way sharded and read-mostly, so worker
 /// threads contend on a lock only when racing on the same slice of the key
-/// space. All are safe to share across threads; cloning a
+/// space. Safe to share across threads; cloning a
 /// [`crate::serving::ServingSimulator`] shares its cache.
 #[derive(Debug, Default)]
 pub struct LatencyCache {
-    ops: Shard<OpKey, CachedOpLatency>,
-    workloads: Shard<WorkloadKey, Arc<GenerationWorkload>>,
     prefills: Shard<WorkloadKey, f64>,
-}
-
-/// A memoized per-operator evaluation: where it ran and how long it took.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedOpLatency {
-    /// `true` when the operator was offloaded to the PIM.
-    pub on_pim: bool,
-    /// Latency in nanoseconds (exactly the `f64` the uncached path computes).
-    pub latency_ns: f64,
 }
 
 impl LatencyCache {
@@ -314,50 +278,19 @@ impl LatencyCache {
         Self::default()
     }
 
-    /// Looks up the latency of one operator, computing and storing it on a miss.
-    pub fn op_latency(
-        &self,
-        key: OpKey,
-        compute: impl FnOnce() -> CachedOpLatency,
-    ) -> CachedOpLatency {
-        self.ops.get_or_insert_with(key, compute)
-    }
-
-    /// Looks up a constructed workload, computing and storing it on a miss.
-    pub fn workload(
-        &self,
-        key: WorkloadKey,
-        compute: impl FnOnce() -> GenerationWorkload,
-    ) -> Arc<GenerationWorkload> {
-        self.workloads
-            .get_or_insert_with(key, || Arc::new(compute()))
-    }
-
     /// Looks up a whole-prefill latency (keyed by model/batch/prompt-length/
     /// formats), computing and storing it on a miss.
     pub fn prefill_latency(&self, key: WorkloadKey, compute: impl FnOnce() -> f64) -> f64 {
         self.prefills.get_or_insert_with(key, compute)
     }
 
-    /// Counters of the per-operator latency layer.
-    pub fn op_stats(&self) -> CacheStats {
-        self.ops.stats()
-    }
-
-    /// Counters of the workload-construction layer.
-    pub fn workload_stats(&self) -> CacheStats {
-        self.workloads.stats()
-    }
-
-    /// Counters of the prefill-latency layer.
+    /// Hit/miss/entry counters.
     pub fn prefill_stats(&self) -> CacheStats {
         self.prefills.stats()
     }
 
     /// Drops every entry and resets the counters.
     pub fn clear(&self) {
-        self.ops.clear();
-        self.workloads.clear();
         self.prefills.clear();
     }
 }
@@ -366,27 +299,19 @@ impl LatencyCache {
 mod tests {
     use super::*;
     use pimba_models::config::{ModelFamily, ModelScale};
-    use pimba_models::ops::{OpCost, OpKind, OpShape};
 
-    fn key(flops: f64) -> OpKey {
-        let op = OpInstance::new(
-            OpKind::Gemm,
-            OpCost::new(flops, 1.0, 2.0),
-            OpShape::Dense { m: 8, n: 16, k: 32 },
-        );
-        OpKey::new(&op, StorageFormats::fp16())
+    fn key(prompt_len: usize) -> WorkloadKey {
+        let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
+        WorkloadKey::new(&model, 8, prompt_len, StorageFormats::fp16())
     }
 
     #[test]
     fn second_lookup_hits_and_skips_compute() {
         let cache = LatencyCache::new();
-        let a = cache.op_latency(key(1.0), || CachedOpLatency {
-            on_pim: false,
-            latency_ns: 42.0,
-        });
-        let b = cache.op_latency(key(1.0), || panic!("must not recompute"));
-        assert_eq!(a, b);
-        let stats = cache.op_stats();
+        let a = cache.prefill_latency(key(512), || 42.0);
+        let b = cache.prefill_latency(key(512), || panic!("must not recompute"));
+        assert_eq!(a.to_bits(), b.to_bits());
+        let stats = cache.prefill_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.hit_rate(), 0.5);
     }
@@ -394,40 +319,18 @@ mod tests {
     #[test]
     fn distinct_costs_are_distinct_entries() {
         let cache = LatencyCache::new();
-        cache.op_latency(key(1.0), || CachedOpLatency {
-            on_pim: false,
-            latency_ns: 1.0,
-        });
-        cache.op_latency(key(2.0), || CachedOpLatency {
-            on_pim: false,
-            latency_ns: 2.0,
-        });
-        assert_eq!(cache.op_stats().entries, 2);
-    }
-
-    #[test]
-    fn workload_layer_shares_construction() {
-        let cache = LatencyCache::new();
-        let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
-        let formats = StorageFormats::fp16();
-        let build = || GenerationWorkload::single_step_with_formats(&model, 32, 2048, formats);
-        let a = cache.workload(WorkloadKey::new(&model, 32, 2048, formats), build);
-        let b = cache.workload(WorkloadKey::new(&model, 32, 2048, formats), || {
-            panic!("must not rebuild")
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.workload_stats().misses, 1);
+        cache.prefill_latency(key(512), || 1.0);
+        cache.prefill_latency(key(1024), || 2.0);
+        assert_eq!(cache.prefill_stats().entries, 2);
+        assert_eq!(cache.prefill_latency(key(1024), || 0.0), 2.0);
     }
 
     #[test]
     fn clear_resets_everything() {
         let cache = LatencyCache::new();
-        cache.op_latency(key(1.0), || CachedOpLatency {
-            on_pim: true,
-            latency_ns: 1.0,
-        });
+        cache.prefill_latency(key(512), || 1.0);
         cache.clear();
-        let stats = cache.op_stats();
+        let stats = cache.prefill_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 }

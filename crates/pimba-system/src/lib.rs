@@ -16,9 +16,9 @@
 //! * [`memory`] — device memory footprints (parameters, state, KV cache),
 //! * [`memo`] — content-addressed result memoization (fingerprints + a
 //!   concurrent store): the incremental-grid layer of the fleet runners,
-//! * [`cache`] — the sharded shape-keyed latency cache that makes repeated
-//!   evaluations of identical operator shapes free (and bit-identical to the
-//!   uncached path),
+//! * [`cache`] — the sharded prefill-latency cache that makes repeated
+//!   prefills across grid cells free (and bit-identical to the uncached
+//!   path),
 //! * [`table`] — dense per-run `(batch, seq-bucket)` latency tables: the
 //!   lock-free O(1) lookup layer of the `pimba-serve` event loop,
 //! * [`sweep`] — the parallel grid-sweep engine and SLO-capacity search powering the

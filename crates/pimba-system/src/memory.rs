@@ -16,17 +16,6 @@ pub struct MemoryBreakdown {
 }
 
 impl MemoryBreakdown {
-    /// The footprint of one generation-step workload — the single place the
-    /// component accounting lives, shared by [`memory_breakdown`] and
-    /// `ServingSimulator::memory_breakdown`.
-    pub fn of_workload(workload: &GenerationWorkload) -> Self {
-        Self {
-            params_bytes: workload.param_bytes(),
-            state_bytes: workload.state_bytes(),
-            kv_bytes: workload.kv_bytes(),
-        }
-    }
-
     /// Total bytes.
     pub fn total_bytes(&self) -> f64 {
         self.params_bytes + self.state_bytes + self.kv_bytes
@@ -39,9 +28,10 @@ impl MemoryBreakdown {
 }
 
 /// Closed-form memory accounting for one `(system, model)` pair: the
-/// admission-control fast path of the `pimba-serve` engine.
+/// admission-control fast path of the `pimba-serve` engine and the memory
+/// column of [`StepFunction`](crate::serving::StepFunction).
 ///
-/// `memory_usage_bytes` builds (or looks up) a whole [`GenerationWorkload`]
+/// `memory_usage_bytes` builds a whole [`GenerationWorkload`]
 /// only to read three footprint numbers off it; an admission probe asks that
 /// question once per queued candidate per scheduling decision, which makes the
 /// workload round trip the hot-path cost. This model precomputes the
@@ -103,7 +93,11 @@ pub fn memory_breakdown(
     seq_len: usize,
 ) -> MemoryBreakdown {
     let wl = GenerationWorkload::single_step_with_formats(model, batch, seq_len, config.formats);
-    MemoryBreakdown::of_workload(&wl)
+    MemoryBreakdown {
+        params_bytes: wl.param_bytes(),
+        state_bytes: wl.state_bytes(),
+        kv_bytes: wl.kv_bytes(),
+    }
 }
 
 /// Total memory usage in bytes (convenience wrapper).

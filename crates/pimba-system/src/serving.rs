@@ -1,12 +1,12 @@
 //! Generation-phase serving simulation: per-operator latency breakdowns, token
 //! throughput, request latency and energy.
 
-use crate::cache::{CachedOpLatency, LatencyCache, OpKey, WorkloadKey};
+use crate::cache::{LatencyCache, WorkloadKey};
 use crate::config::{SystemConfig, SystemKind};
+use crate::memory::{MemoryBreakdown, MemoryModel};
 use pimba_dram::energy::EnergyCounters;
 use pimba_gpu::kernels::GpuKernelModel;
 use pimba_models::config::ModelConfig;
-use pimba_models::dedup::dedup_ops;
 use pimba_models::ops::{OpCost, OpInstance, OpKind, OpShape};
 use pimba_models::workload::GenerationWorkload;
 use std::sync::Arc;
@@ -108,14 +108,20 @@ impl RequestLatency {
 
 /// The serving simulator for one system configuration.
 ///
-/// By default every simulator carries a shape-keyed [`LatencyCache`] (shared by
-/// clones), so repeated evaluations of the same operator shapes — across the decode
-/// samples of [`ServingSimulator::request_latency`], across sweep grid points, and
-/// across the threads of [`crate::sweep::SweepRunner`] — are computed once. Cached
-/// results are bit-identical to the uncached path by construction (the cache stores
-/// the exact `f64` the computation produced, keyed by every input of that
-/// computation); [`ServingSimulator::uncached`] builds a cache-free simulator for
-/// validation and baseline timing.
+/// A generation step is a sum of per-operator GPU/PIM latencies. Two
+/// evaluators compute it: [`ServingSimulator::generation_step`], the reference,
+/// builds the step's workload and evaluates every operator, and
+/// [`ServingSimulator::step_function`] evaluates the seq-invariant operators of
+/// one `(model, batch)` row once and then only attention per sequence length,
+/// summing in the same order so totals are bit-identical.
+///
+/// By default every simulator carries a [`LatencyCache`] of whole-prefill
+/// latencies (shared by clones), so the traffic and fleet grids compute each
+/// `(batch, prompt)` prefill once. Cached results are bit-identical to the
+/// uncached path by construction (the cache stores the exact `f64` the
+/// computation produced, keyed by every input of that computation);
+/// [`ServingSimulator::uncached`] builds a cache-free simulator for validation
+/// and baseline timing.
 #[derive(Debug, Clone)]
 pub struct ServingSimulator {
     config: SystemConfig,
@@ -129,8 +135,8 @@ impl ServingSimulator {
         Self::build(config, Some(Arc::new(LatencyCache::new())))
     }
 
-    /// Builds a simulator that recomputes every latency from scratch (the baseline
-    /// the cached path is validated and benchmarked against).
+    /// Builds a simulator that recomputes every prefill latency from scratch
+    /// (the baseline the cached path is validated and benchmarked against).
     pub fn uncached(config: SystemConfig) -> Self {
         Self::build(config, None)
     }
@@ -157,24 +163,14 @@ impl ServingSimulator {
         self.cache.as_ref()
     }
 
-    /// Builds the generation-step workload with this system's storage formats,
-    /// memoized per (model, batch, seq_len) when a cache is attached.
-    fn workload(
+    /// The generation-step workload with this system's storage formats.
+    fn step_workload(
         &self,
         model: &ModelConfig,
         batch: usize,
         seq_len: usize,
-    ) -> Arc<GenerationWorkload> {
-        let build = || {
-            GenerationWorkload::single_step_with_formats(model, batch, seq_len, self.config.formats)
-        };
-        match &self.cache {
-            Some(cache) => cache.workload(
-                WorkloadKey::new(model, batch, seq_len, self.config.formats),
-                build,
-            ),
-            None => Arc::new(build()),
-        }
+    ) -> GenerationWorkload {
+        GenerationWorkload::single_step_with_formats(model, batch, seq_len, self.config.formats)
     }
 
     fn shard_cost(&self, cost: &OpCost) -> OpCost {
@@ -207,41 +203,19 @@ impl ServingSimulator {
         Some((result.latency_ns / tp, result.energy.scaled(1.0 / tp)))
     }
 
-    /// The raw (uncached) evaluation of one operator — PIM if this system
-    /// offloads it, GPU otherwise. The single source of truth both the cached
-    /// lookup and the seq-invariant [`StepFunction`] fast path compute with.
-    fn evaluate_op_uncached(&self, op: &OpInstance) -> CachedOpLatency {
-        if let Some((pim_ns, _)) = self.pim_latency(op) {
-            // Blocked execution: the GPU waits for the PIM result, then continues.
-            // Operand transfer / result readback is part of the PIM schedule.
-            CachedOpLatency {
-                on_pim: true,
-                latency_ns: pim_ns,
-            }
-        } else {
-            CachedOpLatency {
-                on_pim: false,
-                latency_ns: self.gpu_latency(op),
-            }
-        }
-    }
-
-    /// Evaluates one operator, answering from the shape-keyed cache when one is
-    /// attached.
+    /// Evaluates one operator: on the PIM if this system offloads it, on the
+    /// GPU otherwise. Both step evaluators compute with it.
     fn evaluate_op(&self, op: &OpInstance) -> OpLatency {
-        let compute = || self.evaluate_op_uncached(op);
-        let evaluated = match &self.cache {
-            Some(cache) => cache.op_latency(OpKey::new(op, self.config.formats), compute),
-            None => compute(),
+        // Blocked execution: the GPU waits for the PIM result, then continues.
+        // Operand transfer / result readback is part of the PIM schedule.
+        let (side, latency_ns) = match self.pim_latency(op) {
+            Some((pim_ns, _)) => (ExecutionSide::Pim, pim_ns),
+            None => (ExecutionSide::Gpu, self.gpu_latency(op)),
         };
         OpLatency {
             kind: op.kind,
-            side: if evaluated.on_pim {
-                ExecutionSide::Pim
-            } else {
-                ExecutionSide::Gpu
-            },
-            latency_ns: evaluated.latency_ns,
+            side,
+            latency_ns,
         }
     }
 
@@ -259,42 +233,19 @@ impl ServingSimulator {
         })
     }
 
-    /// Like [`ServingSimulator::evaluate_op`] but always computing directly,
-    /// bypassing the shape-keyed cache. Used where the caller knows the key is
-    /// unique (one-shot evaluations along a sweep row): the analytic roofline
-    /// recompute is cheaper than a hash-map round trip, and the value is
-    /// bit-identical either way.
-    fn evaluate_op_direct(&self, op: &OpInstance) -> OpLatency {
-        let evaluated = self.evaluate_op_uncached(op);
-        OpLatency {
-            kind: op.kind,
-            side: if evaluated.on_pim {
-                ExecutionSide::Pim
-            } else {
-                ExecutionSide::Gpu
-            },
-            latency_ns: evaluated.latency_ns,
-        }
-    }
-
     /// Builds the seq-invariant [`StepFunction`] of one `(model, batch)` pair:
     /// every operator except attention is evaluated once up front, after which
     /// [`StepFunction::breakdown`] and [`StepFunction::memory_bytes`] answer any
     /// sequence length with a single attention evaluation and a handful of
-    /// floating-point additions — no workload construction, no hashing, no
-    /// locks. Results are bit-identical to [`ServingSimulator::generation_step`]
+    /// floating-point additions — no workload construction. Results are
+    /// bit-identical to [`ServingSimulator::generation_step`]
     /// and [`ServingSimulator::memory_usage_bytes`] (asserted by
     /// `tests/sweep_regression.rs`).
     pub fn step_function<'a>(&'a self, model: &'a ModelConfig, batch: usize) -> StepFunction<'a> {
         // The probe sequence length is irrelevant: the attention operator is
         // skipped and every other operator ignores it (the single invariant
-        // `GenerationWorkload::attention_op` exists to encode). Built and
-        // evaluated directly — a step function's whole point is to amortize
-        // these one-shot evaluations over a row, so routing them through the
-        // shared cache would only add hashing and locking to keys no other row
-        // can reuse.
-        let workload =
-            GenerationWorkload::single_step_with_formats(model, batch, 1, self.config.formats);
+        // `GenerationWorkload::attention_op` exists to encode).
+        let workload = self.step_workload(model, batch, 1);
         let mut pre = Vec::new();
         let mut post = Vec::new();
         let mut seen_attention = false;
@@ -303,7 +254,7 @@ impl ServingSimulator {
                 seen_attention = true;
                 continue;
             }
-            let latency = self.evaluate_op_direct(op);
+            let latency = self.evaluate_op(op);
             if seen_attention {
                 post.push(latency);
             } else {
@@ -317,7 +268,7 @@ impl ServingSimulator {
             batch,
             pre,
             post,
-            params_plus_state_bytes: workload.param_bytes() + workload.state_bytes(),
+            memory: MemoryModel::new(&self.config, model),
         }
     }
 
@@ -328,65 +279,8 @@ impl ServingSimulator {
         batch: usize,
         seq_len: usize,
     ) -> StepBreakdown {
-        let workload = self.workload(model, batch, seq_len);
+        let workload = self.step_workload(model, batch, seq_len);
         let mut ops: Vec<OpLatency> = workload.ops.iter().map(|op| self.evaluate_op(op)).collect();
-        ops.extend(self.communication_op(model, batch));
-        let total_ns = ops.iter().map(|o| o.latency_ns).sum();
-        StepBreakdown { ops, total_ns }
-    }
-
-    /// Simulates one generation step the way a layer-by-layer engine would: every
-    /// one of the model's blocks contributes its own operator instances (one kernel
-    /// launch per block per operator), each evaluated independently —
-    /// `O(layers × ops)` latency-model invocations.
-    ///
-    /// This is the naive baseline that [`ServingSimulator::generation_step_dedup`]
-    /// collapses to `O(unique ops)`. Note its semantics differ slightly from
-    /// [`ServingSimulator::generation_step`]: the canonical path models one fused
-    /// kernel per operator kind (launch overhead paid once), the per-layer path
-    /// pays the launch overhead once per block.
-    pub fn generation_step_per_layer(
-        &self,
-        model: &ModelConfig,
-        batch: usize,
-        seq_len: usize,
-    ) -> StepBreakdown {
-        let workload = self.workload(model, batch, seq_len);
-        let mut ops: Vec<OpLatency> = workload
-            .expanded_ops()
-            .iter()
-            .map(|op| self.evaluate_op(op))
-            .collect();
-        ops.extend(self.communication_op(model, batch));
-        let total_ns = ops.iter().map(|o| o.latency_ns).sum();
-        StepBreakdown { ops, total_ns }
-    }
-
-    /// Like [`ServingSimulator::generation_step_per_layer`], but the `n_layers`
-    /// bit-identical per-block instances are deduplicated first: each unique
-    /// (kind, shape, cost) is evaluated exactly once and its latency multiplied by
-    /// the block multiplicity.
-    ///
-    /// Per unique operator the evaluation is bit-identical to the per-layer path;
-    /// the step total differs from the per-layer sum only by the floating-point
-    /// rounding of `latency × n` versus `n`-fold summation.
-    pub fn generation_step_dedup(
-        &self,
-        model: &ModelConfig,
-        batch: usize,
-        seq_len: usize,
-    ) -> StepBreakdown {
-        let workload = self.workload(model, batch, seq_len);
-        let mut ops: Vec<OpLatency> = dedup_ops(&workload.expanded_ops())
-            .iter()
-            .map(|group| {
-                let once = self.evaluate_op(&group.op);
-                OpLatency {
-                    latency_ns: once.latency_ns * group.multiplicity as f64,
-                    ..once
-                }
-            })
-            .collect();
         ops.extend(self.communication_op(model, batch));
         let total_ns = ops.iter().map(|o| o.latency_ns).sum();
         StepBreakdown { ops, total_ns }
@@ -404,7 +298,7 @@ impl ServingSimulator {
     /// restructured into compute-dense matrix form, Section 5.1), so this is a pure
     /// GPU-kernel sum — also the prefill building block of the event-driven
     /// traffic simulator (`pimba-serve`). Memoized per (model, batch, prompt_len)
-    /// in the shared cache's dedicated prefill layer when one is attached.
+    /// in the attached [`LatencyCache`], if any.
     pub fn prefill_latency_ns(&self, model: &ModelConfig, batch: usize, prompt_len: usize) -> f64 {
         let compute = || {
             let prefill_wl = GenerationWorkload::prefill(model, batch, prompt_len);
@@ -459,7 +353,7 @@ impl ServingSimulator {
         batch: usize,
         seq_len: usize,
     ) -> EnergyBreakdown {
-        let workload = self.workload(model, batch, seq_len);
+        let workload = self.step_workload(model, batch, seq_len);
         let mut out = EnergyBreakdown::default();
         for op in &workload.ops {
             let cost = self.shard_cost(&op.cost);
@@ -500,15 +394,14 @@ impl ServingSimulator {
     }
 
     /// Memory footprint of serving `model` at the given batch and sequence length,
-    /// broken down by component (reuses the memoized workload when cached).
+    /// broken down by component.
     pub fn memory_breakdown(
         &self,
         model: &ModelConfig,
         batch: usize,
         seq_len: usize,
-    ) -> crate::memory::MemoryBreakdown {
-        let wl = self.workload(model, batch, seq_len);
-        crate::memory::MemoryBreakdown::of_workload(&wl)
+    ) -> MemoryBreakdown {
+        crate::memory::memory_breakdown(&self.config, model, batch, seq_len)
     }
 
     /// Total device memory in use across the cluster, in bytes.
@@ -522,11 +415,9 @@ impl ServingSimulator {
 ///
 /// Built by [`ServingSimulator::step_function`]. Everything that does not
 /// depend on the sequence length — all operators except attention, the
-/// tensor-parallel communication, the parameter and state footprints — is
-/// evaluated exactly once at construction; per sequence length only the
-/// attention operator is evaluated (directly, skipping the cache: along a sweep
-/// row every attention shape is unique, so a lookup would cost more than the
-/// roofline recompute it fronts). Sum order matches
+/// tensor-parallel communication, the memory model — is evaluated exactly once
+/// at construction; per sequence length only the attention operator is
+/// evaluated. Sum order matches
 /// [`ServingSimulator::generation_step`] term for term, so totals are
 /// bit-identical, not merely close.
 #[derive(Debug, Clone)]
@@ -538,8 +429,8 @@ pub struct StepFunction<'a> {
     pre: Vec<OpLatency>,
     /// Evaluated operators following attention (communication last).
     post: Vec<OpLatency>,
-    /// Parameter + state footprint (the seq-invariant part of the memory sum).
-    params_plus_state_bytes: f64,
+    /// Closed-form memory accounting of this `(system, model)`.
+    memory: MemoryModel<'a>,
 }
 
 impl StepFunction<'_> {
@@ -559,7 +450,7 @@ impl StepFunction<'_> {
             seq_len,
             self.sim.config.formats,
         ) {
-            ops.push(self.sim.evaluate_op_direct(&op));
+            ops.push(self.sim.evaluate_op(&op));
         }
         ops.extend_from_slice(&self.post);
         let total_ns = ops.iter().map(|o| o.latency_ns).sum();
@@ -582,7 +473,7 @@ impl StepFunction<'_> {
             seq_len,
             self.sim.config.formats,
         ) {
-            total += self.sim.evaluate_op_direct(&op).latency_ns;
+            total += self.sim.evaluate_op(&op).latency_ns;
         }
         for op in &self.post {
             total += op.latency_ns;
@@ -593,10 +484,7 @@ impl StepFunction<'_> {
     /// Aggregate device memory at `seq_len` — bit-identical to
     /// `memory_usage_bytes(model, batch, seq_len)`.
     pub fn memory_bytes(&self, seq_len: usize) -> f64 {
-        let kv_bytes = self.batch as f64
-            * self.model.kv_elements_per_request(seq_len)
-            * self.sim.config.formats.kv_cache.bytes_per_value();
-        self.params_plus_state_bytes + kv_bytes
+        self.memory.usage_bytes(self.batch, seq_len)
     }
 }
 

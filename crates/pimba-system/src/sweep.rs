@@ -6,11 +6,12 @@
 //! [`SweepRunner`] evaluates such grids with two optimizations stacked on top of
 //! each other:
 //!
-//! * **shape-keyed caching** — one shared [`LatencyCache`] per system
-//!   configuration, so identical operator shapes across grid points are evaluated
-//!   once (a model's state-update latency, for example, is independent of the
-//!   sequence length and is reused across the whole seq-len axis), and
-//! * **data parallelism** — grid points are partitioned over OS threads
+//! * **seq-invariant rows** — each `(system, model, batch)` row is one
+//!   [`StepFunction`](crate::serving::StepFunction): every operator except
+//!   attention (a model's state-update latency, for example, is independent of
+//!   the sequence length) is evaluated once and reused across the whole seq-len
+//!   axis, and
+//! * **data parallelism** — rows are partitioned over OS threads
 //!   (`std::thread::scope`; the environment has no crates.io access, so this
 //!   hand-rolled fork-join stands in for a `rayon` parallel iterator and keeps the
 //!   same deterministic output ordering).
@@ -19,7 +20,6 @@
 //! bit-identical to calling `generation_step` directly on uncached, freshly built
 //! simulators — asserted by `tests/sweep_regression.rs`.
 
-use crate::cache::LatencyCache;
 use crate::config::SystemConfig;
 use crate::serving::{ServingSimulator, StepBreakdown};
 use pimba_models::config::ModelConfig;
@@ -273,11 +273,10 @@ pub struct SweepRecord {
     pub memory_bytes: f64,
 }
 
-/// Parallel, cached evaluator of [`SweepGrid`]s.
+/// Parallel evaluator of [`SweepGrid`]s.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
-    cached: bool,
 }
 
 impl Default for SweepRunner {
@@ -287,25 +286,12 @@ impl Default for SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner using every available core and shape-keyed caching.
+    /// A runner using every available core.
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1);
-        Self {
-            threads,
-            cached: true,
-        }
-    }
-
-    /// A single-threaded runner that rebuilds every latency from scratch — the
-    /// naive baseline the cached/parallel path is validated and benchmarked
-    /// against.
-    pub fn naive() -> Self {
-        Self {
-            threads: 1,
-            cached: false,
-        }
+        Self { threads }
     }
 
     /// Overrides the worker-thread count (clamped to at least 1).
@@ -314,40 +300,15 @@ impl SweepRunner {
         self
     }
 
-    /// Enables or disables the shared latency caches.
-    pub fn with_caching(mut self, cached: bool) -> Self {
-        self.cached = cached;
-        self
-    }
-
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Whether shape-keyed caching is enabled.
-    pub fn cached(&self) -> bool {
-        self.cached
-    }
-
-    /// Builds one simulator per system, sharing a cache per system when enabled.
-    fn simulators(&self, grid: &SweepGrid) -> Vec<ServingSimulator> {
-        grid.systems
-            .iter()
-            .map(|config| {
-                if self.cached {
-                    ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-                } else {
-                    ServingSimulator::uncached(config.clone())
-                }
-            })
-            .collect()
-    }
-
     /// Evaluates one `(system, model, batch)` row — the whole seq-len axis —
     /// through a single seq-invariant [`StepFunction`](crate::serving::StepFunction):
     /// every operator except attention is evaluated once per row instead of
-    /// once per point, and no workload is constructed (or hashed, or locked) in
+    /// once per point, and no workload is constructed in
     /// the per-point loop. Records are bit-identical to evaluating
     /// `generation_step` point by point (`tests/sweep_regression.rs`).
     fn evaluate_row(grid: &SweepGrid, sims: &[ServingSimulator], row: usize) -> Vec<SweepRecord> {
@@ -383,7 +344,12 @@ impl SweepRunner {
         if total == 0 {
             return Vec::new();
         }
-        let sims = self.simulators(grid);
+        // Rows never prefill, so the simulators need no cache.
+        let sims: Vec<ServingSimulator> = grid
+            .systems
+            .iter()
+            .map(|config| ServingSimulator::uncached(config.clone()))
+            .collect();
         // Work is partitioned in rows of one full seq-len axis (the unit the
         // seq-invariant evaluator amortizes over); flattening row results in
         // row order reproduces grid order exactly, since seq-len is the
@@ -502,9 +468,7 @@ mod tests {
         assert_eq!(built.seq_lens, lit.seq_lens);
         let runner = SweepRunner::default();
         assert_eq!(runner.threads(), SweepRunner::new().threads());
-        assert!(runner.cached());
-        assert!(!SweepRunner::naive().cached());
-        assert_eq!(SweepRunner::naive().threads(), 1);
+        assert_eq!(SweepRunner::new().with_threads(0).threads(), 1);
     }
 
     #[test]

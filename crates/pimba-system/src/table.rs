@@ -1,19 +1,19 @@
 //! Dense per-run latency tables: O(1) array reads on the serving hot path.
 //!
 //! The discrete-event engine of `pimba-serve` looks up one decode-step latency
-//! per step and one prefill latency per admission. Routing those lookups
-//! through the shared [`LatencyCache`](crate::cache::LatencyCache) costs a key
-//! construction, a hash and a read-lock acquisition each — measurably more than
-//! the analytic recompute they memoize. These tables instead give one
-//! simulation run a *private, dense* memo indexed by `(batch, seq-bucket)`:
-//! plain `Vec` indexing, no hashing, no locks, no sharing.
+//! per step and one prefill latency per admission. Rebuilding a step workload
+//! (or hashing a prefill key into the shared
+//! [`LatencyCache`](crate::cache::LatencyCache)) per lookup costs more than the
+//! lookup is worth. These tables instead give one simulation run a *private,
+//! dense* memo indexed by `(batch, seq-bucket)`: plain `Vec` indexing, no
+//! hashing, no locks, no sharing.
 //!
 //! Rows (one per batch size) allocate lazily on first touch, so a run that
-//! visits 30 distinct batch sizes pays for 30 rows, not `max_batch`. Entries
-//! fill lazily from the backing [`ServingSimulator`] — which may itself answer
-//! from the shared shape-keyed cache, so repeated cells across the grid of a
-//! traffic sweep are still computed once globally. A table entry stores the
-//! exact `f64` the simulator returned; reads are bit-identical to calling the
+//! visits 30 distinct batch sizes pays for 30 rows, not `max_batch`. Step
+//! entries fill through a per-row [`StepFunction`]; prefill entries fill from
+//! the backing [`ServingSimulator`], whose prefill cache computes a prefill
+//! repeated across the cells of a grid once globally. A table entry stores the
+//! exact `f64` the simulator returns; reads are bit-identical to calling the
 //! simulator directly, which keeps the engine's results independent of whether
 //! (and how often) a table is used.
 

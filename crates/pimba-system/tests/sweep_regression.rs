@@ -1,9 +1,9 @@
-//! Regression tests of the performance layer: shape-keyed caching, operator
-//! deduplication and the parallel sweep engine must leave every result exactly
-//! (bit-for-bit) identical to the plain uncached per-op evaluation.
+//! Regression tests of the performance layer: the prefill cache, the
+//! seq-invariant step function and the parallel sweep engine must leave every
+//! result exactly (bit-for-bit) identical to the plain uncached per-op
+//! evaluation.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
-use pimba_models::ops::OpKind;
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{max_batch_within_slo, SweepGrid, SweepRunner};
@@ -49,12 +49,12 @@ fn cached_steps_are_bit_identical_to_uncached() {
         for model in &models() {
             for &batch in &[16usize, 64, 128] {
                 for &seq in &[512usize, 2048] {
-                    // Evaluate twice on the cached simulator so the second pass is
-                    // answered entirely from the cache.
+                    // Evaluate twice on the cached simulator: a repeat must
+                    // not change a result.
                     let first = cached.generation_step(model, batch, seq);
                     let warm = cached.generation_step(model, batch, seq);
                     let cold = uncached.generation_step(model, batch, seq);
-                    assert_eq!(first, warm, "cache warm-up changed a result");
+                    assert_eq!(first, warm, "a repeat evaluation changed a result");
                     assert_eq!(warm.ops.len(), cold.ops.len());
                     for (a, b) in warm.ops.iter().zip(&cold.ops) {
                         assert_eq!((a.kind, a.side), (b.kind, b.side));
@@ -73,10 +73,18 @@ fn cached_steps_are_bit_identical_to_uncached() {
                 }
             }
         }
-        let stats = cached.cache().unwrap().op_stats();
-        assert!(
-            stats.hits > stats.misses,
-            "the grid must mostly hit the cache: {stats:?}"
+        // The prefill layer: a repeated prefill is answered from the cache,
+        // with the uncached bits.
+        let model = &models()[0];
+        let first = cached.prefill_latency_ns(model, 16, 512);
+        let warm = cached.prefill_latency_ns(model, 16, 512);
+        let stats = cached.cache().unwrap().prefill_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+        assert_bits_eq(first, warm, "prefill warm-up");
+        assert_bits_eq(
+            warm,
+            uncached.prefill_latency_ns(model, 16, 512),
+            "cached prefill",
         );
     }
 }
@@ -127,48 +135,6 @@ fn sweep_is_deterministic_across_thread_counts() {
                 (b.system, b.model, b.batch, b.seq_len)
             );
         }
-    }
-}
-
-#[test]
-fn dedup_collapses_per_layer_evaluation_to_unique_ops() {
-    let system = SystemConfig::small_scale(SystemKind::Pimba);
-    let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
-
-    // Mamba-2 has 64 identical blocks; the deduped step must have evaluated each
-    // unique op exactly once (cache misses == unique ops) while representing all
-    // 64 blocks per op kind.
-    let cached = ServingSimulator::new(system.clone());
-    let dedup = cached.generation_step_dedup(&model, 64, 2048);
-    let stats = cached.cache().unwrap().op_stats();
-    let unique_ops = dedup
-        .ops
-        .iter()
-        .filter(|o| o.kind != OpKind::Communication)
-        .count();
-    assert_eq!(stats.misses as usize, unique_ops);
-    assert_eq!(
-        stats.hits, 0,
-        "first deduped step must not need repeat evaluations"
-    );
-
-    // The naive per-layer path performs one evaluation per block per op.
-    let naive = ServingSimulator::uncached(system).generation_step_per_layer(&model, 64, 2048);
-    assert!(
-        naive.ops.len() >= 64 * dedup.ops.len() / 2,
-        "expansion must be O(layers x ops)"
-    );
-
-    // Per op kind, latency x multiplicity equals the per-layer sum up to f64
-    // summation order (n-fold sum vs single multiply).
-    for kind in OpKind::ALL {
-        let a = dedup.latency_of(kind);
-        let b = naive.latency_of(kind);
-        let tolerance = 1e-9 * a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= tolerance,
-            "{kind}: dedup {a} vs per-layer {b}"
-        );
     }
 }
 

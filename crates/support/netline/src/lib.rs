@@ -480,21 +480,54 @@ impl Parser<'_> {
         Ok(unit)
     }
 
+    /// Advances past a run of ASCII digits; `false` when there is none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// One number in RFC 8259 grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, which must not run
+    /// straight into another number character (`01`, `1.2.3`). Errors point
+    /// at the number's first byte.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        let mut valid = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                true
             }
+            Some(b'1'..=b'9') => self.digits(),
+            _ => false,
+        };
+        let mut is_float = false;
+        if valid && self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            valid = self.digits();
+        }
+        if valid && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            valid = self.digits();
+        }
+        if !valid
+            || matches!(
+                self.peek(),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            )
+        {
+            self.pos = start;
+            return Err(self.error("invalid number"));
         }
         let text = &self.text[start..self.pos];
         if !is_float {
@@ -916,6 +949,41 @@ mod tests {
             Json::parse("18446744073709551616").unwrap(),
             Json::Num(18446744073709551616.0)
         );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("-10", Json::Int(-10)),
+            ("0.5", Json::Num(0.5)),
+            ("-0.5", Json::Num(-0.5)),
+            ("1e5", Json::Num(1e5)),
+            ("1E+5", Json::Num(1e5)),
+            ("2.5e-3", Json::Num(2.5e-3)),
+            ("0e0", Json::Num(0.0)),
+        ] {
+            assert_eq!(Json::parse(text), Ok(value), "{text}");
+        }
+        // Each rejected form fails at the number's first byte, also when the
+        // number is a member value.
+        for bad in [
+            "01", "-01", "00.5", "1.", "1.e5", "-.5", "-", "1e", "1e+", "1.2.3", "1e5.3", "1-2",
+            "1E5e1",
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(
+                (err.pos, err.message.as_str()),
+                (0, "invalid number"),
+                "{bad}: {err}"
+            );
+            let doc = format!("{{\"n\":{bad}}}");
+            let err = Json::parse(&doc).unwrap_err();
+            assert_eq!(err.pos, 5, "{doc}: {err}");
+            assert_eq!(err.key.as_deref(), Some("n"), "{doc}");
+        }
     }
 
     #[test]
