@@ -17,9 +17,7 @@
 //!   uniform batch workload under FCFS-static scheduling; a
 //!   continuous-batching long-decode regime is reported alongside it.
 //! * cold vs warm evaluation of a what-if grid against a shared
-//!   [`FleetMemo`] (warm cells skip simulation entirely),
-//! * routed-prefix checkpoints: a grid that extends each cell's trace
-//!   restores the shorter grid's routed prefixes instead of re-running them.
+//!   [`FleetMemo`] (warm cells skip simulation entirely).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_fleet::cluster::{FleetConfig, FleetSim};
@@ -32,23 +30,9 @@ use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::{SystemConfig, SystemKind};
-use pimba_system::obs::{MetricValue, MetricsHub};
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::RunControl;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Sums a counter series across all label sets.
-fn counter_total(hub: &MetricsHub, name: &str) -> u64 {
-    hub.snapshot()
-        .iter()
-        .filter(|series| series.name == name)
-        .map(|series| match &series.value {
-            MetricValue::Counter(n) => *n,
-            _ => 0,
-        })
-        .sum()
-}
 
 /// `(median, min, max)` wall-clock seconds of `reps` runs of `f`.
 fn time_runs(reps: usize, mut f: impl FnMut() -> FleetResult) -> (f64, f64, f64) {
@@ -344,86 +328,6 @@ fn record_results(_c: &mut Criterion) {
         ],
     );
 
-    // ------------------------------------------------------------------
-    // 3. Routed-prefix checkpoints: a grid that extends each cell's trace
-    //    restores the shorter grid's routed prefixes instead of re-running
-    //    them (trace generation draws per-request, so the shorter trace is
-    //    a literal prefix of the longer one).
-    // ------------------------------------------------------------------
-    let base_cell = (n / 8).max(100);
-    let every = (base_cell / 2).max(1);
-    let prefix_grid = FleetGrid::new(model.clone())
-        .with_systems(vec![SystemConfig::small_scale(SystemKind::Pimba)])
-        .with_scenarios(vec![long_decode()])
-        .with_rates(vec![20.0, 30.0])
-        .with_replica_counts(vec![4])
-        .with_routers(vec![RouterKind::Jsq])
-        .with_requests_per_cell(base_cell)
-        .with_prefix_checkpoints(every)
-        .with_seed(2026);
-    let prefix_memo = Arc::new(FleetMemo::new());
-    let prefix_runner = FleetRunner::new().with_memo(prefix_memo.clone());
-    prefix_runner.run(&prefix_grid); // seeds the checkpoint store
-    let extended = prefix_grid
-        .clone()
-        .with_requests_per_cell(base_cell + base_cell / 2);
-    let cold_ext_start = std::time::Instant::now();
-    let cold_ext = FleetRunner::new().run(&extended);
-    let cold_ext_wall = cold_ext_start.elapsed().as_secs_f64();
-    // Restore counters from a metered pass (an enabled hub serializes
-    // metric export, so this pass informs but is not timed).
-    let prefix_hub = MetricsHub::new();
-    let metered_ext = prefix_runner
-        .run_controlled(
-            &extended,
-            &RunControl::new().with_metrics(prefix_hub.clone()),
-        )
-        .expect("uncontrolled run cannot be cancelled");
-    assert!(
-        metered_ext == cold_ext,
-        "prefix-warm records diverged from cold run"
-    );
-    let restored = counter_total(&prefix_hub, "fleet_prefix_arrivals_restored");
-    let total_arrivals = counter_total(&prefix_hub, "fleet_prefix_arrivals_total");
-    // Wall-clock against a second identically-seeded store: the metered
-    // pass memoized the extended records themselves, so re-timing against
-    // the same memo would skip the engines entirely.
-    let timing_memo = Arc::new(FleetMemo::new());
-    let timing_runner = FleetRunner::new().with_memo(timing_memo.clone());
-    timing_runner.run(&prefix_grid);
-    let warm_ext_start = std::time::Instant::now();
-    let warm_ext = timing_runner.run(&extended);
-    let warm_ext_wall = warm_ext_start.elapsed().as_secs_f64();
-    assert!(
-        warm_ext == cold_ext,
-        "prefix-warm records diverged from cold run"
-    );
-    let restored_frac = restored as f64 / (total_arrivals.max(1)) as f64;
-    let prefix_speedup = cold_ext_wall / warm_ext_wall.max(1e-9);
-    bench::print_table(
-        &format!(
-            "Routed-prefix checkpoints: {} cells extended {base_cell} -> {} requests \
-             (prefix-warm byte-identical)",
-            extended.len(),
-            extended.requests_per_cell
-        ),
-        &["phase", "wall_ms", "arrivals_restored", "speedup"],
-        &[
-            vec![
-                "cold".into(),
-                bench::fmt(cold_ext_wall * 1e3, 1),
-                "0".into(),
-                "1.00".into(),
-            ],
-            vec![
-                "prefix-warm".into(),
-                bench::fmt(warm_ext_wall * 1e3, 1),
-                format!("{restored}/{total_arrivals}"),
-                bench::fmt(prefix_speedup, 2),
-            ],
-        ],
-    );
-
     let gates_json = gates
         .iter()
         .map(|(name, ok)| format!("\"{name}\": {ok}"))
@@ -434,28 +338,16 @@ fn record_results(_c: &mut Criterion) {
          \"nproc\": {nproc},\n  \"reps\": {reps},\n  \
          \"fleet\": {{\"replicas\": {REPLICAS}, \"max_batch\": 16}},\n  \
          \"baseline\": \"stepped colocated loop, round-robin\",\n  \
-         \"divergence_gates\": {{{gates_json}, \"memo_warm_byte_identical\": true, \
-         \"prefix_warm_byte_identical\": true}},\n  \
+         \"divergence_gates\": {{{gates_json}, \"memo_warm_byte_identical\": true}},\n  \
          \"drivers\": [\n{}\n  ],\n  \
          \"memo_grid\": {{\"cells\": {}, \"requests_per_cell\": {}, \
-         \"cold_wall_ms\": {:.2}, \"warm_wall_ms\": {:.3}, \"speedup\": {:.1}}},\n  \
-         \"prefix_reuse\": {{\"cells\": {}, \"base_requests_per_cell\": {base_cell}, \
-         \"extended_requests_per_cell\": {}, \"checkpoint_every\": {every}, \
-         \"cold_wall_ms\": {:.2}, \"prefix_warm_wall_ms\": {:.2}, \"speedup\": {:.3}, \
-         \"arrivals_restored\": {restored}, \"arrivals_total\": {total_arrivals}, \
-         \"restored_fraction\": {:.4}}}\n}}\n",
+         \"cold_wall_ms\": {:.2}, \"warm_wall_ms\": {:.3}, \"speedup\": {:.1}}}\n}}\n",
         regime_json.join(",\n"),
         grid.len(),
         grid.requests_per_cell,
         cold_wall * 1e3,
         warm_wall * 1e3,
         memo_speedup,
-        extended.len(),
-        extended.requests_per_cell,
-        cold_ext_wall * 1e3,
-        warm_ext_wall * 1e3,
-        prefix_speedup,
-        restored_frac,
     );
     let path = bench::results_dir().join("BENCH_fleet_parallel.json");
     std::fs::write(&path, json).expect("failed to write BENCH_fleet_parallel.json");

@@ -42,8 +42,8 @@
 //! interrupt it — byte-identical by construction.
 //!
 //! **Decoupled free-run.** When the router is
-//! [load-oblivious](RouterKind::load_oblivious) and nothing needs mid-trace
-//! fleet state — an empty plan and no checkpoint store — the colocated loop
+//! [load-oblivious](RouterKind::load_oblivious) and the plan is empty,
+//! nothing needs mid-trace fleet state, so the colocated loop
 //! skips the per-arrival `step_until`: it routes and injects every arrival
 //! up front (the policy never reads the loads) and the final drain steps each
 //! replica to ∞ once. Replica state is insensitive to *foreign* horizons
@@ -58,24 +58,6 @@
 //! is one inter-arrival gap long, so workers spend their time at barriers,
 //! and optimistic speculation rolls back too often to win it back (measured
 //! 3.5–100× slower than this loop on JSQ/po2 fleets).
-//!
-//! # Routed-prefix checkpoints (cross-cell sub-run reuse)
-//!
-//! [`FleetSim::run_checkpointed`] is the colocated loop with a
-//! content-addressed checkpoint store hooked at arrival boundaries: every
-//! `every` arrivals (and at the trace end) it snapshots the whole fleet —
-//! per-replica sessions and schedulers, the router, the assignment prefix —
-//! into a [`FleetCheckpoint`] keyed by the *routed prefix's* complete input
-//! identity: system, model, fleet mode, router, policy, engine config, seed,
-//! and the first `p` trace requests folded exactly as a standalone trace of
-//! length `p` ([`fold_trace_prefix`]). A later cell whose trace shares that
-//! prefix — e.g. the same grid swept at a larger `requests_per_cell`, or a
-//! what-if whose config diverges only mid-trace — restores the longest
-//! stored checkpoint and simulates only the tail, byte-identical to a cold
-//! run (the engine's snapshot determinism gate plus scheduler/router forks
-//! carrying plain state). Checkpoints live in memory only — they are
-//! execution accelerators, not results, and are deliberately not persisted
-//! by the disk-backed memos.
 //!
 //! # Fault tolerance & live migration
 //!
@@ -138,19 +120,17 @@ use crate::fault::{FaultError, FaultKind, FaultPlan, FaultStats, RecoveryPolicy}
 use crate::metrics::{FleetResult, ReplicaReport, ReplicaRole};
 use crate::router::{streams, ReplicaLoad, Router, RouterKind};
 use pimba_models::config::ModelConfig;
-use pimba_serve::engine::{DroppedRequest, Engine, EngineConfig, Session, SessionSnapshot};
+use pimba_serve::engine::{DroppedRequest, Engine, EngineConfig, Session};
 use pimba_serve::metrics::{PreemptionStats, RequestOutcome, SimResult, TelemetryStats};
-use pimba_serve::runner::{fold_trace_prefix, longest_stored_prefix};
 use pimba_serve::sched::{PolicyKind, Scheduler};
 use pimba_serve::traffic::{Trace, TraceRequest};
-use pimba_system::memo::{FingerprintBuilder, MemoStore};
 use pimba_system::memory::MemoryModel;
-use pimba_system::obs::{profile_phase, MetricsHub, TraceEvent, TraceRecorder, TraceSink};
+use pimba_system::obs::{profile_phase, TraceEvent, TraceRecorder, TraceSink};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How the fleet's replicas divide the request lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -332,34 +312,6 @@ const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     queue_depth: 0,
     occupancy: 0,
 };
-
-/// A routed-prefix checkpoint: the whole colocated fleet's state after
-/// routing and injecting the first `p` trace arrivals, with every replica
-/// stepped strictly before the `p`-th arrival instant — a pure function of
-/// the prefix and the cell's semantic config, which is exactly what its
-/// content address covers (see the module docs). Stored in
-/// [`FleetMemo`](crate::memo::FleetMemo)'s in-memory checkpoint store;
-/// restoring one and simulating the tail is byte-identical to a cold run.
-pub struct FleetCheckpoint {
-    /// Per-replica `(session, scheduler)` state. Schedulers sit behind a
-    /// mutex only to make the stored trait object shareable; restores fork
-    /// the state out and never mutate the stored copy.
-    replicas: Vec<(SessionSnapshot, Mutex<Box<dyn Scheduler>>)>,
-    /// Router state after the prefix's route decisions (entropy stream
-    /// position included).
-    router: Mutex<Box<dyn Router>>,
-    /// The prefix's replica assignment.
-    assignment: Vec<u32>,
-}
-
-impl std::fmt::Debug for FleetCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetCheckpoint")
-            .field("replicas", &self.replicas.len())
-            .field("routed_prefix", &self.assignment.len())
-            .finish_non_exhaustive()
-    }
-}
 
 /// A driver event, ordered earliest-first with a creation sequence number
 /// breaking timestamp ties (creation order is itself deterministic).
@@ -857,54 +809,6 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         // finite even under Migrate.
         self.retry_or_lose(id, t);
     }
-
-    /// Snapshots the whole fleet after routing the first `prefix` arrivals
-    /// into a routed-prefix checkpoint (fault-free fleets only).
-    fn checkpoint(&self, prefix: usize) -> FleetCheckpoint {
-        let _clone = profile_phase("snapshot_clone");
-        FleetCheckpoint {
-            replicas: self
-                .replicas
-                .iter()
-                .map(|r| {
-                    let session = r.session.as_ref().expect("checkpointed fleets never crash");
-                    (session.snapshot(), Mutex::new(r.scheduler.fork()))
-                })
-                .collect(),
-            router: Mutex::new(self.router.fork()),
-            assignment: self.assignment[..prefix].to_vec(),
-        }
-    }
-
-    /// Restores a routed-prefix checkpoint into a fresh fleet.
-    fn restore(&mut self, checkpoint: &FleetCheckpoint) {
-        let _restore = profile_phase("snapshot_clone");
-        assert_eq!(
-            checkpoint.replicas.len(),
-            self.replicas.len(),
-            "checkpoint key covers replicas"
-        );
-        for ((r, load), (snapshot, scheduler)) in self
-            .replicas
-            .iter_mut()
-            .zip(self.loads.iter_mut())
-            .zip(&checkpoint.replicas)
-        {
-            let session = r.session.as_mut().expect("fresh replicas are live");
-            session.restore(snapshot);
-            *load = session_load(session);
-            r.scheduler = scheduler
-                .lock()
-                .expect("checkpoint scheduler poisoned")
-                .fork();
-        }
-        self.router = checkpoint
-            .router
-            .lock()
-            .expect("checkpoint router poisoned")
-            .fork();
-        self.assignment[..checkpoint.assignment.len()].copy_from_slice(&checkpoint.assignment);
-    }
 }
 
 /// Merges one replica's per-incarnation results (one per crash/restart cycle
@@ -961,7 +865,6 @@ pub struct FleetSim<'a> {
     model: &'a ModelConfig,
     recorder: Option<Arc<TraceRecorder>>,
     trace_prefix: String,
-    metrics: MetricsHub,
 }
 
 impl<'a> FleetSim<'a> {
@@ -973,17 +876,7 @@ impl<'a> FleetSim<'a> {
             model,
             recorder: None,
             trace_prefix: String::new(),
-            metrics: MetricsHub::disabled(),
         }
-    }
-
-    /// Attaches a metrics hub: the colocated loop then counts
-    /// prefix-checkpoint hits/misses onto it.
-    /// Write-only, like the trace recorder — an attached hub never changes
-    /// the simulation output (module docs).
-    pub fn with_metrics(mut self, metrics: MetricsHub) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Records every run onto `recorder`: driver events (routes, handoffs,
@@ -1027,7 +920,7 @@ impl<'a> FleetSim<'a> {
     /// single-replica colocated fleet is bit-identical to `Engine::run` on
     /// the same trace.
     pub fn run(&self, trace: &Trace, config: &FleetConfig) -> FleetResult {
-        self.simulate(trace, config, &FaultPlan::default(), None)
+        self.simulate(trace, config, &FaultPlan::default())
     }
 
     /// Runs `trace` through the fleet under a [`FaultPlan`]: scheduled
@@ -1045,37 +938,11 @@ impl<'a> FleetSim<'a> {
     ) -> Result<FleetResult, FaultError> {
         let disaggregated = matches!(config.mode, FleetMode::Disaggregated { .. });
         plan.validate(config.mode.replicas(), disaggregated)?;
-        Ok(self.simulate(trace, config, plan, None))
-    }
-
-    /// The colocated loop with routed-prefix checkpointing: the run restores
-    /// the longest stored checkpoint matching its trace prefix and semantic
-    /// config, simulates only the tail, and stores fresh checkpoints every
-    /// `every` arrivals (and at the trace end) for later cells to reuse —
-    /// byte-identical to a cold [`FleetSim::run`] (module docs). Checkpoints
-    /// are skipped when they cannot apply: `every == 0`, an empty trace, a
-    /// non-colocated mode, or an attached trace recorder (snapshots don't
-    /// capture trace sinks).
-    pub fn run_checkpointed(
-        &self,
-        trace: &Trace,
-        config: &FleetConfig,
-        checkpoints: &MemoStore<FleetCheckpoint>,
-        every: usize,
-    ) -> FleetResult {
-        let hook = (every > 0 && !trace.is_empty() && self.recorder.is_none())
-            .then_some((checkpoints, every));
-        self.simulate(trace, config, &FaultPlan::default(), hook)
+        Ok(self.simulate(trace, config, plan))
     }
 
     /// Dispatches a validated plan to its topology's event loop.
-    fn simulate(
-        &self,
-        trace: &Trace,
-        config: &FleetConfig,
-        plan: &FaultPlan,
-        checkpoints: Option<(&MemoStore<FleetCheckpoint>, usize)>,
-    ) -> FleetResult {
+    fn simulate(&self, trace: &Trace, config: &FleetConfig, plan: &FaultPlan) -> FleetResult {
         assert!(
             trace
                 .requests
@@ -1084,9 +951,7 @@ impl<'a> FleetSim<'a> {
             "fleet traces must be time-sorted (use Trace::from_requests)"
         );
         match config.mode {
-            FleetMode::Colocated { replicas } => {
-                self.run_colocated(trace, replicas, config, plan, checkpoints)
-            }
+            FleetMode::Colocated { replicas } => self.run_colocated(trace, replicas, config, plan),
             FleetMode::Disaggregated {
                 prefill_replicas,
                 decode_replicas,
@@ -1113,7 +978,6 @@ impl<'a> FleetSim<'a> {
         replicas: usize,
         config: &FleetConfig,
         plan: &FaultPlan,
-        checkpoints: Option<(&MemoStore<FleetCheckpoint>, usize)>,
     ) -> FleetResult {
         assert!(replicas > 0, "a pool needs at least one replica");
         let engine = Engine::new(self.sim, self.model, config.engine);
@@ -1165,35 +1029,8 @@ impl<'a> FleetSim<'a> {
             fleet.push(event.time_ns, FleetEv::Fault(index));
         }
 
-        // The routed-prefix hook: restore the longest stored prefix.
-        let key_base = checkpoints.map(|_| self.checkpoint_key_base(config));
-        let key = |prefix: usize| {
-            let base = key_base.clone().expect("keys fold only when checkpointing");
-            fold_trace_prefix(base, trace, prefix).finish()
-        };
-        let mut start = 0usize;
-        if let Some((store, every)) = checkpoints {
-            if let Some((prefix, checkpoint)) =
-                longest_stored_prefix(store, trace.len(), every, key)
-            {
-                fleet.restore(&checkpoint);
-                start = prefix;
-            }
-            let labels: &[(&str, &str)] = &[("router", config.router.name())];
-            let outcome = if start > 0 {
-                "fleet_prefix_checkpoint_hits"
-            } else {
-                "fleet_prefix_checkpoint_misses"
-            };
-            self.metrics.counter(outcome, labels, 1);
-            self.metrics
-                .counter("fleet_prefix_arrivals_restored", labels, start as u64);
-            self.metrics
-                .counter("fleet_prefix_arrivals_total", labels, trace.len() as u64);
-        }
-
-        let free_run = plan.is_empty() && checkpoints.is_none() && config.router.load_oblivious();
-        let mut cursor = start;
+        let free_run = plan.is_empty() && config.router.load_oblivious();
+        let mut cursor = 0;
         loop {
             // Arrivals were created before any heap event, so they win ties.
             let arrival = trace.requests.get(cursor).filter(|request| {
@@ -1205,11 +1042,6 @@ impl<'a> FleetSim<'a> {
             if let Some(request) = arrival {
                 let (id, t) = (cursor, request.arrival_ns);
                 cursor += 1;
-                if let Some((store, every)) = checkpoints {
-                    if id > start && id % every == 0 {
-                        store.get_or_insert_with(key(id), || fleet.checkpoint(id));
-                    }
-                }
                 if !free_run {
                     fleet.step_live(t);
                 }
@@ -1245,11 +1077,6 @@ impl<'a> FleetSim<'a> {
                     generated,
                 } => fleet.resume(id, attempt, generated, t),
                 FleetEv::TimeoutCheck { id, attempt } => fleet.timeout_check(id, attempt, t),
-            }
-        }
-        if let Some((store, _)) = checkpoints {
-            if start < trace.len() {
-                store.get_or_insert_with(key(trace.len()), || fleet.checkpoint(trace.len()));
             }
         }
         // Requests still held never saw a live replica again: lost.
@@ -1565,25 +1392,6 @@ impl<'a> FleetSim<'a> {
         out.fault = stats;
         out
     }
-
-    /// The prefix-independent half of a checkpoint key: every semantic input
-    /// that shapes the fleet's state — system, model, mode, router, policy,
-    /// engine config, seed — and nothing that cannot change bits (the
-    /// ignored `workers`/`speculation` fields, `every` itself). Callers clone the
-    /// returned builder and fold the routed prefix as a standalone trace.
-    fn checkpoint_key_base(&self, config: &FleetConfig) -> FingerprintBuilder {
-        /// Domain tag separating checkpoint keys from every other memo key.
-        const PREFIX_CHECKPOINT_DOMAIN: u64 = 0xF1EE_7C8E;
-        FingerprintBuilder::new()
-            .u64(PREFIX_CHECKPOINT_DOMAIN)
-            .debug(self.sim.config())
-            .debug(self.model)
-            .debug(&config.mode)
-            .debug(&config.router)
-            .debug(&config.policy)
-            .debug(&config.engine)
-            .u64(config.seed)
-    }
 }
 
 /// Assembles a colocated fleet's per-replica results.
@@ -1789,25 +1597,6 @@ mod tests {
             pool.step_until(f64::INFINITY);
             assert_eq!(pool.loads, pool.rebuilt_loads(), "drained");
         }
-    }
-
-    /// Checkpointed colocated loop ≡ plain colocated loop, cold and warm, including a warm run that restores the full-trace checkpoint.
-    #[test]
-    fn checkpointed_driver_is_bit_identical_cold_and_warm() {
-        let (sim, model) = setup();
-        let fleet = FleetSim::new(&sim, &model);
-        let trace = small_trace(40);
-        let config = FleetConfig {
-            router: RouterKind::Jsq,
-            ..FleetConfig::colocated(3)
-        };
-        let expected = fleet.run(&trace, &config);
-        let store = MemoStore::new();
-        let cold = fleet.run_checkpointed(&trace, &config, &store, 16);
-        assert!(cold == expected, "cold checkpointed run diverged");
-        assert!(!store.is_empty(), "cold run stored no checkpoints");
-        let warm = fleet.run_checkpointed(&trace, &config, &store, 16);
-        assert!(warm == expected, "warm checkpointed run diverged");
     }
 
     #[test]

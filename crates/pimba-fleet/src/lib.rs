@@ -70,7 +70,7 @@ pub mod metrics;
 pub mod router;
 pub mod runner;
 
-pub use cluster::{FleetCheckpoint, FleetConfig, FleetMode, FleetSim};
+pub use cluster::{FleetConfig, FleetMode, FleetSim};
 pub use fault::{
     FaultError, FaultEvent, FaultKind, FaultPlan, FaultStats, RecoveryPolicy, RetryPolicy,
 };

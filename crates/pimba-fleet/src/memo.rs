@@ -6,7 +6,6 @@
 //! its `fleet_{traces,capacity,cells}.seg` segment names, disjoint from the
 //! traffic memo's so both can share one store directory.
 
-use crate::cluster::FleetCheckpoint;
 use crate::fault::FaultStats;
 use crate::router::RouterKind;
 use crate::runner::FleetRecord;
@@ -17,7 +16,7 @@ use pimba_serve::runner::{GridMemo, GridRecord};
 use pimba_system::persist::{ByteReader, ByteWriter, MemoValue};
 
 /// The memo of [`FleetRunner`](crate::runner::FleetRunner) grids.
-pub type FleetMemo = GridMemo<FleetRecord, FleetCheckpoint>;
+pub type FleetMemo = GridMemo<FleetRecord>;
 
 /// Schema tag of the [`FleetRecord`] codec (see [`pimba_serve::codec`] for
 /// the tagging convention).

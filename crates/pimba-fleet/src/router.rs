@@ -48,23 +48,13 @@ pub struct ReplicaLoad {
 }
 
 /// A request-routing policy.
-///
-/// `Send` is a supertrait so a boxed router can be stored in a shared
-/// checkpoint (the fleet memo's prefix checkpoints); routers are plain state
-/// machines, so every implementation satisfies it structurally.
-pub trait Router: Send {
+pub trait Router {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
 
     /// Picks the replica for arrival `id`. `loads` has one entry per replica
     /// of the pool; the returned index must be within it.
     fn route(&mut self, id: usize, request: &TraceRequest, loads: &[ReplicaLoad]) -> usize;
-
-    /// Clones the router's current state (rotation cursor, RNG stream
-    /// position) into an independent boxed copy. The memo grids fork a
-    /// stored checkpoint's router on every restore so the stored copy stays
-    /// pristine.
-    fn fork(&self) -> Box<dyn Router>;
 }
 
 /// Load-oblivious rotation over the pool.
@@ -76,10 +66,6 @@ pub struct RoundRobin {
 impl Router for RoundRobin {
     fn name(&self) -> &'static str {
         "round_robin"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(*self)
     }
 
     fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
@@ -97,10 +83,6 @@ pub struct JoinShortestQueue;
 impl Router for JoinShortestQueue {
     fn name(&self) -> &'static str {
         "jsq"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(*self)
     }
 
     fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
@@ -135,10 +117,6 @@ impl PowerOfTwoChoices {
 impl Router for PowerOfTwoChoices {
     fn name(&self) -> &'static str {
         "po2"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
     }
 
     fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
@@ -182,10 +160,6 @@ impl Default for TenantAffinity {
 impl Router for TenantAffinity {
     fn name(&self) -> &'static str {
         "tenant_affinity"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(*self)
     }
 
     fn route(&mut self, _id: usize, request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {

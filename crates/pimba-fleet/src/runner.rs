@@ -10,7 +10,7 @@
 //! bit-identical for any worker-thread count (each cell is a pure function
 //! of the grid).
 
-use crate::cluster::{FleetCheckpoint, FleetConfig, FleetMode, FleetSim};
+use crate::cluster::{FleetConfig, FleetMode, FleetSim};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::memo::FleetMemo;
 use crate::router::RouterKind;
@@ -112,14 +112,6 @@ pub struct FleetGrid {
     /// fault-free drivers. Folded into memo cell keys only when present, so
     /// fault-free grids keep their existing memo entries byte-for-byte.
     pub fault: Option<FaultPlan>,
-    /// Routed-prefix checkpoint stride for memoized colocated fault-free
-    /// cells: `> 0` runs [`FleetSim::run_checkpointed`], storing/restoring
-    /// fleet checkpoints every this many arrivals through the memo's
-    /// in-memory checkpoint store. `0` (the default) disables prefix reuse.
-    /// An execution knob — byte-identical either way and excluded from memo
-    /// cell keys (checkpointed cells run sequentially; the knob pays off
-    /// when traces share prefixes across cells, not within one).
-    pub prefix_checkpoint_every: usize,
 }
 
 impl FleetGrid {
@@ -145,7 +137,6 @@ impl FleetGrid {
             fast_forward: true,
             timeline_sample_every: 0,
             fault: None,
-            prefix_checkpoint_every: 0,
         }
     }
 
@@ -245,14 +236,6 @@ impl FleetGrid {
     /// every cell's topology (checked when the grid runs).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Enables routed-prefix checkpoints with the given stride (see
-    /// [`FleetGrid::prefix_checkpoint_every`]); requires a memo on the
-    /// runner to take effect.
-    pub fn with_prefix_checkpoints(mut self, every: usize) -> Self {
-        self.prefix_checkpoint_every = every;
         self
     }
 
@@ -402,34 +385,19 @@ impl FleetRunner {
     }
 
     /// Simulates one cell and summarizes it into its record.
-    fn eval(
-        &self,
-        grid: &FleetGrid,
-        cell: &GridCell<'_, FleetCheckpoint>,
-        control: &RunControl,
-    ) -> FleetRecord {
+    fn eval(&self, grid: &FleetGrid, cell: &GridCell<'_>, control: &RunControl) -> FleetRecord {
         let config = cell_config(grid, cell);
-        let mut fleet =
-            FleetSim::new(cell.sim, &grid.model).with_metrics(control.metrics().clone());
+        let mut fleet = FleetSim::new(cell.sim, &grid.model);
         if let Some(recorder) = &self.trace {
             fleet = fleet
                 .with_trace(Arc::clone(recorder))
                 .with_trace_prefix(&format!("cell {} / ", cell.index));
         }
-        let checkpoints = cell
-            .checkpoints
-            .filter(|_| grid.prefix_checkpoint_every > 0);
-        let result = match (&grid.fault, checkpoints) {
-            (Some(plan), _) => fleet
+        let result = match &grid.fault {
+            Some(plan) => fleet
                 .run_faulted(cell.trace, &config, plan)
                 .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
-            (None, Some(checkpoints)) => fleet.run_checkpointed(
-                cell.trace,
-                &config,
-                checkpoints,
-                grid.prefix_checkpoint_every,
-            ),
-            (None, None) => fleet.run(cell.trace, &config),
+            None => fleet.run(cell.trace, &config),
         };
         let index = cell.index.to_string();
         result.export_metrics(control.metrics(), &[("cell", &index)]);
@@ -454,7 +422,7 @@ impl FleetRunner {
 }
 
 /// The fleet configuration of one grid cell.
-fn cell_config(grid: &FleetGrid, cell: &GridCell<'_, FleetCheckpoint>) -> FleetConfig {
+fn cell_config(grid: &FleetGrid, cell: &GridCell<'_>) -> FleetConfig {
     let (_, _, _, reps, router) = grid.indices(cell.index);
     FleetConfig {
         mode: grid.mode.mode_for(grid.replica_counts[reps]),
@@ -480,7 +448,7 @@ fn cell_config(grid: &FleetGrid, cell: &GridCell<'_, FleetCheckpoint>) -> FleetC
 /// trace bits — and nothing that cannot change it (runner thread counts are
 /// an execution knob, deliberately excluded, so runs at any thread count
 /// share entries).
-fn cell_key(grid: &FleetGrid, cell: &GridCell<'_, FleetCheckpoint>) -> Fingerprint {
+fn cell_key(grid: &FleetGrid, cell: &GridCell<'_>) -> Fingerprint {
     let config = cell_config(grid, cell);
     let builder = FingerprintBuilder::new()
         .usize(cell.system)

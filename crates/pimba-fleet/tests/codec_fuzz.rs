@@ -1,18 +1,34 @@
-//! One parser, fuzzed once: `netline::Json` and the three JSON Lines readers
-//! built on it (`Trace::from_jsonl`, `FaultPlan::from_jsonl` and
-//! `obs::parse_jsonl`).
+//! Every reader of outside bytes, fuzzed: `netline::Json` and the three JSON
+//! Lines readers built on it (`Trace::from_jsonl`, `FaultPlan::from_jsonl`
+//! and `obs::parse_jsonl`), the binary memo codecs (`Trace`, `TrafficRecord`
+//! and `FleetRecord` decoding) and the on-disk `SegmentFile` log.
 //!
 //! * On arbitrary bytes and on single-byte mutations and truncations of
 //!   valid dumps, nothing panics, and every error carries a line in range and a byte offset
 //!   within that line.
 //! * Valid dumps round-trip bit for bit, including `u64::MAX` seeds and ids,
 //!   `-0.0`, the smallest subnormal and huge floats.
+//! * The binary decoders never panic on arbitrary or mutated bytes, and
+//!   reject every truncation of a valid encoding.
+//! * A segment file with any byte flipped or any tail cut off still opens:
+//!   it replays exactly the records before the damage, in order, and cuts
+//!   the file back to them.
 
 use netline::{Json, LineError};
 use pimba_fleet::fault::{FaultPlan, RecoveryPolicy};
-use pimba_serve::traffic::{Trace, TraceRequest};
+use pimba_fleet::router::RouterKind;
+use pimba_fleet::runner::{FleetGrid, FleetRecord, FleetRunner};
+use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
+use pimba_serve::runner::{TrafficGrid, TrafficRecord, TrafficRunner};
+use pimba_serve::traffic::{Scenario, Trace, TraceRequest};
+use pimba_system::config::{SystemConfig, SystemKind};
+use pimba_system::memo::Fingerprint;
 use pimba_system::obs::{parse_jsonl, render_jsonl, TraceEvent, TraceTrack};
+use pimba_system::persist::{ByteReader, ByteWriter, MemoValue, SegmentFile};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Floats at the edges of the shortest round-trip formatter.
 const EDGE_FLOATS: [f64; 6] = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 1e-5, 123456789.125];
@@ -260,5 +276,163 @@ proptest! {
         let tracks = vec![TraceTrack { name: "t".into(), events }];
         let back = parse_jsonl(&render_jsonl(&tracks)).expect("obs parses");
         prop_assert_eq!(bits(&back), bits(&tracks));
+    }
+}
+
+fn encode<T: MemoValue>(value: &T) -> Vec<u8> {
+    let mut out = ByteWriter::new();
+    value.encode(&mut out);
+    out.into_bytes()
+}
+
+/// Valid binary encodings of a trace, a traffic record and a fleet record,
+/// each checked to decode back to its value, consuming every byte.
+fn encodings() -> &'static [Vec<u8>; 3] {
+    static ENCODINGS: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
+        let systems = vec![SystemConfig::small_scale(SystemKind::Pimba)];
+        let traffic = TrafficRunner::new().with_threads(1).run(
+            &TrafficGrid::new(model.clone())
+                .with_systems(systems.clone())
+                .with_scenarios(vec![Scenario::chat()])
+                .with_rates(vec![20.0])
+                .with_requests_per_cell(12)
+                .with_seq_bucket(32),
+        );
+        let fleet = FleetRunner::new().with_threads(1).run(
+            &FleetGrid::new(model)
+                .with_systems(systems)
+                .with_scenarios(vec![Scenario::chat()])
+                .with_rates(vec![20.0])
+                .with_replica_counts(vec![2])
+                .with_routers(vec![RouterKind::Jsq])
+                .with_requests_per_cell(12),
+        );
+        let trace = edge_trace();
+        let encodings = [encode(&trace), encode(&traffic[0]), encode(&fleet[0])];
+        fn round_trip<T: MemoValue + PartialEq + std::fmt::Debug>(bytes: &[u8], value: &T) {
+            let mut reader = ByteReader::new(bytes);
+            assert_eq!(T::decode(&mut reader).as_ref(), Some(value));
+            assert!(reader.is_exhausted(), "decode left bytes unread");
+        }
+        round_trip(&encodings[0], &trace);
+        round_trip(&encodings[1], &traffic[0]);
+        round_trip(&encodings[2], &fleet[0]);
+        encodings
+    })
+}
+
+/// Decodes `bytes` as each record type (none may panic); entry `i` is
+/// `true` when the type of `encodings()[i]` accepts the bytes.
+fn decode_everything(bytes: &[u8]) -> [bool; 3] {
+    [
+        Trace::decode(&mut ByteReader::new(bytes)).is_some(),
+        TrafficRecord::decode(&mut ByteReader::new(bytes)).is_some(),
+        FleetRecord::decode(&mut ByteReader::new(bytes)).is_some(),
+    ]
+}
+
+/// A fresh segment path under the system temp directory, unique per case.
+fn segment_path() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!("pimba_codec_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir.join(format!("{}.seg", NEXT.fetch_add(1, Ordering::Relaxed)))
+}
+
+/// Opens the segment at `path`, collecting every replayed record; also
+/// returns the bytes dropped and the file length after the open.
+fn replay(path: &Path) -> (SegmentFile, Vec<(Fingerprint, Vec<u8>)>, u64, u64) {
+    let mut seen = Vec::new();
+    let (segment, report) = SegmentFile::open(path, |fp, payload| {
+        seen.push((fp, payload.to_vec()));
+        true
+    })
+    .expect("a damaged segment still opens");
+    assert_eq!(report.records, seen.len());
+    assert_eq!(report.undecodable, 0);
+    let len_after = std::fs::metadata(path).expect("segment exists").len();
+    (segment, seen, report.dropped_bytes, len_after)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn binary_decoders_never_panic_on_arbitrary_bytes(
+        which in 0usize..3,
+        bytes in prop::collection::vec(0u8..=255, 0..200),
+    ) {
+        decode_everything(&bytes);
+        // Behind a valid schema tag the decoders read past the first byte.
+        let mut tagged = bytes;
+        tagged.insert(0, encodings()[which][0]);
+        decode_everything(&tagged);
+    }
+
+    #[test]
+    fn binary_decoders_survive_mutations_and_reject_truncations(
+        which in 0usize..3,
+        at in 0usize..100_000,
+        byte in 0u8..=255,
+    ) {
+        let valid = &encodings()[which];
+        let at = at % valid.len();
+        prop_assert!(!decode_everything(&valid[..at])[which], "truncation at {at} decoded");
+        let mut mutated = valid.clone();
+        mutated[at] = byte;
+        decode_everything(&mutated);
+    }
+
+    #[test]
+    fn damaged_segments_replay_the_intact_prefix_and_cut_the_rest(
+        payloads in prop::collection::vec(prop::collection::vec(0u8..=255, 0..40), 1..6),
+        damage in 0u8..2,
+        at in 0usize..100_000,
+        mask in 1u8..=255,
+    ) {
+        let path = segment_path();
+        let written: Vec<(Fingerprint, Vec<u8>)> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| (Fingerprint::from_words(i as u64, !(i as u64)), payload))
+            .collect();
+        let mut ends = Vec::new();
+        {
+            let (mut segment, _) = SegmentFile::open(&path, |_, _| true).expect("create");
+            for (fp, payload) in &written {
+                segment.append(*fp, payload).expect("append");
+                ends.push(segment.len_bytes());
+            }
+        }
+        let mut data = std::fs::read(&path).expect("read segment");
+        let at = if damage == 0 {
+            let at = at % data.len();
+            data[at] ^= mask;
+            at
+        } else {
+            let at = at % (data.len() + 1);
+            data.truncate(at);
+            at
+        };
+        // Only records wholly before the flipped byte or the cut survive.
+        let intact = ends.iter().take_while(|&&end| end as usize <= at).count();
+        std::fs::write(&path, &data).expect("write damaged segment");
+
+        let (mut segment, seen, dropped, len_after) = replay(&path);
+        prop_assert_eq!(&seen[..], &written[..intact]);
+        prop_assert_eq!(dropped + segment.len_bytes(), data.len() as u64);
+        prop_assert_eq!(len_after, segment.len_bytes());
+
+        // The cut log stays appendable and reloads clean.
+        let extra = (Fingerprint::from_words(u64::MAX, 0), b"after".to_vec());
+        segment.append(extra.0, &extra.1).expect("append after damage");
+        drop(segment);
+        let (_, seen, dropped, _) = replay(&path);
+        prop_assert_eq!(dropped, 0);
+        prop_assert_eq!(seen.len(), intact + 1);
+        prop_assert_eq!(seen.last(), Some(&extra));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -435,7 +435,7 @@ impl EngineView<'_> {
 /// dispatch. Here `pop_front` just advances a head index (the prefix is
 /// compacted away only once it outgrows the live tail), so `as_slice` is
 /// always free.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FifoQueue {
     items: Vec<WaitingRequest>,
     head: usize,
@@ -493,7 +493,6 @@ impl FifoQueue {
 /// identical ordering, and the only source that accepts arrivals appended
 /// mid-run (a late arrival tying with an already-scheduled work completion
 /// still pops first, which a seq-numbered heap would get backwards).
-#[derive(Clone)]
 enum Events {
     Heap(EventQueue),
     Single(SingleFlightEvents),
@@ -830,44 +829,6 @@ impl<'a> Engine<'a> {
         session.step_until(f64::INFINITY, scheduler);
         session.finish()
     }
-}
-
-/// A point-in-time copy of a [`Session`]'s whole mutable state — everything
-/// [`Session::restore`] needs to rewind the session to this instant, bit for
-/// bit: the event source (arrival cursor, pending arrivals, any in-flight
-/// work completion), the request table, the admission queue, both batch
-/// slots, the eviction pool, preemption counters, outcome vectors, the
-/// completion log and drain cursor, telemetry aggregates, the clock, and the
-/// compute scale.
-///
-/// Cost is `O(live state)`: proportional to requests injected plus telemetry
-/// samples recorded so far — independent of simulated time. Two things are
-/// deliberately NOT captured: the latency memos (pure caches — a restored
-/// session may retain entries the snapshot-time session had not filled yet,
-/// but every value read is identical either way) and the trace sink
-/// (write-only observability owned by the live session).
-///
-/// Snapshots are plain owned data (`Send + Sync`, no borrow of the engine),
-/// so a checkpoint taken in one session can be [`Session::restore`]d into a
-/// fresh session built by the *same configuration's* [`Engine::session`] —
-/// the cross-cell prefix-checkpoint reuse of the fleet memo grids.
-#[derive(Clone)]
-pub struct SessionSnapshot {
-    events: Events,
-    requests: Vec<SessionRequest>,
-    queue: FifoQueue,
-    prefilling: Vec<BatchSlot>,
-    running: Vec<BatchSlot>,
-    evicted: Vec<EvictedRequest>,
-    preemption: PreemptionStats,
-    work: Option<Work>,
-    first_token: Vec<f64>,
-    completion: Vec<f64>,
-    completed_log: Vec<usize>,
-    drained: usize,
-    telemetry: Telemetry,
-    now_ns: f64,
-    compute_scale: f64,
 }
 
 /// One steppable engine run: the whole state of a simulation between events,
@@ -1286,57 +1247,6 @@ impl<'a> Session<'a> {
     fn record_sample(&mut self) {
         let (queue_depth, occupancy) = (self.queue.len(), self.occupancy());
         self.telemetry.record(self.now_ns, queue_depth, occupancy);
-    }
-
-    /// Captures a [`SessionSnapshot`] of the session's entire mutable state
-    /// (see the snapshot type for exactly what is and is not copied). Valid
-    /// at any point — including mid-macro-step, while a fast-forward decode
-    /// segment is parked in the event source as an in-flight work completion.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        let _phase = pimba_system::obs::profile_phase("snapshot_clone");
-        SessionSnapshot {
-            events: self.events.clone(),
-            requests: self.requests.clone(),
-            queue: self.queue.clone(),
-            prefilling: self.prefilling.clone(),
-            running: self.running.clone(),
-            evicted: self.evicted.clone(),
-            preemption: self.preemption,
-            work: self.work.clone(),
-            first_token: self.first_token.clone(),
-            completion: self.completion.clone(),
-            completed_log: self.completed_log.clone(),
-            drained: self.drained,
-            telemetry: self.telemetry.clone(),
-            now_ns: self.now_ns,
-            compute_scale: self.compute_scale,
-        }
-    }
-
-    /// Rewinds the session to `snap`, bit for bit: stepping a restored
-    /// session is indistinguishable from a session that never advanced past
-    /// the snapshot (the determinism gate in this module's tests). Also valid
-    /// on a *fresh* session built by the same engine configuration's
-    /// [`Engine::session`] — the cross-cell prefix-checkpoint restore of the
-    /// memo grids. The latency memos and the trace sink stay with the live
-    /// session (see [`SessionSnapshot`]).
-    pub fn restore(&mut self, snap: &SessionSnapshot) {
-        let _phase = pimba_system::obs::profile_phase("rollback");
-        self.events = snap.events.clone();
-        self.requests.clone_from(&snap.requests);
-        self.queue = snap.queue.clone();
-        self.prefilling.clone_from(&snap.prefilling);
-        self.running.clone_from(&snap.running);
-        self.evicted.clone_from(&snap.evicted);
-        self.preemption = snap.preemption;
-        self.work.clone_from(&snap.work);
-        self.first_token.clone_from(&snap.first_token);
-        self.completion.clone_from(&snap.completion);
-        self.completed_log.clone_from(&snap.completed_log);
-        self.drained = snap.drained;
-        self.telemetry = snap.telemetry.clone();
-        self.now_ns = snap.now_ns;
-        self.compute_scale = snap.compute_scale;
     }
 
     /// Consumes the session into its [`SimResult`]. Outcomes come back in
@@ -2262,92 +2172,6 @@ mod tests {
             h *= 1.31;
         }
         assert_eq!(session.finish(), expected);
-    }
-
-    /// `SessionSnapshot` must stay shippable and shareable: the fleet memo
-    /// stores checkpoints in a concurrent store read from sweep worker
-    /// threads. Compile-time assertion, like `sessions_are_send`.
-    #[test]
-    fn snapshots_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SessionSnapshot>();
-    }
-
-    /// The determinism gate of `Session::snapshot`/`Session::restore`:
-    /// restore-then-step must be bit-identical to a session that never
-    /// snapshotted. Exercised at window horizons deliberately unaligned with
-    /// event times, so with fast-forward on, snapshots land *mid-macro-step*
-    /// (a decode segment parked in the event source as in-flight work). Each
-    /// round also over-steps the future with a forked policy before rewinding
-    /// — the restore must erase every trace of the speculative excursion.
-    #[test]
-    fn restore_then_step_is_bit_identical_to_never_snapshotted() {
-        let (sim, model) = setup();
-        let t = trace();
-        for fast_forward in [true, false] {
-            for policy in [
-                &mut FcfsStatic as &mut dyn Scheduler,
-                &mut ContinuousBatching,
-                &mut ChunkedPrefill::new(64),
-            ] {
-                let config = EngineConfig {
-                    fast_forward,
-                    seq_bucket: 16,
-                    max_batch: 8,
-                    ..EngineConfig::default()
-                };
-                let engine = Engine::new(&sim, &model, config);
-                let expected = engine.run(&t, policy);
-
-                let mut session = engine.session(4096, 4096);
-                for (id, r) in t.requests.iter().enumerate() {
-                    session.inject(id, *r);
-                }
-                let mut h = 0.37e6;
-                while session.next_event_time_ns().is_some() {
-                    let snap = session.snapshot();
-                    let mut scout = policy.fork();
-                    session.step_until(h * 2.7, scout.as_mut());
-                    session.restore(&snap);
-                    session.step_until(h, policy);
-                    h *= 1.31;
-                }
-                let got = session.finish();
-                assert_eq!(got, expected, "ff={fast_forward} policy={}", policy.name());
-            }
-        }
-    }
-
-    /// A snapshot restored into a *fresh* session from the same engine
-    /// configuration (the memo grids' prefix-checkpoint reuse) must continue
-    /// bit-identically: checkpoint a session that injected a trace prefix,
-    /// restore it elsewhere, inject the tail, and match the cold full run.
-    #[test]
-    fn snapshot_restores_into_a_fresh_session_bit_for_bit() {
-        let (sim, model) = setup();
-        let t = trace();
-        let engine = Engine::new(&sim, &model, EngineConfig::default());
-        let mut policy = ContinuousBatching;
-        let expected = engine.run(&t, &mut policy);
-
-        for prefix in [1, t.len() / 2, t.len() - 1] {
-            let mut source = engine.session(4096, 4096);
-            for (id, r) in t.requests.iter().enumerate().take(prefix) {
-                source.step_until(r.arrival_ns, &mut policy);
-                source.inject(id, *r);
-            }
-            let snap = source.snapshot();
-
-            let mut warm = engine.session(4096, 4096);
-            warm.restore(&snap);
-            assert_eq!(warm.injected(), prefix);
-            for (id, r) in t.requests.iter().enumerate().skip(prefix) {
-                warm.step_until(r.arrival_ns, &mut policy);
-                warm.inject(id, *r);
-            }
-            warm.step_until(f64::INFINITY, &mut policy);
-            assert_eq!(warm.finish(), expected, "prefix={prefix}");
-        }
     }
 
     /// A fully prefilled injection (the decode side of a disaggregated

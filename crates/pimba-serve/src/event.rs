@@ -48,7 +48,7 @@ impl PartialOrd for Event {
 }
 
 /// Earliest-first event queue.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
     next_seq: u64,
@@ -106,7 +106,7 @@ impl EventQueue {
 /// order, matching the heap's insertion-sequence tie-break), and an arrival
 /// ties ahead of a simultaneous `WorkDone` (its insertion sequence is always
 /// lower, since all arrivals are pushed before any work completes).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SingleFlightEvents {
     /// Arrival timestamps in pop order.
     times: Vec<f64>,

@@ -113,16 +113,13 @@ pub mod traffic;
 
 pub use engine::{
     AdmissionMode, BatchSlot, CompletedRequest, Engine, EngineConfig, EngineView, EvictedRequest,
-    Session, SessionSnapshot,
+    Session,
 };
 pub use metrics::{
     Percentiles, PreemptionStats, RequestOutcome, SimResult, SloSpec, Telemetry, TelemetryStats,
     TenantSlos, TenantSummary, TimelinePoint, TrafficSummary,
 };
-pub use runner::{
-    fold_trace_prefix, slo_curve, GridMemo, SessionCheckpoint, TrafficGrid, TrafficMemo,
-    TrafficRecord, TrafficRunner,
-};
+pub use runner::{slo_curve, GridMemo, TrafficGrid, TrafficMemo, TrafficRecord, TrafficRunner};
 pub use sched::{
     Action, ChunkedPrefill, ContinuousBatching, DecodeStability, FcfsStatic,
     MemoryPressureEviction, PolicyKind, Scheduler, VictimOrder, WeightedFairQueueing,

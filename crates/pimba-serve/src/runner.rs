@@ -11,15 +11,14 @@
 //! systems are compared under *identical* arrival sequences; records come back
 //! in grid order and are bit-identical for any thread count.
 
-use crate::engine::{AdmissionMode, Engine, EngineConfig, SessionSnapshot};
-use crate::metrics::SimResult;
+use crate::engine::{AdmissionMode, Engine, EngineConfig};
 use crate::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
-use crate::sched::{PolicyKind, Scheduler};
+use crate::sched::PolicyKind;
 use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
-use pimba_system::obs::{MetricsHub, TraceRecorder, TraceSink};
+use pimba_system::obs::{TraceRecorder, TraceSink};
 use pimba_system::persist::{LoadReport, MemoValue};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
@@ -29,29 +28,15 @@ use rand::rngs::Pcg32;
 use rand::Rng;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Folds a trace's raw request bits into `builder` — the content identity of
 /// the arrival stream, independent of how it was generated. The trace half of
 /// every memoized grid-cell key (the other half fingerprints the cell's
 /// config).
-pub fn fold_trace(builder: FingerprintBuilder, trace: &Trace) -> FingerprintBuilder {
-    fold_trace_prefix(builder, trace, trace.requests.len())
-}
-
-/// Folds the first `prefix` requests of `trace` exactly as [`fold_trace`]
-/// folds a standalone trace of that length: a prefix fingerprint equals the
-/// fingerprint of the prefix *as its own trace*. That equality is what makes
-/// routed-prefix checkpoints reusable across grid cells — a longer trace that
-/// shares the first `prefix` arrivals addresses the same checkpoint a shorter
-/// run stored.
-pub fn fold_trace_prefix(
-    mut builder: FingerprintBuilder,
-    trace: &Trace,
-    prefix: usize,
-) -> FingerprintBuilder {
-    builder = builder.usize(prefix);
-    for r in &trace.requests[..prefix] {
+pub fn fold_trace(mut builder: FingerprintBuilder, trace: &Trace) -> FingerprintBuilder {
+    builder = builder.usize(trace.requests.len());
+    for r in &trace.requests {
         builder = builder
             .f64(r.arrival_ns)
             .usize(r.prompt_len)
@@ -65,105 +50,6 @@ pub fn fold_trace_prefix(
 /// The content address of a trace on its own.
 pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
     fold_trace(FingerprintBuilder::new(), trace).finish()
-}
-
-/// The longest routed prefix of a `len`-arrival trace with a checkpoint in
-/// `store`, probing the whole trace first, then multiples of `every`
-/// descending; `key_of(prefix)` is the checkpoint key of each probe. Returns
-/// the prefix length and its checkpoint, or `None` when no probe hits.
-pub fn longest_stored_prefix<C>(
-    store: &MemoStore<C>,
-    len: usize,
-    every: usize,
-    key_of: impl Fn(usize) -> Fingerprint,
-) -> Option<(usize, Arc<C>)> {
-    let mut probe = len;
-    while probe > 0 {
-        if let Some(checkpoint) = store.get(key_of(probe)) {
-            return Some((probe, checkpoint));
-        }
-        probe = (probe - 1) / every * every;
-    }
-    None
-}
-
-/// The incremental-session driver with routed-prefix checkpointing: restores
-/// the longest stored checkpoint whose key (from `key_of`) matches a prefix
-/// of `trace`, simulates only the tail, and stores fresh checkpoints every
-/// `every` arrivals (and at the trace end) for later cells to reuse.
-/// Byte-identical to [`Engine::run`] on the same trace: feeding a session
-/// arrival by arrival with exclusive step horizons is bit-equivalent to the
-/// preloaded run (engine module docs), and restore-then-continue is
-/// bit-equivalent to never snapshotting (the engine's snapshot determinism
-/// gate).
-fn run_trace_checkpointed(
-    engine: &Engine<'_>,
-    trace: &Trace,
-    policy: PolicyKind,
-    checkpoints: &MemoStore<SessionCheckpoint>,
-    every: usize,
-    key_of: impl Fn(usize) -> Fingerprint,
-    metrics: &MetricsHub,
-) -> SimResult {
-    let max_seq = trace
-        .requests
-        .iter()
-        .map(|r| r.prompt_len + r.output_len)
-        .max()
-        .unwrap_or(1);
-    let max_prompt = trace
-        .requests
-        .iter()
-        .map(|r| r.prompt_len)
-        .max()
-        .unwrap_or(1);
-    let mut session = engine.session(max_seq, max_prompt);
-    let mut scheduler = policy.build();
-
-    let mut start = 0usize;
-    if let Some((prefix, cp)) = longest_stored_prefix(checkpoints, trace.len(), every, &key_of) {
-        session.restore(&cp.snap);
-        scheduler = cp
-            .scheduler
-            .lock()
-            .expect("checkpoint scheduler poisoned")
-            .fork();
-        start = prefix;
-    }
-    metrics.counter(
-        if start > 0 {
-            "traffic_prefix_checkpoint_hits"
-        } else {
-            "traffic_prefix_checkpoint_misses"
-        },
-        &[],
-        1,
-    );
-    metrics.counter("traffic_prefix_arrivals_restored", &[], start as u64);
-    metrics.counter(
-        "traffic_prefix_arrivals_total",
-        &[],
-        trace.requests.len() as u64,
-    );
-
-    for (id, request) in trace.requests.iter().enumerate().skip(start) {
-        if id > start && id % every == 0 {
-            checkpoints.get_or_insert_with(key_of(id), || SessionCheckpoint {
-                snap: session.snapshot(),
-                scheduler: Mutex::new(scheduler.fork()),
-            });
-        }
-        session.step_until(request.arrival_ns, scheduler.as_mut());
-        session.inject(id, *request);
-    }
-    if start < trace.requests.len() {
-        checkpoints.get_or_insert_with(key_of(trace.requests.len()), || SessionCheckpoint {
-            snap: session.snapshot(),
-            scheduler: Mutex::new(scheduler.fork()),
-        });
-    }
-    session.step_until(f64::INFINITY, scheduler.as_mut());
-    session.finish()
 }
 
 /// A grid cell record a [`GridMemo`] persists: its codec plus the names of
@@ -181,13 +67,15 @@ pub trait GridRecord: MemoValue {
 /// [`pimba_system::memo`] for the purity contract), so re-running a grid with
 /// one knob changed only pays for the cells whose inputs changed. Execution
 /// knobs that cannot change bits — thread counts — are
-/// deliberately excluded, so any run warms the memo for any other.
+/// deliberately excluded, so any run warms the memo for any other. The memo
+/// holds results only: a cell it misses is simulated cold, from its first
+/// arrival.
 ///
-/// `R` is the cell record and `C` the routed-prefix checkpoint:
-/// [`TrafficMemo`] for [`TrafficRunner`], `pimba_fleet`'s `FleetMemo` for
-/// its fleet runner. Both drive their memo through [`run_grid`].
+/// `R` is the cell record: [`TrafficMemo`] holds [`TrafficRunner`]'s,
+/// `pimba_fleet`'s `FleetMemo` its fleet runner's. Both drive their memo
+/// through [`run_grid`].
 #[derive(Debug)]
-pub struct GridMemo<R, C> {
+pub struct GridMemo<R> {
     /// Per-(scenario, rate, request-count, seed) arrival traces.
     traces: MemoStore<Trace>,
     /// Per-(system, scenario) SLO batch-capacity searches.
@@ -195,29 +83,23 @@ pub struct GridMemo<R, C> {
     /// Fully evaluated grid cells: a warm hit skips the whole simulation and
     /// returns bytes identical to a cold run.
     cells: MemoStore<R>,
-    /// Routed-prefix checkpoints: execution accelerators keyed by (semantic
-    /// config, trace prefix). **In-memory only** — [`GridMemo::persistent`]
-    /// deliberately does not persist them; results are what the disk holds,
-    /// checkpoints are rebuilt warm within a process.
-    checkpoints: MemoStore<C>,
 }
 
 /// The memo of [`TrafficRunner`] grids.
-pub type TrafficMemo = GridMemo<TrafficRecord, SessionCheckpoint>;
+pub type TrafficMemo = GridMemo<TrafficRecord>;
 
-// Manual impl: the derive would demand `R: Default, C: Default`.
-impl<R, C> Default for GridMemo<R, C> {
+// Manual impl: the derive would demand `R: Default`.
+impl<R> Default for GridMemo<R> {
     fn default() -> Self {
         Self {
             traces: MemoStore::new(),
             max_batches: MemoStore::new(),
             cells: MemoStore::new(),
-            checkpoints: MemoStore::new(),
         }
     }
 }
 
-impl<R, C> GridMemo<R, C> {
+impl<R> GridMemo<R> {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
@@ -239,8 +121,6 @@ impl<R, C> GridMemo<R, C> {
             traces: MemoStore::persistent(&traces)?,
             max_batches: MemoStore::persistent(&capacity)?,
             cells: MemoStore::persistent(&cells)?,
-            // Checkpoints stay in memory even for disk-backed memos.
-            checkpoints: MemoStore::new(),
         })
     }
 
@@ -274,16 +154,6 @@ impl<R, C> GridMemo<R, C> {
     /// Number of memoized grid cells.
     pub fn cells_stored(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of stored routed-prefix checkpoints.
-    pub fn checkpoints_stored(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Hit/miss counters of the routed-prefix checkpoint store.
-    pub fn checkpoint_stats(&self) -> MemoStats {
-        self.checkpoints.stats()
     }
 
     /// Every memoized cell fingerprint, sorted by `(hi, lo)` words (a
@@ -325,27 +195,6 @@ impl<R, C> GridMemo<R, C> {
         Ok(self.traces.compact(threshold)?
             + self.max_batches.compact(threshold)?
             + self.cells.compact(threshold)?)
-    }
-}
-
-/// A routed-prefix checkpoint of one single-replica cell: the engine session
-/// after injecting the first `p` trace arrivals (stepped strictly before the
-/// `p`-th arrival instant) plus its scheduler state — a pure function of the
-/// prefix and the cell's semantic config, which is exactly what its content
-/// address covers. A later cell whose trace shares the prefix restores it
-/// and simulates only the tail, byte-identical to a cold run.
-pub struct SessionCheckpoint {
-    /// The session state ([`crate::engine::Session::snapshot`]).
-    snap: SessionSnapshot,
-    /// Scheduler state behind a mutex only to make the stored trait object
-    /// shareable; restores fork the state out and never mutate the stored
-    /// copy.
-    scheduler: Mutex<Box<dyn Scheduler>>,
-}
-
-impl std::fmt::Debug for SessionCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCheckpoint").finish_non_exhaustive()
     }
 }
 
@@ -411,7 +260,7 @@ pub struct GridAxes<'g> {
 /// One cell of a [`run_grid`] run, handed to the runner's key and eval
 /// closures.
 #[derive(Debug)]
-pub struct GridCell<'g, C> {
+pub struct GridCell<'g> {
     /// Flat index in grid order.
     pub index: usize,
     /// Index into [`GridAxes::systems`].
@@ -426,8 +275,6 @@ pub struct GridCell<'g, C> {
     pub trace: &'g Trace,
     /// The per-replica batch cap of the (system, scenario).
     pub max_batch: usize,
-    /// The memo's routed-prefix checkpoint store, when a memo is attached.
-    pub checkpoints: Option<&'g MemoStore<C>>,
 }
 
 /// The front half both grid runners share. Flat cell `i` maps to its
@@ -443,17 +290,20 @@ pub struct GridCell<'g, C> {
 /// cell-granular cancellation follow `control` — a cancelled run returns
 /// [`RunAborted`], and cells finished before the flag went up stay in the
 /// memo.
-pub fn run_grid<R, C>(
+///
+/// `eval` runs only on a miss, so a memo-warm cell exports nothing to
+/// `control`'s metrics hub: the hub gains per-cell series only for the cells
+/// this run simulated.
+pub fn run_grid<R>(
     runner: &SweepRunner,
     grid: &GridAxes<'_>,
-    memo: Option<&GridMemo<R, C>>,
+    memo: Option<&GridMemo<R>>,
     control: &RunControl,
-    key: impl Fn(&GridCell<'_, C>) -> Fingerprint + Sync,
-    eval: impl Fn(&GridCell<'_, C>) -> R + Sync,
+    key: impl Fn(&GridCell<'_>) -> Fingerprint + Sync,
+    eval: impl Fn(&GridCell<'_>) -> R + Sync,
 ) -> Result<Vec<R>, RunAborted>
 where
     R: Clone + Send + Sync,
-    C: Send + Sync,
 {
     let (scenarios, rates) = (grid.scenarios.len(), grid.rates_rps.len());
     let total = grid.systems.len() * scenarios * rates * grid.cells_per_point;
@@ -526,7 +376,6 @@ where
             sim: &sims[system],
             trace: &traces[scenario * rates + rate],
             max_batch: max_batches[system * scenarios + scenario],
-            checkpoints: memo.map(|memo| &memo.checkpoints),
         };
         let record = match memo {
             Some(memo) => (*memo.cells.get_or_insert_with(key(&cell), || eval(&cell))).clone(),
@@ -578,14 +427,6 @@ pub struct TrafficGrid {
     pub fast_forward: bool,
     /// Timeline decimation (see [`EngineConfig::timeline_sample_every`]).
     pub timeline_sample_every: usize,
-    /// Routed-prefix checkpoint stride for memoized cells: `> 0` stores and
-    /// restores session checkpoints every this many arrivals through the
-    /// memo's in-memory checkpoint store, so cells whose traces share a
-    /// prefix simulate only their divergent tails. `0` (the default)
-    /// disables prefix reuse. An execution knob — byte-identical either way
-    /// and excluded from memo cell keys; requires a memo on the runner and
-    /// no attached trace recorder to take effect.
-    pub prefix_checkpoint_every: usize,
 }
 
 impl TrafficGrid {
@@ -608,7 +449,6 @@ impl TrafficGrid {
             seq_bucket: 1,
             fast_forward: true,
             timeline_sample_every: 1,
-            prefix_checkpoint_every: 0,
         }
     }
 
@@ -694,13 +534,6 @@ impl TrafficGrid {
     /// points; aggregate metrics are exact in all cases).
     pub fn with_timeline_sampling(mut self, sample_every: usize) -> Self {
         self.timeline_sample_every = sample_every;
-        self
-    }
-
-    /// Enables routed-prefix checkpoints with the given stride (see
-    /// [`TrafficGrid::prefix_checkpoint_every`]).
-    pub fn with_prefix_checkpoints(mut self, every: usize) -> Self {
-        self.prefix_checkpoint_every = every;
         self
     }
 
@@ -826,7 +659,7 @@ impl TrafficRunner {
     ) -> Result<Vec<TrafficRecord>, RunAborted> {
         // Everything the record is a function of; the thread count is an
         // execution knob and excluded.
-        let key = |cell: &GridCell<'_, SessionCheckpoint>| {
+        let key = |cell: &GridCell<'_>| {
             let builder = FingerprintBuilder::new()
                 .usize(cell.system)
                 .usize(cell.scenario)
@@ -850,51 +683,16 @@ impl TrafficRunner {
     }
 
     /// Simulates one cell and summarizes it into its record.
-    fn eval(
-        &self,
-        grid: &TrafficGrid,
-        cell: &GridCell<'_, SessionCheckpoint>,
-        control: &RunControl,
-    ) -> TrafficRecord {
+    fn eval(&self, grid: &TrafficGrid, cell: &GridCell<'_>, control: &RunControl) -> TrafficRecord {
         let (sim, trace) = (cell.sim, cell.trace);
         let engine_config = grid.engine_config(cell.max_batch);
         let engine = Engine::new(sim, &grid.model, engine_config);
-        let checkpointing = cell.checkpoints.filter(|_| {
-            grid.prefix_checkpoint_every > 0 && self.trace.is_none() && !trace.requests.is_empty()
-        });
-        let result = if let Some(checkpoints) = checkpointing {
-            // Snapshots don't capture trace sinks, so the checkpointed driver
-            // only runs untraced (gated above).
-            /// Domain tag separating session-checkpoint keys from every other
-            /// memo key.
-            const SESSION_CHECKPOINT_DOMAIN: u64 = 0xC0FF_EE7C;
-            // The Debug-rendered config half of the key is identical for
-            // every probe and store — fold it once per cell.
-            let key_base = FingerprintBuilder::new()
-                .u64(SESSION_CHECKPOINT_DOMAIN)
-                .debug(sim.config())
-                .debug(&grid.model)
-                .debug(&grid.policy)
-                .debug(&engine_config);
-            let key_of =
-                |prefix: usize| fold_trace_prefix(key_base.clone(), trace, prefix).finish();
-            run_trace_checkpointed(
-                &engine,
-                trace,
-                grid.policy,
-                checkpoints,
-                grid.prefix_checkpoint_every,
-                key_of,
-                control.metrics(),
-            )
-        } else {
-            let mut policy = grid.policy.build();
-            let sink = match &self.trace {
-                Some(recorder) => recorder.track(&format!("cell {}", cell.index)),
-                None => TraceSink::disabled(),
-            };
-            engine.run_traced(trace, policy.as_mut(), sink)
+        let mut policy = grid.policy.build();
+        let sink = match &self.trace {
+            Some(recorder) => recorder.track(&format!("cell {}", cell.index)),
+            None => TraceSink::disabled(),
         };
+        let result = engine.run_traced(trace, policy.as_mut(), sink);
         let index = cell.index.to_string();
         result.export_metrics(control.metrics(), &[("cell", &index)]);
         let tenant_slos = grid
@@ -965,33 +763,6 @@ mod tests {
 
         // The memo is invisible in the results.
         assert_eq!(TrafficRunner::new().run(&grid), cold);
-    }
-
-    #[test]
-    fn prefix_checkpointed_grids_match_plain_grids_and_reuse_across_cells() {
-        let grid = small_grid();
-        let plain = TrafficRunner::new().run(&grid);
-
-        let memo = Arc::new(TrafficMemo::new());
-        let checkpointed = grid.clone().with_prefix_checkpoints(10);
-        let cold = TrafficRunner::new()
-            .with_memo(memo.clone())
-            .run(&checkpointed);
-        assert_eq!(cold, plain, "checkpointed cells must be byte-identical");
-        assert!(memo.checkpoints_stored() > 0, "cold run stores checkpoints");
-        let cold_hits = memo.checkpoint_stats().hits;
-
-        // A grid that only extends each cell's trace shares every stored
-        // prefix: trace generation draws per-request, so the first 40
-        // arrivals of the 60-request trace are the 40-request trace.
-        let longer = checkpointed.clone().with_requests_per_cell(60);
-        let longer_plain = TrafficRunner::new().run(&longer);
-        let warm = TrafficRunner::new().with_memo(memo.clone()).run(&longer);
-        assert_eq!(warm, longer_plain, "prefix-warm cells must match cold");
-        assert!(
-            memo.checkpoint_stats().hits > cold_hits,
-            "longer cells restore the shorter grid's routed prefixes"
-        );
     }
 
     #[test]

@@ -176,19 +176,6 @@ pub trait Scheduler: Send {
     fn decode_stability(&self, _view: &EngineView<'_>) -> DecodeStability {
         DecodeStability::PerStep
     }
-
-    /// Clones the policy's current state into an independent boxed copy — the
-    /// scheduler half of a replica checkpoint, taken alongside
-    /// [`Session::snapshot`](crate::engine::Session::snapshot). The memo
-    /// grids fork a stored checkpoint's policy on every restore so the stored
-    /// copy stays pristine.
-    ///
-    /// Every shipped policy overrides this with a plain state clone. The
-    /// default panics: a custom policy that never meets a checkpointing
-    /// driver need not be forkable.
-    fn fork(&self) -> Box<dyn Scheduler> {
-        panic!("scheduler '{}' does not support forking", self.name());
-    }
 }
 
 /// FCFS static batching: a batch is admitted only when the previous one has
@@ -221,10 +208,6 @@ impl Scheduler for FcfsStatic {
     fn decode_stability(&self, _view: &EngineView<'_>) -> DecodeStability {
         DecodeStability::UntilBatchDrains
     }
-
-    fn fork(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
-    }
 }
 
 /// Continuous batching with prefill priority: at every boundary, admit as many
@@ -256,10 +239,6 @@ impl Scheduler for ContinuousBatching {
     /// [`DecodeStability::UntilAdmissible`] encodes.
     fn decode_stability(&self, _view: &EngineView<'_>) -> DecodeStability {
         DecodeStability::UntilAdmissible
-    }
-
-    fn fork(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
     }
 }
 
@@ -311,10 +290,6 @@ impl Scheduler for ChunkedPrefill {
     /// continuous batching.
     fn decode_stability(&self, _view: &EngineView<'_>) -> DecodeStability {
         DecodeStability::UntilAdmissible
-    }
-
-    fn fork(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
     }
 }
 
@@ -573,10 +548,6 @@ impl Scheduler for MemoryPressureEviction {
             AdmissionMode::LiveOccupancy => DecodeStability::PerStep,
         }
     }
-
-    fn fork(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
-    }
 }
 
 /// Weighted fair queueing across tenant priority classes: queued requests are
@@ -765,10 +736,6 @@ impl Scheduler for WeightedFairQueueing {
     /// fast-forward bit-identity).
     fn decode_stability(&self, _view: &EngineView<'_>) -> DecodeStability {
         DecodeStability::UntilAdmissible
-    }
-
-    fn fork(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
     }
 }
 

@@ -45,10 +45,8 @@ impl Fingerprint {
     }
 }
 
-/// Incremental builder of a [`Fingerprint`]. `Clone` lets callers fold an
-/// expensive common prefix once (e.g. a `Debug`-rendered config) and branch
-/// cheap per-key suffixes off it.
-#[derive(Debug, Default, Clone)]
+/// Incremental builder of a [`Fingerprint`].
+#[derive(Debug, Default)]
 pub struct FingerprintBuilder {
     a: FxHasher,
     b: FxHasher,

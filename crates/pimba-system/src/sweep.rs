@@ -25,7 +25,7 @@ use crate::serving::{ServingSimulator, StepBreakdown};
 use pimba_models::config::ModelConfig;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cooperative execution control for a long grid run: an optional per-cell
 /// progress callback and an optional cancellation flag, polled between cells.
@@ -87,7 +87,8 @@ impl RunControl {
     /// through it (and export their per-run summary series into it), so a
     /// mid-run [`MetricsHub::snapshot`](crate::obs::MetricsHub::snapshot)
     /// sees where a long grid stands. Observability only — attaching a hub
-    /// never changes results.
+    /// never changes results. Per-cell series come only from cells the run
+    /// simulates: a memo hit skips evaluation and so exports nothing.
     pub fn with_metrics(mut self, metrics: crate::obs::MetricsHub) -> Self {
         self.metrics = metrics;
         self
@@ -286,11 +287,16 @@ impl Default for SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner using every available core.
+    /// A runner using every available core. The core count is read once
+    /// per process: daemons build a runner per job, and the query costs a
+    /// syscall.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let threads = *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        });
         Self { threads }
     }
 
