@@ -2,19 +2,24 @@
 //! recorder and a metrics hub attached, and the three observability exports
 //! (`TraceRecorder::to_jsonl`, `TraceRecorder::to_chrome_json` and
 //! `MetricsHub::to_json`) are hashed and compared with recorded constants.
+//! Two more grids pin `MetricsHub::to_json` alone: a multi-tenant traffic
+//! grid (per-tenant series) and a disaggregated multi-tenant fleet grid
+//! (`prefill`/`decode` role labels).
 //!
 //! These bytes are what external tools (Perfetto, `jq`, dashboards) read. A
 //! change to a writer that moves a single byte of them makes this test loud.
 
 use pimba::fleet::fault::{FaultPlan, RecoveryPolicy};
 use pimba::fleet::router::RouterKind;
-use pimba::fleet::runner::{FleetGrid, FleetRunner};
+use pimba::fleet::runner::{FleetGrid, FleetModeSpec, FleetRunner};
 use pimba::models::{ModelConfig, ModelFamily, ModelScale};
+use pimba::serve::runner::{TrafficGrid, TrafficRunner};
 use pimba::serve::traffic::Scenario;
 use pimba::system::config::{SystemConfig, SystemKind};
 use pimba::system::memo::FingerprintBuilder;
 use pimba::system::obs::{MetricsHub, TraceRecorder};
 use pimba::system::sweep::RunControl;
+use pimba::system::transfer::StateTransferModel;
 use std::sync::Arc;
 
 /// Byte length and `(hi, lo)` fingerprint words of one export.
@@ -64,6 +69,64 @@ fn exporter_bytes_are_stable() {
     assert_eq!(
         digest(&hub.to_json()),
         (9818, (0x61a73a8d11642c60, 0xb2a48fe0dfd42c10)),
+        "MetricsHub::to_json"
+    );
+}
+
+/// The systems both multi-tenant grids below compare.
+fn pimba_and_gpu() -> Vec<SystemConfig> {
+    vec![
+        SystemConfig::small_scale(SystemKind::Pimba),
+        SystemConfig::small_scale(SystemKind::Gpu),
+    ]
+}
+
+#[test]
+fn multi_tenant_traffic_metrics_bytes_are_stable() {
+    let grid = TrafficGrid::new(ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small))
+        .with_systems(pimba_and_gpu())
+        .with_scenarios(Scenario::tenant_mix())
+        .with_rates(vec![20.0, 60.0])
+        .with_requests_per_cell(60)
+        .with_seed(2026);
+    let hub = MetricsHub::new();
+    TrafficRunner::new()
+        .with_threads(2)
+        .run_controlled(&grid, &RunControl::new().with_metrics(hub.clone()))
+        .expect("uncancelled run");
+    let json = hub.to_json();
+    assert!((0..3).all(|t| json.contains(&format!("[\"tenant\",\"{t}\"]"))));
+    assert_eq!(
+        digest(&json),
+        (18509, (0xcecad4ebd23df5ac, 0xf452371bb2a7f60c)),
+        "MetricsHub::to_json"
+    );
+}
+
+#[test]
+fn disaggregated_fleet_metrics_bytes_are_stable() {
+    let grid = FleetGrid::new(ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small))
+        .with_systems(pimba_and_gpu())
+        .with_scenarios(Scenario::tenant_mix())
+        .with_rates(vec![40.0])
+        .with_replica_counts(vec![4])
+        .with_routers(vec![RouterKind::Jsq])
+        .with_mode(FleetModeSpec::Disaggregated {
+            prefill_fraction: 0.5,
+            transfer: StateTransferModel::nvlink(),
+        })
+        .with_requests_per_cell(60)
+        .with_seed(2026);
+    let hub = MetricsHub::new();
+    FleetRunner::new()
+        .with_threads(2)
+        .run_controlled(&grid, &RunControl::new().with_metrics(hub.clone()))
+        .expect("uncancelled run");
+    let json = hub.to_json();
+    assert!(json.contains("[\"role\",\"prefill\"]") && json.contains("[\"role\",\"decode\"]"));
+    assert_eq!(
+        digest(&json),
+        (56392, (0x1e9b5d80bdd31d73, 0x23f3c15f3c6768ee)),
         "MetricsHub::to_json"
     );
 }
