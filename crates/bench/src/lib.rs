@@ -55,11 +55,24 @@ pub const BATCH_SIZES: [usize; 3] = [32, 64, 128];
 /// Input/output sequence lengths used by the end-to-end experiments.
 pub const SEQ_LEN: usize = 2048;
 
-/// Directory the harness writes CSV results into.
+/// Directory the harness writes CSV and `BENCH_*.json` results into:
+/// `results/` under the bench crate's manifest directory, read at run time
+/// from `CARGO_MANIFEST_DIR` (cargo sets it when it runs benches and tests).
+/// A bench binary built in one checkout and run by cargo in a copy of it
+/// therefore writes into the copy. Outside cargo the compile-time directory
+/// is used.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
+    let dir = results_dir_for(std::env::var_os("CARGO_MANIFEST_DIR"));
     fs::create_dir_all(&dir).expect("failed to create results directory");
     dir
+}
+
+/// `results/` under the run-time manifest directory, else the compile-time
+/// one.
+fn results_dir_for(runtime_manifest_dir: Option<std::ffi::OsString>) -> PathBuf {
+    runtime_manifest_dir
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("results")
 }
 
 /// Writes a CSV file with the given header and rows into the results directory.
@@ -138,6 +151,19 @@ mod tests {
         assert_eq!(breakdown_models().len(), 5);
         assert_eq!(performance_models(ModelScale::Small).len(), 6);
         assert_eq!(performance_models(ModelScale::Large).len(), 6);
+    }
+
+    #[test]
+    fn results_dir_follows_the_runtime_manifest_dir() {
+        let copy = std::ffi::OsString::from("/elsewhere/crates/bench");
+        assert_eq!(
+            results_dir_for(Some(copy)),
+            PathBuf::from("/elsewhere/crates/bench/results")
+        );
+        assert_eq!(
+            results_dir_for(None),
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results")
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder};
-use pimba_system::obs::TraceRecorder;
+use pimba_system::obs::{profile_phase, TraceRecorder};
 use pimba_system::sweep::{RunAborted, RunControl, SweepRunner};
 use pimba_system::transfer::StateTransferModel;
 use rand::rngs::Pcg32;
@@ -399,8 +399,11 @@ impl FleetRunner {
                 .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
             None => fleet.run(cell.trace, &config),
         };
-        let index = cell.index.to_string();
-        result.export_metrics(control.metrics(), &[("cell", &index)]);
+        {
+            let _export = profile_phase("metrics_export");
+            let index = cell.index.to_string();
+            result.export_metrics(control.metrics(), &[("cell", &index)]);
+        }
         let tenant_slos = grid
             .tenant_slos
             .clone()

@@ -17,7 +17,9 @@
 //! [`TrafficSummary`] therefore never depend on the sampling rate — only the
 //! resolution of the stored time series does.
 
+use pimba_system::obs::{Histogram, MetricsHub};
 use pimba_system::stats::percentile_of_sorted;
+use std::collections::BTreeMap;
 
 /// The lifecycle timestamps of one completed request.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -327,14 +329,20 @@ impl SimResult {
         Throughput::new(self.events(), wall_secs)
     }
 
-    /// Exports this run into a [`MetricsHub`](pimba_system::obs::MetricsHub)
-    /// as named series under `labels` (typically a `replica` label from the
-    /// fleet layer): completion/retry/migration/preemption counters,
-    /// telemetry gauges, and per-tenant TTFT/TPOT/E2E latency histograms in
-    /// milliseconds. This is the registry view of the ad-hoc
-    /// [`TelemetryStats`]/[`PreemptionStats`] structs; exporting reads the
-    /// finished result and cannot perturb it.
-    pub fn export_metrics(&self, hub: &pimba_system::obs::MetricsHub, labels: &[(&str, &str)]) {
+    /// Exports this run into a [`MetricsHub`] as named series under `labels`
+    /// (typically a `replica` label from the fleet layer):
+    /// completion/retry/migration/preemption counters, telemetry gauges, and
+    /// per-tenant TTFT/TPOT/E2E latency histograms in milliseconds. This is
+    /// the registry view of the ad-hoc [`TelemetryStats`]/[`PreemptionStats`]
+    /// structs; exporting reads the finished result and cannot perturb it.
+    ///
+    /// The outcomes are first folded per tenant, in outcome order, into
+    /// three counter sums and three local [`Histogram`]s; each tenant's
+    /// series then reach the hub in one call apiece
+    /// ([`MetricsHub::counter`], [`MetricsHub::merge_histogram`]). On series
+    /// no earlier export touched, the hub ends up bit-identical to recording
+    /// every request in turn.
+    pub fn export_metrics(&self, hub: &MetricsHub, labels: &[(&str, &str)]) {
         if !hub.enabled() {
             return;
         }
@@ -367,22 +375,40 @@ impl SimResult {
             labels,
             self.preemption.restore_stall_ns / 1e6,
         );
+        let mut tenants: BTreeMap<u32, TenantSeries> = BTreeMap::new();
         for o in &self.outcomes {
-            let tenant = o.tenant.to_string();
+            let t = tenants.entry(o.tenant).or_default();
+            t.completed += 1;
+            t.retries += o.retries as u64;
+            t.migrations += o.migrations as u64;
+            t.ttft_ms.observe(o.ttft_ns() / 1e6);
+            t.tpot_ms.observe(o.tpot_ns() / 1e6);
+            t.e2e_ms.observe(o.e2e_ns() / 1e6);
+        }
+        for (tenant, t) in tenants {
+            let tenant = tenant.to_string();
             let mut with_tenant: Vec<(&str, &str)> = labels.to_vec();
             with_tenant.push(("tenant", &tenant));
-            hub.counter("serve_requests_completed", &with_tenant, 1);
-            hub.counter("serve_request_retries", &with_tenant, o.retries as u64);
-            hub.counter(
-                "serve_request_migrations",
-                &with_tenant,
-                o.migrations as u64,
-            );
-            hub.observe("serve_ttft_ms", &with_tenant, o.ttft_ns() / 1e6);
-            hub.observe("serve_tpot_ms", &with_tenant, o.tpot_ns() / 1e6);
-            hub.observe("serve_e2e_ms", &with_tenant, o.e2e_ns() / 1e6);
+            hub.counter("serve_requests_completed", &with_tenant, t.completed);
+            hub.counter("serve_request_retries", &with_tenant, t.retries);
+            hub.counter("serve_request_migrations", &with_tenant, t.migrations);
+            hub.merge_histogram("serve_ttft_ms", &with_tenant, &t.ttft_ms);
+            hub.merge_histogram("serve_tpot_ms", &with_tenant, &t.tpot_ms);
+            hub.merge_histogram("serve_e2e_ms", &with_tenant, &t.e2e_ms);
         }
     }
+}
+
+/// One tenant's share of a run, folded locally by
+/// [`SimResult::export_metrics`] before it touches the hub.
+#[derive(Default)]
+struct TenantSeries {
+    completed: u64,
+    retries: u64,
+    migrations: u64,
+    ttft_ms: Histogram,
+    tpot_ms: Histogram,
+    e2e_ms: Histogram,
 }
 
 /// A latency service-level objective on TTFT and TPOT.

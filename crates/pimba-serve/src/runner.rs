@@ -18,7 +18,7 @@ use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
-use pimba_system::obs::{TraceRecorder, TraceSink};
+use pimba_system::obs::{profile_phase, TraceRecorder, TraceSink};
 use pimba_system::persist::{LoadReport, MemoValue};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
@@ -693,8 +693,11 @@ impl TrafficRunner {
             None => TraceSink::disabled(),
         };
         let result = engine.run_traced(trace, policy.as_mut(), sink);
-        let index = cell.index.to_string();
-        result.export_metrics(control.metrics(), &[("cell", &index)]);
+        {
+            let _export = profile_phase("metrics_export");
+            let index = cell.index.to_string();
+            result.export_metrics(control.metrics(), &[("cell", &index)]);
+        }
         let tenant_slos = grid
             .tenant_slos
             .clone()

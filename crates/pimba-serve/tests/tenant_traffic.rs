@@ -4,10 +4,11 @@
 //! summaries decompose the run.
 
 use pimba_serve::engine::{Engine, EngineConfig};
-use pimba_serve::metrics::{SloSpec, TenantSlos};
+use pimba_serve::metrics::{SimResult, SloSpec, TenantSlos};
 use pimba_serve::sched::WeightedFairQueueing;
 use pimba_serve::traffic::{generate_tenant_mix, Scenario, Trace};
 use pimba_system::config::{SystemConfig, SystemKind};
+use pimba_system::obs::MetricsHub;
 use pimba_system::serving::ServingSimulator;
 
 /// A trace file written before the tenant/priority fields existed (the
@@ -89,4 +90,52 @@ fn tenant_tags_flow_through_engine_and_metrics() {
         assert!(entry.summary.completed > 0, "tenant {}", entry.tenant);
         assert!(entry.summary.ttft_ms.p50 > 0.0);
     }
+}
+
+/// A run whose tenants interleave exports, after its per-tenant fold, the
+/// same hub bytes as recording every request in turn: counters and
+/// histograms alike, under extra labels, on a fresh hub.
+#[test]
+fn per_tenant_export_matches_per_request_recording() {
+    let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Gpu));
+    let model = pimba_models::ModelConfig::preset(
+        pimba_models::ModelFamily::Mamba2,
+        pimba_models::ModelScale::Small,
+    );
+    let trace = generate_tenant_mix(&Scenario::tenant_mix(), 40.0, 90, 5);
+    let engine = Engine::new(&sim, &model, EngineConfig::default());
+    let result = engine.run(&trace, &mut WeightedFairQueueing::new());
+    let tenants: Vec<u32> = result.outcomes.iter().map(|o| o.tenant).collect();
+    assert!(
+        tenants.windows(2).any(|w| w[0] != w[1]) && trace.tenants().len() == 3,
+        "outcomes must interleave three tenants"
+    );
+
+    let labels = [("replica", "2"), ("cell", "7")];
+    let folded = MetricsHub::new();
+    result.export_metrics(&folded, &labels);
+
+    // The reference: the cell-level series, then six calls per request.
+    let reference = MetricsHub::new();
+    let no_outcomes = SimResult {
+        outcomes: Vec::new(),
+        ..result.clone()
+    };
+    no_outcomes.export_metrics(&reference, &labels);
+    for o in &result.outcomes {
+        let tenant = o.tenant.to_string();
+        let with_tenant = [labels[0], labels[1], ("tenant", tenant.as_str())];
+        reference.counter("serve_requests_completed", &with_tenant, 1);
+        reference.counter("serve_request_retries", &with_tenant, o.retries as u64);
+        reference.counter(
+            "serve_request_migrations",
+            &with_tenant,
+            o.migrations as u64,
+        );
+        reference.observe("serve_ttft_ms", &with_tenant, o.ttft_ns() / 1e6);
+        reference.observe("serve_tpot_ms", &with_tenant, o.tpot_ns() / 1e6);
+        reference.observe("serve_e2e_ms", &with_tenant, o.e2e_ns() / 1e6);
+    }
+    assert_eq!(folded.snapshot(), reference.snapshot());
+    assert_eq!(folded.to_json(), reference.to_json());
 }

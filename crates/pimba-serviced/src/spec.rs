@@ -86,6 +86,9 @@ pub struct CapacitySpec {
     pub slo: SloSpec,
 }
 
+/// The experiment kinds a spec may name.
+const KINDS: [&str; 4] = ["traffic_grid", "fleet_grid", "slo_capacity", "what_if"];
+
 fn parse_family(name: &str) -> Option<ModelFamily> {
     Some(match name {
         "retnet" => ModelFamily::RetNet,
@@ -263,6 +266,15 @@ impl Experiment {
             return Err(SpecError::new("spec", "must be a JSON object"));
         }
         let kind = str_field(spec, "kind")?;
+        if !KINDS.contains(&kind) {
+            return Err(SpecError::new(
+                "kind",
+                format!(
+                    "unknown kind '{kind}' (expected one of \
+                     traffic_grid, fleet_grid, slo_capacity, what_if)"
+                ),
+            ));
+        }
 
         let model_obj = spec
             .get("model")
@@ -354,13 +366,18 @@ impl Experiment {
 
         match kind {
             "traffic_grid" | "what_if" => {
-                if kind == "what_if"
-                    && (systems.len() != 1 || scenarios.len() != 1 || rates.len() != 1)
-                {
-                    return Err(SpecError::new(
-                        "kind",
-                        "what_if requires exactly one system, scenario and rate",
-                    ));
+                if kind == "what_if" {
+                    let axes = [
+                        ("systems", systems.len()),
+                        ("scenarios", scenarios.len()),
+                        ("rates_rps", rates.len()),
+                    ];
+                    if let Some((field, _)) = axes.iter().find(|(_, len)| *len != 1) {
+                        return Err(SpecError::new(
+                            field,
+                            "what_if requires exactly one system, scenario and rate",
+                        ));
+                    }
                 }
                 let mut grid = TrafficGrid::new(model)
                     .with_systems(systems)
@@ -379,7 +396,8 @@ impl Experiment {
                 }
                 Ok(Experiment::Traffic(grid))
             }
-            "fleet_grid" => {
+            // `kind` is one of KINDS, so this is "fleet_grid".
+            _ => {
                 let replicas = usize_list(spec, "replicas")?;
                 let routers: Vec<RouterKind> = str_list(spec, "routers")?
                     .iter()
@@ -414,13 +432,6 @@ impl Experiment {
                 }
                 Ok(Experiment::Fleet(grid))
             }
-            other => Err(SpecError::new(
-                "kind",
-                format!(
-                    "unknown kind '{other}' (expected one of \
-                     traffic_grid, fleet_grid, slo_capacity, what_if)"
-                ),
-            )),
         }
     }
 
@@ -696,6 +707,7 @@ mod tests {
         )
         .unwrap();
         let err = Experiment::from_json(&fat_what_if).unwrap_err();
+        assert_eq!(err.field, "systems");
         assert!(err.message.contains("exactly one"));
     }
 

@@ -41,7 +41,8 @@
 //!   host time goes. Wall time never feeds back into simulated time.
 
 use netline::{Json, JsonLines, LineError};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -422,7 +423,43 @@ pub struct MetricSeries {
     pub value: MetricValue,
 }
 
-type SeriesKey = (String, Vec<(String, String)>);
+/// A series' name and sorted labels. The strings are shared through the
+/// registry's interner: the names and labels that many series carry
+/// (`"cell"`, `"7"`, `"decode"`) are stored once.
+type SeriesKey = (Arc<str>, Vec<(Arc<str>, Arc<str>)>);
+
+/// The series behind an enabled [`MetricsHub`], and the strings their keys
+/// share.
+#[derive(Debug, Default)]
+struct Registry {
+    series: BTreeMap<SeriesKey, MetricValue>,
+    strings: BTreeSet<Arc<str>>,
+}
+
+impl Registry {
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.strings.get(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.insert(Arc::clone(&shared));
+        shared
+    }
+
+    fn key(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+        let mut labels: Vec<(Arc<str>, Arc<str>)> = labels
+            .iter()
+            .map(|&(k, v)| (self.intern(k), self.intern(v)))
+            .collect();
+        labels.sort();
+        (self.intern(name), labels)
+    }
+
+    fn entry(&mut self, name: &str, labels: &[(&str, &str)]) -> Entry<'_, SeriesKey, MetricValue> {
+        let key = self.key(name, labels);
+        self.series.entry(key)
+    }
+}
 
 /// A clone-to-share registry of named metric series. Like [`TraceSink`], a
 /// default-constructed hub is disabled and every recording call is a single
@@ -432,16 +469,21 @@ type SeriesKey = (String, Vec<(String, String)>);
 /// Labels are sorted on entry, and [`MetricsHub::snapshot`] iterates the
 /// underlying `BTreeMap`, so snapshots are deterministic regardless of
 /// recording order or thread interleaving.
+///
+/// Every call builds its series key and takes the registry's one lock, so
+/// exporters fold per-sample data locally and publish each series once: a
+/// run's per-request latencies are folded per tenant into local
+/// [`Histogram`]s and published with [`MetricsHub::merge_histogram`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    inner: Option<Arc<Mutex<BTreeMap<SeriesKey, MetricValue>>>>,
+    inner: Option<Arc<Mutex<Registry>>>,
 }
 
 impl MetricsHub {
     /// An enabled, empty hub.
     pub fn new() -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(BTreeMap::new()))),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -456,21 +498,12 @@ impl MetricsHub {
         self.inner.is_some()
     }
 
-    fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        (name.to_string(), labels)
-    }
-
     /// Adds `delta` to a counter series (created at zero).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(Self::key(name, labels))
+        let mut registry = inner.lock().expect("metrics registry poisoned");
+        match registry
+            .entry(name, labels)
             .or_insert(MetricValue::Counter(0))
         {
             MetricValue::Counter(n) => *n += delta,
@@ -481,16 +514,17 @@ impl MetricsHub {
     /// Sets a gauge series to `value`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        map.insert(Self::key(name, labels), MetricValue::Gauge(value));
+        let mut registry = inner.lock().expect("metrics registry poisoned");
+        let key = registry.key(name, labels);
+        registry.series.insert(key, MetricValue::Gauge(value));
     }
 
     /// Records one sample into a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(Self::key(name, labels))
+        let mut registry = inner.lock().expect("metrics registry poisoned");
+        match registry
+            .entry(name, labels)
             .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
         {
             MetricValue::Histogram(h) => h.observe(value),
@@ -498,6 +532,37 @@ impl MetricsHub {
                 let mut h = Histogram::default();
                 h.observe(value);
                 *other = MetricValue::Histogram(h);
+            }
+        }
+    }
+
+    /// Adds a locally filled histogram into a histogram series in one call:
+    /// the bulk form of [`MetricsHub::observe`] for exporters that fold their
+    /// samples before touching the registry. An absent series becomes `hist`
+    /// as is; an existing histogram series gains its `count`, `sum` and
+    /// buckets; a series of another kind is replaced, as `observe` replaces
+    /// it.
+    ///
+    /// Merging into an absent series is bit-identical to observing the same
+    /// samples in the same order. Merging into a series that already holds
+    /// samples adds the two sums at once, so its `sum` may differ in the last
+    /// ulp from observing every sample in turn.
+    pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], hist: &Histogram) {
+        let Some(inner) = &self.inner else { return };
+        let mut registry = inner.lock().expect("metrics registry poisoned");
+        match registry.entry(name, labels) {
+            Entry::Occupied(mut entry) => match entry.get_mut() {
+                MetricValue::Histogram(h) => {
+                    h.count += hist.count;
+                    h.sum += hist.sum;
+                    for (total, n) in h.buckets.iter_mut().zip(&hist.buckets) {
+                        *total += n;
+                    }
+                }
+                other => *other = MetricValue::Histogram(hist.clone()),
+            },
+            Entry::Vacant(entry) => {
+                entry.insert(MetricValue::Histogram(hist.clone()));
             }
         }
     }
@@ -511,10 +576,14 @@ impl MetricsHub {
         inner
             .lock()
             .expect("metrics registry poisoned")
+            .series
             .iter()
             .map(|((name, labels), value)| MetricSeries {
-                name: name.clone(),
-                labels: labels.clone(),
+                name: name.to_string(),
+                labels: labels
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
                 value: value.clone(),
             })
             .collect()
@@ -789,6 +858,69 @@ mod tests {
         assert!(json.contains("\"kind\":\"counter\",\"value\":1"));
         assert!(json.contains("\"kind\":\"gauge\",\"value\":0.5"));
         assert!(json.contains("\"buckets\":[[2,1],[7,1]]"));
+    }
+
+    #[test]
+    fn merge_into_an_absent_series_equals_observing_in_order() {
+        let samples = [0.1, 3.0, 1e-3, 7.25, 1e9, 0.3, 2.5e-7, 42.0];
+        let observed = MetricsHub::new();
+        let mut local = Histogram::default();
+        for &v in &samples {
+            observed.observe("ttft_ms", &[("tenant", "1"), ("cell", "0")], v);
+            local.observe(v);
+        }
+        let merged = MetricsHub::new();
+        merged.merge_histogram("ttft_ms", &[("cell", "0"), ("tenant", "1")], &local);
+        assert_eq!(merged.snapshot(), observed.snapshot());
+        match &merged.snapshot()[0].value {
+            MetricValue::Histogram(h) => {
+                let sum = samples.iter().fold(0.0, |acc, v| acc + v);
+                assert_eq!(h.sum.to_bits(), sum.to_bits());
+            }
+            other => panic!("expected histogram, got {other:?}"),
+        }
+        assert_eq!(merged.to_json(), observed.to_json());
+    }
+
+    #[test]
+    fn merge_adds_into_an_existing_histogram() {
+        let hub = MetricsHub::new();
+        hub.observe("e2e_ms", &[], 3.0);
+        let mut local = Histogram::default();
+        local.observe(100.0);
+        local.observe(0.5);
+        hub.merge_histogram("e2e_ms", &[], &local);
+        match &hub.snapshot()[0].value {
+            MetricValue::Histogram(h) => {
+                assert_eq!(h.count, 3);
+                assert_eq!(h.sum, 103.5);
+                assert_eq!(h.buckets[0], 1);
+                assert_eq!(h.buckets[2], 1);
+                assert_eq!(h.buckets[7], 1);
+                assert_eq!(h.buckets.iter().sum::<u64>(), 3);
+            }
+            other => panic!("expected histogram, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn merge_replaces_a_series_of_another_kind() {
+        let hub = MetricsHub::new();
+        hub.counter("x", &[], 5);
+        hub.gauge("y", &[], 2.0);
+        let mut local = Histogram::default();
+        local.observe(4.0);
+        hub.merge_histogram("x", &[], &local);
+        hub.merge_histogram("y", &[], &local);
+        let snap = hub.snapshot();
+        assert_eq!(snap.len(), 2);
+        for series in snap {
+            assert_eq!(series.value, MetricValue::Histogram(local.clone()));
+        }
+        // The disabled hub drops a merge like any other call.
+        let off = MetricsHub::disabled();
+        off.merge_histogram("x", &[], &local);
+        assert!(off.snapshot().is_empty());
     }
 
     #[test]
