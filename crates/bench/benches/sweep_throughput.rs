@@ -4,13 +4,13 @@
 //! The named baseline is the canonical serial path (`run_canonical_serial`):
 //! fresh uncached simulators, one `generation_step` plus one
 //! `memory_usage_bytes` per point, one thread. Against it the bench times
-//! `SweepRunner::run` — seq-invariant row evaluation through `StepFunction`,
-//! fanned out over worker threads — at one thread and at every core, on the
-//! 4-system × 8-point acceptance grid and on a 576-point figure-scale grid.
+//! `SweepRunner::run` — seq-invariant row evaluation through `StepFunction` —
+//! on the 4-system × 8-point acceptance grid and on a 576-point figure-scale
+//! grid.
 //!
 //! Every run opens with the **divergence gate**: every `SweepRecord` step
-//! total and memory value must be bit-identical to the canonical path's, at
-//! one thread and at every core, or the bench panics (and fails CI, where it
+//! total and memory value must be bit-identical to the canonical path's, or
+//! the bench panics (and fails CI, where it
 //! runs as a smoke). It then writes `results/BENCH_sweep_throughput.json`:
 //! per grid and path the median, min and max wall-clock milliseconds,
 //! `nproc`, and the speedup over the canonical serial path.
@@ -61,8 +61,8 @@ fn uncached_sims(grid: &SweepGrid) -> Vec<ServingSimulator> {
 
 /// The baseline: uncached fused per-kind evaluation, one `generation_step`
 /// plus one `memory_usage_bytes` per point, single thread. (Hand-rolled:
-/// `SweepRunner` evaluates rows through the seq-invariant `StepFunction` at
-/// any thread count, so the point-by-point path must be spelled out.)
+/// `SweepRunner` evaluates rows through the seq-invariant `StepFunction`, so
+/// the point-by-point path must be spelled out.)
 fn run_canonical_serial(grid: &SweepGrid) -> f64 {
     let sims = uncached_sims(grid);
     let mut checksum = 0.0;
@@ -92,9 +92,9 @@ fn run_sweep(runner: &SweepRunner, grid: &SweepGrid) -> f64 {
 
 /// The gate: every record's step total and memory value equals the
 /// point-by-point canonical evaluation bit for bit.
-fn assert_sweep_bit_identity(grid: &SweepGrid, threads: usize) {
+fn assert_sweep_bit_identity(grid: &SweepGrid) {
     let sims = uncached_sims(grid);
-    let records = SweepRunner::new().with_threads(threads).run(grid);
+    let records = SweepRunner::new().run(grid);
     assert_eq!(records.len(), grid.len(), "sweep dropped grid points");
     for r in &records {
         let (sim, model) = (&sims[r.system], &grid.models[r.model]);
@@ -104,7 +104,7 @@ fn assert_sweep_bit_identity(grid: &SweepGrid, threads: usize) {
             r.step.total_ns.to_bits() == step.to_bits()
                 && r.memory_bytes.to_bits() == memory.to_bits(),
             "sweep diverged from generation_step/memory_usage_bytes at system {} model {} \
-             batch {} seq {} ({threads} threads): step {} vs {step}, memory {} vs {memory}",
+             batch {} seq {}: step {} vs {step}, memory {} vs {memory}",
             r.system,
             r.model,
             r.batch,
@@ -139,17 +139,17 @@ fn time_runs(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64, f64) {
 fn bench_grids(c: &mut Criterion) {
     let small = small_grid();
     let fleet = fleet_grid();
-    let runner = SweepRunner::new().with_threads(nproc());
+    let runner = SweepRunner::new();
     c.bench_function("sweep_small_canonical_serial", |b| {
         b.iter(|| run_canonical_serial(&small))
     });
-    c.bench_function("sweep_small_runner_parallel", |b| {
+    c.bench_function("sweep_small_runner", |b| {
         b.iter(|| run_sweep(&runner, &small))
     });
     c.bench_function("sweep_fleet_canonical_serial", |b| {
         b.iter(|| run_canonical_serial(&fleet))
     });
-    c.bench_function("sweep_fleet_runner_parallel", |b| {
+    c.bench_function("sweep_fleet_runner", |b| {
         b.iter(|| run_sweep(&runner, &fleet))
     });
 }
@@ -161,9 +161,7 @@ fn record_trajectory(_c: &mut Criterion) {
     let grids = [("small", small_grid(), 201), ("fleet", fleet_grid(), 51)];
     let cores = nproc();
     for (_, grid, _) in &grids {
-        for threads in [1, cores] {
-            assert_sweep_bit_identity(grid, threads);
-        }
+        assert_sweep_bit_identity(grid);
     }
     println!("  divergence gate passed: sweep records == generation_step + memory_usage_bytes");
     if criterion::cli_filter().is_some() {
@@ -172,39 +170,30 @@ fn record_trajectory(_c: &mut Criterion) {
     }
 
     println!("\n== sweep engine wall-clock (nproc {cores}) ==");
+    let runner = SweepRunner::new();
     let mut grid_json = Vec::new();
     for (name, grid, reps) in &grids {
         let points = grid.len();
-        let (serial, parallel) = (
-            SweepRunner::new().with_threads(1),
-            SweepRunner::new().with_threads(cores),
-        );
         let canonical = time_runs(*reps, || run_canonical_serial(grid));
         let paths = [
-            ("canonical_serial", 1, canonical),
+            ("canonical_serial", canonical),
             (
                 "sweep_runner",
-                1,
-                time_runs(*reps, || run_sweep(&serial, grid)),
-            ),
-            (
-                "sweep_runner",
-                cores,
-                time_runs(*reps, || run_sweep(&parallel, grid)),
+                time_runs(*reps, || run_sweep(&runner, grid)),
             ),
         ];
         let mut rows = Vec::new();
-        for (path, threads, (median, min, max)) in paths {
+        for (path, (median, min, max)) in paths {
             let speedup = canonical.0 / median;
             println!(
-                "{name} grid ({points} pts) {path:>16} x{threads}: median {:.4} ms \
+                "{name} grid ({points} pts) {path:>16}: median {:.4} ms \
                  [{:.4}, {:.4}] | {speedup:.2}x vs canonical serial",
                 median * 1e3,
                 min * 1e3,
                 max * 1e3,
             );
             rows.push(format!(
-                "      {{\"path\": \"{path}\", \"threads\": {threads}, \"median_ms\": {:.4}, \"min_ms\": {:.4}, \"max_ms\": {:.4}, \"points_per_sec\": {:.0}, \"speedup_vs_canonical_serial\": {speedup:.3}}}",
+                "      {{\"path\": \"{path}\", \"median_ms\": {:.4}, \"min_ms\": {:.4}, \"max_ms\": {:.4}, \"points_per_sec\": {:.0}, \"speedup_vs_canonical_serial\": {speedup:.3}}}",
                 median * 1e3,
                 min * 1e3,
                 max * 1e3,

@@ -3,10 +3,10 @@
 //! plus the grid machinery it shares with `pimba-fleet`'s fleet runner: one
 //! memo type ([`GridMemo`]) and one front half ([`run_grid`]).
 //!
-//! The runner mirrors the design of [`pimba_system::sweep::SweepRunner`] — in
-//! fact it reuses its builder-configured thread count and the shared
-//! [`parallel_map`] fan-out — but each grid point is a whole discrete-event
-//! simulation rather than one step evaluation. Traces are generated once per
+//! The runner reuses the builder-configured thread count of
+//! [`pimba_system::sweep::SweepRunner`] and fans its cells out with the shared
+//! [`parallel_map`]; each grid point is a whole discrete-event simulation
+//! rather than one step evaluation. Traces are generated once per
 //! (scenario, rate) from split PCG streams and shared by every system, so
 //! systems are compared under *identical* arrival sequences; records come back
 //! in grid order and are bit-identical for any thread count.
@@ -600,8 +600,8 @@ pub struct TrafficRecord {
 /// Parallel evaluator of [`TrafficGrid`]s.
 ///
 /// The thread count is delegated to an embedded [`SweepRunner`] so both
-/// sweep flavors share one builder vocabulary (`with_threads`) and one
-/// fork-join implementation.
+/// sweep flavors share one builder vocabulary (`with_threads`); cells are
+/// fanned out with [`parallel_map`].
 #[derive(Debug, Clone, Default)]
 pub struct TrafficRunner {
     runner: SweepRunner,

@@ -270,8 +270,8 @@ impl Experiment {
             return Err(SpecError::new(
                 "kind",
                 format!(
-                    "unknown kind '{kind}' (expected one of \
-                     traffic_grid, fleet_grid, slo_capacity, what_if)"
+                    "unknown kind '{kind}' (expected one of {})",
+                    KINDS.join(", ")
                 ),
             ));
         }

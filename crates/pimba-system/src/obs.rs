@@ -42,7 +42,7 @@
 
 use netline::{Json, JsonLines, LineError};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -423,43 +423,7 @@ pub struct MetricSeries {
     pub value: MetricValue,
 }
 
-/// A series' name and sorted labels. The strings are shared through the
-/// registry's interner: the names and labels that many series carry
-/// (`"cell"`, `"7"`, `"decode"`) are stored once.
-type SeriesKey = (Arc<str>, Vec<(Arc<str>, Arc<str>)>);
-
-/// The series behind an enabled [`MetricsHub`], and the strings their keys
-/// share.
-#[derive(Debug, Default)]
-struct Registry {
-    series: BTreeMap<SeriesKey, MetricValue>,
-    strings: BTreeSet<Arc<str>>,
-}
-
-impl Registry {
-    fn intern(&mut self, s: &str) -> Arc<str> {
-        if let Some(shared) = self.strings.get(s) {
-            return Arc::clone(shared);
-        }
-        let shared: Arc<str> = Arc::from(s);
-        self.strings.insert(Arc::clone(&shared));
-        shared
-    }
-
-    fn key(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-        let mut labels: Vec<(Arc<str>, Arc<str>)> = labels
-            .iter()
-            .map(|&(k, v)| (self.intern(k), self.intern(v)))
-            .collect();
-        labels.sort();
-        (self.intern(name), labels)
-    }
-
-    fn entry(&mut self, name: &str, labels: &[(&str, &str)]) -> Entry<'_, SeriesKey, MetricValue> {
-        let key = self.key(name, labels);
-        self.series.entry(key)
-    }
-}
+type SeriesKey = (String, Vec<(String, String)>);
 
 /// A clone-to-share registry of named metric series. Like [`TraceSink`], a
 /// default-constructed hub is disabled and every recording call is a single
@@ -476,14 +440,14 @@ impl Registry {
 /// [`Histogram`]s and published with [`MetricsHub::merge_histogram`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    inner: Option<Arc<Mutex<Registry>>>,
+    inner: Option<Arc<Mutex<BTreeMap<SeriesKey, MetricValue>>>>,
 }
 
 impl MetricsHub {
     /// An enabled, empty hub.
     pub fn new() -> Self {
         Self {
-            inner: Some(Arc::default()),
+            inner: Some(Arc::new(Mutex::new(BTreeMap::new()))),
         }
     }
 
@@ -498,12 +462,21 @@ impl MetricsHub {
         self.inner.is_some()
     }
 
+    fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort();
+        (name.to_string(), labels)
+    }
+
     /// Adds `delta` to a counter series (created at zero).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let Some(inner) = &self.inner else { return };
-        let mut registry = inner.lock().expect("metrics registry poisoned");
-        match registry
-            .entry(name, labels)
+        let mut map = inner.lock().expect("metrics registry poisoned");
+        match map
+            .entry(Self::key(name, labels))
             .or_insert(MetricValue::Counter(0))
         {
             MetricValue::Counter(n) => *n += delta,
@@ -514,17 +487,16 @@ impl MetricsHub {
     /// Sets a gauge series to `value`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut registry = inner.lock().expect("metrics registry poisoned");
-        let key = registry.key(name, labels);
-        registry.series.insert(key, MetricValue::Gauge(value));
+        let mut map = inner.lock().expect("metrics registry poisoned");
+        map.insert(Self::key(name, labels), MetricValue::Gauge(value));
     }
 
     /// Records one sample into a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut registry = inner.lock().expect("metrics registry poisoned");
-        match registry
-            .entry(name, labels)
+        let mut map = inner.lock().expect("metrics registry poisoned");
+        match map
+            .entry(Self::key(name, labels))
             .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
         {
             MetricValue::Histogram(h) => h.observe(value),
@@ -549,8 +521,8 @@ impl MetricsHub {
     /// ulp from observing every sample in turn.
     pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], hist: &Histogram) {
         let Some(inner) = &self.inner else { return };
-        let mut registry = inner.lock().expect("metrics registry poisoned");
-        match registry.entry(name, labels) {
+        let mut map = inner.lock().expect("metrics registry poisoned");
+        match map.entry(Self::key(name, labels)) {
             Entry::Occupied(mut entry) => match entry.get_mut() {
                 MetricValue::Histogram(h) => {
                     h.count += hist.count;
@@ -576,14 +548,10 @@ impl MetricsHub {
         inner
             .lock()
             .expect("metrics registry poisoned")
-            .series
             .iter()
             .map(|((name, labels), value)| MetricSeries {
-                name: name.to_string(),
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
+                name: name.clone(),
+                labels: labels.clone(),
                 value: value.clone(),
             })
             .collect()

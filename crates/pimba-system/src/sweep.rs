@@ -3,20 +3,18 @@
 //!
 //! The paper's headline results (Figures 12–16 and the ablations) come from
 //! evaluating [`ServingSimulator::generation_step`] over large grids. The
-//! [`SweepRunner`] evaluates such grids with two optimizations stacked on top of
-//! each other:
+//! [`SweepRunner`] evaluates such grids in **seq-invariant rows**: each
+//! `(system, model, batch)` row is one
+//! [`StepFunction`](crate::serving::StepFunction), so every operator except
+//! attention (a model's state-update latency, for example, is independent of
+//! the sequence length) is evaluated once and reused across the whole seq-len
+//! axis. Rows run inline: starting a worker thread costs about as much as
+//! evaluating 500 points, and on no grid measured did two threads beat one.
+//! The runner's thread count is
+//! used by the traffic and fleet grid runners that embed it, whose cells are
+//! fanned out with [`parallel_map`].
 //!
-//! * **seq-invariant rows** — each `(system, model, batch)` row is one
-//!   [`StepFunction`](crate::serving::StepFunction): every operator except
-//!   attention (a model's state-update latency, for example, is independent of
-//!   the sequence length) is evaluated once and reused across the whole seq-len
-//!   axis, and
-//! * **data parallelism** — rows are partitioned over OS threads
-//!   (`std::thread::scope`; the environment has no crates.io access, so this
-//!   hand-rolled fork-join stands in for a `rayon` parallel iterator and keeps the
-//!   same deterministic output ordering).
-//!
-//! Results are returned in grid order regardless of the thread count, and are
+//! Results are returned in grid order, and are
 //! bit-identical to calling `generation_step` directly on uncached, freshly built
 //! simulators — asserted by `tests/sweep_regression.rs`.
 
@@ -132,11 +130,10 @@ impl std::error::Error for RunAborted {}
 ///
 /// This is the one fork-join fan-out of the workspace (the environment has no
 /// crates.io access, so `std::thread::scope` stands in for a `rayon` parallel
-/// iterator): [`SweepRunner::run`] partitions step-latency grids over it and
-/// `pimba-serve`'s `run_grid` partitions the cells of the traffic and fleet
-/// grid runners over it. `eval` must be deterministic per index for the output
-/// to be reproducible — both callers guarantee this (and their regression tests
-/// assert bit-identical results across thread counts).
+/// iterator): `pimba-serve`'s `run_grid` partitions the cells of the traffic
+/// and fleet grid runners over it. `eval` must be deterministic per index for
+/// the output to be reproducible — the runners guarantee this (and their
+/// regression tests assert bit-identical results across thread counts).
 pub fn parallel_map<T, F>(total: usize, threads: usize, eval: F) -> Vec<T>
 where
     T: Send,
@@ -274,7 +271,8 @@ pub struct SweepRecord {
     pub memory_bytes: f64,
 }
 
-/// Parallel evaluator of [`SweepGrid`]s.
+/// Evaluator of [`SweepGrid`]s, and the worker-thread count of the traffic and
+/// fleet grid runners that embed it.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
@@ -300,7 +298,9 @@ impl SweepRunner {
         Self { threads }
     }
 
-    /// Overrides the worker-thread count (clamped to at least 1).
+    /// Overrides the worker-thread count (clamped to at least 1). Grid
+    /// runners that embed this runner fan their cells out over that many
+    /// workers; [`SweepRunner::run`] evaluates inline whatever the count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -346,8 +346,7 @@ impl SweepRunner {
     /// Evaluates every grid point and returns the records in grid order
     /// (seq-len fastest, then batch, model, system).
     pub fn run(&self, grid: &SweepGrid) -> Vec<SweepRecord> {
-        let total = grid.len();
-        if total == 0 {
+        if grid.is_empty() {
             return Vec::new();
         }
         // Rows never prefill, so the simulators need no cache.
@@ -356,23 +355,14 @@ impl SweepRunner {
             .iter()
             .map(|config| ServingSimulator::uncached(config.clone()))
             .collect();
-        // Work is partitioned in rows of one full seq-len axis (the unit the
-        // seq-invariant evaluator amortizes over); flattening row results in
-        // row order reproduces grid order exactly, since seq-len is the
-        // fastest-varying grid axis. Spawning and joining a worker costs
-        // 0.05-0.1 ms, about as much as evaluating 500 points (~0.18 us
-        // each), so a worker is only started for at least 1024 points: the
-        // 576-point figure-scale grid runs inline. Results are identical
-        // either way.
-        const MIN_POINTS_PER_THREAD: usize = 1024;
+        // Rows are evaluated in row order, which is grid order since seq-len
+        // is the fastest-varying axis. No worker thread is started: spawning
+        // and joining one costs about as much as evaluating 500 points
+        // (~0.18 us each), and no grid size measured ran faster on two
+        // threads than on one.
         let rows = grid.systems.len() * grid.models.len() * grid.batches.len();
-        let threads = self
-            .threads
-            .min(total.div_ceil(MIN_POINTS_PER_THREAD))
-            .min(rows);
-        parallel_map(rows, threads, |row| Self::evaluate_row(grid, &sims, row))
-            .into_iter()
-            .flatten()
+        (0..rows)
+            .flat_map(|row| Self::evaluate_row(grid, &sims, row))
             .collect()
     }
 }

@@ -1,5 +1,5 @@
 //! Regression tests of the performance layer: the prefill cache, the
-//! seq-invariant step function and the parallel sweep engine must leave every
+//! seq-invariant step function and the sweep engine must leave every
 //! result exactly (bit-for-bit) identical to the plain uncached per-op
 //! evaluation.
 
@@ -163,30 +163,4 @@ fn slo_capacity_is_cache_invariant() {
         max_batch_within_slo(&cached, &model, 2048, slo_ms, 1024),
         max_batch_within_slo(&uncached, &model, 2048, slo_ms, 1024),
     );
-}
-
-/// Small grids run inline whatever the thread count, so this grid is large
-/// enough (4608 points) for `SweepRunner` to start several workers; their
-/// records must equal the single-threaded run bit for bit, in grid order.
-#[test]
-fn large_sweeps_fan_out_bit_identically() {
-    let grid = SweepGrid {
-        batches: (1..=24).map(|b| 8 * b).collect(),
-        seq_lens: (1..=12).map(|s| 256 * s).collect(),
-        ..grid()
-    };
-    assert_eq!(grid.len(), 4608);
-    let serial = SweepRunner::new().with_threads(1).run(&grid);
-    for threads in [2, 3, 5] {
-        let parallel = SweepRunner::new().with_threads(threads).run(&grid);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(
-                (a.system, a.model, a.batch, a.seq_len),
-                (b.system, b.model, b.batch, b.seq_len)
-            );
-            assert_bits_eq(a.step.total_ns, b.step.total_ns, "large-grid step total");
-            assert_bits_eq(a.memory_bytes, b.memory_bytes, "large-grid memory");
-        }
-    }
 }
