@@ -99,7 +99,7 @@ fn record_results(_c: &mut Criterion) {
     }
     let n = requests_per_cell();
     // Opt-in self-profiling: per-phase (routing / stepping / handoff
-    // delivery / window barriers) wall-time report on stderr. Wall clocks
+    // delivery) wall-time report on stderr. Wall clocks
     // only — simulated results and the JSON artifact are unchanged.
     if bench::profile_enabled() {
         pimba_system::obs::enable_profiling();

@@ -3,8 +3,8 @@
 //!
 //! For every (scenario × policy) cell the same trace is simulated twice on the
 //! Pimba system — once with `fast_forward: false` (the step-by-step oracle,
-//! one heap event + scheduler call + latency lookup + `O(batch)` bookkeeping
-//! pass per decode step) and once with `fast_forward: true` — and the two
+//! one event + scheduler call + direct simulator latency + `O(batch)`
+//! bookkeeping pass per decode step, on the same single-flight event source) and once with `fast_forward: true` — and the two
 //! `SimResult`s are asserted **bit-identical** before any number is reported.
 //! Reported per cell: wall time, simulation events per second of wall time,
 //! and the wall-time speedup. Writes `results/BENCH_serve_hotloop.json`.

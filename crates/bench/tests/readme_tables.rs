@@ -1,0 +1,95 @@
+//! README performance tables are generated from the committed bench
+//! artifacts, never typed by hand: each test renders one table from its
+//! `results/BENCH_*.json` and fails unless README.md carries it verbatim. On
+//! a mismatch the failure prints the rendered table to paste in.
+
+use bench::results_dir;
+use netline::Json;
+
+fn artifact(name: &str) -> Json {
+    let path = results_dir().join(name);
+    let text = std::fs::read_to_string(&path).expect("bench artifact is committed");
+    Json::parse(&text).expect("bench artifact is valid JSON")
+}
+
+fn num(value: &Json, key: &str) -> f64 {
+    value
+        .get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("artifact field {key} is a number"))
+}
+
+fn text<'a>(value: &'a Json, key: &str) -> &'a str {
+    value
+        .get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("artifact field {key} is a string"))
+}
+
+fn list<'a>(value: &'a Json, key: &str) -> &'a [Json] {
+    value
+        .get(key)
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("artifact field {key} is an array"))
+}
+
+fn assert_in_readme(table: &str) {
+    // `results/` sits in `crates/bench/`, three levels below the README.
+    let readme = std::fs::read_to_string(results_dir().join("../../../README.md"))
+        .expect("README.md at the workspace root");
+    assert!(
+        readme.contains(table),
+        "README.md does not carry the table rendered from the artifact:\n{table}"
+    );
+}
+
+/// The `serve_hotloop` table: per-step oracle vs fast-forward engine.
+fn hotloop_table(artifact: &Json) -> String {
+    let mut table = String::from(
+        "| scenario | policy | per-step | fast-forward | speedup |\n|---|---|---:|---:|---:|\n",
+    );
+    for cell in list(artifact, "cells") {
+        table += &format!(
+            "| {} | {} | {:.2} ms | {:.2} ms | {:.1}× |\n",
+            text(cell, "scenario"),
+            text(cell, "policy"),
+            num(cell, "per_step_ms"),
+            num(cell, "fast_forward_ms"),
+            num(cell, "speedup"),
+        );
+    }
+    table
+}
+
+/// The `sweep_throughput` table: every path of every grid against the
+/// canonical serial baseline.
+fn sweep_table(artifact: &Json) -> String {
+    let mut table = String::from(
+        "| grid | path | median ms | min ms | max ms | vs canonical serial |\n\
+         |---|---|---:|---:|---:|---:|\n",
+    );
+    for grid in list(artifact, "grids") {
+        let name = format!("{} ({} pts)", text(grid, "grid"), num(grid, "points"));
+        for row in list(grid, "rows") {
+            table += &format!(
+                "| {name} | `{}` | {:.4} | {:.4} | {:.4} | {:.2}x |\n",
+                text(row, "path"),
+                num(row, "median_ms"),
+                num(row, "min_ms"),
+                num(row, "max_ms"),
+                num(row, "speedup_vs_canonical_serial"),
+            );
+        }
+    }
+    table
+}
+
+#[test]
+fn readme_hotloop_table_matches_its_artifact() {
+    assert_in_readme(&hotloop_table(&artifact("BENCH_serve_hotloop.json")));
+}
+
+#[test]
+fn readme_sweep_table_matches_its_artifact() {
+    assert_in_readme(&sweep_table(&artifact("BENCH_sweep_throughput.json")));
+}

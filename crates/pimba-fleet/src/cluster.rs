@@ -981,7 +981,7 @@ impl<'a> FleetSim<'a> {
     ) -> FleetResult {
         assert!(replicas > 0, "a pool needs at least one replica");
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
+        let (max_seq, max_prompt) = trace.bounds();
         // Migrated requests resume at context `prompt + generated`, which can
         // reach one short of the full sequence — size the hint accordingly.
         let (max_seq_hint, max_prompt_hint) = (max_seq + 1, max_prompt);
@@ -1142,7 +1142,7 @@ impl<'a> FleetSim<'a> {
         plan: &FaultPlan,
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
+        let (max_seq, max_prompt) = trace.bounds();
         // Prefill replicas never hold a sequence past prompt+1; decode
         // replicas never prefill (their prompt table hint stays minimal).
         let mut prefill = Pool::new(
@@ -1531,24 +1531,6 @@ fn deliver(
     decode_assignment[handoff.ev] = choice as u32;
 }
 
-/// `(max final sequence, max prompt)` of a trace — the latency-table sizing
-/// hints of the replica sessions.
-fn trace_bounds(trace: &Trace) -> (usize, usize) {
-    let max_seq = trace
-        .requests
-        .iter()
-        .map(|r| r.prompt_len + r.output_len)
-        .max()
-        .unwrap_or(1);
-    let max_prompt = trace
-        .requests
-        .iter()
-        .map(|r| r.prompt_len)
-        .max()
-        .unwrap_or(1);
-    (max_seq, max_prompt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1584,7 +1566,7 @@ mod tests {
         ] {
             let trace = Scenario::summarization().generate(25.0, 50, seed);
             let engine = Engine::new(&sim, &model, EngineConfig::default());
-            let (max_seq, max_prompt) = trace_bounds(&trace);
+            let (max_seq, max_prompt) = trace.bounds();
             let mut pool = Pool::new(&engine, 3, policy, max_seq, max_prompt);
             let mut router = RouterKind::Jsq.build(seed, streams::ROUTER_FRONT, 0);
             for (id, request) in trace.requests.iter().enumerate() {

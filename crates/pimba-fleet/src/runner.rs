@@ -200,13 +200,6 @@ impl FleetGrid {
         self
     }
 
-    /// Sets per-tenant SLO targets for the per-tenant summaries of every
-    /// record.
-    pub fn with_tenant_slos(mut self, tenant_slos: TenantSlos) -> Self {
-        self.tenant_slos = Some(tenant_slos);
-        self
-    }
-
     /// Fixes the per-replica batch cap (skipping the SLO capacity search).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = Some(max_batch);
@@ -217,18 +210,6 @@ impl FleetGrid {
     pub fn with_seq_bucket(mut self, seq_bucket: usize) -> Self {
         assert!(seq_bucket > 0, "seq_bucket must be positive");
         self.seq_bucket = seq_bucket;
-        self
-    }
-
-    /// Enables or disables macro-step fast-forwarding.
-    pub fn with_fast_forward(mut self, fast_forward: bool) -> Self {
-        self.fast_forward = fast_forward;
-        self
-    }
-
-    /// Sets the per-replica timeline sampling stride.
-    pub fn with_timeline_sampling(mut self, sample_every: usize) -> Self {
-        self.timeline_sample_every = sample_every;
         self
     }
 

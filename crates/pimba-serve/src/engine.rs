@@ -36,8 +36,9 @@
 //! # The hot loop, and how it is made fast
 //!
 //! [`EngineConfig::fast_forward`] selects between two executions of the same
-//! simulation. `false` is the unoptimized step-by-step oracle — one heap
-//! event, one scheduler consult and one
+//! simulation on the same single-flight event source
+//! ([`SingleFlightEvents`]). `false` is the unoptimized step-by-step oracle —
+//! one event, one scheduler consult and one
 //! [`generation_step`](pimba_system::ServingSimulator::generation_step)
 //! evaluation per decode step. `true`
 //! (the default) layers three optimizations on top, none of which changes a
@@ -55,24 +56,27 @@
 //!   the certified [`DecodeStability`] level) is advanced inline: per elided
 //!   step the engine performs one floating-point add (the same
 //!   `now + latency` the event queue would have computed, so timestamps match
-//!   bit for bit) plus a telemetry sample, instead of a heap push/pop, a
+//!   bit for bit) plus a telemetry sample, instead of an event push/pop, a
 //!   scheduler consult, a latency lookup and an `O(batch)` bookkeeping pass.
 //!   Seq-bucket crossings and — when nothing is waiting — completions are
 //!   absorbed without leaving the macro-step; first-token and completion
 //!   times are reconstructed exactly.
-//! * **Closed-form admission accounting** — the memory probe behind
-//!   [`EngineView::admissible_count`] answers from a precomputed
-//!   [`MemoryModel`] (a handful of multiply-adds, bit-identical to the
-//!   workload-based accounting) instead of building a workload per queued
+//! * **Closed-form admission accounting** — every admission and restore
+//!   clamp ([`EngineView::admissible_count`] and its kin) walks its
+//!   candidates through [`MemoryModel::fitting_prefix`] against a
+//!   precomputed [`MemoryModel`] (a handful of multiply-adds, bit-identical
+//!   to the workload-based accounting) instead of building a workload per
 //!   candidate. This one is shared by both modes: it cannot change decisions,
 //!   only the cost of asking.
 //!
 //! # Incremental co-simulation
 //!
-//! [`Engine::run`] is a thin wrapper over the steppable [`Session`]: the whole
-//! trace is injected up front and the session is stepped to the end. A
-//! cluster-level driver (the `pimba-fleet` crate) instead builds one
-//! [`Session`] per replica via [`Engine::session`] and co-simulates them:
+//! [`Engine::run`] is [`Engine::run_traced`] with a disabled sink: one
+//! steppable [`Session`] whose event source is preloaded with the whole trace
+//! (sorted stably by arrival, so an unsorted trace runs in arrival order) and
+//! stepped to the end. A cluster-level driver (the `pimba-fleet` crate)
+//! instead builds one [`Session`] per replica via [`Engine::session`] and
+//! co-simulates them:
 //! [`Session::step_until`] advances a replica through every event *strictly
 //! before* a horizon, and [`Session::inject`] hands it a routed arrival at (or
 //! after) that horizon. The exclusive horizon is what makes incremental
@@ -85,7 +89,7 @@
 //! **bit-identical** to [`Engine::run`] on the full trace — asserted by this
 //! module's tests and by the single-replica fleet equivalence suite.
 
-use crate::event::{Event, EventKind, EventQueue, SingleFlightEvents};
+use crate::event::{EventKind, SingleFlightEvents};
 use crate::metrics::{PreemptionStats, RequestOutcome, SimResult, Telemetry};
 use crate::sched::{Action, DecodeStability, Scheduler};
 use crate::traffic::{Trace, TraceRequest};
@@ -184,6 +188,20 @@ pub struct WaitingRequest {
     pub prefilled: usize,
 }
 
+impl WaitingRequest {
+    /// The batch slot this request takes on admission: nothing generated yet.
+    fn slot(&self) -> BatchSlot {
+        BatchSlot {
+            id: self.id,
+            prompt_len: self.request.prompt_len,
+            output_len: self.request.output_len,
+            generated: 0,
+            tenant: self.request.tenant,
+            priority: self.request.priority,
+        }
+    }
+}
+
 /// One request holding a batch slot (decoding, or parked for the in-flight
 /// batched prefill) — the per-occupant visibility a preemptive or
 /// tenant-aware policy decides from via [`EngineView::batch`].
@@ -261,115 +279,22 @@ pub struct EngineView<'a> {
     /// can adapt instead of silently misbehaving under the wrong
     /// configuration.
     pub admission_mode: AdmissionMode,
-    admission: AdmissionProbe<'a>,
-}
-
-#[derive(Clone, Copy)]
-struct AdmissionProbe<'a> {
+    /// Closed-form footprint accounting of the engine.
     memory: &'a MemoryModel<'a>,
-    capacity_bytes: f64,
-    occupied: usize,
-    /// The occupants' footprint anchor: max final sequence length under
-    /// [`AdmissionMode::FinalSeqLen`] (0 when nothing is waiting — the probe
-    /// is never consulted then), max *current* sequence length under
-    /// [`AdmissionMode::LiveOccupancy`].
+    /// The occupants' footprint anchor under `admission_mode`: the batch's
+    /// max final sequence length, or its max *current* length under
+    /// [`AdmissionMode::LiveOccupancy`] (0 for an empty batch).
     anchor_seq: usize,
-    max_batch: usize,
-    mode: AdmissionMode,
 }
 
-impl AdmissionProbe<'_> {
-    /// A queued candidate's footprint anchor under the probe's mode: final
-    /// sequence length, or the current (post-prefill) length for live
-    /// accounting.
-    fn candidate_seq(&self, request: &TraceRequest) -> usize {
-        match self.mode {
-            AdmissionMode::FinalSeqLen => request.prompt_len + request.output_len,
-            AdmissionMode::LiveOccupancy => request.prompt_len,
-        }
-    }
-
-    /// See [`EngineView::admissible_count`] — also used by the engine itself to
-    /// clamp whatever a policy asks for, so the batch cap and memory budget
-    /// hold for arbitrary `Scheduler` implementations.
-    fn admissible_count(&self, queue: &[WaitingRequest]) -> usize {
-        let mut count = 0;
-        let mut max_seq = self.anchor_seq;
-        for waiting in queue {
-            let candidate_batch = self.occupied + count + 1;
-            if candidate_batch > self.max_batch {
-                break;
-            }
-            max_seq = max_seq.max(self.candidate_seq(&waiting.request));
-            if self.memory.usage_bytes(candidate_batch, max_seq) > self.capacity_bytes {
-                break;
-            }
-            count += 1;
-        }
-        if count == 0 && self.occupied == 0 && !queue.is_empty() {
-            1
-        } else {
-            count
-        }
-    }
-
-    /// The admissible prefix of an arbitrary pick order (see
-    /// [`EngineView::admissible_among`]): the same walk as
-    /// [`AdmissionProbe::admissible_count`], but over `picks` instead of the
-    /// queue front. An out-of-range or repeated index ends the prefix.
-    fn admissible_prefix(&self, queue: &[WaitingRequest], picks: &[usize]) -> usize {
-        let mut count = 0;
-        let mut max_seq = self.anchor_seq;
-        for (i, &pick) in picks.iter().enumerate() {
-            // Duplicate detection by scanning the accepted prefix: the walk
-            // breaks at the first repeat, so everything before `i` is
-            // unique, and a well-behaved caller's picks are bounded by the
-            // free batch slots — no queue-sized allocation per consult.
-            if pick >= queue.len() || picks[..i].contains(&pick) {
-                break;
-            }
-            let candidate_batch = self.occupied + count + 1;
-            if candidate_batch > self.max_batch {
-                break;
-            }
-            max_seq = max_seq.max(self.candidate_seq(&queue[pick].request));
-            if self.memory.usage_bytes(candidate_batch, max_seq) > self.capacity_bytes {
-                break;
-            }
-            count += 1;
-        }
-        if count == 0 && self.occupied == 0 && picks.first().is_some_and(|&p| p < queue.len()) {
-            1
-        } else {
-            count
-        }
-    }
-
-    /// How many of the oldest evicted requests (up to `requested`) fit back
-    /// under the batch cap and the memory budget — the clamp behind
-    /// [`Action::Resume`]. Mirrors the admission escape: an engine with an
-    /// empty batch always restores at least one.
-    fn resumable_count(&self, evicted: &[EvictedRequest], requested: usize) -> usize {
-        let mut count = 0;
-        let mut max_seq = self.anchor_seq;
-        for e in evicted.iter().take(requested) {
-            let candidate_batch = self.occupied + count + 1;
-            if candidate_batch > self.max_batch {
-                break;
-            }
-            max_seq = max_seq.max(match self.mode {
-                AdmissionMode::FinalSeqLen => e.slot.final_seq_len(),
-                AdmissionMode::LiveOccupancy => e.slot.seq_len(),
-            });
-            if self.memory.usage_bytes(candidate_batch, max_seq) > self.capacity_bytes {
-                break;
-            }
-            count += 1;
-        }
-        if count == 0 && self.occupied == 0 && requested > 0 && !evicted.is_empty() {
-            1
-        } else {
-            count
+impl AdmissionMode {
+    /// A request's footprint anchor under this mode: its final sequence
+    /// length, or its current one for live accounting (a queued request's
+    /// current length is its prompt).
+    fn anchor_seq(self, slot: &BatchSlot) -> usize {
+        match self {
+            Self::FinalSeqLen => slot.final_seq_len(),
+            Self::LiveOccupancy => slot.seq_len(),
         }
     }
 }
@@ -388,19 +313,89 @@ impl EngineView<'_> {
     ///
     /// When the engine is empty the count is at least 1 for a non-empty queue:
     /// a request that does not fit alone will never fit better, so it is
-    /// admitted alone rather than deadlocking the queue.
+    /// admitted alone rather than deadlocking the queue. The engine applies
+    /// the same clamp to whatever a policy asks for, so the batch cap and
+    /// memory budget hold for arbitrary `Scheduler` implementations.
     pub fn admissible_count(&self) -> usize {
-        self.admission.admissible_count(self.queue)
+        let count = self.fitting_prefix(
+            self.anchor_seq,
+            self.capacity_bytes,
+            self.queue
+                .iter()
+                .map(|w| self.admission_mode.anchor_seq(&w.slot())),
+        );
+        if count == 0 && self.running == 0 && !self.queue.is_empty() {
+            1
+        } else {
+            count
+        }
     }
 
     /// The admissible *prefix length* of a policy-chosen admission order:
     /// how many of `picks` (indices into [`EngineView::queue`], walked in
     /// order) fit under the batch cap and memory budget. This is exactly the
     /// clamp the engine applies to [`Action::AdmitSelected`], so a policy can
-    /// pre-truncate its picks and know they will all be admitted. Shares the
-    /// deadlock escape of [`EngineView::admissible_count`].
+    /// pre-truncate its picks and know they will all be admitted. An
+    /// out-of-range or repeated index ends the prefix. Shares the deadlock
+    /// escape of [`EngineView::admissible_count`].
     pub fn admissible_among(&self, picks: &[usize]) -> usize {
-        self.admission.admissible_prefix(self.queue, picks)
+        // Duplicate detection by scanning the accepted prefix: the walk
+        // stops at the first repeat, so everything before `i` is unique, and
+        // a well-behaved caller's picks are bounded by the free batch slots —
+        // no queue-sized allocation per consult.
+        let valid = picks.iter().enumerate().map_while(|(i, &pick)| {
+            (pick < self.queue.len() && !picks[..i].contains(&pick)).then_some(pick)
+        });
+        let count = self.fitting_prefix(
+            self.anchor_seq,
+            self.capacity_bytes,
+            valid.map(|pick| self.admission_mode.anchor_seq(&self.queue[pick].slot())),
+        );
+        if count == 0 && self.running == 0 && picks.first().is_some_and(|&p| p < self.queue.len()) {
+            1
+        } else {
+            count
+        }
+    }
+
+    /// How many of the oldest evicted requests (up to `requested`) fit back
+    /// under the batch cap and the memory budget — the clamp behind
+    /// [`Action::Resume`]. Mirrors the admission escape: an engine with an
+    /// empty batch always restores at least one.
+    fn resumable_count(&self, requested: usize) -> usize {
+        let count = self.fitting_prefix(
+            self.anchor_seq,
+            self.capacity_bytes,
+            self.evicted
+                .iter()
+                .take(requested)
+                .map(|e| self.admission_mode.anchor_seq(&e.slot)),
+        );
+        if count == 0 && self.running == 0 && requested > 0 && !self.evicted.is_empty() {
+            1
+        } else {
+            count
+        }
+    }
+
+    /// How many of `candidate_seqs` (footprint anchors, walked in order) fit
+    /// on top of the batch under the batch cap and `bound_bytes`, with the
+    /// occupants anchored at `anchor_seq` — the one walk behind every
+    /// admission and restore clamp (see [`MemoryModel::fitting_prefix`]).
+    /// Callers add their own deadlock escape.
+    pub(crate) fn fitting_prefix(
+        &self,
+        anchor_seq: usize,
+        bound_bytes: f64,
+        candidate_seqs: impl IntoIterator<Item = usize>,
+    ) -> usize {
+        self.memory.fitting_prefix(
+            self.running,
+            anchor_seq,
+            self.max_batch,
+            bound_bytes,
+            candidate_seqs,
+        )
     }
 
     /// Live device-memory occupancy in bytes: parameters plus the batch's
@@ -408,22 +403,22 @@ impl EngineView<'_> {
     /// policy compares against [`EngineView::capacity_bytes`] watermarks.
     pub fn occupancy_bytes(&self) -> f64 {
         let max_seq = self.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(1);
-        self.admission.memory.usage_bytes(self.batch.len(), max_seq)
+        self.memory.usage_bytes(self.batch.len(), max_seq)
     }
 
     /// Total device memory a hypothetical `(batch, max_seq)` configuration
     /// would occupy — the engine's closed-form [`MemoryModel`], exposed so
     /// policies can price what-if projections (eviction targets, restore
-    /// headroom) with the exact accounting the admission probe uses.
+    /// headroom) with the exact accounting the admission clamps use.
     pub fn memory_usage_bytes(&self, batch: usize, max_seq: usize) -> f64 {
-        self.admission.memory.usage_bytes(batch, max_seq)
+        self.memory.usage_bytes(batch, max_seq)
     }
 
     /// The dynamic (state + KV, parameter-free) bytes of a `(batch, seq)`
     /// configuration — what one checkpoint/restore transfer of such a batch
     /// would ship (see [`MemoryModel::dynamic_bytes`]).
     pub fn dynamic_bytes(&self, batch: usize, seq_len: usize) -> f64 {
-        self.admission.memory.dynamic_bytes(batch, seq_len)
+        self.memory.dynamic_bytes(batch, seq_len)
     }
 }
 
@@ -486,69 +481,6 @@ impl FifoQueue {
     }
 }
 
-/// The run's event source. The step-by-step oracle of [`Engine::run`] keeps
-/// the general binary-heap [`EventQueue`] loaded with every arrival up front
-/// (the PR 2 engine); every other execution exploits the single-flight
-/// invariant through [`SingleFlightEvents`] — `O(1)` pops and pushes with
-/// identical ordering, and the only source that accepts arrivals appended
-/// mid-run (a late arrival tying with an already-scheduled work completion
-/// still pops first, which a seq-numbered heap would get backwards).
-enum Events {
-    Heap(EventQueue),
-    Single(SingleFlightEvents),
-}
-
-impl Events {
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            Self::Heap(queue) => queue.pop(),
-            Self::Single(single) => single.pop(),
-        }
-    }
-
-    /// Pops the earliest event strictly before `horizon_ns` (the co-sim
-    /// window: events at or after the horizon may still gain a preceding or
-    /// tying arrival from the driver).
-    fn pop_before(&mut self, horizon_ns: f64) -> Option<Event> {
-        match self.peek_time_ns() {
-            Some(t) if t < horizon_ns => self.pop(),
-            _ => None,
-        }
-    }
-
-    fn peek_time_ns(&self) -> Option<f64> {
-        match self {
-            Self::Heap(queue) => queue.peek().map(|e| e.time_ns),
-            Self::Single(single) => single.peek_time_ns(),
-        }
-    }
-
-    fn push_work(&mut self, time_ns: f64) {
-        match self {
-            Self::Heap(queue) => queue.push(time_ns, EventKind::WorkDone),
-            Self::Single(single) => single.push_work(time_ns),
-        }
-    }
-
-    /// Discards the pending work completion (the in-flight item dies with a
-    /// crashing replica). Incremental sessions only.
-    fn cancel_work(&mut self) -> bool {
-        match self {
-            Self::Heap(_) => unreachable!("crash hooks are for incremental sessions"),
-            Self::Single(single) => single.cancel_work(),
-        }
-    }
-
-    /// Drains every not-yet-processed arrival's local id, in pop order.
-    /// Incremental sessions only.
-    fn drain_pending_arrivals(&mut self) -> Vec<usize> {
-        match self {
-            Self::Heap(_) => unreachable!("crash hooks are for incremental sessions"),
-            Self::Single(single) => single.drain_pending_arrivals(),
-        }
-    }
-}
-
 /// Where the engine reads step/prefill latencies from — dense per-run tables
 /// in fast-forward mode, direct per-call simulator evaluation in the
 /// step-by-step oracle mode. Both apply the same seq-bucketing and return the
@@ -568,34 +500,7 @@ enum Latencies<'a> {
     },
 }
 
-impl<'a> Latencies<'a> {
-    fn tables(
-        sim: &'a ServingSimulator,
-        model: &'a ModelConfig,
-        config: EngineConfig,
-        max_seq: usize,
-        max_prompt: usize,
-    ) -> Self {
-        Self::Tables {
-            steps: StepLatencyTable::new(sim, model, config.seq_bucket, config.max_batch, max_seq),
-            prefills: PrefillLatencyTable::new(
-                sim,
-                model,
-                config.seq_bucket,
-                config.max_batch,
-                max_prompt,
-            ),
-        }
-    }
-
-    fn direct(sim: &'a ServingSimulator, model: &'a ModelConfig, seq_bucket: usize) -> Self {
-        Self::Direct {
-            sim,
-            model,
-            seq_bucket,
-        }
-    }
-
+impl Latencies<'_> {
     /// Latency of one decode step over `batch` requests at `seq_len` (rounded
     /// up to the configured bucket).
     fn step_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
@@ -734,18 +639,12 @@ impl<'a> Engine<'a> {
     /// results, so the hints affect only memoization, never a single bit of
     /// output).
     pub fn session(&'a self, max_seq_hint: usize, max_prompt_hint: usize) -> Session<'a> {
-        let latencies = if self.config.fast_forward {
-            Latencies::tables(
-                self.sim,
-                self.model,
-                self.config,
-                max_seq_hint.max(1),
-                max_prompt_hint.max(1),
-            )
-        } else {
-            Latencies::direct(self.sim, self.model, self.config.seq_bucket)
-        };
-        Session::build(self, Events::Single(SingleFlightEvents::empty()), latencies)
+        Session::new(
+            self,
+            SingleFlightEvents::empty(),
+            max_seq_hint,
+            max_prompt_hint,
+        )
     }
 
     /// [`Engine::run`] with a trace sink attached: scheduler decisions
@@ -759,60 +658,19 @@ impl<'a> Engine<'a> {
         scheduler: &mut dyn Scheduler,
         sink: TraceSink,
     ) -> SimResult {
-        self.run_inner(trace, scheduler, sink)
-    }
-
-    /// Simulates `trace` under `scheduler`, returning per-request outcomes and
-    /// the queue/occupancy timeline.
-    pub fn run(&self, trace: &Trace, scheduler: &mut dyn Scheduler) -> SimResult {
-        self.run_inner(trace, scheduler, TraceSink::disabled())
-    }
-
-    fn run_inner(
-        &self,
-        trace: &Trace,
-        scheduler: &mut dyn Scheduler,
-        sink: TraceSink,
-    ) -> SimResult {
         // One run-level guard, not one per step: the self-profiler must cost
         // nothing measurable in the hot loop (see `pimba_system::obs`).
         let _stepping = pimba_system::obs::profile_phase("stepping");
-        let events = if self.config.fast_forward {
-            let arrivals: Vec<f64> = trace.requests.iter().map(|r| r.arrival_ns).collect();
-            Events::Single(SingleFlightEvents::new(&arrivals))
-        } else {
-            let mut heap = EventQueue::new();
-            for (i, r) in trace.requests.iter().enumerate() {
-                heap.push(r.arrival_ns, EventKind::Arrival(i));
-            }
-            Events::Heap(heap)
-        };
-
-        // Fast mode: per-run dense latency memos, so the hot loop reads
-        // step/prefill latencies with O(1) array indexing (the simulator's
-        // shared prefill cache, when it carries one, still deduplicates the
-        // prefill fills across engines, grid cells and worker threads).
-        // Oracle mode evaluates through the simulator per step,
-        // exactly as the pre-fast-forward engine did.
-        let latencies = if self.config.fast_forward {
-            let max_seq = trace
-                .requests
-                .iter()
-                .map(|r| r.prompt_len + r.output_len)
-                .max()
-                .unwrap_or(1);
-            let max_prompt = trace
-                .requests
-                .iter()
-                .map(|r| r.prompt_len)
-                .max()
-                .unwrap_or(1);
-            Latencies::tables(self.sim, self.model, self.config, max_seq, max_prompt)
-        } else {
-            Latencies::direct(self.sim, self.model, self.config.seq_bucket)
-        };
-
-        let mut session = Session::build(self, events, latencies);
+        // The source sorts the arrivals stably, so an unsorted trace runs
+        // in arrival order with equal times kept in trace order.
+        let arrivals: Vec<f64> = trace.requests.iter().map(|r| r.arrival_ns).collect();
+        let (max_seq, max_prompt) = trace.bounds();
+        let mut session = Session::new(
+            self,
+            SingleFlightEvents::new(&arrivals),
+            max_seq,
+            max_prompt,
+        );
         session.set_trace(sink);
         session.requests = trace
             .requests
@@ -829,19 +687,27 @@ impl<'a> Engine<'a> {
         session.step_until(f64::INFINITY, scheduler);
         session.finish()
     }
+
+    /// Simulates `trace` under `scheduler`, returning per-request outcomes and
+    /// the queue/occupancy timeline: [`Engine::run_traced`] with a disabled
+    /// sink.
+    pub fn run(&self, trace: &Trace, scheduler: &mut dyn Scheduler) -> SimResult {
+        self.run_traced(trace, scheduler, TraceSink::disabled())
+    }
 }
 
 /// One steppable engine run: the whole state of a simulation between events,
 /// advanced in co-simulation windows by [`Session::step_until`].
 ///
-/// [`Engine::run`] is `session + inject everything + step to infinity`; the
-/// fleet simulator instead interleaves windows across replicas, injecting each
-/// routed arrival at its timestamp. The invariants that make the incremental
-/// execution bit-identical to a preloaded run are spelled out in the
-/// module-level docs.
+/// [`Engine::run`] is one session whose event source is preloaded with the
+/// whole trace, stepped to infinity; the fleet simulator instead interleaves
+/// windows across replicas, injecting each routed arrival at its timestamp.
+/// Both run on the same single-flight event source, in either mode. The
+/// invariants that make the incremental execution bit-identical to a
+/// preloaded run are spelled out in the module-level docs.
 pub struct Session<'a> {
     engine: &'a Engine<'a>,
-    events: Events,
+    events: SingleFlightEvents,
     latencies: Latencies<'a>,
     /// Injection-ordered request table; event ids index into it.
     requests: Vec<SessionRequest>,
@@ -873,7 +739,44 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    fn build(engine: &'a Engine<'a>, events: Events, latencies: Latencies<'a>) -> Self {
+    /// The one constructor behind [`Engine::run_traced`] and
+    /// [`Engine::session`], and the one place the latency source is picked.
+    /// Fast mode fills per-run dense latency memos sized by the hints, so the
+    /// hot loop reads step/prefill latencies with `O(1)` array indexing (the
+    /// simulator's shared prefill cache, when it carries one, still
+    /// deduplicates the prefill fills across engines, grid cells and worker
+    /// threads). The oracle evaluates through the simulator per step.
+    fn new(
+        engine: &'a Engine<'a>,
+        events: SingleFlightEvents,
+        max_seq_hint: usize,
+        max_prompt_hint: usize,
+    ) -> Self {
+        let (sim, model, config) = (engine.sim, engine.model, engine.config);
+        let latencies = if config.fast_forward {
+            Latencies::Tables {
+                steps: StepLatencyTable::new(
+                    sim,
+                    model,
+                    config.seq_bucket,
+                    config.max_batch,
+                    max_seq_hint.max(1),
+                ),
+                prefills: PrefillLatencyTable::new(
+                    sim,
+                    model,
+                    config.seq_bucket,
+                    config.max_batch,
+                    max_prompt_hint.max(1),
+                ),
+            }
+        } else {
+            Latencies::Direct {
+                sim,
+                model,
+                seq_bucket: config.seq_bucket,
+            }
+        };
         Self {
             engine,
             events,
@@ -960,10 +863,7 @@ impl<'a> Session<'a> {
         });
         self.first_token.push(f64::NAN);
         self.completion.push(f64::NAN);
-        match &mut self.events {
-            Events::Single(single) => single.push_arrival(request.arrival_ns, local),
-            Events::Heap(_) => unreachable!("incremental sessions use the single-flight source"),
-        }
+        self.events.push_arrival(request.arrival_ns, local);
     }
 
     /// The session's next pending event time, if any — the co-simulation
@@ -971,16 +871,6 @@ impl<'a> Session<'a> {
     /// minimum of these and the next external arrival.
     pub fn next_event_time_ns(&self) -> Option<f64> {
         self.events.peek_time_ns()
-    }
-
-    /// The timestamp of the last processed event.
-    pub fn now_ns(&self) -> f64 {
-        self.now_ns
-    }
-
-    /// Requests injected so far.
-    pub fn injected(&self) -> usize {
-        self.requests.len()
     }
 
     /// Requests completed so far.
@@ -1037,17 +927,7 @@ impl<'a> Session<'a> {
     pub fn crash_drop(&mut self) -> Vec<DroppedRequest> {
         self.work = None;
         self.events.cancel_work();
-        let mut dropped = Vec::new();
-        while let Some(w) = self.queue.pop_front() {
-            let sr = self.requests[w.id];
-            dropped.push(DroppedRequest {
-                id: sr.id,
-                request: sr.request,
-                prefilled: w.prefilled,
-                generated: 0,
-                first_token_ns: f64::NAN,
-            });
-        }
+        let queue = std::mem::take(&mut self.queue);
         let batched = std::mem::take(&mut self.prefilling)
             .into_iter()
             .chain(std::mem::take(&mut self.running))
@@ -1056,27 +936,28 @@ impl<'a> Session<'a> {
                     .into_iter()
                     .map(|e| e.slot),
             );
-        for slot in batched {
-            let sr = self.requests[slot.id];
-            dropped.push(DroppedRequest {
-                id: sr.id,
-                request: sr.request,
-                prefilled: sr.prefilled,
-                generated: slot.generated,
-                first_token_ns: self.first_token[slot.id],
-            });
-        }
-        for local in self.events.drain_pending_arrivals() {
-            let sr = self.requests[local];
-            dropped.push(DroppedRequest {
-                id: sr.id,
-                request: sr.request,
-                prefilled: sr.prefilled,
-                generated: 0,
-                first_token_ns: f64::NAN,
-            });
-        }
-        dropped
+        let pending = self.events.drain_pending_arrivals();
+        let (requests, first_token) = (&self.requests, &self.first_token);
+        let dropped = |local: usize, prefilled: usize, generated: usize| DroppedRequest {
+            id: requests[local].id,
+            request: requests[local].request,
+            prefilled,
+            generated,
+            first_token_ns: first_token[local],
+        };
+        queue
+            .as_slice()
+            .iter()
+            .map(|w| dropped(w.id, w.prefilled, 0))
+            .chain(
+                batched.map(|slot| dropped(slot.id, requests[slot.id].prefilled, slot.generated)),
+            )
+            .chain(
+                pending
+                    .into_iter()
+                    .map(|local| dropped(local, requests[local].prefilled, 0)),
+            )
+            .collect()
     }
 
     /// Removes the still-waiting request injected under caller id `id` from
@@ -1118,14 +999,7 @@ impl<'a> Session<'a> {
         while let Some(event) = self.events.pop_before(horizon_ns) {
             self.now_ns = event.time_ns;
             match event.kind {
-                EventKind::Arrival(id) => {
-                    let sr = self.requests[id];
-                    self.queue.push_back(WaitingRequest {
-                        id,
-                        request: sr.request,
-                        prefilled: sr.prefilled,
-                    });
-                }
+                EventKind::Arrival(id) => self.enqueue(id),
                 EventKind::WorkDone => {
                     match self.work.take().expect("WorkDone without work in flight") {
                         Work::Prefill => {
@@ -1152,25 +1026,7 @@ impl<'a> Session<'a> {
                             decoded,
                         } => {
                             if decoded {
-                                let now_ns = self.now_ns;
-                                let (first_token, completion, completed_log) = (
-                                    &mut self.first_token,
-                                    &mut self.completion,
-                                    &mut self.completed_log,
-                                );
-                                self.running.retain_mut(|r| {
-                                    r.generated += 1;
-                                    if r.generated == 1 {
-                                        first_token[r.id] = now_ns;
-                                    }
-                                    if r.generated >= r.output_len {
-                                        completion[r.id] = now_ns;
-                                        completed_log.push(r.id);
-                                        false
-                                    } else {
-                                        true
-                                    }
-                                });
+                                self.advance_batch(1, self.now_ns);
                             }
                             if fused_tokens > 0 {
                                 let head =
@@ -1178,14 +1034,7 @@ impl<'a> Session<'a> {
                                 head.prefilled += fused_tokens;
                                 if head.prefilled >= head.request.prompt_len {
                                     let head = self.queue.pop_front().expect("head vanished");
-                                    self.running.push(BatchSlot {
-                                        id: head.id,
-                                        prompt_len: head.request.prompt_len,
-                                        output_len: head.request.output_len,
-                                        generated: 0,
-                                        tenant: head.request.tenant,
-                                        priority: head.request.priority,
-                                    });
+                                    self.running.push(head.slot());
                                 }
                             }
                         }
@@ -1242,6 +1091,47 @@ impl<'a> Session<'a> {
                 // policy must see) at the advanced `now_ns`: dispatch again.
             }
         }
+    }
+
+    /// Queues the arrival of local request `local`.
+    fn enqueue(&mut self, local: usize) {
+        let sr = self.requests[local];
+        self.queue.push_back(WaitingRequest {
+            id: local,
+            request: sr.request,
+            prefilled: sr.prefilled,
+        });
+    }
+
+    /// Applies `steps` decode steps to the whole batch, the first completing
+    /// at `t_first` and the last at `self.now_ns`: first tokens are stamped at
+    /// `t_first`, and requests that reach their output budget complete at the
+    /// last step and leave the batch. Only the last step can complete a
+    /// request (`steps` never exceeds the batch's remaining steps), so one
+    /// step of the event loop and a whole replayed macro-step share this.
+    fn advance_batch(&mut self, steps: usize, t_first: f64) {
+        let t_last = self.now_ns;
+        let (first_token, completion, completed_log) = (
+            &mut self.first_token,
+            &mut self.completion,
+            &mut self.completed_log,
+        );
+        self.running.retain_mut(|r| {
+            if r.generated == 0 {
+                first_token[r.id] = t_first;
+            }
+            r.generated += steps;
+            // Degenerate zero-output requests overshoot by the one step that
+            // completes them; everyone else lands exactly.
+            debug_assert!(r.generated <= r.output_len.max(1));
+            if r.generated >= r.output_len {
+                completion[r.id] = t_last;
+                completed_log.push(r.id);
+                false
+            } else {
+                true
+            }
+        });
     }
 
     fn record_sample(&mut self) {
@@ -1458,12 +1348,7 @@ impl<'a> Session<'a> {
                     let EventKind::Arrival(id) = event.kind else {
                         unreachable!("only arrivals are pending while fast-forwarding")
                     };
-                    let sr = self.requests[id];
-                    self.queue.push_back(WaitingRequest {
-                        id,
-                        request: sr.request,
-                        prefilled: sr.prefilled,
-                    });
+                    self.enqueue(id);
                     // Same-timestamp coalescing: only the last event of a
                     // timestamp group records a sample, and a group tying
                     // with the step's own completion is covered by the step's
@@ -1494,32 +1379,10 @@ impl<'a> Session<'a> {
             }
 
             if executed > 0 {
-                // Replay the executed steps onto the batch in one pass. Only
-                // the final step can complete requests (`executed <=
-                // to_completion`, with equality exactly when the sub-segment
-                // ended on a completion).
-                let t_last = self.now_ns;
-                let (first_token, completion, completed_log) = (
-                    &mut self.first_token,
-                    &mut self.completion,
-                    &mut self.completed_log,
-                );
-                self.running.retain_mut(|r| {
-                    if r.generated == 0 {
-                        first_token[r.id] = t_first;
-                    }
-                    r.generated += executed;
-                    // Degenerate zero-output requests overshoot by the one
-                    // step that completes them; everyone else lands exactly.
-                    debug_assert!(r.generated <= r.output_len.max(1));
-                    if r.generated >= r.output_len {
-                        completion[r.id] = t_last;
-                        completed_log.push(r.id);
-                        false
-                    } else {
-                        true
-                    }
-                });
+                // Replay the executed steps onto the batch in one pass
+                // (`executed <= to_completion`, with equality exactly when
+                // the sub-segment ended on a completion).
+                self.advance_batch(executed, t_first);
             }
             if interrupted {
                 self.trace_fast_forward(t_enter, 0.0);
@@ -1591,14 +1454,7 @@ impl<'a> Session<'a> {
                 prefill_count += 1;
                 max_prompt = max_prompt.max(w.request.prompt_len);
             }
-            self.prefilling.push(BatchSlot {
-                id: w.id,
-                prompt_len: w.request.prompt_len,
-                output_len: w.request.output_len,
-                generated: 0,
-                tenant: w.request.tenant,
-                priority: w.request.priority,
-            });
+            self.prefilling.push(w.slot());
         }
         let latency = if prefill_count > 0 {
             let raw = self.latencies.prefill_ns(prefill_count, max_prompt);
@@ -1615,38 +1471,7 @@ impl<'a> Session<'a> {
     /// stay idle until the next event.
     fn dispatch(&mut self, scheduler: &mut dyn Scheduler) -> Option<(f64, Work, DecodeStability)> {
         let engine = self.engine;
-        // The admission probe's occupant anchor. Final-sequence mode keeps
-        // the historical shortcut (only relevant when something is waiting);
-        // live mode anchors at current lengths unconditionally — the
-        // occupancy view and the resume clamp read it even with an empty
-        // queue.
-        let anchor_seq = match engine.config.admission {
-            AdmissionMode::FinalSeqLen => {
-                if self.queue.is_empty() {
-                    0
-                } else {
-                    self.running
-                        .iter()
-                        .map(BatchSlot::final_seq_len)
-                        .max()
-                        .unwrap_or(0)
-                }
-            }
-            AdmissionMode::LiveOccupancy => self
-                .running
-                .iter()
-                .map(BatchSlot::seq_len)
-                .max()
-                .unwrap_or(0),
-        };
-        let probe = AdmissionProbe {
-            memory: &engine.memory,
-            capacity_bytes: engine.capacity_bytes,
-            occupied: self.running.len(),
-            anchor_seq,
-            max_batch: engine.config.max_batch,
-            mode: engine.config.admission,
-        };
+        let mode = engine.config.admission;
         let view = EngineView {
             now_ns: self.now_ns,
             queue: self.queue.as_slice(),
@@ -1655,8 +1480,14 @@ impl<'a> Session<'a> {
             batch: &self.running,
             evicted: &self.evicted,
             capacity_bytes: engine.capacity_bytes,
-            admission_mode: engine.config.admission,
-            admission: probe,
+            admission_mode: mode,
+            memory: &engine.memory,
+            anchor_seq: self
+                .running
+                .iter()
+                .map(|slot| mode.anchor_seq(slot))
+                .max()
+                .unwrap_or(0),
         };
         let mut action = scheduler.decide(&view);
         // Stability is only meaningful for a pure decode the *scheduler*
@@ -1686,9 +1517,7 @@ impl<'a> Session<'a> {
         };
         action = match action {
             Action::AdmitAndPrefill { count } => {
-                let count = count
-                    .min(self.queue.len())
-                    .min(probe.admissible_count(self.queue.as_slice()));
+                let count = count.min(self.queue.len()).min(view.admissible_count());
                 if count > 0 {
                     Action::AdmitAndPrefill { count }
                 } else {
@@ -1696,7 +1525,7 @@ impl<'a> Session<'a> {
                 }
             }
             Action::AdmitSelected { mut picks } => {
-                let admissible = probe.admissible_prefix(self.queue.as_slice(), &picks);
+                let admissible = view.admissible_among(&picks);
                 if admissible > 0 {
                     picks.truncate(admissible);
                     Action::AdmitSelected { picks }
@@ -1716,23 +1545,8 @@ impl<'a> Session<'a> {
             }
             Action::Resume { count } => {
                 // Clamp against the batch cap and the memory budget with the
-                // occupants anchored at their mode-appropriate lengths
-                // (recomputed here: the probe's final-seq anchor is 0 when
-                // the queue is empty, which is exactly when resumes happen).
-                let final_anchor = match engine.config.admission {
-                    AdmissionMode::FinalSeqLen => self
-                        .running
-                        .iter()
-                        .map(BatchSlot::final_seq_len)
-                        .max()
-                        .unwrap_or(0),
-                    AdmissionMode::LiveOccupancy => anchor_seq,
-                };
-                let clamped = AdmissionProbe {
-                    anchor_seq: final_anchor,
-                    ..probe
-                }
-                .resumable_count(&self.evicted, count);
+                // occupants anchored at their mode-appropriate lengths.
+                let clamped = view.resumable_count(count);
                 if clamped > 0 {
                     Action::Resume { count: clamped }
                 } else {
@@ -1852,8 +1666,7 @@ impl<'a> Session<'a> {
                     .map(|h| (h.prefilled, h.request.prompt_len));
                 let fused_tokens = match head {
                     Some((prefilled, prompt_len))
-                        if fused_chunk_tokens > 0
-                            && probe.admissible_count(self.queue.as_slice()) > 0 =>
+                        if fused_chunk_tokens > 0 && view.admissible_count() > 0 =>
                     {
                         // A head that arrived fully prefilled (a disaggregated
                         // handoff) still rides one zero-cost phantom token so
@@ -1903,9 +1716,9 @@ mod tests {
         )
     }
 
-    /// `Session` (with its boxed scheduler) must stay shippable across the
-    /// fleet executor's worker threads — compile-time assertion so a future
-    /// non-`Send` field is caught here, not in the fleet crate.
+    /// `Session` (with its boxed scheduler) must stay movable to another
+    /// thread — compile-time assertion so a future non-`Send` field is
+    /// caught here, not in a downstream crate.
     #[test]
     fn sessions_are_send() {
         fn assert_send<T: Send>() {}

@@ -1,10 +1,12 @@
-//! The discrete-event core: a binary-heap event queue with deterministic
-//! tie-breaking.
+//! The discrete-event core: the engine's single-flight event source and the
+//! binary-heap event queue it is checked against.
 //!
 //! Simulated time is `f64` nanoseconds. Events at equal times pop in insertion
 //! order (a monotone sequence number breaks ties), so a simulation is a pure
 //! function of its inputs — the foundation of the bit-identical-across-threads
-//! guarantee the traffic runner advertises.
+//! guarantee the traffic runner advertises. Every engine run, per-step oracle
+//! included, pops from [`SingleFlightEvents`]; the general [`EventQueue`] is
+//! the reference whose pop order the tests hold it to.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -92,7 +94,7 @@ impl EventQueue {
     }
 }
 
-/// The degenerate event queue of the fast-forward engine.
+/// The event source of every engine run.
 ///
 /// The serving engine holds at most **one** work item in flight, and every
 /// other event is a trace arrival whose timestamp is known before the
@@ -207,6 +209,16 @@ impl SingleFlightEvents {
         }
     }
 
+    /// Pops the earliest event strictly before `horizon_ns` (the co-sim
+    /// window: events at or after the horizon may still gain a preceding or
+    /// tying arrival from the driver).
+    pub fn pop_before(&mut self, horizon_ns: f64) -> Option<Event> {
+        match self.peek_time_ns() {
+            Some(t) if t < horizon_ns => self.pop(),
+            _ => None,
+        }
+    }
+
     /// The earliest pending timestamp without removing it.
     pub fn peek_time_ns(&self) -> Option<f64> {
         let arrival = self.times.get(self.cursor).copied();
@@ -239,6 +251,7 @@ impl SingleFlightEvents {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -303,6 +316,73 @@ mod tests {
                 }
                 (None, None) => break,
                 (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    /// Pops both sources' next event strictly before `horizon_ns`.
+    fn pop_both_before(
+        heap: &mut EventQueue,
+        single: &mut SingleFlightEvents,
+        horizon_ns: f64,
+    ) -> (Option<Event>, Option<Event>) {
+        let from_heap = match heap.peek() {
+            Some(e) if e.time_ns < horizon_ns => heap.pop(),
+            _ => None,
+        };
+        (from_heap, single.pop_before(horizon_ns))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The heap is the reference for the single-flight source's order:
+        /// unsorted arrivals with many exact ties, single-flight work
+        /// completions at or after the last popped time (tying with,
+        /// preceding or following pending arrivals) and `pop_before`
+        /// horizons, all on a half-unit grid so ties are frequent.
+        #[test]
+        fn single_flight_matches_heap_order_under_random_scripts(
+            arrival_slots in prop::collection::vec(0u8..8, 0..24),
+            script in prop::collection::vec((0u8..3, 0u8..12), 0..64),
+        ) {
+            let arrivals: Vec<f64> = arrival_slots.iter().map(|&t| f64::from(t)).collect();
+            let mut heap = EventQueue::new();
+            for (i, &t) in arrivals.iter().enumerate() {
+                heap.push(t, EventKind::Arrival(i));
+            }
+            let mut single = SingleFlightEvents::new(&arrivals);
+            let (mut last_ns, mut working) = (0.0, false);
+            for (op, offset) in script {
+                let at_ns = last_ns + f64::from(offset) / 2.0;
+                let (expected, got) = match op {
+                    0 if !working => {
+                        heap.push(at_ns, EventKind::WorkDone);
+                        single.push_work(at_ns);
+                        working = true;
+                        (None, None)
+                    }
+                    0 | 1 => pop_both_before(&mut heap, &mut single, at_ns),
+                    _ => (heap.pop(), single.pop()),
+                };
+                prop_assert_eq!(
+                    expected.map(|e| (e.time_ns, e.kind)),
+                    got.map(|e| (e.time_ns, e.kind))
+                );
+                if let Some(e) = expected {
+                    last_ns = e.time_ns;
+                    working &= e.kind != EventKind::WorkDone;
+                }
+                prop_assert_eq!(heap.peek().map(|e| e.time_ns), single.peek_time_ns());
+            }
+            loop {
+                let (expected, got) = (heap.pop(), single.pop());
+                prop_assert_eq!(
+                    expected.map(|e| (e.time_ns, e.kind)),
+                    got.map(|e| (e.time_ns, e.kind))
+                );
+                if expected.is_none() {
+                    break;
+                }
             }
         }
     }

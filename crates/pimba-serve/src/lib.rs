@@ -12,9 +12,9 @@
 //!   tenant/priority tags, backward compatible), canned scenario presets
 //!   (chat, summarization, long-context RAG, reasoning-heavy decode) and a
 //!   multi-tenant mix generator,
-//! * [`event`] — the binary-heap event queue with deterministic tie-breaking,
-//!   and the degenerate single-flight/arrival-cursor source the fast engine
-//!   uses,
+//! * [`event`] — the single-flight/arrival-cursor event source every engine
+//!   run uses, and the binary-heap event queue with deterministic
+//!   tie-breaking its pop order is tested against,
 //! * [`sched`] — the admission/scheduler trait and five policies: FCFS static
 //!   batching, continuous batching, chunked-prefill continuous batching,
 //!   memory-pressure checkpoint-restore eviction, and weighted fair queueing
@@ -52,7 +52,7 @@
 //! # Fast-forward invariants
 //!
 //! The default engine advances runs of scheduler-stable pure-decode steps in
-//! *macro-steps* instead of per-step heap events, reading latencies from
+//! *macro-steps* instead of per-step events, reading latencies from
 //! dense per-run `(batch, seq-bucket)` tables
 //! ([`pimba_system::table`]) — one to two orders of magnitude faster on
 //! decode-heavy traffic (`serve_hotloop` bench) while **bit-identical** to

@@ -494,46 +494,11 @@ impl TrafficGrid {
         self
     }
 
-    /// Sets per-tenant SLO targets for the per-tenant summaries of every
-    /// record (the grid-level [`TrafficGrid::slo`] still defines the
-    /// headline goodput/attainment).
-    pub fn with_tenant_slos(mut self, tenant_slos: TenantSlos) -> Self {
-        self.tenant_slos = Some(tenant_slos);
-        self
-    }
-
-    /// Fixes the per-replica device-memory budget (e.g. to build a
-    /// memory-pressured cell); `None` is each system's full HBM capacity.
-    pub fn with_capacity_bytes(mut self, capacity_bytes: Option<f64>) -> Self {
-        self.capacity_bytes = capacity_bytes;
-        self
-    }
-
-    /// Selects the admission-probe anchoring.
-    pub fn with_admission(mut self, admission: AdmissionMode) -> Self {
-        self.admission = admission;
-        self
-    }
-
     /// Sets the sequence-length bucket for step-latency lookups (must be
     /// positive, matching [`EngineConfig::seq_bucket`]'s contract).
     pub fn with_seq_bucket(mut self, seq_bucket: usize) -> Self {
         assert!(seq_bucket > 0, "seq_bucket must be positive");
         self.seq_bucket = seq_bucket;
-        self
-    }
-
-    /// Enables or disables macro-step fast-forwarding (on by default; results
-    /// are bit-identical either way).
-    pub fn with_fast_forward(mut self, fast_forward: bool) -> Self {
-        self.fast_forward = fast_forward;
-        self
-    }
-
-    /// Sets the timeline sampling stride (1 = store every event, 0 = store no
-    /// points; aggregate metrics are exact in all cases).
-    pub fn with_timeline_sampling(mut self, sample_every: usize) -> Self {
-        self.timeline_sample_every = sample_every;
         self
     }
 

@@ -152,10 +152,10 @@ pub enum DecodeStability {
 
 /// A scheduling/admission policy.
 ///
-/// `Send` is a supertrait so a boxed policy can accompany its replica's
-/// [`Session`](crate::engine::Session) onto a worker thread of the parallel
-/// fleet executor; policies are plain state machines, so every implementation
-/// satisfies it structurally.
+/// `Send` is a supertrait so a boxed policy, like the
+/// [`Session`](crate::engine::Session) it drives, can move to another thread
+/// (the engine's tests pin both); policies are plain state machines, so every
+/// implementation satisfies it structurally.
 pub trait Scheduler: Send {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
@@ -436,17 +436,11 @@ impl MemoryPressureEviction {
     /// one when the batch is empty, so a drained engine always makes
     /// progress).
     fn resumable(&self, view: &EngineView<'_>) -> usize {
-        let target = Self::watermark_bytes(view, self.low_watermark);
-        let free_slots = view.max_batch.saturating_sub(view.batch.len());
-        let mut count = 0;
-        let mut max_seq = view.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(1);
-        for evicted in view.evicted.iter().take(free_slots) {
-            max_seq = max_seq.max(evicted.slot.seq_len());
-            if view.memory_usage_bytes(view.batch.len() + count + 1, max_seq) > target {
-                break;
-            }
-            count += 1;
-        }
+        let count = view.fitting_prefix(
+            view.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(1),
+            Self::watermark_bytes(view, self.low_watermark),
+            view.evicted.iter().map(|e| e.slot.seq_len()),
+        );
         if count == 0 && view.batch.is_empty() && !view.evicted.is_empty() {
             1 // a request that does not fit under the watermark alone never will
         } else {
@@ -460,19 +454,11 @@ impl MemoryPressureEviction {
     /// clamp, so steady growth (not admission itself) is what triggers
     /// evictions.
     fn admissible_under_watermark(&self, view: &EngineView<'_>) -> usize {
-        let bound = Self::watermark_bytes(view, self.high_watermark);
-        let mut count = 0;
-        let mut max_seq = view.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(0);
-        for waiting in view.queue {
-            if view.batch.len() + count + 1 > view.max_batch {
-                break;
-            }
-            max_seq = max_seq.max(waiting.request.prompt_len);
-            if view.memory_usage_bytes(view.batch.len() + count + 1, max_seq) > bound {
-                break;
-            }
-            count += 1;
-        }
+        let count = view.fitting_prefix(
+            view.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(0),
+            Self::watermark_bytes(view, self.high_watermark),
+            view.queue.iter().map(|w| w.request.prompt_len),
+        );
         if count == 0 && view.batch.is_empty() && view.evicted.is_empty() && !view.queue.is_empty()
         {
             1 // nothing fits alone: admit it anyway rather than deadlock

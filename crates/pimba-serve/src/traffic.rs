@@ -98,6 +98,17 @@ impl Trace {
         self.requests.is_empty()
     }
 
+    /// `(max final sequence, max prompt)` over the requests, each at least 1
+    /// — the latency-table sizing hints of an engine run.
+    pub fn bounds(&self) -> (usize, usize) {
+        self.requests.iter().fold((1, 1), |(seq, prompt), r| {
+            (
+                seq.max(r.prompt_len + r.output_len),
+                prompt.max(r.prompt_len),
+            )
+        })
+    }
+
     /// Mean offered load in requests/second over the trace span (0 for traces
     /// shorter than two requests).
     pub fn offered_rate_rps(&self) -> f64 {

@@ -18,7 +18,10 @@
 //!
 //! Malformed lines and invalid specs get structured
 //! `{"event":"error","field":…,"message":…}` lines — never a dropped
-//! connection, never a panic. While a submission is streaming, its connection
+//! connection, never a panic. A submit's `priority` (an integer, default 0)
+//! and `timeout_ms` (a positive integer, default the daemon's) are optional;
+//! one present with another type or value is such an error, and queues no
+//! job. While a submission is streaming, its connection
 //! is dedicated to that stream; use a second connection to cancel or poll
 //! (`examples/serviced_client.rs` does exactly that).
 //!
@@ -317,13 +320,39 @@ fn handle_connection(mut conn: LineConn, queue: &Arc<JobQueue>, stopper: &Stoppe
     }
 }
 
+/// Reads an optional integer field of a request: `Ok(None)` when absent, and
+/// the error line to answer when it is present but not an integer accepted
+/// by `valid` (`expected` names what is accepted).
+fn optional_int(
+    request: &Json,
+    field: &str,
+    valid: fn(i64) -> bool,
+    expected: &str,
+) -> Result<Option<i64>, String> {
+    match request.get(field) {
+        None => Ok(None),
+        Some(value) => match value.as_i64() {
+            Some(n) if valid(n) => Ok(Some(n)),
+            _ => Err(error_line(field, &format!("must be {expected}"))),
+        },
+    }
+}
+
 fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, stopper: &Stopper, request: &Json) {
-    let priority = request.get("priority").and_then(Json::as_i64).unwrap_or(0);
-    let timeout = request
-        .get("timeout_ms")
-        .and_then(Json::as_i64)
-        .filter(|n| *n > 0)
-        .map(|n| Duration::from_millis(n as u64));
+    let priority = match optional_int(request, "priority", |_| true, "an integer") {
+        Ok(priority) => priority.unwrap_or(0),
+        Err(line) => {
+            let _ = conn.write_line(&line);
+            return;
+        }
+    };
+    let timeout = match optional_int(request, "timeout_ms", |n| n > 0, "a positive integer") {
+        Ok(ms) => ms.map(|n| Duration::from_millis(n as u64)),
+        Err(line) => {
+            let _ = conn.write_line(&line);
+            return;
+        }
+    };
     let Some(spec) = request.get("spec") else {
         let _ = conn.write_line(&error_line("spec", "missing required field"));
         return;

@@ -242,6 +242,50 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
 }
 
 #[test]
+fn submits_with_a_bad_priority_or_timeout_are_rejected_not_defaulted() {
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut conn = netline::LineConn::connect(daemon.addr()).unwrap();
+    let spec = traffic_spec().render();
+    for (extra, field) in [
+        (r#""timeout_ms":60000.0"#, "timeout_ms"),
+        (r#""timeout_ms":-5"#, "timeout_ms"),
+        (r#""timeout_ms":0"#, "timeout_ms"),
+        (r#""timeout_ms":"60000""#, "timeout_ms"),
+        (r#""priority":"high""#, "priority"),
+        (r#""priority":1.5"#, "priority"),
+    ] {
+        conn.write_line(&format!(r#"{{"cmd":"submit","spec":{spec},{extra}}}"#))
+            .unwrap();
+        let reply = Json::parse(&conn.read_line().unwrap().unwrap()).unwrap();
+        assert_eq!(
+            reply.get("event").unwrap().as_str(),
+            Some("error"),
+            "{extra}"
+        );
+        assert_eq!(reply.get("field").unwrap().as_str(), Some(field), "{extra}");
+    }
+
+    // The connection survives, and none of the rejected submits was queued:
+    // the valid one is the daemon's first job.
+    conn.write_line(&format!(
+        r#"{{"cmd":"submit","spec":{spec},"priority":2,"timeout_ms":60000}}"#
+    ))
+    .unwrap();
+    let reply = Json::parse(&conn.read_line().unwrap().unwrap()).unwrap();
+    assert_eq!(reply.get("event").unwrap().as_str(), Some("accepted"));
+    assert_eq!(reply.get("job").unwrap().as_i64(), Some(1));
+    let terminal = loop {
+        let line = Json::parse(&conn.read_line().unwrap().unwrap()).unwrap();
+        let event = line.get("event").unwrap().as_str().unwrap().to_string();
+        if !matches!(event.as_str(), "progress" | "record") {
+            break event;
+        }
+    };
+    assert_eq!(terminal, "done");
+    daemon.stop();
+}
+
+#[test]
 fn shutdown_drains_inflight_jobs_and_rejects_new_connections() {
     let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
     let addr = daemon.addr();

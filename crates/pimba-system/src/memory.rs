@@ -82,6 +82,36 @@ impl<'a> MemoryModel<'a> {
             batch as f64 * self.model.kv_elements_per_request(seq_len) * self.kv_bytes_per_value;
         state_bytes + kv_bytes
     }
+
+    /// How many of `candidate_seqs`, taken in order, fit on top of `occupied`
+    /// resident requests: the walk behind every admission and restore clamp.
+    /// A candidate fits while the batch stays within `max_batch` and the
+    /// footprint at the running maximum sequence length — seeded with the
+    /// occupants' `anchor_seq`, each candidate folded in before its check —
+    /// stays within `bound_bytes`. The walk stops at the first misfit.
+    pub fn fitting_prefix(
+        &self,
+        occupied: usize,
+        anchor_seq: usize,
+        max_batch: usize,
+        bound_bytes: f64,
+        candidate_seqs: impl IntoIterator<Item = usize>,
+    ) -> usize {
+        let mut count = 0;
+        let mut max_seq = anchor_seq;
+        for seq in candidate_seqs {
+            let batch = occupied + count + 1;
+            if batch > max_batch {
+                break;
+            }
+            max_seq = max_seq.max(seq);
+            if self.usage_bytes(batch, max_seq) > bound_bytes {
+                break;
+            }
+            count += 1;
+        }
+        count
+    }
 }
 
 /// Memory footprint of serving `model` on `config` with the given batch and sequence

@@ -37,8 +37,8 @@
 //!   registry ([`MetricsHub::snapshot`], [`MetricsHub::to_json`]).
 //! * [`profile_phase`] and friends — process-global wall-time accounting of
 //!   the *simulator's own* phases (routing, stepping, handoff delivery, memo
-//!   lookup, persist I/O, window-barrier wait) so benches can report where
-//!   host time goes. Wall time never feeds back into simulated time.
+//!   lookup, persist I/O, metrics export) so benches can report where host
+//!   time goes. Wall time never feeds back into simulated time.
 
 use netline::{Json, JsonLines, LineError};
 use std::collections::btree_map::Entry;
@@ -623,7 +623,7 @@ fn phase_table() -> &'static Mutex<BTreeMap<&'static str, PhaseStat>> {
 
 /// Turns the process-global phase profiler on. Profiling measures *host* wall
 /// time of simulator phases (routing, stepping, handoff delivery, memo
-/// lookup, persist I/O, window-barrier wait); it never touches simulated time
+/// lookup, persist I/O, metrics export); it never touches simulated time
 /// and cannot change results.
 pub fn enable_profiling() {
     PROFILING.store(true, Ordering::Relaxed);
