@@ -186,6 +186,14 @@ impl GenerationWorkload {
         }
     }
 
+    /// Whether a generation step of `config` costs the same at every sequence
+    /// length: true exactly when [`GenerationWorkload::attention_op`] returns
+    /// `None`, i.e. for attention-free models, whose state update replaces the
+    /// KV cache. Dense latency tables use it to keep one entry per batch size.
+    pub fn step_is_seq_invariant(config: &ModelConfig) -> bool {
+        config.n_attention_layers == 0
+    }
+
     /// The attention operator of one generation step at `seq_len`, or `None` for
     /// attention-free models.
     ///
@@ -202,7 +210,7 @@ impl GenerationWorkload {
         seq_len: usize,
         formats: StorageFormats,
     ) -> Option<OpInstance> {
-        if config.n_attention_layers == 0 {
+        if Self::step_is_seq_invariant(config) {
             return None;
         }
         let b = batch as f64;

@@ -49,7 +49,9 @@
 //!   [`StepLatencyTable`]/[`PrefillLatencyTable`] memos indexed by
 //!   `(batch, seq-bucket)`, so hot-loop latency reads are plain array indexing
 //!   — no workload construction, no hashing, no locks. A table entry stores
-//!   the exact `f64` the simulator returns.
+//!   the exact `f64` the simulator returns. Rows allocate in pages on first
+//!   touch, and a step table over an attention-free model keeps one slot per
+//!   row and reports itself seq-invariant.
 //! * **Macro-step fast-forwarding** — when the scheduler certifies its pure
 //!   decode decision as *stable* ([`Scheduler::decode_stability`]), the whole
 //!   run of decode steps up to the next arrival (or completion, depending on
@@ -58,9 +60,12 @@
 //!   `now + latency` the event queue would have computed, so timestamps match
 //!   bit for bit) plus a telemetry sample, instead of an event push/pop, a
 //!   scheduler consult, a latency lookup and an `O(batch)` bookkeeping pass.
-//!   Seq-bucket crossings and — when nothing is waiting — completions are
-//!   absorbed without leaving the macro-step; first-token and completion
-//!   times are reconstructed exactly.
+//!   The batch is scanned once per segment of constant membership, which
+//!   runs to the next completion; seq-bucket crossings inside it re-read the
+//!   step latency in line (never, for a seq-invariant table), and — when
+//!   nothing is waiting — completions are absorbed without leaving the
+//!   macro-step; first-token and completion times are reconstructed
+//!   exactly.
 //! * **Closed-form admission accounting** — every admission and restore
 //!   clamp ([`EngineView::admissible_count`] and its kin) walks its
 //!   candidates through [`MemoryModel::fitting_prefix`] against a
@@ -515,6 +520,16 @@ impl Latencies<'_> {
                 let bucketed = seq.div_ceil(*seq_bucket) * *seq_bucket;
                 sim.generation_step(model, batch, bucketed).total_ns
             }
+        }
+    }
+
+    /// Whether the step latency is the same at every sequence length, so a
+    /// fast-forward segment never re-reads it for a longer sequence. Only the
+    /// tables answer (the per-step oracle never fast-forwards).
+    fn seq_invariant(&self) -> bool {
+        match self {
+            Self::Tables { steps, .. } => steps.seq_invariant(),
+            Self::Direct { .. } => false,
         }
     }
 
@@ -1080,7 +1095,7 @@ impl<'a> Session<'a> {
                 // A stable pure decode: the dispatch mutated nothing, so this
                 // timestamp's sample equals the pre-dispatch state.
                 self.record_sample();
-                if !self.fast_forward(stability, latency_ns, horizon_ns) {
+                if !self.fast_forward(stability, horizon_ns) {
                     // Interrupted by an arrival (or paused at the co-sim
                     // horizon): the current step stays in flight as a real
                     // event (pushed by `fast_forward`).
@@ -1191,6 +1206,13 @@ impl<'a> Session<'a> {
         }
     }
 
+    /// Latency of one decode step over `batch` requests whose longest
+    /// sequence is `seq_len`, under the compute scale.
+    fn step_latency_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
+        let raw = self.latencies.step_ns(batch, seq_len);
+        self.scaled(raw)
+    }
+
     /// Marginal cost of extending one request's prefill from `already` to
     /// `already + tokens` prompt tokens, as the difference of cumulative
     /// batch-1 prefills. This charges each chunk for attention against the
@@ -1211,14 +1233,16 @@ impl<'a> Session<'a> {
     }
 
     /// Advances a run of stable pure-decode steps without handing each one to
-    /// the event queue. The macro-step is built from *sub-segments* of
-    /// constant step latency (constant batch size and bucketed sequence
-    /// length). A sub-segment ends at the earliest request completion or the
-    /// next seq-bucket crossing; what hands control back to the dispatcher
-    /// depends on the scheduler's certified [`DecodeStability`]:
+    /// the event queue. The macro-step is built from *segments* of constant
+    /// batch membership: a segment ends only at the earliest request
+    /// completion (or at an interrupt, below). Within a segment the longest
+    /// sequence after `executed` steps is `seq0 + executed`, so the step
+    /// latency is re-read in line from the latency table whenever that length
+    /// enters a new seq bucket — and never when the table reports the step
+    /// seq-invariant (an attention-free model). What hands control back to
+    /// the dispatcher depends on the scheduler's certified
+    /// [`DecodeStability`]:
     ///
-    /// * bucket crossings never do — the engine re-reads the new latency and
-    ///   continues (the policy's decision does not depend on the latency),
     /// * completions do at [`DecodeStability::UntilBatchChange`]; at
     ///   [`DecodeStability::UntilAdmissible`] only when something is waiting
     ///   at that moment; at [`DecodeStability::UntilBatchDrains`] never,
@@ -1239,22 +1263,26 @@ impl<'a> Session<'a> {
     /// advanced timestamp.
     ///
     /// Bit-exactness: timestamps advance by the same `now + latency` addition
-    /// the event queue performs per step; arrivals are absorbed with the
-    /// event loop's tie-breaking (arrivals pop ahead of a simultaneous step
-    /// completion) and same-timestamp sample coalescing; first-token times
-    /// are stamped at the first advanced step's timestamp and completions at
-    /// their sub-segment's last one; `Telemetry::record` observes every
-    /// virtual event — so outcomes, timeline and aggregates are identical to
-    /// the step-by-step loop.
-    fn fast_forward(
-        &mut self,
-        stability: DecodeStability,
-        first_step_ns: f64,
-        horizon_ns: f64,
-    ) -> bool {
+    /// the event queue performs per step, each at the latency the per-step
+    /// loop reads for that step; arrivals are absorbed with the event loop's
+    /// tie-breaking (arrivals pop ahead of a simultaneous step completion)
+    /// and same-timestamp sample coalescing; first-token times are stamped at
+    /// the first advanced step's timestamp and completions at their
+    /// segment's last one; `Telemetry::record` observes every virtual event —
+    /// so outcomes, timeline and aggregates are identical to the step-by-step
+    /// loop.
+    fn fast_forward(&mut self, stability: DecodeStability, horizon_ns: f64) -> bool {
         let bucket = self.engine.config.seq_bucket;
         let max_batch = self.engine.config.max_batch;
-        let mut step_ns = first_step_ns;
+        let seq_invariant = self.latencies.seq_invariant();
+        // The longest sequence length that shares the latency read at `seq`.
+        let bucket_end = |seq: usize| {
+            if seq_invariant {
+                usize::MAX
+            } else {
+                seq.div_ceil(bucket) * bucket
+            }
+        };
         let t_enter = self.now_ns;
         loop {
             debug_assert!(!self.running.is_empty(), "pure decode with empty batch");
@@ -1264,7 +1292,7 @@ impl<'a> Session<'a> {
             // `TraceRequest` fields; the generators clamp to >= 1) completes
             // at its first decode step in the per-step loop, so it
             // contributes one remaining step, not zero — which would stall
-            // the horizon.
+            // the segment.
             let (to_completion, seq0) =
                 self.running
                     .iter()
@@ -1274,12 +1302,9 @@ impl<'a> Session<'a> {
                             seq.max(r.seq_len()),
                         )
                     });
-            // Steps sharing the current bucketed latency: step i (1-based)
-            // runs at sequence length `seq0 + i - 1`, which stays in the
-            // current bucket while `seq0 + i - 1 <= round_up(seq0)`.
-            let in_bucket = seq0.div_ceil(bucket) * bucket - seq0 + 1;
-            let horizon = to_completion.min(in_bucket);
             let occupancy = self.running.len();
+            let mut step_ns = self.step_latency_ns(occupancy, seq0);
+            let mut last_seq = bucket_end(seq0);
             let absorb_arrivals = match stability {
                 DecodeStability::UntilBatchDrains => true,
                 DecodeStability::UntilAdmissible => occupancy == max_batch,
@@ -1290,15 +1315,22 @@ impl<'a> Session<'a> {
             let mut t_first = self.now_ns;
             let mut interrupted = false;
             'steps: loop {
+                // The next step runs at the longest sequence `seq`; on
+                // entering a new bucket it costs what the table says there.
+                let seq = seq0 + executed;
+                if seq > last_seq {
+                    step_ns = self.step_latency_ns(occupancy, seq);
+                    last_seq = bucket_end(seq);
+                }
                 // Fast region: while the next pending event and the co-sim
-                // horizon are both beyond the step being executed and the
-                // step is not the sub-segment's last, nothing can change the
-                // batch or the queue — the per-step work collapses to the
-                // `now + step` time chain, committed to telemetry in one
-                // bit-identical fold. The slow path below then handles the
-                // next boundary step (park, absorb or completion) and control
-                // returns here.
-                if horizon - executed > 1 && self.telemetry.foldable() {
+                // horizon are both beyond the step being executed, the step
+                // is not the segment's last and the latency holds, nothing
+                // can change the batch or the queue — the per-step work
+                // collapses to the `now + step` time chain, committed to
+                // telemetry in one bit-identical fold. The slow path below
+                // then handles the next boundary step (park, absorb or
+                // completion), or the loop re-reads the latency.
+                if to_completion - executed > 1 && self.telemetry.foldable() {
                     let pending = self.events.peek_time_ns().unwrap_or(f64::INFINITY);
                     let bound = if horizon_ns < pending {
                         horizon_ns
@@ -1308,7 +1340,7 @@ impl<'a> Session<'a> {
                     let (folded, now) = self.telemetry.record_chain_until(
                         self.now_ns,
                         step_ns,
-                        horizon - executed - 1,
+                        (to_completion - executed - 1).min(last_seq - seq + 1),
                         bound,
                         self.queue.len(),
                         occupancy,
@@ -1319,6 +1351,7 @@ impl<'a> Session<'a> {
                         }
                         self.now_ns = now;
                         executed += folded;
+                        continue 'steps;
                     }
                 }
                 let t_next = self.now_ns + step_ns;
@@ -1368,7 +1401,7 @@ impl<'a> Session<'a> {
                 if executed == 1 {
                     t_first = t_next;
                 }
-                if executed == horizon {
+                if executed == to_completion {
                     break;
                 }
                 // Interior step: batch membership is unchanged by
@@ -1381,45 +1414,33 @@ impl<'a> Session<'a> {
             if executed > 0 {
                 // Replay the executed steps onto the batch in one pass
                 // (`executed <= to_completion`, with equality exactly when
-                // the sub-segment ended on a completion).
+                // the segment ended on a completion).
                 self.advance_batch(executed, t_first);
             }
             if interrupted {
                 self.trace_fast_forward(t_enter, 0.0);
                 return false;
             }
-            let completed = executed == to_completion;
             let wake_the_policy = self.running.is_empty()
-                || (completed
-                    && match stability {
-                        DecodeStability::UntilBatchChange => true,
-                        DecodeStability::UntilAdmissible => !self.queue.is_empty(),
-                        DecodeStability::UntilBatchDrains => false,
-                        DecodeStability::PerStep => {
-                            unreachable!("per-step work never fast-forwards")
-                        }
-                    });
+                || match stability {
+                    DecodeStability::UntilBatchChange => true,
+                    DecodeStability::UntilAdmissible => !self.queue.is_empty(),
+                    DecodeStability::UntilBatchDrains => false,
+                    DecodeStability::PerStep => {
+                        unreachable!("per-step work never fast-forwards")
+                    }
+                };
             if wake_the_policy {
                 // The dispatcher must see this boundary; it records the
                 // boundary step's telemetry sample after deciding.
                 self.trace_fast_forward(t_enter, 1.0);
                 return true;
             }
-            // Absorb the boundary inline: record its sample (post-completion
-            // state, as the step-by-step loop would after handling the event)
-            // and continue with the new sub-segment's latency (the next
-            // iteration's batch pass recomputes the horizon; the bucketed
-            // sequence after `executed` steps is what the table reads).
+            // Absorb the completion inline: record its sample
+            // (post-completion state, as the step-by-step loop would after
+            // handling the event) and continue with the next segment.
             let (now_ns, queue_depth, batch) = (self.now_ns, self.queue.len(), self.running.len());
             self.telemetry.record(now_ns, queue_depth, batch);
-            let seq = self
-                .running
-                .iter()
-                .map(BatchSlot::seq_len)
-                .max()
-                .expect("running non-empty");
-            let raw = self.latencies.step_ns(batch, seq);
-            step_ns = self.scaled(raw);
         }
     }
 

@@ -1,6 +1,9 @@
 //! Fast-forward equivalence: the macro-stepping engine must be **bit-identical**
 //! to the step-by-step event loop — outcomes, timeline, aggregates and makespan —
-//! over random traces, all three shipped schedulers and both system families.
+//! over random traces, all three shipped schedulers, both system families, an
+//! attention-free, a hybrid and a transformer model (seq-invariant steps, and
+//! latencies re-read at bucket crossings inside a segment), and timeline
+//! sampling off (the folded time chain), full and decimated.
 //! Also pins the timeline-decimation contract: sparser sampling bounds memory
 //! without moving a single aggregate or percentile metric.
 
@@ -14,6 +17,8 @@ use pimba_system::serving::ServingSimulator;
 use proptest::prelude::*;
 
 const SYSTEMS: [SystemKind; 2] = [SystemKind::Gpu, SystemKind::Pimba];
+const MODELS: [ModelFamily; 3] = [ModelFamily::Mamba2, ModelFamily::Zamba2, ModelFamily::Llama];
+const SAMPLING: [usize; 3] = [0, 1, 7];
 const POLICIES: [PolicyKind; 3] = [
     PolicyKind::FcfsStatic,
     PolicyKind::Continuous,
@@ -68,6 +73,7 @@ fn run(
 #[allow(clippy::too_many_arguments)]
 fn assert_fast_forward_is_bit_identical(
     kind: SystemKind,
+    family: ModelFamily,
     policy: PolicyKind,
     scenario: &Scenario,
     rate_rps: f64,
@@ -75,13 +81,15 @@ fn assert_fast_forward_is_bit_identical(
     seed: u64,
     seq_bucket: usize,
     max_batch: usize,
+    timeline_sample_every: usize,
 ) {
-    let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
+    let model = ModelConfig::preset(family, ModelScale::Small);
     let sim = ServingSimulator::new(SystemConfig::small_scale(kind));
     let trace = scenario.generate(rate_rps, n_requests, seed);
     let config = EngineConfig {
         max_batch,
         seq_bucket,
+        timeline_sample_every,
         ..EngineConfig::default()
     };
     let per_step = run(
@@ -108,7 +116,7 @@ fn assert_fast_forward_is_bit_identical(
     assert_eq!(
         bits(&per_step),
         bits(&fast),
-        "{kind:?}/{}/{}: fast-forward diverged",
+        "{kind:?}/{family:?}/{}/{}/sampling {timeline_sample_every}: fast-forward diverged",
         policy.name(),
         scenario.name
     );
@@ -116,10 +124,11 @@ fn assert_fast_forward_is_bit_identical(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
     fn fast_forward_matches_per_step_oracle(
         system_idx in 0usize..SYSTEMS.len(),
+        model_idx in 0usize..MODELS.len(),
         policy_idx in 0usize..POLICIES.len(),
         scenario_idx in 0usize..SCENARIO_BUILDERS.len(),
         rate_rps in 1.0f64..48.0,
@@ -127,9 +136,11 @@ proptest! {
         seed in 0u64..u64::MAX,
         seq_bucket_idx in 0usize..3,
         max_batch in 2usize..64,
+        sampling_idx in 0usize..SAMPLING.len(),
     ) {
         assert_fast_forward_is_bit_identical(
             SYSTEMS[system_idx],
+            MODELS[model_idx],
             POLICIES[policy_idx],
             &SCENARIO_BUILDERS[scenario_idx](),
             rate_rps,
@@ -137,6 +148,7 @@ proptest! {
             seed,
             [1usize, 32, 64][seq_bucket_idx],
             max_batch,
+            SAMPLING[sampling_idx],
         );
     }
 }

@@ -16,9 +16,12 @@
 //! | `{"cmd":"list"}` | `{"event":"list","traffic_cells":N,"fleet_cells":M,"cells":[{"memo":…,"fingerprint":…},…]}` |
 //! | `{"cmd":"shutdown"}` | `{"event":"stopping"}`, then the daemon drains |
 //!
-//! Malformed lines and invalid specs get structured
+//! Malformed lines (invalid JSON or invalid UTF-8, with `field` `request`)
+//! and invalid specs get structured
 //! `{"event":"error","field":…,"message":…}` lines — never a dropped
-//! connection, never a panic. A submit's `priority` (an integer, default 0)
+//! connection, never a panic. A line may arrive in pieces, with pauses
+//! longer than the daemon's read poll between them; it is answered once its
+//! newline arrives. A submit's `priority` (an integer, default 0)
 //! and `timeout_ms` (a positive integer, default the daemon's) are optional;
 //! one present with another type or value is such an error, and queues no
 //! job. While a submission is streaming, its connection
@@ -184,6 +187,12 @@ fn handle_connection(mut conn: LineConn, queue: &Arc<JobQueue>, stopper: &Stoppe
                 if stopper.is_stopped() {
                     return;
                 }
+                continue;
+            }
+            // A line that is not UTF-8 was consumed whole: answer it and keep
+            // serving.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let _ = conn.write_line(&error_line("request", &e.to_string()));
                 continue;
             }
             Err(_) => return,

@@ -11,7 +11,7 @@ use pimba_serviced::queue::{JobEvent, JobQueue, JobState};
 use pimba_serviced::server::{Daemon, DaemonConfig};
 use pimba_serviced::spec::{render_fleet_record, render_traffic_record, Experiment};
 use pimba_serviced::store::ResultStore;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
@@ -282,6 +282,55 @@ fn submits_with_a_bad_priority_or_timeout_are_rejected_not_defaulted() {
         }
     };
     assert_eq!(terminal, "done");
+    daemon.stop();
+}
+
+/// Reads one reply line off a raw connection and parses it.
+fn reply(reader: &mut BufReader<std::net::TcpStream>) -> Json {
+    let mut line = String::new();
+    assert!(
+        reader.read_line(&mut line).unwrap() > 0,
+        "connection closed"
+    );
+    Json::parse(line.trim_end()).unwrap()
+}
+
+#[test]
+fn a_request_split_across_the_read_poll_is_answered_whole() {
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // The pause outlasts the daemon's 200 ms read poll: the first half must
+    // survive the timed-out read.
+    stream.write_all(br#"{"cmd":"sta"#).unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    stream.write_all(b"ts\"}\n").unwrap();
+    let stats = reply(&mut reader);
+    assert_eq!(
+        stats.get("event").unwrap().as_str(),
+        Some("stats"),
+        "{}",
+        stats.render()
+    );
+    daemon.stop();
+}
+
+#[test]
+fn a_request_that_is_not_utf8_gets_an_error_and_the_connection_survives() {
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(b"{\"cmd\":\"st\xffats\"}\n").unwrap();
+    let error = reply(&mut reader);
+    assert_eq!(error.get("event").unwrap().as_str(), Some("error"));
+    assert_eq!(error.get("field").unwrap().as_str(), Some("request"));
+    assert_eq!(
+        error.get("message").unwrap().as_str(),
+        Some("invalid UTF-8 at byte 10")
+    );
+    stream.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
+    let stats = reply(&mut reader);
+    assert_eq!(stats.get("event").unwrap().as_str(), Some("stats"));
     daemon.stop();
 }
 

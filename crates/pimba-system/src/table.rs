@@ -9,59 +9,79 @@
 //! hashing, no locks, no sharing.
 //!
 //! Rows (one per batch size) allocate lazily on first touch, so a run that
-//! visits 30 distinct batch sizes pays for 30 rows, not `max_batch`. Step
-//! entries fill through a per-row [`StepFunction`]; prefill entries fill from
-//! the backing [`ServingSimulator`], whose prefill cache computes a prefill
-//! repeated across the cells of a grid once globally. A table entry stores the
-//! exact `f64` the simulator returns; reads are bit-identical to calling the
-//! simulator directly, which keeps the engine's results independent of whether
-//! (and how often) a table is used.
+//! visits 30 distinct batch sizes pays for 30 rows, not `max_batch`. A row is
+//! paged: it allocates 256-slot pages on first touch, so a run that reads a
+//! few sequence lengths of a long row pays for the pages around them, not for
+//! the whole row, and a row no longer than one page is a single page of
+//! exactly its length. A step table over an attention-free model keeps one
+//! slot per row: its step latency does not depend on the sequence length
+//! ([`GenerationWorkload::step_is_seq_invariant`]), so every length reads the
+//! same entry, and the engine never re-reads it as sequences grow
+//! ([`StepLatencyTable::seq_invariant`]).
+//!
+//! Step entries fill through a per-row [`StepFunction`]; prefill entries fill
+//! from the backing [`ServingSimulator`], whose prefill cache computes a
+//! prefill repeated across the cells of a grid once globally. A table entry
+//! stores the exact `f64` the simulator returns; reads are bit-identical to
+//! calling the simulator directly, which keeps the engine's results
+//! independent of whether (and how often) a table is used.
 
 use crate::serving::{ServingSimulator, StepFunction};
 use pimba_models::config::ModelConfig;
+use pimba_models::workload::GenerationWorkload;
+
+/// Slots per page of a dense row.
+const PAGE: usize = 256;
 
 /// Rounds `seq` up to a multiple of `bucket`.
 fn round_up(seq: usize, bucket: usize) -> usize {
     seq.div_ceil(bucket) * bucket
 }
 
-/// Lazily filled dense rows over `(batch, bucket-index)`, shared by the step
+/// A row's page directory: one entry per [`PAGE`] slots, `None` until the
+/// page is first touched.
+type Pages = Box<[Option<Box<[f64]>>]>;
+
+/// Lazily filled, paged dense rows over `(batch, slot)`, shared by the step
 /// and prefill tables.
 #[derive(Debug)]
 struct DenseRows {
-    seq_bucket: usize,
-    /// Number of bucket slots per row (highest reachable index + 1).
+    /// Number of slots per row (highest reachable index + 1).
     slots: usize,
-    /// One row per batch size (index 0 unused), allocated on first touch.
-    rows: Vec<Option<Box<[f64]>>>,
+    /// One page directory per batch size (index 0 unused), empty until the
+    /// row is first touched.
+    rows: Vec<Pages>,
 }
 
 impl DenseRows {
-    fn new(seq_bucket: usize, max_batch: usize, max_seq: usize) -> Self {
-        assert!(seq_bucket > 0, "seq_bucket must be positive");
+    fn new(slots: usize, max_batch: usize) -> Self {
         Self {
-            seq_bucket,
-            slots: round_up(max_seq, seq_bucket) / seq_bucket + 1,
-            rows: vec![None; max_batch + 1],
+            slots,
+            rows: (0..=max_batch).map(|_| Box::default()).collect(),
         }
     }
 
-    /// The memoized value at `(batch, bucketed_seq)`, computing it on first
-    /// access; `None` when the coordinates fall outside the table (the caller
-    /// falls back to the simulator).
+    /// The memoized value at `(batch, slot)`, computing it on first access;
+    /// `None` when the coordinates fall outside the table (the caller falls
+    /// back to the simulator).
     fn get_or_fill(
         &mut self,
         batch: usize,
-        bucketed_seq: usize,
+        slot: usize,
         fill: impl FnOnce() -> f64,
     ) -> Option<f64> {
-        let slot = bucketed_seq / self.seq_bucket;
+        if slot >= self.slots {
+            return None;
+        }
         let slots = self.slots;
-        let row = self
-            .rows
-            .get_mut(batch)?
-            .get_or_insert_with(|| vec![f64::NAN; slots].into_boxed_slice());
-        let entry = row.get_mut(slot)?;
+        let row = self.rows.get_mut(batch)?;
+        if row.is_empty() {
+            *row = vec![None; slots.div_ceil(PAGE)].into_boxed_slice();
+        }
+        let page = slot / PAGE;
+        let entry = &mut row[page].get_or_insert_with(|| {
+            vec![f64::NAN; PAGE.min(slots - page * PAGE)].into_boxed_slice()
+        })[slot % PAGE];
         if entry.is_nan() {
             *entry = fill();
         }
@@ -76,11 +96,14 @@ impl DenseRows {
 /// operators are evaluated once per row and only the attention operator is
 /// evaluated per bucket — the same decomposition the sweep engine uses, and
 /// bit-identical to `generation_step` (its fill path sums the same values in
-/// the same order).
+/// the same order). An attention-free model has no per-bucket operator, so
+/// its table holds one slot per row.
 #[derive(Debug)]
 pub struct StepLatencyTable<'a> {
     sim: &'a ServingSimulator,
     model: &'a ModelConfig,
+    seq_bucket: usize,
+    seq_invariant: bool,
     rows: DenseRows,
     /// One lazily built seq-invariant evaluator per batch row.
     step_fns: Vec<Option<StepFunction<'a>>>,
@@ -96,25 +119,46 @@ impl<'a> StepLatencyTable<'a> {
         max_batch: usize,
         max_seq: usize,
     ) -> Self {
+        assert!(seq_bucket > 0, "seq_bucket must be positive");
+        let seq_invariant = GenerationWorkload::step_is_seq_invariant(model);
+        let slots = if seq_invariant {
+            1
+        } else {
+            round_up(max_seq.max(1), seq_bucket) / seq_bucket + 1
+        };
         Self {
             sim,
             model,
-            rows: DenseRows::new(seq_bucket, max_batch, max_seq.max(1)),
+            seq_bucket,
+            seq_invariant,
+            rows: DenseRows::new(slots, max_batch),
             step_fns: vec![None; max_batch + 1],
         }
+    }
+
+    /// Whether every sequence length reads the same latency for a given
+    /// batch (an attention-free model): a caller stepping through sequence
+    /// lengths may then keep the latency it read.
+    pub fn seq_invariant(&self) -> bool {
+        self.seq_invariant
     }
 
     /// Latency of one generation step over `batch` requests at `seq_len`
     /// (rounded up to the table's bucket) — exactly
     /// `generation_step(model, batch, bucketed(seq_len.max(1))).total_ns`.
     pub fn step_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
-        let bucketed = round_up(seq_len.max(1), self.rows.seq_bucket);
+        let bucketed = round_up(seq_len.max(1), self.seq_bucket);
+        let slot = if self.seq_invariant {
+            0
+        } else {
+            bucketed / self.seq_bucket
+        };
         let (sim, model) = (self.sim, self.model);
         match self.step_fns.get_mut(batch) {
-            Some(slot) => {
-                let step_fn = slot.get_or_insert_with(|| sim.step_function(model, batch));
+            Some(step_fn) => {
+                let step_fn = step_fn.get_or_insert_with(|| sim.step_function(model, batch));
                 self.rows
-                    .get_or_fill(batch, bucketed, || step_fn.total_ns(bucketed))
+                    .get_or_fill(batch, slot, || step_fn.total_ns(bucketed))
                     .unwrap_or_else(|| step_fn.total_ns(bucketed))
             }
             // Beyond the declared batch bound: answer from the simulator.
@@ -129,6 +173,7 @@ impl<'a> StepLatencyTable<'a> {
 pub struct PrefillLatencyTable<'a> {
     sim: &'a ServingSimulator,
     model: &'a ModelConfig,
+    seq_bucket: usize,
     rows: DenseRows,
 }
 
@@ -142,10 +187,12 @@ impl<'a> PrefillLatencyTable<'a> {
         max_batch: usize,
         max_prompt: usize,
     ) -> Self {
+        assert!(seq_bucket > 0, "seq_bucket must be positive");
         Self {
             sim,
             model,
-            rows: DenseRows::new(seq_bucket, max_batch, max_prompt),
+            seq_bucket,
+            rows: DenseRows::new(round_up(max_prompt, seq_bucket) / seq_bucket + 1, max_batch),
         }
     }
 
@@ -153,10 +200,10 @@ impl<'a> PrefillLatencyTable<'a> {
     /// (rounded up to the table's bucket) — exactly
     /// `prefill_latency_ns(model, batch, bucketed(prompt_len))`.
     pub fn prefill_ns(&mut self, batch: usize, prompt_len: usize) -> f64 {
-        let bucketed = round_up(prompt_len, self.rows.seq_bucket);
+        let bucketed = round_up(prompt_len, self.seq_bucket);
         let (sim, model) = (self.sim, self.model);
         self.rows
-            .get_or_fill(batch, bucketed, || {
+            .get_or_fill(batch, bucketed / self.seq_bucket, || {
                 sim.prefill_latency_ns(model, batch, bucketed)
             })
             .unwrap_or_else(|| sim.prefill_latency_ns(model, batch, bucketed))
@@ -210,12 +257,90 @@ mod tests {
         assert_eq!(table.step_ns(9, 512), direct);
     }
 
+    /// Allocated pages of `rows` as `(batch, page, length)`.
+    fn pages(rows: &DenseRows) -> Vec<(usize, usize, usize)> {
+        let mut out = Vec::new();
+        for (batch, row) in rows.rows.iter().enumerate() {
+            for (page, slots) in row.iter().enumerate() {
+                if let Some(slots) = slots {
+                    out.push((batch, page, slots.len()));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn rows_allocate_lazily() {
         let (sim, model) = setup();
+        // 8192 / 32 + 1 = 257 slots: two pages, the second of one slot.
         let mut table = StepLatencyTable::new(&sim, &model, 32, 512, 8192);
-        assert!(table.rows.rows.iter().all(Option::is_none));
+        assert!(table.rows.rows.iter().all(|row| row.is_empty()));
         table.step_ns(17, 100);
-        assert_eq!(table.rows.rows.iter().filter(|r| r.is_some()).count(), 1);
+        assert_eq!(pages(&table.rows), [(17, 0, PAGE)]);
+        assert_eq!(table.rows.rows[17].len(), 2);
+        table.step_ns(17, 8192);
+        assert_eq!(pages(&table.rows), [(17, 0, PAGE), (17, 1, 1)]);
+    }
+
+    #[test]
+    fn a_row_within_one_page_allocates_exactly_its_slots() {
+        let (sim, model) = setup();
+        // 4096 / 32 + 1 = 129 slots.
+        let mut steps = StepLatencyTable::new(&sim, &model, 32, 8, 4096);
+        steps.step_ns(3, 4096);
+        assert_eq!(pages(&steps.rows), [(3, 0, 129)]);
+        let mut prefills = PrefillLatencyTable::new(&sim, &model, 64, 8, 1000);
+        prefills.prefill_ns(2, 1);
+        assert_eq!(pages(&prefills.rows), [(2, 0, 1000usize.div_ceil(64) + 1)]);
+    }
+
+    #[test]
+    fn reads_across_page_edges_match_the_simulator_bit_for_bit() {
+        let (sim, model) = setup();
+        let max_seq = 3 * PAGE + 17;
+        let mut steps = StepLatencyTable::new(&sim, &model, 1, 4, max_seq);
+        let mut prefills = PrefillLatencyTable::new(&sim, &model, 1, 4, max_seq);
+        // Slots PAGE-1, PAGE and PAGE+1, the last slot, and one past it
+        // (outside the table: answered by the simulator).
+        for seq in [PAGE - 1, PAGE, PAGE + 1, max_seq, max_seq + 1] {
+            for batch in [1usize, 4] {
+                let direct = sim.generation_step(&model, batch, seq).total_ns;
+                assert_eq!(steps.step_ns(batch, seq), direct, "step b={batch} s={seq}");
+                assert_eq!(steps.step_ns(batch, seq), direct);
+                let direct = sim.prefill_latency_ns(&model, batch, seq);
+                assert_eq!(
+                    prefills.prefill_ns(batch, seq),
+                    direct,
+                    "prefill b={batch} s={seq}"
+                );
+                assert_eq!(prefills.prefill_ns(batch, seq), direct);
+            }
+        }
+        // Pages 0, 1 and 3 of both rows; page 2 was never touched.
+        let touched: Vec<(usize, usize, usize)> = [1, 4]
+            .into_iter()
+            .flat_map(|b| [(b, 0, PAGE), (b, 1, PAGE), (b, 3, 18)])
+            .collect();
+        assert_eq!(pages(&steps.rows), touched);
+        assert_eq!(pages(&prefills.rows), touched);
+    }
+
+    #[test]
+    fn a_seq_invariant_table_answers_every_length_from_one_slot() {
+        let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
+        let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
+        let mut table = StepLatencyTable::new(&sim, &model, 1, 16, 1000);
+        assert!(table.seq_invariant());
+        for batch in [1usize, 16] {
+            for seq in [0usize, 1, 2, PAGE - 1, PAGE, PAGE + 1, 1000, 1001, 100_000] {
+                let direct = sim.generation_step(&model, batch, seq.max(1)).total_ns;
+                assert_eq!(table.step_ns(batch, seq), direct, "b={batch} s={seq}");
+            }
+        }
+        assert_eq!(pages(&table.rows), [(1, 0, 1), (16, 0, 1)]);
+        // An attention model is not seq-invariant.
+        let (sim, model) = setup();
+        assert!(!StepLatencyTable::new(&sim, &model, 1, 16, 1000).seq_invariant());
     }
 }

@@ -757,6 +757,9 @@ impl Stopper {
 pub struct LineConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The bytes of a line whose newline has not arrived yet: a read that
+    /// times out keeps them here for the next [`LineConn::read_line`].
+    partial: Vec<u8>,
 }
 
 impl LineConn {
@@ -774,20 +777,33 @@ impl LineConn {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            partial: Vec::new(),
         })
     }
 
     /// Reads the next line (without its terminator). `Ok(None)` on clean EOF.
+    ///
+    /// A read that times out (see [`LineConn::set_read_timeout`]) keeps the
+    /// bytes of the line received so far, so a line split across a pause is
+    /// returned whole once its newline arrives. A line that is not UTF-8 is
+    /// consumed whole and reported as an [`io::ErrorKind::InvalidData`] error
+    /// reading `invalid UTF-8 at byte N` (`N` counted from the line's start);
+    /// the connection stays usable.
     pub fn read_line(&mut self) -> io::Result<Option<String>> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
+        let n = self.reader.read_until(b'\n', &mut self.partial)?;
+        if n == 0 && self.partial.is_empty() {
             return Ok(None);
         }
-        while line.ends_with('\n') || line.ends_with('\r') {
+        let mut line = std::mem::take(&mut self.partial);
+        while matches!(line.last(), Some(b'\n' | b'\r')) {
             line.pop();
         }
-        Ok(Some(line))
+        String::from_utf8(line).map(Some).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("invalid UTF-8 at byte {}", e.utf8_error().valid_up_to()),
+            )
+        })
     }
 
     /// Writes one line (appending `\n`) and flushes. The line must not itself
