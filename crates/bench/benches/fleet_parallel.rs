@@ -121,7 +121,6 @@ fn fleet_config(router: RouterKind, policy: PolicyKind) -> FleetConfig {
     config.policy = policy;
     config.engine.max_batch = 16;
     config.engine.seq_bucket = 512;
-    config.engine.timeline_sample_every = 0;
     config
 }
 

@@ -334,7 +334,6 @@ fn record_results(_c: &mut Criterion) {
                 engine: EngineConfig {
                     max_batch: 32,
                     seq_bucket: 32,
-                    timeline_sample_every: 0,
                     ..EngineConfig::default()
                 },
                 seed: 5,

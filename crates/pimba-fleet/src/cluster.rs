@@ -177,7 +177,7 @@ pub struct FleetConfig {
     /// Per-replica scheduling policy.
     pub policy: PolicyKind,
     /// Per-replica engine knobs (batch cap, memory budget, seq bucketing,
-    /// fast-forward, timeline decimation).
+    /// fast-forward).
     pub engine: EngineConfig,
     /// Seed of the router's sampling substreams.
     pub seed: u64,
@@ -814,45 +814,42 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
 /// Merges one replica's per-incarnation results (one per crash/restart cycle
 /// plus the final drain) into a single [`SimResult`]: outcomes concatenate
 /// (sorted by id — at most one completion per request exists fleet-wide),
-/// timelines concatenate in time order, peaks max, counters sum, and the mean
-/// occupancy is the event-weighted mean of the parts.
+/// peaks max, counters sum, and the mean occupancy and queue depth are the
+/// event-weighted means of the parts.
 fn merge_sim_results(mut parts: Vec<SimResult>) -> SimResult {
     assert!(!parts.is_empty(), "a replica always retires one result");
     if parts.len() == 1 {
         return parts.pop().expect("length checked");
     }
     let mut outcomes = Vec::new();
-    let mut timeline = Vec::new();
     let mut makespan_ns = 0.0f64;
     let mut telemetry = TelemetryStats::default();
     let mut preemption = PreemptionStats::default();
-    let mut weighted_occupancy = 0.0;
+    let (mut weighted_occupancy, mut weighted_queue) = (0.0, 0.0);
     for part in parts {
         outcomes.extend(part.outcomes);
-        timeline.extend(part.timeline);
         makespan_ns = makespan_ns.max(part.makespan_ns);
         let t = part.telemetry;
         telemetry.events += t.events;
         telemetry.peak_queue_depth = telemetry.peak_queue_depth.max(t.peak_queue_depth);
         telemetry.peak_batch_occupancy = telemetry.peak_batch_occupancy.max(t.peak_batch_occupancy);
         weighted_occupancy += t.mean_batch_occupancy * t.events as f64;
-        let p = part.preemption;
-        preemption.evictions += p.evictions;
-        preemption.resumes += p.resumes;
-        preemption.checkpoint_bytes += p.checkpoint_bytes;
-        preemption.restore_bytes += p.restore_bytes;
-        preemption.checkpoint_stall_ns += p.checkpoint_stall_ns;
-        preemption.restore_stall_ns += p.restore_stall_ns;
+        weighted_queue += t.mean_queue_depth * t.events as f64;
+        preemption += part.preemption;
     }
-    telemetry.mean_batch_occupancy = if telemetry.events > 0 {
-        weighted_occupancy / telemetry.events as f64
-    } else {
-        0.0
+    let events = telemetry.events;
+    let per_event = |weighted: f64| {
+        if events > 0 {
+            weighted / events as f64
+        } else {
+            0.0
+        }
     };
+    telemetry.mean_batch_occupancy = per_event(weighted_occupancy);
+    telemetry.mean_queue_depth = per_event(weighted_queue);
     outcomes.sort_by_key(|o| o.id);
     SimResult {
         outcomes,
-        timeline,
         makespan_ns,
         telemetry,
         preemption,

@@ -32,8 +32,8 @@ impl ReplicaRole {
 }
 
 /// One replica's view of the fleet run: its role and its own complete
-/// [`SimResult`] — queue/occupancy timeline, telemetry aggregates and the
-/// (stage-local) outcomes of every request it served.
+/// [`SimResult`] — queue/occupancy aggregates and the (stage-local) outcomes
+/// of every request it served.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaReport {
     /// Replica index within the fleet (pool-local for disaggregated fleets:
@@ -83,10 +83,10 @@ pub struct FleetResult {
 
 impl FleetResult {
     /// Fleet-level telemetry: event counts summed, peaks maxed, and the
-    /// time-weighted mean occupancy summed across replicas (replica spans
-    /// differ slightly, so the sum is the fleet's mean *occupied slots* up to
-    /// that per-replica windowing — exact per replica, additive as an
-    /// approximation).
+    /// time-weighted mean occupancy and queue depth summed across replicas
+    /// (replica spans differ slightly, so the sums are the fleet's mean
+    /// *occupied slots* and *waiting requests* up to that per-replica
+    /// windowing — exact per replica, additive as an approximation).
     pub fn fleet_telemetry(&self) -> TelemetryStats {
         let mut out = TelemetryStats::default();
         for r in &self.replicas {
@@ -95,6 +95,7 @@ impl FleetResult {
             out.peak_queue_depth = out.peak_queue_depth.max(t.peak_queue_depth);
             out.peak_batch_occupancy = out.peak_batch_occupancy.max(t.peak_batch_occupancy);
             out.mean_batch_occupancy += t.mean_batch_occupancy;
+            out.mean_queue_depth += t.mean_queue_depth;
         }
         out
     }
@@ -120,13 +121,7 @@ impl FleetResult {
     pub fn fleet_preemption(&self) -> PreemptionStats {
         let mut out = PreemptionStats::default();
         for r in &self.replicas {
-            let p = &r.result.preemption;
-            out.evictions += p.evictions;
-            out.resumes += p.resumes;
-            out.checkpoint_bytes += p.checkpoint_bytes;
-            out.restore_bytes += p.restore_bytes;
-            out.checkpoint_stall_ns += p.checkpoint_stall_ns;
-            out.restore_stall_ns += p.restore_stall_ns;
+            out += r.result.preemption;
         }
         out
     }
@@ -152,7 +147,6 @@ impl FleetResult {
     fn as_sim_result(&self) -> SimResult {
         SimResult {
             outcomes: self.outcomes.clone(),
-            timeline: Vec::new(),
             makespan_ns: self.makespan_ns,
             telemetry: self.fleet_telemetry(),
             preemption: self.fleet_preemption(),
@@ -228,7 +222,7 @@ impl FleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimba_serve::metrics::TimelinePoint;
+    use pimba_serve::metrics::Telemetry;
 
     fn outcome(id: usize, arrival: f64, first: f64, done: f64) -> RequestOutcome {
         RequestOutcome {
@@ -243,25 +237,15 @@ mod tests {
     }
 
     fn replica(role: ReplicaRole, outcomes: Vec<RequestOutcome>, makespan: f64) -> ReplicaReport {
-        let timeline = vec![
-            TimelinePoint {
-                time_ns: 0.0,
-                queue_depth: outcomes.len(),
-                batch_occupancy: 0,
-            },
-            TimelinePoint {
-                time_ns: makespan,
-                queue_depth: 0,
-                batch_occupancy: outcomes.len(),
-            },
-        ];
+        let mut telemetry = Telemetry::new();
+        telemetry.record(0.0, outcomes.len(), 0);
+        telemetry.record(makespan, 0, outcomes.len());
         ReplicaReport {
             replica: 0,
             role,
             result: SimResult {
                 outcomes,
-                telemetry: TelemetryStats::from_timeline(&timeline),
-                timeline,
+                telemetry: telemetry.finish(),
                 makespan_ns: makespan,
                 preemption: PreemptionStats::default(),
             },

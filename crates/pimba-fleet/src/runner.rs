@@ -105,8 +105,9 @@ pub struct FleetGrid {
     pub seq_bucket: usize,
     /// Macro-step fast-forwarding (bit-identical either way).
     pub fast_forward: bool,
-    /// Timeline decimation for the per-replica telemetry (0 stores no points;
-    /// fleet grids default to 0 — aggregates stay exact).
+    /// Ignored, like [`EngineConfig::timeline_sample_every`]: replicas keep
+    /// exact telemetry aggregates only. Still copied into each cell's engine
+    /// config, so memo cell keys stay unchanged.
     pub timeline_sample_every: usize,
     /// Fault schedule applied to every cell; `None` (the default) runs the
     /// fault-free drivers. Folded into memo cell keys only when present, so
@@ -117,7 +118,7 @@ pub struct FleetGrid {
 impl FleetGrid {
     /// A grid serving `model` with no axes yet; defaults: continuous
     /// batching, colocated, 400 requests/cell, seed 0xF1EE7, the default chat
-    /// SLO, seq bucket 32, fast-forward on, no stored timelines.
+    /// SLO, seq bucket 32, fast-forward on.
     pub fn new(model: ModelConfig) -> Self {
         Self {
             systems: Vec::new(),

@@ -58,7 +58,8 @@
 //!   the certified [`DecodeStability`] level) is advanced inline: per elided
 //!   step the engine performs one floating-point add (the same
 //!   `now + latency` the event queue would have computed, so timestamps match
-//!   bit for bit) plus a telemetry sample, instead of an event push/pop, a
+//!   bit for bit) plus the running telemetry sums, folded over every
+//!   event-free stretch in one loop, instead of an event push/pop, a
 //!   scheduler consult, a latency lookup and an `O(batch)` bookkeeping pass.
 //!   The batch is scanned once per segment of constant membership, which
 //!   runs to the next completion; seq-bucket crossings inside it re-read the
@@ -145,12 +146,10 @@ pub struct EngineConfig {
     /// step-by-step event loop (the oracle the `serve_hotloop` bench and the
     /// fast-forward property tests compare against).
     pub fast_forward: bool,
-    /// Store every k-th queue/occupancy
-    /// [`TimelinePoint`](crate::metrics::TimelinePoint): 1 records every
-    /// event (the full time series), larger values decimate storage for long
-    /// traces, 0 stores no points at all. The aggregate metrics of
-    /// [`SimResult::summary`](crate::metrics::SimResult::summary) come from
-    /// exact running aggregates and are unaffected by this knob.
+    /// Ignored: a run keeps exact queue/occupancy aggregates only
+    /// ([`Telemetry`]) and stores no time series. Kept so existing struct
+    /// literals compile and memo cell keys, which hash this config's `Debug`
+    /// output, stay unchanged.
     pub timeline_sample_every: usize,
     /// Footprint anchoring of the admission probe (see [`AdmissionMode`]).
     /// The default [`AdmissionMode::FinalSeqLen`] reproduces the
@@ -704,7 +703,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Simulates `trace` under `scheduler`, returning per-request outcomes and
-    /// the queue/occupancy timeline: [`Engine::run_traced`] with a disabled
+    /// the queue/occupancy aggregates: [`Engine::run_traced`] with a disabled
     /// sink.
     pub fn run(&self, trace: &Trace, scheduler: &mut dyn Scheduler) -> SimResult {
         self.run_traced(trace, scheduler, TraceSink::disabled())
@@ -807,7 +806,7 @@ impl<'a> Session<'a> {
             completion: Vec::new(),
             completed_log: Vec::new(),
             drained: 0,
-            telemetry: Telemetry::new(engine.config.timeline_sample_every),
+            telemetry: Telemetry::new(),
             now_ns: 0.0,
             compute_scale: 1.0,
             trace: TraceSink::disabled(),
@@ -1196,12 +1195,10 @@ impl<'a> Session<'a> {
                 migrations: 0,
             })
             .collect();
-        let (timeline, stats) = self.telemetry.finish();
         SimResult {
             outcomes,
-            timeline,
             makespan_ns: self.now_ns,
-            telemetry: stats,
+            telemetry: self.telemetry.finish(),
             preemption: self.preemption,
         }
     }
@@ -1268,9 +1265,10 @@ impl<'a> Session<'a> {
     /// tie-breaking (arrivals pop ahead of a simultaneous step completion)
     /// and same-timestamp sample coalescing; first-token times are stamped at
     /// the first advanced step's timestamp and completions at their
-    /// segment's last one; `Telemetry::record` observes every virtual event —
-    /// so outcomes, timeline and aggregates are identical to the step-by-step
-    /// loop.
+    /// segment's last one; telemetry observes every virtual event, either
+    /// through `Telemetry::record` or folded through
+    /// `Telemetry::record_chain_until` with the same operations — so outcomes
+    /// and aggregates are identical to the step-by-step loop.
     fn fast_forward(&mut self, stability: DecodeStability, horizon_ns: f64) -> bool {
         let bucket = self.engine.config.seq_bucket;
         let max_batch = self.engine.config.max_batch;
@@ -1330,7 +1328,7 @@ impl<'a> Session<'a> {
                 // telemetry in one bit-identical fold. The slow path below
                 // then handles the next boundary step (park, absorb or
                 // completion), or the loop re-reads the latency.
-                if to_completion - executed > 1 && self.telemetry.foldable() {
+                if to_completion - executed > 1 {
                     let pending = self.events.peek_time_ns().unwrap_or(f64::INFINITY);
                     let bound = if horizon_ns < pending {
                         horizon_ns
@@ -1786,7 +1784,7 @@ mod tests {
                 assert!(o.completion_ns >= o.first_token_ns);
             }
             assert!(result.makespan_ns > 0.0);
-            assert!(!result.timeline.is_empty());
+            assert!(result.telemetry.events > 0);
         }
     }
 
@@ -1821,8 +1819,7 @@ mod tests {
         );
         let result = engine.run(&t, &mut ContinuousBatching);
         assert_eq!(result.outcomes.len(), t.len());
-        assert!(result.timeline.iter().all(|p| p.batch_occupancy <= 4));
-        assert!(result.timeline.iter().any(|p| p.batch_occupancy == 4));
+        assert_eq!(result.telemetry.peak_batch_occupancy, 4);
     }
 
     #[test]
@@ -1862,12 +1859,7 @@ mod tests {
         );
         let result = engine.run(&t, &mut ContinuousBatching);
         assert_eq!(result.outcomes.len(), t.len(), "all requests still finish");
-        let peak = result
-            .timeline
-            .iter()
-            .map(|p| p.batch_occupancy)
-            .max()
-            .unwrap();
+        let peak = result.telemetry.peak_batch_occupancy;
         assert!(peak <= 2, "tight memory must cap the batch, got {peak}");
     }
 
@@ -1913,7 +1905,7 @@ mod tests {
         let result = engine.run(&t, &mut GreedyAdmit);
         assert_eq!(result.outcomes.len(), t.len());
         assert!(
-            result.timeline.iter().all(|p| p.batch_occupancy <= 3),
+            result.telemetry.peak_batch_occupancy <= 3,
             "engine must clamp admissions to max_batch"
         );
     }

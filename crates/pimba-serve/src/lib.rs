@@ -26,8 +26,8 @@
 //!   macro-step fast-forwarding,
 //! * [`metrics`] — per-request TTFT/TPOT/E2E, exact-order-statistic
 //!   percentiles, goodput, SLO attainment (whole-run and per tenant under
-//!   per-tenant SLOs), preemption counters, and (optionally decimated)
-//!   occupancy time series with exact running aggregates,
+//!   per-tenant SLOs), preemption counters, and exact running queue-depth
+//!   and occupancy aggregates,
 //! * [`runner`] — the parallel (system × scenario × rate) grid runner and
 //!   SLO-attainment curves.
 //!
@@ -72,9 +72,10 @@
 //!    same-timestamp coalescing;
 //! 3. dense-table entries store the exact `f64` the simulator computes, so a
 //!    table read and a simulator call are interchangeable;
-//! 4. telemetry observes every (virtual) event: aggregates accumulate in the
-//!    same order either way, and timeline decimation only thins what is
-//!    *stored*, never what is *measured*.
+//! 4. telemetry observes every (virtual) event: the exact aggregates
+//!    accumulate with the same floating-point operations in the same order
+//!    either way, event-free stretches folded in one loop; no per-event
+//!    series is stored.
 //!
 //! # Example
 //!
@@ -117,7 +118,7 @@ pub use engine::{
 };
 pub use metrics::{
     Percentiles, PreemptionStats, RequestOutcome, SimResult, SloSpec, Telemetry, TelemetryStats,
-    TenantSlos, TenantSummary, TimelinePoint, TrafficSummary,
+    TenantSlos, TenantSummary, TrafficSummary,
 };
 pub use runner::{slo_curve, GridMemo, TrafficGrid, TrafficMemo, TrafficRecord, TrafficRunner};
 pub use sched::{

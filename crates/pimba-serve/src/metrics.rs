@@ -1,5 +1,5 @@
 //! Per-request and aggregate serving metrics: TTFT / TPOT / E2E, exact
-//! percentiles, goodput, SLO attainment and occupancy time series.
+//! percentiles, goodput, SLO attainment and queue/occupancy aggregates.
 //!
 //! Conventions (chosen so the event simulator composes exactly from the
 //! analytic step models, see the consistency oracle in `tests/oracle.rs`):
@@ -9,13 +9,9 @@
 //! `output_len - 1` tokens, **E2E** is arrival → last token.
 //!
 //! Queue/occupancy telemetry is recorded through a [`Telemetry`] collector that
-//! keeps *exact running aggregates* (event count, peaks, the time-weighted
-//! occupancy integral) at every event while storing only every k-th
-//! [`TimelinePoint`] (`k` =
-//! [`EngineConfig::timeline_sample_every`](crate::engine::EngineConfig::timeline_sample_every)).
-//! Aggregate metrics in
-//! [`TrafficSummary`] therefore never depend on the sampling rate — only the
-//! resolution of the stored time series does.
+//! keeps only *exact running aggregates* (event count, peaks, and the
+//! time-weighted queue-depth and occupancy integrals), updated at every event.
+//! No per-event series is stored, so memory stays flat however long the trace.
 
 use pimba_system::obs::{Histogram, MetricsHub};
 use pimba_system::stats::percentile_of_sorted;
@@ -71,26 +67,13 @@ impl RequestOutcome {
     }
 }
 
-/// One sample of the engine's queue/batch state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelinePoint {
-    /// Sample time in nanoseconds.
-    pub time_ns: f64,
-    /// Requests waiting for admission.
-    pub queue_depth: usize,
-    /// Requests holding a batch slot (decoding or prefilling).
-    pub batch_occupancy: usize,
-}
-
 /// Exact whole-run aggregates of the queue/occupancy telemetry, maintained at
-/// every simulation event regardless of how sparsely [`TimelinePoint`]s are
-/// stored.
+/// every simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetryStats {
     /// Event *timestamps* observed: arrivals and completed work items, with
     /// simultaneous events coalesced into one (the engine drains every event
-    /// of a timestamp before sampling). Also the number of timeline points a
-    /// `timeline_sample_every = 1` run stores.
+    /// of a timestamp before sampling).
     pub events: u64,
     /// Largest waiting-queue depth observed at any event.
     pub peak_queue_depth: usize,
@@ -99,86 +82,50 @@ pub struct TelemetryStats {
     /// Time-weighted mean number of requests holding a batch slot (each
     /// event's occupancy holds until the next event).
     pub mean_batch_occupancy: f64,
+    /// Time-weighted mean waiting-queue depth (each event's depth holds until
+    /// the next event).
+    pub mean_queue_depth: f64,
 }
 
-impl TelemetryStats {
-    /// The aggregates of a fully sampled timeline — what a
-    /// `timeline_sample_every = 1` run would have accumulated while recording
-    /// exactly these points.
-    pub fn from_timeline(points: &[TimelinePoint]) -> Self {
-        let mut telemetry = Telemetry::new(0);
-        for p in points {
-            telemetry.record(p.time_ns, p.queue_depth, p.batch_occupancy);
-        }
-        telemetry.finish().1
-    }
-}
-
-/// The streaming telemetry collector of one engine run: exact aggregates at
-/// every event, decimated [`TimelinePoint`] storage.
-///
-/// `sample_every` = 1 stores every event (the fully sampled time series), k
-/// stores every k-th event, 0 stores nothing — the aggregates are exact in all
-/// cases, so a 10-million-step simulation can keep its memory footprint flat
-/// without perturbing any [`TrafficSummary`] metric.
-#[derive(Debug, Clone)]
+/// The streaming telemetry collector of one engine run: exact aggregates of
+/// the queue/occupancy state, updated at every event in constant memory.
+#[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    sample_every: usize,
     events: u64,
     peak_queue_depth: usize,
     peak_batch_occupancy: usize,
     first_ns: f64,
     last_ns: f64,
+    last_queue_depth: usize,
     last_occupancy: usize,
+    weighted_queue_ns: f64,
     weighted_occupancy_ns: f64,
-    points: Vec<TimelinePoint>,
 }
 
 impl Telemetry {
-    /// A collector storing every `sample_every`-th point (0 = aggregates only).
-    pub fn new(sample_every: usize) -> Self {
-        Self {
-            sample_every,
-            events: 0,
-            peak_queue_depth: 0,
-            peak_batch_occupancy: 0,
-            first_ns: 0.0,
-            last_ns: 0.0,
-            last_occupancy: 0,
-            weighted_occupancy_ns: 0.0,
-            points: Vec::new(),
-        }
+    /// An empty collector.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Records the engine state at one event. The occupancy integral
-    /// accumulates in call order with the same floating-point operations a
-    /// fully stored timeline would be summed with, so aggregates are
-    /// bit-identical across sampling rates and engine modes.
+    /// Records the engine state at one event. Each integral accumulates in
+    /// call order, the previous event's value times the elapsed time, so the
+    /// engine's folded decode path can replay the same floating-point
+    /// operations.
     pub fn record(&mut self, time_ns: f64, queue_depth: usize, batch_occupancy: usize) {
         if self.events == 0 {
             self.first_ns = time_ns;
         } else {
-            self.weighted_occupancy_ns += self.last_occupancy as f64 * (time_ns - self.last_ns);
+            let elapsed = time_ns - self.last_ns;
+            self.weighted_occupancy_ns += self.last_occupancy as f64 * elapsed;
+            self.weighted_queue_ns += self.last_queue_depth as f64 * elapsed;
         }
         self.last_ns = time_ns;
+        self.last_queue_depth = queue_depth;
         self.last_occupancy = batch_occupancy;
         self.peak_queue_depth = self.peak_queue_depth.max(queue_depth);
         self.peak_batch_occupancy = self.peak_batch_occupancy.max(batch_occupancy);
-        if self.sample_every > 0 && self.events.is_multiple_of(self.sample_every as u64) {
-            self.points.push(TimelinePoint {
-                time_ns,
-                queue_depth,
-                batch_occupancy,
-            });
-        }
         self.events += 1;
-    }
-
-    /// True when a run of same-state samples can be folded through
-    /// [`record_chain`](Self::record_chain): no timeline points are stored
-    /// and the first event (which pins `first_ns`) has already been seen.
-    pub(crate) fn foldable(&self) -> bool {
-        self.sample_every == 0 && self.events > 0
     }
 
     /// Advances the chained timestamp `start_ns + step_ns`, `(start_ns +
@@ -187,11 +134,11 @@ impl Telemetry {
     /// sample at the given queue depth and occupancy. The accumulation
     /// performs exactly the floating-point operations the same number of
     /// [`record`](Self::record) calls would, so aggregates stay bit-identical
-    /// to per-step recording; the caller must have checked
-    /// [`foldable`](Self::foldable). Returns how many steps were taken and
-    /// the final timestamp. The hot decode loop of the serving engine uses
-    /// this to collapse event-free step stretches into one latency-bound
-    /// float chain.
+    /// to per-step recording; the first event (which pins the span's start)
+    /// must already have been recorded. Returns how many steps were taken
+    /// and the final timestamp. The hot decode loop of the serving engine
+    /// uses this to collapse event-free step stretches into one
+    /// latency-bound float chain.
     pub(crate) fn record_chain_until(
         &mut self,
         start_ns: f64,
@@ -201,11 +148,13 @@ impl Telemetry {
         queue_depth: usize,
         batch_occupancy: usize,
     ) -> (usize, f64) {
-        debug_assert!(self.foldable());
-        let occupancy = batch_occupancy as f64;
+        debug_assert!(self.events > 0, "a fold needs the span's first event");
+        let (queue, occupancy) = (queue_depth as f64, batch_occupancy as f64);
         // Local accumulation replays `record`'s op sequence: each step adds
-        // `last_occupancy * (t - last_ns)` onto the running sum in order.
+        // `last * (t - last_ns)` onto each running sum in order.
+        let mut last_queue = self.last_queue_depth as f64;
         let mut last_occupancy = self.last_occupancy as f64;
+        let mut weighted_queue = self.weighted_queue_ns;
         let mut weighted = self.weighted_occupancy_ns;
         let mut last_ns = self.last_ns;
         let mut time_ns = start_ns;
@@ -216,14 +165,19 @@ impl Telemetry {
                 break;
             }
             time_ns = t_next;
-            weighted += last_occupancy * (t_next - last_ns);
+            let elapsed = t_next - last_ns;
+            weighted += last_occupancy * elapsed;
+            weighted_queue += last_queue * elapsed;
             last_ns = t_next;
+            last_queue = queue;
             last_occupancy = occupancy;
             count += 1;
         }
         if count > 0 {
+            self.weighted_queue_ns = weighted_queue;
             self.weighted_occupancy_ns = weighted;
             self.last_ns = last_ns;
+            self.last_queue_depth = queue_depth;
             self.last_occupancy = batch_occupancy;
             self.peak_queue_depth = self.peak_queue_depth.max(queue_depth);
             self.peak_batch_occupancy = self.peak_batch_occupancy.max(batch_occupancy);
@@ -232,22 +186,23 @@ impl Telemetry {
         (count, time_ns)
     }
 
-    /// Consumes the collector into the stored points and the exact aggregates.
-    pub fn finish(self) -> (Vec<TimelinePoint>, TelemetryStats) {
-        let mean_batch_occupancy = if self.events > 1 && self.last_ns > self.first_ns {
-            self.weighted_occupancy_ns / (self.last_ns - self.first_ns)
-        } else {
-            0.0
+    /// Consumes the collector into its exact aggregates.
+    pub fn finish(self) -> TelemetryStats {
+        let span_ns = self.last_ns - self.first_ns;
+        let mean = |weighted_ns: f64| {
+            if self.events > 1 && span_ns > 0.0 {
+                weighted_ns / span_ns
+            } else {
+                0.0
+            }
         };
-        (
-            self.points,
-            TelemetryStats {
-                events: self.events,
-                peak_queue_depth: self.peak_queue_depth,
-                peak_batch_occupancy: self.peak_batch_occupancy,
-                mean_batch_occupancy,
-            },
-        )
+        TelemetryStats {
+            events: self.events,
+            peak_queue_depth: self.peak_queue_depth,
+            peak_batch_occupancy: self.peak_batch_occupancy,
+            mean_batch_occupancy: mean(self.weighted_occupancy_ns),
+            mean_queue_depth: mean(self.weighted_queue_ns),
+        }
     }
 }
 
@@ -272,18 +227,27 @@ pub struct PreemptionStats {
     pub restore_stall_ns: f64,
 }
 
+impl std::ops::AddAssign for PreemptionStats {
+    /// Field-wise sum: the one way per-incarnation and per-replica counters
+    /// combine.
+    fn add_assign(&mut self, other: Self) {
+        self.evictions += other.evictions;
+        self.resumes += other.resumes;
+        self.checkpoint_bytes += other.checkpoint_bytes;
+        self.restore_bytes += other.restore_bytes;
+        self.checkpoint_stall_ns += other.checkpoint_stall_ns;
+        self.restore_stall_ns += other.restore_stall_ns;
+    }
+}
+
 /// The raw output of one simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Completed requests, in trace order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Queue-depth / batch-occupancy time series (possibly decimated, see
-    /// [`Telemetry`]).
-    pub timeline: Vec<TimelinePoint>,
     /// Simulated span from t = 0 to the last event, in nanoseconds.
     pub makespan_ns: f64,
-    /// Exact whole-run telemetry aggregates (independent of the timeline
-    /// sampling rate).
+    /// Exact whole-run queue/occupancy aggregates.
     pub telemetry: TelemetryStats,
     /// Checkpoint-restore eviction counters (all zeros unless a preemptive
     /// policy ran).
@@ -574,8 +538,7 @@ impl SimResult {
     }
 
     /// Time-weighted mean batch occupancy (each event's occupancy holds until
-    /// the next event) — the exact aggregate, independent of how sparsely the
-    /// timeline was sampled.
+    /// the next event).
     pub fn mean_batch_occupancy(&self) -> f64 {
         self.telemetry.mean_batch_occupancy
     }
@@ -600,7 +563,6 @@ impl SimResult {
                         .filter(|o| o.tenant == tenant)
                         .copied()
                         .collect(),
-                    timeline: Vec::new(),
                     makespan_ns: self.makespan_ns,
                     telemetry: self.telemetry,
                     preemption: self.preemption,
@@ -660,32 +622,24 @@ mod tests {
         assert_eq!((p.p50, p.p90, p.p99), (4.0, 4.0, 4.0));
     }
 
+    /// The aggregates of feeding `(time_ns, queue_depth, batch_occupancy)`
+    /// samples through [`Telemetry::record`] in order.
+    fn recorded(samples: &[(f64, usize, usize)]) -> TelemetryStats {
+        let mut telemetry = Telemetry::new();
+        for &(time_ns, queue_depth, batch_occupancy) in samples {
+            telemetry.record(time_ns, queue_depth, batch_occupancy);
+        }
+        telemetry.finish()
+    }
+
     #[test]
     fn summary_counts_and_rates() {
-        let timeline = vec![
-            TimelinePoint {
-                time_ns: 0.0,
-                queue_depth: 2,
-                batch_occupancy: 0,
-            },
-            TimelinePoint {
-                time_ns: 10.0e6,
-                queue_depth: 0,
-                batch_occupancy: 2,
-            },
-            TimelinePoint {
-                time_ns: 20.0e6,
-                queue_depth: 0,
-                batch_occupancy: 0,
-            },
-        ];
         let result = SimResult {
             outcomes: vec![
                 outcome(0.0, 0.5e6, 1.0e6, 2),  // meets 1ms/1ms SLO
                 outcome(0.0, 5.0e6, 20.0e6, 2), // misses
             ],
-            telemetry: TelemetryStats::from_timeline(&timeline),
-            timeline,
+            telemetry: recorded(&[(0.0, 2, 0), (10.0e6, 0, 2), (20.0e6, 0, 0)]),
             makespan_ns: 20.0e6,
             preemption: PreemptionStats::default(),
         };
@@ -698,8 +652,10 @@ mod tests {
         assert_eq!(s.peak_queue_depth, 2);
         assert_eq!(s.throughput_rps, 2.0 / 0.02);
         assert_eq!(s.goodput_rps, 1.0 / 0.02);
-        // Occupancy: 0 for the first half, 2 for the second -> 1.0 mean.
+        // Occupancy: 0 for the first half, 2 for the second -> 1.0 mean;
+        // queue depth the mirror image.
         assert!((s.mean_batch_occupancy - 1.0).abs() < 1e-12);
+        assert!((result.telemetry.mean_queue_depth - 1.0).abs() < 1e-12);
         assert_eq!(s.makespan_s, 0.02);
     }
 
@@ -707,7 +663,6 @@ mod tests {
     fn empty_sim_result_summary_is_all_zeros() {
         let s = SimResult {
             outcomes: vec![],
-            timeline: vec![],
             makespan_ns: 0.0,
             telemetry: TelemetryStats::default(),
             preemption: PreemptionStats::default(),
@@ -764,7 +719,6 @@ mod tests {
         };
         let result = SimResult {
             outcomes: vec![t5_slow, t0, t5_fast],
-            timeline: vec![],
             makespan_ns: 100.0e6,
             telemetry: TelemetryStats::default(),
             preemption: PreemptionStats::default(),
@@ -796,58 +750,19 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_aggregates_are_sampling_invariant() {
-        let mut full = Telemetry::new(1);
-        let mut sparse = Telemetry::new(7);
-        let mut none = Telemetry::new(0);
-        for i in 0..100u64 {
-            let (t, q, occ) = (i as f64 * 3.0, (i % 5) as usize, (i % 9) as usize);
-            full.record(t, q, occ);
-            sparse.record(t, q, occ);
-            none.record(t, q, occ);
-        }
-        let (full_points, full_stats) = full.finish();
-        let (sparse_points, sparse_stats) = sparse.finish();
-        let (no_points, none_stats) = none.finish();
-        assert_eq!(full_points.len(), 100);
-        assert_eq!(sparse_points.len(), 100usize.div_ceil(7));
-        assert!(no_points.is_empty());
-        assert_eq!(full_stats, sparse_stats);
-        assert_eq!(full_stats, none_stats);
-        assert_eq!(full_stats.events, 100);
-        assert_eq!(full_stats.peak_queue_depth, 4);
-        assert_eq!(full_stats.peak_batch_occupancy, 8);
-        assert!(full_stats.mean_batch_occupancy > 0.0);
-    }
-
-    #[test]
     fn telemetry_from_timeline_matches_windowed_integration() {
-        let timeline = [
-            TimelinePoint {
-                time_ns: 0.0,
-                queue_depth: 1,
-                batch_occupancy: 0,
-            },
-            TimelinePoint {
-                time_ns: 10.0,
-                queue_depth: 0,
-                batch_occupancy: 4,
-            },
-            TimelinePoint {
-                time_ns: 30.0,
-                queue_depth: 0,
-                batch_occupancy: 0,
-            },
-        ];
-        let stats = TelemetryStats::from_timeline(&timeline);
-        // 0 for 10 ns, then 4 for 20 ns over a 30 ns span.
+        let samples = [(0.0, 1, 0), (10.0, 0, 4), (30.0, 3, 0)];
+        let stats = recorded(&samples);
+        // Occupancy 0 for 10 ns, then 4 for 20 ns over a 30 ns span; queue
+        // depth 1 for 10 ns, then 0 (the last sample holds no time).
         assert!((stats.mean_batch_occupancy - 4.0 * 20.0 / 30.0).abs() < 1e-12);
+        assert!((stats.mean_queue_depth - 10.0 / 30.0).abs() < 1e-12);
         assert_eq!(stats.peak_batch_occupancy, 4);
+        assert_eq!(stats.peak_queue_depth, 3);
         assert_eq!(stats.events, 3);
         // Degenerate spans integrate to zero.
-        assert_eq!(
-            TelemetryStats::from_timeline(&timeline[..1]).mean_batch_occupancy,
-            0.0
-        );
+        let single = recorded(&samples[..1]);
+        assert_eq!(single.mean_batch_occupancy, 0.0);
+        assert_eq!(single.mean_queue_depth, 0.0);
     }
 }

@@ -425,7 +425,9 @@ pub struct TrafficGrid {
     /// Results are bit-identical either way; `false` forces the per-step
     /// oracle loop.
     pub fast_forward: bool,
-    /// Timeline decimation (see [`EngineConfig::timeline_sample_every`]).
+    /// Ignored, like [`EngineConfig::timeline_sample_every`]: cells keep
+    /// exact telemetry aggregates only. Still copied into each cell's
+    /// engine config, so memo cell keys stay unchanged.
     pub timeline_sample_every: usize,
 }
 

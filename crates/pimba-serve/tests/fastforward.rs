@@ -1,15 +1,16 @@
 //! Fast-forward equivalence: the macro-stepping engine must be **bit-identical**
-//! to the step-by-step event loop — outcomes, timeline, aggregates and makespan —
-//! over random traces, all three shipped schedulers, both system families, an
+//! to the step-by-step event loop — outcomes, telemetry aggregates (the
+//! queue-depth and occupancy integrals see every event) and makespan — over
+//! random traces, all three shipped schedulers, both system families, an
 //! attention-free, a hybrid and a transformer model (seq-invariant steps, and
-//! latencies re-read at bucket crossings inside a segment), and timeline
-//! sampling off (the folded time chain), full and decimated.
-//! Also pins the timeline-decimation contract: sparser sampling bounds memory
-//! without moving a single aggregate or percentile metric.
+//! latencies re-read at bucket crossings inside a segment), and compute
+//! scales of 1, 0.5 and 3 (the slowdown windows of fleet fault injection), all
+//! through the folded time chain.
+//! Also pins that the ignored `timeline_sample_every` field stays inert.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::engine::{Engine, EngineConfig};
-use pimba_serve::metrics::{SimResult, SloSpec};
+use pimba_serve::metrics::SimResult;
 use pimba_serve::sched::{PolicyKind, Scheduler};
 use pimba_serve::traffic::{Scenario, Trace};
 use pimba_system::config::{SystemConfig, SystemKind};
@@ -18,7 +19,7 @@ use proptest::prelude::*;
 
 const SYSTEMS: [SystemKind; 2] = [SystemKind::Gpu, SystemKind::Pimba];
 const MODELS: [ModelFamily; 3] = [ModelFamily::Mamba2, ModelFamily::Zamba2, ModelFamily::Llama];
-const SAMPLING: [usize; 3] = [0, 1, 7];
+const COMPUTE_SCALES: [f64; 3] = [1.0, 0.5, 3.0];
 const POLICIES: [PolicyKind; 3] = [
     PolicyKind::FcfsStatic,
     PolicyKind::Continuous,
@@ -40,6 +41,7 @@ fn bits(result: &SimResult) -> Vec<u64> {
         result.telemetry.peak_queue_depth as u64,
         result.telemetry.peak_batch_occupancy as u64,
         result.telemetry.mean_batch_occupancy.to_bits(),
+        result.telemetry.mean_queue_depth.to_bits(),
     ];
     for o in &result.outcomes {
         out.extend([
@@ -47,13 +49,6 @@ fn bits(result: &SimResult) -> Vec<u64> {
             o.arrival_ns.to_bits(),
             o.first_token_ns.to_bits(),
             o.completion_ns.to_bits(),
-        ]);
-    }
-    for p in &result.timeline {
-        out.extend([
-            p.time_ns.to_bits(),
-            p.queue_depth as u64,
-            p.batch_occupancy as u64,
         ]);
     }
     out
@@ -70,6 +65,28 @@ fn run(
     Engine::new(sim, model, config).run(trace, scheduler.as_mut())
 }
 
+/// [`run`] through a co-simulation session whose compute latencies are
+/// scaled by `compute_scale` from the start.
+fn run_scaled(
+    sim: &ServingSimulator,
+    model: &ModelConfig,
+    trace: &Trace,
+    policy: PolicyKind,
+    config: EngineConfig,
+    compute_scale: f64,
+) -> SimResult {
+    let mut scheduler: Box<dyn Scheduler> = policy.build();
+    let engine = Engine::new(sim, model, config);
+    let (max_seq, max_prompt) = trace.bounds();
+    let mut session = engine.session(max_seq, max_prompt);
+    session.set_compute_scale(compute_scale);
+    for (id, r) in trace.requests.iter().enumerate() {
+        session.inject(id, *r);
+    }
+    session.step_until(f64::INFINITY, scheduler.as_mut());
+    session.finish()
+}
+
 #[allow(clippy::too_many_arguments)]
 fn assert_fast_forward_is_bit_identical(
     kind: SystemKind,
@@ -81,7 +98,7 @@ fn assert_fast_forward_is_bit_identical(
     seed: u64,
     seq_bucket: usize,
     max_batch: usize,
-    timeline_sample_every: usize,
+    compute_scale: f64,
 ) {
     let model = ModelConfig::preset(family, ModelScale::Small);
     let sim = ServingSimulator::new(SystemConfig::small_scale(kind));
@@ -89,10 +106,9 @@ fn assert_fast_forward_is_bit_identical(
     let config = EngineConfig {
         max_batch,
         seq_bucket,
-        timeline_sample_every,
         ..EngineConfig::default()
     };
-    let per_step = run(
+    let per_step = run_scaled(
         &sim,
         &model,
         &trace,
@@ -101,8 +117,9 @@ fn assert_fast_forward_is_bit_identical(
             fast_forward: false,
             ..config
         },
+        compute_scale,
     );
-    let fast = run(
+    let fast = run_scaled(
         &sim,
         &model,
         &trace,
@@ -111,12 +128,13 @@ fn assert_fast_forward_is_bit_identical(
             fast_forward: true,
             ..config
         },
+        compute_scale,
     );
     assert_eq!(per_step.outcomes.len(), trace.len(), "requests lost");
     assert_eq!(
         bits(&per_step),
         bits(&fast),
-        "{kind:?}/{family:?}/{}/{}/sampling {timeline_sample_every}: fast-forward diverged",
+        "{kind:?}/{family:?}/{}/{}/compute scale {compute_scale}: fast-forward diverged",
         policy.name(),
         scenario.name
     );
@@ -136,7 +154,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         seq_bucket_idx in 0usize..3,
         max_batch in 2usize..64,
-        sampling_idx in 0usize..SAMPLING.len(),
+        scale_idx in 0usize..COMPUTE_SCALES.len(),
     ) {
         assert_fast_forward_is_bit_identical(
             SYSTEMS[system_idx],
@@ -148,7 +166,7 @@ proptest! {
             seed,
             [1usize, 32, 64][seq_bucket_idx],
             max_batch,
-            SAMPLING[sampling_idx],
+            COMPUTE_SCALES[scale_idx],
         );
     }
 }
@@ -279,60 +297,36 @@ fn fast_forward_handles_simultaneous_arrival_and_step_end() {
     }
 }
 
-/// Decimated telemetry: memory stays bounded on a 10k-request trace while
-/// every aggregate and percentile metric is unchanged.
+/// `timeline_sample_every` is ignored: a run at any value equals the
+/// sampling-0 run exactly, so memo stores keyed at the old default of 1 hold
+/// what a sampling-0 run produces.
 #[test]
-fn timeline_decimation_bounds_memory_without_moving_metrics() {
+fn timeline_sample_every_is_inert() {
     let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let trace = Scenario::chat().generate(64.0, 10_000, 7);
-    let config = EngineConfig {
-        max_batch: 64,
-        seq_bucket: 64,
-        ..EngineConfig::default()
+    let run_sampled = |timeline_sample_every: usize| {
+        let config = EngineConfig {
+            max_batch: 64,
+            seq_bucket: 64,
+            timeline_sample_every,
+            ..EngineConfig::default()
+        };
+        run(&sim, &model, &trace, PolicyKind::Continuous, config)
     };
-    let full = run(&sim, &model, &trace, PolicyKind::Continuous, config);
-    let sparse = run(
-        &sim,
-        &model,
-        &trace,
-        PolicyKind::Continuous,
-        EngineConfig {
-            timeline_sample_every: 1024,
-            ..config
-        },
-    );
-    let none = run(
-        &sim,
-        &model,
-        &trace,
-        PolicyKind::Continuous,
-        EngineConfig {
-            timeline_sample_every: 0,
-            ..config
-        },
-    );
-
-    // Full sampling stores one point per event; decimation caps storage at
-    // events/1024 (rounded up) regardless of trace length.
-    let events = full.telemetry.events;
+    let none = run_sampled(0);
+    let events = none.telemetry.events;
     assert!(
         events > 30_000,
         "expected a long event stream, got {events}"
     );
-    assert_eq!(full.timeline.len() as u64, events);
-    assert_eq!(
-        sparse.timeline.len() as u64,
-        events.div_ceil(1024),
-        "decimated timeline must be bounded"
-    );
-    assert!(none.timeline.is_empty());
-
-    // Exact aggregates and every percentile metric are sampling-invariant.
-    assert_eq!(full.telemetry, sparse.telemetry);
-    assert_eq!(full.telemetry, none.telemetry);
-    assert_eq!(full.outcomes, sparse.outcomes);
-    let slo = SloSpec::default();
-    assert_eq!(full.summary(&slo), sparse.summary(&slo));
-    assert_eq!(full.summary(&slo), none.summary(&slo));
+    for timeline_sample_every in [1, 1024] {
+        let sampled = run_sampled(timeline_sample_every);
+        assert_eq!(
+            bits(&sampled),
+            bits(&none),
+            "sampling {timeline_sample_every}"
+        );
+        assert_eq!(sampled, none, "sampling {timeline_sample_every}");
+    }
 }
