@@ -1,4 +1,4 @@
-//! `TESTS_REMOVED.json` at the workspace root is the ledger of deliberately
+//! `removed_tests.json` at the workspace root is the ledger of deliberately
 //! removed tests: each entry names the test `fn`, the file it lived in, the
 //! change that removed it and why. This test fails if a listed test still
 //! exists in its file, so a stale ledger breaks `cargo test`.
@@ -22,9 +22,9 @@ fn field<'a>(entry: &'a Json, key: &str) -> &'a str {
 #[test]
 fn removed_tests_are_gone_from_their_files() {
     let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("TESTS_REMOVED.json"))
-        .expect("TESTS_REMOVED.json at the workspace root");
-    let ledger = Json::parse(&text).expect("TESTS_REMOVED.json is valid JSON");
+    let text = std::fs::read_to_string(root.join("removed_tests.json"))
+        .expect("removed_tests.json at the workspace root");
+    let ledger = Json::parse(&text).expect("removed_tests.json is valid JSON");
     let entries = ledger.as_arr().expect("the ledger is a JSON array");
     assert!(!entries.is_empty(), "the ledger lists at least one test");
     for entry in entries {
@@ -38,7 +38,7 @@ fn removed_tests_are_gone_from_their_files() {
         if let Ok(source) = std::fs::read_to_string(root.join(file)) {
             assert!(
                 !source.contains(&format!("fn {name}(")),
-                "{name} is listed in TESTS_REMOVED.json but still exists in {file}"
+                "{name} is listed in removed_tests.json but still exists in {file}"
             );
         }
     }
