@@ -7,10 +7,12 @@
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::fault::{FaultPlan, RecoveryPolicy, RetryPolicy};
+use pimba_fleet::metrics::FleetResult;
 use pimba_fleet::router::RouterKind;
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::{SystemConfig, SystemKind};
+use pimba_system::memo::FingerprintBuilder;
 use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
 use proptest::prelude::*;
@@ -206,4 +208,128 @@ fn malformed_plans_are_structured_errors() {
         assert_eq!(err.field, field, "wrong field for input: {input}");
         assert!(err.line >= 1, "errors carry a 1-based line number");
     }
+}
+
+/// Byte length and `(hi, lo)` fingerprint words of a result's `Debug`
+/// rendering: every outcome, replica report and fault counter, bit for bit.
+fn result_digest(result: &FleetResult) -> (usize, (u64, u64)) {
+    let text = format!("{result:?}");
+    let words = FingerprintBuilder::new()
+        .bytes(text.as_bytes())
+        .finish()
+        .words();
+    (text.len(), words)
+}
+
+/// Faulted fleet outputs, pinned bit for bit against recorded digests so a
+/// refactor of the event loops cannot move them silently. Disaggregated
+/// 2P+2D fleets under every router cover superseding slowdowns on a prefill
+/// and a decode replica, a slowdown ending at the instant the next one
+/// starts, overlapping link partitions, and all of them at once; colocated
+/// kill storms add a slowdown and a queue timeout under migration and under
+/// retry.
+#[test]
+fn faulted_fleet_outputs_match_recorded_digests() {
+    let (sim, model) = setup();
+    let fleet = FleetSim::new(&sim, &model);
+    let trace = Scenario::chat().generate(40.0, 80, 0x5EED);
+
+    // Replica 0's second slowdown ends inside the first, replica 3's outlasts it.
+    let superseding = FaultPlan::default()
+        .slowdown(0.2e9, 0, 3.0, 0.8e9)
+        .slowdown(0.5e9, 0, 6.0, 0.2e9)
+        .slowdown(0.3e9, 3, 4.0, 0.6e9)
+        .slowdown(0.6e9, 3, 2.0, 0.7e9);
+    let back_to_back = FaultPlan::default()
+        .slowdown(0.2e9, 2, 5.0, 0.3e9)
+        .slowdown(0.5e9, 2, 2.0, 0.4e9);
+    let partitions = FaultPlan::default()
+        .link_down(0.3e9, 0.4e9)
+        .link_down(0.5e9, 0.5e9);
+    let mut combined = FaultPlan::default();
+    for plan in [&superseding, &back_to_back, &partitions] {
+        combined.events.extend(plan.events.iter().copied());
+    }
+    let disaggregated = FleetMode::Disaggregated {
+        prefill_replicas: 2,
+        decode_replicas: 2,
+        transfer: StateTransferModel::nvlink(),
+    };
+
+    let mut storm = FaultPlan::kill_storm(REPLICAS, 3, 0.2e9, 0.25e9, 0.15e9)
+        .slowdown(0.1e9, REPLICAS - 1, 4.0, 0.2e9)
+        .slowdown(0.3e9, REPLICAS - 1, 2.0, 0.3e9);
+    storm.retry = RetryPolicy {
+        timeout_ns: 20.0e6,
+        ..storm.retry
+    };
+    let storm_under = |recovery| FaultPlan {
+        recovery,
+        ..storm.clone()
+    };
+
+    let mut cases = Vec::new();
+    for plan in [&superseding, &back_to_back, &partitions, &combined] {
+        cases.push((disaggregated, plan.clone()));
+    }
+    for recovery in [RecoveryPolicy::Migrate, RecoveryPolicy::RetryOnly] {
+        cases.push((
+            FleetMode::Colocated { replicas: REPLICAS },
+            storm_under(recovery),
+        ));
+    }
+
+    let mut digests = Vec::new();
+    for (mode, plan) in &cases {
+        for router in RouterKind::ALL {
+            let config = FleetConfig {
+                mode: *mode,
+                router,
+                ..FleetConfig::colocated(REPLICAS)
+            };
+            let result = fleet
+                .run_faulted(&trace, &config, plan)
+                .expect("pinned plans validate");
+            digests.push(result_digest(&result));
+        }
+    }
+    let expected: [(usize, (u64, u64)); 18] = [
+        // superseding slowdowns, round_robin
+        (53471, (0x4713cfa368d144d8, 0xaabfa42caea9ca24)),
+        // superseding slowdowns, jsq
+        (53509, (0xb7ba6cf16700b1a1, 0x010a9e7f0559fc9b)),
+        // superseding slowdowns, po2
+        (53509, (0xb7ba6cf16700b1a1, 0x010a9e7f0559fc9b)),
+        // back-to-back slowdowns, round_robin
+        (53486, (0xbda609260e43257d, 0xcb895a4c6c9e829c)),
+        // back-to-back slowdowns, jsq
+        (53481, (0x245e51303415a3fc, 0x7ebbdf9ee8275e39)),
+        // back-to-back slowdowns, po2
+        (53481, (0x245e51303415a3fc, 0x7ebbdf9ee8275e39)),
+        // overlapping partitions, round_robin
+        (53541, (0xad9a012d1efa78a9, 0x49a65a8290eac02a)),
+        // overlapping partitions, jsq
+        (53557, (0x837bb2c296b204b4, 0x5d3f41bb21d47637)),
+        // overlapping partitions, po2
+        (53557, (0x837bb2c296b204b4, 0x5d3f41bb21d47637)),
+        // all disaggregated faults, round_robin
+        (53556, (0xeafa1842849ee188, 0x44a70e65a7b938d0)),
+        // all disaggregated faults, jsq
+        (53586, (0x6b84d149aebc835a, 0x017438274781cf04)),
+        // all disaggregated faults, po2
+        (53586, (0x6b84d149aebc835a, 0x017438274781cf04)),
+        // storm, migrate, round_robin
+        (36337, (0x979f55d5cbedfaa2, 0x8a62703c9a4276ad)),
+        // storm, migrate, jsq
+        (36339, (0xcdbb71691bde1706, 0xf1605bba0d0a25e6)),
+        // storm, migrate, po2
+        (36331, (0x05b4b286f59e4430, 0xbaeef9986a5724b3)),
+        // storm, retry-only, round_robin
+        (35930, (0x58d67c6e40a4f2b0, 0x1083fa3a591d43b0)),
+        // storm, retry-only, jsq
+        (36344, (0xc7a52e0e72d9460b, 0x087883d8e2f0e753)),
+        // storm, retry-only, po2
+        (36351, (0x1f2e133c656c6eb7, 0xc9f120eb53d3772c)),
+    ];
+    assert_eq!(digests, expected);
 }
