@@ -26,20 +26,26 @@
 //! `transfer_ns(bytes)` later; a second router (its own keyed PCG stream)
 //! places it, and [`Session::inject_prefilled`] resumes decoding at full
 //! context without re-prefilling. Handoffs are delivered in global
-//! arrival-time order (completion windows between trace arrivals guarantee no
-//! earlier handoff can appear later), so the co-simulation stays
-//! deterministic for any worker-thread count of the grid runner above it.
+//! arrival-time order (the prefill replicas are stepped to every driver
+//! instant before any handoff earlier than it is delivered, so no earlier
+//! handoff can appear later), and the co-simulation stays deterministic for
+//! any worker-thread count of the grid runner above it.
 //!
 //! # One event loop per topology
 //!
 //! A fleet runs on exactly two drivers, one per topology, and both take a
 //! [`FaultPlan`]: [`FleetSim::run`] is [`FleetSim::run_faulted`] with the
-//! empty plan. The colocated loop walks the trace with an arrival cursor
-//! merged against one heap of fault and recovery events; the disaggregated
-//! loop merges the cursor against the plan's slowdown windows, with
-//! prefill→decode handoffs on their own heap. An empty plan schedules no
-//! events, so the fault-free fleet is the faulted fleet with nothing to
-//! interrupt it — byte-identical by construction.
+//! empty plan. Both step one replica pool (a disaggregated fleet's prefill
+//! replicas `[0, P)`, then its decode replicas `[P, P+D)`) and pop one
+//! agenda: trace arrivals off a cursor merged with one heap of driver
+//! events, arrivals winning ties. Slowdown starts and ends take one shared
+//! path. Crash recovery is colocated-only. Prefill→decode handoffs are
+//! disaggregated-only and ride the same heap: at each driver instant `t` the
+//! disaggregated loop steps the prefill replicas to `t`, pushes new prefill
+//! completions as handoffs and delivers every handoff earlier than `t`, and
+//! only then acts. An empty plan schedules no events, so the fault-free
+//! fleet is the faulted fleet with nothing to interrupt it — byte-identical
+//! by construction.
 //!
 //! **Decoupled free-run.** When the router is
 //! [load-oblivious](RouterKind::load_oblivious) and the plan is empty,
@@ -130,6 +136,7 @@ use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How the fleet's replicas divide the request lifecycle.
@@ -214,95 +221,115 @@ fn session_load(session: &Session<'_>) -> ReplicaLoad {
     }
 }
 
-/// One pool of a disaggregated fleet: replica sessions advancing together.
+/// Every replica of one fleet: a colocated fleet's replicas, or a
+/// disaggregated fleet's prefill replicas `[0, P)` followed by its decode
+/// replicas `[P, P+D)` — the fleet indexing of fault plans and replica
+/// reports.
 struct Pool<'a> {
-    sessions: Vec<Session<'a>>,
+    /// Each replica's live session; `None` while the replica is down.
+    sessions: Vec<Option<Session<'a>>>,
     schedulers: Vec<Box<dyn Scheduler>>,
+    /// Each replica's load as the router sees it, maintained incrementally:
+    /// refreshed while stepping and bumped on injection, instead of rebuilt
+    /// from every session at every routing decision. A down replica's entry
+    /// keeps the snapshot it went down with — what the router sees of an
+    /// undetected zombie.
     loads: Vec<ReplicaLoad>,
+    /// Each replica's latest compute-scale change: a slowdown end carrying
+    /// an older token is stale.
+    slow_tokens: Vec<u64>,
+    policy: PolicyKind,
 }
 
 impl<'a> Pool<'a> {
-    fn new(
-        engine: &'a Engine<'a>,
-        replicas: usize,
-        policy: PolicyKind,
-        max_seq_hint: usize,
-        max_prompt_hint: usize,
-    ) -> Self {
-        assert!(replicas > 0, "a pool needs at least one replica");
+    fn new(sessions: Vec<Session<'a>>, policy: PolicyKind) -> Self {
+        let replicas = sessions.len();
         Self {
-            sessions: (0..replicas)
-                .map(|_| engine.session(max_seq_hint, max_prompt_hint))
-                .collect(),
+            sessions: sessions.into_iter().map(Some).collect(),
             schedulers: (0..replicas).map(|_| policy.build()).collect(),
             loads: vec![IDLE_LOAD; replicas],
+            slow_tokens: vec![0; replicas],
+            policy,
         }
     }
 
-    /// Attaches one trace sink per replica session (write-only — see the
-    /// module docs' no-perturbation invariant).
-    fn attach_traces(&mut self, sinks: Vec<TraceSink>) {
-        for (session, sink) in self.sessions.iter_mut().zip(sinks) {
-            session.set_trace(sink);
-        }
-    }
-
-    /// Advances every replica through its events strictly before `t`,
-    /// refreshing its load entry as part of the same pass (stepping is the
-    /// only operation that can change `queue_depth`/`occupancy` or complete
-    /// requests, so the snapshot stays exact between steps).
-    fn step_until(&mut self, t: f64) {
+    /// Advances every live replica in `replicas` through its events strictly
+    /// before `t`, refreshing its load entry as part of the same pass
+    /// (stepping is the only operation that can change
+    /// `queue_depth`/`occupancy` or complete requests, so the snapshot stays
+    /// exact between steps). Down replicas are skipped.
+    fn step_until(&mut self, replicas: Range<usize>, t: f64) {
         let _stepping = profile_phase("stepping");
-        for ((session, scheduler), load) in self
-            .sessions
-            .iter_mut()
-            .zip(self.schedulers.iter_mut())
-            .zip(self.loads.iter_mut())
-        {
-            session.step_until(t, scheduler.as_mut());
-            *load = session_load(session);
+        for replica in replicas {
+            if let Some(session) = self.sessions[replica].as_mut() {
+                session.step_until(t, self.schedulers[replica].as_mut());
+                self.loads[replica] = session_load(session);
+            }
         }
     }
 
-    /// Injects one arrival into `replica`, updating its load entry in place:
-    /// `outstanding` grows by exactly one, and nothing else changes (the
-    /// arrival event is pending, so it is neither queued nor batched yet).
-    fn inject(&mut self, replica: usize, id: usize, request: TraceRequest) {
-        self.sessions[replica].inject(id, request);
+    /// Injects one arrival into live `replica` (`prefilled`: resuming decode
+    /// at full context), updating its load entry in place: `outstanding`
+    /// grows by exactly one, and nothing else changes (the arrival event is
+    /// pending, so it is neither queued nor batched yet).
+    fn inject(&mut self, replica: usize, id: usize, request: TraceRequest, prefilled: bool) {
+        let session = self.sessions[replica]
+            .as_mut()
+            .expect("injections target live replicas");
+        if prefilled {
+            session.inject_prefilled(id, request);
+        } else {
+            session.inject(id, request);
+        }
         self.loads[replica].outstanding += 1;
     }
 
-    /// [`Pool::inject`] for a fully prefilled arrival (the decode side of a
-    /// disaggregated handoff) — same incremental load bump.
-    fn inject_prefilled(&mut self, replica: usize, id: usize, request: TraceRequest) {
-        self.sessions[replica].inject_prefilled(id, request);
-        self.loads[replica].outstanding += 1;
-    }
-
-    /// The per-replica load snapshot, maintained *incrementally*: refreshed
-    /// replica-by-replica while stepping and bumped on injection, instead of
-    /// rebuilt from every session at every routing decision. In debug builds
-    /// every read cross-checks against a full rebuild; the property test in
-    /// this module pins the equivalence on randomized traces.
-    fn loads(&self) -> &[ReplicaLoad] {
-        debug_assert_eq!(
-            self.loads,
-            self.rebuilt_loads(),
+    /// The load snapshot of `replicas`. In debug builds every read
+    /// cross-checks the live replicas against a full rebuild; the property
+    /// test in this module pins the equivalence on randomized traces.
+    fn loads(&self, replicas: Range<usize>) -> &[ReplicaLoad] {
+        debug_assert!(
+            self.loads_are_exact(),
             "incremental load snapshot diverged from a rebuild"
         );
-        &self.loads
+        &self.loads[replicas]
     }
 
-    /// Rebuilds the load snapshot from the sessions — the reference the
-    /// incremental snapshot is asserted against.
-    fn rebuilt_loads(&self) -> Vec<ReplicaLoad> {
-        self.sessions.iter().map(session_load).collect()
+    /// Whether every live replica's load entry equals a rebuild from its
+    /// session — the reference the incremental snapshot is asserted against.
+    fn loads_are_exact(&self) -> bool {
+        self.sessions
+            .iter()
+            .zip(&self.loads)
+            .all(|(session, load)| session.as_ref().is_none_or(|s| session_load(s) == *load))
     }
 
-    /// Drains every replica to completion and returns the per-replica results.
-    fn finish(mut self) -> Vec<SimResult> {
-        self.step_until(f64::INFINITY);
-        self.sessions.into_iter().map(Session::finish).collect()
+    /// Takes `replica` down, freezing its load entry, and returns its
+    /// session (`None` if it was already down). Its pending slowdown end
+    /// goes stale.
+    fn take_down(&mut self, replica: usize) -> Option<Session<'a>> {
+        let session = self.sessions[replica].take()?;
+        self.loads[replica] = session_load(&session);
+        self.slow_tokens[replica] += 1;
+        Some(session)
+    }
+
+    /// Brings `replica` back up, idle, on `session` and a fresh scheduler.
+    fn bring_up(&mut self, replica: usize, session: Session<'a>) {
+        self.sessions[replica] = Some(session);
+        self.schedulers[replica] = self.policy.build();
+        self.loads[replica] = IDLE_LOAD;
+        self.slow_tokens[replica] += 1;
+    }
+
+    /// Drains every live replica to completion and returns its result;
+    /// down replicas yield `None`.
+    fn finish(mut self) -> Vec<Option<SimResult>> {
+        self.step_until(0..self.sessions.len(), f64::INFINITY);
+        self.sessions
+            .into_iter()
+            .map(|session| session.map(Session::finish))
+            .collect()
     }
 }
 
@@ -342,20 +369,21 @@ impl<T> PartialOrd for Timed<T> {
     }
 }
 
-/// A pending prefill→decode handoff of trace request `ev`, sequenced in
-/// completion order.
-type Handoff = Timed<usize>;
-
-/// One heap event of the colocated loop (trace arrivals come off a cursor).
+/// One driver event of either loop.
 enum FleetEv {
+    /// Trace request `id` arrives — read off the agenda's cursor, never
+    /// pushed.
+    Arrival(usize),
     /// `plan.events[index]` fires.
     Fault(usize),
-    /// The failure detector notices `replica`'s crash — stale if the replica
-    /// restarted (new incarnation) or was already handled.
-    Detect { replica: usize, incarnation: u32 },
     /// A slowdown window on `replica` ends — stale unless `token` still names
     /// the latest scale change.
     SlowEnd { replica: usize, token: u64 },
+    /// The prefill→decode state of request `id` reaches the decode pool.
+    Handoff(usize),
+    /// The failure detector notices `replica`'s crash — stale if the replica
+    /// restarted (new incarnation) or was already handled.
+    Detect { replica: usize, incarnation: u32 },
     /// Request `id` re-enters the fleet (migration delivery or retry) —
     /// stale if a newer attempt superseded it.
     Resume {
@@ -368,34 +396,145 @@ enum FleetEv {
     TimeoutCheck { id: usize, attempt: u32 },
 }
 
-/// One replica of the colocated loop.
-struct ColocatedReplica<'a> {
-    /// The live incarnation's session; `None` while the replica is down.
-    session: Option<Session<'a>>,
-    scheduler: Box<dyn Scheduler>,
+/// The driver events of one run in `(time, creation-seq)` order: trace
+/// arrivals off a cursor, which win ties (they are created first), merged
+/// with one heap of everything else.
+struct Agenda {
+    heap: BinaryHeap<Timed<FleetEv>>,
+    seq: u64,
+    cursor: usize,
+}
+
+impl Agenda {
+    /// An agenda holding the plan's crash, restart and slowdown events,
+    /// pushed in plan order so simultaneous faults fire in plan order. Link
+    /// partitions are not events: handoffs read them as departure windows.
+    fn new(plan: &FaultPlan) -> Self {
+        let mut agenda = Agenda {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            cursor: 0,
+        };
+        for (index, event) in plan.events.iter().enumerate() {
+            if !matches!(event.kind, FaultKind::LinkDown { .. }) {
+                agenda.push(event.time_ns, FleetEv::Fault(index));
+            }
+        }
+        agenda
+    }
+
+    fn push(&mut self, time_ns: f64, ev: FleetEv) {
+        self.heap.push(Timed {
+            time_ns,
+            seq: self.seq,
+            ev,
+        });
+        self.seq += 1;
+    }
+
+    /// The next driver event: the next trace arrival unless a heap event is
+    /// strictly earlier.
+    fn pop(&mut self, trace: &Trace) -> Option<(f64, FleetEv)> {
+        let arrival = trace.requests.get(self.cursor).filter(|request| {
+            self.heap
+                .peek()
+                .is_none_or(|event| request.arrival_ns <= event.time_ns)
+        });
+        if let Some(request) = arrival {
+            self.cursor += 1;
+            return Some((request.arrival_ns, FleetEv::Arrival(self.cursor - 1)));
+        }
+        self.pop_before(f64::INFINITY)
+    }
+
+    /// The earliest heap event, if it is strictly before `t`.
+    fn pop_before(&mut self, t: f64) -> Option<(f64, FleetEv)> {
+        if self.heap.peek().is_some_and(|event| event.time_ns < t) {
+            self.heap.pop().map(|event| (event.time_ns, event.ev))
+        } else {
+            None
+        }
+    }
+}
+
+/// What both event loops drive: every replica, the one agenda, the plan with
+/// its fault counters, and the fleet-level trace track.
+struct FleetCore<'a, 'p> {
+    pool: Pool<'a>,
+    agenda: Agenda,
+    plan: &'p FaultPlan,
+    stats: FaultStats,
+    /// The fleet-level trace track (route/handoff/fault/recovery events).
+    sink: TraceSink,
+}
+
+impl<'a, 'p> FleetCore<'a, 'p> {
+    fn new(pool: Pool<'a>, plan: &'p FaultPlan, sink: TraceSink) -> Self {
+        Self {
+            pool,
+            agenda: Agenda::new(plan),
+            plan,
+            stats: FaultStats::default(),
+            sink,
+        }
+    }
+
+    /// Applies `ev` if it starts or ends a slowdown — the one slowdown path
+    /// of both loops — and hands any other event back. The replica must be
+    /// stepped to `t` first, so events before the change keep the old
+    /// latency. A start on a down replica does nothing; a later start
+    /// supersedes an earlier one, whose end goes stale.
+    fn apply_slowdown(&mut self, ev: FleetEv, t: f64) -> Option<FleetEv> {
+        match ev {
+            FleetEv::Fault(index) => {
+                let FaultKind::Slowdown {
+                    replica,
+                    factor,
+                    duration_ns,
+                } = self.plan.events[index].kind
+                else {
+                    return Some(ev);
+                };
+                if let Some(session) = self.pool.sessions[replica].as_mut() {
+                    session.set_compute_scale(factor);
+                    self.pool.slow_tokens[replica] += 1;
+                    let token = self.pool.slow_tokens[replica];
+                    self.stats.slowdowns += 1;
+                    self.sink.emit(|| {
+                        TraceEvent::span("slowdown", t, duration_ns, replica as u64)
+                            .arg("replica", replica as f64)
+                            .arg("factor", factor)
+                    });
+                    self.agenda
+                        .push(t + duration_ns, FleetEv::SlowEnd { replica, token });
+                }
+            }
+            FleetEv::SlowEnd { replica, token } => {
+                let live = self.pool.sessions[replica].as_mut();
+                if let Some(session) = live.filter(|_| self.pool.slow_tokens[replica] == token) {
+                    session.set_compute_scale(1.0);
+                }
+            }
+            ev => return Some(ev),
+        }
+        None
+    }
+}
+
+/// Crash bookkeeping of one colocated replica, beside its pool slot.
+#[derive(Default)]
+struct Life {
     /// A dead replica stays *visible* to the router until detected.
     detected: bool,
     /// Bumped on every restart; stamps detection events so a detector racing
     /// a restart can't re-recover the new incarnation.
     incarnation: u32,
-    /// Latest compute-scale change; stale `SlowEnd` events don't reset.
-    slow_token: u64,
-    /// Load snapshot frozen at crash time — what the router sees while the
-    /// replica is an undetected zombie.
-    frozen: ReplicaLoad,
     /// In-flight requests dropped by the crash, awaiting detection.
     dropped: Vec<DroppedRequest>,
     /// Requests routed into the zombie window, awaiting detection.
     black_holed: Vec<usize>,
     /// Finished results of previous incarnations.
     retired: Vec<SimResult>,
-}
-
-impl ColocatedReplica<'_> {
-    /// Live replicas and undetected zombies are routable.
-    fn visible(&self) -> bool {
-        self.session.is_some() || !self.detected
-    }
 }
 
 /// Recovery bookkeeping for one trace request.
@@ -433,79 +572,34 @@ impl Track {
     }
 }
 
-/// The colocated loop's mutable world: replicas, request tracks, the event
-/// heap, and the recovery counters.
+/// The colocated loop's mutable world: the shared core plus crash
+/// lifecycles, request tracks and the recovery state.
 struct ColocatedFleet<'a, 'p> {
     engine: &'a Engine<'a>,
-    replicas: Vec<ColocatedReplica<'a>>,
-    /// Load of every live replica, refreshed while stepping and bumped on
-    /// injection (entries of dead replicas are stale until restart).
-    loads: Vec<ReplicaLoad>,
-    /// Replicas currently down; while zero the router reads `loads` as is.
+    core: FleetCore<'a, 'p>,
+    life: Vec<Life>,
+    /// Replicas currently down; while zero the router reads the loads as is.
     dead: usize,
     router: Box<dyn Router>,
     tracks: Vec<Track>,
-    stats: FaultStats,
     /// Requests with no visible replica to route to, flushed at the next
     /// restart: `(id, attempt, generated)`.
     hold: Vec<(usize, u32, usize)>,
     assignment: Vec<u32>,
-    heap: BinaryHeap<Timed<FleetEv>>,
-    seq: u64,
-    plan: &'p FaultPlan,
     trace: &'p Trace,
     memory: MemoryModel<'a>,
-    policy: PolicyKind,
     max_seq_hint: usize,
     max_prompt_hint: usize,
-    /// The fleet-level trace track (route/fault/recovery events).
-    sink: TraceSink,
     /// Per-replica tracks, reattached to the fresh session on restart.
     replica_sinks: Vec<TraceSink>,
 }
 
 impl<'a, 'p> ColocatedFleet<'a, 'p> {
-    fn push(&mut self, time_ns: f64, ev: FleetEv) {
-        self.heap.push(Timed {
-            time_ns,
-            seq: self.seq,
-            ev,
-        });
-        self.seq += 1;
-    }
-
-    fn load_of(&self, index: usize) -> ReplicaLoad {
-        let r = &self.replicas[index];
-        match r.session {
-            Some(_) => self.loads[index],
-            None => r.frozen,
-        }
-    }
-
-    /// Advances every live replica through its events strictly before `t`,
-    /// refreshing its load entry in the same pass.
-    fn step_live(&mut self, t: f64) {
-        let _stepping = profile_phase("stepping");
-        for (r, load) in self.replicas.iter_mut().zip(self.loads.iter_mut()) {
-            if let Some(session) = r.session.as_mut() {
-                session.step_until(t, r.scheduler.as_mut());
-                *load = session_load(session);
-            }
-        }
-    }
-
     /// Routes request `id` (resuming with `generated` tokens of context) at
     /// time `t`. Requests routed into an undetected zombie black-hole until
     /// the detector fires; with every replica dead *and* detected, the
     /// request holds at the front door until a restart.
     fn place(&mut self, id: usize, generated: usize, t: f64) {
-        debug_assert!(
-            self.replicas
-                .iter()
-                .zip(&self.loads)
-                .all(|(r, load)| r.session.as_ref().is_none_or(|s| session_load(s) == *load)),
-            "incremental load snapshot diverged from the sessions"
-        );
         let original = self.trace.requests[id];
         let request = TraceRequest {
             arrival_ns: t,
@@ -513,27 +607,27 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
             output_len: original.output_len - generated,
             ..original
         };
+        let pool = &self.core.pool;
+        let loads = pool.loads(0..self.life.len());
         let target = if self.dead == 0 {
             // Every replica is live, hence visible: route on the loads as is.
             let choice = {
                 let _routing = profile_phase("routing");
-                self.router.route(id, &request, &self.loads)
+                self.router.route(id, &request, loads)
             };
-            assert!(
-                choice < self.loads.len(),
-                "router returned replica {choice}"
-            );
+            assert!(choice < loads.len(), "router returned replica {choice}");
             choice
         } else {
-            let visible: Vec<usize> = (0..self.replicas.len())
-                .filter(|&i| self.replicas[i].visible())
+            // Live replicas and undetected zombies are routable.
+            let visible: Vec<usize> = (0..loads.len())
+                .filter(|&i| pool.sessions[i].is_some() || !self.life[i].detected)
                 .collect();
             if visible.is_empty() {
                 let attempt = self.tracks[id].attempt;
                 self.hold.push((id, attempt, generated));
                 return;
             }
-            let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| self.load_of(i)).collect();
+            let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| loads[i]).collect();
             let choice = {
                 let _routing = profile_phase("routing");
                 self.router.route(id, &request, &loads)
@@ -541,7 +635,7 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
             assert!(choice < visible.len(), "router returned replica {choice}");
             visible[choice]
         };
-        self.sink.emit(|| {
+        self.core.sink.emit(|| {
             TraceEvent::instant("route", t, id as u64)
                 .arg("replica", target as f64)
                 .arg("attempt", self.tracks[id].attempt as f64)
@@ -550,31 +644,26 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
             self.assignment[id] = target as u32;
         }
         self.tracks[id].location = Some(target);
-        let r = &mut self.replicas[target];
-        let Some(session) = r.session.as_mut() else {
+        if self.core.pool.sessions[target].is_none() {
             // Zombie window: the request (and any shipped state) vanishes
             // until the failure detector fires; its frozen load grows so
             // load-aware routers steer away from the pile-up.
-            r.black_holed.push(id);
-            r.frozen.outstanding += 1;
-            r.frozen.queue_depth += 1;
-            self.stats.black_holed += 1;
-            self.sink.emit(|| {
+            self.life[target].black_holed.push(id);
+            let frozen = &mut self.core.pool.loads[target];
+            frozen.outstanding += 1;
+            frozen.queue_depth += 1;
+            self.core.stats.black_holed += 1;
+            self.core.sink.emit(|| {
                 TraceEvent::instant("blackhole", t, id as u64).arg("replica", target as f64)
             });
             return;
-        };
-        if generated > 0 {
-            session.inject_prefilled(id, request);
-        } else {
-            session.inject(id, request);
         }
-        self.loads[target].outstanding += 1;
+        self.core.pool.inject(target, id, request, generated > 0);
         self.tracks[id].resumed_generated = generated;
-        if self.plan.retry.timeout_ns > 0.0 {
+        if self.core.plan.retry.timeout_ns > 0.0 {
             let attempt = self.tracks[id].attempt;
-            self.push(
-                t + self.plan.retry.timeout_ns,
+            self.core.agenda.push(
+                t + self.core.plan.retry.timeout_ns,
                 FleetEv::TimeoutCheck { id, attempt },
             );
         }
@@ -583,12 +672,15 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
     /// Consumes one retry attempt for `id` (or marks it lost), scheduling the
     /// re-entry after backoff + deterministic jitter.
     fn retry_or_lose(&mut self, id: usize, t: f64) {
+        let plan = self.core.plan;
         let next = self.tracks[id].attempt + 1;
-        if self.plan.recovery == RecoveryPolicy::None || next > self.plan.retry.max_attempts {
+        if plan.recovery == RecoveryPolicy::None || next > plan.retry.max_attempts {
             self.tracks[id].lost = true;
             self.tracks[id].touched = true;
-            self.stats.lost += 1;
-            self.sink.emit(|| TraceEvent::instant("lost", t, id as u64));
+            self.core.stats.lost += 1;
+            self.core
+                .sink
+                .emit(|| TraceEvent::instant("lost", t, id as u64));
             return;
         }
         let track = &mut self.tracks[id];
@@ -597,11 +689,12 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         track.touched = true;
         track.resumed_generated = 0;
         track.first_token_ns = f64::NAN;
-        self.stats.retries += 1;
-        let at = t + self.plan.retry.backoff_ns(self.plan.seed, id, next);
-        self.sink
+        self.core.stats.retries += 1;
+        let at = t + plan.retry.backoff_ns(plan.seed, id, next);
+        self.core
+            .sink
             .emit(|| TraceEvent::span("retry", t, at - t, id as u64).arg("attempt", next as f64));
-        self.push(
+        self.core.agenda.push(
             at,
             FleetEv::Resume {
                 id,
@@ -621,7 +714,7 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         }
         let cumulative = self.tracks[id].resumed_generated + generated_here;
         let original = self.trace.requests[id];
-        if self.plan.recovery == RecoveryPolicy::Migrate
+        if self.core.plan.recovery == RecoveryPolicy::Migrate
             && cumulative >= 1
             && cumulative < original.output_len
         {
@@ -632,18 +725,18 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
                 track.first_token_ns = first_token_ns;
             }
             let attempt = track.attempt;
-            self.stats.migrations += 1;
+            self.core.stats.migrations += 1;
             let bytes = self
                 .memory
                 .dynamic_bytes(1, original.prompt_len + cumulative);
-            self.stats.migrated_bytes += bytes;
-            let at = t + self.plan.migration_link.transfer_ns(bytes);
-            self.sink.emit(|| {
+            self.core.stats.migrated_bytes += bytes;
+            let at = t + self.core.plan.migration_link.transfer_ns(bytes);
+            self.core.sink.emit(|| {
                 TraceEvent::span("migrate", t, at - t, id as u64)
                     .arg("bytes", bytes)
                     .arg("generated", cumulative as f64)
             });
-            self.push(
+            self.core.agenda.push(
                 at,
                 FleetEv::Resume {
                     id,
@@ -657,28 +750,26 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
     }
 
     fn crash(&mut self, victim: usize, t: f64) {
-        let r = &mut self.replicas[victim];
-        let Some(mut session) = r.session.take() else {
+        let Some(mut session) = self.core.pool.take_down(victim) else {
             return;
         };
-        self.stats.crashes += 1;
+        self.core.stats.crashes += 1;
         self.dead += 1;
-        r.detected = false;
-        r.slow_token += 1;
-        r.frozen = session_load(&session);
-        r.dropped = session.crash_drop();
-        r.retired.push(session.finish());
-        for d in &r.dropped {
+        let life = &mut self.life[victim];
+        life.detected = false;
+        life.dropped = session.crash_drop();
+        life.retired.push(session.finish());
+        for d in &life.dropped {
             self.tracks[d.id].location = None;
         }
-        let (incarnation, dropped) = (r.incarnation, r.dropped.len());
-        self.sink.emit(|| {
+        let (incarnation, dropped) = (life.incarnation, life.dropped.len());
+        self.core.sink.emit(|| {
             TraceEvent::instant("crash", t, victim as u64)
                 .arg("replica", victim as f64)
                 .arg("dropped", dropped as f64)
         });
-        self.push(
-            t + self.plan.detection_latency_ns,
+        self.core.agenda.push(
+            t + self.core.plan.detection_latency_ns,
             FleetEv::Detect {
                 replica: victim,
                 incarnation,
@@ -690,9 +781,10 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
     /// (dropped in-flight, or black-holed during the zombie window) re-enters
     /// through migration or retry.
     fn recover(&mut self, replica: usize, t: f64) {
-        let dropped = std::mem::take(&mut self.replicas[replica].dropped);
-        let black = std::mem::take(&mut self.replicas[replica].black_holed);
-        self.sink.emit(|| {
+        self.life[replica].detected = true;
+        let dropped = std::mem::take(&mut self.life[replica].dropped);
+        let black = std::mem::take(&mut self.life[replica].black_holed);
+        self.core.sink.emit(|| {
             TraceEvent::instant("detect", t, replica as u64)
                 .arg("replica", replica as f64)
                 .arg("dropped", dropped.len() as f64)
@@ -710,32 +802,27 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
     }
 
     fn restart(&mut self, replica: usize, t: f64) {
-        if self.replicas[replica].session.is_some() {
+        if self.core.pool.sessions[replica].is_some() {
             return;
         }
-        if !self.replicas[replica].detected {
+        if !self.life[replica].detected {
             // The replacement raced the detector: the fleet learns of the
             // loss now, so recovery triggers here.
-            self.replicas[replica].detected = true;
             self.recover(replica, t);
         }
-        self.stats.restarts += 1;
+        self.core.stats.restarts += 1;
         self.dead -= 1;
-        self.sink.emit(|| {
+        self.core.sink.emit(|| {
             TraceEvent::instant("restart", t, replica as u64).arg("replica", replica as f64)
         });
         let mut session = self.engine.session(self.max_seq_hint, self.max_prompt_hint);
         session.set_trace(self.replica_sinks[replica].clone());
-        let r = &mut self.replicas[replica];
-        r.detected = false;
-        r.incarnation += 1;
-        r.slow_token += 1;
-        r.session = Some(session);
-        r.scheduler = self.policy.build();
-        self.loads[replica] = IDLE_LOAD;
-        let held = std::mem::take(&mut self.hold);
-        for (id, attempt, generated) in held {
-            self.push(
+        self.core.pool.bring_up(replica, session);
+        let life = &mut self.life[replica];
+        life.detected = false;
+        life.incarnation += 1;
+        for (id, attempt, generated) in std::mem::take(&mut self.hold) {
+            self.core.agenda.push(
                 t,
                 FleetEv::Resume {
                     id,
@@ -746,33 +833,13 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         }
     }
 
-    fn apply_fault(&mut self, index: usize, t: f64) {
-        match self.plan.events[index].kind {
-            FaultKind::Crash { replica } => self.crash(replica, t),
-            FaultKind::Restart { replica } => self.restart(replica, t),
-            FaultKind::Slowdown {
-                replica,
-                factor,
-                duration_ns,
-            } => {
-                let r = &mut self.replicas[replica];
-                let Some(session) = r.session.as_mut() else {
-                    return;
-                };
-                session.set_compute_scale(factor);
-                r.slow_token += 1;
-                let token = r.slow_token;
-                self.stats.slowdowns += 1;
-                self.sink.emit(|| {
-                    TraceEvent::span("slowdown", t, duration_ns, replica as u64)
-                        .arg("replica", replica as f64)
-                        .arg("factor", factor)
-                });
-                self.push(t + duration_ns, FleetEv::SlowEnd { replica, token });
-            }
-            FaultKind::LinkDown { .. } => {
-                unreachable!("validated: colocated plans carry no link faults")
-            }
+    fn detect(&mut self, replica: usize, incarnation: u32, t: f64) {
+        let life = &self.life[replica];
+        if self.core.pool.sessions[replica].is_none()
+            && !life.detected
+            && life.incarnation == incarnation
+        {
+            self.recover(replica, t);
         }
     }
 
@@ -793,15 +860,17 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
             return;
         };
         // A dead location means the crash path owns recovery of this request.
-        let Some(session) = self.replicas[location].session.as_mut() else {
+        let pool = &mut self.core.pool;
+        let Some(session) = pool.sessions[location].as_mut() else {
             return;
         };
         if !session.cancel_queued(id) {
             return; // admitted (or finished) before the deadline
         }
-        self.loads[location] = session_load(session);
-        self.stats.timeouts += 1;
-        self.sink
+        pool.loads[location] = session_load(session);
+        self.core.stats.timeouts += 1;
+        self.core
+            .sink
             .emit(|| TraceEvent::instant("timeout", t, id as u64).arg("replica", location as f64));
         self.tracks[id].location = None;
         // Timed-out requests always take the retry path: they made no
@@ -853,6 +922,96 @@ fn merge_sim_results(mut parts: Vec<SimResult>) -> SimResult {
         makespan_ns,
         telemetry,
         preemption,
+    }
+}
+
+/// The prefill→decode handoff path of a disaggregated fleet.
+struct Handoffs<'a> {
+    prefill: Range<usize>,
+    decode: Range<usize>,
+    transfer: StateTransferModel,
+    memory: MemoryModel<'a>,
+    /// Link partitions merged into disjoint `[start, heal)` windows.
+    link_windows: Vec<(f64, f64)>,
+    /// The decode pool's router (its own PCG stream).
+    router: Box<dyn Router>,
+    /// Decode replica of each request, `u32::MAX` until it hands off.
+    assignment: Vec<u32>,
+}
+
+impl Handoffs<'_> {
+    /// When state completed at `completion_ns` leaves: at once, or when the
+    /// link heals if it is partitioned then.
+    fn departs_at(&self, completion_ns: f64) -> f64 {
+        for &(start, heal) in &self.link_windows {
+            if completion_ns < start {
+                break;
+            }
+            if completion_ns < heal {
+                return heal;
+            }
+        }
+        completion_ns
+    }
+
+    /// What a disaggregated driver instant `t` does before it acts: steps the
+    /// prefill replicas to `t`, pushes their new completions as handoffs,
+    /// and delivers every handoff earlier than `t`. Those are final: every
+    /// future prefill completion happens at or after `t`.
+    fn catch_up(&mut self, core: &mut FleetCore<'_, '_>, trace: &Trace, t: f64) {
+        core.pool.step_until(self.prefill.clone(), t);
+        let mut fresh = Vec::new();
+        for session in core.pool.sessions[self.prefill.clone()]
+            .iter_mut()
+            .flatten()
+        {
+            fresh.extend(session.drain_completions());
+        }
+        fresh.sort_by(|a, b| {
+            a.completion_ns
+                .total_cmp(&b.completion_ns)
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        // The state ships `transfer_ns(dynamic bytes at prompt+1 context)`
+        // after the first token (or after the link heals). Single-token
+        // requests never hand off.
+        for done in fresh {
+            let original = trace.requests[done.id];
+            if original.output_len > 1 {
+                let bytes = self.memory.dynamic_bytes(1, original.prompt_len + 1);
+                let at = self.departs_at(done.completion_ns) + self.transfer.transfer_ns(bytes);
+                core.agenda.push(at, FleetEv::Handoff(done.id));
+            }
+        }
+        while let Some((at, ev)) = core.agenda.pop_before(t) {
+            let FleetEv::Handoff(id) = ev else {
+                unreachable!("only handoffs are pushed after the popped event")
+            };
+            self.deliver(core, trace, id, at);
+        }
+    }
+
+    /// Delivers request `id`'s handoff at `t`: steps the decode pool to `t`,
+    /// routes the remaining decode and injects it fully prefilled — context
+    /// prompt+1 (prefill plus first token), `output_len - 1` tokens to go.
+    fn deliver(&mut self, core: &mut FleetCore<'_, '_>, trace: &Trace, id: usize, t: f64) {
+        let _delivery = profile_phase("handoff_delivery");
+        core.pool.step_until(self.decode.clone(), t);
+        let original = trace.requests[id];
+        let request = TraceRequest {
+            arrival_ns: t,
+            prompt_len: original.prompt_len + 1,
+            output_len: original.output_len - 1,
+            ..original
+        };
+        let choice = self
+            .router
+            .route(id, &request, core.pool.loads(self.decode.clone()));
+        core.sink
+            .emit(|| TraceEvent::instant("handoff", t, id as u64).arg("replica", choice as f64));
+        core.pool
+            .inject(self.decode.start + choice, id, request, true);
+        self.assignment[id] = choice as u32;
     }
 }
 
@@ -964,11 +1123,26 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// The colocated event loop: trace arrivals off a cursor merged with one
-    /// heap of (fault, detection, migration-delivery, retry, timeout)
-    /// events in `(time, creation-seq)` order, every live replica stepped to
-    /// each event's instant before it acts. Load-oblivious routers with
-    /// nothing mid-trace to observe free-run instead (module docs).
+    /// One session per sink, sized by the sequence and prompt hints.
+    fn sessions<'e>(
+        engine: &'e Engine<'e>,
+        sinks: &[TraceSink],
+        (max_seq_hint, max_prompt_hint): (usize, usize),
+    ) -> Vec<Session<'e>> {
+        sinks
+            .iter()
+            .map(|sink| {
+                let mut session = engine.session(max_seq_hint, max_prompt_hint);
+                session.set_trace(sink.clone());
+                session
+            })
+            .collect()
+    }
+
+    /// The colocated event loop: every live replica is stepped to each
+    /// agenda event's instant before it acts — arrivals, faults, detections,
+    /// migration deliveries, retries and timeouts. Load-oblivious routers
+    /// with nothing mid-trace to observe free-run instead (module docs).
     fn run_colocated(
         &self,
         trace: &Trace,
@@ -983,126 +1157,75 @@ impl<'a> FleetSim<'a> {
         // reach one short of the full sequence — size the hint accordingly.
         let (max_seq_hint, max_prompt_hint) = (max_seq + 1, max_prompt);
         let replica_sinks = self.replica_sinks("replica", replicas);
+        let sessions = Self::sessions(&engine, &replica_sinks, (max_seq_hint, max_prompt_hint));
         let mut fleet = ColocatedFleet {
             engine: &engine,
-            replicas: replica_sinks
-                .iter()
-                .map(|sink| {
-                    let mut session = engine.session(max_seq_hint, max_prompt_hint);
-                    session.set_trace(sink.clone());
-                    ColocatedReplica {
-                        session: Some(session),
-                        scheduler: config.policy.build(),
-                        detected: false,
-                        incarnation: 0,
-                        slow_token: 0,
-                        frozen: IDLE_LOAD,
-                        dropped: Vec::new(),
-                        black_holed: Vec::new(),
-                        retired: Vec::new(),
-                    }
-                })
-                .collect(),
-            loads: vec![IDLE_LOAD; replicas],
+            core: FleetCore::new(Pool::new(sessions, config.policy), plan, self.fleet_sink()),
+            life: (0..replicas).map(|_| Life::default()).collect(),
             dead: 0,
             router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
             tracks: trace.requests.iter().map(|_| Track::new()).collect(),
-            stats: FaultStats::default(),
             hold: Vec::new(),
             assignment: vec![u32::MAX; trace.len()],
-            heap: BinaryHeap::new(),
-            seq: 0,
-            plan,
             trace,
             memory: MemoryModel::new(self.sim.config(), self.model),
-            policy: config.policy,
             max_seq_hint,
             max_prompt_hint,
-            sink: self.fleet_sink(),
             replica_sinks,
         };
-        // Pushed in plan order, so simultaneous faults fire in plan order.
-        for (index, event) in plan.events.iter().enumerate() {
-            fleet.push(event.time_ns, FleetEv::Fault(index));
-        }
 
         let free_run = plan.is_empty() && config.router.load_oblivious();
-        let mut cursor = 0;
-        loop {
-            // Arrivals were created before any heap event, so they win ties.
-            let arrival = trace.requests.get(cursor).filter(|request| {
-                fleet
-                    .heap
-                    .peek()
-                    .is_none_or(|event| request.arrival_ns <= event.time_ns)
-            });
-            if let Some(request) = arrival {
-                let (id, t) = (cursor, request.arrival_ns);
-                cursor += 1;
-                if !free_run {
-                    fleet.step_live(t);
-                }
-                fleet.place(id, 0, t);
-                continue;
+        while let Some((t, ev)) = fleet.core.agenda.pop(trace) {
+            if !free_run {
+                fleet.core.pool.step_until(0..replicas, t);
             }
-            let Some(event) = fleet.heap.pop() else {
-                break;
-            };
-            let t = event.time_ns;
-            fleet.step_live(t);
-            match event.ev {
-                FleetEv::Fault(index) => fleet.apply_fault(index, t),
-                FleetEv::Detect {
+            match fleet.core.apply_slowdown(ev, t) {
+                None => {}
+                Some(FleetEv::Arrival(id)) => fleet.place(id, 0, t),
+                Some(FleetEv::Fault(index)) => match plan.events[index].kind {
+                    FaultKind::Crash { replica } => fleet.crash(replica, t),
+                    FaultKind::Restart { replica } => fleet.restart(replica, t),
+                    _ => unreachable!("validated: colocated plans carry no link faults"),
+                },
+                Some(FleetEv::Detect {
                     replica,
                     incarnation,
-                } => {
-                    let r = &fleet.replicas[replica];
-                    if r.session.is_none() && !r.detected && r.incarnation == incarnation {
-                        fleet.replicas[replica].detected = true;
-                        fleet.recover(replica, t);
-                    }
-                }
-                FleetEv::SlowEnd { replica, token } => {
-                    let r = &mut fleet.replicas[replica];
-                    if let Some(session) = r.session.as_mut().filter(|_| r.slow_token == token) {
-                        session.set_compute_scale(1.0);
-                    }
-                }
-                FleetEv::Resume {
+                }) => fleet.detect(replica, incarnation, t),
+                Some(FleetEv::Resume {
                     id,
                     attempt,
                     generated,
-                } => fleet.resume(id, attempt, generated, t),
-                FleetEv::TimeoutCheck { id, attempt } => fleet.timeout_check(id, attempt, t),
+                }) => fleet.resume(id, attempt, generated, t),
+                Some(FleetEv::TimeoutCheck { id, attempt }) => fleet.timeout_check(id, attempt, t),
+                Some(FleetEv::SlowEnd { .. } | FleetEv::Handoff(_)) => {
+                    unreachable!("colocated fleets hand nothing off")
+                }
             }
         }
         // Requests still held never saw a live replica again: lost.
         for (id, _, _) in std::mem::take(&mut fleet.hold) {
             if !fleet.tracks[id].lost {
                 fleet.tracks[id].lost = true;
-                fleet.stats.lost += 1;
+                fleet.core.stats.lost += 1;
             }
         }
         let ColocatedFleet {
-            replicas: fleet_replicas,
+            core,
+            life,
             tracks,
-            stats,
             assignment,
             ..
         } = fleet;
-        let results: Vec<SimResult> = {
-            let _stepping = profile_phase("stepping");
-            fleet_replicas
-                .into_iter()
-                .map(|mut r| {
-                    if let Some(mut session) = r.session.take() {
-                        session.step_until(f64::INFINITY, r.scheduler.as_mut());
-                        r.retired.push(session.finish());
-                    }
-                    merge_sim_results(r.retired)
-                })
-                .collect()
-        };
+        let results = core
+            .pool
+            .finish()
+            .into_iter()
+            .zip(life)
+            .map(|(last, mut life)| {
+                life.retired.extend(last);
+                merge_sim_results(life.retired)
+            })
+            .collect();
         let mut out = colocated_result(results, assignment);
         // Patch recovered outcomes back to trace-native shape: original
         // arrival and lengths, the true first-token instant for migrations,
@@ -1121,14 +1244,16 @@ impl<'a> FleetSim<'a> {
                 o.migrations = track.migrations;
             }
         }
-        out.fault = stats;
+        out.fault = core.stats;
         out
     }
 
-    /// The disaggregated event loop: trace arrivals off a cursor merged with
-    /// the plan's slowdown starts/ends, handoff departures queued behind
-    /// link partitions, and handoff deliveries off their own heap. Crash
-    /// faults are colocated-only (the validator rejects them here).
+    /// The disaggregated event loop: prefill replicas `[0, P)` and decode
+    /// replicas `[P, P+D)` in one pool. Each agenda instant first catches
+    /// up on handoffs ([`Handoffs::catch_up`]), then routes an arrival over
+    /// the prefill replicas, delivers a handoff to the decode replicas, or
+    /// applies a slowdown. Handoff departures queue behind link partitions;
+    /// crash faults are colocated-only (the validator rejects them here).
     fn run_disaggregated(
         &self,
         trace: &Trace,
@@ -1138,25 +1263,27 @@ impl<'a> FleetSim<'a> {
         config: &FleetConfig,
         plan: &FaultPlan,
     ) -> FleetResult {
+        assert!(
+            prefill_replicas > 0 && decode_replicas > 0,
+            "a pool needs at least one replica"
+        );
         let engine = Engine::new(self.sim, self.model, config.engine);
         let (max_seq, max_prompt) = trace.bounds();
         // Prefill replicas never hold a sequence past prompt+1; decode
         // replicas never prefill (their prompt table hint stays minimal).
-        let mut prefill = Pool::new(
+        let mut sessions = Self::sessions(
             &engine,
-            prefill_replicas,
-            config.policy,
-            max_prompt + 1,
-            max_prompt,
+            &self.replica_sinks("prefill", prefill_replicas),
+            (max_prompt + 1, max_prompt),
         );
-        let mut decode = Pool::new(&engine, decode_replicas, config.policy, max_seq + 1, 1);
-        let sink = self.fleet_sink();
-        prefill.attach_traces(self.replica_sinks("prefill", prefill_replicas));
-        decode.attach_traces(self.replica_sinks("decode", decode_replicas));
+        sessions.extend(Self::sessions(
+            &engine,
+            &self.replica_sinks("decode", decode_replicas),
+            (max_seq + 1, 1),
+        ));
+        let mut core = FleetCore::new(Pool::new(sessions, config.policy), plan, self.fleet_sink());
         let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let memory = MemoryModel::new(self.sim.config(), self.model);
-        let mut stats = FaultStats::default();
+        let mut assignment = Vec::with_capacity(trace.len());
 
         // Merge link partitions into disjoint [start, heal) windows; a
         // handoff whose state departs inside a window queues at the link and
@@ -1169,7 +1296,7 @@ impl<'a> FleetSim<'a> {
                 _ => None,
             })
             .collect();
-        stats.link_downs = raw_windows.len() as u32;
+        core.stats.link_downs = raw_windows.len() as u32;
         raw_windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         let mut link_windows: Vec<(f64, f64)> = Vec::new();
         for (start, heal) in raw_windows {
@@ -1179,214 +1306,74 @@ impl<'a> FleetSim<'a> {
             }
         }
         for &(start, heal) in &link_windows {
-            sink.emit(|| TraceEvent::span("linkdown", start, heal - start, 0));
+            core.sink
+                .emit(|| TraceEvent::span("linkdown", start, heal - start, 0));
         }
-        let departs_at = |completion_ns: f64| {
-            for &(start, heal) in &link_windows {
-                if completion_ns < start {
-                    break;
-                }
-                if completion_ns < heal {
-                    return heal;
-                }
-            }
-            completion_ns
+        let replicas = prefill_replicas + decode_replicas;
+        let mut handoffs = Handoffs {
+            prefill: 0..prefill_replicas,
+            decode: prefill_replicas..replicas,
+            transfer,
+            memory: MemoryModel::new(self.sim.config(), self.model),
+            link_windows,
+            router: config.router.build(config.seed, streams::ROUTER_DECODE, 1),
+            assignment: vec![u32::MAX; trace.len()],
         };
 
-        // The (statically known) slowdown starts/ends in creation order,
-        // stably sorted by time; later slowdowns supersede earlier ones per
-        // replica via tokens. Trace arrivals merge in ahead of them at equal
-        // instants.
-        #[derive(Clone, Copy)]
-        enum DisEv {
-            Arrival(usize),
-            Slow {
-                replica: usize,
-                factor: f64,
-                token: u64,
-            },
-            SlowEnd {
-                replica: usize,
-                token: u64,
-            },
-        }
-        let mut slow: Vec<(f64, usize, f64, f64)> = plan
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::Slowdown {
-                    replica,
-                    factor,
-                    duration_ns,
-                } => Some((e.time_ns, replica, factor, duration_ns)),
-                _ => None,
-            })
-            .collect();
-        slow.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut shifts: Vec<(f64, DisEv)> = Vec::with_capacity(2 * slow.len());
-        for (token, &(t, replica, factor, duration_ns)) in slow.iter().enumerate() {
-            let token = token as u64;
-            let slow_start = DisEv::Slow {
-                replica,
-                factor,
-                token,
-            };
-            shifts.push((t, slow_start));
-            shifts.push((t + duration_ns, DisEv::SlowEnd { replica, token }));
-        }
-        shifts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut active: Vec<Option<u64>> = vec![None; prefill_replicas + decode_replicas];
-
-        let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
-        let mut handoff_seq = 0u64;
-        let mut assignment = Vec::with_capacity(trace.len());
-        let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-        // Collects newly completed prefills into the handoff heap: the state
-        // ships `transfer_ns(dynamic bytes at prompt+1 context)` after the
-        // first token (or after the link heals). Single-token requests never
-        // hand off.
-        let collect =
-            |prefill: &mut Pool<'_>, handoffs: &mut BinaryHeap<Handoff>, handoff_seq: &mut u64| {
-                let mut fresh = Vec::new();
-                for session in prefill.sessions.iter_mut() {
-                    fresh.extend(session.drain_completions());
-                }
-                fresh.sort_by(|a, b| {
-                    a.completion_ns
-                        .total_cmp(&b.completion_ns)
-                        .then_with(|| a.id.cmp(&b.id))
-                });
-                for done in fresh {
-                    let original = trace.requests[done.id];
-                    if original.output_len <= 1 {
-                        continue;
-                    }
-                    let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                    handoffs.push(Timed {
-                        time_ns: departs_at(done.completion_ns) + transfer.transfer_ns(bytes),
-                        seq: *handoff_seq,
-                        ev: done.id,
-                    });
-                    *handoff_seq += 1;
-                }
-            };
-
-        let (mut next_arrival, mut next_shift) = (0usize, 0usize);
-        loop {
-            let arrival = trace.requests.get(next_arrival).filter(|request| {
-                shifts
-                    .get(next_shift)
-                    .is_none_or(|shift| request.arrival_ns <= shift.0)
-            });
-            let (t, ev) = match (arrival, shifts.get(next_shift)) {
-                (Some(request), _) => {
-                    next_arrival += 1;
-                    (request.arrival_ns, DisEv::Arrival(next_arrival - 1))
-                }
-                (None, Some(&shift)) => {
-                    next_shift += 1;
-                    shift
-                }
-                (None, None) => break,
-            };
-            prefill.step_until(t);
-            collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-            // Handoffs before the next driver event are final: every future
-            // prefill completion happens at or after `t`, so nothing earlier
-            // can still appear. Deliver them in time order.
-            while handoffs.peek().is_some_and(|h| h.time_ns < t) {
-                let h = handoffs.pop().expect("peeked handoff vanished");
-                deliver(
-                    &mut decode,
-                    back.as_mut(),
-                    trace,
-                    &h,
-                    &mut decode_assignment,
-                    &sink,
-                );
-            }
-            // Touching a pool's compute scale requires stepping it to `t`
-            // first, so events before the change keep the old latency (the
-            // decode pool otherwise only advances at handoff deliveries;
-            // stepping it here injects nothing, a bit-level no-op).
+        while let Some((t, ev)) = core.agenda.pop(trace) {
+            handoffs.catch_up(&mut core, trace, t);
             match ev {
-                DisEv::Arrival(id) => {
+                FleetEv::Arrival(id) => {
                     let pre_request = TraceRequest {
                         output_len: 1,
                         ..trace.requests[id]
                     };
                     let choice = {
                         let _routing = profile_phase("routing");
-                        front.route(id, &pre_request, prefill.loads())
+                        front.route(id, &pre_request, core.pool.loads(0..prefill_replicas))
                     };
                     assert!(
                         choice < prefill_replicas,
                         "router returned replica {choice}"
                     );
-                    sink.emit(|| {
+                    core.sink.emit(|| {
                         TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64)
                     });
-                    prefill.inject(choice, id, pre_request);
+                    core.pool.inject(choice, id, pre_request, false);
                     assignment.push(choice as u32);
                 }
-                DisEv::Slow {
-                    replica,
-                    factor,
-                    token,
-                } => {
-                    stats.slowdowns += 1;
-                    sink.emit(|| {
-                        TraceEvent::instant("slowdown", t, replica as u64)
-                            .arg("replica", replica as f64)
-                            .arg("factor", factor)
-                    });
-                    active[replica] = Some(token);
-                    if replica < prefill_replicas {
-                        prefill.sessions[replica].set_compute_scale(factor);
-                    } else {
-                        decode.step_until(t);
-                        decode.sessions[replica - prefill_replicas].set_compute_scale(factor);
-                    }
-                }
-                DisEv::SlowEnd { replica, token } => {
-                    if active[replica] == Some(token) {
-                        active[replica] = None;
-                        if replica < prefill_replicas {
-                            prefill.sessions[replica].set_compute_scale(1.0);
-                        } else {
-                            decode.step_until(t);
-                            decode.sessions[replica - prefill_replicas].set_compute_scale(1.0);
-                        }
-                    }
+                FleetEv::Handoff(id) => handoffs.deliver(&mut core, trace, id, t),
+                ev => {
+                    // The decode replicas otherwise advance only at handoff
+                    // deliveries; stepping them to `t` injects nothing, a
+                    // bit-level no-op.
+                    core.pool.step_until(0..replicas, t);
+                    let unhandled = core.apply_slowdown(ev, t);
+                    assert!(
+                        unhandled.is_none(),
+                        "validated: disaggregated plans carry no crash faults"
+                    );
                 }
             }
         }
-
-        // Drain the prefill pool, then deliver every remaining handoff and
-        // drain the decode pool.
-        prefill.step_until(f64::INFINITY);
-        collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-        while let Some(h) = handoffs.pop() {
-            deliver(
-                &mut decode,
-                back.as_mut(),
-                trace,
-                &h,
-                &mut decode_assignment,
-                &sink,
-            );
-        }
-        let prefill_results = prefill.finish();
-        let decode_results = decode.finish();
+        // Drain the prefill replicas, deliver every remaining handoff, then
+        // drain the decode replicas.
+        handoffs.catch_up(&mut core, trace, f64::INFINITY);
+        let mut results: Vec<SimResult> = core
+            .pool
+            .finish()
+            .into_iter()
+            .map(|result| result.expect("disaggregated replicas never go down"))
+            .collect();
+        let decode_results = results.split_off(prefill_replicas);
         let mut out = disaggregated_result(
             trace,
-            prefill_results,
+            results,
             decode_results,
             assignment,
-            decode_assignment,
+            handoffs.assignment,
         );
-        out.fault = stats;
+        out.fault = core.stats;
         out
     }
 }
@@ -1493,41 +1480,6 @@ fn disaggregated_result(
     }
 }
 
-/// The decode-side resumption request of a handoff: full context is
-/// prompt+1 (prefill plus first token), `output_len - 1` tokens remain, and
-/// it arrives at the handoff instant (tenant/priority tags ride along).
-fn decode_request(trace: &Trace, handoff: &Handoff) -> TraceRequest {
-    let original = trace.requests[handoff.ev];
-    TraceRequest {
-        arrival_ns: handoff.time_ns,
-        prompt_len: original.prompt_len + 1,
-        output_len: original.output_len - 1,
-        ..original
-    }
-}
-
-/// Delivers one handoff: steps the decode pool to the handoff instant, routes
-/// it and injects the remaining-decode request fully prefilled.
-fn deliver(
-    decode: &mut Pool<'_>,
-    back: &mut dyn Router,
-    trace: &Trace,
-    handoff: &Handoff,
-    decode_assignment: &mut [u32],
-    sink: &TraceSink,
-) {
-    let _delivery = profile_phase("handoff_delivery");
-    decode.step_until(handoff.time_ns);
-    let request = decode_request(trace, handoff);
-    let choice = back.route(handoff.ev, &request, decode.loads());
-    sink.emit(|| {
-        TraceEvent::instant("handoff", handoff.time_ns, handoff.ev as u64)
-            .arg("replica", choice as f64)
-    });
-    decode.inject_prefilled(choice, handoff.ev, request);
-    decode_assignment[handoff.ev] = choice as u32;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1549,8 +1501,10 @@ mod tests {
 
     /// The incremental-load micro-fix's property: the load snapshot the pool
     /// maintains in place (refreshed while stepping, bumped on inject) is
-    /// equal to a full per-session rebuild at *every* routing decision, over
-    /// randomized traces and every shipped policy. (Debug builds also
+    /// equal to a full per-session rebuild of the live replicas at *every*
+    /// routing decision, over randomized traces and every shipped policy,
+    /// while one replica goes down and restarts mid-trace. Stepping skips the
+    /// down replica, whose entry stays frozen. (Debug builds also
     /// cross-check inside every `Pool::loads` call; this pins the property
     /// for release builds and exercises it deliberately.)
     #[test]
@@ -1564,17 +1518,37 @@ mod tests {
             let trace = Scenario::summarization().generate(25.0, 50, seed);
             let engine = Engine::new(&sim, &model, EngineConfig::default());
             let (max_seq, max_prompt) = trace.bounds();
-            let mut pool = Pool::new(&engine, 3, policy, max_seq, max_prompt);
+            let sinks = vec![TraceSink::disabled(); 3];
+            let mut pool = Pool::new(
+                FleetSim::sessions(&engine, &sinks, (max_seq, max_prompt)),
+                policy,
+            );
             let mut router = RouterKind::Jsq.build(seed, streams::ROUTER_FRONT, 0);
+            let (down_at, up_at) = (trace.len() / 3, 2 * trace.len() / 3);
+            let mut frozen = None;
             for (id, request) in trace.requests.iter().enumerate() {
-                pool.step_until(request.arrival_ns);
-                assert_eq!(pool.loads, pool.rebuilt_loads(), "post-step, id {id}");
-                let choice = router.route(id, request, pool.loads());
-                pool.inject(choice, id, *request);
-                assert_eq!(pool.loads, pool.rebuilt_loads(), "post-inject, id {id}");
+                pool.step_until(0..3, request.arrival_ns);
+                assert!(pool.loads_are_exact(), "post-step, id {id}");
+                if let Some(load) = frozen {
+                    assert_eq!(pool.loads[1], load, "stepping skips the down replica");
+                }
+                if id == down_at {
+                    let session = pool.take_down(1).expect("replica 1 is live");
+                    assert_eq!(pool.loads[1], session_load(&session));
+                    frozen = Some(pool.loads[1]);
+                } else if id == up_at {
+                    pool.bring_up(1, engine.session(max_seq, max_prompt));
+                    assert_eq!(pool.loads[1], IDLE_LOAD);
+                    frozen = None;
+                }
+                let live: Vec<usize> = (0..3).filter(|&i| pool.sessions[i].is_some()).collect();
+                let loads: Vec<ReplicaLoad> = live.iter().map(|&i| pool.loads(0..3)[i]).collect();
+                let choice = live[router.route(id, request, &loads)];
+                pool.inject(choice, id, *request, false);
+                assert!(pool.loads_are_exact(), "post-inject, id {id}");
             }
-            pool.step_until(f64::INFINITY);
-            assert_eq!(pool.loads, pool.rebuilt_loads(), "drained");
+            pool.step_until(0..3, f64::INFINITY);
+            assert!(pool.loads_are_exact(), "drained");
         }
     }
 

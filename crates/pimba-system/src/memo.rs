@@ -140,9 +140,6 @@ struct DiskBacking<V> {
     segment: Mutex<SegmentFile>,
     encode: fn(&V, &mut ByteWriter),
     load: LoadReport,
-    /// When set, dropping the store compacts the segment if its dead-byte
-    /// ratio reached this threshold (see [`MemoStore::with_auto_compact`]).
-    auto_compact: Option<f64>,
 }
 
 impl<V> std::fmt::Debug for DiskBacking<V> {
@@ -202,7 +199,6 @@ impl<V> MemoStore<V> {
                 segment: Mutex::new(segment),
                 encode: V::encode,
                 load,
-                auto_compact: None,
             }),
         })
     }
@@ -211,21 +207,6 @@ impl<V> MemoStore<V> {
     /// stores).
     pub fn load_report(&self) -> Option<LoadReport> {
         self.disk.as_ref().map(|d| d.load)
-    }
-
-    /// Opts the store into compact-on-close: when it is dropped and the
-    /// segment's dead-byte ratio is at least `threshold`, the log is
-    /// rewritten (best-effort — a failed rewrite leaves the old log intact).
-    /// No-op for in-memory stores.
-    pub fn with_auto_compact(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && (0.0..=1.0).contains(&threshold),
-            "auto-compact threshold must be a ratio in [0, 1]"
-        );
-        if let Some(disk) = &mut self.disk {
-            disk.auto_compact = Some(threshold);
-        }
-        self
     }
 
     /// Bytes of the backing segment held by superseded or undecodable
@@ -370,14 +351,6 @@ impl<V> MemoStore<V> {
         MemoStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<V> Drop for MemoStore<V> {
-    fn drop(&mut self) {
-        if let Some(threshold) = self.disk.as_ref().and_then(|d| d.auto_compact) {
-            let _ = self.compact(threshold);
         }
     }
 }
@@ -539,37 +512,6 @@ mod tests {
                 .unwrap()
                 .to_bits(),
             (-0.0f64).to_bits()
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn auto_compact_runs_on_close() {
-        use crate::persist::SegmentFile;
-        let dir = std::env::temp_dir().join(format!("pimba_memo_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("persist_autocompact.seg");
-        std::fs::remove_file(&path).ok();
-        {
-            let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
-            let key = FingerprintBuilder::new().u64(1).finish();
-            seg.append(key, &7u64.to_le_bytes()).unwrap();
-            seg.append(key, &7u64.to_le_bytes()).unwrap();
-        }
-        let before = std::fs::metadata(&path).unwrap().len();
-        {
-            let store: MemoStore<u64> =
-                MemoStore::persistent(&path).unwrap().with_auto_compact(0.1);
-            assert_eq!(store.len(), 1);
-            // Dropping the store closes it — and compacts past the threshold.
-        }
-        assert!(std::fs::metadata(&path).unwrap().len() < before);
-        let store: MemoStore<u64> = MemoStore::persistent(&path).unwrap();
-        assert_eq!(
-            *store
-                .get(FingerprintBuilder::new().u64(1).finish())
-                .unwrap(),
-            7
         );
         std::fs::remove_file(&path).ok();
     }
