@@ -225,13 +225,18 @@ fn result_digest(result: &FleetResult) -> (usize, (u64, u64)) {
 /// refactor of the event loops cannot move them silently. Disaggregated
 /// 2P+2D fleets under every router cover superseding slowdowns on a prefill
 /// and a decode replica, a slowdown ending at the instant the next one
-/// starts, overlapping link partitions, and all of them at once; colocated
-/// kill storms add a slowdown and a queue timeout under migration and under
-/// retry.
+/// starts, overlapping link partitions, and all of them at once, the last
+/// also for an attention model whose handoffs overtake each other on a slow
+/// link; colocated kill storms add a slowdown and a queue timeout under
+/// migration and under retry.
 #[test]
 fn faulted_fleet_outputs_match_recorded_digests() {
     let (sim, model) = setup();
     let fleet = FleetSim::new(&sim, &model);
+    // An attention model's handoff grows with its prompt, so over a slow link
+    // a short prompt finishing later can reach the decode pool first.
+    let opt = ModelConfig::preset(ModelFamily::Opt, ModelScale::Small);
+    let opt_fleet = FleetSim::new(&sim, &opt);
     let trace = Scenario::chat().generate(40.0, 80, 0x5EED);
 
     // Replica 0's second slowdown ends inside the first, replica 3's outlasts it.
@@ -270,17 +275,27 @@ fn faulted_fleet_outputs_match_recorded_digests() {
 
     let mut cases = Vec::new();
     for plan in [&superseding, &back_to_back, &partitions, &combined] {
-        cases.push((disaggregated, plan.clone()));
+        cases.push((&fleet, disaggregated, plan.clone()));
     }
     for recovery in [RecoveryPolicy::Migrate, RecoveryPolicy::RetryOnly] {
         cases.push((
+            &fleet,
             FleetMode::Colocated { replicas: REPLICAS },
             storm_under(recovery),
         ));
     }
+    let slow_link = FleetMode::Disaggregated {
+        prefill_replicas: 2,
+        decode_replicas: 2,
+        transfer: StateTransferModel {
+            link_gbps: 0.1,
+            base_latency_us: 15.0,
+        },
+    };
+    cases.push((&opt_fleet, slow_link, combined.clone()));
 
     let mut digests = Vec::new();
-    for (mode, plan) in &cases {
+    for (fleet, mode, plan) in &cases {
         for router in RouterKind::ALL {
             let config = FleetConfig {
                 mode: *mode,
@@ -293,7 +308,7 @@ fn faulted_fleet_outputs_match_recorded_digests() {
             digests.push(result_digest(&result));
         }
     }
-    let expected: [(usize, (u64, u64)); 18] = [
+    let expected: [(usize, (u64, u64)); 21] = [
         // superseding slowdowns, round_robin
         (53471, (0x4713cfa368d144d8, 0xaabfa42caea9ca24)),
         // superseding slowdowns, jsq
@@ -330,6 +345,12 @@ fn faulted_fleet_outputs_match_recorded_digests() {
         (36344, (0xc7a52e0e72d9460b, 0x087883d8e2f0e753)),
         // storm, retry-only, po2
         (36351, (0x1f2e133c656c6eb7, 0xc9f120eb53d3772c)),
+        // OPT over a slow link, all disaggregated faults, round_robin
+        (53353, (0xe43464077495d577, 0x033552072581bfe3)),
+        // OPT over a slow link, all disaggregated faults, jsq
+        (53327, (0xc60c1a29be89d2c4, 0xe6edcbee6f84b972)),
+        // OPT over a slow link, all disaggregated faults, po2
+        (53327, (0xc60c1a29be89d2c4, 0xe6edcbee6f84b972)),
     ];
     assert_eq!(digests, expected);
 }
