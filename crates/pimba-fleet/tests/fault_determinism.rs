@@ -7,10 +7,12 @@
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::fault::{FaultPlan, RecoveryPolicy, RetryPolicy};
-use pimba_fleet::metrics::FleetResult;
 use pimba_fleet::router::RouterKind;
+use pimba_fleet::runner::{FleetGrid, FleetModeSpec, FleetRunner};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
-use pimba_serve::traffic::Scenario;
+use pimba_serve::metrics::{SloSpec, TenantSlos};
+use pimba_serve::runner::{TrafficGrid, TrafficRunner};
+use pimba_serve::traffic::{Scenario, Trace, TraceRequest};
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::memo::FingerprintBuilder;
 use pimba_system::serving::ServingSimulator;
@@ -210,9 +212,10 @@ fn malformed_plans_are_structured_errors() {
     }
 }
 
-/// Byte length and `(hi, lo)` fingerprint words of a result's `Debug`
-/// rendering: every outcome, replica report and fault counter, bit for bit.
-fn result_digest(result: &FleetResult) -> (usize, (u64, u64)) {
+/// Byte length and `(hi, lo)` fingerprint words of a value's `Debug`
+/// rendering: for a fleet result every outcome, replica report and fault
+/// counter, for grid records every summary field, bit for bit.
+fn result_digest(result: &impl std::fmt::Debug) -> (usize, (u64, u64)) {
     let text = format!("{result:?}");
     let words = FingerprintBuilder::new()
         .bytes(text.as_bytes())
@@ -351,6 +354,122 @@ fn faulted_fleet_outputs_match_recorded_digests() {
         (53327, (0xc60c1a29be89d2c4, 0xe6edcbee6f84b972)),
         // OPT over a slow link, all disaggregated faults, po2
         (53327, (0xc60c1a29be89d2c4, 0xe6edcbee6f84b972)),
+    ];
+    assert_eq!(digests, expected);
+}
+
+/// Grid records and a hand-built disaggregated run, pinned bit for bit
+/// against recorded digests so a refactor of outcome assembly or of the
+/// summary path cannot move them silently: a multi-tenant traffic grid with
+/// per-tenant SLO overrides; colocated fleet grids under jsq and po2 and a
+/// 2P+2D disaggregated grid, all multi-tenant; colocated kill-storm grids
+/// under migration and under retry; and a disaggregated fleet on a trace
+/// whose single-token requests never hand off.
+#[test]
+fn grid_records_match_recorded_digests() {
+    let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
+    let systems = vec![
+        SystemConfig::small_scale(SystemKind::Gpu),
+        SystemConfig::small_scale(SystemKind::Pimba),
+    ];
+    let tenant_slos = TenantSlos::uniform(SloSpec::default())
+        .with(
+            0,
+            SloSpec {
+                ttft_ms: 40.0,
+                tpot_ms: 5.0,
+            },
+        )
+        .with(
+            2,
+            SloSpec {
+                ttft_ms: 5000.0,
+                tpot_ms: 200.0,
+            },
+        );
+    let mut digests = Vec::new();
+
+    let mut traffic = TrafficGrid::new(model.clone())
+        .with_systems(systems.clone())
+        .with_scenarios(Scenario::tenant_mix())
+        .with_rates(vec![10.0, 40.0])
+        .with_requests_per_cell(50);
+    traffic.tenant_slos = Some(tenant_slos.clone());
+    digests.push(result_digest(
+        &TrafficRunner::new().with_threads(1).run(&traffic),
+    ));
+
+    let mut fleet = FleetGrid::new(model)
+        .with_systems(systems)
+        .with_scenarios(Scenario::tenant_mix()[..2].to_vec())
+        .with_rates(vec![30.0, 80.0])
+        .with_replica_counts(vec![2, 4])
+        .with_routers(vec![RouterKind::Jsq, RouterKind::PowerOfTwo])
+        .with_requests_per_cell(60)
+        .with_max_batch(16);
+    fleet.tenant_slos = Some(tenant_slos);
+    let runner = FleetRunner::new().with_threads(1);
+    digests.push(result_digest(&runner.run(&fleet)));
+    let disaggregated = FleetGrid {
+        replica_counts: vec![4],
+        ..fleet.clone()
+    }
+    .with_mode(FleetModeSpec::Disaggregated {
+        prefill_fraction: 0.5,
+        transfer: StateTransferModel::nvlink(),
+    });
+    digests.push(result_digest(&runner.run(&disaggregated)));
+    let storm = FaultPlan::kill_storm(REPLICAS, 3, 0.2e9, 0.25e9, 0.15e9);
+    for recovery in [RecoveryPolicy::Migrate, RecoveryPolicy::RetryOnly] {
+        let grid = FleetGrid {
+            replica_counts: vec![REPLICAS],
+            ..fleet.clone()
+        }
+        .with_fault(FaultPlan {
+            recovery,
+            ..storm.clone()
+        });
+        digests.push(result_digest(&runner.run(&grid)));
+    }
+
+    // Every third request decodes a single token: it finishes on its
+    // prefill replica and never hands off.
+    let requests = (0..40)
+        .map(|i| TraceRequest {
+            arrival_ns: i as f64 * 7.5e6,
+            prompt_len: 64 + 37 * (i % 5),
+            output_len: if i % 3 == 0 { 1 } else { 8 + 5 * (i % 4) },
+            tenant: (i % 2) as u32,
+            priority: 0,
+        })
+        .collect();
+    let trace = Trace::from_requests(requests);
+    let (sim, model) = setup();
+    let config = FleetConfig {
+        mode: FleetMode::Disaggregated {
+            prefill_replicas: 2,
+            decode_replicas: 2,
+            transfer: StateTransferModel::nvlink(),
+        },
+        ..FleetConfig::colocated(REPLICAS)
+    };
+    let result = FleetSim::new(&sim, &model).run(&trace, &config);
+    assert!(result.decode_assignment.contains(&u32::MAX));
+    digests.push(result_digest(&result));
+
+    let expected: [(usize, (u64, u64)); 6] = [
+        // multi-tenant traffic grid with per-tenant SLO overrides
+        (15576, (0xd8198707e21813df, 0x20b822ad4c1609a3)),
+        // colocated fleet grid, jsq and po2
+        (45679, (0x560729803b4e4ee7, 0x6eacff37911aeccb)),
+        // 2P+2D disaggregated fleet grid
+        (22782, (0xb73dfc4dc15f16dc, 0x78b95f7ae614f24d)),
+        // kill-storm grid, migrate
+        (23105, (0x13bf23b53dbab737, 0x5e65aa37412392db)),
+        // kill-storm grid, retry-only
+        (22852, (0xe0e570b512df5b20, 0x5f4d0f69fe99c960)),
+        // disaggregated run with single-token requests
+        (24077, (0x31b2c38d9d65717c, 0xe464a207dfba853f)),
     ];
     assert_eq!(digests, expected);
 }
