@@ -102,12 +102,25 @@
 //!   replicas are excluded from routing after detection: load-aware policies
 //!   simply never see them, and round-robin stays load-oblivious but skips
 //!   them (it rotates over the live slice).
-//! * **Recovered outcomes are trace-native.** After assembly, a migrated or
-//!   retried request's outcome is patched back to its original arrival,
-//!   prompt and output lengths — TTFT keeps the instant the *first* token
-//!   was actually produced (pre-crash for migrations) — with
-//!   `retries`/`migrations` counters recording the journey, so SLO math
-//!   charges recovery delay honestly.
+//! * **Every outcome is trace-native.** Assembly (below) gives every
+//!   outcome its trace arrival, prompt and output lengths — a migrated or
+//!   retried request's too, and one held at the front door while every
+//!   replica was down and detected. The colocated loop then overlays what
+//!   each request's recovery track recorded: TTFT keeps the instant the
+//!   *first* token was actually produced (pre-crash for migrations), and
+//!   `retries`/`migrations` count the journey, so SLO math charges recovery
+//!   delay and holds honestly.
+//!
+//! # Outcome assembly
+//!
+//! Both loops end in one assembly. The per-replica results, in fleet order,
+//! scatter their outcomes into trace-indexed slots: a request's first
+//! outcome creates its slot with the trace's arrival, prompt and output
+//! lengths and the outcome's first-token and completion instants; a later
+//! outcome only moves the completion. That later outcome is the decode leg
+//! of a disaggregated request, since prefill replicas come first in fleet
+//! order; a single-token request never hands off, so its prefill outcome is
+//! its whole outcome.
 //!
 //! # Observability without perturbation
 //!
@@ -553,8 +566,6 @@ struct Track {
     /// one is seen); migrated requests keep their pre-crash TTFT.
     first_token_ns: f64,
     lost: bool,
-    /// Whether the outcome needs trace-native patching at assembly.
-    touched: bool,
 }
 
 impl Track {
@@ -567,7 +578,6 @@ impl Track {
             location: None,
             first_token_ns: f64::NAN,
             lost: false,
-            touched: false,
         }
     }
 }
@@ -676,7 +686,6 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         let next = self.tracks[id].attempt + 1;
         if plan.recovery == RecoveryPolicy::None || next > plan.retry.max_attempts {
             self.tracks[id].lost = true;
-            self.tracks[id].touched = true;
             self.core.stats.lost += 1;
             self.core
                 .sink
@@ -686,7 +695,6 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         let track = &mut self.tracks[id];
         track.attempt = next;
         track.retries += 1;
-        track.touched = true;
         track.resumed_generated = 0;
         track.first_token_ns = f64::NAN;
         self.core.stats.retries += 1;
@@ -720,7 +728,6 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         {
             let track = &mut self.tracks[id];
             track.migrations += 1;
-            track.touched = true;
             if !track.first_token_ns.is_finite() && first_token_ns.is_finite() {
                 track.first_token_ns = first_token_ns;
             }
@@ -1223,26 +1230,18 @@ impl<'a> FleetSim<'a> {
             .zip(life)
             .map(|(last, mut life)| {
                 life.retired.extend(last);
-                merge_sim_results(life.retired)
-            })
-            .collect();
-        let mut out = colocated_result(results, assignment);
-        // Patch recovered outcomes back to trace-native shape: original
-        // arrival and lengths, the true first-token instant for migrations,
-        // and the recovery counters.
-        for o in out.outcomes.iter_mut() {
+                (ReplicaRole::Colocated, merge_sim_results(life.retired))
+            });
+        let mut out = assemble(trace, results, assignment, Vec::new());
+        // Overlay each request's recovery journey: the first token a
+        // pre-crash incarnation produced, and the recovery counters.
+        for o in &mut out.outcomes {
             let track = &tracks[o.id];
-            if track.touched {
-                let original = trace.requests[o.id];
-                o.arrival_ns = original.arrival_ns;
-                o.prompt_len = original.prompt_len;
-                o.output_len = original.output_len;
-                if track.first_token_ns.is_finite() {
-                    o.first_token_ns = track.first_token_ns;
-                }
-                o.retries = track.retries;
-                o.migrations = track.migrations;
+            if track.first_token_ns.is_finite() {
+                o.first_token_ns = track.first_token_ns;
             }
+            o.retries = track.retries;
+            o.migrations = track.migrations;
         }
         out.fault = core.stats;
         out
@@ -1359,119 +1358,62 @@ impl<'a> FleetSim<'a> {
         // Drain the prefill replicas, deliver every remaining handoff, then
         // drain the decode replicas.
         handoffs.catch_up(&mut core, trace, f64::INFINITY);
-        let mut results: Vec<SimResult> = core
+        let results = core
             .pool
             .finish()
             .into_iter()
-            .map(|result| result.expect("disaggregated replicas never go down"))
-            .collect();
-        let decode_results = results.split_off(prefill_replicas);
-        let mut out = disaggregated_result(
-            trace,
-            results,
-            decode_results,
-            assignment,
-            handoffs.assignment,
-        );
+            .enumerate()
+            .map(|(replica, result)| {
+                let role = if replica < prefill_replicas {
+                    ReplicaRole::Prefill
+                } else {
+                    ReplicaRole::Decode
+                };
+                (role, result.expect("disaggregated replicas never go down"))
+            });
+        let mut out = assemble(trace, results, assignment, handoffs.assignment);
         out.fault = core.stats;
         out
     }
 }
 
-/// Assembles a colocated fleet's per-replica results.
-fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResult {
-    // Request ids are trace indices, so a linear scatter by id recovers the
-    // same ascending order a comparison sort would — without the O(n log n).
-    let total: usize = results.iter().map(|r| r.outcomes.len()).sum();
-    let mut slots: Vec<Option<RequestOutcome>> = vec![None; assignment.len()];
-    for r in &results {
-        for o in &r.outcomes {
-            slots[o.id] = Some(*o);
-        }
-    }
-    let mut outcomes = Vec::with_capacity(total);
-    outcomes.extend(slots.into_iter().flatten());
-    let makespan_ns = results.iter().map(|r| r.makespan_ns).fold(0.0, f64::max);
-    let replicas = results
-        .into_iter()
-        .enumerate()
-        .map(|(replica, result)| ReplicaReport {
-            replica,
-            role: ReplicaRole::Colocated,
-            result,
-        })
-        .collect();
-    FleetResult {
-        outcomes,
-        replicas,
-        assignment,
-        decode_assignment: Vec::new(),
-        makespan_ns,
-        fault: FaultStats::default(),
-    }
-}
-
-/// Stitches the prefill and decode stages into end-to-end outcomes.
-fn disaggregated_result(
+/// Assembles a fleet's result from its per-replica results in fleet order
+/// (see the module docs on outcome assembly). Request ids are trace
+/// indices, so the outcomes come out of their slots ascending in id without
+/// a sort.
+fn assemble(
     trace: &Trace,
-    prefill_results: Vec<SimResult>,
-    decode_results: Vec<SimResult>,
+    results: impl Iterator<Item = (ReplicaRole, SimResult)>,
     assignment: Vec<u32>,
     decode_assignment: Vec<u32>,
 ) -> FleetResult {
-    let mut first_token = vec![f64::NAN; trace.len()];
-    let mut completion = vec![f64::NAN; trace.len()];
-    for r in &prefill_results {
-        for o in &r.outcomes {
-            first_token[o.id] = o.first_token_ns;
-            completion[o.id] = o.completion_ns;
+    let mut slots: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
+    let mut replicas = Vec::new();
+    let mut makespan_ns = 0.0f64;
+    for (replica, (role, result)) in results.enumerate() {
+        for o in &result.outcomes {
+            match &mut slots[o.id] {
+                Some(slot) => slot.completion_ns = o.completion_ns,
+                empty => {
+                    let original = trace.requests[o.id];
+                    *empty = Some(RequestOutcome {
+                        arrival_ns: original.arrival_ns,
+                        prompt_len: original.prompt_len,
+                        output_len: original.output_len,
+                        ..*o
+                    });
+                }
+            }
         }
-    }
-    for r in &decode_results {
-        for o in &r.outcomes {
-            completion[o.id] = o.completion_ns;
-        }
-    }
-    let outcomes = trace
-        .requests
-        .iter()
-        .enumerate()
-        .filter(|(id, _)| completion[*id].is_finite())
-        .map(|(id, r)| RequestOutcome {
-            id,
-            arrival_ns: r.arrival_ns,
-            first_token_ns: first_token[id],
-            completion_ns: completion[id],
-            prompt_len: r.prompt_len,
-            output_len: r.output_len,
-            tenant: r.tenant,
-            priority: r.priority,
-            retries: 0,
-            migrations: 0,
-        })
-        .collect();
-    let makespan_ns = prefill_results
-        .iter()
-        .chain(decode_results.iter())
-        .map(|r| r.makespan_ns)
-        .fold(0.0, f64::max);
-    let replicas = prefill_results
-        .into_iter()
-        .map(|result| (ReplicaRole::Prefill, result))
-        .chain(
-            decode_results
-                .into_iter()
-                .map(|result| (ReplicaRole::Decode, result)),
-        )
-        .enumerate()
-        .map(|(replica, (role, result))| ReplicaReport {
+        makespan_ns = makespan_ns.max(result.makespan_ns);
+        replicas.push(ReplicaReport {
             replica,
             role,
             result,
-        })
-        .collect();
+        });
+    }
     FleetResult {
-        outcomes,
+        outcomes: slots.into_iter().flatten().collect(),
         replicas,
         assignment,
         decode_assignment,

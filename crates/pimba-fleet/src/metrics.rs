@@ -130,7 +130,12 @@ impl FleetResult {
     /// shape the single-replica runner reports, computed over the end-to-end
     /// outcomes and the fleet makespan.
     pub fn summary(&self, slo: &SloSpec) -> TrafficSummary {
-        self.as_sim_result().summary(slo)
+        TrafficSummary::of(
+            &self.outcomes,
+            self.makespan_ns,
+            &self.fleet_telemetry(),
+            slo,
+        )
     }
 
     /// Per-tenant fleet aggregates, ascending tenant order: each tenant's
@@ -139,18 +144,12 @@ impl FleetResult {
     /// answer to "does every traffic class hold *its* SLO across the
     /// cluster?".
     pub fn per_tenant_summary(&self, slos: &TenantSlos) -> Vec<TenantSummary> {
-        self.as_sim_result().per_tenant_summaries(slos)
-    }
-
-    /// The fleet flattened into one [`SimResult`]-shaped view (end-to-end
-    /// outcomes, summed telemetry and preemption counters, fleet makespan).
-    fn as_sim_result(&self) -> SimResult {
-        SimResult {
-            outcomes: self.outcomes.clone(),
-            makespan_ns: self.makespan_ns,
-            telemetry: self.fleet_telemetry(),
-            preemption: self.fleet_preemption(),
-        }
+        TenantSummary::per_tenant(
+            &self.outcomes,
+            self.makespan_ns,
+            &self.fleet_telemetry(),
+            slos,
+        )
     }
 
     /// Requests completed per replica, fleet order — the balance/imbalance

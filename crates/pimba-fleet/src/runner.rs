@@ -390,6 +390,7 @@ impl FleetRunner {
             .tenant_slos
             .clone()
             .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
+        let summary = result.summary(&grid.slo);
         FleetRecord {
             system: cell.system,
             scenario: cell.scenario,
@@ -397,8 +398,8 @@ impl FleetRunner {
             replicas: config.mode.replicas(),
             router: config.router,
             max_batch: config.engine.max_batch,
-            summary: result.summary(&grid.slo),
-            goodput_per_replica: result.goodput_per_replica(&grid.slo),
+            summary,
+            goodput_per_replica: summary.goodput_rps / result.replicas.len() as f64,
             per_replica_completed: result.per_replica_completed(),
             per_tenant: result.per_tenant_summary(&tenant_slos),
             fault: result.fault,

@@ -473,3 +473,49 @@ fn grid_records_match_recorded_digests() {
     ];
     assert_eq!(digests, expected);
 }
+
+/// A request that arrives while every replica is dead and detected holds at
+/// the front door until a restart, and its outcome still reports its trace
+/// arrival: TTFT and E2E charge the whole wait. Served on the restarted
+/// (idle) replica, it finishes exactly when the same request arriving at the
+/// restart instant finishes on a fresh replica.
+#[test]
+fn held_requests_report_their_trace_arrival() {
+    let (sim, model) = setup();
+    let fleet = FleetSim::new(&sim, &model);
+    let request = |arrival_ns| TraceRequest {
+        arrival_ns,
+        prompt_len: 128,
+        output_len: 16,
+        tenant: 1,
+        priority: 2,
+    };
+    let plan = FaultPlan::default()
+        .crash(10.0e6, 0)
+        .crash(10.0e6, 1)
+        .restart(50.0e6, 0);
+    let held = fleet
+        .run_faulted(
+            &Trace::from_requests(vec![request(20.0e6)]),
+            &FleetConfig::colocated(2),
+            &plan,
+        )
+        .expect("valid plan");
+    let fresh = fleet.run(
+        &Trace::from_requests(vec![request(50.0e6)]),
+        &FleetConfig::colocated(1),
+    );
+    assert_eq!(held.fault.lost, 0);
+    assert_eq!(held.outcomes.len(), 1);
+    let (got, served) = (held.outcomes[0], fresh.outcomes[0]);
+    assert_eq!(
+        got.arrival_ns, 20.0e6,
+        "held request kept its trace arrival"
+    );
+    assert_eq!(got.first_token_ns, served.first_token_ns);
+    assert_eq!(got.completion_ns, served.completion_ns);
+    assert_eq!((got.prompt_len, got.output_len), (128, 16));
+    assert_eq!((got.tenant, got.priority), (1, 2));
+    assert_eq!((got.retries, got.migrations), (0, 0));
+    assert!(got.ttft_ns() > 30.0e6 && got.e2e_ns() > 30.0e6);
+}

@@ -1240,15 +1240,14 @@ impl<'a> Session<'a> {
     /// the dispatcher depends on the scheduler's certified
     /// [`DecodeStability`]:
     ///
-    /// * completions do at [`DecodeStability::UntilBatchChange`]; at
-    ///   [`DecodeStability::UntilAdmissible`] only when something is waiting
-    ///   at that moment; at [`DecodeStability::UntilBatchDrains`] never,
-    /// * arrivals do at [`DecodeStability::UntilBatchChange`], and at
-    ///   [`DecodeStability::UntilAdmissible`] while the batch has a free
-    ///   slot; otherwise (full batch, or a run-to-completion policy) the
-    ///   engine absorbs them — queueing the request and recording its
-    ///   telemetry sample exactly as the event loop would, without waking the
-    ///   policy that could not have acted on it,
+    /// * completions do at [`DecodeStability::UntilAdmissible`] only when
+    ///   something is waiting at that moment, and at
+    ///   [`DecodeStability::UntilBatchDrains`] never,
+    /// * arrivals do at [`DecodeStability::UntilAdmissible`] while the batch
+    ///   has a free slot; otherwise (full batch, or a run-to-completion
+    ///   policy) the engine absorbs them — queueing the request and recording
+    ///   its telemetry sample exactly as the event loop would, without waking
+    ///   the policy that could not have acted on it,
     /// * the batch draining always does.
     ///
     /// An interrupting arrival leaves the current step in flight as a real
@@ -1421,7 +1420,6 @@ impl<'a> Session<'a> {
             }
             let wake_the_policy = self.running.is_empty()
                 || match stability {
-                    DecodeStability::UntilBatchChange => true,
                     DecodeStability::UntilAdmissible => !self.queue.is_empty(),
                     DecodeStability::UntilBatchDrains => false,
                     DecodeStability::PerStep => {

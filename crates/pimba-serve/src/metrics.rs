@@ -503,15 +503,34 @@ pub struct TrafficSummary {
     pub makespan_s: f64,
 }
 
-impl SimResult {
-    /// Summarizes the run under `slo`.
-    pub fn summary(&self, slo: &SloSpec) -> TrafficSummary {
+impl TrafficSummary {
+    /// Summarizes `outcomes` under `slo` in one pass over borrowed outcomes:
+    /// rates are per second of `makespan_ns`, and the occupancy/queue fields
+    /// come from `telemetry`. Every run summary is this pass —
+    /// [`SimResult::summary`], the per-tenant summaries and the fleet's.
+    pub fn of<'o>(
+        outcomes: impl IntoIterator<Item = &'o RequestOutcome>,
+        makespan_ns: f64,
+        telemetry: &TelemetryStats,
+        slo: &SloSpec,
+    ) -> Self {
         let to_ms = |ns: f64| ns * 1e-6;
-        let ttft: Vec<f64> = self.outcomes.iter().map(|o| to_ms(o.ttft_ns())).collect();
-        let tpot: Vec<f64> = self.outcomes.iter().map(|o| to_ms(o.tpot_ns())).collect();
-        let e2e: Vec<f64> = self.outcomes.iter().map(|o| to_ms(o.e2e_ns())).collect();
-        let met = self.outcomes.iter().filter(|o| slo.met(o)).count();
-        let makespan_s = self.makespan_ns * 1e-9;
+        let outcomes = outcomes.into_iter();
+        let n = outcomes.size_hint().0;
+        let (mut ttft, mut tpot, mut e2e) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        let mut met = 0;
+        for o in outcomes {
+            ttft.push(to_ms(o.ttft_ns()));
+            tpot.push(to_ms(o.tpot_ns()));
+            e2e.push(to_ms(o.e2e_ns()));
+            met += usize::from(slo.met(o));
+        }
+        let completed = ttft.len();
+        let makespan_s = makespan_ns * 1e-9;
         let per_second = |n: usize| {
             if makespan_s > 0.0 {
                 n as f64 / makespan_s
@@ -520,21 +539,57 @@ impl SimResult {
             }
         };
         TrafficSummary {
-            completed: self.outcomes.len(),
+            completed,
             ttft_ms: Percentiles::of(&ttft),
             tpot_ms: Percentiles::of(&tpot),
             e2e_ms: Percentiles::of(&e2e),
-            throughput_rps: per_second(self.outcomes.len()),
+            throughput_rps: per_second(completed),
             goodput_rps: per_second(met),
-            slo_attainment: if self.outcomes.is_empty() {
+            slo_attainment: if completed == 0 {
                 0.0
             } else {
-                met as f64 / self.outcomes.len() as f64
+                met as f64 / completed as f64
             },
-            mean_batch_occupancy: self.mean_batch_occupancy(),
-            peak_queue_depth: self.telemetry.peak_queue_depth,
+            mean_batch_occupancy: telemetry.mean_batch_occupancy,
+            peak_queue_depth: telemetry.peak_queue_depth,
             makespan_s,
         }
+    }
+}
+
+impl TenantSummary {
+    /// Per-tenant summaries of `outcomes`, ascending in tenant tag: each
+    /// tenant's outcomes through [`TrafficSummary::of`] under its own
+    /// objective from `slos`, with the whole run's makespan and telemetry
+    /// (see [`TenantSummary`]).
+    pub fn per_tenant(
+        outcomes: &[RequestOutcome],
+        makespan_ns: f64,
+        telemetry: &TelemetryStats,
+        slos: &TenantSlos,
+    ) -> Vec<Self> {
+        let mut tenants: Vec<u32> = outcomes.iter().map(|o| o.tenant).collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+        tenants
+            .into_iter()
+            .map(|tenant| TenantSummary {
+                tenant,
+                summary: TrafficSummary::of(
+                    outcomes.iter().filter(|o| o.tenant == tenant),
+                    makespan_ns,
+                    telemetry,
+                    &slos.for_tenant(tenant),
+                ),
+            })
+            .collect()
+    }
+}
+
+impl SimResult {
+    /// Summarizes the run under `slo`.
+    pub fn summary(&self, slo: &SloSpec) -> TrafficSummary {
+        TrafficSummary::of(&self.outcomes, self.makespan_ns, &self.telemetry, slo)
     }
 
     /// Time-weighted mean batch occupancy (each event's occupancy holds until
@@ -550,29 +605,7 @@ impl SimResult {
     /// occupancy/queue fields always reflect the whole run — see
     /// [`TenantSummary`]).
     pub fn per_tenant_summaries(&self, slos: &TenantSlos) -> Vec<TenantSummary> {
-        let mut tenants: Vec<u32> = self.outcomes.iter().map(|o| o.tenant).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-        tenants
-            .into_iter()
-            .map(|tenant| {
-                let filtered = SimResult {
-                    outcomes: self
-                        .outcomes
-                        .iter()
-                        .filter(|o| o.tenant == tenant)
-                        .copied()
-                        .collect(),
-                    makespan_ns: self.makespan_ns,
-                    telemetry: self.telemetry,
-                    preemption: self.preemption,
-                };
-                TenantSummary {
-                    tenant,
-                    summary: filtered.summary(&slos.for_tenant(tenant)),
-                }
-            })
-            .collect()
+        TenantSummary::per_tenant(&self.outcomes, self.makespan_ns, &self.telemetry, slos)
     }
 }
 

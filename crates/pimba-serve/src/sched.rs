@@ -126,16 +126,9 @@ pub enum Action {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeStability {
     /// Re-consult the scheduler at every step boundary (always safe; the
-    /// default for custom policies).
+    /// default for custom policies, and the only level for a policy that
+    /// inspects more than admissibility).
     PerStep,
-    /// The pure decode stands until the next request **arrival** or request
-    /// **completion** — the two events that change what the policy observes
-    /// (queue contents and batch membership; the admission probe is invariant
-    /// in between because footprints are estimated at *final* sequence
-    /// lengths). Seq-bucket crossings only change the step latency, which the
-    /// engine re-reads itself. The conservative choice for custom policies
-    /// that admit work-conservingly but inspect more than admissibility.
-    UntilBatchChange,
     /// The decision tracks **admissibility** alone: re-consult at a completion
     /// only if something is waiting at that moment, and at an arrival only if
     /// the batch has a free slot. Arrivals into a full batch and completions
