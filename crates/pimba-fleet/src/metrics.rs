@@ -149,6 +149,7 @@ impl FleetResult {
             self.makespan_ns,
             &self.fleet_telemetry(),
             slos,
+            None,
         )
     }
 
@@ -156,16 +157,6 @@ impl FleetResult {
     /// fingerprint of a routing policy.
     pub fn per_replica_completed(&self) -> Vec<usize> {
         self.replicas.iter().map(ReplicaReport::completed).collect()
-    }
-
-    /// Goodput per replica under `slo` (SLO-meeting completions per second of
-    /// fleet makespan, divided by the replica count) — the scaling-efficiency
-    /// metric of the `fleet_scale` bench.
-    pub fn goodput_per_replica(&self, slo: &SloSpec) -> f64 {
-        if self.replicas.is_empty() {
-            return 0.0;
-        }
-        self.summary(slo).goodput_rps / self.replicas.len() as f64
     }
 
     /// Publishes this result into `hub` as named series under `labels`:
@@ -342,7 +333,6 @@ mod tests {
         let telemetry = result.fleet_telemetry();
         assert_eq!(telemetry.events, 4);
         assert_eq!(telemetry.peak_queue_depth, 2);
-        assert!(result.goodput_per_replica(&slo) > 0.0);
     }
 
     /// A replica that served zero requests must not break the aggregation —
@@ -380,7 +370,6 @@ mod tests {
             makespan_ns: 0.0,
             fault: FaultStats::default(),
         };
-        assert_eq!(empty.goodput_per_replica(&SloSpec::default()), 0.0);
         assert_eq!(empty.summary(&SloSpec::default()).completed, 0);
     }
 }

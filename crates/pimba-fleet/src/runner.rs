@@ -386,11 +386,18 @@ impl FleetRunner {
             let index = cell.index.to_string();
             result.export_metrics(control.metrics(), &[("cell", &index)]);
         }
-        let tenant_slos = grid
-            .tenant_slos
-            .clone()
-            .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
-        let summary = result.summary(&grid.slo);
+        let telemetry = result.fleet_telemetry();
+        let summary =
+            TrafficSummary::of(&result.outcomes, result.makespan_ns, &telemetry, &grid.slo);
+        let per_tenant = TenantSummary::per_tenant(
+            &result.outcomes,
+            result.makespan_ns,
+            &telemetry,
+            grid.tenant_slos
+                .as_ref()
+                .unwrap_or(&TenantSlos::uniform(grid.slo)),
+            Some((&grid.slo, &summary)),
+        );
         FleetRecord {
             system: cell.system,
             scenario: cell.scenario,
@@ -401,7 +408,7 @@ impl FleetRunner {
             summary,
             goodput_per_replica: summary.goodput_rps / result.replicas.len() as f64,
             per_replica_completed: result.per_replica_completed(),
-            per_tenant: result.per_tenant_summary(&tenant_slos),
+            per_tenant,
             fault: result.fault,
         }
     }

@@ -463,17 +463,18 @@ pub struct Percentiles {
 }
 
 impl Percentiles {
-    /// Computes the triple (all zeros for an empty population).
-    pub fn of(values: &[f64]) -> Self {
+    /// Computes the triple (all zeros for an empty population), sorting
+    /// `values` in place. Values equal under `total_cmp` have equal bits, so
+    /// an unstable sort yields the same order as a stable one.
+    pub fn of(mut values: Vec<f64>) -> Self {
         if values.is_empty() {
             return Self::default();
         }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        values.sort_unstable_by(f64::total_cmp);
         Self {
-            p50: percentile_of_sorted(&sorted, 50.0),
-            p90: percentile_of_sorted(&sorted, 90.0),
-            p99: percentile_of_sorted(&sorted, 99.0),
+            p50: percentile_of_sorted(&values, 50.0),
+            p90: percentile_of_sorted(&values, 90.0),
+            p99: percentile_of_sorted(&values, 99.0),
         }
     }
 }
@@ -540,9 +541,9 @@ impl TrafficSummary {
         };
         TrafficSummary {
             completed,
-            ttft_ms: Percentiles::of(&ttft),
-            tpot_ms: Percentiles::of(&tpot),
-            e2e_ms: Percentiles::of(&e2e),
+            ttft_ms: Percentiles::of(ttft),
+            tpot_ms: Percentiles::of(tpot),
+            e2e_ms: Percentiles::of(e2e),
             throughput_rps: per_second(completed),
             goodput_rps: per_second(met),
             slo_attainment: if completed == 0 {
@@ -561,16 +562,25 @@ impl TenantSummary {
     /// Per-tenant summaries of `outcomes`, ascending in tenant tag: each
     /// tenant's outcomes through [`TrafficSummary::of`] under its own
     /// objective from `slos`, with the whole run's makespan and telemetry
-    /// (see [`TenantSummary`]).
+    /// (see [`TenantSummary`]). `whole` is the run's own summary and the SLO
+    /// it was taken under, when the caller has it: a run whose only tenant
+    /// is held to that SLO reuses it, since summarizing the same outcomes in
+    /// the same order under the same SLO gives the same bits.
     pub fn per_tenant(
         outcomes: &[RequestOutcome],
         makespan_ns: f64,
         telemetry: &TelemetryStats,
         slos: &TenantSlos,
+        whole: Option<(&SloSpec, &TrafficSummary)>,
     ) -> Vec<Self> {
         let mut tenants: Vec<u32> = outcomes.iter().map(|o| o.tenant).collect();
         tenants.sort_unstable();
         tenants.dedup();
+        if let (&[tenant], Some((slo, &summary))) = (tenants.as_slice(), whole) {
+            if slos.for_tenant(tenant) == *slo {
+                return vec![TenantSummary { tenant, summary }];
+            }
+        }
         tenants
             .into_iter()
             .map(|tenant| TenantSummary {
@@ -592,12 +602,6 @@ impl SimResult {
         TrafficSummary::of(&self.outcomes, self.makespan_ns, &self.telemetry, slo)
     }
 
-    /// Time-weighted mean batch occupancy (each event's occupancy holds until
-    /// the next event).
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        self.telemetry.mean_batch_occupancy
-    }
-
     /// Per-tenant aggregates, ascending in tenant tag: each tenant's
     /// completed requests summarized under its own objective from `slos`.
     /// A single-tenant run returns one entry equal to
@@ -605,7 +609,13 @@ impl SimResult {
     /// occupancy/queue fields always reflect the whole run — see
     /// [`TenantSummary`]).
     pub fn per_tenant_summaries(&self, slos: &TenantSlos) -> Vec<TenantSummary> {
-        TenantSummary::per_tenant(&self.outcomes, self.makespan_ns, &self.telemetry, slos)
+        TenantSummary::per_tenant(
+            &self.outcomes,
+            self.makespan_ns,
+            &self.telemetry,
+            slos,
+            None,
+        )
     }
 }
 
@@ -650,8 +660,8 @@ mod tests {
 
     #[test]
     fn percentiles_of_empty_and_singleton() {
-        assert_eq!(Percentiles::of(&[]), Percentiles::default());
-        let p = Percentiles::of(&[4.0]);
+        assert_eq!(Percentiles::of(Vec::new()), Percentiles::default());
+        let p = Percentiles::of(vec![4.0]);
         assert_eq!((p.p50, p.p90, p.p99), (4.0, 4.0, 4.0));
     }
 

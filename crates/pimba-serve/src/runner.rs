@@ -169,32 +169,18 @@ impl<R> GridMemo<R> {
         self.cells.get(key)
     }
 
-    /// Per-store `(name, total_bytes, dead_bytes)` of the backing segment
-    /// files (all zeros for in-memory stores) — the compaction-observability
-    /// numbers the daemon's `stats` verb reports.
-    pub fn segment_stats(&self) -> Vec<(&'static str, u64, u64)>
+    /// Per-store `(name, len_bytes)` of the backing segment files (zeros for
+    /// in-memory stores) — the sizes the daemon's `stats` verb reports.
+    pub fn segment_stats(&self) -> [(&'static str, u64); 3]
     where
         R: GridRecord,
     {
         let [traces, capacity, cells] = R::SEGMENTS;
-        vec![
-            (traces, self.traces.len_bytes(), self.traces.dead_bytes()),
-            (
-                capacity,
-                self.max_batches.len_bytes(),
-                self.max_batches.dead_bytes(),
-            ),
-            (cells, self.cells.len_bytes(), self.cells.dead_bytes()),
+        [
+            (traces, self.traces.len_bytes()),
+            (capacity, self.max_batches.len_bytes()),
+            (cells, self.cells.len_bytes()),
         ]
-    }
-
-    /// Compacts every disk-backed store whose dead-byte ratio is at least
-    /// `threshold` (see [`pimba_system::memo::MemoStore::compact`]); returns
-    /// the total bytes reclaimed. A no-op (`Ok(0)`) for in-memory memos.
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        Ok(self.traces.compact(threshold)?
-            + self.max_batches.compact(threshold)?
-            + self.cells.compact(threshold)?)
     }
 }
 
@@ -665,17 +651,23 @@ impl TrafficRunner {
             let index = cell.index.to_string();
             result.export_metrics(control.metrics(), &[("cell", &index)]);
         }
-        let tenant_slos = grid
-            .tenant_slos
-            .clone()
-            .unwrap_or_else(|| TenantSlos::uniform(grid.slo));
+        let summary = result.summary(&grid.slo);
+        let per_tenant = TenantSummary::per_tenant(
+            &result.outcomes,
+            result.makespan_ns,
+            &result.telemetry,
+            grid.tenant_slos
+                .as_ref()
+                .unwrap_or(&TenantSlos::uniform(grid.slo)),
+            Some((&grid.slo, &summary)),
+        );
         TrafficRecord {
             system: cell.system,
             scenario: cell.scenario,
             rate_rps: grid.rates_rps[cell.rate],
             max_batch: cell.max_batch,
-            summary: result.summary(&grid.slo),
-            per_tenant: result.per_tenant_summaries(&tenant_slos),
+            summary,
+            per_tenant,
             preemption: result.preemption,
         }
     }

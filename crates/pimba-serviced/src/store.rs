@@ -5,7 +5,10 @@
 //! mode ([`ResultStore::persistent`]) roots both memos' crash-safe segment
 //! files in one directory (disjoint file names — see
 //! [`GridMemo::persistent`](pimba_serve::runner::GridMemo::persistent)), so identical
-//! specs are warm, byte-identical hits across daemon restarts.
+//! specs are warm, byte-identical hits across daemon restarts. The store
+//! needs no maintenance: each segment drops its dead records when it is
+//! opened (see [`MemoStore::persistent`](pimba_system::memo::MemoStore::persistent)),
+//! and the daemon's shutdown only syncs.
 
 use netline::Json;
 use pimba_fleet::memo::FleetMemo;
@@ -23,7 +26,6 @@ pub struct ResultStore {
     /// Fleet-grid memo (traces, capacity searches, cells).
     pub fleet: Arc<FleetMemo>,
     dir: Option<PathBuf>,
-    drain_compact: Option<f64>,
 }
 
 impl ResultStore {
@@ -33,32 +35,19 @@ impl ResultStore {
             traffic: Arc::new(TrafficMemo::new()),
             fleet: Arc::new(FleetMemo::new()),
             dir: None,
-            drain_compact: None,
         }
     }
 
     /// A disk-backed store rooted at `dir` (created if absent). Entries
     /// persisted by earlier processes are loaded up front; corrupt tails are
-    /// truncated, not fatal.
+    /// truncated, not fatal, and segments holding dead records are rewritten
+    /// to their live ones.
     pub fn persistent(dir: &Path) -> std::io::Result<Self> {
         Ok(Self {
             traffic: Arc::new(TrafficMemo::persistent(dir)?),
             fleet: Arc::new(FleetMemo::persistent(dir)?),
             dir: Some(dir.to_path_buf()),
-            drain_compact: None,
         })
-    }
-
-    /// Opt in to compaction on [`ResultStore::drain`]: segments whose
-    /// dead-byte ratio is at least `threshold` (in `[0, 1]`) are rewritten to
-    /// live records only when the daemon drains.
-    pub fn with_drain_compact(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && (0.0..=1.0).contains(&threshold),
-            "drain-compact threshold must be in [0, 1]"
-        );
-        self.drain_compact = Some(threshold);
-        self
     }
 
     /// The backing directory, if persistent.
@@ -71,23 +60,6 @@ impl ResultStore {
     pub fn sync(&self) -> std::io::Result<()> {
         self.traffic.sync()?;
         self.fleet.sync()
-    }
-
-    /// Compacts every disk-backed segment whose dead-byte ratio is at least
-    /// `threshold`; returns the total bytes reclaimed (0 for in-memory
-    /// stores).
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        Ok(self.traffic.compact(threshold)? + self.fleet.compact(threshold)?)
-    }
-
-    /// The daemon's shutdown hook: compacts if
-    /// [`ResultStore::with_drain_compact`] opted in, then flushes to stable
-    /// storage.
-    pub fn drain(&self) -> std::io::Result<()> {
-        if let Some(threshold) = self.drain_compact {
-            self.compact(threshold)?;
-        }
-        self.sync()
     }
 
     /// Every stored cell fingerprint as `(memo, fingerprint)` pairs — traffic
@@ -126,13 +98,14 @@ impl ResultStore {
         ])
     }
 
-    /// Total entries loaded from disk at open (0 for in-memory stores).
+    /// Total records loaded from disk at open (0 for in-memory stores).
+    /// [`LoadReport::records`] already leaves out undecodable records.
     pub fn loaded_entries(&self) -> usize {
         let count = |r: &(Option<LoadReport>, Option<LoadReport>, Option<LoadReport>)| {
             [&r.0, &r.1, &r.2]
                 .into_iter()
                 .flatten()
-                .map(|report| report.records - report.undecodable)
+                .map(|report| report.records)
                 .sum::<usize>()
         };
         count(&self.traffic.load_reports()) + count(&self.fleet.load_reports())
@@ -140,9 +113,7 @@ impl ResultStore {
 
     /// The store's state as a JSON object for the daemon's `stats` command:
     /// per-memo hit/miss counters plus one `segments` entry per backing
-    /// segment file with its size, dead bytes, and dead-byte ratio (all
-    /// zeros for in-memory stores) — the inputs an operator needs to judge
-    /// when a [`ResultStore::compact`] is worth it.
+    /// segment file with its name and size (zero for in-memory stores).
     pub fn stats_json(&self) -> Json {
         fn stats(label: &str, s: (MemoStats, MemoStats, MemoStats)) -> (String, Json) {
             let one = |m: MemoStats| {
@@ -178,17 +149,10 @@ impl ResultStore {
             .segment_stats()
             .into_iter()
             .chain(self.fleet.segment_stats())
-            .map(|(name, len_bytes, dead_bytes)| {
-                let dead_ratio = if len_bytes > 0 {
-                    dead_bytes as f64 / len_bytes as f64
-                } else {
-                    0.0
-                };
+            .map(|(name, len_bytes)| {
                 Json::obj(vec![
                     ("name", Json::str(name)),
                     ("len_bytes", Json::Int(len_bytes as i64)),
-                    ("dead_bytes", Json::Int(dead_bytes as i64)),
-                    ("dead_ratio", Json::Num(dead_ratio)),
                 ])
             })
             .collect();

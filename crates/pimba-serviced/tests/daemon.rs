@@ -619,7 +619,8 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         Some("fingerprint")
     );
 
-    // stats: one segment entry per backing store, all zeros in-memory.
+    // stats: one `{name, len_bytes}` entry per backing store, zero bytes
+    // in-memory.
     let stats = client.stats().unwrap();
     let segments = stats
         .get("store")
@@ -628,10 +629,13 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         .expect("stats.store.segments");
     assert_eq!(segments.len(), 6, "three traffic + three fleet segments");
     for seg in segments {
+        let Json::Obj(fields) = seg else {
+            panic!("segment entry {seg:?} is an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["name", "len_bytes"]);
         assert!(seg.get("name").and_then(Json::as_str).is_some());
         assert_eq!(seg.get("len_bytes").and_then(Json::as_i64), Some(0));
-        assert_eq!(seg.get("dead_bytes").and_then(Json::as_i64), Some(0));
-        assert_eq!(seg.get("dead_ratio").and_then(Json::as_f64), Some(0.0));
     }
     daemon.stop();
 }
@@ -690,10 +694,10 @@ fn client_retry_reconnects_and_resubmits_after_transient_failures() {
 }
 
 #[test]
-fn drain_compacts_the_store_when_opted_in() {
+fn restart_compacts_a_bloated_store() {
     use pimba_system::memo::Fingerprint;
     use pimba_system::persist::SegmentFile;
-    let dir = temp_dir("drain_compact");
+    let dir = temp_dir("restart_compact");
 
     // Cold run to create the segment files.
     let cold = {
@@ -710,35 +714,30 @@ fn drain_compacts_the_store_when_opted_in() {
     };
 
     // Bloat the cell segment with a checksum-valid but undecodable record —
-    // the shape compaction exists to reclaim.
+    // the shape open-time compaction reclaims.
     let seg_path = dir.join("traffic_cells.seg");
+    let clean = std::fs::metadata(&seg_path).unwrap().len();
     {
         let (mut seg, _) = SegmentFile::open(&seg_path, |_, _| true).unwrap();
         seg.append(Fingerprint::from_words(0xDEAD, 0xBEEF), b"junk")
             .unwrap();
         seg.sync().unwrap();
     }
-    let bloated = std::fs::metadata(&seg_path).unwrap().len();
+    assert!(std::fs::metadata(&seg_path).unwrap().len() > clean);
 
-    // A daemon opted into drain-compaction rewrites the segment on stop.
-    let daemon = Daemon::start(
-        DaemonConfig::default(),
-        ResultStore::persistent(&dir)
-            .unwrap()
-            .with_drain_compact(0.001),
-    )
-    .unwrap();
-    let mut client = Client::connect(daemon.addr()).unwrap();
-    let warm = client.run(&traffic_spec(), 0, None).unwrap().unwrap();
-    assert_eq!(warm.records, cold.records);
-    daemon.stop();
-    assert!(
-        std::fs::metadata(&seg_path).unwrap().len() < bloated,
-        "drain must compact the junk away"
+    // Reopening the store rewrites the segment to its live records.
+    let store = ResultStore::persistent(&dir).unwrap();
+    assert_eq!(
+        store.traffic.load_reports().2.map(|r| r.undecodable),
+        Some(1)
+    );
+    assert_eq!(
+        std::fs::metadata(&seg_path).unwrap().len(),
+        clean,
+        "open must compact the junk away"
     );
 
     // The compacted store still answers every cell, byte-identically.
-    let store = ResultStore::persistent(&dir).unwrap();
     let daemon = Daemon::start(DaemonConfig::default(), store).unwrap();
     let mut client = Client::connect(daemon.addr()).unwrap();
     let reread = client.run(&traffic_spec(), 0, None).unwrap().unwrap();
@@ -754,6 +753,61 @@ fn drain_compacts_the_store_when_opted_in() {
         misses,
         Some(0),
         "every cell must load from the compacted log"
+    );
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a record-schema bump leaves behind: a store whose only cell record
+/// carries an older schema tag. It opens empty (no loaded entries, the
+/// segment rewritten to nothing), and `stats` answers.
+#[test]
+fn a_store_of_old_schema_records_opens_empty() {
+    use pimba_system::persist::SegmentFile;
+    let dir = temp_dir("old_schema");
+    let seg_path = dir.join("traffic_cells.seg");
+
+    // One real traffic cell record, its leading schema tag set one lower.
+    {
+        let store = ResultStore::persistent(&dir).unwrap();
+        Experiment::from_json(&traffic_spec())
+            .unwrap()
+            .run(&store, &pimba_system::sweep::RunControl::new())
+            .unwrap();
+    }
+    let mut first = None;
+    SegmentFile::open(&seg_path, |fp, payload| {
+        first.get_or_insert((fp, payload.to_vec()));
+        true
+    })
+    .unwrap();
+    let (fp, mut payload) = first.expect("a stored traffic cell");
+    payload[0] -= 1;
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut seg, _) = SegmentFile::open(&seg_path, |_, _| true).unwrap();
+    seg.append(fp, &payload).unwrap();
+    drop(seg);
+
+    let store = ResultStore::persistent(&dir).unwrap();
+    assert_eq!(store.loaded_entries(), 0);
+    assert_eq!(
+        store.traffic.load_reports().2.map(|r| r.undecodable),
+        Some(1)
+    );
+    assert_eq!(std::fs::metadata(&seg_path).unwrap().len(), 0);
+
+    let daemon = Daemon::start(DaemonConfig::default(), store).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let stats = client.stats().unwrap();
+    let store_stats = stats.get("store").expect("stats.store");
+    assert_eq!(
+        store_stats.get("loaded_entries").and_then(Json::as_i64),
+        Some(0)
+    );
+    assert_eq!(
+        store_stats.get("cells_stored").and_then(Json::as_i64),
+        Some(0)
     );
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);

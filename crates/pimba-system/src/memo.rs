@@ -16,6 +16,11 @@
 //! bit-for-bit, so a hit returns exactly the bytes a fresh simulation would
 //! produce — asserted by the warm-grid tests and the `fleet_parallel` bench
 //! gate on every run.
+//!
+//! A store opened with [`MemoStore::persistent`] mirrors its entries into a
+//! segment file ([`crate::persist`]). Its open is also its only maintenance:
+//! a segment holding superseded duplicates or records of an older schema is
+//! rewritten to the live entries right there, with no threshold to tune.
 
 use crate::cache::FxHasher;
 use crate::persist::{ByteReader, ByteWriter, LoadReport, MemoValue, SegmentFile};
@@ -173,14 +178,17 @@ impl<V> MemoStore<V> {
     /// earlier process persisted are loaded up front (corrupt or partial
     /// tails are truncated away — see [`SegmentFile::open`]), and every entry
     /// published from now on is appended. Records whose payload no longer
-    /// decodes as `V` are skipped, not fatal.
+    /// decodes as `V` are skipped, not fatal. When the load skipped any, or
+    /// found a fingerprint recorded twice, the segment is rewritten to the
+    /// live entries sorted by fingerprint ([`SegmentFile::rewrite`]), so a
+    /// reopened store never carries dead records.
     pub fn persistent(path: &Path) -> std::io::Result<Self>
     where
         V: MemoValue,
     {
         let mut map: HashMap<Fingerprint, Arc<V>, BuildHasherDefault<FxHasher>> =
             HashMap::default();
-        let (segment, load) = SegmentFile::open(path, |fp, payload| {
+        let (mut segment, load) = SegmentFile::open(path, |fp, payload| {
             let mut reader = ByteReader::new(payload);
             match V::decode(&mut reader) {
                 // Exact consumption: trailing junk means a schema mismatch.
@@ -191,6 +199,19 @@ impl<V> MemoStore<V> {
                 _ => false,
             }
         })?;
+        if load.undecodable > 0 || map.len() < load.records {
+            let mut live: Vec<(Fingerprint, Vec<u8>)> = map
+                .iter()
+                .map(|(&fp, value)| {
+                    let mut writer = ByteWriter::new();
+                    value.encode(&mut writer);
+                    (fp, writer.into_bytes())
+                })
+                .collect();
+            // Deterministic on-disk order, independent of hash-map iteration.
+            live.sort_unstable_by_key(|&(fp, _)| fp.words());
+            segment.rewrite(live.into_iter())?;
+        }
         Ok(Self {
             map: RwLock::new(map),
             hits: AtomicU64::new(0),
@@ -209,50 +230,6 @@ impl<V> MemoStore<V> {
         self.disk.as_ref().map(|d| d.load)
     }
 
-    /// Bytes of the backing segment held by superseded or undecodable
-    /// records (`0` for in-memory stores).
-    pub fn dead_bytes(&self) -> u64 {
-        match &self.disk {
-            Some(disk) => disk
-                .segment
-                .lock()
-                .expect("memo segment poisoned")
-                .dead_bytes(),
-            None => 0,
-        }
-    }
-
-    /// Rewrites the backing segment down to the live entries when its
-    /// dead-byte ratio is at least `threshold` (`0.0` compacts whenever any
-    /// dead bytes exist). Crash-safe: the new log is fully written and synced
-    /// to a temp file, then renamed over the old one. Returns the bytes
-    /// reclaimed — `0` for in-memory stores, clean logs, or ratios under the
-    /// threshold. Undecodable (schema-incompatible) records are garbage:
-    /// compaction writes only what the in-memory map holds.
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        let Some(disk) = &self.disk else {
-            return Ok(0);
-        };
-        let map = self.map.read().expect("memo store poisoned");
-        let mut segment = disk.segment.lock().expect("memo segment poisoned");
-        if segment.dead_bytes() == 0 || segment.dead_ratio() < threshold {
-            return Ok(0);
-        }
-        let mut entries: Vec<(Fingerprint, Vec<u8>)> = map
-            .iter()
-            .map(|(&fp, value)| {
-                let mut writer = ByteWriter::new();
-                (disk.encode)(value, &mut writer);
-                (fp, writer.into_bytes())
-            })
-            .collect();
-        // Deterministic on-disk order, independent of hash-map iteration.
-        entries.sort_by_key(|&(fp, _)| fp.words());
-        let before = segment.len_bytes();
-        segment.rewrite(entries.into_iter())?;
-        Ok(before.saturating_sub(segment.len_bytes()))
-    }
-
     /// Forces persisted entries to stable storage (no-op for in-memory
     /// stores).
     pub fn sync(&self) -> std::io::Result<()> {
@@ -262,9 +239,8 @@ impl<V> MemoStore<V> {
         Ok(())
     }
 
-    /// Total bytes of the backing segment, live and dead (`0` for in-memory
-    /// stores) — the raw size a `serviced` `stats` response reports next to
-    /// [`MemoStore::dead_bytes`].
+    /// Total bytes of the backing segment (`0` for in-memory stores) — the
+    /// size a `serviced` `stats` response reports per segment.
     pub fn len_bytes(&self) -> u64 {
         match &self.disk {
             Some(disk) => disk
@@ -468,51 +444,41 @@ mod tests {
 
         // Seed a log with a superseded duplicate and an undecodable record
         // (an f64 store expects exactly 8 payload bytes).
+        let enc = |v: f64| v.to_bits().to_le_bytes().to_vec();
+        let (one, two) = (fp(&[1]), fp(&[2]));
         {
             let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
-            let enc = |v: f64| v.to_bits().to_le_bytes().to_vec();
-            let key = FingerprintBuilder::new().u64(1).finish();
-            seg.append(key, &enc(1.5)).unwrap();
-            seg.append(key, &enc(1.5)).unwrap();
-            seg.append(FingerprintBuilder::new().u64(2).finish(), &enc(-0.0))
-                .unwrap();
-            seg.append(FingerprintBuilder::new().u64(3).finish(), b"junk")
-                .unwrap();
+            seg.append(one, &enc(1.5)).unwrap();
+            seg.append(one, &enc(1.5)).unwrap();
+            seg.append(two, &enc(-0.0)).unwrap();
+            seg.append(fp(&[3]), b"junk").unwrap();
         }
 
+        // Opening the store rewrites the log to exactly the live entries,
+        // sorted by fingerprint, bit for bit.
         let store: MemoStore<f64> = MemoStore::persistent(&path).unwrap();
+        let report = store.load_report().unwrap();
+        assert_eq!((report.records, report.undecodable), (3, 1));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.load_report().unwrap().undecodable, 1);
-        assert!(store.dead_bytes() > 0, "duplicate + junk must count dead");
-        assert_eq!(
-            store.compact(0.99).unwrap(),
-            0,
-            "under-threshold ratios must not rewrite"
-        );
-        let reclaimed = store.compact(0.0).unwrap();
-        assert!(reclaimed > 0);
-        assert_eq!(store.dead_bytes(), 0);
-        assert_eq!(store.compact(0.0).unwrap(), 0, "clean logs are a no-op");
         drop(store);
+        let mut live = vec![(one, enc(1.5)), (two, enc(-0.0))];
+        live.sort_by_key(|&(fp, _)| fp.words());
+        let mut on_disk = Vec::new();
+        SegmentFile::open(&path, |fp, payload| {
+            on_disk.push((fp, payload.to_vec()));
+            true
+        })
+        .unwrap();
+        assert_eq!(on_disk, live);
 
-        // The compacted log holds exactly the live entries, bit for bit.
+        // A clean log opens as is: nothing undecodable, no rewrite.
+        let len = std::fs::metadata(&path).unwrap().len();
         let store: MemoStore<f64> = MemoStore::persistent(&path).unwrap();
         let report = store.load_report().unwrap();
         assert_eq!((report.records, report.undecodable), (2, 0));
-        assert_eq!(
-            store
-                .get(FingerprintBuilder::new().u64(1).finish())
-                .unwrap()
-                .to_bits(),
-            1.5f64.to_bits()
-        );
-        assert_eq!(
-            store
-                .get(FingerprintBuilder::new().u64(2).finish())
-                .unwrap()
-                .to_bits(),
-            (-0.0f64).to_bits()
-        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(store.get(one).unwrap().to_bits(), 1.5f64.to_bits());
+        assert_eq!(store.get(two).unwrap().to_bits(), (-0.0f64).to_bits());
         std::fs::remove_file(&path).ok();
     }
 

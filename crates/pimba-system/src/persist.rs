@@ -14,7 +14,10 @@
 //!   stops at the first truncated or corrupt one (a crash mid-append leaves a
 //!   partial tail; power loss can garble it), truncates the file back to the
 //!   last good record, and resumes appending from there — so a store is never
-//!   poisoned by its own crash.
+//!   poisoned by its own crash. [`SegmentFile::rewrite`] replaces the log
+//!   with a given set of records through a temp file and a rename; a memo
+//!   store calls it at open when the load found superseded duplicates or
+//!   records of an older schema.
 //!
 //! The segment format, stated once (all integers little-endian):
 //!
@@ -25,9 +28,8 @@
 
 use crate::cache::FxHasher;
 use crate::memo::Fingerprint;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -243,25 +245,30 @@ fn checksum(fp: Fingerprint, payload: &[u8]) -> u64 {
     hasher.finish()
 }
 
+/// Appends one framed record (see the module docs) to `out`.
+fn frame(fp: Fingerprint, payload: &[u8], out: &mut Vec<u8>) {
+    let (hi, lo) = fp.words();
+    out.reserve(RECORD_HEADER + payload.len() + RECORD_CHECK);
+    out.extend_from_slice(&hi.to_le_bytes());
+    out.extend_from_slice(&lo.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&checksum(fp, payload).to_le_bytes());
+}
+
 /// A crash-safe append-only log of `(fingerprint, payload)` records — the
 /// disk backend of a persistent [`MemoStore`](crate::memo::MemoStore).
 ///
-/// The log accrues **dead bytes** over time: records superseded by a later
-/// append of the same fingerprint (concurrent duplicate computes), and
-/// checksum-valid records whose payload no longer decodes under the current
-/// schema. [`SegmentFile::dead_ratio`] tracks the waste and
-/// [`SegmentFile::rewrite`] reclaims it with the crash-safe
-/// write-to-temp-then-rename idiom.
+/// Records superseded by a later append of the same fingerprint, and
+/// records whose payload no longer decodes under the current schema, stay in
+/// the log until [`SegmentFile::rewrite`] replaces it (the memo store does so
+/// when its open finds any).
 #[derive(Debug)]
 pub struct SegmentFile {
     file: File,
     path: PathBuf,
     /// Total on-disk bytes of the (truncated-clean) log.
     len_bytes: u64,
-    /// Bytes held by superseded or undecodable records.
-    dead_bytes: u64,
-    /// Fingerprint → on-disk size of its newest record.
-    live: HashMap<Fingerprint, u64, BuildHasherDefault<FxHasher>>,
 }
 
 impl SegmentFile {
@@ -269,7 +276,7 @@ impl SegmentFile {
     /// record into `sink`, truncates any corrupt or partial tail, and returns
     /// the file positioned for appending plus a [`LoadReport`] of what was
     /// recovered. `sink` receives `(fingerprint, payload)` for each record
-    /// whose checksum verifies.
+    /// whose checksum verifies, and returns whether the payload decoded.
     pub fn open(
         path: &Path,
         mut sink: impl FnMut(Fingerprint, &[u8]) -> bool,
@@ -285,9 +292,6 @@ impl SegmentFile {
 
         let mut report = LoadReport::default();
         let mut pos = 0usize;
-        let mut good_end = 0usize;
-        let mut dead_bytes = 0u64;
-        let mut live: HashMap<Fingerprint, u64, BuildHasherDefault<FxHasher>> = HashMap::default();
         while data.len() - pos >= RECORD_HEADER + RECORD_CHECK {
             let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
             let fp = Fingerprint::from_words(word(pos), word(pos + 8));
@@ -306,23 +310,17 @@ impl SegmentFile {
             if word(end - RECORD_CHECK) != checksum(fp, payload) {
                 break; // corrupt record: everything after it is suspect
             }
-            let record_bytes = (end - pos) as u64;
-            if !sink(fp, payload) {
-                report.undecodable += 1;
-                dead_bytes += record_bytes;
-            } else {
+            if sink(fp, payload) {
                 report.records += 1;
-                if let Some(previous) = live.insert(fp, record_bytes) {
-                    dead_bytes += previous;
-                }
+            } else {
+                report.undecodable += 1;
             }
             pos = end;
-            good_end = end;
         }
-        report.dropped_bytes = (data.len() - good_end) as u64;
+        report.dropped_bytes = (data.len() - pos) as u64;
         if report.dropped_bytes > 0 {
             // Cut the bad tail off so future appends extend a clean log.
-            file.set_len(good_end as u64)?;
+            file.set_len(pos as u64)?;
         }
         // Position at the (possibly new) end for appending.
         use std::io::Seek;
@@ -331,9 +329,7 @@ impl SegmentFile {
             Self {
                 file,
                 path: path.to_path_buf(),
-                len_bytes: good_end as u64,
-                dead_bytes,
-                live,
+                len_bytes: pos as u64,
             },
             report,
         ))
@@ -344,18 +340,10 @@ impl SegmentFile {
     /// exactly what [`SegmentFile::open`] tolerates.
     pub fn append(&mut self, fp: Fingerprint, payload: &[u8]) -> std::io::Result<()> {
         let _io = crate::obs::profile_phase("persist_io");
-        let (hi, lo) = fp.words();
-        let mut record = Vec::with_capacity(RECORD_HEADER + payload.len() + RECORD_CHECK);
-        record.extend_from_slice(&hi.to_le_bytes());
-        record.extend_from_slice(&lo.to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        record.extend_from_slice(payload);
-        record.extend_from_slice(&checksum(fp, payload).to_le_bytes());
+        let mut record = Vec::new();
+        frame(fp, payload, &mut record);
         self.file.write_all(&record)?;
         self.len_bytes += record.len() as u64;
-        if let Some(previous) = self.live.insert(fp, record.len() as u64) {
-            self.dead_bytes += previous;
-        }
         Ok(())
     }
 
@@ -364,26 +352,11 @@ impl SegmentFile {
         self.len_bytes
     }
 
-    /// Bytes held by superseded or undecodable records — what a
-    /// [`SegmentFile::rewrite`] would reclaim.
-    pub fn dead_bytes(&self) -> u64 {
-        self.dead_bytes
-    }
-
-    /// Fraction of the log that is dead (`0.0` for an empty log).
-    pub fn dead_ratio(&self) -> f64 {
-        if self.len_bytes == 0 {
-            0.0
-        } else {
-            self.dead_bytes as f64 / self.len_bytes as f64
-        }
-    }
-
-    /// Atomically replaces the log with exactly `records`, dropping every
-    /// dead byte. Crash-safe by construction: the new log is fully written
-    /// and fsynced to `<path>.tmp`, then renamed over the old one — a crash
-    /// at any instant leaves either the old log intact or the new one
-    /// complete, never a mix. The handle resumes appending to the new log.
+    /// Atomically replaces the log with exactly `records`. Crash-safe by
+    /// construction: the new log is fully written and fsynced to
+    /// `<path>.tmp`, then renamed over the old one — a crash at any instant
+    /// leaves either the old log intact or the new one complete, never a
+    /// mix. The handle resumes appending to the new log.
     pub fn rewrite(
         &mut self,
         records: impl Iterator<Item = (Fingerprint, Vec<u8>)>,
@@ -391,38 +364,30 @@ impl SegmentFile {
         let mut tmp_name = self.path.clone().into_os_string();
         tmp_name.push(".tmp");
         let tmp_path = PathBuf::from(tmp_name);
+        let mut log = Vec::new();
+        for (fp, payload) in records {
+            frame(fp, &payload, &mut log);
+        }
         let mut tmp = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(&tmp_path)?;
-        let mut len_bytes = 0u64;
-        let mut live: HashMap<Fingerprint, u64, BuildHasherDefault<FxHasher>> = HashMap::default();
-        let mut dead_bytes = 0u64;
-        for (fp, payload) in records {
-            let (hi, lo) = fp.words();
-            let mut record = Vec::with_capacity(RECORD_HEADER + payload.len() + RECORD_CHECK);
-            record.extend_from_slice(&hi.to_le_bytes());
-            record.extend_from_slice(&lo.to_le_bytes());
-            record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            record.extend_from_slice(&payload);
-            record.extend_from_slice(&checksum(fp, &payload).to_le_bytes());
-            tmp.write_all(&record)?;
-            len_bytes += record.len() as u64;
-            if let Some(previous) = live.insert(fp, record.len() as u64) {
-                dead_bytes += previous;
-            }
-        }
+        tmp.write_all(&log)?;
         tmp.sync_all()?;
         drop(tmp);
         std::fs::rename(&tmp_path, &self.path)?;
+        // The rename is durable only once its directory is synced.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         use std::io::Seek;
         file.seek(std::io::SeekFrom::End(0))?;
         self.file = file;
-        self.len_bytes = len_bytes;
-        self.dead_bytes = dead_bytes;
-        self.live = live;
+        self.len_bytes = log.len() as u64;
         Ok(())
     }
 
@@ -534,42 +499,26 @@ mod tests {
     }
 
     #[test]
-    fn superseded_records_accrue_dead_bytes_and_rewrite_reclaims_them() {
-        let path = temp_path("compact");
+    fn rewrite_keeps_exactly_the_given_records_and_stays_appendable() {
+        let path = temp_path("rewrite");
         std::fs::remove_file(&path).ok();
-        {
-            let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
-            seg.append(fp(1), b"first").unwrap();
-            seg.append(fp(2), b"other").unwrap();
-            seg.append(fp(1), b"newer-and-longer").unwrap();
-            assert_eq!(
-                seg.dead_bytes(),
-                (RECORD_HEADER + 5 + RECORD_CHECK) as u64,
-                "the superseded first record is dead"
-            );
-            assert!(seg.dead_ratio() > 0.0 && seg.dead_ratio() < 1.0);
-        }
-        // Reopening recomputes the same accounting from the log itself.
-        let (mut seg, report) =
-            SegmentFile::open(&path, |_, payload| payload != b"unreadable").unwrap();
-        assert_eq!(report.records, 3);
-        assert_eq!(seg.dead_bytes(), (RECORD_HEADER + 5 + RECORD_CHECK) as u64);
-
-        // Undecodable records count as dead too.
+        let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
+        seg.append(fp(1), b"first").unwrap();
+        seg.append(fp(2), b"other").unwrap();
+        seg.append(fp(1), b"newer-and-longer").unwrap();
         seg.append(fp(9), b"unreadable").unwrap();
-        let before = seg.len_bytes();
-        seg.rewrite(
-            [
-                (fp(1), b"newer-and-longer".to_vec()),
-                (fp(2), b"other".to_vec()),
-            ]
-            .into_iter(),
-        )
-        .unwrap();
-        assert!(seg.len_bytes() < before, "rewrite must shrink the log");
-        assert_eq!(seg.dead_bytes(), 0);
-        // The compacted log is a normal log: appendable and reloadable.
-        seg.append(fp(3), b"post-compact").unwrap();
+        let kept = vec![
+            (fp(1), b"newer-and-longer".to_vec()),
+            (fp(2), b"other".to_vec()),
+        ];
+        seg.rewrite(kept.clone().into_iter()).unwrap();
+        let framed = |payload: &[u8]| (RECORD_HEADER + payload.len() + RECORD_CHECK) as u64;
+        let expected = framed(b"newer-and-longer") + framed(b"other");
+        assert_eq!(seg.len_bytes(), expected);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), expected);
+
+        // The rewritten log is a normal log: appendable and reloadable.
+        seg.append(fp(3), b"post-rewrite").unwrap();
         drop(seg);
         let (seen, report) = collect(&path);
         assert_eq!(
@@ -580,10 +529,9 @@ mod tests {
                 undecodable: 0
             }
         );
-        let payloads: Vec<&[u8]> = seen.iter().map(|(_, p)| p.as_slice()).collect();
-        assert!(payloads.contains(&b"newer-and-longer".as_slice()));
-        assert!(payloads.contains(&b"other".as_slice()));
-        assert!(payloads.contains(&b"post-compact".as_slice()));
+        let mut expected = kept;
+        expected.push((fp(3), b"post-rewrite".to_vec()));
+        assert_eq!(seen, expected);
         std::fs::remove_file(&path).ok();
     }
 
