@@ -479,6 +479,17 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         assert_eq!(store.get(one).unwrap().to_bits(), 1.5f64.to_bits());
         assert_eq!(store.get(two).unwrap().to_bits(), (-0.0f64).to_bits());
+        drop(store);
+
+        // A duplicate alone, with every record decodable, is rewritten too.
+        {
+            let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
+            seg.append(two, &enc(-0.0)).unwrap();
+        }
+        let store: MemoStore<f64> = MemoStore::persistent(&path).unwrap();
+        let report = store.load_report().unwrap();
+        assert_eq!((report.records, report.undecodable), (3, 0));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         std::fs::remove_file(&path).ok();
     }
 

@@ -223,7 +223,8 @@ impl MemoValue for f64 {
 /// What a [`SegmentFile`] load recovered (and what it had to drop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadReport {
-    /// Records recovered intact.
+    /// Intact records whose payload decoded (the rest count as
+    /// `undecodable`).
     pub records: usize,
     /// Trailing bytes dropped: a partial record from a crash mid-append, or
     /// anything checksum-corrupt from the first bad record on.
