@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::engine::{AdmissionMode, Engine, EngineConfig};
-use pimba_serve::metrics::{SimResult, SloSpec, TenantSlos};
+use pimba_serve::metrics::{SimResult, SloSpec, TenantSlos, TenantSummary};
 use pimba_serve::sched::{PolicyKind, VictimOrder};
 use pimba_serve::traffic::{generate_tenant_mix, Scenario, Trace};
 use pimba_system::config::{SystemConfig, SystemKind};
@@ -324,7 +324,14 @@ fn record_results(_c: &mut Criterion) {
         let mut scheduler = policy.build();
         let result = engine.run(&mix_trace, scheduler.as_mut());
         assert_eq!(result.outcomes.len(), mix_trace.len(), "work conservation");
-        for entry in result.per_tenant_summaries(&tenant_slos) {
+        let per_tenant = TenantSummary::per_tenant(
+            &result.outcomes,
+            result.makespan_ns,
+            &result.telemetry,
+            &tenant_slos,
+            None,
+        );
+        for entry in per_tenant {
             let scenario_name = &mix[entry.tenant as usize].name;
             let weight = mix[entry.tenant as usize].priority.max(1);
             wfq_rows.push(vec![

@@ -31,32 +31,38 @@
 //! handoff can appear later), and the co-simulation stays deterministic for
 //! any worker-thread count of the grid runner above it.
 //!
-//! # One event loop per topology
+//! # One event loop
 //!
-//! A fleet runs on exactly two drivers, one per topology, and both take a
-//! [`FaultPlan`]: [`FleetSim::run`] is [`FleetSim::run_faulted`] with the
-//! empty plan. Both step one replica pool (a disaggregated fleet's prefill
-//! replicas `[0, P)`, then its decode replicas `[P, P+D)`) and pop one
-//! agenda: trace arrivals off a cursor merged with one heap of driver
-//! events, arrivals winning ties. Slowdown starts and ends take one shared
-//! path. Crash recovery is colocated-only. Prefill→decode handoffs are
-//! disaggregated-only and ride the same heap: at each driver instant `t` the
-//! disaggregated loop steps the prefill replicas to `t`, pushes new prefill
-//! completions as handoffs and delivers every handoff earlier than `t`, and
-//! only then acts. An empty plan schedules no events, so the fault-free
-//! fleet is the faulted fleet with nothing to interrupt it — byte-identical
-//! by construction.
+//! Every fleet runs on one driver, which takes a [`FaultPlan`]:
+//! [`FleetSim::run`] is [`FleetSim::run_faulted`] with the empty plan. It
+//! steps one replica pool (a disaggregated fleet's prefill replicas `[0, P)`,
+//! then its decode replicas `[P, P+D)`) and pops one agenda: trace arrivals
+//! off a cursor merged with one heap of driver events, arrivals winning ties.
+//! The topologies differ in the fleet's *front*, the replicas arrivals are
+//! routed over: every replica of a colocated fleet, or a disaggregated
+//! fleet's prefill pool. Before an event acts at instant `t`, the loop steps
+//! the front to `t`; a disaggregated fleet then pushes new prefill
+//! completions as handoffs onto the same heap and delivers every handoff
+//! earlier than `t`. One dispatch then acts. An arrival is routed over the
+//! front (a prefill replica runs the prompt and first token only), and a
+//! handoff is delivered to the decode pool. Any other event steps the
+//! replicas outside the front to `t`, then applies a slowdown, crash,
+//! restart, detection, resumption or timeout; the plan validator keeps
+//! crashes and queue-wait timeouts colocated. An empty plan schedules no
+//! events, so the fault-free fleet is the faulted fleet with nothing to
+//! interrupt it — byte-identical by construction.
 //!
-//! **Decoupled free-run.** When the router is
+//! **Decoupled free-run.** When a colocated fleet's router is
 //! [load-oblivious](RouterKind::load_oblivious) and the plan is empty,
-//! nothing needs mid-trace fleet state, so the colocated loop
-//! skips the per-arrival `step_until`: it routes and injects every arrival
-//! up front (the policy never reads the loads) and the final drain steps each
-//! replica to ∞ once. Replica state is insensitive to *foreign* horizons
-//! (stepping to an instant with nothing to inject is a bit-level no-op), so
-//! dropping the other replicas' arrival horizons leaves every replica's
-//! result untouched — gated free-run ≡ stepped in
-//! `tests/parallel_equivalence.rs`.
+//! nothing needs mid-trace fleet state, so the loop skips the per-event
+//! `step_until`: it routes and injects every arrival up front (the policy
+//! never reads the loads) and the final drain steps each replica to ∞ once.
+//! Replica state is insensitive to *foreign* horizons (stepping to an instant
+//! with nothing to inject is a bit-level no-op), so dropping the other
+//! replicas' arrival horizons leaves every replica's result untouched —
+//! gated free-run ≡ stepped in `tests/parallel_equivalence.rs`. A
+//! disaggregated fleet never free-runs: its handoffs come from the prefill
+//! pool's mid-trace completions.
 //!
 //! Fleets run on the calling thread; grids get their parallelism across
 //! cells instead (`pimba_system::sweep::parallel_map`). Intra-fleet parallel
@@ -105,15 +111,15 @@
 //! * **Every outcome is trace-native.** Assembly (below) gives every
 //!   outcome its trace arrival, prompt and output lengths — a migrated or
 //!   retried request's too, and one held at the front door while every
-//!   replica was down and detected. The colocated loop then overlays what
-//!   each request's recovery track recorded: TTFT keeps the instant the
+//!   replica was down and detected. The loop then overlays what each
+//!   request's recovery track recorded: TTFT keeps the instant the
 //!   *first* token was actually produced (pre-crash for migrations), and
 //!   `retries`/`migrations` count the journey, so SLO math charges recovery
 //!   delay and holds honestly.
 //!
 //! # Outcome assembly
 //!
-//! Both loops end in one assembly. The per-replica results, in fleet order,
+//! The loop ends in one assembly. The per-replica results, in fleet order,
 //! scatter their outcomes into trace-indexed slots: a request's first
 //! outcome creates its slot with the trace's arrival, prompt and output
 //! lengths and the outcome's first-token and completion instants; a later
@@ -201,8 +207,8 @@ pub struct FleetConfig {
     pub engine: EngineConfig,
     /// Seed of the router's sampling substreams.
     pub seed: u64,
-    /// Ignored: every fleet runs its topology's sequential event loop (see
-    /// the module docs). Kept only so existing struct literals compile;
+    /// Ignored: every fleet runs the one sequential event loop (see the
+    /// module docs). Kept only so existing struct literals compile;
     /// excluded from memo cell keys.
     pub workers: usize,
     /// Ignored, like [`FleetConfig::workers`].
@@ -382,7 +388,7 @@ impl<T> PartialOrd for Timed<T> {
     }
 }
 
-/// One driver event of either loop.
+/// One driver event.
 enum FleetEv {
     /// Trace request `id` arrives — read off the agenda's cursor, never
     /// pushed.
@@ -470,71 +476,22 @@ impl Agenda {
     }
 }
 
-/// What both event loops drive: every replica, the one agenda, the plan with
-/// its fault counters, and the fleet-level trace track.
+/// What the handoff path borrows beside the rest of [`Fleet`]: every
+/// replica, the one agenda, the plan with its fault counters, the trace, the
+/// state-size model and the fleet-level trace track.
 struct FleetCore<'a, 'p> {
     pool: Pool<'a>,
     agenda: Agenda,
     plan: &'p FaultPlan,
+    trace: &'p Trace,
+    /// Sizes the state a migration or a handoff ships.
+    memory: MemoryModel<'a>,
     stats: FaultStats,
     /// The fleet-level trace track (route/handoff/fault/recovery events).
     sink: TraceSink,
 }
 
-impl<'a, 'p> FleetCore<'a, 'p> {
-    fn new(pool: Pool<'a>, plan: &'p FaultPlan, sink: TraceSink) -> Self {
-        Self {
-            pool,
-            agenda: Agenda::new(plan),
-            plan,
-            stats: FaultStats::default(),
-            sink,
-        }
-    }
-
-    /// Applies `ev` if it starts or ends a slowdown — the one slowdown path
-    /// of both loops — and hands any other event back. The replica must be
-    /// stepped to `t` first, so events before the change keep the old
-    /// latency. A start on a down replica does nothing; a later start
-    /// supersedes an earlier one, whose end goes stale.
-    fn apply_slowdown(&mut self, ev: FleetEv, t: f64) -> Option<FleetEv> {
-        match ev {
-            FleetEv::Fault(index) => {
-                let FaultKind::Slowdown {
-                    replica,
-                    factor,
-                    duration_ns,
-                } = self.plan.events[index].kind
-                else {
-                    return Some(ev);
-                };
-                if let Some(session) = self.pool.sessions[replica].as_mut() {
-                    session.set_compute_scale(factor);
-                    self.pool.slow_tokens[replica] += 1;
-                    let token = self.pool.slow_tokens[replica];
-                    self.stats.slowdowns += 1;
-                    self.sink.emit(|| {
-                        TraceEvent::span("slowdown", t, duration_ns, replica as u64)
-                            .arg("replica", replica as f64)
-                            .arg("factor", factor)
-                    });
-                    self.agenda
-                        .push(t + duration_ns, FleetEv::SlowEnd { replica, token });
-                }
-            }
-            FleetEv::SlowEnd { replica, token } => {
-                let live = self.pool.sessions[replica].as_mut();
-                if let Some(session) = live.filter(|_| self.pool.slow_tokens[replica] == token) {
-                    session.set_compute_scale(1.0);
-                }
-            }
-            ev => return Some(ev),
-        }
-        None
-    }
-}
-
-/// Crash bookkeeping of one colocated replica, beside its pool slot.
+/// Crash bookkeeping of one replica, beside its pool slot.
 #[derive(Default)]
 struct Life {
     /// A dead replica stays *visible* to the router until detected.
@@ -582,11 +539,17 @@ impl Track {
     }
 }
 
-/// The colocated loop's mutable world: the shared core plus crash
-/// lifecycles, request tracks and the recovery state.
-struct ColocatedFleet<'a, 'p> {
+/// The event loop's mutable world: the core, the front door, the handoff
+/// path, crash lifecycles, request tracks and the recovery state.
+struct Fleet<'a, 'p> {
     engine: &'a Engine<'a>,
     core: FleetCore<'a, 'p>,
+    /// The replicas arrivals are routed over and stepped to every agenda
+    /// instant: all of a colocated fleet, or a disaggregated fleet's prefill
+    /// pool `[0, P)`.
+    front: Range<usize>,
+    /// A disaggregated fleet's prefill→decode path; `None` when colocated.
+    handoffs: Option<Handoffs>,
     life: Vec<Life>,
     /// Replicas currently down; while zero the router reads the loads as is.
     dead: usize,
@@ -596,29 +559,40 @@ struct ColocatedFleet<'a, 'p> {
     /// restart: `(id, attempt, generated)`.
     hold: Vec<(usize, u32, usize)>,
     assignment: Vec<u32>,
-    trace: &'p Trace,
-    memory: MemoryModel<'a>,
-    max_seq_hint: usize,
-    max_prompt_hint: usize,
+    /// Sequence and prompt hints of a restarted replica's session.
+    hints: (usize, usize),
     /// Per-replica tracks, reattached to the fresh session on restart.
     replica_sinks: Vec<TraceSink>,
 }
 
-impl<'a, 'p> ColocatedFleet<'a, 'p> {
-    /// Routes request `id` (resuming with `generated` tokens of context) at
-    /// time `t`. Requests routed into an undetected zombie black-hole until
-    /// the detector fires; with every replica dead *and* detected, the
-    /// request holds at the front door until a restart.
+impl<'a, 'p> Fleet<'a, 'p> {
+    /// Brings the fleet to agenda instant `t` before the event there acts:
+    /// steps `front` to `t`, then catches up on handoffs.
+    fn advance(&mut self, t: f64) {
+        self.core.pool.step_until(self.front.clone(), t);
+        if let Some(handoffs) = &mut self.handoffs {
+            handoffs.catch_up(&mut self.core, self.front.clone(), t);
+        }
+    }
+
+    /// Routes request `id` (resuming with `generated` tokens of context) over
+    /// `front` at time `t`; a prefill replica runs its prompt and first token
+    /// only. Requests routed into an undetected zombie black-hole until the
+    /// detector fires; with every replica dead *and* detected, the request
+    /// holds at the front door until a restart.
     fn place(&mut self, id: usize, generated: usize, t: f64) {
-        let original = self.trace.requests[id];
+        let original = self.core.trace.requests[id];
         let request = TraceRequest {
             arrival_ns: t,
             prompt_len: original.prompt_len + generated,
-            output_len: original.output_len - generated,
+            output_len: match self.handoffs {
+                Some(_) => 1,
+                None => original.output_len - generated,
+            },
             ..original
         };
         let pool = &self.core.pool;
-        let loads = pool.loads(0..self.life.len());
+        let loads = pool.loads(self.front.clone());
         let target = if self.dead == 0 {
             // Every replica is live, hence visible: route on the loads as is.
             let choice = {
@@ -626,10 +600,12 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
                 self.router.route(id, &request, loads)
             };
             assert!(choice < loads.len(), "router returned replica {choice}");
-            choice
+            self.front.start + choice
         } else {
             // Live replicas and undetected zombies are routable.
-            let visible: Vec<usize> = (0..loads.len())
+            let visible: Vec<usize> = self
+                .front
+                .clone()
                 .filter(|&i| pool.sessions[i].is_some() || !self.life[i].detected)
                 .collect();
             if visible.is_empty() {
@@ -637,7 +613,7 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
                 self.hold.push((id, attempt, generated));
                 return;
             }
-            let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| loads[i]).collect();
+            let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| pool.loads[i]).collect();
             let choice = {
                 let _routing = profile_phase("routing");
                 self.router.route(id, &request, &loads)
@@ -721,7 +697,7 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
             return;
         }
         let cumulative = self.tracks[id].resumed_generated + generated_here;
-        let original = self.trace.requests[id];
+        let original = self.core.trace.requests[id];
         if self.core.plan.recovery == RecoveryPolicy::Migrate
             && cumulative >= 1
             && cumulative < original.output_len
@@ -734,6 +710,7 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
             let attempt = track.attempt;
             self.core.stats.migrations += 1;
             let bytes = self
+                .core
                 .memory
                 .dynamic_bytes(1, original.prompt_len + cumulative);
             self.core.stats.migrated_bytes += bytes;
@@ -822,7 +799,7 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         self.core.sink.emit(|| {
             TraceEvent::instant("restart", t, replica as u64).arg("replica", replica as f64)
         });
-        let mut session = self.engine.session(self.max_seq_hint, self.max_prompt_hint);
+        let mut session = self.engine.session(self.hints.0, self.hints.1);
         session.set_trace(self.replica_sinks[replica].clone());
         self.core.pool.bring_up(replica, session);
         let life = &mut self.life[replica];
@@ -885,6 +862,110 @@ impl<'a, 'p> ColocatedFleet<'a, 'p> {
         // finite even under Migrate.
         self.retry_or_lose(id, t);
     }
+
+    /// Acts on any event but an arrival or a handoff. It first steps the
+    /// replicas outside `front` to `t` — none when colocated; a decode pool
+    /// otherwise advances only at handoff deliveries, and stepping it to `t`
+    /// injects nothing, a bit-level no-op — so events before a slowdown
+    /// change keep the old latency. A slowdown start on a down replica does
+    /// nothing; a later start supersedes an earlier one, whose end goes
+    /// stale.
+    fn act(&mut self, ev: FleetEv, t: f64) {
+        let pool = &mut self.core.pool;
+        pool.step_until(self.front.end..pool.sessions.len(), t);
+        match ev {
+            FleetEv::Fault(index) => match self.core.plan.events[index].kind {
+                FaultKind::Slowdown {
+                    replica,
+                    factor,
+                    duration_ns,
+                } => {
+                    let Some(session) = pool.sessions[replica].as_mut() else {
+                        return;
+                    };
+                    session.set_compute_scale(factor);
+                    pool.slow_tokens[replica] += 1;
+                    let token = pool.slow_tokens[replica];
+                    self.core.stats.slowdowns += 1;
+                    self.core.sink.emit(|| {
+                        TraceEvent::span("slowdown", t, duration_ns, replica as u64)
+                            .arg("replica", replica as f64)
+                            .arg("factor", factor)
+                    });
+                    let end = FleetEv::SlowEnd { replica, token };
+                    self.core.agenda.push(t + duration_ns, end);
+                }
+                FaultKind::Crash { replica } => self.crash(replica, t),
+                FaultKind::Restart { replica } => self.restart(replica, t),
+                FaultKind::LinkDown { .. } => unreachable!("link partitions are not events"),
+            },
+            FleetEv::SlowEnd { replica, token } => {
+                let live = pool.sessions[replica].as_mut();
+                if let Some(session) = live.filter(|_| pool.slow_tokens[replica] == token) {
+                    session.set_compute_scale(1.0);
+                }
+            }
+            FleetEv::Detect {
+                replica,
+                incarnation,
+            } => self.detect(replica, incarnation, t),
+            FleetEv::Resume {
+                id,
+                attempt,
+                generated,
+            } => self.resume(id, attempt, generated, t),
+            FleetEv::TimeoutCheck { id, attempt } => self.timeout_check(id, attempt, t),
+            FleetEv::Arrival(_) | FleetEv::Handoff(_) => unreachable!("dispatched by the loop"),
+        }
+    }
+
+    /// Ends the run after the final drain: requests still held never saw a
+    /// live replica again and are lost; each replica's results merge across
+    /// incarnations; one assembly builds the fleet result, and each request's
+    /// recovery track is overlaid on it (a no-op when nothing recovered).
+    fn finish(mut self) -> FleetResult {
+        for (id, _, _) in std::mem::take(&mut self.hold) {
+            if !self.tracks[id].lost {
+                self.tracks[id].lost = true;
+                self.core.stats.lost += 1;
+            }
+        }
+        let Fleet {
+            core,
+            front,
+            handoffs,
+            life,
+            tracks,
+            assignment,
+            ..
+        } = self;
+        let disaggregated = handoffs.is_some();
+        let results = core.pool.finish().into_iter().zip(life).enumerate().map(
+            |(replica, (last, mut life))| {
+                life.retired.extend(last);
+                let role = match (disaggregated, front.contains(&replica)) {
+                    (false, _) => ReplicaRole::Colocated,
+                    (true, true) => ReplicaRole::Prefill,
+                    (true, false) => ReplicaRole::Decode,
+                };
+                (role, merge_sim_results(life.retired))
+            },
+        );
+        let decode_assignment = handoffs.map(|h| h.assignment).unwrap_or_default();
+        let mut out = assemble(core.trace, results, assignment, decode_assignment);
+        // Overlay each request's recovery journey: the first token a
+        // pre-crash incarnation produced, and the recovery counters.
+        for o in &mut out.outcomes {
+            let track = &tracks[o.id];
+            if track.first_token_ns.is_finite() {
+                o.first_token_ns = track.first_token_ns;
+            }
+            o.retries = track.retries;
+            o.migrations = track.migrations;
+        }
+        out.fault = core.stats;
+        out
+    }
 }
 
 /// Merges one replica's per-incarnation results (one per crash/restart cycle
@@ -932,12 +1013,11 @@ fn merge_sim_results(mut parts: Vec<SimResult>) -> SimResult {
     }
 }
 
-/// The prefill→decode handoff path of a disaggregated fleet.
-struct Handoffs<'a> {
-    prefill: Range<usize>,
+/// The prefill→decode handoff path of a disaggregated fleet, whose prefill
+/// pool is the fleet's `front`.
+struct Handoffs {
     decode: Range<usize>,
     transfer: StateTransferModel,
-    memory: MemoryModel<'a>,
     /// Link partitions merged into disjoint `[start, heal)` windows.
     link_windows: Vec<(f64, f64)>,
     /// The decode pool's router (its own PCG stream).
@@ -946,7 +1026,48 @@ struct Handoffs<'a> {
     assignment: Vec<u32>,
 }
 
-impl Handoffs<'_> {
+impl Handoffs {
+    /// The handoff path into `decode`. It merges the plan's link partitions
+    /// into disjoint windows, counting and tracing them: a handoff whose
+    /// state departs inside a window queues at the link and ships when it
+    /// heals.
+    fn new(
+        core: &mut FleetCore<'_, '_>,
+        decode: Range<usize>,
+        transfer: StateTransferModel,
+        router: Box<dyn Router>,
+    ) -> Self {
+        let mut raw_windows: Vec<(f64, f64)> = core
+            .plan
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                FaultKind::LinkDown { duration_ns } => Some((e.time_ns, e.time_ns + duration_ns)),
+                _ => None,
+            })
+            .collect();
+        core.stats.link_downs = raw_windows.len() as u32;
+        raw_windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let mut link_windows: Vec<(f64, f64)> = Vec::new();
+        for (start, heal) in raw_windows {
+            match link_windows.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(heal),
+                _ => link_windows.push((start, heal)),
+            }
+        }
+        for &(start, heal) in &link_windows {
+            core.sink
+                .emit(|| TraceEvent::span("linkdown", start, heal - start, 0));
+        }
+        Self {
+            decode,
+            transfer,
+            link_windows,
+            router,
+            assignment: vec![u32::MAX; core.trace.len()],
+        }
+    }
+
     /// When state completed at `completion_ns` leaves: at once, or when the
     /// link heals if it is partitioned then.
     fn departs_at(&self, completion_ns: f64) -> f64 {
@@ -961,17 +1082,13 @@ impl Handoffs<'_> {
         completion_ns
     }
 
-    /// What a disaggregated driver instant `t` does before it acts: steps the
-    /// prefill replicas to `t`, pushes their new completions as handoffs,
-    /// and delivers every handoff earlier than `t`. Those are final: every
-    /// future prefill completion happens at or after `t`.
-    fn catch_up(&mut self, core: &mut FleetCore<'_, '_>, trace: &Trace, t: f64) {
-        core.pool.step_until(self.prefill.clone(), t);
+    /// What a driver instant `t` does once the prefill pool `front` is
+    /// stepped to `t`: pushes its new completions as handoffs and delivers
+    /// every handoff earlier than `t`. Those are final: every future prefill
+    /// completion happens at or after `t`.
+    fn catch_up(&mut self, core: &mut FleetCore<'_, '_>, front: Range<usize>, t: f64) {
         let mut fresh = Vec::new();
-        for session in core.pool.sessions[self.prefill.clone()]
-            .iter_mut()
-            .flatten()
-        {
+        for session in core.pool.sessions[front].iter_mut().flatten() {
             fresh.extend(session.drain_completions());
         }
         fresh.sort_by(|a, b| {
@@ -983,9 +1100,9 @@ impl Handoffs<'_> {
         // after the first token (or after the link heals). Single-token
         // requests never hand off.
         for done in fresh {
-            let original = trace.requests[done.id];
+            let original = core.trace.requests[done.id];
             if original.output_len > 1 {
-                let bytes = self.memory.dynamic_bytes(1, original.prompt_len + 1);
+                let bytes = core.memory.dynamic_bytes(1, original.prompt_len + 1);
                 let at = self.departs_at(done.completion_ns) + self.transfer.transfer_ns(bytes);
                 core.agenda.push(at, FleetEv::Handoff(done.id));
             }
@@ -994,17 +1111,17 @@ impl Handoffs<'_> {
             let FleetEv::Handoff(id) = ev else {
                 unreachable!("only handoffs are pushed after the popped event")
             };
-            self.deliver(core, trace, id, at);
+            self.deliver(core, id, at);
         }
     }
 
     /// Delivers request `id`'s handoff at `t`: steps the decode pool to `t`,
     /// routes the remaining decode and injects it fully prefilled — context
     /// prompt+1 (prefill plus first token), `output_len - 1` tokens to go.
-    fn deliver(&mut self, core: &mut FleetCore<'_, '_>, trace: &Trace, id: usize, t: f64) {
+    fn deliver(&mut self, core: &mut FleetCore<'_, '_>, id: usize, t: f64) {
         let _delivery = profile_phase("handoff_delivery");
         core.pool.step_until(self.decode.clone(), t);
-        let original = trace.requests[id];
+        let original = core.trace.requests[id];
         let request = TraceRequest {
             arrival_ns: t,
             prompt_len: original.prompt_len + 1,
@@ -1104,7 +1221,11 @@ impl<'a> FleetSim<'a> {
         Ok(self.simulate(trace, config, plan))
     }
 
-    /// Dispatches a validated plan to its topology's event loop.
+    /// The one event loop (module docs) over a validated plan. Every agenda
+    /// event first [advances](Fleet::advance) the fleet to its instant —
+    /// unless the fleet free-runs — and then acts: an arrival is placed
+    /// over `front`, a handoff is delivered to the decode pool, and
+    /// anything else is a fault or recovery step.
     fn simulate(&self, trace: &Trace, config: &FleetConfig, plan: &FaultPlan) -> FleetResult {
         assert!(
             trace
@@ -1113,21 +1234,93 @@ impl<'a> FleetSim<'a> {
                 .all(|w| w[0].arrival_ns <= w[1].arrival_ns),
             "fleet traces must be time-sorted (use Trace::from_requests)"
         );
-        match config.mode {
-            FleetMode::Colocated { replicas } => self.run_colocated(trace, replicas, config, plan),
+        let engine = Engine::new(self.sim, self.model, config.engine);
+        let (max_seq, max_prompt) = trace.bounds();
+        // Migrated requests resume at context `prompt + generated`, which can
+        // reach one short of the full sequence — size the hint accordingly.
+        let hints = (max_seq + 1, max_prompt);
+        let (mut sessions, mut replica_sinks) = (Vec::new(), Vec::new());
+        let mut add_pool = |name: &str, count: usize, hints: (usize, usize)| {
+            assert!(count > 0, "a pool needs at least one replica");
+            let sinks = self.replica_sinks(name, count);
+            sessions.extend(Self::sessions(&engine, &sinks, hints));
+            replica_sinks.extend(sinks);
+        };
+        let front = match config.mode {
+            FleetMode::Colocated { replicas } => {
+                add_pool("replica", replicas, hints);
+                0..replicas
+            }
             FleetMode::Disaggregated {
                 prefill_replicas,
                 decode_replicas,
-                transfer,
-            } => self.run_disaggregated(
-                trace,
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-                config,
-                plan,
-            ),
+                ..
+            } => {
+                // Prefill replicas never hold a sequence past prompt+1; decode
+                // replicas never prefill (their prompt table hint stays
+                // minimal).
+                add_pool("prefill", prefill_replicas, (max_prompt + 1, max_prompt));
+                add_pool("decode", decode_replicas, (max_seq + 1, 1));
+                0..prefill_replicas
+            }
+        };
+        let replicas = sessions.len();
+        let mut core = FleetCore {
+            pool: Pool::new(sessions, config.policy),
+            agenda: Agenda::new(plan),
+            plan,
+            trace,
+            memory: MemoryModel::new(self.sim.config(), self.model),
+            stats: FaultStats::default(),
+            sink: self.fleet_sink(),
+        };
+        let handoffs = match config.mode {
+            FleetMode::Colocated { .. } => None,
+            FleetMode::Disaggregated { transfer, .. } => {
+                let router = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
+                Some(Handoffs::new(
+                    &mut core,
+                    front.end..replicas,
+                    transfer,
+                    router,
+                ))
+            }
+        };
+        let free_run = plan.is_empty() && config.router.load_oblivious() && handoffs.is_none();
+        let mut fleet = Fleet {
+            engine: &engine,
+            core,
+            front,
+            handoffs,
+            life: (0..replicas).map(|_| Life::default()).collect(),
+            dead: 0,
+            router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
+            tracks: trace.requests.iter().map(|_| Track::new()).collect(),
+            hold: Vec::new(),
+            assignment: vec![u32::MAX; trace.len()],
+            hints,
+            replica_sinks,
+        };
+        while let Some((t, ev)) = fleet.core.agenda.pop(trace) {
+            if !free_run {
+                fleet.advance(t);
+            }
+            match ev {
+                FleetEv::Arrival(id) => fleet.place(id, 0, t),
+                FleetEv::Handoff(id) => {
+                    let handoffs = fleet
+                        .handoffs
+                        .as_mut()
+                        .expect("only disaggregated fleets hand off");
+                    handoffs.deliver(&mut fleet.core, id, t);
+                }
+                ev => fleet.act(ev, t),
+            }
         }
+        // Drain `front` and deliver every remaining handoff; `finish` drains
+        // the rest.
+        fleet.advance(f64::INFINITY);
+        fleet.finish()
     }
 
     /// One session per sink, sized by the sequence and prompt hints.
@@ -1144,236 +1337,6 @@ impl<'a> FleetSim<'a> {
                 session
             })
             .collect()
-    }
-
-    /// The colocated event loop: every live replica is stepped to each
-    /// agenda event's instant before it acts — arrivals, faults, detections,
-    /// migration deliveries, retries and timeouts. Load-oblivious routers
-    /// with nothing mid-trace to observe free-run instead (module docs).
-    fn run_colocated(
-        &self,
-        trace: &Trace,
-        replicas: usize,
-        config: &FleetConfig,
-        plan: &FaultPlan,
-    ) -> FleetResult {
-        assert!(replicas > 0, "a pool needs at least one replica");
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace.bounds();
-        // Migrated requests resume at context `prompt + generated`, which can
-        // reach one short of the full sequence — size the hint accordingly.
-        let (max_seq_hint, max_prompt_hint) = (max_seq + 1, max_prompt);
-        let replica_sinks = self.replica_sinks("replica", replicas);
-        let sessions = Self::sessions(&engine, &replica_sinks, (max_seq_hint, max_prompt_hint));
-        let mut fleet = ColocatedFleet {
-            engine: &engine,
-            core: FleetCore::new(Pool::new(sessions, config.policy), plan, self.fleet_sink()),
-            life: (0..replicas).map(|_| Life::default()).collect(),
-            dead: 0,
-            router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
-            tracks: trace.requests.iter().map(|_| Track::new()).collect(),
-            hold: Vec::new(),
-            assignment: vec![u32::MAX; trace.len()],
-            trace,
-            memory: MemoryModel::new(self.sim.config(), self.model),
-            max_seq_hint,
-            max_prompt_hint,
-            replica_sinks,
-        };
-
-        let free_run = plan.is_empty() && config.router.load_oblivious();
-        while let Some((t, ev)) = fleet.core.agenda.pop(trace) {
-            if !free_run {
-                fleet.core.pool.step_until(0..replicas, t);
-            }
-            match fleet.core.apply_slowdown(ev, t) {
-                None => {}
-                Some(FleetEv::Arrival(id)) => fleet.place(id, 0, t),
-                Some(FleetEv::Fault(index)) => match plan.events[index].kind {
-                    FaultKind::Crash { replica } => fleet.crash(replica, t),
-                    FaultKind::Restart { replica } => fleet.restart(replica, t),
-                    _ => unreachable!("validated: colocated plans carry no link faults"),
-                },
-                Some(FleetEv::Detect {
-                    replica,
-                    incarnation,
-                }) => fleet.detect(replica, incarnation, t),
-                Some(FleetEv::Resume {
-                    id,
-                    attempt,
-                    generated,
-                }) => fleet.resume(id, attempt, generated, t),
-                Some(FleetEv::TimeoutCheck { id, attempt }) => fleet.timeout_check(id, attempt, t),
-                Some(FleetEv::SlowEnd { .. } | FleetEv::Handoff(_)) => {
-                    unreachable!("colocated fleets hand nothing off")
-                }
-            }
-        }
-        // Requests still held never saw a live replica again: lost.
-        for (id, _, _) in std::mem::take(&mut fleet.hold) {
-            if !fleet.tracks[id].lost {
-                fleet.tracks[id].lost = true;
-                fleet.core.stats.lost += 1;
-            }
-        }
-        let ColocatedFleet {
-            core,
-            life,
-            tracks,
-            assignment,
-            ..
-        } = fleet;
-        let results = core
-            .pool
-            .finish()
-            .into_iter()
-            .zip(life)
-            .map(|(last, mut life)| {
-                life.retired.extend(last);
-                (ReplicaRole::Colocated, merge_sim_results(life.retired))
-            });
-        let mut out = assemble(trace, results, assignment, Vec::new());
-        // Overlay each request's recovery journey: the first token a
-        // pre-crash incarnation produced, and the recovery counters.
-        for o in &mut out.outcomes {
-            let track = &tracks[o.id];
-            if track.first_token_ns.is_finite() {
-                o.first_token_ns = track.first_token_ns;
-            }
-            o.retries = track.retries;
-            o.migrations = track.migrations;
-        }
-        out.fault = core.stats;
-        out
-    }
-
-    /// The disaggregated event loop: prefill replicas `[0, P)` and decode
-    /// replicas `[P, P+D)` in one pool. Each agenda instant first catches
-    /// up on handoffs ([`Handoffs::catch_up`]), then routes an arrival over
-    /// the prefill replicas, delivers a handoff to the decode replicas, or
-    /// applies a slowdown. Handoff departures queue behind link partitions;
-    /// crash faults are colocated-only (the validator rejects them here).
-    fn run_disaggregated(
-        &self,
-        trace: &Trace,
-        prefill_replicas: usize,
-        decode_replicas: usize,
-        transfer: StateTransferModel,
-        config: &FleetConfig,
-        plan: &FaultPlan,
-    ) -> FleetResult {
-        assert!(
-            prefill_replicas > 0 && decode_replicas > 0,
-            "a pool needs at least one replica"
-        );
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace.bounds();
-        // Prefill replicas never hold a sequence past prompt+1; decode
-        // replicas never prefill (their prompt table hint stays minimal).
-        let mut sessions = Self::sessions(
-            &engine,
-            &self.replica_sinks("prefill", prefill_replicas),
-            (max_prompt + 1, max_prompt),
-        );
-        sessions.extend(Self::sessions(
-            &engine,
-            &self.replica_sinks("decode", decode_replicas),
-            (max_seq + 1, 1),
-        ));
-        let mut core = FleetCore::new(Pool::new(sessions, config.policy), plan, self.fleet_sink());
-        let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut assignment = Vec::with_capacity(trace.len());
-
-        // Merge link partitions into disjoint [start, heal) windows; a
-        // handoff whose state departs inside a window queues at the link and
-        // ships when it heals.
-        let mut raw_windows: Vec<(f64, f64)> = plan
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::LinkDown { duration_ns } => Some((e.time_ns, e.time_ns + duration_ns)),
-                _ => None,
-            })
-            .collect();
-        core.stats.link_downs = raw_windows.len() as u32;
-        raw_windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut link_windows: Vec<(f64, f64)> = Vec::new();
-        for (start, heal) in raw_windows {
-            match link_windows.last_mut() {
-                Some(last) if start <= last.1 => last.1 = last.1.max(heal),
-                _ => link_windows.push((start, heal)),
-            }
-        }
-        for &(start, heal) in &link_windows {
-            core.sink
-                .emit(|| TraceEvent::span("linkdown", start, heal - start, 0));
-        }
-        let replicas = prefill_replicas + decode_replicas;
-        let mut handoffs = Handoffs {
-            prefill: 0..prefill_replicas,
-            decode: prefill_replicas..replicas,
-            transfer,
-            memory: MemoryModel::new(self.sim.config(), self.model),
-            link_windows,
-            router: config.router.build(config.seed, streams::ROUTER_DECODE, 1),
-            assignment: vec![u32::MAX; trace.len()],
-        };
-
-        while let Some((t, ev)) = core.agenda.pop(trace) {
-            handoffs.catch_up(&mut core, trace, t);
-            match ev {
-                FleetEv::Arrival(id) => {
-                    let pre_request = TraceRequest {
-                        output_len: 1,
-                        ..trace.requests[id]
-                    };
-                    let choice = {
-                        let _routing = profile_phase("routing");
-                        front.route(id, &pre_request, core.pool.loads(0..prefill_replicas))
-                    };
-                    assert!(
-                        choice < prefill_replicas,
-                        "router returned replica {choice}"
-                    );
-                    core.sink.emit(|| {
-                        TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64)
-                    });
-                    core.pool.inject(choice, id, pre_request, false);
-                    assignment.push(choice as u32);
-                }
-                FleetEv::Handoff(id) => handoffs.deliver(&mut core, trace, id, t),
-                ev => {
-                    // The decode replicas otherwise advance only at handoff
-                    // deliveries; stepping them to `t` injects nothing, a
-                    // bit-level no-op.
-                    core.pool.step_until(0..replicas, t);
-                    let unhandled = core.apply_slowdown(ev, t);
-                    assert!(
-                        unhandled.is_none(),
-                        "validated: disaggregated plans carry no crash faults"
-                    );
-                }
-            }
-        }
-        // Drain the prefill replicas, deliver every remaining handoff, then
-        // drain the decode replicas.
-        handoffs.catch_up(&mut core, trace, f64::INFINITY);
-        let results = core
-            .pool
-            .finish()
-            .into_iter()
-            .enumerate()
-            .map(|(replica, result)| {
-                let role = if replica < prefill_replicas {
-                    ReplicaRole::Prefill
-                } else {
-                    ReplicaRole::Decode
-                };
-                (role, result.expect("disaggregated replicas never go down"))
-            });
-        let mut out = assemble(trace, results, assignment, handoffs.assignment);
-        out.fault = core.stats;
-        out
     }
 }
 

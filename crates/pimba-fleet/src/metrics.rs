@@ -3,8 +3,7 @@
 
 use crate::fault::FaultStats;
 use pimba_serve::metrics::{
-    PreemptionStats, RequestOutcome, SimResult, SloSpec, TelemetryStats, TenantSlos, TenantSummary,
-    Throughput, TrafficSummary,
+    RequestOutcome, SimResult, SloSpec, TelemetryStats, Throughput, TrafficSummary,
 };
 
 /// What a replica did in the fleet.
@@ -116,16 +115,6 @@ impl FleetResult {
         Throughput::new(self.events(), wall_secs)
     }
 
-    /// Fleet-level checkpoint-restore counters: per-replica
-    /// [`PreemptionStats`] summed (all zeros for preemption-free fleets).
-    pub fn fleet_preemption(&self) -> PreemptionStats {
-        let mut out = PreemptionStats::default();
-        for r in &self.replicas {
-            out += r.result.preemption;
-        }
-        out
-    }
-
     /// Aggregate fleet metrics under `slo` — the same [`TrafficSummary`]
     /// shape the single-replica runner reports, computed over the end-to-end
     /// outcomes and the fleet makespan.
@@ -135,21 +124,6 @@ impl FleetResult {
             self.makespan_ns,
             &self.fleet_telemetry(),
             slo,
-        )
-    }
-
-    /// Per-tenant fleet aggregates, ascending tenant order: each tenant's
-    /// end-to-end outcomes (routing, queueing and transfer delays included)
-    /// summarized under its own objective from `slos` — the multi-tenant
-    /// answer to "does every traffic class hold *its* SLO across the
-    /// cluster?".
-    pub fn per_tenant_summary(&self, slos: &TenantSlos) -> Vec<TenantSummary> {
-        TenantSummary::per_tenant(
-            &self.outcomes,
-            self.makespan_ns,
-            &self.fleet_telemetry(),
-            slos,
-            None,
         )
     }
 
@@ -212,7 +186,7 @@ impl FleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimba_serve::metrics::Telemetry;
+    use pimba_serve::metrics::{PreemptionStats, Telemetry, TenantSlos, TenantSummary};
 
     fn outcome(id: usize, arrival: f64, first: f64, done: f64) -> RequestOutcome {
         RequestOutcome {
@@ -278,19 +252,30 @@ mod tests {
                 tpot_ms: 200.0,
             },
         );
-        let per_tenant = result.per_tenant_summary(&slos);
+        let summarize = |slos: &TenantSlos| {
+            TenantSummary::per_tenant(
+                &result.outcomes,
+                result.makespan_ns,
+                &result.fleet_telemetry(),
+                slos,
+                None,
+            )
+        };
+        let per_tenant = summarize(&slos);
         assert_eq!(per_tenant.len(), 2);
         assert_eq!(per_tenant[0].tenant, 1);
         assert_eq!(per_tenant[0].summary.slo_attainment, 1.0);
         assert_eq!(per_tenant[1].tenant, 2);
         // 600 ms TTFT meets the lax objective but would blow the strict one.
         assert_eq!(per_tenant[1].summary.slo_attainment, 1.0);
-        let strict = result.per_tenant_summary(&TenantSlos::uniform(SloSpec {
+        let strict = summarize(&TenantSlos::uniform(SloSpec {
             ttft_ms: 100.0,
             tpot_ms: 50.0,
         }));
         assert_eq!(strict[1].summary.slo_attainment, 0.0);
-        assert_eq!(result.fleet_preemption(), PreemptionStats::default());
+        for r in &result.replicas {
+            assert_eq!(r.result.preemption, PreemptionStats::default());
+        }
     }
 
     #[test]

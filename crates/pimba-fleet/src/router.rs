@@ -217,7 +217,7 @@ impl RouterKind {
 
     /// `true` when the policy's choices never read the [`ReplicaLoad`]
     /// snapshot — its full decision sequence is a function of the arrival
-    /// order alone. This licenses the colocated loop's *decoupled free-run*:
+    /// order alone. This licenses a colocated fleet's *decoupled free-run*:
     /// every arrival is routed and injected up front and each replica steps
     /// to completion once, with no per-arrival horizons. Only
     /// [`RouterKind::RoundRobin`] qualifies; every load-aware policy must

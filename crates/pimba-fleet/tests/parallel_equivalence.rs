@@ -1,4 +1,4 @@
-//! The execution-path contract: the colocated loop's decoupled free-run
+//! The execution-path contract: a colocated fleet's decoupled free-run
 //! (load-oblivious routers with nothing mid-trace to observe) is
 //! **bit-identical** to the stepped loop that pauses every replica at every
 //! arrival — same outcomes, same per-replica telemetry, same assignments,

@@ -601,22 +601,6 @@ impl SimResult {
     pub fn summary(&self, slo: &SloSpec) -> TrafficSummary {
         TrafficSummary::of(&self.outcomes, self.makespan_ns, &self.telemetry, slo)
     }
-
-    /// Per-tenant aggregates, ascending in tenant tag: each tenant's
-    /// completed requests summarized under its own objective from `slos`.
-    /// A single-tenant run returns one entry equal to
-    /// [`SimResult::summary`] under that tenant's SLO (rates and
-    /// occupancy/queue fields always reflect the whole run — see
-    /// [`TenantSummary`]).
-    pub fn per_tenant_summaries(&self, slos: &TenantSlos) -> Vec<TenantSummary> {
-        TenantSummary::per_tenant(
-            &self.outcomes,
-            self.makespan_ns,
-            &self.telemetry,
-            slos,
-            None,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -778,7 +762,13 @@ mod tests {
                 tpot_ms: 50.0,
             },
         );
-        let per_tenant = result.per_tenant_summaries(&slos);
+        let per_tenant = TenantSummary::per_tenant(
+            &result.outcomes,
+            result.makespan_ns,
+            &result.telemetry,
+            &slos,
+            None,
+        );
         assert_eq!(per_tenant.len(), 2);
         assert_eq!(per_tenant[0].tenant, 0);
         assert_eq!(per_tenant[0].summary.completed, 1);

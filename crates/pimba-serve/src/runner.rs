@@ -27,8 +27,7 @@ use pimba_system::sweep::{
 use rand::rngs::Pcg32;
 use rand::Rng;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Folds a trace's raw request bits into `builder` — the content identity of
 /// the arrival stream, independent of how it was generated. The trace half of
@@ -130,6 +129,12 @@ impl<R> GridMemo<R> {
         self.traces.sync()?;
         self.max_batches.sync()?;
         self.cells.sync()
+    }
+
+    /// Entries held across the three memos: right after a persistent open,
+    /// the distinct live entries loaded from disk.
+    pub fn entries(&self) -> usize {
+        self.traces.len() + self.max_batches.len() + self.cells.len()
     }
 
     /// `(traces, max_batches, cells)` disk-load reports (`None` entries for
@@ -343,7 +348,9 @@ where
         }
     };
 
-    let completed = AtomicUsize::new(0);
+    // Counted and reported under one lock: progress never steps backwards,
+    // so the last `run_progress_cells_done` gauge write is the total.
+    let completed = Mutex::new(0);
     let cells: Vec<Option<R>> = parallel_map(total, runner.threads(), |index| {
         if control.cancelled() {
             return None;
@@ -367,7 +374,9 @@ where
             Some(memo) => (*memo.cells.get_or_insert_with(key(&cell), || eval(&cell))).clone(),
             None => eval(&cell),
         };
-        control.report(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
+        let mut done = completed.lock().expect("progress lock poisoned");
+        *done += 1;
+        control.report(*done, total);
         Some(record)
     });
     cells

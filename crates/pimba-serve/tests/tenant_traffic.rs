@@ -4,7 +4,7 @@
 //! summaries decompose the run.
 
 use pimba_serve::engine::{Engine, EngineConfig};
-use pimba_serve::metrics::{SimResult, SloSpec, TenantSlos};
+use pimba_serve::metrics::{SimResult, SloSpec, TenantSlos, TenantSummary};
 use pimba_serve::sched::WeightedFairQueueing;
 use pimba_serve::traffic::{generate_tenant_mix, Scenario, Trace};
 use pimba_system::config::{SystemConfig, SystemKind};
@@ -82,7 +82,13 @@ fn tenant_tags_flow_through_engine_and_metrics() {
             tpot_ms: 500.0,
         },
     );
-    let per_tenant = result.per_tenant_summaries(&slos);
+    let per_tenant = TenantSummary::per_tenant(
+        &result.outcomes,
+        result.makespan_ns,
+        &result.telemetry,
+        &slos,
+        None,
+    );
     assert_eq!(per_tenant.len(), 3);
     let total: usize = per_tenant.iter().map(|t| t.summary.completed).sum();
     assert_eq!(total, result.outcomes.len());

@@ -11,6 +11,9 @@
 //!
 //! Common flags: `--store DIR` (disk-backed result store; omit for
 //! in-memory), `--workers N`, `--timeout-ms N` (default per-job timeout).
+//!
+//! Either mode exits non-zero if any store sync failed, the final one at
+//! shutdown included.
 
 use netline::Json;
 use pimba_serviced::queue::{JobEvent, JobQueue};
@@ -20,6 +23,7 @@ use pimba_serviced::store::ResultStore;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Set from the signal handler; polled by both modes.
@@ -149,8 +153,21 @@ fn main() -> ExitCode {
         std::thread::sleep(Duration::from_millis(100));
     }
     eprintln!("pimba-serviced: draining");
+    let queue = Arc::clone(daemon.queue());
     daemon.stop();
-    ExitCode::SUCCESS
+    sync_exit_code(queue.store())
+}
+
+/// Success, unless a store sync failed during the run (the final one at
+/// shutdown included).
+fn sync_exit_code(store: &ResultStore) -> ExitCode {
+    match store.sync_errors() {
+        0 => ExitCode::SUCCESS,
+        failed => {
+            eprintln!("pimba-serviced: {failed} store sync(s) failed");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Runs spec files through the queue sequentially, printing the event stream.
@@ -265,6 +282,6 @@ fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
     if failed {
         ExitCode::FAILURE
     } else {
-        ExitCode::SUCCESS
+        sync_exit_code(queue.store())
     }
 }

@@ -362,7 +362,8 @@ impl JobQueue {
 
     /// Stops accepting submissions, cancels queued (unstarted) jobs, lets
     /// running jobs finish, joins every worker, and flushes the store to
-    /// stable storage.
+    /// stable storage. A failed flush is logged to stderr and counted in
+    /// [`ResultStore::sync_errors`].
     pub fn shutdown(&self) {
         let queued: Vec<JobId> = {
             let mut heap = self.inner.heap.lock().unwrap();
@@ -377,7 +378,9 @@ impl JobQueue {
         for handle in handles {
             let _ = handle.join();
         }
-        let _ = self.inner.store.sync();
+        if let Err(e) = self.inner.store.sync() {
+            eprintln!("pimba-serviced: store sync at shutdown failed: {e}");
+        }
     }
 }
 
@@ -453,7 +456,9 @@ fn run_job(inner: &Arc<QueueInner>, id: JobId) {
             inner.publish(id, JobEvent::Done { records });
             // Results are on the heap already; make them durable eagerly so a
             // crash right after "done" still leaves a warm store.
-            let _ = inner.store.sync();
+            if let Err(e) = inner.store.sync() {
+                eprintln!("pimba-serviced: job {id}: store sync failed: {e}");
+            }
         }
         Ok(Err(_aborted)) => {
             if timed_out.load(Ordering::SeqCst) {

@@ -215,7 +215,7 @@ fn handle_connection(mut conn: LineConn, queue: &Arc<JobQueue>, stopper: &Stoppe
             continue;
         };
         match cmd {
-            "submit" => handle_submit(&mut conn, queue, stopper, &request),
+            "submit" => handle_submit(&mut conn, queue, &request),
             "cancel" => {
                 let Some(id) = request.get("job").and_then(Json::as_i64).filter(|n| *n > 0) else {
                     let _ = conn.write_line(&error_line("job", "missing or invalid job id"));
@@ -347,7 +347,7 @@ fn optional_int(
     }
 }
 
-fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, stopper: &Stopper, request: &Json) {
+fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, request: &Json) {
     let priority = match optional_int(request, "priority", |_| true, "an integer") {
         Ok(priority) => priority.unwrap_or(0),
         Err(line) => {
@@ -402,8 +402,8 @@ fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, stopper: &Stopper, 
         queue.cancel(id);
         return;
     }
+    // Shutdown during a stream ends it via the terminal event.
     stream_events(conn, queue, id, &events);
-    let _ = stopper; // shutdown during a stream ends via the terminal event
 }
 
 /// Streams a submission's events until the terminal one. The writer failing

@@ -14,8 +14,8 @@ use netline::Json;
 use pimba_fleet::memo::FleetMemo;
 use pimba_serve::runner::TrafficMemo;
 use pimba_system::memo::{Fingerprint, MemoStats};
-use pimba_system::persist::LoadReport;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The shared traffic + fleet memo pair, optionally disk-backed.
@@ -26,6 +26,10 @@ pub struct ResultStore {
     /// Fleet-grid memo (traces, capacity searches, cells).
     pub fleet: Arc<FleetMemo>,
     dir: Option<PathBuf>,
+    /// Distinct live entries loaded at open (0 for in-memory stores).
+    loaded: usize,
+    /// Failed [`ResultStore::sync`] calls.
+    sync_errors: AtomicU64,
 }
 
 impl ResultStore {
@@ -35,6 +39,8 @@ impl ResultStore {
             traffic: Arc::new(TrafficMemo::new()),
             fleet: Arc::new(FleetMemo::new()),
             dir: None,
+            loaded: 0,
+            sync_errors: AtomicU64::new(0),
         }
     }
 
@@ -43,10 +49,13 @@ impl ResultStore {
     /// truncated, not fatal, and segments holding dead records are rewritten
     /// to their live ones.
     pub fn persistent(dir: &Path) -> std::io::Result<Self> {
+        let (traffic, fleet) = (TrafficMemo::persistent(dir)?, FleetMemo::persistent(dir)?);
         Ok(Self {
-            traffic: Arc::new(TrafficMemo::persistent(dir)?),
-            fleet: Arc::new(FleetMemo::persistent(dir)?),
+            loaded: traffic.entries() + fleet.entries(),
+            traffic: Arc::new(traffic),
+            fleet: Arc::new(fleet),
             dir: Some(dir.to_path_buf()),
+            sync_errors: AtomicU64::new(0),
         })
     }
 
@@ -56,10 +65,19 @@ impl ResultStore {
     }
 
     /// Flushes both memos' segment files to stable storage (no-op for
-    /// in-memory stores).
+    /// in-memory stores). Every failure counts in
+    /// [`ResultStore::sync_errors`].
     pub fn sync(&self) -> std::io::Result<()> {
-        self.traffic.sync()?;
-        self.fleet.sync()
+        let synced = self.traffic.sync().and_then(|()| self.fleet.sync());
+        if synced.is_err() {
+            self.sync_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        synced
+    }
+
+    /// How many [`ResultStore::sync`] calls have failed.
+    pub fn sync_errors(&self) -> u64 {
+        self.sync_errors.load(Ordering::Relaxed)
     }
 
     /// Every stored cell fingerprint as `(memo, fingerprint)` pairs — traffic
@@ -98,22 +116,17 @@ impl ResultStore {
         ])
     }
 
-    /// Total records loaded from disk at open (0 for in-memory stores).
-    /// [`LoadReport::records`] already leaves out undecodable records.
+    /// Distinct live entries loaded from disk at open (0 for in-memory
+    /// stores): superseded duplicates and undecodable records, which the
+    /// open rewrites away, are not counted.
     pub fn loaded_entries(&self) -> usize {
-        let count = |r: &(Option<LoadReport>, Option<LoadReport>, Option<LoadReport>)| {
-            [&r.0, &r.1, &r.2]
-                .into_iter()
-                .flatten()
-                .map(|report| report.records)
-                .sum::<usize>()
-        };
-        count(&self.traffic.load_reports()) + count(&self.fleet.load_reports())
+        self.loaded
     }
 
     /// The store's state as a JSON object for the daemon's `stats` command:
-    /// per-memo hit/miss counters plus one `segments` entry per backing
-    /// segment file with its name and size (zero for in-memory stores).
+    /// the loaded entries, failed syncs, per-memo hit/miss counters plus one
+    /// `segments` entry per backing segment file with its name and size
+    /// (zero for in-memory stores).
     pub fn stats_json(&self) -> Json {
         fn stats(label: &str, s: (MemoStats, MemoStats, MemoStats)) -> (String, Json) {
             let one = |m: MemoStats| {
@@ -136,6 +149,10 @@ impl ResultStore {
             (
                 "loaded_entries".to_string(),
                 Json::Int(self.loaded_entries() as i64),
+            ),
+            (
+                "sync_errors".to_string(),
+                Json::Int(self.sync_errors() as i64),
             ),
             (
                 "cells_stored".to_string(),

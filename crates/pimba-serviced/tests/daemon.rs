@@ -637,6 +637,12 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         assert!(seg.get("name").and_then(Json::as_str).is_some());
         assert_eq!(seg.get("len_bytes").and_then(Json::as_i64), Some(0));
     }
+    let store = stats.get("store").expect("stats.store");
+    assert_eq!(
+        store.get("sync_errors").and_then(Json::as_i64),
+        Some(0),
+        "no store sync failed"
+    );
     daemon.stop();
 }
 
@@ -810,5 +816,42 @@ fn a_store_of_old_schema_records_opens_empty() {
         Some(0)
     );
     daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A superseded duplicate is not a loaded entry: a capacity segment seeded
+/// with three records under two fingerprints loads two, both at open and in
+/// the `stats` verb's `loaded_entries`.
+#[test]
+fn loaded_entries_counts_a_duplicate_once() {
+    use pimba_system::memo::Fingerprint;
+    use pimba_system::persist::{ByteWriter, SegmentFile};
+    let dir = temp_dir("duplicate_loaded");
+    std::fs::create_dir_all(&dir).unwrap();
+    let usize_payload = |v: usize| {
+        let mut writer = ByteWriter::new();
+        writer.usize(v);
+        writer.into_bytes()
+    };
+    let (one, two) = (Fingerprint::from_words(0, 1), Fingerprint::from_words(0, 2));
+    {
+        let seg_path = dir.join("traffic_capacity.seg");
+        let (mut seg, _) = SegmentFile::open(&seg_path, |_, _| true).unwrap();
+        seg.append(one, &usize_payload(7)).unwrap();
+        seg.append(one, &usize_payload(7)).unwrap();
+        seg.append(two, &usize_payload(9)).unwrap();
+    }
+
+    let store = ResultStore::persistent(&dir).unwrap();
+    assert_eq!(store.traffic.load_reports().1.map(|r| r.records), Some(3));
+    assert_eq!(store.loaded_entries(), 2);
+    assert_eq!(
+        store
+            .stats_json()
+            .get("loaded_entries")
+            .and_then(Json::as_i64),
+        Some(2)
+    );
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

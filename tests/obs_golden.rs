@@ -4,7 +4,9 @@
 //! `MetricsHub::to_json`) are hashed and compared with recorded constants.
 //! Two more grids pin `MetricsHub::to_json` alone: a multi-tenant traffic
 //! grid (per-tenant series) and a disaggregated multi-tenant fleet grid
-//! (`prefill`/`decode` role labels).
+//! (`prefill`/`decode` role labels). A traced disaggregated 2P+2D cell pins
+//! `TraceRecorder::to_jsonl` for the prefill→decode path: routes, handoffs,
+//! merged link partitions and a decode-pool slowdown.
 //!
 //! These bytes are what external tools (Perfetto, `jq`, dashboards) read. A
 //! change to a writer that moves a single byte of them makes this test loud.
@@ -128,5 +130,49 @@ fn disaggregated_fleet_metrics_bytes_are_stable() {
         digest(&json),
         (56392, (0x1e9b5d80bdd31d73, 0x23f3c15f3c6768ee)),
         "MetricsHub::to_json"
+    );
+}
+
+/// The fault plan of the traced disaggregated cell: two overlapping link
+/// partitions (merged into one window) and a slowdown on decode replica 2.
+fn disaggregated_plan(span_ns: f64) -> FaultPlan {
+    FaultPlan::default()
+        .link_down(0.2 * span_ns, 0.1 * span_ns)
+        .link_down(0.25 * span_ns, 0.1 * span_ns)
+        .slowdown(0.5 * span_ns, 2, 4.0, 0.2 * span_ns)
+}
+
+#[test]
+fn disaggregated_fleet_trace_bytes_are_stable() {
+    let requests = 120;
+    let rate = 60.0;
+    let span_ns = requests as f64 / rate * 1e9;
+    let grid = FleetGrid::new(ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small))
+        .with_systems(vec![SystemConfig::small_scale(SystemKind::Pimba)])
+        .with_scenarios(vec![Scenario::chat()])
+        .with_rates(vec![rate])
+        .with_replica_counts(vec![4])
+        .with_routers(vec![RouterKind::Jsq])
+        .with_mode(FleetModeSpec::Disaggregated {
+            prefill_fraction: 0.5,
+            transfer: StateTransferModel::nvlink(),
+        })
+        .with_requests_per_cell(requests)
+        .with_seed(2026)
+        .with_fault(disaggregated_plan(span_ns));
+    let recorder = Arc::new(TraceRecorder::new());
+    FleetRunner::new()
+        .with_threads(1)
+        .with_trace(Arc::clone(&recorder))
+        .run_controlled(&grid, &RunControl::new())
+        .expect("uncancelled run");
+    let jsonl = recorder.to_jsonl();
+    for kind in ["\"route\"", "\"handoff\"", "\"linkdown\"", "\"slowdown\""] {
+        assert!(jsonl.contains(kind), "{kind} events recorded");
+    }
+    assert_eq!(
+        digest(&jsonl),
+        (86884, (0x25ce8c09c12cd20d, 0x7d17ca69d7aebd85)),
+        "TraceRecorder::to_jsonl"
     );
 }
