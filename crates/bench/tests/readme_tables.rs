@@ -61,35 +61,7 @@ fn hotloop_table(artifact: &Json) -> String {
     table
 }
 
-/// The `sweep_throughput` table: every path of every grid against the
-/// canonical serial baseline.
-fn sweep_table(artifact: &Json) -> String {
-    let mut table = String::from(
-        "| grid | path | median ms | min ms | max ms | vs canonical serial |\n\
-         |---|---|---:|---:|---:|---:|\n",
-    );
-    for grid in list(artifact, "grids") {
-        let name = format!("{} ({} pts)", text(grid, "grid"), num(grid, "points"));
-        for row in list(grid, "rows") {
-            table += &format!(
-                "| {name} | `{}` | {:.4} | {:.4} | {:.4} | {:.2}x |\n",
-                text(row, "path"),
-                num(row, "median_ms"),
-                num(row, "min_ms"),
-                num(row, "max_ms"),
-                num(row, "speedup_vs_canonical_serial"),
-            );
-        }
-    }
-    table
-}
-
 #[test]
 fn readme_hotloop_table_matches_its_artifact() {
     assert_in_readme(&hotloop_table(&artifact("BENCH_serve_hotloop.json")));
-}
-
-#[test]
-fn readme_sweep_table_matches_its_artifact() {
-    assert_in_readme(&sweep_table(&artifact("BENCH_sweep_throughput.json")));
 }

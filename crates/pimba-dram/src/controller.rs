@@ -136,11 +136,6 @@ impl PseudoChannel {
         self.now
     }
 
-    /// Elapsed time in nanoseconds.
-    pub fn elapsed_ns(&self) -> f64 {
-        self.timing.cycles_to_ns(self.now)
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> ChannelStats {
         self.stats

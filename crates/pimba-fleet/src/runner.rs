@@ -23,7 +23,7 @@ use pimba_serve::traffic::Scenario;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder};
 use pimba_system::obs::{profile_phase, TraceRecorder};
-use pimba_system::sweep::{RunAborted, RunControl, SweepRunner};
+use pimba_system::sweep::{available_cores, RunAborted, RunControl};
 use pimba_system::transfer::StateTransferModel;
 use rand::rngs::Pcg32;
 use rand::Rng;
@@ -283,16 +283,26 @@ pub struct FleetRecord {
     pub fault: FaultStats,
 }
 
-/// Parallel evaluator of [`FleetGrid`]s.
-///
-/// Thread-count configuration is delegated to an embedded [`SweepRunner`],
-/// as in `pimba-serve`'s `TrafficRunner`; each system's simulator shares one
-/// prefill cache across its cells.
-#[derive(Debug, Clone, Default)]
+/// Parallel evaluator of [`FleetGrid`]s: cells fan out over `threads`
+/// workers, as in `pimba-serve`'s `TrafficRunner`; each system's simulator
+/// shares one prefill cache across its cells.
+#[derive(Debug, Clone)]
 pub struct FleetRunner {
-    runner: SweepRunner,
+    threads: usize,
     memo: Option<Arc<FleetMemo>>,
     trace: Option<Arc<TraceRecorder>>,
+}
+
+/// Written out because a derived default would run on zero threads, which
+/// `parallel_map` quietly treats as one.
+impl Default for FleetRunner {
+    fn default() -> Self {
+        Self {
+            threads: available_cores(),
+            memo: None,
+            trace: None,
+        }
+    }
 }
 
 impl FleetRunner {
@@ -303,7 +313,7 @@ impl FleetRunner {
 
     /// Overrides the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.runner = self.runner.with_threads(threads);
+        self.threads = threads.max(1);
         self
     }
 
@@ -357,7 +367,7 @@ impl FleetRunner {
             cells_per_point: grid.replica_counts.len() * grid.routers.len(),
         };
         run_grid(
-            &self.runner,
+            self.threads,
             &axes,
             self.memo.as_deref(),
             control,
@@ -559,6 +569,13 @@ mod tests {
         let grid = small_grid().with_replica_counts(Vec::new());
         assert!(grid.is_empty());
         assert!(FleetRunner::new().run(&grid).is_empty());
+    }
+
+    #[test]
+    fn default_threads_are_the_core_count_and_never_zero() {
+        assert_eq!(FleetRunner::new().threads, available_cores());
+        assert_eq!(FleetRunner::default().threads, available_cores());
+        assert_eq!(FleetRunner::new().with_threads(0).threads, 1);
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl ModelFamily {
         !matches!(self, ModelFamily::Opt | ModelFamily::Llama)
     }
 
-    /// Returns `true` if the family uses softmax attention in any layer.
-    pub fn has_attention(self) -> bool {
-        matches!(
-            self,
-            ModelFamily::Zamba2 | ModelFamily::Opt | ModelFamily::Llama
-        )
-    }
-
     /// Display name used in figures.
     pub fn name(self) -> &'static str {
         match self {

@@ -45,8 +45,6 @@ const LFSR_BITS: u32 = 16;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StochasticSource {
     state: u16,
-    /// Number of bits drawn so far (diagnostic only).
-    drawn: u64,
 }
 
 impl StochasticSource {
@@ -57,10 +55,7 @@ impl StochasticSource {
         if folded == 0 {
             folded = 0xACE1;
         }
-        Self {
-            state: folded,
-            drawn: 0,
-        }
+        Self { state: folded }
     }
 
     /// Advances the LFSR one step and returns the output bit.
@@ -72,7 +67,6 @@ impl StochasticSource {
         let s = self.state;
         let bit = (s ^ (s >> 2) ^ (s >> 3) ^ (s >> 5)) & 1;
         self.state = (s >> 1) | (bit << (LFSR_BITS - 1));
-        self.drawn += 1;
         bit
     }
 
@@ -93,11 +87,6 @@ impl StochasticSource {
     /// Returns a uniform value in `[0, 1)` with 16 bits of resolution.
     pub fn uniform(&mut self) -> f64 {
         f64::from(self.next_bits(16)) / f64::from(1u32 << 16)
-    }
-
-    /// Number of bits drawn so far.
-    pub fn bits_drawn(&self) -> u64 {
-        self.drawn
     }
 
     /// Rounds `x` to an integer according to `mode`.

@@ -13,7 +13,6 @@
 //! spanning two banks, area-matched to Pimba); `NeuPimsLike` is the comparator of
 //! Figure 15.
 
-use crate::area::AreaModel;
 use crate::kernels::{self, PimLatency};
 use pimba_dram::geometry::DramGeometry;
 use pimba_dram::timing::TimingParams;
@@ -188,12 +187,6 @@ impl PimDesign {
     /// Latency of a full attention operator in nanoseconds (convenience wrapper).
     pub fn attention_latency_ns(&self, shape: &OpShape) -> Option<f64> {
         self.attention_latency(shape).map(|l| l.latency_ns)
-    }
-
-    /// Area overhead of this design relative to the DRAM die area reserved for
-    /// peripheral logic (see [`AreaModel`]).
-    pub fn area_overhead_percent(&self) -> f64 {
-        AreaModel::default().design_overhead_percent(self.kind)
     }
 }
 

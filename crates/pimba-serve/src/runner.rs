@@ -3,13 +3,13 @@
 //! plus the grid machinery it shares with `pimba-fleet`'s fleet runner: one
 //! memo type ([`GridMemo`]) and one front half ([`run_grid`]).
 //!
-//! The runner reuses the builder-configured thread count of
-//! [`pimba_system::sweep::SweepRunner`] and fans its cells out with the shared
-//! [`parallel_map`]; each grid point is a whole discrete-event simulation
-//! rather than one step evaluation. Traces are generated once per
-//! (scenario, rate) from split PCG streams and shared by every system, so
-//! systems are compared under *identical* arrival sequences; records come back
-//! in grid order and are bit-identical for any thread count.
+//! The runner fans its cells out with the shared [`parallel_map`] over its
+//! builder-configured thread count (every available core by default); each
+//! grid point is a whole discrete-event simulation. Traces are generated
+//! once per (scenario, rate) from split PCG streams and shared by every
+//! system, so systems are compared under *identical* arrival sequences;
+//! records come back in grid order and are bit-identical for any thread
+//! count.
 
 use crate::engine::{AdmissionMode, Engine, EngineConfig};
 use crate::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
@@ -22,7 +22,7 @@ use pimba_system::obs::{profile_phase, TraceRecorder, TraceSink};
 use pimba_system::persist::{LoadReport, MemoValue};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
-    max_batch_within_slo, parallel_map, RunAborted, RunControl, SweepRunner,
+    available_cores, max_batch_within_slo, parallel_map, RunAborted, RunControl,
 };
 use rand::rngs::Pcg32;
 use rand::Rng;
@@ -275,7 +275,7 @@ pub struct GridCell<'g> {
 /// cells), one trace per (scenario, rate)
 /// shared by every system, and one batch cap per (system, scenario) — traces
 /// and capacity searches memoized when a `memo` is attached. Then fans the
-/// cells out over `runner`'s threads: each is looked up in the memo under
+/// cells out over `threads` workers: each is looked up in the memo under
 /// `key(cell)` and evaluated by `eval(cell)` on a miss (or always, without a
 /// memo). Records come back in grid order; per-cell progress and
 /// cell-granular cancellation follow `control` — a cancelled run returns
@@ -286,7 +286,7 @@ pub struct GridCell<'g> {
 /// `control`'s metrics hub: the hub gains per-cell series only for the cells
 /// this run simulated.
 pub fn run_grid<R>(
-    runner: &SweepRunner,
+    threads: usize,
     grid: &GridAxes<'_>,
     memo: Option<&GridMemo<R>>,
     control: &RunControl,
@@ -341,7 +341,7 @@ where
         Some(max_batch) => vec![max_batch; grid.systems.len() * scenarios],
         None => {
             let store = memo.map(|memo| &memo.max_batches);
-            parallel_map(grid.systems.len() * scenarios, runner.threads(), |i| {
+            parallel_map(grid.systems.len() * scenarios, threads, |i| {
                 let (sim, scenario) = (&sims[i / scenarios], &grid.scenarios[i % scenarios]);
                 slo_capacity(sim, grid.model, scenario, grid.tpot_ms, store).1
             })
@@ -351,7 +351,7 @@ where
     // Counted and reported under one lock: progress never steps backwards,
     // so the last `run_progress_cells_done` gauge write is the total.
     let completed = Mutex::new(0);
-    let cells: Vec<Option<R>> = parallel_map(total, runner.threads(), |index| {
+    let cells: Vec<Option<R>> = parallel_map(total, threads, |index| {
         if control.cancelled() {
             return None;
         }
@@ -559,16 +559,25 @@ pub struct TrafficRecord {
     pub preemption: crate::metrics::PreemptionStats,
 }
 
-/// Parallel evaluator of [`TrafficGrid`]s.
-///
-/// The thread count is delegated to an embedded [`SweepRunner`] so both
-/// sweep flavors share one builder vocabulary (`with_threads`); cells are
-/// fanned out with [`parallel_map`].
-#[derive(Debug, Clone, Default)]
+/// Parallel evaluator of [`TrafficGrid`]s: cells are fanned out with
+/// [`parallel_map`] over `threads` workers.
+#[derive(Debug, Clone)]
 pub struct TrafficRunner {
-    runner: SweepRunner,
+    threads: usize,
     memo: Option<Arc<TrafficMemo>>,
     trace: Option<Arc<TraceRecorder>>,
+}
+
+/// Written out because a derived default would run on zero threads, which
+/// [`parallel_map`] quietly treats as one.
+impl Default for TrafficRunner {
+    fn default() -> Self {
+        Self {
+            threads: available_cores(),
+            memo: None,
+            trace: None,
+        }
+    }
 }
 
 impl TrafficRunner {
@@ -579,7 +588,7 @@ impl TrafficRunner {
 
     /// Overrides the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.runner = self.runner.with_threads(threads);
+        self.threads = threads.max(1);
         self
     }
 
@@ -635,7 +644,7 @@ impl TrafficRunner {
             fold_trace(builder, cell.trace).finish()
         };
         run_grid(
-            &self.runner,
+            self.threads,
             &grid.axes(),
             self.memo.as_deref(),
             control,
@@ -796,5 +805,12 @@ mod tests {
         let grid = small_grid().with_rates(Vec::new());
         assert!(grid.is_empty());
         assert!(TrafficRunner::new().run(&grid).is_empty());
+    }
+
+    #[test]
+    fn default_threads_are_the_core_count_and_never_zero() {
+        assert_eq!(TrafficRunner::new().threads, available_cores());
+        assert_eq!(TrafficRunner::default().threads, available_cores());
+        assert_eq!(TrafficRunner::new().with_threads(0).threads, 1);
     }
 }

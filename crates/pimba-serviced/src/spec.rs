@@ -89,6 +89,14 @@ pub struct CapacitySpec {
 /// The experiment kinds a spec may name.
 const KINDS: [&str; 4] = ["traffic_grid", "fleet_grid", "slo_capacity", "what_if"];
 
+/// The largest `requests_per_cell` a spec may ask for. A cell's trace is
+/// built whole in memory before it runs, and a failed allocation aborts the
+/// daemon rather than failing one job.
+pub const MAX_REQUESTS_PER_CELL: usize = 1_000_000;
+
+/// The largest entry a fleet spec's `replicas` list may hold.
+pub const MAX_REPLICAS: usize = 1024;
+
 fn parse_family(name: &str) -> Option<ModelFamily> {
     Some(match name {
         "retnet" => ModelFamily::RetNet,
@@ -218,6 +226,14 @@ fn opt_usize(spec: &Json, field: &str, default: usize) -> Result<usize, SpecErro
     }
 }
 
+/// `value`, or an error naming `field` when it exceeds `max`.
+fn at_most(field: &str, value: usize, max: usize) -> Result<usize, SpecError> {
+    if value > max {
+        return Err(SpecError::new(field, format!("must be at most {max}")));
+    }
+    Ok(value)
+}
+
 fn opt_slo(spec: &Json) -> Result<Option<SloSpec>, SpecError> {
     let Some(slo) = spec.get("slo") else {
         return Ok(None);
@@ -255,8 +271,10 @@ impl Experiment {
     /// Required fields: `kind` (one of `traffic_grid`, `fleet_grid`,
     /// `slo_capacity`, `what_if`), `model` (`{"family", "scale"}`),
     /// `systems`, `scenarios`, and (except for `slo_capacity`) `rates_rps`.
-    /// Fleet grids additionally require `replicas` and `routers`. Optional:
-    /// `requests_per_cell` (default 20), `seq_bucket` (default 32), `seed`,
+    /// Fleet grids additionally require `replicas` and `routers`; each
+    /// replica count is at most [`MAX_REPLICAS`]. Optional:
+    /// `requests_per_cell` (default 20, at most [`MAX_REQUESTS_PER_CELL`]),
+    /// `seq_bucket` (default 32), `seed`,
     /// `policy` (a [`PolicyKind`] name), `slo`
     /// (`{"ttft_ms", "tpot_ms"}`). `what_if` demands exactly one entry per
     /// axis. Every violation comes back as a [`SpecError`] naming the field.
@@ -342,7 +360,11 @@ impl Experiment {
         }
 
         let rates = num_list(spec, "rates_rps")?;
-        let requests = opt_usize(spec, "requests_per_cell", 20)?;
+        let requests = at_most(
+            "requests_per_cell",
+            opt_usize(spec, "requests_per_cell", 20)?,
+            MAX_REQUESTS_PER_CELL,
+        )?;
         let seq_bucket = opt_usize(spec, "seq_bucket", 32)?;
         let seed = match spec.get("seed") {
             None => None,
@@ -398,7 +420,10 @@ impl Experiment {
             }
             // `kind` is one of KINDS, so this is "fleet_grid".
             _ => {
-                let replicas = usize_list(spec, "replicas")?;
+                let replicas = usize_list(spec, "replicas")?
+                    .into_iter()
+                    .map(|n| at_most("replicas", n, MAX_REPLICAS))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let routers: Vec<RouterKind> = str_list(spec, "routers")?
                     .iter()
                     .map(|name| {
@@ -709,6 +734,27 @@ mod tests {
         let err = Experiment::from_json(&fat_what_if).unwrap_err();
         assert_eq!(err.field, "systems");
         assert!(err.message.contains("exactly one"));
+    }
+
+    #[test]
+    fn sizes_are_accepted_up_to_their_limits() {
+        let fleet = |requests: usize, replicas: usize| {
+            Json::parse(&format!(
+                r#"{{"kind":"fleet_grid","model":{{"family":"mamba2","scale":"small"}},
+                    "systems":["pimba"],"scenarios":["chat"],"rates_rps":[8.0],
+                    "replicas":[2,{replicas}],"routers":["jsq"],
+                    "requests_per_cell":{requests}}}"#
+            ))
+            .unwrap()
+        };
+        let (requests, replicas) = (MAX_REQUESTS_PER_CELL, MAX_REPLICAS);
+        assert!(Experiment::from_json(&fleet(requests, replicas)).is_ok());
+        let err = Experiment::from_json(&fleet(requests + 1, replicas)).unwrap_err();
+        assert_eq!(err.field, "requests_per_cell");
+        assert!(err.message.contains("1000000"), "{err}");
+        let err = Experiment::from_json(&fleet(requests, replicas + 1)).unwrap_err();
+        assert_eq!(err.field, "replicas");
+        assert!(err.message.contains("1024"), "{err}");
     }
 
     #[test]

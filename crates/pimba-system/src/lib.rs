@@ -21,11 +21,10 @@
 //!   path),
 //! * [`table`] — dense per-run `(batch, seq-bucket)` latency tables: the
 //!   lock-free O(1) lookup layer of the `pimba-serve` event loop,
-//! * [`sweep`] — the parallel grid-sweep engine and SLO-capacity search powering the
-//!   figure benches (and the shared [`sweep::parallel_map`] fan-out), built on the
-//!   seq-invariant [`serving::StepFunction`] row evaluator,
-//! * [`stats`] — exact order-statistic percentiles shared by the sweep engine, the
-//!   `pimba-serve` traffic metrics and the benches,
+//! * [`sweep`] — the grid runners' shared [`sweep::parallel_map`] fan-out,
+//!   run control and SLO batch-capacity search,
+//! * [`stats`] — exact order-statistic percentiles shared by the `pimba-serve`
+//!   traffic metrics and the benches,
 //! * [`obs`] — deterministic observability: trace recording (Perfetto/JSONL
 //!   exporters), the labeled metrics registry, and simulator self-profiling —
 //!   all guaranteed never to perturb simulation output,
@@ -70,6 +69,6 @@ pub use memory::MemoryModel;
 pub use pipeline::PipelineDeployment;
 pub use serving::{EnergyBreakdown, ServingSimulator, StepBreakdown, StepFunction};
 pub use stats::{exact_percentile, median, percentile_of_sorted};
-pub use sweep::{max_batch_within_slo, parallel_map, SweepGrid, SweepRecord, SweepRunner};
+pub use sweep::{available_cores, max_batch_within_slo, parallel_map};
 pub use table::{PrefillLatencyTable, StepLatencyTable};
 pub use transfer::{handoff_bytes, StateTransferModel};

@@ -20,11 +20,6 @@ impl MemoryBreakdown {
     pub fn total_bytes(&self) -> f64 {
         self.params_bytes + self.state_bytes + self.kv_bytes
     }
-
-    /// Total gigabytes.
-    pub fn total_gb(&self) -> f64 {
-        self.total_bytes() / 1e9
-    }
 }
 
 /// Closed-form memory accounting for one `(system, model)` pair: the

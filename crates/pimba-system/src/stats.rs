@@ -1,5 +1,5 @@
-//! Exact order-statistic helpers shared by the sweep engine, the traffic
-//! simulator's SLO metrics and the benches.
+//! Exact order-statistic helpers shared by the traffic simulator's SLO
+//! metrics and the benches.
 //!
 //! Tail latencies (p99 TTFT/TPOT) are the whole point of a queueing study, and
 //! interpolated percentile estimators quietly smooth exactly the outliers the

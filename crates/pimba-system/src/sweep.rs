@@ -1,25 +1,13 @@
-//! Parallel grid sweeps over (system × model × batch × seq-len) — the batch-capacity
-//! search engine behind the figure benches.
+//! Grid-run plumbing shared by the traffic and fleet grid runners, and the
+//! SLO batch-capacity search.
 //!
-//! The paper's headline results (Figures 12–16 and the ablations) come from
-//! evaluating [`ServingSimulator::generation_step`] over large grids. The
-//! [`SweepRunner`] evaluates such grids in **seq-invariant rows**: each
-//! `(system, model, batch)` row is one
-//! [`StepFunction`](crate::serving::StepFunction), so every operator except
-//! attention (a model's state-update latency, for example, is independent of
-//! the sequence length) is evaluated once and reused across the whole seq-len
-//! axis. Rows run inline: starting a worker thread costs about as much as
-//! evaluating 500 points, and on no grid measured did two threads beat one.
-//! The runner's thread count is
-//! used by the traffic and fleet grid runners that embed it, whose cells are
-//! fanned out with [`parallel_map`].
-//!
-//! Results are returned in grid order, and are
-//! bit-identical to calling `generation_step` directly on uncached, freshly built
-//! simulators — asserted by `tests/sweep_regression.rs`.
+//! [`parallel_map`] is the workspace's one fork-join fan-out, over
+//! [`available_cores`] worker threads by default; [`RunControl`] carries a
+//! run's progress callback, cancellation flag and metrics hub.
+//! [`max_batch_within_slo`] answers the Figure 12 capacity question for one
+//! configuration.
 
-use crate::config::SystemConfig;
-use crate::serving::{ServingSimulator, StepBreakdown};
+use crate::serving::ServingSimulator;
 use pimba_models::config::ModelConfig;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -186,185 +174,16 @@ where
         .collect()
 }
 
-/// The cartesian evaluation grid of one sweep.
-#[derive(Debug, Clone, Default)]
-pub struct SweepGrid {
-    /// System design points to evaluate.
-    pub systems: Vec<SystemConfig>,
-    /// Models to serve.
-    pub models: Vec<ModelConfig>,
-    /// Batch sizes.
-    pub batches: Vec<usize>,
-    /// Sequence lengths.
-    pub seq_lens: Vec<usize>,
-}
-
-impl SweepGrid {
-    /// An empty grid — identical to [`SweepGrid::default`], the starting point of
-    /// the builder chain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the system axis.
-    pub fn with_systems(mut self, systems: Vec<SystemConfig>) -> Self {
-        self.systems = systems;
-        self
-    }
-
-    /// Replaces the model axis.
-    pub fn with_models(mut self, models: Vec<ModelConfig>) -> Self {
-        self.models = models;
-        self
-    }
-
-    /// Replaces the batch-size axis.
-    pub fn with_batches(mut self, batches: Vec<usize>) -> Self {
-        self.batches = batches;
-        self
-    }
-
-    /// Replaces the sequence-length axis.
-    pub fn with_seq_lens(mut self, seq_lens: Vec<usize>) -> Self {
-        self.seq_lens = seq_lens;
-        self
-    }
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.systems.len() * self.models.len() * self.batches.len() * self.seq_lens.len()
-    }
-
-    /// `true` when any axis is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The (system, model, batch, seq_len) index tuple of flat grid index `i`,
-    /// seq-len fastest.
-    fn indices(&self, i: usize) -> (usize, usize, usize, usize) {
-        let s = i % self.seq_lens.len();
-        let rest = i / self.seq_lens.len();
-        let b = rest % self.batches.len();
-        let rest = rest / self.batches.len();
-        let m = rest % self.models.len();
-        let sys = rest / self.models.len();
-        (sys, m, b, s)
-    }
-}
-
-/// The evaluation of one grid point.
-#[derive(Debug, Clone)]
-pub struct SweepRecord {
-    /// Index into [`SweepGrid::systems`].
-    pub system: usize,
-    /// Index into [`SweepGrid::models`].
-    pub model: usize,
-    /// Batch size evaluated.
-    pub batch: usize,
-    /// Sequence length evaluated.
-    pub seq_len: usize,
-    /// Full latency breakdown of one generation step.
-    pub step: StepBreakdown,
-    /// Token throughput in tokens/s (whole batch).
-    pub throughput_tps: f64,
-    /// Aggregate device memory in use, in bytes.
-    pub memory_bytes: f64,
-}
-
-/// Evaluator of [`SweepGrid`]s, and the worker-thread count of the traffic and
-/// fleet grid runners that embed it.
-#[derive(Debug, Clone)]
-pub struct SweepRunner {
-    threads: usize,
-}
-
-impl Default for SweepRunner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SweepRunner {
-    /// A runner using every available core. The core count is read once
-    /// per process: daemons build a runner per job, and the query costs a
-    /// syscall.
-    pub fn new() -> Self {
-        static CORES: OnceLock<usize> = OnceLock::new();
-        let threads = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        Self { threads }
-    }
-
-    /// Overrides the worker-thread count (clamped to at least 1). Grid
-    /// runners that embed this runner fan their cells out over that many
-    /// workers; [`SweepRunner::run`] evaluates inline whatever the count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Evaluates one `(system, model, batch)` row — the whole seq-len axis —
-    /// through a single seq-invariant [`StepFunction`](crate::serving::StepFunction):
-    /// every operator except attention is evaluated once per row instead of
-    /// once per point, and no workload is constructed in
-    /// the per-point loop. Records are bit-identical to evaluating
-    /// `generation_step` point by point (`tests/sweep_regression.rs`).
-    fn evaluate_row(grid: &SweepGrid, sims: &[ServingSimulator], row: usize) -> Vec<SweepRecord> {
-        // A row is one contiguous block of the flat grid order; its first point
-        // carries the row's (system, model, batch) coordinates.
-        let (sys, m, b, _) = grid.indices(row * grid.seq_lens.len());
-        let model = &grid.models[m];
-        let batch = grid.batches[b];
-        let step_fn = sims[sys].step_function(model, batch);
-        grid.seq_lens
-            .iter()
-            .map(|&seq_len| {
-                let step = step_fn.breakdown(seq_len);
-                let throughput_tps = batch as f64 / (step.total_ns * 1e-9);
-                let memory_bytes = step_fn.memory_bytes(seq_len);
-                SweepRecord {
-                    system: sys,
-                    model: m,
-                    batch,
-                    seq_len,
-                    step,
-                    throughput_tps,
-                    memory_bytes,
-                }
-            })
-            .collect()
-    }
-
-    /// Evaluates every grid point and returns the records in grid order
-    /// (seq-len fastest, then batch, model, system).
-    pub fn run(&self, grid: &SweepGrid) -> Vec<SweepRecord> {
-        if grid.is_empty() {
-            return Vec::new();
-        }
-        // Rows never prefill, so the simulators need no cache.
-        let sims: Vec<ServingSimulator> = grid
-            .systems
-            .iter()
-            .map(|config| ServingSimulator::uncached(config.clone()))
-            .collect();
-        // Rows are evaluated in row order, which is grid order since seq-len
-        // is the fastest-varying axis. No worker thread is started: spawning
-        // and joining one costs about as much as evaluating 500 points
-        // (~0.18 us each), and no grid size measured ran faster on two
-        // threads than on one.
-        let rows = grid.systems.len() * grid.models.len() * grid.batches.len();
-        (0..rows)
-            .flat_map(|row| Self::evaluate_row(grid, &sims, row))
-            .collect()
-    }
+/// The number of cores this process may run on: the default worker-thread
+/// count of the traffic and fleet grid runners. Read once per process, since
+/// daemons build a runner per job and the query costs a syscall; at least 1.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The largest batch size in `1..=max_batch` whose generation-step latency stays
@@ -406,68 +225,8 @@ pub fn max_batch_within_slo(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemKind;
+    use crate::config::{SystemConfig, SystemKind};
     use pimba_models::config::{ModelFamily, ModelScale};
-
-    fn small_grid() -> SweepGrid {
-        SweepGrid {
-            systems: vec![
-                SystemConfig::small_scale(SystemKind::Gpu),
-                SystemConfig::small_scale(SystemKind::Pimba),
-            ],
-            models: vec![
-                ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small),
-                ModelConfig::preset(ModelFamily::Opt, ModelScale::Small),
-            ],
-            batches: vec![16, 64],
-            seq_lens: vec![512, 2048],
-        }
-    }
-
-    #[test]
-    fn grid_indexing_is_a_bijection() {
-        let grid = small_grid();
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..grid.len() {
-            assert!(seen.insert(grid.indices(i)));
-        }
-        assert_eq!(seen.len(), 16);
-    }
-
-    #[test]
-    fn records_come_back_in_grid_order() {
-        let grid = small_grid();
-        let records = SweepRunner::new().with_threads(3).run(&grid);
-        assert_eq!(records.len(), grid.len());
-        for (i, record) in records.iter().enumerate() {
-            let (sys, m, b, s) = grid.indices(i);
-            assert_eq!((record.system, record.model), (sys, m));
-            assert_eq!(
-                (record.batch, record.seq_len),
-                (grid.batches[b], grid.seq_lens[s])
-            );
-            assert!(record.throughput_tps > 0.0);
-            assert!(record.memory_bytes > 0.0);
-        }
-    }
-
-    #[test]
-    fn builder_matches_literal_and_default_is_empty() {
-        assert!(SweepGrid::default().is_empty());
-        assert!(SweepGrid::new().is_empty());
-        let lit = small_grid();
-        let built = SweepGrid::new()
-            .with_systems(lit.systems.clone())
-            .with_models(lit.models.clone())
-            .with_batches(lit.batches.clone())
-            .with_seq_lens(lit.seq_lens.clone());
-        assert_eq!(built.len(), lit.len());
-        assert_eq!(built.batches, lit.batches);
-        assert_eq!(built.seq_lens, lit.seq_lens);
-        let runner = SweepRunner::default();
-        assert_eq!(runner.threads(), SweepRunner::new().threads());
-        assert_eq!(SweepRunner::new().with_threads(0).threads(), 1);
-    }
 
     #[test]
     fn parallel_map_is_order_preserving_for_any_thread_count() {
@@ -502,14 +261,6 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(parallel_map(50, threads, cost), expect, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn empty_grid_is_empty_result() {
-        let mut grid = small_grid();
-        grid.batches.clear();
-        assert!(grid.is_empty());
-        assert!(SweepRunner::new().run(&grid).is_empty());
     }
 
     #[test]

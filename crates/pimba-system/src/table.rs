@@ -94,9 +94,8 @@ impl DenseRows {
 ///
 /// Entries fill through a per-batch-row [`StepFunction`]: the seq-invariant
 /// operators are evaluated once per row and only the attention operator is
-/// evaluated per bucket — the same decomposition the sweep engine uses, and
-/// bit-identical to `generation_step` (its fill path sums the same values in
-/// the same order). An attention-free model has no per-bucket operator, so
+/// evaluated per bucket, bit-identical to `generation_step` (its fill path
+/// sums the same values in the same order). An attention-free model has no per-bucket operator, so
 /// its table holds one slot per row.
 #[derive(Debug)]
 pub struct StepLatencyTable<'a> {

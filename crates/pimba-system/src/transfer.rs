@@ -41,15 +41,6 @@ impl StateTransferModel {
         }
     }
 
-    /// A commodity 400 Gb/s InfiniBand-class fabric (50 GB/s), 25 µs setup —
-    /// the cross-node case where KV-cache handoffs really hurt.
-    pub fn infiniband() -> Self {
-        Self {
-            link_gbps: 50.0,
-            base_latency_us: 25.0,
-        }
-    }
-
     /// Latency in nanoseconds of shipping `bytes` over this link.
     pub fn transfer_ns(&self, bytes: f64) -> f64 {
         assert!(self.link_gbps > 0.0, "link bandwidth must be positive");

@@ -1,12 +1,11 @@
-//! Regression tests of the performance layer: the prefill cache, the
-//! seq-invariant step function and the sweep engine must leave every
-//! result exactly (bit-for-bit) identical to the plain uncached per-op
-//! evaluation.
+//! Regression tests of the performance layer: the prefill cache and the
+//! seq-invariant step function must leave every result exactly
+//! (bit-for-bit) identical to the plain uncached per-op evaluation.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{max_batch_within_slo, SweepGrid, SweepRunner};
+use pimba_system::sweep::max_batch_within_slo;
 
 fn models() -> Vec<ModelConfig> {
     [
@@ -20,16 +19,11 @@ fn models() -> Vec<ModelConfig> {
     .collect()
 }
 
-fn grid() -> SweepGrid {
-    SweepGrid {
-        systems: SystemKind::MAIN_COMPARISON
-            .iter()
-            .map(|&k| SystemConfig::small_scale(k))
-            .collect(),
-        models: models(),
-        batches: vec![16, 64, 128],
-        seq_lens: vec![512, 1024, 2048, 4096],
-    }
+fn systems() -> Vec<SystemConfig> {
+    SystemKind::MAIN_COMPARISON
+        .iter()
+        .map(|&k| SystemConfig::small_scale(k))
+        .collect()
 }
 
 /// Asserts two f64 values are the same bit pattern (stronger than `==`).
@@ -43,7 +37,7 @@ fn assert_bits_eq(a: f64, b: f64, context: &str) {
 
 #[test]
 fn cached_steps_are_bit_identical_to_uncached() {
-    for system in grid().systems {
+    for system in systems() {
         let cached = ServingSimulator::new(system.clone());
         let uncached = ServingSimulator::uncached(system.clone());
         for model in &models() {
@@ -89,51 +83,36 @@ fn cached_steps_are_bit_identical_to_uncached() {
     }
 }
 
+/// The row evaluator behind `StepLatencyTable`: one `StepFunction` per
+/// (system, model, batch) answers every sequence length with the bits of a
+/// point-by-point `generation_step` and `memory_usage_bytes` on a fresh
+/// uncached simulator.
 #[test]
-fn parallel_cached_sweep_matches_direct_uncached_evaluation() {
-    let grid = grid();
-    let records = SweepRunner::new().with_threads(8).run(&grid);
-    assert_eq!(records.len(), grid.len());
-    // Fresh uncached simulators, evaluated one grid point at a time.
-    let sims: Vec<ServingSimulator> = grid
-        .systems
-        .iter()
-        .map(|c| ServingSimulator::uncached(c.clone()))
-        .collect();
-    for record in &records {
-        let model = &grid.models[record.model];
-        let direct = sims[record.system].generation_step(model, record.batch, record.seq_len);
-        assert_eq!(direct.ops.len(), record.step.ops.len());
-        for (a, b) in record.step.ops.iter().zip(&direct.ops) {
-            assert_bits_eq(a.latency_ns, b.latency_ns, "sweep op latency");
-        }
-        assert_bits_eq(record.step.total_ns, direct.total_ns, "sweep step total");
-        assert_bits_eq(
-            record.throughput_tps,
-            record.batch as f64 / (direct.total_ns * 1e-9),
-            "sweep throughput",
-        );
-        assert_bits_eq(
-            record.memory_bytes,
-            sims[record.system].memory_usage_bytes(model, record.batch, record.seq_len),
-            "sweep memory",
-        );
-    }
-}
-
-#[test]
-fn sweep_is_deterministic_across_thread_counts() {
-    let grid = grid();
-    let serial = SweepRunner::new().with_threads(1).run(&grid);
-    for threads in [2, 3, 7, 16] {
-        let parallel = SweepRunner::new().with_threads(threads).run(&grid);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_bits_eq(a.step.total_ns, b.step.total_ns, "thread-count invariance");
-            assert_eq!(
-                (a.system, a.model, a.batch, a.seq_len),
-                (b.system, b.model, b.batch, b.seq_len)
-            );
+fn step_function_matches_direct_uncached_evaluation() {
+    for system in systems() {
+        let cached = ServingSimulator::new(system.clone());
+        let uncached = ServingSimulator::uncached(system);
+        for model in &models() {
+            for batch in [16usize, 64, 128] {
+                let step_fn = cached.step_function(model, batch);
+                for seq in [512usize, 1024, 2048, 4096] {
+                    let context =
+                        format!("{} {} b{batch} s{seq}", cached.config().kind, model.label());
+                    let row = step_fn.breakdown(seq);
+                    let direct = uncached.generation_step(model, batch, seq);
+                    assert_eq!(row.ops.len(), direct.ops.len(), "{context}");
+                    for (a, b) in row.ops.iter().zip(&direct.ops) {
+                        assert_eq!((a.kind, a.side), (b.kind, b.side), "{context}");
+                        assert_bits_eq(a.latency_ns, b.latency_ns, &context);
+                    }
+                    assert_bits_eq(row.total_ns, direct.total_ns, &context);
+                    assert_bits_eq(
+                        step_fn.memory_bytes(seq),
+                        uncached.memory_usage_bytes(model, batch, seq),
+                        &context,
+                    );
+                }
+            }
         }
     }
 }
