@@ -24,9 +24,9 @@
 //! * [`metrics`] — fleet-level outcomes, per-replica reports and
 //!   [`TrafficSummary`](pimba_serve::metrics::TrafficSummary)-shaped
 //!   aggregates,
-//! * [`runner`] — the parallel (system × scenario × rate × replica-count ×
-//!   router) grid runner and the [`replicas_to_hold`]
-//!   SLO-scaling search,
+//! * [`runner`] — the (system × scenario × rate × replica-count × router)
+//!   [`FleetGrid`], evaluated in parallel by `pimba-serve`'s one grid runner
+//!   ([`FleetRunner`]), and the [`replicas_to_hold`] SLO-scaling search,
 //! * [`memo`] — the [`FleetRecord`] codec and [`memo::FleetMemo`], the
 //!   shared [`GridMemo`](pimba_serve::runner::GridMemo) over fleet records
 //!   making repeated what-if grids incremental: warm cells skip simulation

@@ -1,29 +1,31 @@
-//! The fleet sweep runner: (system × scenario × rate × replica-count ×
-//! router) grids evaluated in parallel, plus the SLO-scaling search the
-//! `fleet_scale` bench reports.
+//! The fleet grid: (system × scenario × rate × replica-count × router)
+//! grids, evaluated by `pimba-serve`'s one [`GridRunner`] ([`FleetRunner`]),
+//! plus the SLO-scaling search the `fleet_scale` bench reports.
 //!
-//! Shares `pimba-serve`'s grid front half ([`run_grid`]) with its
-//! `TrafficRunner`: traces are generated once per (scenario, rate) from split
+//! [`FleetGrid`] implements `pimba-serve`'s [`Grid`], so it shares the
+//! runner, the memo type and the front half ([`run_grid`]) with the
+//! traffic grid: traces are generated once per (scenario, rate) from split
 //! PCG streams and shared by every system, replica count and router, so any
 //! two cells differing in one axis are compared under *identical* arrivals;
 //! cells fan out over the runner's threads and come back in grid order,
 //! bit-identical for any worker-thread count (each cell is a pure function
 //! of the grid).
+//!
+//! [`run_grid`]: pimba_serve::runner::run_grid
 
 use crate::cluster::{FleetConfig, FleetMode, FleetSim};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::memo::FleetMemo;
 use crate::router::RouterKind;
 use pimba_models::config::ModelConfig;
 use pimba_serve::engine::EngineConfig;
 use pimba_serve::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
-use pimba_serve::runner::{fold_trace, run_grid, GridAxes, GridCell};
+use pimba_serve::runner::{fold_trace, summarize_cell, Grid, GridAxes, GridCell, GridRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder};
 use pimba_system::obs::{profile_phase, TraceRecorder};
-use pimba_system::sweep::{available_cores, RunAborted, RunControl};
+use pimba_system::sweep::RunControl;
 use pimba_system::transfer::StateTransferModel;
 use rand::rngs::Pcg32;
 use rand::Rng;
@@ -283,109 +285,65 @@ pub struct FleetRecord {
     pub fault: FaultStats,
 }
 
-/// Parallel evaluator of [`FleetGrid`]s: cells fan out over `threads`
-/// workers, as in `pimba-serve`'s `TrafficRunner`; each system's simulator
-/// shares one prefill cache across its cells.
-#[derive(Debug, Clone)]
-pub struct FleetRunner {
-    threads: usize,
-    memo: Option<Arc<FleetMemo>>,
-    trace: Option<Arc<TraceRecorder>>,
-}
+/// The runner of [`FleetGrid`]s: `pimba-serve`'s one [`GridRunner`], each
+/// system's simulator sharing one prefill cache across its cells.
+pub type FleetRunner = GridRunner<FleetGrid>;
 
-/// Written out because a derived default would run on zero threads, which
-/// `parallel_map` quietly treats as one.
-impl Default for FleetRunner {
-    fn default() -> Self {
-        Self {
-            threads: available_cores(),
-            memo: None,
-            trace: None,
+impl Grid for FleetGrid {
+    type Record = FleetRecord;
+
+    fn axes(&self) -> GridAxes<'_> {
+        GridAxes {
+            systems: &self.systems,
+            scenarios: &self.scenarios,
+            rates_rps: &self.rates_rps,
+            model: &self.model,
+            requests_per_cell: self.requests_per_cell,
+            seed: self.seed,
+            tpot_ms: self.slo.tpot_ms,
+            max_batch: self.max_batch,
+            cells_per_point: self.replica_counts.len() * self.routers.len(),
         }
     }
-}
 
-impl FleetRunner {
-    /// A runner using every available core.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the worker-thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Attaches a [`FleetMemo`]: traces, capacity searches and whole cells
-    /// are looked up before simulating and stored after. Re-running a grid
-    /// against a warm memo returns records byte-identical to a cold run
-    /// without stepping a single engine (asserted by the memo tests and the
-    /// `fleet_parallel` bench gate).
-    pub fn with_memo(mut self, memo: Arc<FleetMemo>) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Records every simulated cell onto `recorder`, tracks namespaced
-    /// `cell {i} / …` in grid order. Memo-warm cells skip the engines
-    /// entirely and record nothing. Write-only — tracing never changes the
-    /// records (the `pimba_system::obs` no-perturbation invariant, gated by
-    /// `tests/obs_identity.rs`).
-    pub fn with_trace(mut self, recorder: Arc<TraceRecorder>) -> Self {
-        self.trace = Some(recorder);
-        self
-    }
-
-    /// Evaluates every cell and returns records in grid order. Deterministic
-    /// for any thread count: every cell derives its traces and router streams
-    /// from the grid seed alone.
-    pub fn run(&self, grid: &FleetGrid) -> Vec<FleetRecord> {
-        self.run_controlled(grid, &RunControl::new())
-            .expect("uncontrolled run cannot be cancelled")
-    }
-
-    /// [`FleetRunner::run`] under a [`RunControl`]: per-cell progress
-    /// callbacks and cooperative cell-granular cancellation (the serving
-    /// daemon's entry point). A cancelled run returns [`RunAborted`] and
-    /// publishes nothing for the cells it skipped; cells that finished before
-    /// the flag went up remain in the memo (they are complete and correct).
-    pub fn run_controlled(
-        &self,
-        grid: &FleetGrid,
-        control: &RunControl,
-    ) -> Result<Vec<FleetRecord>, RunAborted> {
-        let axes = GridAxes {
-            systems: &grid.systems,
-            scenarios: &grid.scenarios,
-            rates_rps: &grid.rates_rps,
-            model: &grid.model,
-            requests_per_cell: grid.requests_per_cell,
-            seed: grid.seed,
-            tpot_ms: grid.slo.tpot_ms,
-            max_batch: grid.max_batch,
-            cells_per_point: grid.replica_counts.len() * grid.routers.len(),
+    fn key(&self, cell: &GridCell<'_>) -> Fingerprint {
+        let config = cell_config(self, cell);
+        let builder = FingerprintBuilder::new()
+            .usize(cell.system)
+            .usize(cell.scenario)
+            .f64(self.rates_rps[cell.rate])
+            .debug(&self.systems[cell.system])
+            .debug(&self.model)
+            .debug(&self.slo)
+            .debug(&self.tenant_slos)
+            .debug(&config.mode)
+            .debug(&config.router)
+            .debug(&config.policy)
+            .debug(&config.engine)
+            .u64(config.seed);
+        // Folded only when present: fault-free grids keep the exact keys (and
+        // memo entries) they had before fault injection existed.
+        let builder = match &self.fault {
+            Some(plan) => builder.debug(plan),
+            None => builder,
         };
-        run_grid(
-            self.threads,
-            &axes,
-            self.memo.as_deref(),
-            control,
-            |cell| cell_key(grid, cell),
-            |cell| self.eval(grid, cell, control),
-        )
+        fold_trace(builder, cell.trace).finish()
     }
 
-    /// Simulates one cell and summarizes it into its record.
-    fn eval(&self, grid: &FleetGrid, cell: &GridCell<'_>, control: &RunControl) -> FleetRecord {
-        let config = cell_config(grid, cell);
-        let mut fleet = FleetSim::new(cell.sim, &grid.model);
-        if let Some(recorder) = &self.trace {
+    fn eval(
+        &self,
+        cell: &GridCell<'_>,
+        recorder: Option<&Arc<TraceRecorder>>,
+        control: &RunControl,
+    ) -> FleetRecord {
+        let config = cell_config(self, cell);
+        let mut fleet = FleetSim::new(cell.sim, &self.model);
+        if let Some(recorder) = recorder {
             fleet = fleet
                 .with_trace(Arc::clone(recorder))
                 .with_trace_prefix(&format!("cell {} / ", cell.index));
         }
-        let result = match &grid.fault {
+        let result = match &self.fault {
             Some(plan) => fleet
                 .run_faulted(cell.trace, &config, plan)
                 .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
@@ -396,22 +354,17 @@ impl FleetRunner {
             let index = cell.index.to_string();
             result.export_metrics(control.metrics(), &[("cell", &index)]);
         }
-        let telemetry = result.fleet_telemetry();
-        let summary =
-            TrafficSummary::of(&result.outcomes, result.makespan_ns, &telemetry, &grid.slo);
-        let per_tenant = TenantSummary::per_tenant(
+        let (summary, per_tenant) = summarize_cell(
             &result.outcomes,
             result.makespan_ns,
-            &telemetry,
-            grid.tenant_slos
-                .as_ref()
-                .unwrap_or(&TenantSlos::uniform(grid.slo)),
-            Some((&grid.slo, &summary)),
+            &result.fleet_telemetry(),
+            &self.slo,
+            self.tenant_slos.as_ref(),
         );
         FleetRecord {
             system: cell.system,
             scenario: cell.scenario,
-            rate_rps: grid.rates_rps[cell.rate],
+            rate_rps: self.rates_rps[cell.rate],
             replicas: config.mode.replicas(),
             router: config.router,
             max_batch: config.engine.max_batch,
@@ -446,35 +399,6 @@ fn cell_config(grid: &FleetGrid, cell: &GridCell<'_>) -> FleetConfig {
     }
 }
 
-/// The content address of one grid cell's [`FleetRecord`]: everything the
-/// record is a function of — system, model, SLOs, cell config and the raw
-/// trace bits — and nothing that cannot change it (runner thread counts are
-/// an execution knob, deliberately excluded, so runs at any thread count
-/// share entries).
-fn cell_key(grid: &FleetGrid, cell: &GridCell<'_>) -> Fingerprint {
-    let config = cell_config(grid, cell);
-    let builder = FingerprintBuilder::new()
-        .usize(cell.system)
-        .usize(cell.scenario)
-        .f64(grid.rates_rps[cell.rate])
-        .debug(&grid.systems[cell.system])
-        .debug(&grid.model)
-        .debug(&grid.slo)
-        .debug(&grid.tenant_slos)
-        .debug(&config.mode)
-        .debug(&config.router)
-        .debug(&config.policy)
-        .debug(&config.engine)
-        .u64(config.seed);
-    // Folded only when present: fault-free grids keep the exact keys (and
-    // memo entries) they had before fault injection existed.
-    let builder = match &grid.fault {
-        Some(plan) => builder.debug(plan),
-        None => builder,
-    };
-    fold_trace(builder, cell.trace).finish()
-}
-
 /// The scaling headline: the smallest replica count among `records` (matching
 /// the given system/scenario/rate/router) whose SLO attainment reaches
 /// `target`, or `None` if none does. Pass the records of one grid; the search
@@ -506,6 +430,7 @@ pub fn replicas_to_hold(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::FleetMemo;
     use pimba_models::config::{ModelFamily, ModelScale};
     use pimba_system::config::SystemKind;
 
@@ -569,13 +494,6 @@ mod tests {
         let grid = small_grid().with_replica_counts(Vec::new());
         assert!(grid.is_empty());
         assert!(FleetRunner::new().run(&grid).is_empty());
-    }
-
-    #[test]
-    fn default_threads_are_the_core_count_and_never_zero() {
-        assert_eq!(FleetRunner::new().threads, available_cores());
-        assert_eq!(FleetRunner::default().threads, available_cores());
-        assert_eq!(FleetRunner::new().with_threads(0).threads, 1);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   percentiles, goodput, SLO attainment (whole-run and per tenant under
 //!   per-tenant SLOs), preemption counters, and exact running queue-depth
 //!   and occupancy aggregates,
-//! * [`runner`] — the parallel (system × scenario × rate) grid runner and
-//!   SLO-attainment curves.
+//! * [`runner`] — the one parallel grid runner (over any [`runner::Grid`]:
+//!   the (system × scenario × rate) [`TrafficGrid`] here, `pimba-fleet`'s
+//!   fleet grid there) and SLO-attainment curves.
 //!
 //! Simulations are bit-identical across repeat runs and thread counts, and the
 //! closed-loop configuration reproduces `ServingSimulator::request_latency`

@@ -1,18 +1,22 @@
-//! The traffic sweep runner: (system × scenario × arrival-rate) grids evaluated
-//! in parallel, with shared prefill caches and reproducible per-cell traces —
-//! plus the grid machinery it shares with `pimba-fleet`'s fleet runner: one
-//! memo type ([`GridMemo`]) and one front half ([`run_grid`]).
+//! The grid runner: one [`GridRunner`] over any [`Grid`], with one memo type
+//! ([`GridMemo`]) and one front half ([`run_grid`]). This crate's
+//! (system × scenario × arrival-rate) [`TrafficGrid`] is one such grid
+//! ([`TrafficRunner`] is the runner over it); `pimba-fleet`'s fleet grid is
+//! the other.
 //!
-//! The runner fans its cells out with the shared [`parallel_map`] over its
-//! builder-configured thread count (every available core by default); each
-//! grid point is a whole discrete-event simulation. Traces are generated
-//! once per (scenario, rate) from split PCG streams and shared by every
-//! system, so systems are compared under *identical* arrival sequences;
-//! records come back in grid order and are bit-identical for any thread
-//! count.
+//! A grid supplies its shared axes, each cell's memo key and each cell's
+//! simulation; the runner fans the cells out with the shared
+//! [`parallel_map`] over its builder-configured thread count (every
+//! available core by default). Each grid point is a whole discrete-event
+//! simulation. Traces are generated once per (scenario, rate) from split PCG
+//! streams and shared by every system, so systems are compared under
+//! *identical* arrival sequences; records come back in grid order and are
+//! bit-identical for any thread count.
 
 use crate::engine::{AdmissionMode, Engine, EngineConfig};
-use crate::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
+use crate::metrics::{
+    RequestOutcome, SloSpec, TelemetryStats, TenantSlos, TenantSummary, TrafficSummary,
+};
 use crate::sched::PolicyKind;
 use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
@@ -60,7 +64,7 @@ pub trait GridRecord: MemoValue {
     const SEGMENTS: [&'static str; 3];
 }
 
-/// The memo of one grid runner's evaluations — share one (behind an [`Arc`])
+/// The memo of one [`Grid`]'s evaluations — share one (behind an [`Arc`])
 /// across every run that should reuse results. Every artifact a run produces
 /// is keyed by a [`Fingerprint`] of its complete input identity (see
 /// [`pimba_system::memo`] for the purity contract), so re-running a grid with
@@ -70,9 +74,10 @@ pub trait GridRecord: MemoValue {
 /// holds results only: a cell it misses is simulated cold, from its first
 /// arrival.
 ///
-/// `R` is the cell record: [`TrafficMemo`] holds [`TrafficRunner`]'s,
-/// `pimba_fleet`'s `FleetMemo` its fleet runner's. Both drive their memo
-/// through [`run_grid`].
+/// `R` is the cell record, [`Grid::Record`]: [`TrafficMemo`] holds
+/// [`TrafficGrid`]'s, `pimba_fleet`'s `FleetMemo` the fleet grid's. A
+/// [`GridRunner`] attaches one through [`GridRunner::with_memo`] and drives
+/// it through [`run_grid`].
 #[derive(Debug)]
 pub struct GridMemo<R> {
     /// Per-(scenario, rate, request-count, seed) arrival traces.
@@ -221,7 +226,7 @@ pub fn slo_capacity(
     (anchor_seq, max_batch)
 }
 
-/// The axes and capacity knobs both grid runners share — what [`run_grid`]
+/// The axes and capacity knobs every [`Grid`] shares — what [`run_grid`]
 /// needs to build simulators, traces and batch caps.
 #[derive(Debug)]
 pub struct GridAxes<'g> {
@@ -244,12 +249,12 @@ pub struct GridAxes<'g> {
     /// scenario).
     pub max_batch: Option<usize>,
     /// Cells per (system, scenario, rate) point: the product of the axes a
-    /// runner varies faster than rate (1 for traffic grids).
+    /// grid varies faster than rate (1 for traffic grids).
     pub cells_per_point: usize,
 }
 
-/// One cell of a [`run_grid`] run, handed to the runner's key and eval
-/// closures.
+/// One cell of a [`run_grid`] run, handed to its grid's [`Grid::key`] and
+/// [`Grid::eval`].
 #[derive(Debug)]
 pub struct GridCell<'g> {
     /// Flat index in grid order.
@@ -268,36 +273,80 @@ pub struct GridCell<'g> {
     pub max_batch: usize,
 }
 
-/// The front half both grid runners share. Flat cell `i` maps to its
+/// A grid a [`GridRunner`] evaluates: its shared axes, the memo key of each
+/// cell and the simulation that turns a cell into its record.
+pub trait Grid: Sync {
+    /// The record of one cell, as the memo stores it.
+    type Record: GridRecord + Clone + Send + Sync;
+
+    /// The grid's shared axes for [`run_grid`].
+    fn axes(&self) -> GridAxes<'_>;
+
+    /// The content address of `cell`'s record: everything the record is a
+    /// function of, and nothing that cannot change it — thread counts are an
+    /// execution knob, deliberately excluded, so runs at any thread count
+    /// share entries.
+    fn key(&self, cell: &GridCell<'_>) -> Fingerprint;
+
+    /// Simulates `cell` and summarizes it into its record, recording its
+    /// engine decisions onto `recorder` (when attached) and exporting its
+    /// per-cell metrics to `control`'s hub.
+    fn eval(
+        &self,
+        cell: &GridCell<'_>,
+        recorder: Option<&Arc<TraceRecorder>>,
+        control: &RunControl,
+    ) -> Self::Record;
+}
+
+/// The summary tail of every cell record: the whole run under `slo`, and
+/// each tenant under its own objective from `tenant_slos` (every tenant held
+/// to `slo` when `None`).
+pub fn summarize_cell(
+    outcomes: &[RequestOutcome],
+    makespan_ns: f64,
+    telemetry: &TelemetryStats,
+    slo: &SloSpec,
+    tenant_slos: Option<&TenantSlos>,
+) -> (TrafficSummary, Vec<TenantSummary>) {
+    let summary = TrafficSummary::of(outcomes, makespan_ns, telemetry, slo);
+    let per_tenant = TenantSummary::per_tenant(
+        outcomes,
+        makespan_ns,
+        telemetry,
+        tenant_slos.unwrap_or(&TenantSlos::uniform(*slo)),
+        Some((slo, &summary)),
+    );
+    (summary, per_tenant)
+}
+
+/// The front half every grid shares. Flat cell `i` maps to its
 /// (system, scenario, rate) point as `i / cells_per_point`, rate fastest, so
-/// runners order cells system-major with their own axes innermost. Builds one
+/// grids order cells system-major with their own axes innermost. Builds one
 /// simulator per system (sharing a prefill cache across that system's
 /// cells), one trace per (scenario, rate)
 /// shared by every system, and one batch cap per (system, scenario) — traces
 /// and capacity searches memoized when a `memo` is attached. Then fans the
 /// cells out over `threads` workers: each is looked up in the memo under
-/// `key(cell)` and evaluated by `eval(cell)` on a miss (or always, without a
-/// memo). Records come back in grid order; per-cell progress and
+/// [`Grid::key`] and evaluated by [`Grid::eval`] on a miss (or always,
+/// without a memo). Records come back in grid order; per-cell progress and
 /// cell-granular cancellation follow `control` — a cancelled run returns
 /// [`RunAborted`], and cells finished before the flag went up stay in the
 /// memo.
 ///
-/// `eval` runs only on a miss, so a memo-warm cell exports nothing to
-/// `control`'s metrics hub: the hub gains per-cell series only for the cells
-/// this run simulated.
-pub fn run_grid<R>(
+/// `eval` runs only on a miss, so a memo-warm cell records nothing onto
+/// `recorder` and exports nothing to `control`'s metrics hub: both gain
+/// per-cell entries only for the cells this run simulated.
+pub fn run_grid<G: Grid>(
     threads: usize,
-    grid: &GridAxes<'_>,
-    memo: Option<&GridMemo<R>>,
+    grid: &G,
+    memo: Option<&GridMemo<G::Record>>,
+    recorder: Option<&Arc<TraceRecorder>>,
     control: &RunControl,
-    key: impl Fn(&GridCell<'_>) -> Fingerprint + Sync,
-    eval: impl Fn(&GridCell<'_>) -> R + Sync,
-) -> Result<Vec<R>, RunAborted>
-where
-    R: Clone + Send + Sync,
-{
-    let (scenarios, rates) = (grid.scenarios.len(), grid.rates_rps.len());
-    let total = grid.systems.len() * scenarios * rates * grid.cells_per_point;
+) -> Result<Vec<G::Record>, RunAborted> {
+    let axes = grid.axes();
+    let (scenarios, rates) = (axes.scenarios.len(), axes.rates_rps.len());
+    let total = axes.systems.len() * scenarios * rates * axes.cells_per_point;
     if total == 0 {
         return Ok(Vec::new());
     }
@@ -305,7 +354,7 @@ where
         return Err(RunAborted);
     }
 
-    let sims: Vec<ServingSimulator> = grid
+    let sims: Vec<ServingSimulator> = axes
         .systems
         .iter()
         .map(|config| ServingSimulator::new(config.clone()))
@@ -315,18 +364,18 @@ where
     let traces: Vec<Arc<Trace>> = (0..scenarios * rates)
         .map(|point| {
             let (scenario, rate) = (
-                &grid.scenarios[point / rates],
-                grid.rates_rps[point % rates],
+                &axes.scenarios[point / rates],
+                axes.rates_rps[point % rates],
             );
             let stream = point as u64;
-            let trace_seed = Pcg32::new_stream(grid.seed, stream).next_u64();
-            let generate = || scenario.generate(rate, grid.requests_per_cell, trace_seed);
+            let trace_seed = Pcg32::new_stream(axes.seed, stream).next_u64();
+            let generate = || scenario.generate(rate, axes.requests_per_cell, trace_seed);
             match memo {
                 Some(memo) => {
                     let key = FingerprintBuilder::new()
                         .debug(scenario)
                         .f64(rate)
-                        .usize(grid.requests_per_cell)
+                        .usize(axes.requests_per_cell)
                         .u64(trace_seed)
                         .finish();
                     memo.traces.get_or_insert_with(key, generate)
@@ -337,13 +386,13 @@ where
         .collect();
 
     // Independent of the rate axis, so hoisted out of the cell loop.
-    let max_batches: Vec<usize> = match grid.max_batch {
-        Some(max_batch) => vec![max_batch; grid.systems.len() * scenarios],
+    let max_batches: Vec<usize> = match axes.max_batch {
+        Some(max_batch) => vec![max_batch; axes.systems.len() * scenarios],
         None => {
             let store = memo.map(|memo| &memo.max_batches);
-            parallel_map(grid.systems.len() * scenarios, threads, |i| {
-                let (sim, scenario) = (&sims[i / scenarios], &grid.scenarios[i % scenarios]);
-                slo_capacity(sim, grid.model, scenario, grid.tpot_ms, store).1
+            parallel_map(axes.systems.len() * scenarios, threads, |i| {
+                let (sim, scenario) = (&sims[i / scenarios], &axes.scenarios[i % scenarios]);
+                slo_capacity(sim, axes.model, scenario, axes.tpot_ms, store).1
             })
         }
     };
@@ -351,11 +400,11 @@ where
     // Counted and reported under one lock: progress never steps backwards,
     // so the last `run_progress_cells_done` gauge write is the total.
     let completed = Mutex::new(0);
-    let cells: Vec<Option<R>> = parallel_map(total, threads, |index| {
+    let cells: Vec<Option<G::Record>> = parallel_map(total, threads, |index| {
         if control.cancelled() {
             return None;
         }
-        let point = index / grid.cells_per_point;
+        let point = index / axes.cells_per_point;
         let (system, scenario, rate) = (
             point / rates / scenarios,
             point / rates % scenarios,
@@ -370,9 +419,10 @@ where
             trace: &traces[scenario * rates + rate],
             max_batch: max_batches[system * scenarios + scenario],
         };
+        let eval = || grid.eval(&cell, recorder, control);
         let record = match memo {
-            Some(memo) => (*memo.cells.get_or_insert_with(key(&cell), || eval(&cell))).clone(),
-            None => eval(&cell),
+            Some(memo) => (*memo.cells.get_or_insert_with(grid.key(&cell), eval)).clone(),
+            None => eval(),
         };
         let mut done = completed.lock().expect("progress lock poisoned");
         *done += 1;
@@ -383,6 +433,91 @@ where
         .into_iter()
         .collect::<Option<Vec<_>>>()
         .ok_or(RunAborted)
+}
+
+/// Parallel evaluator of any [`Grid`]: cells fan out with [`parallel_map`]
+/// over `threads` workers (see [`run_grid`]). [`TrafficRunner`] and
+/// `pimba_fleet`'s `FleetRunner` are this runner over their grids.
+#[derive(Debug, Clone)]
+pub struct GridRunner<G: Grid> {
+    threads: usize,
+    memo: Option<Arc<GridMemo<G::Record>>>,
+    trace: Option<Arc<TraceRecorder>>,
+}
+
+/// The runner of [`TrafficGrid`]s.
+pub type TrafficRunner = GridRunner<TrafficGrid>;
+
+/// Written out because a derived default would run on zero threads, which
+/// [`parallel_map`] quietly treats as one.
+impl<G: Grid> Default for GridRunner<G> {
+    fn default() -> Self {
+        Self {
+            threads: available_cores(),
+            memo: None,
+            trace: None,
+        }
+    }
+}
+
+impl<G: Grid> GridRunner<G> {
+    /// A runner using every available core.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Overrides the worker-thread count (clamped to at least 1).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Attaches a [`GridMemo`]: traces, capacity searches and whole cells
+    /// are looked up before simulating and stored after. Re-running a grid
+    /// against a warm memo returns records byte-identical to a cold run
+    /// without stepping a single engine.
+    pub fn with_memo(mut self, memo: Arc<GridMemo<G::Record>>) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
+    /// Attaches a [`TraceRecorder`]: every *simulated* cell records its
+    /// engine decisions onto tracks named after its grid index — `cell
+    /// <index>` for a traffic cell, `cell <index> / …` for a fleet cell's
+    /// fleet and replicas (see [`pimba_system::obs`]). Memo-warm cells skip
+    /// the engines entirely and therefore record nothing. Records stay
+    /// byte-identical with a recorder attached — tracing is write-only.
+    pub fn with_trace(mut self, trace: Arc<TraceRecorder>) -> Self {
+        self.trace = Some(trace);
+        self
+    }
+
+    /// Evaluates every cell and returns records in grid order (the grid's
+    /// own axes fastest, then rate, then scenario, then system).
+    /// Deterministic for any thread count.
+    pub fn run(&self, grid: &G) -> Vec<G::Record> {
+        self.run_controlled(grid, &RunControl::new())
+            .expect("uncontrolled run cannot be cancelled")
+    }
+
+    /// [`GridRunner::run`] under a [`RunControl`]: per-cell progress
+    /// callbacks and cooperative cell-granular cancellation (the serving
+    /// daemon's entry point). A cancelled run returns [`RunAborted`] and
+    /// publishes nothing for the cells it skipped; cells that finished before
+    /// the flag went up remain in the memo (they are complete and correct).
+    pub fn run_controlled(
+        &self,
+        grid: &G,
+        control: &RunControl,
+    ) -> Result<Vec<G::Record>, RunAborted> {
+        run_grid(
+            self.threads,
+            grid,
+            self.memo.as_deref(),
+            self.trace.as_ref(),
+            control,
+        )
+    }
 }
 
 /// The cartesian (system × scenario × arrival-rate) grid of one traffic study.
@@ -509,21 +644,6 @@ impl TrafficGrid {
         self.len() == 0
     }
 
-    /// The grid's shared axes for [`run_grid`].
-    fn axes(&self) -> GridAxes<'_> {
-        GridAxes {
-            systems: &self.systems,
-            scenarios: &self.scenarios,
-            rates_rps: &self.rates_rps,
-            model: &self.model,
-            requests_per_cell: self.requests_per_cell,
-            seed: self.seed,
-            tpot_ms: self.slo.tpot_ms,
-            max_batch: None,
-            cells_per_point: 1,
-        }
-    }
-
     /// The engine configuration of a cell running with batch cap `max_batch`.
     fn engine_config(&self, max_batch: usize) -> EngineConfig {
         EngineConfig {
@@ -559,107 +679,48 @@ pub struct TrafficRecord {
     pub preemption: crate::metrics::PreemptionStats,
 }
 
-/// Parallel evaluator of [`TrafficGrid`]s: cells are fanned out with
-/// [`parallel_map`] over `threads` workers.
-#[derive(Debug, Clone)]
-pub struct TrafficRunner {
-    threads: usize,
-    memo: Option<Arc<TrafficMemo>>,
-    trace: Option<Arc<TraceRecorder>>,
-}
+impl Grid for TrafficGrid {
+    type Record = TrafficRecord;
 
-/// Written out because a derived default would run on zero threads, which
-/// [`parallel_map`] quietly treats as one.
-impl Default for TrafficRunner {
-    fn default() -> Self {
-        Self {
-            threads: available_cores(),
-            memo: None,
-            trace: None,
+    fn axes(&self) -> GridAxes<'_> {
+        GridAxes {
+            systems: &self.systems,
+            scenarios: &self.scenarios,
+            rates_rps: &self.rates_rps,
+            model: &self.model,
+            requests_per_cell: self.requests_per_cell,
+            seed: self.seed,
+            tpot_ms: self.slo.tpot_ms,
+            max_batch: None,
+            cells_per_point: 1,
         }
     }
-}
 
-impl TrafficRunner {
-    /// A runner using every available core and shared prefill caches.
-    pub fn new() -> Self {
-        Self::default()
+    fn key(&self, cell: &GridCell<'_>) -> Fingerprint {
+        let builder = FingerprintBuilder::new()
+            .usize(cell.system)
+            .usize(cell.scenario)
+            .f64(self.rates_rps[cell.rate])
+            .debug(&self.systems[cell.system])
+            .debug(&self.model)
+            .debug(&self.slo)
+            .debug(&self.tenant_slos)
+            .debug(&self.policy)
+            .debug(&self.engine_config(cell.max_batch));
+        fold_trace(builder, cell.trace).finish()
     }
 
-    /// Overrides the worker-thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Attaches a [`TrafficMemo`]: traces, capacity searches and whole cells
-    /// are looked up before simulating and stored after. Re-running a grid
-    /// against a warm memo returns records byte-identical to a cold run
-    /// without stepping a single engine.
-    pub fn with_memo(mut self, memo: Arc<TrafficMemo>) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Attaches a [`TraceRecorder`]: every *simulated* cell records its
-    /// engine decisions into a track named `cell <index>` (see
-    /// [`pimba_system::obs`]). Memo-warm cells skip the engine entirely and
-    /// therefore record nothing. Records stay byte-identical with a recorder
-    /// attached — tracing is write-only.
-    pub fn with_trace(mut self, trace: Arc<TraceRecorder>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Evaluates every cell and returns records in grid order (rate fastest,
-    /// then scenario, then system). Deterministic for any thread count.
-    pub fn run(&self, grid: &TrafficGrid) -> Vec<TrafficRecord> {
-        self.run_controlled(grid, &RunControl::new())
-            .expect("uncontrolled run cannot be cancelled")
-    }
-
-    /// [`TrafficRunner::run`] under a [`RunControl`]: per-cell progress
-    /// callbacks and cooperative cell-granular cancellation (the serving
-    /// daemon's entry point). A cancelled run returns [`RunAborted`] and
-    /// publishes nothing for the cells it skipped; cells that finished before
-    /// the flag went up remain in the memo (they are complete and correct).
-    pub fn run_controlled(
+    fn eval(
         &self,
-        grid: &TrafficGrid,
+        cell: &GridCell<'_>,
+        recorder: Option<&Arc<TraceRecorder>>,
         control: &RunControl,
-    ) -> Result<Vec<TrafficRecord>, RunAborted> {
-        // Everything the record is a function of; the thread count is an
-        // execution knob and excluded.
-        let key = |cell: &GridCell<'_>| {
-            let builder = FingerprintBuilder::new()
-                .usize(cell.system)
-                .usize(cell.scenario)
-                .f64(grid.rates_rps[cell.rate])
-                .debug(&grid.systems[cell.system])
-                .debug(&grid.model)
-                .debug(&grid.slo)
-                .debug(&grid.tenant_slos)
-                .debug(&grid.policy)
-                .debug(&grid.engine_config(cell.max_batch));
-            fold_trace(builder, cell.trace).finish()
-        };
-        run_grid(
-            self.threads,
-            &grid.axes(),
-            self.memo.as_deref(),
-            control,
-            key,
-            |cell| self.eval(grid, cell, control),
-        )
-    }
-
-    /// Simulates one cell and summarizes it into its record.
-    fn eval(&self, grid: &TrafficGrid, cell: &GridCell<'_>, control: &RunControl) -> TrafficRecord {
+    ) -> TrafficRecord {
         let (sim, trace) = (cell.sim, cell.trace);
-        let engine_config = grid.engine_config(cell.max_batch);
-        let engine = Engine::new(sim, &grid.model, engine_config);
-        let mut policy = grid.policy.build();
-        let sink = match &self.trace {
+        let engine_config = self.engine_config(cell.max_batch);
+        let engine = Engine::new(sim, &self.model, engine_config);
+        let mut policy = self.policy.build();
+        let sink = match recorder {
             Some(recorder) => recorder.track(&format!("cell {}", cell.index)),
             None => TraceSink::disabled(),
         };
@@ -669,20 +730,17 @@ impl TrafficRunner {
             let index = cell.index.to_string();
             result.export_metrics(control.metrics(), &[("cell", &index)]);
         }
-        let summary = result.summary(&grid.slo);
-        let per_tenant = TenantSummary::per_tenant(
+        let (summary, per_tenant) = summarize_cell(
             &result.outcomes,
             result.makespan_ns,
             &result.telemetry,
-            grid.tenant_slos
-                .as_ref()
-                .unwrap_or(&TenantSlos::uniform(grid.slo)),
-            Some((&grid.slo, &summary)),
+            &self.slo,
+            self.tenant_slos.as_ref(),
         );
         TrafficRecord {
             system: cell.system,
             scenario: cell.scenario,
-            rate_rps: grid.rates_rps[cell.rate],
+            rate_rps: self.rates_rps[cell.rate],
             max_batch: cell.max_batch,
             summary,
             per_tenant,

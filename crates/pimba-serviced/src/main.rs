@@ -3,9 +3,11 @@
 //! Two modes:
 //!
 //! * **one-shot** — `pimba-serviced --spec FILE [--spec FILE …]`: run each
-//!   spec file through the queue, print the event stream (accepted /
-//!   progress / record / done) as JSONL on stdout, exit non-zero on any
-//!   invalid spec or failed job;
+//!   spec file through the queue, print its event stream on stdout exactly
+//!   as the daemon streams it (accepted, progress, record, then one terminal
+//!   `done`/`failed`/`cancelled`/`timed_out` line), and exit non-zero on any
+//!   unreadable or invalid spec (reported on stderr) or job that did not
+//!   finish `done`;
 //! * **daemon** — `pimba-serviced --listen ADDR`: serve the line protocol
 //!   until SIGTERM / ctrl-c / a `shutdown` command, then drain gracefully.
 //!
@@ -17,8 +19,8 @@
 
 use netline::Json;
 use pimba_serviced::queue::{JobEvent, JobQueue};
-use pimba_serviced::server::{Daemon, DaemonConfig};
-use pimba_serviced::spec::{trace_requested, Experiment};
+use pimba_serviced::server::{accepted_line, event_line, Daemon, DaemonConfig};
+use pimba_serviced::spec::parse_submission;
 use pimba_serviced::store::ResultStore;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -170,105 +172,39 @@ fn sync_exit_code(store: &ResultStore) -> ExitCode {
     }
 }
 
-/// Runs spec files through the queue sequentially, printing the event stream.
+/// Runs spec files through the queue sequentially, printing each job's
+/// event stream as the daemon renders it.
 fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
     let queue = JobQueue::start(store, args.workers, args.timeout);
     let mut failed = false;
     for path in &args.specs {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("pimba-serviced: cannot read {}: {e}", path.display());
-                failed = true;
-                continue;
-            }
-        };
-        let spec = match Json::parse(&text) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("pimba-serviced: {}: invalid JSON: {e}", path.display());
-                failed = true;
-                continue;
-            }
-        };
-        let experiment = match Experiment::from_json(&spec) {
-            Ok(experiment) => experiment,
-            Err(e) => {
-                eprintln!("pimba-serviced: {}: {e}", path.display());
-                failed = true;
-                continue;
-            }
-        };
-        let trace = match trace_requested(&spec) {
-            Ok(trace) => trace,
-            Err(e) => {
-                eprintln!("pimba-serviced: {}: {e}", path.display());
-                failed = true;
-                continue;
-            }
-        };
-        let (id, events) = match queue.submit_traced(experiment, 0, None, trace) {
+        let submitted = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+            .and_then(|text| {
+                Json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))
+            })
+            .and_then(|spec| {
+                parse_submission(&spec).map_err(|e| format!("{}: {e}", path.display()))
+            })
+            .and_then(|(experiment, trace)| {
+                queue
+                    .submit_traced(experiment, 0, None, trace)
+                    .map_err(|e| e.to_string())
+            });
+        let (id, events) = match submitted {
             Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("pimba-serviced: {e}");
+            Err(message) => {
+                eprintln!("pimba-serviced: {message}");
                 failed = true;
                 continue;
             }
         };
-        println!(
-            "{}",
-            Json::obj(vec![
-                ("event", Json::str("accepted")),
-                ("job", Json::Int(id as i64)),
-            ])
-            .render()
-        );
+        println!("{}", accepted_line(id));
         for event in events {
-            match event {
-                JobEvent::Progress { done, total } => println!(
-                    "{}",
-                    Json::obj(vec![
-                        ("event", Json::str("progress")),
-                        ("job", Json::Int(id as i64)),
-                        ("done", Json::Int(done as i64)),
-                        ("total", Json::Int(total as i64)),
-                    ])
-                    .render()
-                ),
-                JobEvent::Record(data) => {
-                    println!("{{\"event\":\"record\",\"job\":{id},\"data\":{data}}}");
-                }
-                JobEvent::Trace(data) => println!(
-                    "{}",
-                    Json::obj(vec![
-                        ("event", Json::str("trace")),
-                        ("job", Json::Int(id as i64)),
-                        ("data", Json::Str(data)),
-                    ])
-                    .render()
-                ),
-                JobEvent::Done { records } => {
-                    println!(
-                        "{}",
-                        Json::obj(vec![
-                            ("event", Json::str("done")),
-                            ("job", Json::Int(id as i64)),
-                            ("records", Json::Int(records as i64)),
-                        ])
-                        .render()
-                    );
-                    break;
-                }
-                JobEvent::Failed(message) => {
-                    eprintln!("pimba-serviced: job {id} failed: {message}");
-                    failed = true;
-                    break;
-                }
-                JobEvent::Cancelled | JobEvent::TimedOut => {
-                    eprintln!("pimba-serviced: job {id} did not complete");
-                    failed = true;
-                    break;
-                }
+            println!("{}", event_line(id, &event));
+            if event.is_terminal() {
+                failed |= !matches!(event, JobEvent::Done { .. });
+                break;
             }
             if STOP.load(Ordering::SeqCst) {
                 break;

@@ -90,6 +90,16 @@ pub enum JobEvent {
     TimedOut,
 }
 
+impl JobEvent {
+    /// Whether the event ends the job's stream.
+    pub fn is_terminal(&self) -> bool {
+        matches!(
+            self,
+            JobEvent::Done { .. } | JobEvent::Failed(_) | JobEvent::Cancelled | JobEvent::TimedOut
+        )
+    }
+}
+
 /// Why a submission was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {

@@ -41,8 +41,8 @@
 //! are cancelled, new submissions are rejected with a structured error, and
 //! the store is flushed before [`Daemon::stop`] returns.
 
-use crate::queue::{JobEvent, JobQueue, SubmitError};
-use crate::spec::{render_fleet_record, render_traffic_record, trace_requested, Experiment};
+use crate::queue::{JobEvent, JobId, JobQueue, SubmitError};
+use crate::spec::{parse_submission, render_fleet_record, render_traffic_record};
 use crate::store::ResultStore;
 use netline::{Json, LineConn, LineServer, Stopper};
 use pimba_system::memo::Fingerprint;
@@ -366,15 +366,8 @@ fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, request: &Json) {
         let _ = conn.write_line(&error_line("spec", "missing required field"));
         return;
     };
-    let experiment = match Experiment::from_json(spec) {
-        Ok(experiment) => experiment,
-        Err(e) => {
-            let _ = conn.write_line(&error_line(&format!("spec.{}", e.field), &e.message));
-            return;
-        }
-    };
-    let trace = match trace_requested(spec) {
-        Ok(trace) => trace,
+    let (experiment, trace) = match parse_submission(spec) {
+        Ok(submission) => submission,
         Err(e) => {
             let _ = conn.write_line(&error_line(&format!("spec.{}", e.field), &e.message));
             return;
@@ -387,16 +380,7 @@ fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, request: &Json) {
             return;
         }
     };
-    if conn
-        .write_line(
-            &Json::obj(vec![
-                ("event", Json::str("accepted")),
-                ("job", Json::Int(id as i64)),
-            ])
-            .render(),
-        )
-        .is_err()
-    {
+    if conn.write_line(&accepted_line(id)).is_err() {
         // Submitter vanished before the ack: nobody is listening, spare the
         // workers.
         queue.cancel(id);
@@ -406,10 +390,64 @@ fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, request: &Json) {
     stream_events(conn, queue, id, &events);
 }
 
+/// The `accepted` line that opens a submission's stream.
+pub fn accepted_line(id: JobId) -> String {
+    Json::obj(vec![
+        ("event", Json::str("accepted")),
+        ("job", Json::Int(id as i64)),
+    ])
+    .render()
+}
+
+/// The protocol line of one job event — what the daemon streams to a
+/// submitter and the binary's one-shot mode prints.
+pub fn event_line(id: JobId, event: &JobEvent) -> String {
+    let job = Json::Int(id as i64);
+    match event {
+        JobEvent::Progress { done, total } => Json::obj(vec![
+            ("event", Json::str("progress")),
+            ("job", job),
+            ("done", Json::Int(*done as i64)),
+            ("total", Json::Int(*total as i64)),
+        ])
+        .render(),
+        // Embed the canonical bytes verbatim: the envelope is built by
+        // concatenation, not re-rendering, so the `data` value is exactly the
+        // canonical record line.
+        JobEvent::Record(data) => format!("{{\"event\":\"record\",\"job\":{id},\"data\":{data}}}"),
+        // Unlike records, the trace spans many lines — ship it as one
+        // JSON-escaped string value (clients recover the exact bytes by
+        // unescaping).
+        JobEvent::Trace(data) => Json::obj(vec![
+            ("event", Json::str("trace")),
+            ("job", job),
+            ("data", Json::str(data)),
+        ])
+        .render(),
+        JobEvent::Done { records } => Json::obj(vec![
+            ("event", Json::str("done")),
+            ("job", job),
+            ("records", Json::Int(*records as i64)),
+        ])
+        .render(),
+        JobEvent::Failed(message) => Json::obj(vec![
+            ("event", Json::str("failed")),
+            ("job", job),
+            ("message", Json::str(message)),
+        ])
+        .render(),
+        JobEvent::Cancelled => {
+            Json::obj(vec![("event", Json::str("cancelled")), ("job", job)]).render()
+        }
+        JobEvent::TimedOut => {
+            Json::obj(vec![("event", Json::str("timed_out")), ("job", job)]).render()
+        }
+    }
+}
+
 /// Streams a submission's events until the terminal one. The writer failing
 /// (client gone) cancels the job.
 fn stream_events(conn: &mut LineConn, queue: &Arc<JobQueue>, id: u64, events: &Receiver<JobEvent>) {
-    let job = Json::Int(id as i64);
     loop {
         let event = match events.recv_timeout(Duration::from_millis(500)) {
             Ok(event) => event,
@@ -419,77 +457,12 @@ fn stream_events(conn: &mut LineConn, queue: &Arc<JobQueue>, id: u64, events: &R
             // safe rather than spin.
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        let (line, terminal) = match &event {
-            JobEvent::Progress { done, total } => (
-                Json::obj(vec![
-                    ("event", Json::str("progress")),
-                    ("job", job.clone()),
-                    ("done", Json::Int(*done as i64)),
-                    ("total", Json::Int(*total as i64)),
-                ])
-                .render(),
-                false,
-            ),
-            JobEvent::Record(data) => (
-                // Embed the canonical bytes verbatim: the envelope is built
-                // by concatenation, not re-rendering, so the `data` value is
-                // exactly the canonical record line.
-                format!("{{\"event\":\"record\",\"job\":{id},\"data\":{data}}}"),
-                false,
-            ),
-            JobEvent::Trace(data) => (
-                // Unlike records, the trace spans many lines — ship it as one
-                // JSON-escaped string value (clients recover the exact bytes
-                // by unescaping).
-                Json::obj(vec![
-                    ("event", Json::str("trace")),
-                    ("job", job.clone()),
-                    ("data", Json::str(data)),
-                ])
-                .render(),
-                false,
-            ),
-            JobEvent::Done { records } => (
-                Json::obj(vec![
-                    ("event", Json::str("done")),
-                    ("job", job.clone()),
-                    ("records", Json::Int(*records as i64)),
-                ])
-                .render(),
-                true,
-            ),
-            JobEvent::Failed(message) => (
-                Json::obj(vec![
-                    ("event", Json::str("failed")),
-                    ("job", job.clone()),
-                    ("message", Json::str(message)),
-                ])
-                .render(),
-                true,
-            ),
-            JobEvent::Cancelled => (
-                Json::obj(vec![
-                    ("event", Json::str("cancelled")),
-                    ("job", job.clone()),
-                ])
-                .render(),
-                true,
-            ),
-            JobEvent::TimedOut => (
-                Json::obj(vec![
-                    ("event", Json::str("timed_out")),
-                    ("job", job.clone()),
-                ])
-                .render(),
-                true,
-            ),
-        };
-        if conn.write_line(&line).is_err() {
+        if conn.write_line(&event_line(id, &event)).is_err() {
             // Client gone mid-stream: stop wasting cycles on its job.
             queue.cancel(id);
             return;
         }
-        if terminal {
+        if event.is_terminal() {
             return;
         }
     }

@@ -19,10 +19,10 @@
 
 use netline::Json;
 use pimba_fleet::router::RouterKind;
-use pimba_fleet::runner::{FleetGrid, FleetRecord, FleetRunner};
+use pimba_fleet::runner::{FleetGrid, FleetRecord};
 use pimba_models::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::metrics::{Percentiles, SloSpec, TenantSummary, TrafficSummary};
-use pimba_serve::runner::{slo_capacity, TrafficGrid, TrafficRecord, TrafficRunner};
+use pimba_serve::runner::{slo_capacity, Grid, GridMemo, GridRunner, TrafficGrid, TrafficRecord};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::{SystemConfig, SystemKind};
@@ -93,6 +93,11 @@ const KINDS: [&str; 4] = ["traffic_grid", "fleet_grid", "slo_capacity", "what_if
 /// built whole in memory before it runs, and a failed allocation aborts the
 /// daemon rather than failing one job.
 pub const MAX_REQUESTS_PER_CELL: usize = 1_000_000;
+
+/// The most trace requests a spec may make a grid build: one trace of
+/// `requests_per_cell` requests per (scenario, rate), all built in memory
+/// before any cell runs. Admits four full [`MAX_REQUESTS_PER_CELL`] traces.
+pub const MAX_TRACE_REQUESTS: usize = 4 * MAX_REQUESTS_PER_CELL;
 
 /// The largest entry a fleet spec's `replicas` list may hold.
 pub const MAX_REPLICAS: usize = 1024;
@@ -251,12 +256,19 @@ fn opt_slo(spec: &Json) -> Result<Option<SloSpec>, SpecError> {
     }))
 }
 
+/// Parses a submitted spec into its experiment and whether it opted into
+/// per-job trace capture — the one parser behind the daemon's `submit` verb
+/// and the binary's one-shot mode.
+pub fn parse_submission(spec: &Json) -> Result<(Experiment, bool), SpecError> {
+    Ok((Experiment::from_json(spec)?, trace_requested(spec)?))
+}
+
 /// Whether `spec` opted into per-job trace capture (`"trace": true`).
 /// Absent means no trace; a non-boolean value is a [`SpecError`]. The flag
 /// lives beside the experiment fields but is parsed separately —
 /// [`Experiment::from_json`] describes *what* to run, this describes what to
 /// record about the run.
-pub fn trace_requested(spec: &Json) -> Result<bool, SpecError> {
+fn trace_requested(spec: &Json) -> Result<bool, SpecError> {
     match spec.get("trace") {
         None => Ok(false),
         Some(v) => v
@@ -273,12 +285,14 @@ impl Experiment {
     /// `systems`, `scenarios`, and (except for `slo_capacity`) `rates_rps`.
     /// Fleet grids additionally require `replicas` and `routers`; each
     /// replica count is at most [`MAX_REPLICAS`]. Optional:
-    /// `requests_per_cell` (default 20, at most [`MAX_REQUESTS_PER_CELL`]),
+    /// `requests_per_cell` (default 20, at most [`MAX_REQUESTS_PER_CELL`];
+    /// scenarios × rates × requests at most [`MAX_TRACE_REQUESTS`], an
+    /// error naming `rates_rps`),
     /// `seq_bucket` (default 32), `seed`,
     /// `policy` (a [`PolicyKind`] name), `slo`
     /// (`{"ttft_ms", "tpot_ms"}`). `what_if` demands exactly one entry per
     /// axis. Every violation comes back as a [`SpecError`] naming the field.
-    /// The sibling `trace` flag is parsed by [`trace_requested`], not here.
+    /// The sibling `trace` flag is parsed by [`parse_submission`], not here.
     pub fn from_json(spec: &Json) -> Result<Experiment, SpecError> {
         if !matches!(spec, Json::Obj(_)) {
             return Err(SpecError::new("spec", "must be a JSON object"));
@@ -365,6 +379,19 @@ impl Experiment {
             opt_usize(spec, "requests_per_cell", 20)?,
             MAX_REQUESTS_PER_CELL,
         )?;
+        let trace_requests = scenarios
+            .len()
+            .saturating_mul(rates.len())
+            .saturating_mul(requests);
+        if trace_requests > MAX_TRACE_REQUESTS {
+            return Err(SpecError::new(
+                "rates_rps",
+                format!(
+                    "scenarios x rates_rps x requests_per_cell must be at most \
+                     {MAX_TRACE_REQUESTS} trace requests (got {trace_requests})"
+                ),
+            ));
+        }
         let seq_bucket = opt_usize(spec, "seq_bucket", 32)?;
         let seed = match spec.get("seed") {
             None => None,
@@ -498,22 +525,20 @@ impl Experiment {
     ) -> Result<(Vec<String>, Option<String>), RunAborted> {
         let recorder = trace.then(|| Arc::new(TraceRecorder::new()));
         let lines = match self {
-            Experiment::Traffic(grid) => {
-                let mut runner = TrafficRunner::new().with_memo(Arc::clone(&store.traffic));
-                if let Some(recorder) = &recorder {
-                    runner = runner.with_trace(Arc::clone(recorder));
-                }
-                let records = runner.run_controlled(grid, control)?;
-                records.iter().map(render_traffic_record).collect()
-            }
-            Experiment::Fleet(grid) => {
-                let mut runner = FleetRunner::new().with_memo(Arc::clone(&store.fleet));
-                if let Some(recorder) = &recorder {
-                    runner = runner.with_trace(Arc::clone(recorder));
-                }
-                let records = runner.run_controlled(grid, control)?;
-                records.iter().map(render_fleet_record).collect()
-            }
+            Experiment::Traffic(grid) => run_grid_lines(
+                grid,
+                &store.traffic,
+                recorder.as_ref(),
+                control,
+                render_traffic_record,
+            )?,
+            Experiment::Fleet(grid) => run_grid_lines(
+                grid,
+                &store.fleet,
+                recorder.as_ref(),
+                control,
+                render_fleet_record,
+            )?,
             Experiment::Capacity(cap) => {
                 let total = cap.systems.len() * cap.scenarios.len();
                 let mut lines = Vec::with_capacity(total);
@@ -542,6 +567,26 @@ impl Experiment {
         };
         Ok((lines, recorder.map(|r| r.to_jsonl())))
     }
+}
+
+/// Runs `grid` through a [`GridRunner`] on `memo` (recording onto
+/// `recorder` when attached) and renders its records with `render`.
+fn run_grid_lines<G: Grid>(
+    grid: &G,
+    memo: &Arc<GridMemo<G::Record>>,
+    recorder: Option<&Arc<TraceRecorder>>,
+    control: &RunControl,
+    render: fn(&G::Record) -> String,
+) -> Result<Vec<String>, RunAborted> {
+    let mut runner = GridRunner::new().with_memo(Arc::clone(memo));
+    if let Some(recorder) = recorder {
+        runner = runner.with_trace(Arc::clone(recorder));
+    }
+    Ok(runner
+        .run_controlled(grid, control)?
+        .iter()
+        .map(render)
+        .collect())
 }
 
 fn percentiles_json(p: &Percentiles) -> Json {
@@ -755,6 +800,29 @@ mod tests {
         let err = Experiment::from_json(&fleet(requests, replicas + 1)).unwrap_err();
         assert_eq!(err.field, "replicas");
         assert!(err.message.contains("1024"), "{err}");
+
+        // Every (scenario, rate) trace is built up front, so their total is
+        // bounded too: full-size traces up to the limit, and no further.
+        let traffic = |scenarios: &str, rates: usize| {
+            let rates: Vec<String> = (1..=rates).map(|r| r.to_string()).collect();
+            Json::parse(&format!(
+                r#"{{"kind":"traffic_grid","model":{{"family":"mamba2","scale":"small"}},
+                    "systems":["pimba"],"scenarios":[{scenarios}],"rates_rps":[{}],
+                    "requests_per_cell":{requests}}}"#,
+                rates.join(",")
+            ))
+            .unwrap()
+        };
+        let full_traces = MAX_TRACE_REQUESTS / MAX_REQUESTS_PER_CELL;
+        assert!(full_traces >= 1, "one full trace must fit");
+        assert!(Experiment::from_json(&traffic(r#""chat""#, full_traces)).is_ok());
+        let err = Experiment::from_json(&traffic(r#""chat""#, full_traces + 1)).unwrap_err();
+        assert_eq!(err.field, "rates_rps");
+        assert!(err.message.contains("4000000"), "{err}");
+        // Scenarios multiply the trace count like rates do.
+        let err =
+            Experiment::from_json(&traffic(r#""chat","reasoning""#, full_traces)).unwrap_err();
+        assert_eq!(err.field, "rates_rps");
     }
 
     #[test]
@@ -785,16 +853,42 @@ mod tests {
         assert!(!trace.is_empty(), "a cold traced run must record events");
 
         // The spec-level flag parses strictly.
-        assert!(!trace_requested(&traffic_spec()).unwrap());
+        assert!(!parse_submission(&traffic_spec()).unwrap().1);
         let mut spec = traffic_spec();
         if let Json::Obj(pairs) = &mut spec {
             pairs.push(("trace".to_string(), Json::Bool(true)));
         }
-        assert!(trace_requested(&spec).unwrap());
+        assert!(parse_submission(&spec).unwrap().1);
         if let Json::Obj(pairs) = &mut spec {
             pairs.last_mut().unwrap().1 = Json::str("yes");
         }
-        assert_eq!(trace_requested(&spec).unwrap_err().field, "trace");
+        assert_eq!(parse_submission(&spec).unwrap_err().field, "trace");
+    }
+
+    #[test]
+    fn traced_fleet_run_keeps_record_bytes_and_records_fleet_tracks() {
+        let spec = Json::parse(
+            r#"{"kind":"fleet_grid","model":{"family":"mamba2","scale":"small"},
+                "systems":["pimba"],"scenarios":["chat"],"rates_rps":[16.0],
+                "replicas":[2],"routers":["round_robin","jsq"],
+                "requests_per_cell":10,"seed":7}"#,
+        )
+        .unwrap();
+        let exp = Experiment::from_json(&spec).unwrap();
+        let plain = exp
+            .run(&ResultStore::in_memory(), &RunControl::new())
+            .unwrap();
+        assert_eq!(plain.len(), 2);
+        let (lines, trace) = exp
+            .run_traced(&ResultStore::in_memory(), &RunControl::new(), true)
+            .unwrap();
+        assert_eq!(lines, plain, "tracing must not perturb record bytes");
+        let trace = trace.expect("trace was requested");
+        assert!(!trace.is_empty(), "a cold traced run must record events");
+        assert!(
+            trace.contains(r#""track":"cell 0 / fleet""#),
+            "fleet cells record onto prefixed tracks"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Grid-run plumbing shared by the traffic and fleet grid runners, and the
+//! Grid-run plumbing of `pimba-serve`'s grid runner, and the
 //! SLO batch-capacity search.
 //!
 //! [`parallel_map`] is the workspace's one fork-join fan-out, over
@@ -17,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 /// progress callback and an optional cancellation flag, polled between cells.
 /// The vocabulary a serving daemon needs to stream progress and honor
 /// cancellations/timeouts without threading callbacks through every runner
-/// signature — both grid runners accept one in their `run_controlled` entry
-/// points.
+/// signature — the grid runner accepts one in its `run_controlled` entry
+/// point.
 ///
 /// Cancellation is *cell-granular*: a cell already simulating runs to
 /// completion (its result may still be published to a memo — it is correct),
@@ -118,8 +118,8 @@ impl std::error::Error for RunAborted {}
 ///
 /// This is the one fork-join fan-out of the workspace (the environment has no
 /// crates.io access, so `std::thread::scope` stands in for a `rayon` parallel
-/// iterator): `pimba-serve`'s `run_grid` partitions the cells of the traffic
-/// and fleet grid runners over it. `eval` must be deterministic per index for
+/// iterator): `pimba-serve`'s `run_grid` partitions the cells of every
+/// traffic and fleet grid over it. `eval` must be deterministic per index for
 /// the output to be reproducible — the runners guarantee this (and their
 /// regression tests assert bit-identical results across thread counts).
 pub fn parallel_map<T, F>(total: usize, threads: usize, eval: F) -> Vec<T>
@@ -175,7 +175,7 @@ where
 }
 
 /// The number of cores this process may run on: the default worker-thread
-/// count of the traffic and fleet grid runners. Read once per process, since
+/// count of `pimba-serve`'s grid runner. Read once per process, since
 /// daemons build a runner per job and the query costs a syscall; at least 1.
 pub fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
