@@ -2,10 +2,13 @@
 //! fast-forwarding, on identical traces.
 //!
 //! For every (scenario × policy) cell the same trace is simulated twice on the
-//! Pimba system — once with `fast_forward: false` (the step-by-step oracle,
-//! one event + scheduler call + direct simulator latency + `O(batch)`
-//! bookkeeping pass per decode step, on the same single-flight event source) and once with `fast_forward: true` — and the two
-//! `SimResult`s are asserted **bit-identical** before any number is reported.
+//! Pimba system — once with `fast_forward: false` (the step-by-step oracle:
+//! one event, one scheduler call, one dense-table latency read and one
+//! `O(batch)` bookkeeping pass per decode step, on the same single-flight
+//! event source and the same latency tables) and once with
+//! `fast_forward: true` — and the two `SimResult`s are asserted
+//! **bit-identical** before any number is reported. The speedup therefore
+//! measures macro-step fast-forwarding alone.
 //! Reported per cell: wall time, simulation events per second of wall time,
 //! and the wall-time speedup. Writes `results/BENCH_serve_hotloop.json`.
 //!

@@ -37,21 +37,21 @@
 //!
 //! [`EngineConfig::fast_forward`] selects between two executions of the same
 //! simulation on the same single-flight event source
-//! ([`SingleFlightEvents`]). `false` is the unoptimized step-by-step oracle —
-//! one event, one scheduler consult and one
-//! [`generation_step`](pimba_system::ServingSimulator::generation_step)
-//! evaluation per decode step. `true`
-//! (the default) layers three optimizations on top, none of which changes a
-//! single output bit (`tests/fastforward.rs` asserts bit-identity property-
-//! style, and the `serve_hotloop` bench re-asserts it on every run):
+//! ([`SingleFlightEvents`]) and the same latency tables. `false` is the
+//! step-by-step oracle — one event, one scheduler consult and one table read
+//! per decode step. `true` (the default) adds macro-step fast-forwarding on
+//! top. No piece below changes a single output bit (`tests/fastforward.rs`
+//! asserts bit-identity property-style, and the `serve_hotloop` bench
+//! re-asserts it on every run):
 //!
-//! * **Dense latency tables** — the run carries private
+//! * **Dense latency tables** (both modes) — every session carries private
 //!   [`StepLatencyTable`]/[`PrefillLatencyTable`] memos indexed by
 //!   `(batch, seq-bucket)`, so hot-loop latency reads are plain array indexing
 //!   — no workload construction, no hashing, no locks. A table entry stores
-//!   the exact `f64` the simulator returns. Rows allocate in pages on first
-//!   touch, and a step table over an attention-free model keeps one slot per
-//!   row and reports itself seq-invariant.
+//!   the exact `f64` the simulator returns (the `table` module's tests pin
+//!   every read to `generation_step` / `prefill_latency_ns`). Rows allocate
+//!   in pages on first touch, and a step table over an attention-free model
+//!   keeps one slot per row and reports itself seq-invariant.
 //! * **Macro-step fast-forwarding** — when the scheduler certifies its pure
 //!   decode decision as *stable* ([`Scheduler::decode_stability`]), the whole
 //!   run of decode steps up to the next arrival (or completion, depending on
@@ -72,8 +72,8 @@
 //!   candidates through [`MemoryModel::fitting_prefix`] against a
 //!   precomputed [`MemoryModel`] (a handful of multiply-adds, bit-identical
 //!   to the workload-based accounting) instead of building a workload per
-//!   candidate. This one is shared by both modes: it cannot change decisions,
-//!   only the cost of asking.
+//!   candidate. Shared by both modes: it cannot change decisions, only the
+//!   cost of asking.
 //!
 //! # Incremental co-simulation
 //!
@@ -144,7 +144,8 @@ pub struct EngineConfig {
     /// Macro-step fast-forwarding of stable pure-decode runs (see the module
     /// docs). Results are bit-identical either way; `false` forces the
     /// step-by-step event loop (the oracle the `serve_hotloop` bench and the
-    /// fast-forward property tests compare against).
+    /// fast-forward property tests compare against), which reads the same
+    /// dense latency tables one step at a time.
     pub fast_forward: bool,
     /// Ignored: a run keeps exact queue/occupancy aggregates only
     /// ([`Telemetry`]) and stores no time series. Kept so existing struct
@@ -485,70 +486,6 @@ impl FifoQueue {
     }
 }
 
-/// Where the engine reads step/prefill latencies from — dense per-run tables
-/// in fast-forward mode, direct per-call simulator evaluation in the
-/// step-by-step oracle mode. Both apply the same seq-bucketing and return the
-/// same bits ([`StepLatencyTable`] stores exactly what the simulator
-/// computes), so the mode affects wall time only.
-enum Latencies<'a> {
-    Tables {
-        /// Dense decode-step memo.
-        steps: StepLatencyTable<'a>,
-        /// Dense prefill memo.
-        prefills: PrefillLatencyTable<'a>,
-    },
-    Direct {
-        sim: &'a ServingSimulator,
-        model: &'a ModelConfig,
-        seq_bucket: usize,
-    },
-}
-
-impl Latencies<'_> {
-    /// Latency of one decode step over `batch` requests at `seq_len` (rounded
-    /// up to the configured bucket).
-    fn step_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
-        match self {
-            Self::Tables { steps, .. } => steps.step_ns(batch, seq_len),
-            Self::Direct {
-                sim,
-                model,
-                seq_bucket,
-            } => {
-                let seq = seq_len.max(1);
-                let bucketed = seq.div_ceil(*seq_bucket) * *seq_bucket;
-                sim.generation_step(model, batch, bucketed).total_ns
-            }
-        }
-    }
-
-    /// Whether the step latency is the same at every sequence length, so a
-    /// fast-forward segment never re-reads it for a longer sequence. Only the
-    /// tables answer (the per-step oracle never fast-forwards).
-    fn seq_invariant(&self) -> bool {
-        match self {
-            Self::Tables { steps, .. } => steps.seq_invariant(),
-            Self::Direct { .. } => false,
-        }
-    }
-
-    /// Latency of prefilling `batch` prompts of `prompt_len` tokens (rounded
-    /// up to the configured bucket).
-    fn prefill_ns(&mut self, batch: usize, prompt_len: usize) -> f64 {
-        match self {
-            Self::Tables { prefills, .. } => prefills.prefill_ns(batch, prompt_len),
-            Self::Direct {
-                sim,
-                model,
-                seq_bucket,
-            } => {
-                let bucketed = prompt_len.div_ceil(*seq_bucket) * *seq_bucket;
-                sim.prefill_latency_ns(model, batch, bucketed)
-            }
-        }
-    }
-}
-
 /// What the engine currently has in flight.
 #[derive(Debug, Clone)]
 enum Work {
@@ -647,11 +584,11 @@ impl<'a> Engine<'a> {
     /// arrivals are [`Session::inject`]ed one at a time by an external driver
     /// instead of being preloaded from a trace.
     ///
-    /// `max_seq_hint` / `max_prompt_hint` size the dense latency tables of a
-    /// fast-forward session (pass the maxima of the traffic the session will
-    /// see; out-of-range lookups fall back to the simulator with identical
-    /// results, so the hints affect only memoization, never a single bit of
-    /// output).
+    /// `max_seq_hint` / `max_prompt_hint` size the dense latency tables every
+    /// session reads, in either [`EngineConfig::fast_forward`] mode (pass the
+    /// maxima of the traffic the session will see; out-of-range lookups fall
+    /// back to the simulator with identical results, so the hints affect only
+    /// memoization, never a single bit of output).
     pub fn session(&'a self, max_seq_hint: usize, max_prompt_hint: usize) -> Session<'a> {
         Session::new(
             self,
@@ -722,7 +659,10 @@ impl<'a> Engine<'a> {
 pub struct Session<'a> {
     engine: &'a Engine<'a>,
     events: SingleFlightEvents,
-    latencies: Latencies<'a>,
+    /// Dense decode-step memo.
+    steps: StepLatencyTable<'a>,
+    /// Dense prefill memo.
+    prefills: PrefillLatencyTable<'a>,
     /// Injection-ordered request table; event ids index into it.
     requests: Vec<SessionRequest>,
     queue: FifoQueue,
@@ -754,12 +694,11 @@ pub struct Session<'a> {
 
 impl<'a> Session<'a> {
     /// The one constructor behind [`Engine::run_traced`] and
-    /// [`Engine::session`], and the one place the latency source is picked.
-    /// Fast mode fills per-run dense latency memos sized by the hints, so the
-    /// hot loop reads step/prefill latencies with `O(1)` array indexing (the
-    /// simulator's shared prefill cache, when it carries one, still
+    /// [`Engine::session`]. Both modes read step/prefill latencies from
+    /// per-run dense memos sized by the hints, with `O(1)` array indexing
+    /// (the simulator's shared prefill cache, when it carries one, still
     /// deduplicates the prefill fills across engines, grid cells and worker
-    /// threads). The oracle evaluates through the simulator per step.
+    /// threads).
     fn new(
         engine: &'a Engine<'a>,
         events: SingleFlightEvents,
@@ -767,34 +706,18 @@ impl<'a> Session<'a> {
         max_prompt_hint: usize,
     ) -> Self {
         let (sim, model, config) = (engine.sim, engine.model, engine.config);
-        let latencies = if config.fast_forward {
-            Latencies::Tables {
-                steps: StepLatencyTable::new(
-                    sim,
-                    model,
-                    config.seq_bucket,
-                    config.max_batch,
-                    max_seq_hint.max(1),
-                ),
-                prefills: PrefillLatencyTable::new(
-                    sim,
-                    model,
-                    config.seq_bucket,
-                    config.max_batch,
-                    max_prompt_hint.max(1),
-                ),
-            }
-        } else {
-            Latencies::Direct {
-                sim,
-                model,
-                seq_bucket: config.seq_bucket,
-            }
-        };
+        let (bucket, max_batch) = (config.seq_bucket, config.max_batch);
         Self {
             engine,
             events,
-            latencies,
+            steps: StepLatencyTable::new(sim, model, bucket, max_batch, max_seq_hint.max(1)),
+            prefills: PrefillLatencyTable::new(
+                sim,
+                model,
+                bucket,
+                max_batch,
+                max_prompt_hint.max(1),
+            ),
             requests: Vec::new(),
             queue: FifoQueue::default(),
             prefilling: Vec::new(),
@@ -1206,7 +1129,7 @@ impl<'a> Session<'a> {
     /// Latency of one decode step over `batch` requests whose longest
     /// sequence is `seq_len`, under the compute scale.
     fn step_latency_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
-        let raw = self.latencies.step_ns(batch, seq_len);
+        let raw = self.steps.step_ns(batch, seq_len);
         self.scaled(raw)
     }
 
@@ -1217,14 +1140,14 @@ impl<'a> Session<'a> {
     /// deeper into the prompt it lands (for attention-family models), instead
     /// of every chunk being miscosted as a fresh short prompt.
     fn chunk_prefill_ns(&mut self, already: usize, tokens: usize) -> f64 {
-        let up_to = self.latencies.prefill_ns(1, already + tokens);
+        let up_to = self.prefills.prefill_ns(1, already + tokens);
         let raw = if already == 0 {
             up_to
         } else {
             // Bucketing can land both boundaries in the same bucket; the
             // marginal cost is then 0, which averages out across the chunks of
             // one prompt (the cumulative cost is paid at bucket crossings).
-            (up_to - self.latencies.prefill_ns(1, already)).max(0.0)
+            (up_to - self.prefills.prefill_ns(1, already)).max(0.0)
         };
         self.scaled(raw)
     }
@@ -1271,7 +1194,7 @@ impl<'a> Session<'a> {
     fn fast_forward(&mut self, stability: DecodeStability, horizon_ns: f64) -> bool {
         let bucket = self.engine.config.seq_bucket;
         let max_batch = self.engine.config.max_batch;
-        let seq_invariant = self.latencies.seq_invariant();
+        let seq_invariant = self.steps.seq_invariant();
         // The longest sequence length that shares the latency read at `seq`.
         let bucket_end = |seq: usize| {
             if seq_invariant {
@@ -1474,7 +1397,7 @@ impl<'a> Session<'a> {
             self.prefilling.push(w.slot());
         }
         let latency = if prefill_count > 0 {
-            let raw = self.latencies.prefill_ns(prefill_count, max_prompt);
+            let raw = self.prefills.prefill_ns(prefill_count, max_prompt);
             self.scaled(raw)
         } else {
             0.0
@@ -1671,7 +1594,7 @@ impl<'a> Session<'a> {
                         .map(BatchSlot::seq_len)
                         .max()
                         .expect("running non-empty");
-                    let raw = self.latencies.step_ns(self.running.len(), seq);
+                    let raw = self.steps.step_ns(self.running.len(), seq);
                     latency_ns += self.scaled(raw);
                 }
                 // Chunking the head is an admission: enforce the batch cap and

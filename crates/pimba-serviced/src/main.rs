@@ -7,7 +7,9 @@
 //!   as the daemon streams it (accepted, progress, record, then one terminal
 //!   `done`/`failed`/`cancelled`/`timed_out` line), and exit non-zero on any
 //!   unreadable or invalid spec (reported on stderr) or job that did not
-//!   finish `done`;
+//!   finish `done`. SIGINT / SIGTERM cancels the running job, prints its
+//!   stream through the terminal `cancelled` line, submits no further spec
+//!   and exits 1;
 //! * **daemon** — `pimba-serviced --listen ADDR`: serve the line protocol
 //!   until SIGTERM / ctrl-c / a `shutdown` command, then drain gracefully.
 //!
@@ -25,6 +27,7 @@ use pimba_serviced::store::ResultStore;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -178,6 +181,9 @@ fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
     let queue = JobQueue::start(store, args.workers, args.timeout);
     let mut failed = false;
     for path in &args.specs {
+        if STOP.load(Ordering::SeqCst) {
+            break;
+        }
         let submitted = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))
             .and_then(|text| {
@@ -200,22 +206,29 @@ fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
             }
         };
         println!("{}", accepted_line(id));
-        for event in events {
+        // A signal cancels the job; its stream still runs to the terminal
+        // `cancelled` line. The timeout only bounds how long a signal waits
+        // for the next event before the cancel is sent.
+        let mut cancelled = false;
+        loop {
+            if !cancelled && STOP.load(Ordering::SeqCst) {
+                cancelled = true;
+                queue.cancel(id);
+            }
+            let event = match events.recv_timeout(Duration::from_millis(100)) {
+                Ok(event) => event,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
             println!("{}", event_line(id, &event));
             if event.is_terminal() {
                 failed |= !matches!(event, JobEvent::Done { .. });
                 break;
             }
-            if STOP.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        if STOP.load(Ordering::SeqCst) {
-            break;
         }
     }
     queue.shutdown();
-    if failed {
+    if failed || STOP.load(Ordering::SeqCst) {
         ExitCode::FAILURE
     } else {
         sync_exit_code(queue.store())

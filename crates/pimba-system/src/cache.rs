@@ -3,8 +3,10 @@
 //!
 //! Event-driven traffic and fleet grids re-ask the same whole-prefill latency
 //! — same model, batch and prompt length — across cells and replicas. The
-//! [`LatencyCache`] memoizes it behind interior mutability, so one simulator
-//! can be shared by the grid worker threads. Decode steps are not cached:
+//! [`LatencyCache`] memoizes it in one map behind one read-write lock, so one
+//! simulator can be shared by the grid worker threads. The engine consults it
+//! only when a session's dense prefill table misses, so the lock is taken
+//! tens of times per grid cell, not once per step. Decode steps are not cached:
 //! [`StepFunction`](crate::serving::StepFunction) and the dense
 //! [`table`](crate::table)s already amortize them, and a per-operator lookup
 //! costs more than the roofline recompute it would save.
@@ -158,118 +160,22 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups answered from the cache (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Number of independently locked sub-maps of the cache. Lookups pick a
-/// sub-shard from the high bits of the key hash (the map itself indexes by the
-/// low bits), so concurrent grid workers contend on a lock only when they race
-/// on keys that land in the same 1/16th of the key space.
-const SHARD_WAYS: usize = 16;
-
-#[derive(Debug)]
-struct SubShard<K, V> {
-    map: RwLock<HashMap<K, V, FxBuildHasher>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<K, V> Default for SubShard<K, V> {
-    fn default() -> Self {
-        Self {
-            map: RwLock::new(HashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A 16-way sharded, read-mostly hash map. Reads take a shared
-/// lock on a single sub-shard; writes (misses) take that sub-shard's exclusive
-/// lock only while inserting the already-computed value.
-#[derive(Debug)]
-struct Shard<K, V> {
-    ways: [SubShard<K, V>; SHARD_WAYS],
-}
-
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
-        Self {
-            ways: std::array::from_fn(|_| SubShard::default()),
-        }
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> Shard<K, V> {
-    fn way(&self, key: &K) -> &SubShard<K, V> {
-        use std::hash::BuildHasher;
-        let hash = FxBuildHasher::default().hash_one(key);
-        // The inner HashMap consumes the low bits (bucket index) and the top
-        // seven bits (hashbrown's control tag) of this same hash; the
-        // sub-shard is selected from bits 48..52 so all three partitions stay
-        // independent.
-        &self.ways[(hash >> 48) as usize % SHARD_WAYS]
-    }
-
-    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let way = self.way(&key);
-        if let Some(value) = way.map.read().expect("cache lock poisoned").get(&key) {
-            way.hits.fetch_add(1, Ordering::Relaxed);
-            return value.clone();
-        }
-        way.misses.fetch_add(1, Ordering::Relaxed);
-        let value = compute();
-        // A racing thread may have inserted the same key meanwhile; both computed
-        // the same deterministic value, so either insert order is fine.
-        way.map
-            .write()
-            .expect("cache lock poisoned")
-            .entry(key)
-            .or_insert_with(|| value.clone());
-        value
-    }
-
-    fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for way in &self.ways {
-            stats.hits += way.hits.load(Ordering::Relaxed);
-            stats.misses += way.misses.load(Ordering::Relaxed);
-            stats.entries += way.map.read().expect("cache lock poisoned").len();
-        }
-        stats
-    }
-
-    fn clear(&self) {
-        for way in &self.ways {
-            way.map.write().expect("cache lock poisoned").clear();
-            way.hits.store(0, Ordering::Relaxed);
-            way.misses.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Whole-prefill latency memo shared by the simulators of one system
 /// configuration, keyed by [`WorkloadKey`] at the prompt length.
 ///
 /// Prefill always runs on the GPU and is a sum over every prefill operator,
 /// so one entry saves a whole workload construction plus a kernel-model pass;
 /// fleet and traffic grids re-ask the same `(batch, prompt)` prefills across
-/// cells and replicas. The map is 16-way sharded and read-mostly, so worker
-/// threads contend on a lock only when racing on the same slice of the key
-/// space. Safe to share across threads; cloning a
-/// [`crate::serving::ServingSimulator`] shares its cache.
+/// cells and replicas. One read-mostly map behind one lock: the engine asks
+/// only when a session's [`PrefillLatencyTable`](crate::table::PrefillLatencyTable)
+/// misses, never once per step, so grid workers rarely meet on it. Safe to
+/// share across threads; cloning a [`crate::serving::ServingSimulator`]
+/// shares its cache.
 #[derive(Debug, Default)]
 pub struct LatencyCache {
-    prefills: Shard<WorkloadKey, f64>,
+    prefills: RwLock<HashMap<WorkloadKey, f64, FxBuildHasher>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl LatencyCache {
@@ -279,19 +185,34 @@ impl LatencyCache {
     }
 
     /// Looks up a whole-prefill latency (keyed by model/batch/prompt-length/
-    /// formats), computing and storing it on a miss.
+    /// formats), computing and storing it on a miss. Reads take the shared
+    /// lock; a miss computes outside the lock and takes the exclusive lock
+    /// only to insert. When misses race on one key, the first insert wins and
+    /// every racer returns its value.
     pub fn prefill_latency(&self, key: WorkloadKey, compute: impl FnOnce() -> f64) -> f64 {
-        self.prefills.get_or_insert_with(key, compute)
+        if let Some(&value) = self.prefills.read().expect("cache lock poisoned").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return value;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = compute();
+        // A racing thread may have inserted the same key meanwhile: keep and
+        // return its value, so every read of a key sees the same bits.
+        *self
+            .prefills
+            .write()
+            .expect("cache lock poisoned")
+            .entry(key)
+            .or_insert(value)
     }
 
     /// Hit/miss/entry counters.
     pub fn prefill_stats(&self) -> CacheStats {
-        self.prefills.stats()
-    }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&self) {
-        self.prefills.clear();
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.prefills.read().expect("cache lock poisoned").len(),
+        }
     }
 }
 
@@ -313,7 +234,6 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits());
         let stats = cache.prefill_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
     }
 
     #[test]
@@ -326,11 +246,43 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
+    fn concurrent_lookups_agree_and_count_every_call() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 64;
+        const KEYS: usize = 16;
         let cache = LatencyCache::new();
-        cache.prefill_latency(key(512), || 1.0);
-        cache.clear();
+        let start = std::sync::Barrier::new(THREADS);
+        // Every thread walks the same keys in the same order from a common
+        // start, and a miss computes slowly, so threads race on misses of the
+        // same key. Each computes a value that names its thread: every read
+        // must still return the first insert's bits.
+        let reads: Vec<Vec<(usize, u64)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (cache, start) = (&cache, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..ROUNDS)
+                            .map(|round| {
+                                let prompt = round % KEYS;
+                                let value = cache.prefill_latency(key(prompt), || {
+                                    std::thread::sleep(std::time::Duration::from_millis(1));
+                                    prompt as f64 + thread as f64 / 8.0
+                                });
+                                (prompt, value.to_bits())
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut seen: HashMap<usize, u64> = HashMap::new();
+        for (prompt, bits) in reads.into_iter().flatten() {
+            assert_eq!(*seen.entry(prompt).or_insert(bits), bits, "prompt {prompt}");
+        }
         let stats = cache.prefill_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!(stats.hits + stats.misses, (THREADS * ROUNDS) as u64);
+        assert_eq!(stats.entries, KEYS);
     }
 }

@@ -16,7 +16,7 @@
 //! * [`memory`] — device memory footprints (parameters, state, KV cache),
 //! * [`memo`] — content-addressed result memoization (fingerprints + a
 //!   concurrent store): the incremental-grid layer of the fleet runners,
-//! * [`cache`] — the sharded prefill-latency cache that makes repeated
+//! * [`cache`] — the shared prefill-latency cache that makes repeated
 //!   prefills across grid cells free (and bit-identical to the uncached
 //!   path),
 //! * [`table`] — dense per-run `(batch, seq-bucket)` latency tables: the
