@@ -65,3 +65,61 @@ fn hotloop_table(artifact: &Json) -> String {
 fn readme_hotloop_table_matches_its_artifact() {
     assert_in_readme(&hotloop_table(&artifact("BENCH_serve_hotloop.json")));
 }
+
+/// The `fleet_parallel` tables: each driver row against the stepped
+/// round-robin baseline, then the memo grid's cold → warm study.
+fn fleet_parallel_tables(artifact: &Json) -> String {
+    let mut table = String::from(
+        "| regime | path | router | median | min–max | vs baseline |\n\
+         |--------|------|--------|-------:|--------:|------------:|\n",
+    );
+    for driver in list(artifact, "drivers") {
+        let regime = format!(
+            "{}, {} @ {} rps",
+            text(driver, "scenario"),
+            text(driver, "policy"),
+            num(driver, "rate_rps"),
+        );
+        for (i, row) in list(driver, "rows").iter().enumerate() {
+            let path = text(row, "path");
+            let speedup = match row.get("speedup_vs_stepped_rr").and_then(Json::as_f64) {
+                None => "–".to_string(),
+                Some(x) if path == "stepped" => format!("{x:.2}×"),
+                Some(x) => format!("**{x:.2}×**"),
+            };
+            let lead = if i == 0 {
+                format!("| {regime} |")
+            } else {
+                "| |".to_string()
+            };
+            table += &format!(
+                "{lead} {} | {} | {:.2} ms | {:.2}–{:.2} ms | {} |\n",
+                path,
+                text(row, "router"),
+                num(row, "median_ms"),
+                num(row, "min_ms"),
+                num(row, "max_ms"),
+                speedup,
+            );
+        }
+    }
+    let memo = artifact.get("memo_grid").expect("artifact has a memo_grid");
+    table += &format!(
+        "\n| study | configuration | wall | speedup |\n\
+         |-------|---------------|------|---------|\n\
+         | memo grid, cold → warm | {} cells × {} requests | {:.2} → {:.2} ms | **{:.1}×** |\n",
+        num(memo, "cells"),
+        num(memo, "requests_per_cell"),
+        num(memo, "cold_wall_ms"),
+        num(memo, "warm_wall_ms"),
+        num(memo, "speedup"),
+    );
+    table
+}
+
+#[test]
+fn readme_fleet_parallel_tables_match_their_artifact() {
+    assert_in_readme(&fleet_parallel_tables(&artifact(
+        "BENCH_fleet_parallel.json",
+    )));
+}

@@ -37,8 +37,10 @@ pub mod streams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaLoad {
     /// Requests assigned to the replica and not yet completed — the primary
-    /// balancing metric (it is exact at any co-sim instant, independent of
-    /// how far the replica's internal event processing has advanced).
+    /// balancing metric. A completion counts only once the replica has
+    /// stepped past it, so the value is exact once the replica has been
+    /// stepped to the routing instant (the fleet steps a pool there before
+    /// it routes into it).
     pub outstanding: usize,
     /// Requests waiting for admission (of the arrivals the replica has
     /// processed so far).

@@ -61,12 +61,16 @@
 //!   bit for bit) plus the running telemetry sums, folded over every
 //!   event-free stretch in one loop, instead of an event push/pop, a
 //!   scheduler consult, a latency lookup and an `O(batch)` bookkeeping pass.
-//!   The batch is scanned once per segment of constant membership, which
-//!   runs to the next completion; seq-bucket crossings inside it re-read the
-//!   step latency in line (never, for a seq-invariant table), and — when
-//!   nothing is waiting — completions are absorbed without leaving the
-//!   macro-step; first-token and completion times are reconstructed
-//!   exactly.
+//!   A segment of constant membership runs to the next completion; seq-bucket
+//!   crossings inside it re-read the step latency in line (never, for a
+//!   seq-invariant table), and — when nothing is waiting — completions are
+//!   absorbed without leaving the macro-step; first-token and completion
+//!   times are reconstructed exactly.
+//! * **Cached batch aggregates** (both modes) — the batch keeps its steps to
+//!   the earliest completion, longest current sequence and longest final
+//!   sequence up to date in its own mutators, so a segment, a decode-step
+//!   latency read and an admission anchor start without a scan, and applying
+//!   steps that complete nobody is one plain pass with no `retain`.
 //! * **Closed-form admission accounting** — every admission and restore
 //!   clamp ([`EngineView::admissible_count`] and its kin) walks its
 //!   candidates through [`MemoryModel::fitting_prefix`] against a
@@ -93,7 +97,12 @@
 //! them at an observed arrival (the in-flight step becomes a real `WorkDone`
 //! event), so a run fed incrementally at its own arrival times is
 //! **bit-identical** to [`Engine::run`] on the full trace — asserted by this
-//! module's tests and by the single-replica fleet equivalence suite.
+//! module's tests and by the single-replica fleet equivalence suite. A step
+//! parked at the horizon whose `WorkDone` pops with no arrival processed in
+//! between, and which completes nobody, resumes its macro-step with the
+//! stored [`DecodeStability`] instead of being re-dispatched: nothing the
+//! certification depends on has changed, exactly as between two steps of
+//! one macro-step. A crash or a queue cancellation drops the park.
 
 use crate::event::{EventKind, SingleFlightEvents};
 use crate::metrics::{PreemptionStats, RequestOutcome, SimResult, Telemetry};
@@ -486,6 +495,137 @@ impl FifoQueue {
     }
 }
 
+/// The three batch aggregates every decode event reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Aggregates {
+    /// Steps until the earliest completion shrinks the batch (`usize::MAX`
+    /// when empty).
+    min_remaining: usize,
+    /// The longest current sequence (0 when empty).
+    max_seq: usize,
+    /// The longest final sequence (0 when empty).
+    max_final_seq: usize,
+}
+
+impl Aggregates {
+    const EMPTY: Self = Self {
+        min_remaining: usize::MAX,
+        max_seq: 0,
+        max_final_seq: 0,
+    };
+
+    /// `self` widened by every slot of `slots`. A degenerate zero-output
+    /// request (constructible through the public `TraceRequest` fields; the
+    /// generators clamp to >= 1) completes at its first decode step, so it
+    /// counts one remaining step, not zero — which would stall a macro-step
+    /// segment.
+    fn with(self, slots: &[BatchSlot]) -> Self {
+        slots.iter().fold(self, |a, s| Self {
+            min_remaining: a.min_remaining.min((s.output_len - s.generated).max(1)),
+            max_seq: a.max_seq.max(s.seq_len()),
+            max_final_seq: a.max_final_seq.max(s.final_seq_len()),
+        })
+    }
+}
+
+/// The decoding batch: its slots plus their [`Aggregates`], cached so that a
+/// step which completes nobody costs no rescan.
+///
+/// Steps that complete nobody shift `min_remaining` and `max_seq` by the
+/// steps taken; every membership change (push, take, a completion)
+/// updates or recomputes the cache in the mutator itself. In debug builds
+/// every read cross-checks it against a rescan.
+#[derive(Debug)]
+struct Batch {
+    slots: Vec<BatchSlot>,
+    cached: Aggregates,
+}
+
+impl Batch {
+    fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            cached: Aggregates::EMPTY,
+        }
+    }
+
+    /// The cached aggregates.
+    fn aggregates(&self) -> Aggregates {
+        debug_assert_eq!(
+            self.cached,
+            Aggregates::EMPTY.with(&self.slots),
+            "cached batch aggregates diverged from a rescan"
+        );
+        self.cached
+    }
+
+    fn slots(&self) -> &[BatchSlot] {
+        &self.slots
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Appends `slot`; a join only widens the aggregates.
+    fn push(&mut self, slot: BatchSlot) {
+        self.cached = self.cached.with(std::slice::from_ref(&slot));
+        self.slots.push(slot);
+    }
+
+    /// Empties the batch, returning its slots in order.
+    fn take(&mut self) -> Vec<BatchSlot> {
+        self.cached = Aggregates::EMPTY;
+        std::mem::take(&mut self.slots)
+    }
+
+    /// Applies `steps` decode steps to every slot, in batch order: a slot
+    /// producing its first token is handed to `first_token`, and one reaching
+    /// its output budget to `complete`, then leaves the batch. `steps` must
+    /// not exceed `min_remaining`, so only the last step can complete anyone;
+    /// steps that complete nobody are one plain pass, with no `retain`.
+    /// Returns whether anyone completed.
+    fn advance(
+        &mut self,
+        steps: usize,
+        mut first_token: impl FnMut(usize),
+        mut complete: impl FnMut(usize),
+    ) -> bool {
+        let min_remaining = self.aggregates().min_remaining;
+        debug_assert!(steps >= 1 && steps <= min_remaining);
+        for slot in &mut self.slots {
+            if slot.generated == 0 {
+                first_token(slot.id);
+            }
+            slot.generated += steps;
+        }
+        if steps < min_remaining {
+            self.cached.min_remaining -= steps;
+            self.cached.max_seq += steps;
+            return false;
+        }
+        let mut survivors = Aggregates::EMPTY;
+        self.slots.retain(|r| {
+            // Degenerate zero-output requests overshoot by the one step that
+            // completes them; everyone else lands exactly.
+            debug_assert!(r.generated <= r.output_len.max(1));
+            let done = r.generated >= r.output_len;
+            if done {
+                complete(r.id);
+            } else {
+                survivors = survivors.with(std::slice::from_ref(r));
+            }
+            !done
+        });
+        self.cached = survivors;
+        true
+    }
+}
+
 /// What the engine currently has in flight.
 #[derive(Debug, Clone)]
 enum Work {
@@ -667,12 +807,18 @@ pub struct Session<'a> {
     requests: Vec<SessionRequest>,
     queue: FifoQueue,
     prefilling: Vec<BatchSlot>,
-    running: Vec<BatchSlot>,
+    running: Batch,
     /// Checkpointed requests awaiting restore, eviction order.
     evicted: Vec<EvictedRequest>,
     /// Whole-run checkpoint-restore counters.
     preemption: PreemptionStats,
     work: Option<Work>,
+    /// The stability of a stable decode step `fast_forward` left in flight
+    /// (at the co-sim horizon or an arrival), while that step's `WorkDone`
+    /// is the next thing to happen: then the step resumes its macro-step
+    /// without consulting the scheduler. Every event pop, a crash and a
+    /// queue cancellation clear it.
+    parked: Option<DecodeStability>,
     first_token: Vec<f64>,
     completion: Vec<f64>,
     /// Local indices in completion order (the drain log of a prefill pool).
@@ -721,10 +867,11 @@ impl<'a> Session<'a> {
             requests: Vec::new(),
             queue: FifoQueue::default(),
             prefilling: Vec::new(),
-            running: Vec::new(),
+            running: Batch::new(),
             evicted: Vec::new(),
             preemption: PreemptionStats::default(),
             work: None,
+            parked: None,
             first_token: Vec::new(),
             completion: Vec::new(),
             completed_log: Vec::new(),
@@ -816,7 +963,8 @@ impl<'a> Session<'a> {
     }
 
     /// Injected-but-not-completed requests — the load metric the fleet
-    /// routers balance on.
+    /// routers balance on. A completion counts once the session has been
+    /// stepped past it.
     pub fn outstanding(&self) -> usize {
         self.requests.len() - self.completed_log.len()
     }
@@ -863,11 +1011,12 @@ impl<'a> Session<'a> {
     /// fault driver to retry or migrate.
     pub fn crash_drop(&mut self) -> Vec<DroppedRequest> {
         self.work = None;
+        self.parked = None;
         self.events.cancel_work();
         let queue = std::mem::take(&mut self.queue);
         let batched = std::mem::take(&mut self.prefilling)
             .into_iter()
-            .chain(std::mem::take(&mut self.running))
+            .chain(self.running.take())
             .chain(
                 std::mem::take(&mut self.evicted)
                     .into_iter()
@@ -921,6 +1070,8 @@ impl<'a> Session<'a> {
             }
         }
         self.queue.remove_at(index);
+        // The queue the parked decision was certified against changed.
+        self.parked = None;
         true
     }
 
@@ -931,10 +1082,18 @@ impl<'a> Session<'a> {
     /// macro-steps likewise pause any decode step completing at or after the
     /// horizon — the step stays in flight as a real event, exactly as when a
     /// macro-step is interrupted by an observed arrival, so windowed
-    /// execution never changes an output bit.
+    /// execution never changes an output bit. When such a parked step
+    /// completes with no arrival processed in between and completes nobody,
+    /// it resumes its macro-step without consulting the scheduler — the same
+    /// certification the macro-step relies on between its own steps.
+    ///
+    /// The session assumes one scheduler (the same policy state) across all
+    /// its `step_until` calls.
     pub fn step_until(&mut self, horizon_ns: f64, scheduler: &mut dyn Scheduler) {
         while let Some(event) = self.events.pop_before(horizon_ns) {
             self.now_ns = event.time_ns;
+            let parked = self.parked.take();
+            let mut resume = None;
             match event.kind {
                 EventKind::Arrival(id) => self.enqueue(id),
                 EventKind::WorkDone => {
@@ -942,7 +1101,9 @@ impl<'a> Session<'a> {
                         Work::Prefill => {
                             // The prefilled batch joins the decode set; tokens
                             // start flowing from the next decode step.
-                            self.running.append(&mut self.prefilling);
+                            for slot in self.prefilling.drain(..) {
+                                self.running.push(slot);
+                            }
                         }
                         Work::Checkpoint => {
                             // Victims moved to `evicted` at dispatch; the
@@ -962,8 +1123,8 @@ impl<'a> Session<'a> {
                             fused_tokens,
                             decoded,
                         } => {
-                            if decoded {
-                                self.advance_batch(1, self.now_ns);
+                            if decoded && !self.advance_batch(1, self.now_ns) {
+                                resume = parked;
                             }
                             if fused_tokens > 0 {
                                 let head =
@@ -1003,25 +1164,33 @@ impl<'a> Session<'a> {
                     self.record_sample();
                     break;
                 }
-                let Some((latency_ns, next, stability)) = self.dispatch(scheduler) else {
-                    // Idle until the next arrival.
-                    self.record_sample();
-                    break;
+                let stability = match resume.take() {
+                    // A parked step completed with nothing changed: the
+                    // policy's certified decision still stands.
+                    Some(stability) => stability,
+                    None => {
+                        let Some((latency_ns, next, stability)) = self.dispatch(scheduler) else {
+                            // Idle until the next arrival.
+                            self.record_sample();
+                            break;
+                        };
+                        if !self.engine.config.fast_forward || stability == DecodeStability::PerStep
+                        {
+                            self.events.push_work(self.now_ns + latency_ns);
+                            self.work = Some(next);
+                            self.record_sample();
+                            break;
+                        }
+                        stability
+                    }
                 };
-                if !self.engine.config.fast_forward || stability == DecodeStability::PerStep {
-                    self.events.push_work(self.now_ns + latency_ns);
-                    self.work = Some(next);
-                    self.record_sample();
-                    break;
-                }
-                // A stable pure decode: the dispatch mutated nothing, so this
-                // timestamp's sample equals the pre-dispatch state.
+                // A stable pure decode, dispatched or resumed: nothing was
+                // mutated, so this timestamp's sample equals the prior state.
                 self.record_sample();
                 if !self.fast_forward(stability, horizon_ns) {
                     // Interrupted by an arrival (or paused at the co-sim
-                    // horizon): the current step stays in flight as a real
-                    // event (pushed by `fast_forward`).
-                    self.work = Some(next);
+                    // horizon): the current step stays in flight as a real,
+                    // parked event (pushed by `fast_forward`).
                     break;
                 }
                 // Macro-step boundary (the batch drained, or a completion the
@@ -1046,29 +1215,22 @@ impl<'a> Session<'a> {
     /// last step and leave the batch. Only the last step can complete a
     /// request (`steps` never exceeds the batch's remaining steps), so one
     /// step of the event loop and a whole replayed macro-step share this.
-    fn advance_batch(&mut self, steps: usize, t_first: f64) {
+    /// Returns whether anyone completed.
+    fn advance_batch(&mut self, steps: usize, t_first: f64) -> bool {
         let t_last = self.now_ns;
         let (first_token, completion, completed_log) = (
             &mut self.first_token,
             &mut self.completion,
             &mut self.completed_log,
         );
-        self.running.retain_mut(|r| {
-            if r.generated == 0 {
-                first_token[r.id] = t_first;
-            }
-            r.generated += steps;
-            // Degenerate zero-output requests overshoot by the one step that
-            // completes them; everyone else lands exactly.
-            debug_assert!(r.generated <= r.output_len.max(1));
-            if r.generated >= r.output_len {
-                completion[r.id] = t_last;
-                completed_log.push(r.id);
-                false
-            } else {
-                true
-            }
-        });
+        self.running.advance(
+            steps,
+            |id| first_token[id] = t_first,
+            |id| {
+                completion[id] = t_last;
+                completed_log.push(id);
+            },
+        )
     }
 
     fn record_sample(&mut self) {
@@ -1174,12 +1336,14 @@ impl<'a> Session<'a> {
     /// * the batch draining always does.
     ///
     /// An interrupting arrival leaves the current step in flight as a real
-    /// `WorkDone` event (return `false`, the caller marks it in flight) so
+    /// `WorkDone` event (marked in flight here; returns `false`) so
     /// the scheduler sees the arrival before the *following* step is decided;
     /// a step that would complete at or past the co-sim `horizon_ns` pauses
-    /// through the same path (an arrival may still be injected there);
-    /// boundary exits return `true` and the caller re-dispatches at the
-    /// advanced timestamp.
+    /// through the same path (an arrival may still be injected there).
+    /// Either way the step is *parked* with `stability`: if its `WorkDone`
+    /// is the next event and it completes nobody, [`Session::step_until`]
+    /// re-enters here without re-dispatching. Boundary exits return `true`
+    /// and the caller re-dispatches at the advanced timestamp.
     ///
     /// Bit-exactness: timestamps advance by the same `now + latency` addition
     /// the event queue performs per step, each at the latency the per-step
@@ -1206,22 +1370,15 @@ impl<'a> Session<'a> {
         let t_enter = self.now_ns;
         loop {
             debug_assert!(!self.running.is_empty(), "pure decode with empty batch");
-            // One pass over the batch: steps until the earliest completion
-            // shrinks it, and the longest current sequence. A degenerate
-            // zero-output request (constructible through the public
-            // `TraceRequest` fields; the generators clamp to >= 1) completes
-            // at its first decode step in the per-step loop, so it
-            // contributes one remaining step, not zero — which would stall
-            // the segment.
-            let (to_completion, seq0) =
-                self.running
-                    .iter()
-                    .fold((usize::MAX, 1usize), |(remaining, seq), r| {
-                        (
-                            remaining.min((r.output_len - r.generated).max(1)),
-                            seq.max(r.seq_len()),
-                        )
-                    });
+            // The segment runs until the earliest completion shrinks the
+            // batch, from the longest current sequence — both read from the
+            // batch's cached aggregates.
+            let Aggregates {
+                min_remaining: to_completion,
+                max_seq,
+                ..
+            } = self.running.aggregates();
+            let seq0 = max_seq.max(1);
             let occupancy = self.running.len();
             let mut step_ns = self.step_latency_ns(occupancy, seq0);
             let mut last_seq = bucket_end(seq0);
@@ -1338,6 +1495,13 @@ impl<'a> Session<'a> {
                 self.advance_batch(executed, t_first);
             }
             if interrupted {
+                // The in-flight step is parked: unless something intervenes,
+                // its `WorkDone` resumes this macro-step (see `step_until`).
+                self.work = Some(Work::Step {
+                    fused_tokens: 0,
+                    decoded: true,
+                });
+                self.parked = Some(stability);
                 self.trace_fast_forward(t_enter, 0.0);
                 return false;
             }
@@ -1412,22 +1576,21 @@ impl<'a> Session<'a> {
     fn dispatch(&mut self, scheduler: &mut dyn Scheduler) -> Option<(f64, Work, DecodeStability)> {
         let engine = self.engine;
         let mode = engine.config.admission;
+        let aggregates = self.running.aggregates();
         let view = EngineView {
             now_ns: self.now_ns,
             queue: self.queue.as_slice(),
             running: self.running.len(),
             max_batch: engine.config.max_batch,
-            batch: &self.running,
+            batch: self.running.slots(),
             evicted: &self.evicted,
             capacity_bytes: engine.capacity_bytes,
             admission_mode: mode,
             memory: &engine.memory,
-            anchor_seq: self
-                .running
-                .iter()
-                .map(|slot| mode.anchor_seq(slot))
-                .max()
-                .unwrap_or(0),
+            anchor_seq: match mode {
+                AdmissionMode::FinalSeqLen => aggregates.max_final_seq,
+                AdmissionMode::LiveOccupancy => aggregates.max_seq,
+            },
         };
         let mut action = scheduler.decide(&view);
         // Stability is only meaningful for a pure decode the *scheduler*
@@ -1477,7 +1640,12 @@ impl<'a> Session<'a> {
                 // The dispatch arm walks the batch and ignores ids that hold
                 // no slot; validation only needs to know the set is non-empty
                 // after that filter.
-                if self.running.iter().any(|slot| victims.contains(&slot.id)) {
+                if self
+                    .running
+                    .slots()
+                    .iter()
+                    .any(|slot| victims.contains(&slot.id))
+                {
                     Action::Preempt { victims }
                 } else {
                     degrade(self.running.is_empty())
@@ -1526,8 +1694,7 @@ impl<'a> Session<'a> {
                 let link = engine.config.checkpoint_link;
                 let now_ns = self.now_ns;
                 let mut latency_ns = 0.0;
-                let running = std::mem::take(&mut self.running);
-                for slot in running {
+                for slot in self.running.take() {
                     if victims.contains(&slot.id) {
                         let bytes = engine.memory.dynamic_bytes(1, slot.seq_len());
                         latency_ns += link.transfer_ns(bytes);
@@ -1588,13 +1755,7 @@ impl<'a> Session<'a> {
                 let decoded = !self.running.is_empty();
                 let mut latency_ns = 0.0;
                 if decoded {
-                    let seq = self
-                        .running
-                        .iter()
-                        .map(BatchSlot::seq_len)
-                        .max()
-                        .expect("running non-empty");
-                    let raw = self.steps.step_ns(self.running.len(), seq);
+                    let raw = self.steps.step_ns(self.running.len(), aggregates.max_seq);
                     latency_ns += self.scaled(raw);
                 }
                 // Chunking the head is an admission: enforce the batch cap and

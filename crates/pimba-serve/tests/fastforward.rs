@@ -5,7 +5,10 @@
 //! attention-free, a hybrid and a transformer model (seq-invariant steps, and
 //! latencies re-read at bucket crossings inside a segment), and compute
 //! scales of 1, 0.5 and 3 (the slowdown windows of fleet fault injection), all
-//! through the folded time chain.
+//! through the folded time chain. A session driven through dense windows
+//! foreign to its events, as a fleet drives it, must stay bit-identical too
+//! while its macro-steps park at every horizon and resume without
+//! re-dispatch.
 //! Also pins that the ignored `timeline_sample_every` field stays inert.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
@@ -328,5 +331,128 @@ fn timeline_sample_every_is_inert() {
             "sampling {timeline_sample_every}"
         );
         assert_eq!(sampled, none, "sampling {timeline_sample_every}");
+    }
+}
+
+/// Drives one session through a driver-chosen window sequence, as a fleet
+/// does: each request is injected after stepping to its arrival, and the
+/// session is stepped to every horizon in between. `plan` holds one entry
+/// per window: an entry below 0.25 puts the horizon exactly on `pace`'s next
+/// pending event (a step completion or an arrival of the per-step oracle),
+/// any other entry `f` at `f * gap_ns` past the previous horizon. The compute
+/// scale switches to `scale` right after window `scale_at`.
+struct Windows<'p> {
+    plan: &'p [f64],
+    gap_ns: f64,
+    scale_at: usize,
+    scale: f64,
+}
+
+/// Runs `trace` under the per-step oracle and the fast-forward engine in
+/// lockstep through `windows` and returns both results.
+fn windowed_pair(
+    sim: &ServingSimulator,
+    model: &ModelConfig,
+    trace: &Trace,
+    policy: PolicyKind,
+    config: EngineConfig,
+    windows: &Windows<'_>,
+) -> (SimResult, SimResult) {
+    let (max_seq, max_prompt) = trace.bounds();
+    let oracle_engine = Engine::new(
+        sim,
+        model,
+        EngineConfig {
+            fast_forward: false,
+            ..config
+        },
+    );
+    let fast_engine = Engine::new(
+        sim,
+        model,
+        EngineConfig {
+            fast_forward: true,
+            ..config
+        },
+    );
+    let mut oracle = oracle_engine.session(max_seq, max_prompt);
+    let mut fast = fast_engine.session(max_seq, max_prompt);
+    let (mut oracle_policy, mut fast_policy) = (policy.build(), policy.build());
+    let mut arrivals = trace.requests.iter().enumerate().peekable();
+    let mut horizon = 0.0f64;
+    for (window, &f) in windows.plan.iter().enumerate() {
+        let planned = if f < 0.25 {
+            oracle.next_event_time_ns().unwrap_or(horizon)
+        } else {
+            horizon + f * windows.gap_ns
+        };
+        let next_arrival = arrivals.peek().map_or(f64::INFINITY, |(_, r)| r.arrival_ns);
+        horizon = planned.min(next_arrival);
+        oracle.step_until(horizon, oracle_policy.as_mut());
+        fast.step_until(horizon, fast_policy.as_mut());
+        while let Some((id, r)) = arrivals.next_if(|(_, r)| r.arrival_ns == horizon) {
+            oracle.inject(id, *r);
+            fast.inject(id, *r);
+        }
+        if window == windows.scale_at {
+            oracle.set_compute_scale(windows.scale);
+            fast.set_compute_scale(windows.scale);
+        }
+    }
+    for (id, r) in arrivals {
+        oracle.step_until(r.arrival_ns, oracle_policy.as_mut());
+        fast.step_until(r.arrival_ns, fast_policy.as_mut());
+        oracle.inject(id, *r);
+        fast.inject(id, *r);
+    }
+    oracle.step_until(f64::INFINITY, oracle_policy.as_mut());
+    fast.step_until(f64::INFINITY, fast_policy.as_mut());
+    (oracle.finish(), fast.finish())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// A fast-forward session stepped through dense horizons foreign to its
+    /// events — some exactly on step completions, with a compute-scale
+    /// change at one of them — parks a macro-step at nearly every horizon
+    /// and resumes it without re-dispatch. It must stay bit-identical to the
+    /// per-step oracle driven through the same windows, for every shipped
+    /// policy on an attention-free, a hybrid and a transformer model.
+    #[test]
+    fn parked_macro_steps_resume_bit_identically(
+        system_idx in 0usize..SYSTEMS.len(),
+        rate_rps in 4.0f64..64.0,
+        n_requests in 8usize..32,
+        seed in 0u64..u64::MAX,
+        max_batch in 2usize..24,
+        plan in prop::collection::vec(0.0f64..1.0, 40..160),
+        scale_at in 0usize..40,
+        scale_idx in 1usize..COMPUTE_SCALES.len(),
+    ) {
+        let sim = ServingSimulator::new(SystemConfig::small_scale(SYSTEMS[system_idx]));
+        let trace = Scenario::chat().generate(rate_rps, n_requests, seed);
+        let config = EngineConfig {
+            max_batch,
+            ..EngineConfig::default()
+        };
+        for family in MODELS {
+            let model = ModelConfig::preset(family, ModelScale::Small);
+            let windows = Windows {
+                plan: &plan,
+                gap_ns: 6.0 * sim.generation_step(&model, max_batch, 512).total_ns,
+                scale_at,
+                scale: COMPUTE_SCALES[scale_idx],
+            };
+            for policy in POLICIES {
+                let (oracle, fast) = windowed_pair(&sim, &model, &trace, policy, config, &windows);
+                assert_eq!(oracle.outcomes.len(), trace.len(), "requests lost");
+                assert_eq!(
+                    bits(&oracle),
+                    bits(&fast),
+                    "{family:?}/{}: windowed fast-forward diverged",
+                    policy.name()
+                );
+            }
+        }
     }
 }
