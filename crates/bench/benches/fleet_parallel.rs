@@ -17,7 +17,8 @@
 //!   uniform batch workload under FCFS-static scheduling; a
 //!   continuous-batching long-decode regime is reported alongside it.
 //! * cold vs warm evaluation of a what-if grid against a shared
-//!   [`FleetMemo`] (warm cells skip simulation entirely).
+//!   [`FleetMemo`] (warm cells skip simulation entirely): medians and
+//!   min/max over several rounds, each cold run on a fresh memo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_fleet::cluster::{FleetConfig, FleetSim};
@@ -34,6 +35,14 @@ use pimba_system::serving::ServingSimulator;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// `(median, min, max)` of wall-clock samples in seconds.
+fn spread(times: &[f64]) -> (f64, f64, f64) {
+    let median = pimba_system::stats::median(times).expect("at least one rep");
+    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = times.iter().copied().fold(0.0, f64::max);
+    (median, min, max)
+}
+
 /// `(median, min, max)` wall-clock seconds of `reps` runs of `f`.
 fn time_runs(reps: usize, mut f: impl FnMut() -> FleetResult) -> (f64, f64, f64) {
     let times: Vec<f64> = (0..reps)
@@ -43,10 +52,7 @@ fn time_runs(reps: usize, mut f: impl FnMut() -> FleetResult) -> (f64, f64, f64)
             start.elapsed().as_secs_f64()
         })
         .collect();
-    let median = pimba_system::stats::median(&times).expect("at least one rep");
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = times.iter().copied().fold(0.0, f64::max);
-    (median, min, max)
+    spread(&times)
 }
 
 /// A restart of a replica that is already live: a no-op plan that still
@@ -261,67 +267,55 @@ fn record_results(_c: &mut Criterion) {
         .with_routers(vec![RouterKind::RoundRobin, RouterKind::Jsq])
         .with_requests_per_cell((n / 8).max(100))
         .with_seed(2026);
-    // Opt-in persistent memo: with PIMBA_STORE_DIR set, the what-if grid
-    // warms a disk-backed store shared across bench invocations (so the
-    // "cold" run below may itself be warm from a previous one).
-    let store_dir = std::env::var_os("PIMBA_STORE_DIR").map(std::path::PathBuf::from);
-    let memo = match &store_dir {
-        Some(dir) => Arc::new(FleetMemo::persistent(dir).expect("open PIMBA_STORE_DIR")),
-        None => Arc::new(FleetMemo::new()),
-    };
-    let runner = FleetRunner::new().with_memo(memo.clone());
-    let cold_start = std::time::Instant::now();
-    let cold = runner.run(&grid);
-    let cold_wall = cold_start.elapsed().as_secs_f64();
-    let warm_start = std::time::Instant::now();
-    let warm = runner.run(&grid);
-    let warm_wall = warm_start.elapsed().as_secs_f64();
-    assert!(warm == cold, "warm memo records diverged from cold run");
-    let (_, _, cell_stats) = memo.stats();
-    assert!(
-        cell_stats.hits as usize >= grid.len(),
-        "warm run must answer every cell from the memo"
-    );
-    if let Some(dir) = &store_dir {
-        memo.sync().expect("sync store");
-        // "Restart": reload the segment files exactly as a fresh process
-        // would, and re-answer the whole grid from disk.
-        let reloaded = Arc::new(FleetMemo::persistent(dir).expect("reopen PIMBA_STORE_DIR"));
-        let restart_start = std::time::Instant::now();
-        let restarted = FleetRunner::new().with_memo(reloaded.clone()).run(&grid);
-        let restart_wall = restart_start.elapsed().as_secs_f64();
+    // Every round times a cold run on a fresh memo, then a warm re-run
+    // against it; the medians of `reps` rounds damp host-load noise.
+    let (mut cold_times, mut warm_times) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let memo = Arc::new(FleetMemo::new());
+        let runner = FleetRunner::new().with_memo(memo.clone());
+        let cold_start = Instant::now();
+        let cold = runner.run(&grid);
+        cold_times.push(cold_start.elapsed().as_secs_f64());
+        let warm_start = Instant::now();
+        let warm = runner.run(&grid);
+        warm_times.push(warm_start.elapsed().as_secs_f64());
+        assert!(warm == cold, "warm memo records diverged from cold run");
+        let (_, _, cell_stats) = memo.stats();
         assert!(
-            restarted == cold,
-            "disk-warm records diverged from cold run"
-        );
-        let (_, _, disk_cells) = reloaded.stats();
-        assert_eq!(
-            disk_cells.misses, 0,
-            "restart must answer every cell from disk"
-        );
-        println!(
-            "  memo store {}: cold {:.1} ms vs warm restart {:.2} ms ({:.0}x, \
-             {} cells from disk, byte-identical)",
-            dir.display(),
-            cold_wall * 1e3,
-            restart_wall * 1e3,
-            cold_wall / restart_wall.max(1e-9),
-            disk_cells.hits,
+            cell_stats.hits as usize >= grid.len(),
+            "warm run must answer every cell from the memo"
         );
     }
+    let (cold_wall, cold_min, cold_max) = spread(&cold_times);
+    let (warm_wall, warm_min, warm_max) = spread(&warm_times);
     let memo_speedup = cold_wall / warm_wall;
     bench::print_table(
         &format!(
-            "Memoized what-if grid: {} cells, {} requests/cell (warm byte-identical)",
+            "Memoized what-if grid: {} cells, {} requests/cell \
+             (median of {reps} rounds; warm byte-identical)",
             grid.len(),
             grid.requests_per_cell
         ),
-        &["phase", "wall_ms", "speedup"],
+        &["phase", "median_ms", "min-max_ms", "speedup"],
         &[
-            vec!["cold".into(), bench::fmt(cold_wall * 1e3, 1), "1.00".into()],
+            vec![
+                "cold".into(),
+                bench::fmt(cold_wall * 1e3, 1),
+                format!(
+                    "{}-{}",
+                    bench::fmt(cold_min * 1e3, 1),
+                    bench::fmt(cold_max * 1e3, 1)
+                ),
+                "1.00".into(),
+            ],
             vec![
                 "warm".into(),
-                bench::fmt(warm_wall * 1e3, 2),
+                bench::fmt(warm_wall * 1e3, 3),
+                format!(
+                    "{}-{}",
+                    bench::fmt(warm_min * 1e3, 3),
+                    bench::fmt(warm_max * 1e3, 3)
+                ),
                 bench::fmt(memo_speedup, 1),
             ],
         ],
@@ -339,13 +333,19 @@ fn record_results(_c: &mut Criterion) {
          \"baseline\": \"stepped colocated loop, round-robin\",\n  \
          \"divergence_gates\": {{{gates_json}, \"memo_warm_byte_identical\": true}},\n  \
          \"drivers\": [\n{}\n  ],\n  \
-         \"memo_grid\": {{\"cells\": {}, \"requests_per_cell\": {}, \
-         \"cold_wall_ms\": {:.2}, \"warm_wall_ms\": {:.3}, \"speedup\": {:.1}}}\n}}\n",
+         \"memo_grid\": {{\"cells\": {}, \"requests_per_cell\": {}, \"rounds\": {reps}, \
+         \"cold_median_ms\": {:.2}, \"cold_min_ms\": {:.2}, \"cold_max_ms\": {:.2}, \
+         \"warm_median_ms\": {:.3}, \"warm_min_ms\": {:.3}, \"warm_max_ms\": {:.3}, \
+         \"speedup\": {:.1}}}\n}}\n",
         regime_json.join(",\n"),
         grid.len(),
         grid.requests_per_cell,
         cold_wall * 1e3,
+        cold_min * 1e3,
+        cold_max * 1e3,
         warm_wall * 1e3,
+        warm_min * 1e3,
+        warm_max * 1e3,
         memo_speedup,
     );
     let path = bench::results_dir().join("BENCH_fleet_parallel.json");

@@ -185,45 +185,6 @@ fn record_results(_c: &mut Criterion) {
     let path = bench::results_dir().join("BENCH_serving_traffic.json");
     std::fs::write(&path, json).expect("failed to write BENCH_serving_traffic.json");
     println!("  -> wrote {}", path.display());
-
-    // Opt-in persistent memo: with PIMBA_STORE_DIR set, the grid warms a
-    // disk-backed store shared across bench invocations, and a simulated
-    // restart (reopening the segment files) must answer every cell warm and
-    // byte-identical.
-    if let Some(dir) = std::env::var_os("PIMBA_STORE_DIR").map(std::path::PathBuf::from) {
-        use pimba_serve::runner::TrafficMemo;
-        use std::sync::Arc;
-        let memo = Arc::new(TrafficMemo::persistent(&dir).expect("open PIMBA_STORE_DIR"));
-        let cold_start = std::time::Instant::now();
-        let first = TrafficRunner::new().with_memo(Arc::clone(&memo)).run(&g);
-        let cold_wall = cold_start.elapsed().as_secs_f64();
-        assert!(
-            first == records,
-            "memoized records diverged from direct run"
-        );
-        memo.sync().expect("sync store");
-        drop(memo);
-
-        // "Restart": reload the segments exactly as a fresh process would.
-        let reloaded = Arc::new(TrafficMemo::persistent(&dir).expect("reopen PIMBA_STORE_DIR"));
-        let warm_start = std::time::Instant::now();
-        let warm = TrafficRunner::new()
-            .with_memo(Arc::clone(&reloaded))
-            .run(&g);
-        let warm_wall = warm_start.elapsed().as_secs_f64();
-        assert!(warm == records, "disk-warm records diverged from cold run");
-        let (_, _, cells) = reloaded.stats();
-        assert_eq!(cells.misses, 0, "restart must answer every cell from disk");
-        println!(
-            "  memo store {}: cold {:.1} ms vs warm restart {:.2} ms ({:.0}x, \
-             {} cells from disk, byte-identical)",
-            dir.display(),
-            cold_wall * 1e3,
-            warm_wall * 1e3,
-            cold_wall / warm_wall.max(1e-9),
-            cells.hits,
-        );
-    }
 }
 
 criterion_group!(benches, bench_runner, record_results);

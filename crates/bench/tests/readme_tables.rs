@@ -105,13 +105,19 @@ fn fleet_parallel_tables(artifact: &Json) -> String {
     }
     let memo = artifact.get("memo_grid").expect("artifact has a memo_grid");
     table += &format!(
-        "\n| study | configuration | wall | speedup |\n\
-         |-------|---------------|------|---------|\n\
-         | memo grid, cold → warm | {} cells × {} requests | {:.2} → {:.2} ms | **{:.1}×** |\n",
+        "\n| study | configuration | median (min–max) | speedup |\n\
+         |-------|---------------|------------------|---------|\n\
+         | memo grid, cold → warm | {} cells × {} requests, {} rounds | \
+         {:.2} ({:.2}–{:.2}) → {:.3} ({:.3}–{:.3}) ms | **{:.1}×** |\n",
         num(memo, "cells"),
         num(memo, "requests_per_cell"),
-        num(memo, "cold_wall_ms"),
-        num(memo, "warm_wall_ms"),
+        num(memo, "rounds"),
+        num(memo, "cold_median_ms"),
+        num(memo, "cold_min_ms"),
+        num(memo, "cold_max_ms"),
+        num(memo, "warm_median_ms"),
+        num(memo, "warm_min_ms"),
+        num(memo, "warm_max_ms"),
         num(memo, "speedup"),
     );
     table

@@ -56,31 +56,8 @@ pub enum DramCommand {
 }
 
 impl DramCommand {
-    /// Returns `true` for the Pimba-specific extension commands.
-    pub fn is_pim_command(&self) -> bool {
-        matches!(
-            self,
-            DramCommand::Act4 { .. }
-                | DramCommand::RegWrite
-                | DramCommand::Comp
-                | DramCommand::ResultRead
-                | DramCommand::PrechargeAll
-        )
-    }
-
-    /// Returns `true` if the command occupies the external data bus.
-    pub fn uses_data_bus(&self) -> bool {
-        matches!(
-            self,
-            DramCommand::Read { .. }
-                | DramCommand::Write { .. }
-                | DramCommand::RegWrite
-                | DramCommand::ResultRead
-        )
-    }
-
     /// Short mnemonic used in traces.
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             DramCommand::Activate { .. } => "ACT",
             DramCommand::Precharge { .. } => "PRE",
@@ -112,30 +89,6 @@ impl std::fmt::Display for DramCommand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pim_commands_are_flagged() {
-        assert!(DramCommand::Comp.is_pim_command());
-        assert!(DramCommand::Act4 {
-            banks: [0, 1, 2, 3],
-            row: 0
-        }
-        .is_pim_command());
-        assert!(!DramCommand::Read { bank: 0, col: 0 }.is_pim_command());
-        assert!(!DramCommand::Refresh.is_pim_command());
-    }
-
-    #[test]
-    fn data_bus_usage() {
-        assert!(DramCommand::Read { bank: 0, col: 0 }.uses_data_bus());
-        assert!(DramCommand::RegWrite.uses_data_bus());
-        assert!(DramCommand::ResultRead.uses_data_bus());
-        assert!(
-            !DramCommand::Comp.uses_data_bus(),
-            "COMP stays inside the banks"
-        );
-        assert!(!DramCommand::PrechargeAll.uses_data_bus());
-    }
 
     #[test]
     fn display_and_mnemonics() {

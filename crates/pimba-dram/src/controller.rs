@@ -3,13 +3,10 @@
 //! The controller tracks the timing state of every bank in a pseudo-channel plus the
 //! shared resources (command/address bus occupancy is ignored — one command per cycle
 //! is assumed — but the data bus, the column-to-column cadence, the four-activation
-//! window and periodic refresh are modelled). It exposes two styles of use:
-//!
-//! * [`PseudoChannel::earliest_issue`] / [`PseudoChannel::issue_at`] for callers that
-//!   schedule commands themselves and want violations reported, and
-//! * [`PseudoChannel::execute`] which advances time to the earliest legal cycle and
-//!   issues the command, which is what the PIM kernel scheduler uses to measure how
-//!   long a command stream takes.
+//! window and periodic refresh are modelled). [`PseudoChannel::execute`] advances
+//! time to the earliest legal cycle and issues the command, which is what the PIM
+//! kernel scheduler uses to measure how long a command stream takes;
+//! [`PseudoChannel::earliest_issue`] reports that cycle without issuing.
 
 use crate::bank::BankState;
 use crate::command::DramCommand;
@@ -19,15 +16,15 @@ use std::collections::VecDeque;
 
 /// A command was issued earlier than a timing constraint allows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimingViolation {
+pub(crate) struct TimingViolation {
     /// The command that violated a constraint.
-    pub command: String,
+    pub(crate) command: String,
     /// The cycle at which issue was attempted.
-    pub attempted_at: u64,
+    pub(crate) attempted_at: u64,
     /// The earliest legal cycle.
-    pub earliest_legal: u64,
+    pub(crate) earliest_legal: u64,
     /// Human-readable description of the violated constraint.
-    pub constraint: String,
+    pub(crate) constraint: String,
 }
 
 impl std::fmt::Display for TimingViolation {
@@ -362,7 +359,7 @@ impl PseudoChannel {
     /// Returns a [`TimingViolation`] if `cycle` is earlier than the command's earliest
     /// legal issue cycle or if the command is structurally invalid (e.g. a column
     /// access to a bank with no open row).
-    pub fn issue_at(&mut self, cmd: DramCommand, cycle: u64) -> Result<(), TimingViolation> {
+    pub(crate) fn issue_at(&mut self, cmd: DramCommand, cycle: u64) -> Result<(), TimingViolation> {
         let earliest = self.earliest_issue(cmd);
         if cycle < earliest {
             return Err(TimingViolation {
@@ -512,16 +509,6 @@ impl PseudoChannel {
             .unwrap_or_else(|e| panic!("structurally invalid command: {e}"));
         self.now = at;
         at
-    }
-
-    /// Convenience: executes a slice of commands in order and returns the cycle at
-    /// which the last one was issued.
-    pub fn execute_all(&mut self, cmds: &[DramCommand]) -> u64 {
-        let mut last = self.now;
-        for &c in cmds {
-            last = self.execute(c);
-        }
-        last
     }
 }
 
@@ -766,17 +753,5 @@ mod tests {
         assert_eq!(s.reg_writes, 1);
         assert_eq!(s.comp_columns, 4);
         assert_eq!(s.result_reads, 1);
-    }
-
-    #[test]
-    fn execute_all_returns_last_issue_cycle() {
-        let mut pc = channel();
-        let last = pc.execute_all(&[
-            DramCommand::Activate { bank: 0, row: 0 },
-            DramCommand::Read { bank: 0, col: 0 },
-            DramCommand::Read { bank: 0, col: 1 },
-        ]);
-        assert_eq!(last, pc.now());
-        assert!(last > 0);
     }
 }

@@ -34,16 +34,6 @@ impl EnergyModel {
         }
     }
 
-    /// HBM3 coefficients (modestly improved process and IO).
-    pub fn hbm3() -> Self {
-        Self {
-            activation_pj: 820.0,
-            column_pj_per_bit: 1.32,
-            io_pj_per_bit: 0.65,
-            pim_compute_pj_per_byte: 0.75,
-        }
-    }
-
     /// Computes the energy consumed by the command stream summarized in `stats`.
     pub fn energy(&self, stats: &ChannelStats, geometry: &DramGeometry) -> EnergyCounters {
         let col_bits = (geometry.column_bytes * 8) as f64;
@@ -89,11 +79,6 @@ impl EnergyCounters {
     /// Total energy in picojoules.
     pub fn total_pj(&self) -> f64 {
         self.activation_pj + self.column_pj + self.io_pj + self.pim_compute_pj
-    }
-
-    /// Total energy in joules.
-    pub fn total_joules(&self) -> f64 {
-        self.total_pj() * 1e-12
     }
 
     /// Element-wise sum.
@@ -173,15 +158,5 @@ mod tests {
         assert_eq!(b.total_pj(), 20.0);
         let c = a.add(&b);
         assert_eq!(c.total_pj(), 30.0);
-        assert!((a.total_joules() - 10e-12).abs() < 1e-18);
-    }
-
-    #[test]
-    fn hbm3_is_more_efficient() {
-        let s = stats(100, 100, 100, 20);
-        let g = DramGeometry::hbm2e();
-        let e2 = EnergyModel::hbm2e().energy(&s, &g);
-        let e3 = EnergyModel::hbm3().energy(&s, &g);
-        assert!(e3.total_pj() < e2.total_pj());
     }
 }

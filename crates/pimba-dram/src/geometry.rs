@@ -9,21 +9,21 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramGeometry {
     /// Number of independent channels per device.
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// Pseudo-channels per channel.
-    pub pseudo_channels_per_channel: usize,
+    pub(crate) pseudo_channels_per_channel: usize,
     /// Bank groups per pseudo-channel.
     pub bank_groups: usize,
     /// Banks per bank group.
     pub banks_per_group: usize,
     /// Rows per bank.
-    pub rows_per_bank: usize,
+    pub(crate) rows_per_bank: usize,
     /// Row buffer (page) size in bytes per pseudo-channel.
-    pub row_bytes: usize,
+    pub(crate) row_bytes: usize,
     /// Bytes transferred by one column access (burst) per pseudo-channel.
     pub column_bytes: usize,
     /// Data bus width of one pseudo-channel in bits.
-    pub bus_bits: usize,
+    pub(crate) bus_bits: usize,
 }
 
 impl DramGeometry {
@@ -60,7 +60,7 @@ impl DramGeometry {
     }
 
     /// Total banks per device.
-    pub fn total_banks(&self) -> usize {
+    pub(crate) fn total_banks(&self) -> usize {
         self.pseudo_channels() * self.banks_per_pseudo_channel()
     }
 
@@ -70,7 +70,7 @@ impl DramGeometry {
     }
 
     /// Capacity of one bank in bytes.
-    pub fn bank_bytes(&self) -> usize {
+    pub(crate) fn bank_bytes(&self) -> usize {
         self.rows_per_bank * self.row_bytes
     }
 
@@ -85,25 +85,6 @@ impl DramGeometry {
         let bytes_per_cycle = (self.bus_bits as f64 / 8.0) * 2.0; // DDR
         bytes_per_cycle * bus_ghz * self.pseudo_channels() as f64
     }
-
-    /// Peak *internal* bandwidth available to in-bank PIM units: every bank can stream
-    /// one column per `t_ccd_l` cycles concurrently, whereas the external bus serializes
-    /// banks within a pseudo-channel.
-    pub fn peak_internal_bandwidth_gbps(&self, bus_ghz: f64, t_ccd_l: u64) -> f64 {
-        let per_bank = self.column_bytes as f64 * bus_ghz / t_ccd_l as f64;
-        per_bank * self.total_banks() as f64
-    }
-
-    /// The bank index (within a pseudo-channel) that shares an SPU with `bank`:
-    /// Pimba pairs adjacent banks (0-1, 2-3, ...).
-    pub fn spu_partner(&self, bank: usize) -> usize {
-        bank ^ 1
-    }
-
-    /// Number of SPUs per pseudo-channel (one per two banks).
-    pub fn spus_per_pseudo_channel(&self) -> usize {
-        self.banks_per_pseudo_channel() / 2
-    }
 }
 
 impl Default for DramGeometry {
@@ -116,13 +97,20 @@ impl Default for DramGeometry {
 mod tests {
     use super::*;
 
+    /// Peak *internal* bandwidth available to in-bank PIM units: every bank can stream
+    /// one column per `t_ccd_l` cycles concurrently, whereas the external bus serializes
+    /// banks within a pseudo-channel.
+    fn peak_internal_bandwidth_gbps(g: &DramGeometry, bus_ghz: f64, t_ccd_l: u64) -> f64 {
+        let per_bank = g.column_bytes as f64 * bus_ghz / t_ccd_l as f64;
+        per_bank * g.total_banks() as f64
+    }
+
     #[test]
     fn hbm2e_organization_matches_table1() {
         let g = DramGeometry::hbm2e();
         assert_eq!(g.bank_groups, 4);
         assert_eq!(g.banks_per_group, 4);
         assert_eq!(g.banks_per_pseudo_channel(), 16);
-        assert_eq!(g.spus_per_pseudo_channel(), 8);
         assert_eq!(g.columns_per_row(), 32);
     }
 
@@ -146,7 +134,7 @@ mod tests {
     fn internal_bandwidth_exceeds_external() {
         let g = DramGeometry::hbm2e();
         let ext = g.peak_bandwidth_gbps(1.512);
-        let int = g.peak_internal_bandwidth_gbps(1.512, 4);
+        let int = peak_internal_bandwidth_gbps(&g, 1.512, 4);
         assert!(int > 3.0 * ext, "internal {int} vs external {ext}");
     }
 
@@ -155,15 +143,5 @@ mod tests {
         let g = DramGeometry::hbm2e();
         let gb = g.total_bytes() / 1e9;
         assert!((20.0..120.0).contains(&gb), "capacity {gb} GB");
-    }
-
-    #[test]
-    fn spu_pairing_is_involutive() {
-        let g = DramGeometry::hbm2e();
-        for bank in 0..g.banks_per_pseudo_channel() {
-            let partner = g.spu_partner(bank);
-            assert_ne!(partner, bank);
-            assert_eq!(g.spu_partner(partner), bank);
-        }
     }
 }

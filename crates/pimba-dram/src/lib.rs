@@ -42,7 +42,7 @@ pub mod geometry;
 pub mod timing;
 
 pub use command::DramCommand;
-pub use controller::{PseudoChannel, TimingViolation};
+pub use controller::PseudoChannel;
 pub use energy::{EnergyCounters, EnergyModel};
 pub use geometry::DramGeometry;
 pub use timing::TimingParams;

@@ -22,7 +22,7 @@ pub struct TimingParams {
     /// Write recovery time.
     pub t_wr: u64,
     /// Read-to-precharge, different bank group.
-    pub t_rtp_s: u64,
+    pub(crate) t_rtp_s: u64,
     /// Read-to-precharge, same bank group.
     pub t_rtp_l: u64,
     /// Average refresh interval.
@@ -91,32 +91,10 @@ impl TimingParams {
         1.0 / self.bus_ghz
     }
 
-    /// Converts a cycle count into nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 * self.cycle_ns()
-    }
-
     /// PIM (SPU) clock frequency in MHz: one SPU iteration per `tCCD_L` bus cycles
     /// (378 MHz for HBM2E, 657 MHz for HBM3, matching the paper).
     pub fn pim_frequency_mhz(&self) -> f64 {
         self.bus_ghz * 1000.0 / self.t_ccd_l as f64
-    }
-
-    /// Validates internal consistency of the parameter set.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.t_ccd_l < self.t_ccd_s {
-            return Err("tCCD_L must be >= tCCD_S".into());
-        }
-        if self.t_ras < self.t_rcd {
-            return Err("tRAS must cover at least tRCD".into());
-        }
-        if self.t_faw < 4 {
-            return Err("tFAW must allow four activations".into());
-        }
-        if self.bus_ghz <= 0.0 {
-            return Err("bus frequency must be positive".into());
-        }
-        Ok(())
     }
 }
 
@@ -157,29 +135,13 @@ mod tests {
         let a = TimingParams::hbm2e();
         let b = TimingParams::hbm3();
         assert!(b.t_rp > a.t_rp);
-        assert!((a.cycles_to_ns(a.t_rp) - b.cycles_to_ns(b.t_rp)).abs() < 1.0);
+        assert!((a.t_rp as f64 * a.cycle_ns() - b.t_rp as f64 * b.cycle_ns()).abs() < 1.0);
         assert_eq!(b.t_ccd_l, a.t_ccd_l, "column cadence stays 4 cycles");
-    }
-
-    #[test]
-    fn both_presets_validate() {
-        assert!(TimingParams::hbm2e().validate().is_ok());
-        assert!(TimingParams::hbm3().validate().is_ok());
-    }
-
-    #[test]
-    fn invalid_params_are_rejected() {
-        let mut t = TimingParams::hbm2e();
-        t.t_ccd_l = 1;
-        assert!(t.validate().is_err());
-        let mut t2 = TimingParams::hbm2e();
-        t2.bus_ghz = 0.0;
-        assert!(t2.validate().is_err());
     }
 
     #[test]
     fn cycle_conversion() {
         let t = TimingParams::hbm2e();
-        assert!((t.cycles_to_ns(1512) - 1000.0).abs() < 1e-6);
+        assert!((1512.0 * t.cycle_ns() - 1000.0).abs() < 1e-6);
     }
 }

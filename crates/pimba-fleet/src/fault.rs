@@ -417,19 +417,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Writes the JSONL serialization to `path`.
-    pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Reads a JSONL plan from `path` (parse errors surface as `io::Error`
-    /// with `InvalidData` kind).
-    pub fn read_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_jsonl(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
 }
 
 /// Fault-and-recovery counters of one faulted fleet run (all zeros on the

@@ -150,7 +150,7 @@ impl Router for PowerOfTwoChoices {
 pub struct TenantAffinity {
     /// How many outstanding requests above the fleet minimum the home
     /// replica may carry before the tenant spills (default 2).
-    pub slack: usize,
+    pub(crate) slack: usize,
 }
 
 impl Default for TenantAffinity {

@@ -3,7 +3,7 @@
 //! plus the SLO-scaling search the `fleet_scale` bench reports.
 //!
 //! [`FleetGrid`] implements `pimba-serve`'s [`Grid`], so it shares the
-//! runner, the memo type and the front half ([`run_grid`]) with the
+//! runner, the memo type and the front half (`run_grid`) with the
 //! traffic grid: traces are generated once per (scenario, rate) from split
 //! PCG streams and shared by every system, replica count and router, so any
 //! two cells differing in one axis are compared under *identical* arrivals;
@@ -11,7 +11,7 @@
 //! bit-identical for any worker-thread count (each cell is a pure function
 //! of the grid).
 //!
-//! [`run_grid`]: pimba_serve::runner::run_grid
+//! `run_grid`: pimba_serve::runner::run_grid
 
 use crate::cluster::{FleetConfig, FleetMode, FleetSim};
 use crate::fault::{FaultPlan, FaultStats};

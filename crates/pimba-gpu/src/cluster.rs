@@ -31,25 +31,15 @@ impl GpuCluster {
         }
     }
 
-    /// A single-GPU "cluster".
-    pub fn single(device: GpuDevice) -> Self {
-        Self::new(device, 1)
-    }
-
     /// Aggregate memory capacity in bytes.
     pub fn total_capacity_bytes(&self) -> f64 {
         self.device.capacity_bytes() * self.tensor_parallel as f64
     }
 
-    /// Aggregate memory bandwidth in GB/s.
-    pub fn total_bandwidth_gbps(&self) -> f64 {
-        self.device.mem_bw_gbps * self.tensor_parallel as f64
-    }
-
     /// Latency of one ring all-reduce of `bytes` (per GPU contribution) in
     /// nanoseconds. With `n` ranks a ring moves `2 (n-1)/n` times the payload over
     /// each link.
-    pub fn all_reduce_latency_ns(&self, bytes: f64) -> f64 {
+    pub(crate) fn all_reduce_latency_ns(&self, bytes: f64) -> f64 {
         if self.tensor_parallel == 1 {
             return 0.0;
         }
@@ -78,7 +68,7 @@ mod tests {
 
     #[test]
     fn single_gpu_has_no_communication() {
-        let c = GpuCluster::single(GpuDevice::a100());
+        let c = GpuCluster::new(GpuDevice::a100(), 1);
         assert_eq!(c.all_reduce_latency_ns(1e9), 0.0);
         assert_eq!(c.step_communication_ns(128, 8192, 80), 0.0);
     }
@@ -110,7 +100,6 @@ mod tests {
     fn capacity_and_bandwidth_aggregate() {
         let c = GpuCluster::new(GpuDevice::a100(), 8);
         assert!((c.total_capacity_bytes() - 8.0 * GpuDevice::a100().capacity_bytes()).abs() < 1.0);
-        assert!((c.total_bandwidth_gbps() - 8.0 * 2039.0).abs() < 1e-6);
     }
 
     #[test]

@@ -8,11 +8,11 @@ pub struct GpuDevice {
     /// Peak HBM bandwidth in GB/s.
     pub mem_bw_gbps: f64,
     /// HBM capacity in GiB.
-    pub mem_capacity_gib: f64,
+    pub(crate) mem_capacity_gib: f64,
     /// Peak dense fp16/bf16 tensor throughput in TFLOPS.
     pub fp16_tflops: f64,
     /// Peak dense int8 tensor throughput in TOPS.
-    pub int8_tops: f64,
+    pub(crate) int8_tops: f64,
     /// NVLink bandwidth per GPU in GB/s (bidirectional aggregate).
     pub nvlink_gbps: f64,
     /// Kernel launch + synchronization overhead per kernel, in nanoseconds.

@@ -11,11 +11,11 @@ use pimba_models::ops::{OpCost, OpKind};
 
 /// Per-operator efficiency factors (fraction of peak actually achieved).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelEfficiency {
+pub(crate) struct KernelEfficiency {
     /// Fraction of peak compute achieved.
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Fraction of peak memory bandwidth achieved.
-    pub memory: f64,
+    pub(crate) memory: f64,
 }
 
 /// Analytic latency model for GPU kernels.
@@ -36,7 +36,7 @@ impl GpuKernelModel {
     }
 
     /// Efficiency factors for one operator kind.
-    pub fn efficiency(&self, kind: OpKind) -> KernelEfficiency {
+    pub(crate) fn efficiency(&self, kind: OpKind) -> KernelEfficiency {
         match kind {
             // Dense projections hit the tensor cores hard and stream weights well.
             OpKind::Gemm => KernelEfficiency {

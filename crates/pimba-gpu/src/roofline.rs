@@ -43,11 +43,6 @@ impl Roofline {
             Boundedness::ComputeBound
         }
     }
-
-    /// Fraction of peak compute achievable at the given intensity (0..1].
-    pub fn efficiency_at(&self, arithmetic_intensity: f64) -> f64 {
-        self.attainable_tflops(arithmetic_intensity) / self.device.fp16_tflops
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,7 @@ mod tests {
     fn efficiency_is_bounded() {
         let r = roofline();
         for ai in [0.1, 1.0, 100.0, 10_000.0] {
-            let e = r.efficiency_at(ai);
+            let e = r.attainable_tflops(ai) / GpuDevice::a100().fp16_tflops;
             assert!(e > 0.0 && e <= 1.0);
         }
     }

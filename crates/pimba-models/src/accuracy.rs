@@ -73,7 +73,7 @@ impl Default for StudyConfig {
 /// SU-LLM families run the state-update recurrence; transformer families run attention
 /// with a quantized KV cache. Hybrids (Zamba2) are dominated by their Mamba-2 layers
 /// and use the state path.
-pub fn representation_error(
+pub(crate) fn representation_error(
     family: ModelFamily,
     format: QuantFormat,
     rounding: Rounding,
@@ -210,7 +210,7 @@ pub fn state_error(
 }
 
 /// Relative output error of attention with the KV cache stored in `format`.
-pub fn kv_error(
+pub(crate) fn kv_error(
     family: ModelFamily,
     format: QuantFormat,
     rounding: Rounding,
@@ -241,7 +241,7 @@ pub fn kv_error(
 
 /// WikiText-2 perplexity of the unquantized (fp16) model, anchored to the paper's
 /// Table 2 / Figure 4 values.
-pub fn fp16_perplexity(family: ModelFamily) -> f64 {
+pub(crate) fn fp16_perplexity(family: ModelFamily) -> f64 {
     match family {
         ModelFamily::RetNet => 15.83,
         ModelFamily::Gla => 15.54,
@@ -334,7 +334,7 @@ impl Task {
     }
 
     /// Chance-level accuracy of the task in percent.
-    pub fn chance_level(self) -> f64 {
+    pub(crate) fn chance_level(self) -> f64 {
         match self {
             Task::Piqa | Task::WinoGrande => 50.0,
             Task::Lambada => 0.0,
@@ -398,7 +398,7 @@ pub fn baseline_accuracy(family: ModelFamily, task: Task) -> f64 {
 const ACC_GAMMA: f64 = 0.6;
 
 /// Maps a representation error to task accuracy for `family`/`task`.
-pub fn accuracy_from_error(family: ModelFamily, task: Task, error: f64) -> f64 {
+pub(crate) fn accuracy_from_error(family: ModelFamily, task: Task, error: f64) -> f64 {
     let base = baseline_accuracy(family, task);
     let chance = task.chance_level();
     let effective = (error - ERROR_FLOOR).max(0.0);

@@ -27,14 +27,6 @@ pub enum ModelFamily {
 }
 
 impl ModelFamily {
-    /// The SU-LLM families (models whose core operation is the state update).
-    pub const SU_LLMS: [ModelFamily; 4] = [
-        ModelFamily::RetNet,
-        ModelFamily::Gla,
-        ModelFamily::Hgrn2,
-        ModelFamily::Mamba2,
-    ];
-
     /// Families evaluated in the performance experiments (Figures 12–14).
     pub const PERFORMANCE_SET: [ModelFamily; 6] = [
         ModelFamily::RetNet,
@@ -380,9 +372,17 @@ impl ModelConfig {
 mod tests {
     use super::*;
 
+    /// The SU-LLM families (models whose core operation is the state update).
+    const SU_LLMS: [ModelFamily; 4] = [
+        ModelFamily::RetNet,
+        ModelFamily::Gla,
+        ModelFamily::Hgrn2,
+        ModelFamily::Mamba2,
+    ];
+
     #[test]
     fn small_presets_have_plausible_param_counts() {
-        for family in ModelFamily::SU_LLMS {
+        for family in SU_LLMS {
             let cfg = ModelConfig::preset(family, ModelScale::Small);
             let params = cfg.param_count();
             assert!(
@@ -438,7 +438,7 @@ mod tests {
 
     #[test]
     fn su_llms_have_no_kv_cache() {
-        for family in ModelFamily::SU_LLMS {
+        for family in SU_LLMS {
             let cfg = ModelConfig::preset(family, ModelScale::Small);
             assert_eq!(cfg.kv_elements_per_request(2048), 0.0);
             assert!(cfg.state_elements_per_request() > 0.0);
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn retnet_state_is_the_largest_of_the_sullm_set() {
-        let sizes: Vec<(ModelFamily, f64)> = ModelFamily::SU_LLMS
+        let sizes: Vec<(ModelFamily, f64)> = SU_LLMS
             .iter()
             .map(|&f| {
                 (

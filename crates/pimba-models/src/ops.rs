@@ -67,7 +67,7 @@ pub struct OpCost {
     /// Floating point operations (multiply and add counted separately).
     pub flops: f64,
     /// Bytes read from device memory.
-    pub bytes_read: f64,
+    pub(crate) bytes_read: f64,
     /// Bytes written to device memory.
     pub bytes_written: f64,
 }

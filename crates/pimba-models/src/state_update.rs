@@ -340,31 +340,31 @@ pub fn output_cosine_distance(reference: &[Vec<f64>], candidate: &[Vec<f64>]) ->
     }
 }
 
-/// Mean relative L1 error between two output sequences, normalized by the reference
-/// magnitude. Used as a secondary metric of the accuracy study.
-pub fn output_relative_error(reference: &[Vec<f64>], candidate: &[Vec<f64>]) -> f64 {
-    assert_eq!(reference.len(), candidate.len(), "sequence length mismatch");
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (r, c) in reference.iter().zip(candidate) {
-        assert_eq!(r.len(), c.len(), "output width mismatch");
-        for (x, y) in r.iter().zip(c) {
-            num += (x - y).abs();
-            den += x.abs();
-        }
-    }
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelFamily;
     use crate::synth::SynthStream;
+
+    /// Mean relative L1 error between two output sequences, normalized by the reference
+    /// magnitude: the error metric of the MX8-versus-E5M2 test below.
+    fn output_relative_error(reference: &[Vec<f64>], candidate: &[Vec<f64>]) -> f64 {
+        assert_eq!(reference.len(), candidate.len(), "sequence length mismatch");
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (r, c) in reference.iter().zip(candidate) {
+            assert_eq!(r.len(), c.len(), "output width mismatch");
+            for (x, y) in r.iter().zip(c) {
+                num += (x - y).abs();
+                den += x.abs();
+            }
+        }
+        if den == 0.0 {
+            0.0
+        } else {
+            num / den
+        }
+    }
 
     fn run_engine(
         engine: StateUpdateEngine,

@@ -35,7 +35,7 @@ pub struct StoreError {
     /// Largest absolute difference between the original and stored values.
     pub max_abs_error: f32,
     /// Root-mean-square error across the tensor.
-    pub rms_error: f32,
+    pub(crate) rms_error: f32,
 }
 
 impl QuantFormat {
@@ -71,11 +71,6 @@ impl QuantFormat {
     /// Bytes per value (bits / 8), convenient for traffic accounting.
     pub fn bytes_per_value(self) -> f64 {
         self.bits_per_value() / 8.0
-    }
-
-    /// Returns `true` for the 8-bit formats.
-    pub fn is_eight_bit(self) -> bool {
-        !matches!(self, QuantFormat::Fp32 | QuantFormat::Fp16)
     }
 
     /// Mantissa precision in bits (including the implicit bit where applicable); the
@@ -234,13 +229,5 @@ mod tests {
         assert!(QuantFormat::Int8.mantissa_bits() > QuantFormat::Mx8.mantissa_bits());
         assert!(QuantFormat::Mx8.mantissa_bits() > QuantFormat::E4m3.mantissa_bits());
         assert!(QuantFormat::E4m3.mantissa_bits() > QuantFormat::E5m2.mantissa_bits());
-    }
-
-    #[test]
-    fn eight_bit_flag() {
-        for fmt in QuantFormat::EIGHT_BIT {
-            assert!(fmt.is_eight_bit());
-        }
-        assert!(!QuantFormat::Fp16.is_eight_bit());
     }
 }

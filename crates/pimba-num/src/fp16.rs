@@ -10,21 +10,18 @@ use crate::rounding::{Rounding, StochasticSource};
 const F16_EXP_BITS: u32 = 5;
 const F16_MANT_BITS: u32 = 10;
 const F16_EXP_BIAS: i32 = 15;
-/// Largest finite fp16 value (65504).
-pub const F16_MAX: f32 = 65504.0;
-/// Smallest positive normal fp16 value (2^-14).
-pub const F16_MIN_POSITIVE: f32 = 6.103_515_6e-5;
 
 /// Encodes an `f32` into fp16 bits using the requested rounding mode.
 ///
-/// Values above [`F16_MAX`] saturate to the maximum finite value (LLM serving systems
-/// saturate rather than emit infinities when quantizing caches); NaN is preserved.
-pub fn f32_to_f16_bits(value: f32, mode: Rounding, src: &mut StochasticSource) -> u16 {
+/// Values above 65504, the largest finite fp16 value, saturate to it (LLM serving
+/// systems saturate rather than emit infinities when quantizing caches); NaN is
+/// preserved.
+pub(crate) fn f32_to_f16_bits(value: f32, mode: Rounding, src: &mut StochasticSource) -> u16 {
     encode_small_float(value, F16_EXP_BITS, F16_MANT_BITS, F16_EXP_BIAS, mode, src) as u16
 }
 
 /// Decodes fp16 bits into an `f32`.
-pub fn f16_bits_to_f32(bits: u16) -> f32 {
+pub(crate) fn f16_bits_to_f32(bits: u16) -> f32 {
     decode_small_float(u32::from(bits), F16_EXP_BITS, F16_MANT_BITS, F16_EXP_BIAS)
 }
 
@@ -164,8 +161,8 @@ mod tests {
 
     #[test]
     fn overflow_saturates() {
-        assert_eq!(rt(1.0e6), F16_MAX);
-        assert_eq!(rt(-1.0e6), -F16_MAX);
+        assert_eq!(rt(1.0e6), 65504.0);
+        assert_eq!(rt(-1.0e6), -65504.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum Fp8Kind {
 
 impl Fp8Kind {
     /// Number of exponent bits.
-    pub fn exp_bits(self) -> u32 {
+    pub(crate) fn exp_bits(self) -> u32 {
         match self {
             Fp8Kind::E4M3 => 4,
             Fp8Kind::E5M2 => 5,
@@ -36,7 +36,7 @@ impl Fp8Kind {
     }
 
     /// Exponent bias.
-    pub fn bias(self) -> i32 {
+    pub(crate) fn bias(self) -> i32 {
         match self {
             Fp8Kind::E4M3 => 7,
             Fp8Kind::E5M2 => 15,
@@ -51,7 +51,7 @@ impl Fp8Kind {
     }
 
     /// Encodes `value` into 8 bits.
-    pub fn encode(self, value: f32, mode: Rounding, src: &mut StochasticSource) -> u8 {
+    pub(crate) fn encode(self, value: f32, mode: Rounding, src: &mut StochasticSource) -> u8 {
         encode_small_float(
             value,
             self.exp_bits(),
@@ -63,7 +63,7 @@ impl Fp8Kind {
     }
 
     /// Decodes 8 bits into an `f32`.
-    pub fn decode(self, bits: u8) -> f32 {
+    pub(crate) fn decode(self, bits: u8) -> f32 {
         decode_small_float(
             u32::from(bits),
             self.exp_bits(),

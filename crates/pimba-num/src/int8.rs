@@ -11,17 +11,17 @@
 use crate::rounding::{Rounding, StochasticSource};
 
 /// Number of elements sharing one scale factor.
-pub const INT8_GROUP_SIZE: usize = 32;
+pub(crate) const INT8_GROUP_SIZE: usize = 32;
 /// Maximum magnitude of the stored integer code.
-pub const INT8_CODE_MAX: i32 = 127;
+pub(crate) const INT8_CODE_MAX: i32 = 127;
 
 /// One quantized group: 32 signed byte codes plus an fp32 scale.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Int8Group {
+pub(crate) struct Int8Group {
     /// Scale such that `value ≈ code * scale`.
     pub scale: f32,
     /// Signed 8-bit codes (length ≤ [`INT8_GROUP_SIZE`] for a tail group).
-    pub codes: Vec<i8>,
+    pub(crate) codes: Vec<i8>,
 }
 
 impl Int8Group {
@@ -59,16 +59,6 @@ impl Int8Group {
             .map(|&c| f32::from(c) * self.scale)
             .collect()
     }
-
-    /// Number of elements stored.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Returns `true` if the group holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
 }
 
 /// Quantizes an arbitrary-length slice group-by-group and writes the dequantized
@@ -100,8 +90,7 @@ mod tests {
         let g = Int8Group::quantize(&[0.0; 8], Rounding::Nearest, &mut src);
         assert_eq!(g.scale, 0.0);
         assert_eq!(g.dequantize(), vec![0.0; 8]);
-        assert_eq!(g.len(), 8);
-        assert!(!g.is_empty());
+        assert_eq!(g.codes.len(), 8);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod rounding;
 pub mod spe;
 
 pub use format::{QuantFormat, StoreError};
-pub use mx::{MxGroup, MX_GROUP_SIZE, MX_MANTISSA_BITS, MX_PAIR_SIZE};
+pub use mx::{MxGroup, MX_GROUP_SIZE, MX_PAIR_SIZE};
 pub use rounding::{Rounding, StochasticSource};
 pub use spe::{MxAdder, MxDotProductUnit, MxMultiplier};
 

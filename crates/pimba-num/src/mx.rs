@@ -27,17 +27,17 @@ pub const MX_GROUP_SIZE: usize = 16;
 /// Number of elements that share one microexponent bit.
 pub const MX_PAIR_SIZE: usize = 2;
 /// Mantissa width in bits (unsigned magnitude; the sign is a separate bit).
-pub const MX_MANTISSA_BITS: u32 = 6;
+pub(crate) const MX_MANTISSA_BITS: u32 = 6;
 /// Maximum mantissa code.
 pub const MX_MANTISSA_MAX: u32 = (1 << MX_MANTISSA_BITS) - 1;
 /// Number of fractional bits of the mantissa relative to the pair exponent.
 pub const MX_FRAC_BITS: i32 = MX_MANTISSA_BITS as i32 - 1;
 /// Exponent bias of the stored 8-bit shared exponent.
-pub const MX_EXP_BIAS: i32 = 127;
+pub(crate) const MX_EXP_BIAS: i32 = 127;
 /// Minimum (unbiased) shared exponent.
-pub const MX_EXP_MIN: i32 = -MX_EXP_BIAS;
+pub(crate) const MX_EXP_MIN: i32 = -MX_EXP_BIAS;
 /// Maximum (unbiased) shared exponent.
-pub const MX_EXP_MAX: i32 = 255 - MX_EXP_BIAS;
+pub(crate) const MX_EXP_MAX: i32 = 255 - MX_EXP_BIAS;
 
 /// One MX8 group of up to [`MX_GROUP_SIZE`] elements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +46,7 @@ pub struct MxGroup {
     pub shared_exp: i32,
     /// One microexponent bit per element pair (0 or 1); length `ceil(len/2)`.
     pub micro_exps: Vec<u8>,
-    /// Signed mantissas; magnitude fits in [`MX_MANTISSA_BITS`] bits.
+    /// Signed mantissas; magnitude at most [`MX_MANTISSA_MAX`] (6 bits).
     pub mantissas: Vec<i16>,
 }
 
@@ -136,27 +136,13 @@ impl MxGroup {
     }
 
     /// Reconstructs element `i` as an `f64`.
-    pub fn element(&self, i: usize) -> f64 {
+    pub(crate) fn element(&self, i: usize) -> f64 {
         f64::from(self.mantissas[i]) * 2f64.powi(self.pair_exp(i) - MX_FRAC_BITS)
     }
 
     /// Dequantizes the whole group.
     pub fn dequantize(&self) -> Vec<f32> {
         (0..self.len()).map(|i| self.element(i) as f32).collect()
-    }
-
-    /// The biased 8-bit exponent as stored in memory.
-    pub fn biased_exp(&self) -> u8 {
-        (self.shared_exp + MX_EXP_BIAS).clamp(0, 255) as u8
-    }
-
-    /// Re-normalizes the group: recomputes the shared exponent and microexponents from
-    /// the current element values so that every mantissa fits in 6 bits again.
-    /// This models the group-level re-quantization the SPE performs after wide
-    /// intermediate results, and is also how overflowing additions are folded back.
-    pub fn renormalize(&self, mode: Rounding, src: &mut StochasticSource) -> Self {
-        let values = self.dequantize();
-        Self::quantize(&values, mode, src)
     }
 }
 
@@ -219,7 +205,6 @@ mod tests {
     fn group_exponent_tracks_max_element() {
         let g = quant(&[0.1, -0.2, 6.0, 0.001]);
         assert_eq!(g.shared_exp, 2, "6.0 has exponent 2");
-        assert_eq!(g.biased_exp(), (2 + MX_EXP_BIAS) as u8);
     }
 
     #[test]
@@ -313,14 +298,6 @@ mod tests {
         assert_eq!(g.micro_exps, vec![1, 0]);
         assert_eq!(g.mantissas[0], MX_MANTISSA_MAX as i16);
         assert_eq!(g.mantissas[1], -(MX_MANTISSA_MAX as i16));
-    }
-
-    #[test]
-    fn renormalize_is_stable_for_in_range_groups() {
-        let mut src = StochasticSource::from_seed(4);
-        let g = quant(&[1.0, 0.5, -0.75, 0.125]);
-        let r = g.renormalize(Rounding::Nearest, &mut src);
-        assert_eq!(g.dequantize(), r.dequantize());
     }
 
     #[test]

@@ -40,7 +40,7 @@ const LFSR_BITS: u32 = 16;
 /// use pimba_num::StochasticSource;
 /// let mut a = StochasticSource::from_seed(42);
 /// let mut b = StochasticSource::from_seed(42);
-/// assert_eq!(a.next_bits(12), b.next_bits(12));
+/// assert_eq!(a.uniform(), b.uniform());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StochasticSource {
@@ -63,7 +63,7 @@ impl StochasticSource {
     /// Uses the maximal-length Fibonacci polynomial `x^16 + x^14 + x^13 + x^11 + 1`
     /// (taps at bits 0, 2, 3 and 5 of the shifted-out end), period 65535.
     #[inline]
-    pub fn next_bit(&mut self) -> u16 {
+    pub(crate) fn next_bit(&mut self) -> u16 {
         let s = self.state;
         let bit = (s ^ (s >> 2) ^ (s >> 3) ^ (s >> 5)) & 1;
         self.state = (s >> 1) | (bit << (LFSR_BITS - 1));
@@ -75,7 +75,7 @@ impl StochasticSource {
     /// # Panics
     ///
     /// Panics if `n > 32`.
-    pub fn next_bits(&mut self, n: u32) -> u32 {
+    pub(crate) fn next_bits(&mut self, n: u32) -> u32 {
         assert!(n <= 32, "cannot draw more than 32 bits at once");
         let mut out = 0u32;
         for i in 0..n {
@@ -119,7 +119,7 @@ impl Default for StochasticSource {
 }
 
 /// Round-half-to-even for `f64` (the `f64::round` builtin rounds half away from zero).
-pub fn round_half_even(x: f64) -> f64 {
+pub(crate) fn round_half_even(x: f64) -> f64 {
     let floor = x.floor();
     let diff = x - floor;
     if diff > 0.5 {

@@ -209,19 +209,6 @@ impl MxDotProductUnit {
         }
         acc
     }
-
-    /// Multiply-accumulate of a scalar attention score with an MX value-vector group
-    /// into an `f32` accumulator slice (the *attend* dataflow of Figure 10b).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc.len() != values.len()`.
-    pub fn scale_accumulate(&self, score: f64, values: &MxGroup, acc: &mut [f64]) {
-        assert_eq!(acc.len(), values.len(), "accumulator length mismatch");
-        for (i, slot) in acc.iter_mut().enumerate() {
-            *slot += score * values.element(i);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -375,16 +362,6 @@ mod tests {
             (got - expected).abs() / expected.abs() < 0.03,
             "{got} vs {expected}"
         );
-    }
-
-    #[test]
-    fn scale_accumulate_attend_dataflow() {
-        let v = quant(&[1.0, 2.0, -3.0, 0.5]);
-        let mut acc = vec![0.0f64; 4];
-        MxDotProductUnit.scale_accumulate(0.25, &v, &mut acc);
-        MxDotProductUnit.scale_accumulate(0.75, &v, &mut acc);
-        assert!((acc[1] - 2.0).abs() < 0.05);
-        assert!((acc[2] - -3.0).abs() < 0.05);
     }
 
     #[test]

@@ -38,26 +38,26 @@ pub struct SpeAreaBreakdown {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area of one MX8 lane (6-bit multiply + add + shift) in mm² at 10 nm.
-    pub mx8_lane_mm2: f64,
+    pub(crate) mx8_lane_mm2: f64,
     /// Relative cost of an int8 lane (dequant/requant logic included).
-    pub int8_lane_factor: f64,
+    pub(crate) int8_lane_factor: f64,
     /// Relative cost of an fp8 (e4m3/e5m2) lane.
-    pub fp8_lane_factor: f64,
+    pub(crate) fp8_lane_factor: f64,
     /// Relative cost of an fp16 multiply-add lane.
-    pub fp16_lane_factor: f64,
+    pub(crate) fp16_lane_factor: f64,
     /// Relative cost of adding stochastic rounding to a lane.
-    pub stochastic_rounding_factor: f64,
+    pub(crate) stochastic_rounding_factor: f64,
     /// Group-level logic (shared-exponent handling, dot-product reduction tree) as a
     /// fraction of the lane array.
-    pub group_logic_fraction: f64,
+    pub(crate) group_logic_fraction: f64,
     /// Buffer area of a two-bank shared unit in mm².
-    pub shared_buffer_mm2: f64,
+    pub(crate) shared_buffer_mm2: f64,
     /// Buffer area of a per-bank unit in mm².
-    pub per_bank_buffer_mm2: f64,
+    pub(crate) per_bank_buffer_mm2: f64,
     /// DRAM peripheral-logic budget that overheads are reported against, in mm².
-    pub die_reference_mm2: f64,
+    pub(crate) die_reference_mm2: f64,
     /// Power density of active compute logic in mW per mm².
-    pub power_mw_per_mm2: f64,
+    pub(crate) power_mw_per_mm2: f64,
 }
 
 /// Elements per 256-bit operand group for 8-bit formats.
@@ -70,7 +70,7 @@ const TIME_MUX_LANE_FRACTION: f64 = 0.25;
 
 impl AreaModel {
     /// Area of one lane in mm² for the given format and rounding.
-    pub fn lane_mm2(&self, format: QuantFormat, rounding: Rounding) -> f64 {
+    pub(crate) fn lane_mm2(&self, format: QuantFormat, rounding: Rounding) -> f64 {
         let base = match format {
             QuantFormat::Mx8 => self.mx8_lane_mm2,
             QuantFormat::Int8 => self.mx8_lane_mm2 * self.int8_lane_factor,
@@ -85,7 +85,7 @@ impl AreaModel {
 
     /// Number of lanes a fully-pipelined unit needs to process one 256-bit group per
     /// cycle in the given format.
-    pub fn lanes(&self, format: QuantFormat) -> usize {
+    pub(crate) fn lanes(&self, format: QuantFormat) -> usize {
         match format {
             QuantFormat::Fp16 | QuantFormat::Fp32 => LANES_FP16,
             _ => LANES_8BIT,
@@ -93,7 +93,7 @@ impl AreaModel {
     }
 
     /// Compute-logic area of one processing unit in mm².
-    pub fn compute_area_mm2(
+    pub(crate) fn compute_area_mm2(
         &self,
         format: QuantFormat,
         rounding: Rounding,

@@ -95,7 +95,7 @@ impl PimDesign {
     }
 
     /// Storage format of the state / KV cache on this design.
-    pub fn storage_format(&self) -> QuantFormat {
+    pub(crate) fn storage_format(&self) -> QuantFormat {
         match self.kind {
             PimDesignKind::Pimba => QuantFormat::Mx8,
             _ => QuantFormat::Fp16,
@@ -183,11 +183,6 @@ impl PimDesign {
             _ => None,
         }
     }
-
-    /// Latency of a full attention operator in nanoseconds (convenience wrapper).
-    pub fn attention_latency_ns(&self, shape: &OpShape) -> Option<f64> {
-        self.attention_latency(shape).map(|l| l.latency_ns)
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +244,7 @@ mod tests {
     fn neupims_cannot_run_state_updates_but_runs_attention() {
         let d = PimDesign::new(PimDesignKind::NeuPimsLike);
         assert!(d.state_update_latency_ns(&su_shape()).is_none());
-        assert!(d.attention_latency_ns(&attn_shape()).is_some());
+        assert!(d.attention_latency(&attn_shape()).is_some());
     }
 
     #[test]
@@ -298,8 +293,8 @@ mod tests {
             dim_head: 128,
             seq_len: 4096,
         };
-        let a = d.attention_latency_ns(&short).unwrap();
-        let b = d.attention_latency_ns(&long).unwrap();
+        let a = d.attention_latency(&short).unwrap().latency_ns;
+        let b = d.attention_latency(&long).unwrap().latency_ns;
         assert!(
             b > 4.0 * a,
             "attention latency must scale with the KV length"

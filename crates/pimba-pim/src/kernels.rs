@@ -28,9 +28,9 @@ pub struct PimLatency {
     /// End-to-end latency in nanoseconds.
     pub latency_ns: f64,
     /// Total DRAM cycles on the critical pseudo-channel.
-    pub cycles: f64,
+    pub(crate) cycles: f64,
     /// Number of columns processed device-wide.
-    pub columns: f64,
+    pub(crate) columns: f64,
     /// Number of row activations device-wide.
     pub activations: f64,
     /// Energy consumed device-wide.

@@ -8,11 +8,16 @@
 //! ```
 //!
 //! where operand transfers (REG_WRITE) are slotted into the idle cycles forced by the
-//! `tFAW` window between ACT4 commands, and RESULT_READ overlaps with the precharge.
-//! This module builds that stream for one *row group* (all banks of a pseudo-channel
-//! processing one open row each) and measures it against the cycle-level DRAM
-//! controller, providing both the latency used by the kernels and a validation that
-//! the stream obeys every timing constraint.
+//! `tFAW` window between ACT4 commands. This module builds that stream for one *row
+//! group* (all banks of a pseudo-channel processing one open row each) and runs it on
+//! the cycle-level DRAM controller: [`measure_row_group`] checks that the stream obeys
+//! every timing constraint and reports its cycles. The kernels do not use it; their
+//! latencies come from the analytic [`row_group_cycles`](crate::kernels::row_group_cycles),
+//! which the tests and the ablation bench compare against this measurement.
+//!
+//! The stream issues the RESULT_READ bursts after PRECHARGES when the group writes
+//! its state back, and before PRECHARGES when the group is read-only. Figure 11
+//! instead overlaps RESULT_READ with the precharge.
 
 use pimba_dram::command::DramCommand;
 use pimba_dram::controller::PseudoChannel;
@@ -60,8 +65,8 @@ impl RowGroupTiming {
 ///
 /// The stream opens all banks with ganged ACT4 commands, slots the REG_WRITE operand
 /// transfers into the activation window, streams the COMP commands at the `tCCD_L`
-/// cadence, and finishes with RESULT_READ overlapped with PRECHARGES — the schedule of
-/// Figure 11.
+/// cadence, and finishes with the RESULT_READ bursts and PRECHARGES: the bursts come
+/// after PRECHARGES when the group writes back, before it otherwise.
 pub fn measure_row_group(
     timing: TimingParams,
     geometry: DramGeometry,
@@ -102,7 +107,8 @@ pub fn measure_row_group(
     }
     let comp_end = pc.now();
 
-    // Results stream back while the banks precharge.
+    // Results stream back after the precharge on write-back groups, before it on
+    // read-only ones.
     if plan.writes_back {
         pc.execute(DramCommand::PrechargeAll);
         for _ in 0..plan.result_reads {

@@ -17,30 +17,20 @@
 //! to demonstrate both properties.
 
 /// Number of pipeline stages (fetch, multiply, add, dot-product/write-back).
-pub const SPU_PIPELINE_STAGES: usize = 4;
+pub(crate) const SPU_PIPELINE_STAGES: usize = 4;
 
 /// Which of the two banks an access targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankSide {
+pub(crate) enum BankSide {
     /// The even-numbered bank of the pair.
     Upper,
     /// The odd-numbered bank of the pair.
     Bottom,
 }
 
-impl BankSide {
-    /// The other bank of the pair.
-    pub fn other(self) -> BankSide {
-        match self {
-            BankSide::Upper => BankSide::Bottom,
-            BankSide::Bottom => BankSide::Upper,
-        }
-    }
-}
-
 /// Row-buffer access performed in one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotAccess {
+pub(crate) enum SlotAccess {
     /// Read of a sub-chunk (pipeline stage 1).
     Read(BankSide),
     /// Write-back of a sub-chunk (pipeline stage 4).
@@ -63,11 +53,11 @@ pub struct PipelineRun {
     /// Total slots taken to retire all sub-chunks.
     pub slots: usize,
     /// Number of slots in which the processing element received no new input.
-    pub bubble_slots: usize,
+    pub(crate) bubble_slots: usize,
     /// Whether any slot required reading and writing the same bank simultaneously.
     pub structural_hazard: bool,
     /// Per-slot row-buffer accesses (for inspection / tests).
-    pub accesses: Vec<Vec<SlotAccess>>,
+    pub(crate) accesses: Vec<Vec<SlotAccess>>,
 }
 
 impl PipelineRun {
@@ -85,7 +75,7 @@ impl PipelineRun {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpuPipeline {
     /// Pipeline depth from fetch to write-back.
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// Feed policy under evaluation.
     pub policy: FeedPolicy,
 }
@@ -192,17 +182,17 @@ impl SpuPipeline {
             accesses,
         }
     }
-
-    /// Effective sub-chunk throughput (sub-chunks per slot) in steady state.
-    pub fn steady_state_throughput(&self, sub_chunks: usize) -> f64 {
-        let run = self.run(sub_chunks);
-        sub_chunks as f64 / run.slots as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Effective sub-chunk throughput (sub-chunks per slot) in steady state.
+    fn steady_state_throughput(pipeline: &SpuPipeline, sub_chunks: usize) -> f64 {
+        let run = pipeline.run(sub_chunks);
+        sub_chunks as f64 / run.slots as f64
+    }
 
     #[test]
     fn access_interleaving_is_hazard_free_and_fully_utilized() {
@@ -222,8 +212,8 @@ mod tests {
 
     #[test]
     fn single_bank_design_stalls_every_other_slot_in_steady_state() {
-        let pimba = SpuPipeline::pimba().steady_state_throughput(512);
-        let single = SpuPipeline::per_bank().steady_state_throughput(512);
+        let pimba = steady_state_throughput(&SpuPipeline::pimba(), 512);
+        let single = steady_state_throughput(&SpuPipeline::per_bank(), 512);
         assert!(pimba > 0.95, "Pimba throughput {pimba}");
         assert!(
             single < 0.72,
@@ -268,12 +258,6 @@ mod tests {
             .position(|slot| slot.iter().any(|a| matches!(a, SlotAccess::Write(_))))
             .expect("a write must occur");
         assert_eq!(first_write_slot, SPU_PIPELINE_STAGES - 1);
-    }
-
-    #[test]
-    fn bank_side_other() {
-        assert_eq!(BankSide::Upper.other(), BankSide::Bottom);
-        assert_eq!(BankSide::Bottom.other(), BankSide::Upper);
     }
 
     #[test]

@@ -49,14 +49,14 @@ impl MemoValue for Trace {
 }
 
 /// Encode a [`Percentiles`] triple by f64 bit pattern.
-pub fn encode_percentiles(out: &mut ByteWriter, p: &Percentiles) {
+pub(crate) fn encode_percentiles(out: &mut ByteWriter, p: &Percentiles) {
     out.f64(p.p50);
     out.f64(p.p90);
     out.f64(p.p99);
 }
 
 /// Decode a [`Percentiles`] triple written by [`encode_percentiles`].
-pub fn decode_percentiles(reader: &mut ByteReader<'_>) -> Option<Percentiles> {
+pub(crate) fn decode_percentiles(reader: &mut ByteReader<'_>) -> Option<Percentiles> {
     Some(Percentiles {
         p50: reader.f64()?,
         p90: reader.f64()?,

@@ -244,7 +244,7 @@ impl BatchSlot {
 
     /// Sequence length at completion — what the request will occupy at its
     /// last decode step.
-    pub fn final_seq_len(&self) -> usize {
+    pub(crate) fn final_seq_len(&self) -> usize {
         self.prompt_len + self.output_len
     }
 }
@@ -268,8 +268,6 @@ pub struct EvictedRequest {
 
 /// The read-only snapshot a [`Scheduler`] decides from.
 pub struct EngineView<'a> {
-    /// Current simulated time in nanoseconds.
-    pub now_ns: f64,
     /// Requests waiting for admission, FIFO order.
     pub queue: &'a [WaitingRequest],
     /// Requests currently holding a batch slot (decoding or prefilling).
@@ -426,13 +424,6 @@ impl EngineView<'_> {
     /// headroom) with the exact accounting the admission clamps use.
     pub fn memory_usage_bytes(&self, batch: usize, max_seq: usize) -> f64 {
         self.memory.usage_bytes(batch, max_seq)
-    }
-
-    /// The dynamic (state + KV, parameter-free) bytes of a `(batch, seq)`
-    /// configuration — what one checkpoint/restore transfer of such a batch
-    /// would ship (see [`MemoryModel::dynamic_bytes`]).
-    pub fn dynamic_bytes(&self, batch: usize, seq_len: usize) -> f64 {
-        self.memory.dynamic_bytes(batch, seq_len)
     }
 }
 
@@ -1578,7 +1569,6 @@ impl<'a> Session<'a> {
         let mode = engine.config.admission;
         let aggregates = self.running.aggregates();
         let view = EngineView {
-            now_ns: self.now_ns,
             queue: self.queue.as_slice(),
             running: self.running.len(),
             max_batch: engine.config.max_batch,

@@ -1,15 +1,13 @@
-//! The discrete-event core: the engine's single-flight event source and the
-//! binary-heap event queue it is checked against.
+//! The discrete-event core: the engine's single-flight event source.
 //!
 //! Simulated time is `f64` nanoseconds. Events at equal times pop in insertion
 //! order (a monotone sequence number breaks ties), so a simulation is a pure
 //! function of its inputs — the foundation of the bit-identical-across-threads
 //! guarantee the traffic runner advertises. Every engine run, per-step oracle
-//! included, pops from [`SingleFlightEvents`]; the general [`EventQueue`] is
-//! the reference whose pop order the tests hold it to.
+//! included, pops from [`SingleFlightEvents`]; the tests hold its pop order
+//! to a general binary-heap queue.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// What happened at an event's timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,51 +47,6 @@ impl PartialOrd for Event {
     }
 }
 
-/// Earliest-first event queue.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` at `time_ns`.
-    pub fn push(&mut self, time_ns: f64, kind: EventKind) {
-        assert!(time_ns.is_finite(), "event times must be finite");
-        self.heap.push(Event {
-            time_ns,
-            seq: self.next_seq,
-            kind,
-        });
-        self.next_seq += 1;
-    }
-
-    /// Removes and returns the earliest event (ties pop in insertion order).
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    /// The earliest pending event without removing it.
-    pub fn peek(&self) -> Option<&Event> {
-        self.heap.peek()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// The event source of every engine run.
 ///
 /// The serving engine holds at most **one** work item in flight, and every
@@ -103,7 +56,7 @@ impl EventQueue {
 /// `pop`/`push` are a comparison and a field write instead of `O(log n)`
 /// sift operations against a heap holding every future arrival.
 ///
-/// Ordering is identical to [`EventQueue`] loaded with the same arrivals
+/// Ordering is identical to a binary-heap queue loaded with the same arrivals
 /// first: arrivals are sorted stably by timestamp (equal times keep trace
 /// order, matching the heap's insertion-sequence tie-break), and an arrival
 /// ties ahead of a simultaneous `WorkDone` (its insertion sequence is always
@@ -252,6 +205,52 @@ impl SingleFlightEvents {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
+
+    /// Earliest-first binary-heap event queue: the reference order.
+    #[derive(Default)]
+    struct EventQueue {
+        heap: BinaryHeap<Event>,
+        next_seq: u64,
+    }
+
+    impl EventQueue {
+        /// An empty queue.
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Schedules `kind` at `time_ns`.
+        fn push(&mut self, time_ns: f64, kind: EventKind) {
+            assert!(time_ns.is_finite(), "event times must be finite");
+            self.heap.push(Event {
+                time_ns,
+                seq: self.next_seq,
+                kind,
+            });
+            self.next_seq += 1;
+        }
+
+        /// Removes and returns the earliest event (ties pop in insertion order).
+        fn pop(&mut self) -> Option<Event> {
+            self.heap.pop()
+        }
+
+        /// The earliest pending event without removing it.
+        fn peek(&self) -> Option<&Event> {
+            self.heap.peek()
+        }
+
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// `true` when no events are pending.
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -121,7 +121,7 @@ pub use metrics::{
     Percentiles, PreemptionStats, RequestOutcome, SimResult, SloSpec, Telemetry, TelemetryStats,
     TenantSlos, TenantSummary, TrafficSummary,
 };
-pub use runner::{slo_curve, GridMemo, TrafficGrid, TrafficMemo, TrafficRecord, TrafficRunner};
+pub use runner::{GridMemo, TrafficGrid, TrafficMemo, TrafficRecord, TrafficRunner};
 pub use sched::{
     Action, ChunkedPrefill, ContinuousBatching, DecodeStability, FcfsStatic,
     MemoryPressureEviction, PolicyKind, Scheduler, VictimOrder, WeightedFairQueueing,

@@ -261,7 +261,7 @@ pub struct SimResult {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
     /// Wall-clock duration of the run, in seconds.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Simulated event timestamps retired ([`TelemetryStats::events`] —
     /// identical for a given workload regardless of execution mode, so
     /// events/s comparisons across modes are apples to apples).
@@ -386,7 +386,7 @@ pub struct SloSpec {
 
 impl SloSpec {
     /// Whether `outcome` met both bounds.
-    pub fn met(&self, outcome: &RequestOutcome) -> bool {
+    pub(crate) fn met(&self, outcome: &RequestOutcome) -> bool {
         outcome.ttft_ns() <= self.ttft_ms * 1e6 && outcome.tpot_ns() <= self.tpot_ms * 1e6
     }
 }
@@ -407,9 +407,9 @@ impl Default for SloSpec {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantSlos {
     /// The objective of every tenant without an override.
-    pub default: SloSpec,
+    pub(crate) default: SloSpec,
     /// `(tenant, objective)` overrides; the first match wins.
-    pub overrides: Vec<(u32, SloSpec)>,
+    pub(crate) overrides: Vec<(u32, SloSpec)>,
 }
 
 impl TenantSlos {
@@ -429,7 +429,7 @@ impl TenantSlos {
     }
 
     /// The objective `tenant` is held to.
-    pub fn for_tenant(&self, tenant: u32) -> SloSpec {
+    pub(crate) fn for_tenant(&self, tenant: u32) -> SloSpec {
         self.overrides
             .iter()
             .find(|(t, _)| *t == tenant)
@@ -466,7 +466,7 @@ impl Percentiles {
     /// Computes the triple (all zeros for an empty population), sorting
     /// `values` in place. Values equal under `total_cmp` have equal bits, so
     /// an unstable sort yields the same order as a stable one.
-    pub fn of(mut values: Vec<f64>) -> Self {
+    pub(crate) fn of(mut values: Vec<f64>) -> Self {
         if values.is_empty() {
             return Self::default();
         }

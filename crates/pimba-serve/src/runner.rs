@@ -1,5 +1,5 @@
 //! The grid runner: one [`GridRunner`] over any [`Grid`], with one memo type
-//! ([`GridMemo`]) and one front half ([`run_grid`]). This crate's
+//! ([`GridMemo`]) and one front half (`run_grid`). This crate's
 //! (system × scenario × arrival-rate) [`TrafficGrid`] is one such grid
 //! ([`TrafficRunner`] is the runner over it); `pimba-fleet`'s fleet grid is
 //! the other.
@@ -77,7 +77,7 @@ pub trait GridRecord: MemoValue {
 /// `R` is the cell record, [`Grid::Record`]: [`TrafficMemo`] holds
 /// [`TrafficGrid`]'s, `pimba_fleet`'s `FleetMemo` the fleet grid's. A
 /// [`GridRunner`] attaches one through [`GridRunner::with_memo`] and drives
-/// it through [`run_grid`].
+/// it through `run_grid`.
 #[derive(Debug)]
 pub struct GridMemo<R> {
     /// Per-(scenario, rate, request-count, seed) arrival traces.
@@ -134,6 +134,12 @@ impl<R> GridMemo<R> {
         self.traces.sync()?;
         self.max_batches.sync()?;
         self.cells.sync()
+    }
+
+    /// Failed segment appends across the three memos (see
+    /// [`MemoStore::append_errors`]).
+    pub fn append_errors(&self) -> u64 {
+        self.traces.append_errors() + self.max_batches.append_errors() + self.cells.append_errors()
     }
 
     /// Entries held across the three memos: right after a persistent open,
@@ -226,7 +232,7 @@ pub fn slo_capacity(
     (anchor_seq, max_batch)
 }
 
-/// The axes and capacity knobs every [`Grid`] shares — what [`run_grid`]
+/// The axes and capacity knobs every [`Grid`] shares — what `run_grid`
 /// needs to build simulators, traces and batch caps.
 #[derive(Debug)]
 pub struct GridAxes<'g> {
@@ -253,7 +259,7 @@ pub struct GridAxes<'g> {
     pub cells_per_point: usize,
 }
 
-/// One cell of a [`run_grid`] run, handed to its grid's [`Grid::key`] and
+/// One cell of a `run_grid` run, handed to its grid's [`Grid::key`] and
 /// [`Grid::eval`].
 #[derive(Debug)]
 pub struct GridCell<'g> {
@@ -279,7 +285,7 @@ pub trait Grid: Sync {
     /// The record of one cell, as the memo stores it.
     type Record: GridRecord + Clone + Send + Sync;
 
-    /// The grid's shared axes for [`run_grid`].
+    /// The grid's shared axes for `run_grid`.
     fn axes(&self) -> GridAxes<'_>;
 
     /// The content address of `cell`'s record: everything the record is a
@@ -337,7 +343,7 @@ pub fn summarize_cell(
 /// `eval` runs only on a miss, so a memo-warm cell records nothing onto
 /// `recorder` and exports nothing to `control`'s metrics hub: both gain
 /// per-cell entries only for the cells this run simulated.
-pub fn run_grid<G: Grid>(
+pub(crate) fn run_grid<G: Grid>(
     threads: usize,
     grid: &G,
     memo: Option<&GridMemo<G::Record>>,
@@ -436,7 +442,7 @@ pub fn run_grid<G: Grid>(
 }
 
 /// Parallel evaluator of any [`Grid`]: cells fan out with [`parallel_map`]
-/// over `threads` workers (see [`run_grid`]). [`TrafficRunner`] and
+/// over `threads` workers (see `run_grid`). [`TrafficRunner`] and
 /// `pimba_fleet`'s `FleetRunner` are this runner over their grids.
 #[derive(Debug, Clone)]
 pub struct GridRunner<G: Grid> {
@@ -749,22 +755,6 @@ impl Grid for TrafficGrid {
     }
 }
 
-/// The SLO-attainment curve of one (system, scenario) pair: `(rate, attainment,
-/// goodput)` triples in ascending rate order, extracted from grid records.
-pub fn slo_curve(
-    records: &[TrafficRecord],
-    system: usize,
-    scenario: usize,
-) -> Vec<(f64, f64, f64)> {
-    let mut curve: Vec<(f64, f64, f64)> = records
-        .iter()
-        .filter(|r| r.system == system && r.scenario == scenario)
-        .map(|r| (r.rate_rps, r.summary.slo_attainment, r.summary.goodput_rps))
-        .collect();
-    curve.sort_by(|a, b| a.0.total_cmp(&b.0));
-    curve
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,8 +818,6 @@ mod tests {
         let grid = small_grid();
         let records = TrafficRunner::new().run(&grid);
         for sys in 0..grid.systems.len() {
-            let curve = slo_curve(&records, sys, 0);
-            assert_eq!(curve.len(), 2);
             let low = records
                 .iter()
                 .find(|r| r.system == sys && r.rate_rps == 4.0);

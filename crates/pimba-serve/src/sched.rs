@@ -240,7 +240,7 @@ impl Scheduler for ContinuousBatching {
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkedPrefill {
     /// Prefill chunk size in tokens (clamped to at least 1).
-    pub chunk_tokens: usize,
+    pub(crate) chunk_tokens: usize,
 }
 
 impl ChunkedPrefill {
@@ -340,13 +340,13 @@ impl VictimOrder {
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryPressureEviction {
     /// Victim-selection order.
-    pub victims: VictimOrder,
+    pub(crate) victims: VictimOrder,
     /// Fraction of the dynamic budget above which the policy evicts — and up
     /// to which it admits (default 0.92).
-    pub high_watermark: f64,
+    pub(crate) high_watermark: f64,
     /// Fraction of the dynamic budget below which evicted requests are
     /// restored (default 0.75; the hysteresis band damps checkpoint thrash).
-    pub low_watermark: f64,
+    pub(crate) low_watermark: f64,
 }
 
 impl MemoryPressureEviction {
@@ -357,14 +357,6 @@ impl MemoryPressureEviction {
             high_watermark: 0.92,
             low_watermark: 0.75,
         }
-    }
-
-    /// Overrides the watermark band (clamped to `0 < low <= high <= 1`).
-    pub fn with_watermarks(mut self, low: f64, high: f64) -> Self {
-        let high = high.clamp(f64::MIN_POSITIVE, 1.0);
-        self.low_watermark = low.clamp(f64::MIN_POSITIVE, high);
-        self.high_watermark = high;
-        self
     }
 
     /// The dynamic-budget byte bound of a watermark: parameters plus
@@ -586,7 +578,7 @@ impl WeightedFairQueueing {
     /// Called only on actual admissions (see the `virtual_time` field docs);
     /// settling never changes the effective service of a *currently* queued
     /// tenant (the new floor is their minimum), so running it before or
-    /// after [`WeightedFairQueueing::pick_order`] yields the same order —
+    /// after `pick_order_bounded` yields the same order —
     /// it only sets the join level of tenants first seen later.
     fn settle_virtual_time(&mut self, queue: &[crate::engine::WaitingRequest]) {
         let min_effective = queue
@@ -607,21 +599,14 @@ impl WeightedFairQueueing {
         }
     }
 
-    /// The weighted-fair admission order of `queue` (indices into it): the
-    /// order [`Scheduler::decide`] submits via [`Action::AdmitSelected`].
-    /// Pure with respect to the policy state — only an actual admission
-    /// charges service.
-    pub fn pick_order(&self, queue: &[crate::engine::WaitingRequest]) -> Vec<usize> {
-        self.pick_order_bounded(queue, queue.len())
-    }
-
-    /// The first `limit` entries of [`WeightedFairQueueing::pick_order`]
-    /// without computing the rest — the fair order is built greedily, so the
-    /// prefix is independent of how far the permutation is extended.
-    /// [`Scheduler::decide`] bounds the work at the batch slots actually
-    /// free: on a deeply backlogged queue (WFQ's home regime) ordering the
-    /// whole queue would be almost entirely thrown away by the admission
-    /// clamp.
+    /// The weighted-fair admission order of `queue` (indices into it), cut
+    /// at its first `limit` entries: the order [`Scheduler::decide`] submits
+    /// via [`Action::AdmitSelected`]. Pure with respect to the policy state —
+    /// only an actual admission charges service. The fair order is built
+    /// greedily, so the prefix is independent of how far the permutation is
+    /// extended. `decide` bounds the work at the batch slots actually free:
+    /// on a deeply backlogged queue (WFQ's home regime) ordering the whole
+    /// queue would be almost entirely thrown away by the admission clamp.
     fn pick_order_bounded(
         &self,
         queue: &[crate::engine::WaitingRequest],
@@ -788,23 +773,6 @@ impl PolicyKind {
             _ => None,
         }
     }
-
-    /// Every selector (parameterized ones at their defaults), presentation
-    /// order — the axis benches and round-trip tests iterate.
-    pub fn all() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::FcfsStatic,
-            PolicyKind::Continuous,
-            PolicyKind::ChunkedPrefill { chunk_tokens: 512 },
-            PolicyKind::MemoryPressure {
-                victims: VictimOrder::LongestSequence,
-            },
-            PolicyKind::MemoryPressure {
-                victims: VictimOrder::Newest,
-            },
-            PolicyKind::Wfq,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -818,7 +786,19 @@ mod tests {
     /// back to the selector, and the built scheduler reports the same name.
     #[test]
     fn policy_kind_name_round_trip() {
-        for kind in PolicyKind::all() {
+        let kinds = [
+            PolicyKind::FcfsStatic,
+            PolicyKind::Continuous,
+            PolicyKind::ChunkedPrefill { chunk_tokens: 512 },
+            PolicyKind::MemoryPressure {
+                victims: VictimOrder::LongestSequence,
+            },
+            PolicyKind::MemoryPressure {
+                victims: VictimOrder::Newest,
+            },
+            PolicyKind::Wfq,
+        ];
+        for kind in kinds {
             assert_eq!(PolicyKind::from_name(kind.name()), Some(kind));
             assert_eq!(kind.build().name(), kind.name());
         }
@@ -845,7 +825,10 @@ mod tests {
         let mut policy = WeightedFairQueueing::new();
         policy.charge(0, 1234.5); // history must not matter
         let queue: Vec<WaitingRequest> = (0..7).map(|i| waiting(i, 0, 3, 100 + i * 10)).collect();
-        assert_eq!(policy.pick_order(&queue), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(
+            policy.pick_order_bounded(&queue, queue.len()),
+            vec![0, 1, 2, 3, 4, 5, 6]
+        );
     }
 
     /// Two tenants, equal weights and costs: strict alternation, FIFO within
@@ -860,7 +843,10 @@ mod tests {
             waiting(3, 1, 1, 100),
         ];
         // Tenant 0 (lower tag) breaks the opening tie, then they alternate.
-        assert_eq!(policy.pick_order(&queue), vec![0, 2, 1, 3]);
+        assert_eq!(
+            policy.pick_order_bounded(&queue, queue.len()),
+            vec![0, 2, 1, 3]
+        );
     }
 
     proptest! {
@@ -894,7 +880,7 @@ mod tests {
                     })
                     .collect();
                 policy.settle_virtual_time(&queue);
-                let picks = policy.pick_order(&queue);
+                let picks = policy.pick_order_bounded(&queue, queue.len());
                 let first = &queue[picks[0]];
                 let tenant = first.request.tenant as usize;
                 // Replicate decide()'s charging for the admitted request.
@@ -918,13 +904,5 @@ mod tests {
             // been served at least as often as the lightest.
             prop_assert!(last_served.iter().all(|&r| r > 0), "every tenant served");
         }
-    }
-
-    #[test]
-    fn eviction_watermarks_clamp() {
-        let p = MemoryPressureEviction::new(VictimOrder::Newest).with_watermarks(1.5, 2.0);
-        assert_eq!((p.low_watermark, p.high_watermark), (1.0, 1.0));
-        let p = MemoryPressureEviction::new(VictimOrder::Newest).with_watermarks(0.9, 0.5);
-        assert!(p.low_watermark <= p.high_watermark);
     }
 }

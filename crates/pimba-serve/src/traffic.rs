@@ -71,7 +71,7 @@ impl Trace {
     /// requests keep input-trace order, earlier traces first) — the
     /// multi-tenant composition primitive: tag each component trace's
     /// requests with a tenant (see [`Scenario::with_tenant`]) and merge.
-    pub fn merge(traces: &[Trace]) -> Self {
+    pub(crate) fn merge(traces: &[Trace]) -> Self {
         Self::from_requests(
             traces
                 .iter()
@@ -177,19 +177,6 @@ impl Trace {
         }
         Ok(Self::from_requests(requests))
     }
-
-    /// Writes the JSONL serialization to `path`.
-    pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Reads a JSONL trace from `path` (I/O errors and parse errors are both
-    /// reported as `io::Error`, parse errors with `InvalidData` kind).
-    pub fn read_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_jsonl(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
 }
 
 /// The shape of an arrival process (the rate is supplied at generation time).
@@ -281,16 +268,6 @@ impl Scenario {
             tenant: 0,
             priority: 0,
         }
-    }
-
-    /// All canned presets, in presentation order.
-    pub fn presets() -> Vec<Scenario> {
-        vec![
-            Self::chat(),
-            Self::summarization(),
-            Self::rag_long_context(),
-            Self::reasoning(),
-        ]
     }
 
     /// Tags the scenario with a tenant and priority class (see
@@ -425,6 +402,16 @@ fn sample_range(rng: &mut Pcg32, (lo, hi): (usize, usize)) -> usize {
 mod tests {
     use super::*;
 
+    /// All canned presets, in presentation order.
+    fn presets() -> Vec<Scenario> {
+        vec![
+            Scenario::chat(),
+            Scenario::summarization(),
+            Scenario::rag_long_context(),
+            Scenario::reasoning(),
+        ]
+    }
+
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
         let s = Scenario::chat();
@@ -437,7 +424,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_sorted_and_lengths_in_range() {
-        for scenario in Scenario::presets() {
+        for scenario in presets() {
             let trace = scenario.generate(20.0, 300, 11);
             assert_eq!(trace.len(), 300);
             let mut prev = 0.0;
@@ -506,7 +493,7 @@ mod tests {
     /// replay one shared trace file.
     #[test]
     fn jsonl_round_trip_is_bit_exact() {
-        for (i, scenario) in Scenario::presets().into_iter().enumerate() {
+        for (i, scenario) in presets().into_iter().enumerate() {
             let trace = scenario.generate(17.3, 250, 1000 + i as u64);
             let restored = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
             assert_eq!(restored, trace, "{} round trip", scenario.name);
@@ -587,8 +574,8 @@ mod tests {
     fn jsonl_round_trip_through_a_file() {
         let trace = Scenario::chat().generate(10.0, 50, 42);
         let path = std::env::temp_dir().join("pimba_trace_roundtrip_test.jsonl");
-        trace.write_jsonl(&path).unwrap();
-        let restored = Trace::read_jsonl(&path).unwrap();
+        std::fs::write(&path, trace.to_jsonl()).unwrap();
+        let restored = Trace::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(restored, trace);
     }

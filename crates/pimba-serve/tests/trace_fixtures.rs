@@ -12,11 +12,13 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
+fn load(name: &str) -> Result<Trace, netline::LineError> {
+    Trace::from_jsonl(&std::fs::read_to_string(fixture(name)).unwrap())
+}
+
 #[test]
 fn garbled_line_reports_its_line_number_and_field() {
-    let err = Trace::read_jsonl(fixture("garbled_trace.jsonl"))
-        .expect_err("a garbled value must not parse");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let err = load("garbled_trace.jsonl").expect_err("a garbled value must not parse");
     let message = err.to_string();
     assert!(
         message.contains("line 3"),
@@ -30,9 +32,7 @@ fn garbled_line_reports_its_line_number_and_field() {
 
 #[test]
 fn truncated_trailing_line_reports_its_line_number() {
-    let err = Trace::read_jsonl(fixture("truncated_trace.jsonl"))
-        .expect_err("a truncated line must not parse");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let err = load("truncated_trace.jsonl").expect_err("a truncated line must not parse");
     let message = err.to_string();
     assert!(message.contains("line 2"), "{message}");
 
@@ -46,10 +46,13 @@ fn truncated_trailing_line_reports_its_line_number() {
 
 #[test]
 fn binary_garbage_is_an_io_error_not_a_panic() {
-    let err = Trace::read_jsonl(fixture("binary_garbage.jsonl"))
-        .expect_err("binary garbage must not parse");
+    let err = std::fs::read_to_string(fixture("binary_garbage.jsonl"))
+        .expect_err("binary garbage is not UTF-8");
     // Invalid UTF-8 surfaces as InvalidData from the read itself.
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // Decoded lossily, it still parses to a structured error, not a panic.
+    let bytes = std::fs::read(fixture("binary_garbage.jsonl")).unwrap();
+    assert!(Trace::from_jsonl(&String::from_utf8_lossy(&bytes)).is_err());
 }
 
 #[test]

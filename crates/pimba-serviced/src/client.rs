@@ -75,7 +75,7 @@ pub struct Client {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// The job id the daemon assigned.
-    pub job: JobId,
+    pub(crate) job: JobId,
     /// Canonical record lines, in grid order (empty unless `state == "done"`).
     pub records: Vec<String>,
     /// The run's canonical JSONL event trace, when the spec opted in with
@@ -289,17 +289,6 @@ impl Client {
         )
     }
 
-    /// Polls a job's state.
-    pub fn status(&mut self, job: JobId) -> io::Result<Json> {
-        self.request(
-            &Json::obj(vec![
-                ("cmd", Json::str("status")),
-                ("job", Json::Int(job as i64)),
-            ])
-            .render(),
-        )
-    }
-
     /// Fetches daemon statistics (store + job counts, including per-segment
     /// sizes and dead-byte ratios).
     pub fn stats(&mut self) -> io::Result<Json> {
@@ -321,10 +310,5 @@ impl Client {
             ])
             .render(),
         )
-    }
-
-    /// Asks the daemon to shut down gracefully.
-    pub fn shutdown(&mut self) -> io::Result<Json> {
-        self.request(&Json::obj(vec![("cmd", Json::str("shutdown"))]).render())
     }
 }

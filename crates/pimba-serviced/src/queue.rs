@@ -56,7 +56,7 @@ impl JobState {
     }
 
     /// Whether the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running)
     }
 }

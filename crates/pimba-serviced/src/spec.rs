@@ -92,15 +92,15 @@ const KINDS: [&str; 4] = ["traffic_grid", "fleet_grid", "slo_capacity", "what_if
 /// The largest `requests_per_cell` a spec may ask for. A cell's trace is
 /// built whole in memory before it runs, and a failed allocation aborts the
 /// daemon rather than failing one job.
-pub const MAX_REQUESTS_PER_CELL: usize = 1_000_000;
+pub(crate) const MAX_REQUESTS_PER_CELL: usize = 1_000_000;
 
 /// The most trace requests a spec may make a grid build: one trace of
 /// `requests_per_cell` requests per (scenario, rate), all built in memory
 /// before any cell runs. Admits four full [`MAX_REQUESTS_PER_CELL`] traces.
-pub const MAX_TRACE_REQUESTS: usize = 4 * MAX_REQUESTS_PER_CELL;
+pub(crate) const MAX_TRACE_REQUESTS: usize = 4 * MAX_REQUESTS_PER_CELL;
 
 /// The largest entry a fleet spec's `replicas` list may hold.
-pub const MAX_REPLICAS: usize = 1024;
+pub(crate) const MAX_REPLICAS: usize = 1024;
 
 fn parse_family(name: &str) -> Option<ModelFamily> {
     Some(match name {
@@ -284,10 +284,9 @@ impl Experiment {
     /// `slo_capacity`, `what_if`), `model` (`{"family", "scale"}`),
     /// `systems`, `scenarios`, and (except for `slo_capacity`) `rates_rps`.
     /// Fleet grids additionally require `replicas` and `routers`; each
-    /// replica count is at most [`MAX_REPLICAS`]. Optional:
-    /// `requests_per_cell` (default 20, at most [`MAX_REQUESTS_PER_CELL`];
-    /// scenarios × rates × requests at most [`MAX_TRACE_REQUESTS`], an
-    /// error naming `rates_rps`),
+    /// replica count is at most 1024. Optional: `requests_per_cell`
+    /// (default 20, at most 1 000 000; scenarios × rates × requests at most
+    /// 4 000 000, an error naming `rates_rps`),
     /// `seq_bucket` (default 32), `seed`,
     /// `policy` (a [`PolicyKind`] name), `slo`
     /// (`{"ttft_ms", "tpot_ms"}`). `what_if` demands exactly one entry per

@@ -124,9 +124,9 @@ impl ResultStore {
     }
 
     /// The store's state as a JSON object for the daemon's `stats` command:
-    /// the loaded entries, failed syncs, per-memo hit/miss counters plus one
-    /// `segments` entry per backing segment file with its name and size
-    /// (zero for in-memory stores).
+    /// the loaded entries, failed syncs and appends, per-memo hit/miss
+    /// counters plus one `segments` entry per backing segment file with its
+    /// name and size (zero for in-memory stores).
     pub fn stats_json(&self) -> Json {
         fn stats(label: &str, s: (MemoStats, MemoStats, MemoStats)) -> (String, Json) {
             let one = |m: MemoStats| {
@@ -153,6 +153,10 @@ impl ResultStore {
             (
                 "sync_errors".to_string(),
                 Json::Int(self.sync_errors() as i64),
+            ),
+            (
+                "append_errors".to_string(),
+                Json::Int((self.traffic.append_errors() + self.fleet.append_errors()) as i64),
             ),
             (
                 "cells_stored".to_string(),

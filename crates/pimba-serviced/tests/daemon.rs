@@ -643,6 +643,11 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         Some(0),
         "no store sync failed"
     );
+    assert_eq!(
+        store.get("append_errors").and_then(Json::as_i64),
+        Some(0),
+        "no store append failed"
+    );
     daemon.stop();
 }
 

@@ -64,7 +64,7 @@ pub struct SystemConfig {
     /// Which design point this is.
     pub kind: SystemKind,
     /// GPU generation.
-    pub generation: GpuGeneration,
+    pub(crate) generation: GpuGeneration,
     /// The GPU cluster (device type + tensor-parallel width).
     pub cluster: GpuCluster,
     /// The PIM attached to every GPU's memory, if any.

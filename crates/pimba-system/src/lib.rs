@@ -55,7 +55,6 @@ pub mod memo;
 pub mod memory;
 pub mod obs;
 pub mod persist;
-pub mod pipeline;
 pub mod serving;
 pub mod stats;
 pub mod sweep;
@@ -66,9 +65,8 @@ pub use cache::{CacheStats, LatencyCache};
 pub use config::{SystemConfig, SystemKind};
 pub use memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
 pub use memory::MemoryModel;
-pub use pipeline::PipelineDeployment;
 pub use serving::{EnergyBreakdown, ServingSimulator, StepBreakdown, StepFunction};
-pub use stats::{exact_percentile, median, percentile_of_sorted};
+pub use stats::{median, percentile_of_sorted};
 pub use sweep::{available_cores, max_batch_within_slo, parallel_map};
 pub use table::{PrefillLatencyTable, StepLatencyTable};
 pub use transfer::{handoff_bytes, StateTransferModel};

@@ -145,6 +145,8 @@ struct DiskBacking<V> {
     segment: Mutex<SegmentFile>,
     encode: fn(&V, &mut ByteWriter),
     load: LoadReport,
+    /// Appends that failed (the entry stayed in memory only).
+    append_errors: AtomicU64,
 }
 
 impl<V> std::fmt::Debug for DiskBacking<V> {
@@ -220,6 +222,7 @@ impl<V> MemoStore<V> {
                 segment: Mutex::new(segment),
                 encode: V::encode,
                 load,
+                append_errors: AtomicU64::new(0),
             }),
         })
     }
@@ -250,6 +253,14 @@ impl<V> MemoStore<V> {
                 .len_bytes(),
             None => 0,
         }
+    }
+
+    /// Appends to the backing segment that failed (`0` for in-memory
+    /// stores): entries held in memory but not persisted.
+    pub fn append_errors(&self) -> u64 {
+        self.disk
+            .as_ref()
+            .map_or(0, |disk| disk.append_errors.load(Ordering::Relaxed))
     }
 
     /// The stored value for `key`, if present.
@@ -286,12 +297,15 @@ impl<V> MemoStore<V> {
                     (disk.encode)(&value, &mut writer);
                     // Best-effort persistence: a full disk degrades the store
                     // to in-memory for this entry rather than failing the
-                    // computation that just succeeded.
-                    let _ = disk
+                    // computation that just succeeded; the failure is counted.
+                    let appended = disk
                         .segment
                         .lock()
                         .expect("memo segment poisoned")
                         .append(key, &writer.into_bytes());
+                    if appended.is_err() {
+                        disk.append_errors.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 e.insert(value).clone()
             }
@@ -431,6 +445,112 @@ mod tests {
         let report = store.load_report().unwrap();
         assert_eq!((report.records, report.dropped_bytes), (1, 9));
         assert_eq!(*store.get(fp(&[7])).unwrap(), 77);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A value of any encoded size, for appends that cross a file-size cap.
+    #[derive(Debug, PartialEq)]
+    struct Blob(Vec<u8>);
+
+    impl MemoValue for Blob {
+        fn encode(&self, out: &mut ByteWriter) {
+            crate::persist::encode_vec(out, &self.0, |w, &b| w.u8(b));
+        }
+        fn decode(reader: &mut ByteReader<'_>) -> Option<Self> {
+            reader.vec(|r| r.u8()).map(Blob)
+        }
+    }
+
+    /// An append that fails part-way must not cost the records appended
+    /// after it. The appends run in a child process (this test binary,
+    /// re-run on this test alone) whose `RLIMIT_FSIZE` caps files at
+    /// `CAP` bytes: the limit is per process, and would break other tests'
+    /// writes here. A fits under the cap, B is cut short at it, and C fits
+    /// again only once B's partial bytes are cut back off. The parent then
+    /// reopens the segment with no cap: A and C load, B does not.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn failed_append_keeps_later_records() {
+        use std::os::unix::process::CommandExt;
+
+        const CAP: u64 = 4096;
+        const RLIMIT_FSIZE: i32 = 1;
+        const SIGXFSZ: i32 = 25;
+        const SIG_IGN: usize = 1;
+        #[repr(C)]
+        #[derive(Clone, Copy)]
+        struct RLimit {
+            cur: u64,
+            max: u64,
+        }
+        extern "C" {
+            fn getrlimit(resource: i32, limit: *mut RLimit) -> i32;
+            fn setrlimit(resource: i32, limit: *const RLimit) -> i32;
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+
+        let mut limit = RLimit { cur: 0, max: 0 };
+        // SAFETY: `getrlimit` writes only the struct it is handed.
+        assert_eq!(unsafe { getrlimit(RLIMIT_FSIZE, &mut limit) }, 0);
+        let child = limit.cur == CAP;
+        let owner = if child {
+            std::os::unix::process::parent_id()
+        } else {
+            std::process::id()
+        };
+        let dir = std::env::temp_dir().join(format!("pimba_memo_{owner}"));
+        let path = dir.join("append_failure.seg");
+        let small = |byte: u8| Blob(vec![byte; 100]);
+
+        if child {
+            let store: MemoStore<Blob> = MemoStore::persistent(&path).unwrap();
+            store.get_or_insert_with(fp(&[1]), || small(0xA));
+            store.get_or_insert_with(fp(&[2]), || Blob(vec![0xB; 2 * CAP as usize]));
+            store.get_or_insert_with(fp(&[3]), || small(0xC));
+            assert_eq!(store.append_errors(), 1, "only B failed");
+            store.sync().unwrap();
+            return;
+        }
+
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).ok();
+        let module = module_path!().split_once("::").unwrap().1;
+        let mut command = std::process::Command::new(std::env::current_exe().unwrap());
+        command.args([
+            &format!("{module}::failed_append_keeps_later_records"),
+            "--exact",
+            "--test-threads=1",
+        ]);
+        let capped = RLimit {
+            cur: CAP,
+            max: limit.max,
+        };
+        // SAFETY: the hook runs between fork and exec and calls only
+        // `setrlimit` and `signal`, both async-signal-safe.
+        unsafe {
+            command.pre_exec(move || {
+                if setrlimit(RLIMIT_FSIZE, &capped) != 0 {
+                    return Err(std::io::Error::last_os_error());
+                }
+                // Writes past the cap fail with EFBIG instead of killing.
+                signal(SIGXFSZ, SIG_IGN);
+                Ok(())
+            });
+        }
+        let output = command.output().unwrap();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success() && stdout.contains("1 passed"),
+            "capped child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+
+        let store: MemoStore<Blob> = MemoStore::persistent(&path).unwrap();
+        let report = store.load_report().unwrap();
+        assert_eq!((report.records, report.dropped_bytes), (2, 0));
+        assert_eq!(store.get(fp(&[1])).as_deref(), Some(&small(0xA)));
+        assert!(store.get(fp(&[2])).is_none());
+        assert_eq!(store.get(fp(&[3])).as_deref(), Some(&small(0xC)));
         std::fs::remove_file(&path).ok();
     }
 

@@ -135,21 +135,21 @@ pub fn memory_usage_bytes(
     memory_breakdown(config, model, batch, seq_len).total_bytes()
 }
 
-/// Whether the configuration fits in the cluster's aggregate HBM capacity.
-pub fn fits_in_memory(
-    config: &SystemConfig,
-    model: &ModelConfig,
-    batch: usize,
-    seq_len: usize,
-) -> bool {
-    memory_usage_bytes(config, model, batch, seq_len) <= config.cluster.total_capacity_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{SystemConfig, SystemKind};
     use pimba_models::config::{ModelFamily, ModelScale};
+
+    /// Whether the configuration fits in the cluster's aggregate HBM capacity.
+    fn fits_in_memory(
+        config: &SystemConfig,
+        model: &ModelConfig,
+        batch: usize,
+        seq_len: usize,
+    ) -> bool {
+        memory_usage_bytes(config, model, batch, seq_len) <= config.cluster.total_capacity_bytes()
+    }
 
     #[test]
     fn transformer_memory_dwarfs_mamba2_at_long_context() {

@@ -29,7 +29,7 @@
 //! * [`TraceRecorder`] / [`TraceSink`] / [`TraceEvent`] — a per-track event
 //!   log of scheduler, router, and fault decisions, exported as a JSONL
 //!   stream ([`render_jsonl`], round-tripped by [`parse_jsonl`]) or as
-//!   Chrome trace-event JSON ([`render_chrome_json`]) that loads directly in
+//!   Chrome trace-event JSON ([`TraceRecorder::to_chrome_json`]) that loads directly in
 //!   Perfetto / `chrome://tracing` with one timeline track per replica.
 //! * [`MetricsHub`] — named counter/gauge/histogram series with sorted
 //!   `(key, value)` labels (per-tenant, per-replica), unifying the ad-hoc
@@ -59,11 +59,11 @@ pub struct TraceEvent {
     /// Simulated start time in nanoseconds.
     pub time_ns: f64,
     /// Span duration in simulated nanoseconds; `0.0` renders as an instant.
-    pub dur_ns: f64,
+    pub(crate) dur_ns: f64,
     /// Subject identifier (request id, replica index, ...), `0` when unused.
     pub id: u64,
     /// Extra numeric payload, in emission order.
-    pub args: Vec<(String, f64)>,
+    pub(crate) args: Vec<(String, f64)>,
 }
 
 impl TraceEvent {
@@ -190,24 +190,13 @@ impl TraceRecorder {
             .sum()
     }
 
-    /// `true` when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.event_count() == 0
-    }
-
-    /// Drops all tracks and events (the recorder can be reused).
-    pub fn clear(&self) {
-        self.tracks.lock().expect("trace tracks poisoned").clear();
-    }
-
     /// The canonical JSONL export of the current snapshot (see
     /// [`render_jsonl`]).
     pub fn to_jsonl(&self) -> String {
         render_jsonl(&self.tracks())
     }
 
-    /// The Chrome trace-event export of the current snapshot (see
-    /// [`render_chrome_json`]).
+    /// The Chrome trace-event JSON export of the current snapshot.
     pub fn to_chrome_json(&self) -> String {
         render_chrome_json(&self.tracks())
     }
@@ -309,7 +298,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceTrack>, LineError> {
 /// track with a `thread_name` metadata record, spans as `"ph":"X"` complete
 /// events and instants as `"ph":"i"`, timestamps in microseconds. Each
 /// record sits on its own line.
-pub fn render_chrome_json(tracks: &[TraceTrack]) -> String {
+pub(crate) fn render_chrome_json(tracks: &[TraceTrack]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let body = out.len();
     let mut push = |record: Json| {
@@ -355,17 +344,17 @@ pub fn render_chrome_json(tracks: &[TraceTrack]) -> String {
 
 /// Number of log2 histogram buckets: bucket 0 holds `v < 1`, bucket `b` holds
 /// `2^(b-1) <= v < 2^b`, the last bucket absorbs everything larger.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of non-negative samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Sample count.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of samples.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Per-bucket counts (see [`HISTOGRAM_BUCKETS`]).
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
 }
 
 impl Default for Histogram {
@@ -380,7 +369,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// The bucket index a sample falls into.
-    pub fn bucket_index(value: f64) -> usize {
+    pub(crate) fn bucket_index(value: f64) -> usize {
         // NaN and sub-1 samples (including negatives) land in bucket 0.
         let below_one = value
             .partial_cmp(&1.0)
@@ -418,9 +407,9 @@ pub struct MetricSeries {
     /// Series name, e.g. `"serve_requests_completed"`.
     pub name: String,
     /// Sorted `(key, value)` labels, e.g. `[("tenant", "0")]`.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// Current value.
-    pub value: MetricValue,
+    pub(crate) value: MetricValue,
 }
 
 type SeriesKey = (String, Vec<(String, String)>);
@@ -613,7 +602,7 @@ pub struct PhaseStat {
     /// Number of completed [`profile_phase`] guards.
     pub calls: u64,
     /// Total wall time in nanoseconds.
-    pub wall_ns: u64,
+    pub(crate) wall_ns: u64,
 }
 
 fn phase_table() -> &'static Mutex<BTreeMap<&'static str, PhaseStat>> {
@@ -636,7 +625,7 @@ pub fn disable_profiling() {
 
 /// `true` while the phase profiler is on.
 #[inline]
-pub fn profiling_enabled() -> bool {
+pub(crate) fn profiling_enabled() -> bool {
     PROFILING.load(Ordering::Relaxed)
 }
 

@@ -86,17 +86,6 @@ impl ByteWriter {
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
 }
 
 /// Read-side codec helper over one record's payload. Every reader returns
@@ -155,17 +144,6 @@ impl<'a> ByteReader<'a> {
     /// Reads one `f64` by exact bit pattern.
     pub fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.usize()?;
-        self.take(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Option<&'a str> {
-        std::str::from_utf8(self.bytes()?).ok()
     }
 
     /// Reads a length-prefixed `Vec<T>` (length first, then each element).
@@ -270,6 +248,9 @@ pub struct SegmentFile {
     path: PathBuf,
     /// Total on-disk bytes of the (truncated-clean) log.
     len_bytes: u64,
+    /// Set when a failed append could not be cut back off the file: the log
+    /// may end in a partial record, so nothing more is appended to it.
+    stopped: bool,
 }
 
 impl SegmentFile {
@@ -331,6 +312,7 @@ impl SegmentFile {
                 file,
                 path: path.to_path_buf(),
                 len_bytes: pos as u64,
+                stopped: false,
             },
             report,
         ))
@@ -339,11 +321,29 @@ impl SegmentFile {
     /// Appends one record. The write is a single `write_all` of the fully
     /// assembled record, so a crash leaves at most one partial tail record —
     /// exactly what [`SegmentFile::open`] tolerates.
+    ///
+    /// A write that fails part-way (a full disk, a file-size limit) leaves
+    /// no partial record behind: the file is cut back to its last whole
+    /// record, so later appends still load after a reopen. If that cut fails
+    /// too, this and every later append return an error without writing.
     pub fn append(&mut self, fp: Fingerprint, payload: &[u8]) -> std::io::Result<()> {
+        use std::io::{Seek, SeekFrom};
         let _io = crate::obs::profile_phase("persist_io");
+        if self.stopped {
+            return Err(std::io::Error::other(
+                "segment stopped appending after a failed rollback",
+            ));
+        }
         let mut record = Vec::new();
         frame(fp, payload, &mut record);
-        self.file.write_all(&record)?;
+        if let Err(err) = self.file.write_all(&record) {
+            let rollback = self
+                .file
+                .set_len(self.len_bytes)
+                .and_then(|()| self.file.seek(SeekFrom::Start(self.len_bytes)));
+            self.stopped = rollback.is_err();
+            return Err(err);
+        }
         self.len_bytes += record.len() as u64;
         Ok(())
     }
@@ -389,6 +389,7 @@ impl SegmentFile {
         file.seek(std::io::SeekFrom::End(0))?;
         self.file = file;
         self.len_bytes = log.len() as u64;
+        self.stopped = false;
         Ok(())
     }
 
@@ -545,7 +546,6 @@ mod tests {
         w.usize(7);
         w.u32(u32::MAX - 1);
         w.u8(250);
-        w.str("hello ✓");
         encode_vec(&mut w, &[1.5f64, -2.5], |w, v| w.f64(*v));
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -555,7 +555,6 @@ mod tests {
         assert_eq!(r.usize(), Some(7));
         assert_eq!(r.u32(), Some(u32::MAX - 1));
         assert_eq!(r.u8(), Some(250));
-        assert_eq!(r.str(), Some("hello ✓"));
         assert_eq!(r.vec(|r| r.f64()), Some(vec![1.5, -2.5]));
         assert!(r.is_exhausted());
         assert_eq!(r.u64(), None, "reads past the end return None");

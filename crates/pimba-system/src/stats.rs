@@ -26,7 +26,7 @@
 /// * a single sample **is** every percentile: for `n = 1` the nearest rank
 ///   `ceil(p/100 · 1)` clamps to 1 for all `p`, including `p = 0` and
 ///   `p = 100`.
-pub fn exact_percentile(values: &[f64], pct: f64) -> Option<f64> {
+pub(crate) fn exact_percentile(values: &[f64], pct: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -35,15 +35,14 @@ pub fn exact_percentile(values: &[f64], pct: f64) -> Option<f64> {
     Some(percentile_of_sorted(&sorted, pct))
 }
 
-/// Nearest-rank percentile of an already ascending-sorted, non-empty slice.
-/// The one-sort-many-percentiles companion of [`exact_percentile`]. A
-/// single-sample slice returns that sample for every `pct` (see
-/// [`exact_percentile`]'s edge-case contract).
+/// Nearest-rank percentile of an already ascending-sorted, non-empty slice
+/// (sort once, read many percentiles). A single-sample slice returns that
+/// sample for every `pct`.
 ///
 /// # Panics
 /// Panics if `sorted` is empty — callers aggregating over possibly-empty
 /// populations (a fleet replica that served no requests) must gate on
-/// emptiness or use [`exact_percentile`].
+/// emptiness.
 pub fn percentile_of_sorted(sorted: &[f64], pct: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
     let n = sorted.len();

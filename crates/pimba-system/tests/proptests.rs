@@ -28,6 +28,43 @@ fn batch() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Every (model, system) pair: all seven families at both scales, on all
+/// five systems at the matching deployment scale.
+fn every_model_and_system() -> Vec<(ModelConfig, ServingSimulator)> {
+    let families = [
+        ModelFamily::RetNet,
+        ModelFamily::Gla,
+        ModelFamily::Hgrn2,
+        ModelFamily::Mamba2,
+        ModelFamily::Zamba2,
+        ModelFamily::Opt,
+        ModelFamily::Llama,
+    ];
+    let systems = [
+        SystemKind::Gpu,
+        SystemKind::GpuQuant,
+        SystemKind::GpuPim,
+        SystemKind::Pimba,
+        SystemKind::NeuPims,
+    ];
+    let mut pairs = Vec::new();
+    for scale in ModelScale::ALL {
+        for family in families {
+            for kind in systems {
+                let config = match scale {
+                    ModelScale::Small => SystemConfig::small_scale(kind),
+                    ModelScale::Large => SystemConfig::large_scale(kind),
+                };
+                pairs.push((
+                    ModelConfig::preset(family, scale),
+                    ServingSimulator::new(config),
+                ));
+            }
+        }
+    }
+    pairs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -61,17 +98,31 @@ proptest! {
         prop_assert!(t(SystemKind::GpuQuant) >= gpu * 0.999);
     }
 
-    /// Step latency is monotone in both batch size and (for attention models) sequence
-    /// length.
+    /// Step latency never falls when the batch or the sequence grows by one,
+    /// on every system and model family and at both scales. No slack: the law
+    /// holds exactly.
     #[test]
-    fn latency_is_monotone_in_workload(f in family(), b in batch(), seq in 256usize..2048) {
-        let model = ModelConfig::preset(f, ModelScale::Small);
-        let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
-        let base = sim.generation_step(&model, b, seq).total_ns;
-        let bigger_batch = sim.generation_step(&model, b * 2, seq).total_ns;
-        let longer_seq = sim.generation_step(&model, b, seq * 2).total_ns;
-        prop_assert!(bigger_batch >= base);
-        prop_assert!(longer_seq >= base * 0.999);
+    fn latency_is_monotone_in_workload(b in 1usize..256, seq in 1usize..8192) {
+        for (model, sim) in every_model_and_system() {
+            let base = sim.generation_step(&model, b, seq).total_ns;
+            let bigger_batch = sim.generation_step(&model, b + 1, seq).total_ns;
+            let longer_seq = sim.generation_step(&model, b, seq + 1).total_ns;
+            prop_assert!(bigger_batch >= base, "{} {}: batch {b}", model.family, sim.config().kind.name());
+            prop_assert!(longer_seq >= base, "{} {}: seq {seq}", model.family, sim.config().kind.name());
+        }
+    }
+
+    /// Prefill latency never falls when the prompt or the batch grows by one,
+    /// on every system and model family and at both scales. No slack.
+    #[test]
+    fn prefill_latency_is_monotone_in_workload(b in 1usize..256, prompt in 1usize..8192) {
+        for (model, sim) in every_model_and_system() {
+            let base = sim.prefill_latency_ns(&model, b, prompt);
+            let bigger_batch = sim.prefill_latency_ns(&model, b + 1, prompt);
+            let longer_prompt = sim.prefill_latency_ns(&model, b, prompt + 1);
+            prop_assert!(bigger_batch >= base, "{} {}: batch {b}", model.family, sim.config().kind.name());
+            prop_assert!(longer_prompt >= base, "{} {}: prompt {prompt}", model.family, sim.config().kind.name());
+        }
     }
 
     /// Energy is positive, finite, and the Pimba system never uses more energy than the
