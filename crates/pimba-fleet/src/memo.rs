@@ -3,8 +3,8 @@
 //! [`FleetMemo`] is the shared [`GridMemo`] over fleet records; this module
 //! supplies the record's exact binary codec ([`MemoValue`], every float by
 //! bit pattern — see [`pimba_serve::codec`] for the schema-tag convention) and
-//! its `fleet_{traces,capacity,cells}.seg` segment names, disjoint from the
-//! traffic memo's so both can share one store directory.
+//! its `fleet_cells.seg` segment name, disjoint from the traffic memo's
+//! `traffic_cells.seg` so both can share one store directory.
 
 use crate::fault::FaultStats;
 use crate::router::RouterKind;
@@ -42,7 +42,7 @@ fn router_from_tag(tag: u8) -> Option<RouterKind> {
 }
 
 impl GridRecord for FleetRecord {
-    const SEGMENTS: [&'static str; 3] = ["fleet_traces", "fleet_capacity", "fleet_cells"];
+    const SEGMENT: &'static str = "fleet_cells";
 }
 
 impl MemoValue for FleetRecord {
@@ -163,7 +163,7 @@ mod tests {
         let warm = FleetRunner::new()
             .with_memo(Arc::clone(&warm_memo))
             .run(&grid);
-        let (_, _, cells) = warm_memo.stats();
+        let (_, cells) = warm_memo.stats();
         assert_eq!(cells.misses, 0, "every cell must be a warm disk hit");
         assert_eq!(cells.hits as usize, grid.len());
         assert_eq!(warm, cold, "reloaded records are bit-identical");

@@ -1,7 +1,7 @@
 //! Every reader of outside bytes, fuzzed: `netline::Json` and the three JSON
 //! Lines readers built on it (`Trace::from_jsonl`, `FaultPlan::from_jsonl`
-//! and `obs::parse_jsonl`), the binary memo codecs (`Trace`, `TrafficRecord`
-//! and `FleetRecord` decoding) and the on-disk `SegmentFile` log.
+//! and `obs::parse_jsonl`), the binary memo codecs (`TrafficRecord` and
+//! `FleetRecord` decoding) and the on-disk `SegmentFile` log.
 //!
 //! * On arbitrary bytes and on single-byte mutations and truncations of
 //!   valid dumps, nothing panics, and every error carries a line in range and a byte offset
@@ -285,10 +285,10 @@ fn encode<T: MemoValue>(value: &T) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Valid binary encodings of a trace, a traffic record and a fleet record,
-/// each checked to decode back to its value, consuming every byte.
-fn encodings() -> &'static [Vec<u8>; 3] {
-    static ENCODINGS: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+/// Valid binary encodings of a traffic record and a fleet record, each
+/// checked to decode back to its value, consuming every byte.
+fn encodings() -> &'static [Vec<u8>; 2] {
+    static ENCODINGS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
     ENCODINGS.get_or_init(|| {
         let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
         let systems = vec![SystemConfig::small_scale(SystemKind::Pimba)];
@@ -309,25 +309,22 @@ fn encodings() -> &'static [Vec<u8>; 3] {
                 .with_routers(vec![RouterKind::Jsq])
                 .with_requests_per_cell(12),
         );
-        let trace = edge_trace();
-        let encodings = [encode(&trace), encode(&traffic[0]), encode(&fleet[0])];
+        let encodings = [encode(&traffic[0]), encode(&fleet[0])];
         fn round_trip<T: MemoValue + PartialEq + std::fmt::Debug>(bytes: &[u8], value: &T) {
             let mut reader = ByteReader::new(bytes);
             assert_eq!(T::decode(&mut reader).as_ref(), Some(value));
             assert!(reader.is_exhausted(), "decode left bytes unread");
         }
-        round_trip(&encodings[0], &trace);
-        round_trip(&encodings[1], &traffic[0]);
-        round_trip(&encodings[2], &fleet[0]);
+        round_trip(&encodings[0], &traffic[0]);
+        round_trip(&encodings[1], &fleet[0]);
         encodings
     })
 }
 
 /// Decodes `bytes` as each record type (none may panic); entry `i` is
 /// `true` when the type of `encodings()[i]` accepts the bytes.
-fn decode_everything(bytes: &[u8]) -> [bool; 3] {
+fn decode_everything(bytes: &[u8]) -> [bool; 2] {
     [
-        Trace::decode(&mut ByteReader::new(bytes)).is_some(),
         TrafficRecord::decode(&mut ByteReader::new(bytes)).is_some(),
         FleetRecord::decode(&mut ByteReader::new(bytes)).is_some(),
     ]
@@ -361,7 +358,7 @@ proptest! {
 
     #[test]
     fn binary_decoders_never_panic_on_arbitrary_bytes(
-        which in 0usize..3,
+        which in 0usize..2,
         bytes in prop::collection::vec(0u8..=255, 0..200),
     ) {
         decode_everything(&bytes);
@@ -373,7 +370,7 @@ proptest! {
 
     #[test]
     fn binary_decoders_survive_mutations_and_reject_truncations(
-        which in 0usize..3,
+        which in 0usize..2,
         at in 0usize..100_000,
         byte in 0u8..=255,
     ) {

@@ -1,52 +1,20 @@
-//! Exact binary codecs ([`MemoValue`]) for the serve-layer memo values:
-//! traces and traffic grid records.
+//! The exact binary codec ([`MemoValue`]) of traffic grid records, plus the
+//! summary codecs the fleet record reuses.
 //!
-//! These codecs are what lets a [`TrafficMemo`](crate::runner::TrafficMemo)
-//! persist across process restarts with the byte-identity guarantee intact:
-//! every float is written by bit pattern, so a record reloaded from disk is
-//! `==` (and bit-for-bit equal field by field) to the record a fresh
+//! This codec is what lets a [`TrafficMemo`](crate::runner::TrafficMemo)'s
+//! cells persist across process restarts with the byte-identity guarantee
+//! intact: every float is written by bit pattern, so a record reloaded from
+//! disk is `==` (and bit-for-bit equal field by field) to the record a fresh
 //! simulation would produce. Each top-level value opens with a one-byte
 //! schema tag; bumping the tag on a layout change makes old segments load as
 //! "undecodable" (skipped) instead of as garbage.
 
 use crate::metrics::{Percentiles, PreemptionStats, TenantSummary, TrafficSummary};
 use crate::runner::{GridRecord, TrafficRecord};
-use crate::traffic::{Trace, TraceRequest};
 use pimba_system::persist::{encode_vec, ByteReader, ByteWriter, MemoValue};
 
-/// Schema tag of the [`Trace`] codec.
-const TRACE_SCHEMA: u8 = 1;
 /// Schema tag of the [`TrafficRecord`] codec.
 const TRAFFIC_RECORD_SCHEMA: u8 = 1;
-
-impl MemoValue for Trace {
-    fn encode(&self, out: &mut ByteWriter) {
-        out.u8(TRACE_SCHEMA);
-        encode_vec(out, &self.requests, |out, r| {
-            out.f64(r.arrival_ns);
-            out.usize(r.prompt_len);
-            out.usize(r.output_len);
-            out.u32(r.tenant);
-            out.u8(r.priority);
-        });
-    }
-
-    fn decode(reader: &mut ByteReader<'_>) -> Option<Self> {
-        if reader.u8()? != TRACE_SCHEMA {
-            return None;
-        }
-        let requests = reader.vec(|r| {
-            Some(TraceRequest {
-                arrival_ns: r.f64()?,
-                prompt_len: r.usize()?,
-                output_len: r.usize()?,
-                tenant: r.u32()?,
-                priority: r.u8()?,
-            })
-        })?;
-        Some(Trace { requests })
-    }
-}
 
 /// Encode a [`Percentiles`] triple by f64 bit pattern.
 pub(crate) fn encode_percentiles(out: &mut ByteWriter, p: &Percentiles) {
@@ -133,7 +101,7 @@ fn decode_preemption(reader: &mut ByteReader<'_>) -> Option<PreemptionStats> {
 }
 
 impl GridRecord for TrafficRecord {
-    const SEGMENTS: [&'static str; 3] = ["traffic_traces", "traffic_capacity", "traffic_cells"];
+    const SEGMENT: &'static str = "traffic_cells";
 }
 
 impl MemoValue for TrafficRecord {
@@ -167,7 +135,6 @@ impl MemoValue for TrafficRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::Scenario;
 
     fn roundtrip<V: MemoValue>(value: &V) -> V {
         let mut w = ByteWriter::new();
@@ -179,19 +146,8 @@ mod tests {
         decoded
     }
 
-    #[test]
-    fn trace_codec_roundtrips_bit_exactly() {
-        let trace = Scenario::chat().with_tenant(3, 7).generate(17.3, 120, 42);
-        let decoded = roundtrip(&trace);
-        assert_eq!(decoded, trace);
-        for (a, b) in trace.requests.iter().zip(&decoded.requests) {
-            assert_eq!(a.arrival_ns.to_bits(), b.arrival_ns.to_bits());
-        }
-    }
-
-    #[test]
-    fn traffic_record_codec_roundtrips_bit_exactly() {
-        let record = TrafficRecord {
+    fn record() -> TrafficRecord {
+        TrafficRecord {
             system: 1,
             scenario: 2,
             rate_rps: 24.5,
@@ -239,7 +195,12 @@ mod tests {
                 checkpoint_stall_ns: 1e6,
                 restore_stall_ns: 2e6,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn traffic_record_codec_roundtrips_bit_exactly() {
+        let record = record();
         let decoded = roundtrip(&record);
         assert_eq!(decoded, record);
         assert_eq!(
@@ -251,11 +212,10 @@ mod tests {
 
     #[test]
     fn schema_tag_mismatch_is_undecodable_not_garbage() {
-        let trace = Scenario::chat().generate(10.0, 5, 1);
         let mut w = ByteWriter::new();
-        trace.encode(&mut w);
+        record().encode(&mut w);
         let mut bytes = w.into_bytes();
         bytes[0] = 99; // future schema
-        assert!(Trace::decode(&mut ByteReader::new(&bytes)).is_none());
+        assert!(TrafficRecord::decode(&mut ByteReader::new(&bytes)).is_none());
     }
 }

@@ -12,6 +12,10 @@
 //! streams and shared by every system, so systems are compared under
 //! *identical* arrival sequences; records come back in grid order and are
 //! bit-identical for any thread count.
+//!
+//! An attached [`GridMemo`] answers repeated cells without simulating them.
+//! Only cells persist across restarts (one segment file per record type);
+//! traces are memoized within the process, and SLO capacity searches rerun.
 
 use crate::engine::{AdmissionMode, Engine, EngineConfig};
 use crate::metrics::{
@@ -55,13 +59,13 @@ pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
     fold_trace(FingerprintBuilder::new(), trace).finish()
 }
 
-/// A grid cell record a [`GridMemo`] persists: its codec plus the names of
-/// the memo's segment files.
+/// A grid cell record a [`GridMemo`] persists: its codec plus the name of
+/// the memo's segment file.
 pub trait GridRecord: MemoValue {
-    /// File stems of the `(traces, capacity, cells)` segments, each stored as
-    /// `<stem>.seg` under the memo's directory. Distinct per record type, so
-    /// memos of different runners can share one directory.
-    const SEGMENTS: [&'static str; 3];
+    /// File stem of the cells segment, stored as `<stem>.seg` under the
+    /// memo's directory. Distinct per record type, so memos of different
+    /// runners can share one directory.
+    const SEGMENT: &'static str;
 }
 
 /// The memo of one [`Grid`]'s evaluations — share one (behind an [`Arc`])
@@ -74,16 +78,22 @@ pub trait GridRecord: MemoValue {
 /// holds results only: a cell it misses is simulated cold, from its first
 /// arrival.
 ///
+/// Two stores: whole cells, which a persistent memo mirrors to disk, and
+/// arrival traces, which live in the process only. A trace costs about as
+/// much to generate as to decode, and a process generates only the traces
+/// its grids use, where opening a store would decode every stored one. SLO
+/// capacity searches are not memoized: a search costs about as much as a
+/// keyed lookup.
+///
 /// `R` is the cell record, [`Grid::Record`]: [`TrafficMemo`] holds
 /// [`TrafficGrid`]'s, `pimba_fleet`'s `FleetMemo` the fleet grid's. A
 /// [`GridRunner`] attaches one through [`GridRunner::with_memo`] and drives
 /// it through `run_grid`.
 #[derive(Debug)]
 pub struct GridMemo<R> {
-    /// Per-(scenario, rate, request-count, seed) arrival traces.
+    /// Per-(scenario, rate, request-count, seed) arrival traces, in memory
+    /// only.
     traces: MemoStore<Trace>,
-    /// Per-(system, scenario) SLO batch-capacity searches.
-    max_batches: MemoStore<usize>,
     /// Fully evaluated grid cells: a warm hit skips the whole simulation and
     /// returns bytes identical to a cold run.
     cells: MemoStore<R>,
@@ -97,7 +107,6 @@ impl<R> Default for GridMemo<R> {
     fn default() -> Self {
         Self {
             traces: MemoStore::new(),
-            max_batches: MemoStore::new(),
             cells: MemoStore::new(),
         }
     }
@@ -109,62 +118,40 @@ impl<R> GridMemo<R> {
         Self::default()
     }
 
-    /// A disk-backed memo rooted at `dir` (created if absent): each store
-    /// appends to its own crash-safe segment file (named by
-    /// [`GridRecord::SEGMENTS`] — see [`pimba_system::persist`]), and entries
-    /// persisted by earlier processes are loaded up front, so repeated
-    /// what-ifs across restarts are warm hits returning bit-identical
-    /// records.
+    /// A memo whose cells persist under `dir` (created if absent): they
+    /// append to a crash-safe segment file named by [`GridRecord::SEGMENT`]
+    /// (see [`pimba_system::persist`]), and cells persisted by earlier
+    /// processes are loaded up front, so repeated what-ifs across restarts
+    /// are warm hits returning bit-identical records. Traces start empty.
     pub fn persistent(dir: &Path) -> std::io::Result<Self>
     where
         R: GridRecord,
     {
         std::fs::create_dir_all(dir)?;
-        let [traces, capacity, cells] = R::SEGMENTS.map(|stem| dir.join(format!("{stem}.seg")));
         Ok(Self {
-            traces: MemoStore::persistent(&traces)?,
-            max_batches: MemoStore::persistent(&capacity)?,
-            cells: MemoStore::persistent(&cells)?,
+            traces: MemoStore::new(),
+            cells: MemoStore::persistent(&dir.join(format!("{}.seg", R::SEGMENT)))?,
         })
     }
 
-    /// Forces persisted entries to stable storage (no-op for in-memory
-    /// memos).
+    /// Forces persisted cells to stable storage (no-op for in-memory memos).
     pub fn sync(&self) -> std::io::Result<()> {
-        self.traces.sync()?;
-        self.max_batches.sync()?;
         self.cells.sync()
     }
 
-    /// Failed segment appends across the three memos (see
-    /// [`MemoStore::append_errors`]).
+    /// Failed cell appends (see [`MemoStore::append_errors`]).
     pub fn append_errors(&self) -> u64 {
-        self.traces.append_errors() + self.max_batches.append_errors() + self.cells.append_errors()
+        self.cells.append_errors()
     }
 
-    /// Entries held across the three memos: right after a persistent open,
-    /// the distinct live entries loaded from disk.
-    pub fn entries(&self) -> usize {
-        self.traces.len() + self.max_batches.len() + self.cells.len()
+    /// The cells segment's disk-load report (`None` in memory).
+    pub fn load_report(&self) -> Option<LoadReport> {
+        self.cells.load_report()
     }
 
-    /// `(traces, max_batches, cells)` disk-load reports (`None` entries for
-    /// in-memory stores).
-    pub fn load_reports(&self) -> (Option<LoadReport>, Option<LoadReport>, Option<LoadReport>) {
-        (
-            self.traces.load_report(),
-            self.max_batches.load_report(),
-            self.cells.load_report(),
-        )
-    }
-
-    /// `(traces, max_batches, cells)` hit/miss counters.
-    pub fn stats(&self) -> (MemoStats, MemoStats, MemoStats) {
-        (
-            self.traces.stats(),
-            self.max_batches.stats(),
-            self.cells.stats(),
-        )
+    /// `(traces, cells)` hit/miss counters.
+    pub fn stats(&self) -> (MemoStats, MemoStats) {
+        (self.traces.stats(), self.cells.stats())
     }
 
     /// Number of memoized grid cells.
@@ -185,50 +172,28 @@ impl<R> GridMemo<R> {
         self.cells.get(key)
     }
 
-    /// Per-store `(name, len_bytes)` of the backing segment files (zeros for
-    /// in-memory stores) — the sizes the daemon's `stats` verb reports.
-    pub fn segment_stats(&self) -> [(&'static str, u64); 3]
+    /// `(name, len_bytes)` of the cells segment (zero bytes in memory) — the
+    /// size the daemon's `stats` verb reports.
+    pub fn segment_stats(&self) -> (&'static str, u64)
     where
         R: GridRecord,
     {
-        let [traces, capacity, cells] = R::SEGMENTS;
-        [
-            (traces, self.traces.len_bytes()),
-            (capacity, self.max_batches.len_bytes()),
-            (cells, self.cells.len_bytes()),
-        ]
+        (R::SEGMENT, self.cells.len_bytes())
     }
 }
 
 /// The SLO batch-capacity search of one (system, scenario) pair: the largest
 /// batch (at most 512) whose decode step on `sim` holds `tpot_ms` at the
 /// scenario's mean total sequence length, or 1 when even batch 1 misses.
-/// Returns `(anchor_seq, max_batch)`; with a `store`, the search is memoized
-/// under the system, model, anchor, SLO and search bound.
+/// Returns `(anchor_seq, max_batch)`.
 pub fn slo_capacity(
     sim: &ServingSimulator,
     model: &ModelConfig,
     scenario: &Scenario,
     tpot_ms: f64,
-    store: Option<&MemoStore<usize>>,
 ) -> (usize, usize) {
-    const SEARCH_BOUND: usize = 512;
     let anchor_seq = (scenario.mean_total_tokens() as usize).max(1);
-    let search =
-        || max_batch_within_slo(sim, model, anchor_seq, tpot_ms, SEARCH_BOUND).unwrap_or(1);
-    let max_batch = match store {
-        Some(store) => {
-            let key = FingerprintBuilder::new()
-                .debug(sim.config())
-                .debug(model)
-                .usize(anchor_seq)
-                .f64(tpot_ms)
-                .usize(SEARCH_BOUND)
-                .finish();
-            *store.get_or_insert_with(key, search)
-        }
-        None => search(),
-    };
+    let max_batch = max_batch_within_slo(sim, model, anchor_seq, tpot_ms, 512).unwrap_or(1);
     (anchor_seq, max_batch)
 }
 
@@ -332,7 +297,7 @@ pub fn summarize_cell(
 /// simulator per system (sharing a prefill cache across that system's
 /// cells), one trace per (scenario, rate)
 /// shared by every system, and one batch cap per (system, scenario) — traces
-/// and capacity searches memoized when a `memo` is attached. Then fans the
+/// memoized when a `memo` is attached. Then fans the
 /// cells out over `threads` workers: each is looked up in the memo under
 /// [`Grid::key`] and evaluated by [`Grid::eval`] on a miss (or always,
 /// without a memo). Records come back in grid order; per-cell progress and
@@ -394,13 +359,10 @@ pub(crate) fn run_grid<G: Grid>(
     // Independent of the rate axis, so hoisted out of the cell loop.
     let max_batches: Vec<usize> = match axes.max_batch {
         Some(max_batch) => vec![max_batch; axes.systems.len() * scenarios],
-        None => {
-            let store = memo.map(|memo| &memo.max_batches);
-            parallel_map(axes.systems.len() * scenarios, threads, |i| {
-                let (sim, scenario) = (&sims[i / scenarios], &axes.scenarios[i % scenarios]);
-                slo_capacity(sim, axes.model, scenario, axes.tpot_ms, store).1
-            })
-        }
+        None => parallel_map(axes.systems.len() * scenarios, threads, |i| {
+            let (sim, scenario) = (&sims[i / scenarios], &axes.scenarios[i % scenarios]);
+            slo_capacity(sim, axes.model, scenario, axes.tpot_ms).1
+        }),
     };
 
     // Counted and reported under one lock: progress never steps backwards,
@@ -478,10 +440,10 @@ impl<G: Grid> GridRunner<G> {
         self
     }
 
-    /// Attaches a [`GridMemo`]: traces, capacity searches and whole cells
-    /// are looked up before simulating and stored after. Re-running a grid
-    /// against a warm memo returns records byte-identical to a cold run
-    /// without stepping a single engine.
+    /// Attaches a [`GridMemo`]: traces and whole cells are looked up before
+    /// simulating and stored after. Re-running a grid against a warm memo
+    /// returns records byte-identical to a cold run without stepping a single
+    /// engine.
     pub fn with_memo(mut self, memo: Arc<GridMemo<G::Record>>) -> Self {
         self.memo = Some(memo);
         self
@@ -778,16 +740,16 @@ mod tests {
         let grid = small_grid();
         let memo = Arc::new(TrafficMemo::new());
         let cold = TrafficRunner::new().with_memo(memo.clone()).run(&grid);
-        let (_, batches, cells) = memo.stats();
+        let (traces, cells) = memo.stats();
         assert_eq!(cells.misses as usize, grid.len());
-        let cold_batch_misses = batches.misses;
+        let cold_trace_misses = traces.misses;
 
         let warm = TrafficRunner::new().with_memo(memo.clone()).run(&grid);
         assert_eq!(warm, cold, "warm records must be byte-identical");
-        let (_, batches, cells) = memo.stats();
+        let (traces, cells) = memo.stats();
         assert_eq!(cells.hits as usize, grid.len(), "every cell from the store");
         assert_eq!(cells.misses as usize, grid.len(), "no warm recomputation");
-        assert_eq!(batches.misses, cold_batch_misses, "no warm capacity search");
+        assert_eq!(traces.misses, cold_trace_misses, "no warm trace generation");
 
         // The memo is invisible in the results.
         assert_eq!(TrafficRunner::new().run(&grid), cold);

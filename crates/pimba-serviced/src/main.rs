@@ -17,7 +17,7 @@
 //! in-memory), `--workers N`, `--timeout-ms N` (default per-job timeout).
 //!
 //! Either mode exits non-zero if any store sync failed, the final one at
-//! shutdown included.
+//! shutdown included, or any cell failed to append to the store.
 
 use netline::Json;
 use pimba_serviced::queue::{JobEvent, JobQueue};
@@ -163,15 +163,20 @@ fn main() -> ExitCode {
     sync_exit_code(queue.store())
 }
 
-/// Success, unless a store sync failed during the run (the final one at
-/// shutdown included).
+/// Success, unless a store sync (the final one at shutdown included) or a
+/// cell append failed during the run.
 fn sync_exit_code(store: &ResultStore) -> ExitCode {
-    match store.sync_errors() {
-        0 => ExitCode::SUCCESS,
-        failed => {
-            eprintln!("pimba-serviced: {failed} store sync(s) failed");
-            ExitCode::FAILURE
-        }
+    let (syncs, appends) = (store.sync_errors(), store.append_errors());
+    if syncs > 0 {
+        eprintln!("pimba-serviced: {syncs} store sync(s) failed");
+    }
+    if appends > 0 {
+        eprintln!("pimba-serviced: {appends} store append(s) failed");
+    }
+    if syncs + appends == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

@@ -10,7 +10,7 @@
 //! | `{"cmd":"submit","spec":{…},"priority":1,"timeout_ms":60000}` | `{"event":"accepted","job":N}` then streamed `progress`/`record` lines, ending in one terminal `done`/`cancelled`/`timed_out`/`failed` line. A spec with `"trace":true` additionally streams one `{"event":"trace","job":N,"data":"…"}` line (the run's canonical JSONL event trace, JSON-escaped) before `done`. |
 //! | `{"cmd":"cancel","job":N}` | `{"event":"cancelling","job":N}` (or `error`) |
 //! | `{"cmd":"status","job":N}` | `{"event":"status","job":N,"state":…,"done":…,"total":…}` |
-//! | `{"cmd":"stats"}` | `{"event":"stats","store":{…},"jobs":{…}}` — `store` includes each segment's `name` and `len_bytes` |
+//! | `{"cmd":"stats"}` | `{"event":"stats","store":{…},"jobs":{…}}` — `store` holds each memo's `traces` and `cells` hit/miss counters, and each cell segment's `name` and `len_bytes` |
 //! | `{"cmd":"metrics"}` | `{"event":"metrics","data":{"metrics":[…]}}` — the queue-wide metrics registry snapshot |
 //! | `{"cmd":"query","fingerprint":"…32 hex…"}` | `{"event":"result","memo":…,"fingerprint":…,"data":{…}}` (or `error`) — one stored cell record by fingerprint, as enumerated by `list` |
 //! | `{"cmd":"list"}` | `{"event":"list","traffic_cells":N,"fleet_cells":M,"cells":[{"memo":…,"fingerprint":…},…]}` |

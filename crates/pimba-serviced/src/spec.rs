@@ -548,7 +548,7 @@ impl Experiment {
                             return Err(RunAborted);
                         }
                         let (anchor_seq, max_batch) =
-                            slo_capacity(&sim, &cap.model, scenario, cap.slo.tpot_ms, None);
+                            slo_capacity(&sim, &cap.model, scenario, cap.slo.tpot_ms);
                         lines.push(
                             Json::obj(vec![
                                 ("system", Json::Int(sys as i64)),

@@ -2,13 +2,17 @@
 //!
 //! One [`ResultStore`] is shared by all workers for the life of the daemon.
 //! In-memory mode answers repeated queries within one process; persistent
-//! mode ([`ResultStore::persistent`]) roots both memos' crash-safe segment
-//! files in one directory (disjoint file names — see
-//! [`GridMemo::persistent`](pimba_serve::runner::GridMemo::persistent)), so identical
-//! specs are warm, byte-identical hits across daemon restarts. The store
-//! needs no maintenance: each segment drops its dead records when it is
-//! opened (see [`MemoStore::persistent`](pimba_system::memo::MemoStore::persistent)),
-//! and the daemon's shutdown only syncs.
+//! mode ([`ResultStore::persistent`]) roots both memos' crash-safe cell
+//! segments in one directory (`traffic_cells.seg` and `fleet_cells.seg` —
+//! see [`GridMemo::persistent`](pimba_serve::runner::GridMemo::persistent)),
+//! so identical specs are warm, byte-identical hits across daemon restarts.
+//! Traces are memoized per process and never written. The store never
+//! touches other files in its directory: the `*_traces.seg` and
+//! `*_capacity.seg` files earlier builds wrote are left as they are, and may
+//! be deleted by hand. The store needs no maintenance: each segment drops
+//! its dead records when it is opened (see
+//! [`MemoStore::persistent`](pimba_system::memo::MemoStore::persistent)), and
+//! the daemon's shutdown only syncs.
 
 use netline::Json;
 use pimba_fleet::memo::FleetMemo;
@@ -21,12 +25,12 @@ use std::sync::Arc;
 /// The shared traffic + fleet memo pair, optionally disk-backed.
 #[derive(Debug)]
 pub struct ResultStore {
-    /// Traffic-grid memo (traces, capacity searches, cells).
+    /// Traffic-grid memo (traces, cells).
     pub traffic: Arc<TrafficMemo>,
-    /// Fleet-grid memo (traces, capacity searches, cells).
+    /// Fleet-grid memo (traces, cells).
     pub fleet: Arc<FleetMemo>,
     dir: Option<PathBuf>,
-    /// Distinct live entries loaded at open (0 for in-memory stores).
+    /// Distinct live cells loaded at open (0 for in-memory stores).
     loaded: usize,
     /// Failed [`ResultStore::sync`] calls.
     sync_errors: AtomicU64,
@@ -44,14 +48,14 @@ impl ResultStore {
         }
     }
 
-    /// A disk-backed store rooted at `dir` (created if absent). Entries
+    /// A disk-backed store rooted at `dir` (created if absent). Cells
     /// persisted by earlier processes are loaded up front; corrupt tails are
     /// truncated, not fatal, and segments holding dead records are rewritten
     /// to their live ones.
     pub fn persistent(dir: &Path) -> std::io::Result<Self> {
         let (traffic, fleet) = (TrafficMemo::persistent(dir)?, FleetMemo::persistent(dir)?);
         Ok(Self {
-            loaded: traffic.entries() + fleet.entries(),
+            loaded: traffic.cells_stored() + fleet.cells_stored(),
             traffic: Arc::new(traffic),
             fleet: Arc::new(fleet),
             dir: Some(dir.to_path_buf()),
@@ -78,6 +82,12 @@ impl ResultStore {
     /// How many [`ResultStore::sync`] calls have failed.
     pub fn sync_errors(&self) -> u64 {
         self.sync_errors.load(Ordering::Relaxed)
+    }
+
+    /// How many cell appends have failed across both memos: cells held in
+    /// memory but not persisted.
+    pub fn append_errors(&self) -> u64 {
+        self.traffic.append_errors() + self.fleet.append_errors()
     }
 
     /// Every stored cell fingerprint as `(memo, fingerprint)` pairs — traffic
@@ -116,7 +126,7 @@ impl ResultStore {
         ])
     }
 
-    /// Distinct live entries loaded from disk at open (0 for in-memory
+    /// Distinct live cells loaded from disk at open (0 for in-memory
     /// stores): superseded duplicates and undecodable records, which the
     /// open rewrites away, are not counted.
     pub fn loaded_entries(&self) -> usize {
@@ -124,11 +134,11 @@ impl ResultStore {
     }
 
     /// The store's state as a JSON object for the daemon's `stats` command:
-    /// the loaded entries, failed syncs and appends, per-memo hit/miss
-    /// counters plus one `segments` entry per backing segment file with its
-    /// name and size (zero for in-memory stores).
+    /// the loaded cells, failed syncs and appends, per-memo `traces` and
+    /// `cells` hit/miss counters plus one `segments` entry per memo's cell
+    /// segment with its name and size (zero for in-memory stores).
     pub fn stats_json(&self) -> Json {
-        fn stats(label: &str, s: (MemoStats, MemoStats, MemoStats)) -> (String, Json) {
+        fn stats(label: &str, s: (MemoStats, MemoStats)) -> (String, Json) {
             let one = |m: MemoStats| {
                 Json::obj(vec![
                     ("hits", Json::Int(m.hits as i64)),
@@ -137,11 +147,7 @@ impl ResultStore {
             };
             (
                 label.to_string(),
-                Json::obj(vec![
-                    ("traces", one(s.0)),
-                    ("capacity", one(s.1)),
-                    ("cells", one(s.2)),
-                ]),
+                Json::obj(vec![("traces", one(s.0)), ("cells", one(s.1))]),
             )
         }
         let mut pairs = vec![
@@ -156,7 +162,7 @@ impl ResultStore {
             ),
             (
                 "append_errors".to_string(),
-                Json::Int((self.traffic.append_errors() + self.fleet.append_errors()) as i64),
+                Json::Int(self.append_errors() as i64),
             ),
             (
                 "cells_stored".to_string(),
@@ -165,11 +171,8 @@ impl ResultStore {
         ];
         pairs.push(stats("traffic", self.traffic.stats()));
         pairs.push(stats("fleet", self.fleet.stats()));
-        let segments: Vec<Json> = self
-            .traffic
-            .segment_stats()
+        let segments: Vec<Json> = [self.traffic.segment_stats(), self.fleet.segment_stats()]
             .into_iter()
-            .chain(self.fleet.segment_stats())
             .map(|(name, len_bytes)| {
                 Json::obj(vec![
                     ("name", Json::str(name)),

@@ -469,7 +469,7 @@ fn kill_nine_mid_job_leaves_a_loadable_warm_store() {
         )
         .unwrap();
     assert_eq!(resumed, pristine);
-    let (_, _, cells) = store.traffic.stats();
+    let (_, cells) = store.traffic.stats();
     assert!(cells.hits > 0, "the resumed run must reuse persisted cells");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -619,22 +619,25 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         Some("fingerprint")
     );
 
-    // stats: one `{name, len_bytes}` entry per backing store, zero bytes
-    // in-memory.
+    // stats: one `{name, len_bytes}` entry per memo's cell segment, zero
+    // bytes in-memory.
     let stats = client.stats().unwrap();
     let segments = stats
         .get("store")
         .and_then(|s| s.get("segments"))
         .and_then(Json::as_arr)
         .expect("stats.store.segments");
-    assert_eq!(segments.len(), 6, "three traffic + three fleet segments");
+    let names: Vec<&str> = segments
+        .iter()
+        .filter_map(|seg| seg.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(names, ["traffic_cells", "fleet_cells"]);
     for seg in segments {
         let Json::Obj(fields) = seg else {
             panic!("segment entry {seg:?} is an object")
         };
         let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
         assert_eq!(keys, ["name", "len_bytes"]);
-        assert!(seg.get("name").and_then(Json::as_str).is_some());
         assert_eq!(seg.get("len_bytes").and_then(Json::as_i64), Some(0));
     }
     let store = stats.get("store").expect("stats.store");
@@ -738,10 +741,7 @@ fn restart_compacts_a_bloated_store() {
 
     // Reopening the store rewrites the segment to its live records.
     let store = ResultStore::persistent(&dir).unwrap();
-    assert_eq!(
-        store.traffic.load_reports().2.map(|r| r.undecodable),
-        Some(1)
-    );
+    assert_eq!(store.traffic.load_report().map(|r| r.undecodable), Some(1));
     assert_eq!(
         std::fs::metadata(&seg_path).unwrap().len(),
         clean,
@@ -802,10 +802,7 @@ fn a_store_of_old_schema_records_opens_empty() {
 
     let store = ResultStore::persistent(&dir).unwrap();
     assert_eq!(store.loaded_entries(), 0);
-    assert_eq!(
-        store.traffic.load_reports().2.map(|r| r.undecodable),
-        Some(1)
-    );
+    assert_eq!(store.traffic.load_report().map(|r| r.undecodable), Some(1));
     assert_eq!(std::fs::metadata(&seg_path).unwrap().len(), 0);
 
     let daemon = Daemon::start(DaemonConfig::default(), store).unwrap();
@@ -824,31 +821,44 @@ fn a_store_of_old_schema_records_opens_empty() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A superseded duplicate is not a loaded entry: a capacity segment seeded
-/// with three records under two fingerprints loads two, both at open and in
-/// the `stats` verb's `loaded_entries`.
+/// A superseded duplicate is not a loaded entry: a cell segment seeded with
+/// three real cell records under two fingerprints loads two, both at open
+/// and in the `stats` verb's `loaded_entries`.
 #[test]
 fn loaded_entries_counts_a_duplicate_once() {
-    use pimba_system::memo::Fingerprint;
-    use pimba_system::persist::{ByteWriter, SegmentFile};
+    use pimba_system::persist::SegmentFile;
     let dir = temp_dir("duplicate_loaded");
-    std::fs::create_dir_all(&dir).unwrap();
-    let usize_payload = |v: usize| {
-        let mut writer = ByteWriter::new();
-        writer.usize(v);
-        writer.into_bytes()
-    };
-    let (one, two) = (Fingerprint::from_words(0, 1), Fingerprint::from_words(0, 2));
+    let seg_path = dir.join("traffic_cells.seg");
+
+    // Two real traffic cell records, then a fresh segment holding the first
+    // twice.
     {
-        let seg_path = dir.join("traffic_capacity.seg");
+        let store = ResultStore::persistent(&dir).unwrap();
+        Experiment::from_json(&traffic_spec())
+            .unwrap()
+            .run(&store, &pimba_system::sweep::RunControl::new())
+            .unwrap();
+    }
+    let mut cells = Vec::new();
+    SegmentFile::open(&seg_path, |fp, payload| {
+        cells.push((fp, payload.to_vec()));
+        true
+    })
+    .unwrap();
+    let [(one, first), (two, second), ..] = cells.as_slice() else {
+        panic!("at least two stored traffic cells")
+    };
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    {
         let (mut seg, _) = SegmentFile::open(&seg_path, |_, _| true).unwrap();
-        seg.append(one, &usize_payload(7)).unwrap();
-        seg.append(one, &usize_payload(7)).unwrap();
-        seg.append(two, &usize_payload(9)).unwrap();
+        seg.append(*one, first).unwrap();
+        seg.append(*one, first).unwrap();
+        seg.append(*two, second).unwrap();
     }
 
     let store = ResultStore::persistent(&dir).unwrap();
-    assert_eq!(store.traffic.load_reports().1.map(|r| r.records), Some(3));
+    assert_eq!(store.traffic.load_report().map(|r| r.records), Some(3));
     assert_eq!(store.loaded_entries(), 2);
     assert_eq!(
         store
@@ -858,5 +868,84 @@ fn loaded_entries_counts_a_duplicate_once() {
         Some(2)
     );
     drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-shot run whose cell appends fail still prints every record line,
+/// then exits 1 naming the failed appends. The binary runs with
+/// `RLIMIT_FSIZE` capped below one cell record and `SIGXFSZ` ignored, both
+/// set in the child only: the limit is per process, and would break other
+/// tests' writes here.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[test]
+fn failed_store_appends_fail_the_one_shot_run() {
+    use std::os::unix::process::CommandExt;
+
+    const CAP: u64 = 16;
+    const RLIMIT_FSIZE: i32 = 1;
+    const SIGXFSZ: i32 = 25;
+    const SIG_IGN: usize = 1;
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct RLimit {
+        cur: u64,
+        max: u64,
+    }
+    extern "C" {
+        fn getrlimit(resource: i32, limit: *mut RLimit) -> i32;
+        fn setrlimit(resource: i32, limit: *const RLimit) -> i32;
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+
+    let dir = temp_dir("append_failure");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, traffic_spec().render()).unwrap();
+    let store_dir = dir.join("store");
+
+    let mut limit = RLimit { cur: 0, max: 0 };
+    // SAFETY: `getrlimit` writes only the struct it is handed.
+    assert_eq!(unsafe { getrlimit(RLIMIT_FSIZE, &mut limit) }, 0);
+    let capped = RLimit {
+        cur: CAP,
+        max: limit.max,
+    };
+    let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_pimba-serviced"));
+    command
+        .arg("--spec")
+        .arg(&spec_path)
+        .arg("--store")
+        .arg(&store_dir);
+    // SAFETY: the hook runs between fork and exec and calls only
+    // `setrlimit` and `signal`, both async-signal-safe.
+    unsafe {
+        command.pre_exec(move || {
+            if setrlimit(RLIMIT_FSIZE, &capped) != 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            // Writes past the cap fail with EFBIG instead of killing.
+            signal(SIGXFSZ, SIG_IGN);
+            Ok(())
+        });
+    }
+    let output = command.output().expect("run the one-shot binary");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("4 store append(s) failed"),
+        "stderr names the failed appends:\n{stderr}"
+    );
+    assert!(!stderr.contains("sync"), "no sync failed:\n{stderr}");
+    let records = stdout
+        .lines()
+        .filter(|line| line.contains(r#""event":"record""#))
+        .count();
+    assert_eq!(records, 4, "every cell's record is still printed");
+    assert!(stdout
+        .lines()
+        .last()
+        .unwrap_or("")
+        .contains(r#""event":"done""#));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -171,15 +171,6 @@ pub fn encode_vec<T>(
     }
 }
 
-impl MemoValue for usize {
-    fn encode(&self, out: &mut ByteWriter) {
-        out.usize(*self);
-    }
-    fn decode(reader: &mut ByteReader<'_>) -> Option<Self> {
-        reader.usize()
-    }
-}
-
 impl MemoValue for u64 {
     fn encode(&self, out: &mut ByteWriter) {
         out.u64(*self);
