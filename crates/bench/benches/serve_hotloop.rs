@@ -4,7 +4,7 @@
 //! For every (scenario × policy) cell the same trace is simulated twice on the
 //! Pimba system — once with `fast_forward: false` (the step-by-step oracle:
 //! one event, one scheduler call, one dense-table latency read and one
-//! `O(batch)` bookkeeping pass per decode step, on the same single-flight
+//! step-clock batch update per decode step, on the same single-flight
 //! event source and the same latency tables) and once with
 //! `fast_forward: true` — and the two `SimResult`s are asserted
 //! **bit-identical** before any number is reported. The speedup therefore

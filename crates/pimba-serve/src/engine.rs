@@ -60,17 +60,26 @@
 //!   `now + latency` the event queue would have computed, so timestamps match
 //!   bit for bit) plus the running telemetry sums, folded over every
 //!   event-free stretch in one loop, instead of an event push/pop, a
-//!   scheduler consult, a latency lookup and an `O(batch)` bookkeeping pass.
+//!   scheduler consult, a latency lookup and a batch bookkeeping update.
 //!   A segment of constant membership runs to the next completion; seq-bucket
 //!   crossings inside it re-read the step latency in line (never, for a
 //!   seq-invariant table), and — when nothing is waiting — completions are
 //!   absorbed without leaving the macro-step; first-token and completion
 //!   times are reconstructed exactly.
-//! * **Cached batch aggregates** (both modes) — the batch keeps its steps to
-//!   the earliest completion, longest current sequence and longest final
-//!   sequence up to date in its own mutators, so a segment, a decode-step
-//!   latency read and an admission anchor start without a scan, and applying
-//!   steps that complete nobody is one plain pass with no `retain`.
+//! * **A step-clock batch** (both modes) — every member decodes one token
+//!   per step, so the batch keeps one clock instead of a per-slot token
+//!   count: a member is its slot on joining plus the clock ticks since.
+//!   Applying steps is one add plus the first tokens of the members that
+//!   joined with nothing generated; completions pop off a min-heap keyed by
+//!   (completion clock, join order), so simultaneous ones still leave in
+//!   batch order; departed members are tombstoned and compacted away once
+//!   they outnumber the live ones. The steps to the earliest completion and
+//!   the longest current and final sequences are cached (the two maxima are
+//!   rescanned only when a member holding one leaves), so a segment, a
+//!   decode-step latency read and an admission anchor start without a scan.
+//!   Current slots are built only on request: by [`EngineView::batch`], for
+//!   the policies that read per-occupant state, and by preemption and
+//!   [`Session::crash_drop`].
 //! * **Closed-form admission accounting** — every admission and restore
 //!   clamp ([`EngineView::admissible_count`] and its kin) walks its
 //!   candidates through [`MemoryModel::fitting_prefix`] against a
@@ -115,6 +124,9 @@ use pimba_system::serving::ServingSimulator;
 use pimba_system::table::{PrefillLatencyTable, StepLatencyTable};
 
 use pimba_system::transfer::StateTransferModel;
+use std::cell::OnceCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How the admission probe anchors request footprints against the memory
 /// budget.
@@ -274,13 +286,6 @@ pub struct EngineView<'a> {
     pub running: usize,
     /// The engine's hard batch cap.
     pub max_batch: usize,
-    /// The occupants of the batch (`batch.len() == running`) — per-request
-    /// sequence progress, tenant and priority, the visibility preemptive and
-    /// tenant-aware policies decide from. Locally admitted requests appear
-    /// in admission order; requests restored from a checkpoint rejoin at the
-    /// tail, so age-sensitive policies should key on [`BatchSlot::id`]
-    /// (injection order), not slice position.
-    pub batch: &'a [BatchSlot],
     /// Checkpointed requests awaiting [`Action::Resume`], eviction order
     /// (oldest first — the order `Resume { count }` restores them in).
     pub evicted: &'a [EvictedRequest],
@@ -293,6 +298,12 @@ pub struct EngineView<'a> {
     pub admission_mode: AdmissionMode,
     /// Closed-form footprint accounting of the engine.
     memory: &'a MemoryModel<'a>,
+    /// The decoding batch, read through [`EngineView::batch`] and the
+    /// cached longest sequence.
+    decoding: &'a Batch,
+    /// The occupants' current slots, built on the first
+    /// [`EngineView::batch`] call of this view.
+    slots: OnceCell<Vec<BatchSlot>>,
     /// The occupants' footprint anchor under `admission_mode`: the batch's
     /// max final sequence length, or its max *current* length under
     /// [`AdmissionMode::LiveOccupancy`] (0 for an empty batch).
@@ -312,6 +323,17 @@ impl AdmissionMode {
 }
 
 impl EngineView<'_> {
+    /// The occupants of the batch (`batch().len() == running`) — per-request
+    /// sequence progress, tenant and priority, the visibility preemptive and
+    /// tenant-aware policies decide from. Locally admitted requests appear
+    /// in admission order; requests restored from a checkpoint rejoin at the
+    /// tail, so age-sensitive policies should key on [`BatchSlot::id`]
+    /// (injection order), not slice position. The slots are built on the
+    /// first call (`O(batch)`), so a policy that never asks pays nothing.
+    pub fn batch(&self) -> &[BatchSlot] {
+        self.slots.get_or_init(|| self.decoding.current().collect())
+    }
+
     /// How many queue-front requests can be admitted right now under the
     /// batch cap and the memory budget. Footprint anchoring follows the
     /// engine's [`AdmissionMode`]: under the default
@@ -414,8 +436,12 @@ impl EngineView<'_> {
     /// state/KV at *current* sequence lengths — the number a memory-pressure
     /// policy compares against [`EngineView::capacity_bytes`] watermarks.
     pub fn occupancy_bytes(&self) -> f64 {
-        let max_seq = self.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(1);
-        self.memory.usage_bytes(self.batch.len(), max_seq)
+        let max_seq = if self.running == 0 {
+            1
+        } else {
+            self.decoding.max_seq
+        };
+        self.memory.usage_bytes(self.running, max_seq)
     }
 
     /// Total device memory a hypothetical `(batch, max_seq)` configuration
@@ -510,8 +536,8 @@ impl Aggregates {
     /// generators clamp to >= 1) completes at its first decode step, so it
     /// counts one remaining step, not zero — which would stall a macro-step
     /// segment.
-    fn with(self, slots: &[BatchSlot]) -> Self {
-        slots.iter().fold(self, |a, s| Self {
+    fn with(self, slots: impl IntoIterator<Item = BatchSlot>) -> Self {
+        slots.into_iter().fold(self, |a, s| Self {
             min_remaining: a.min_remaining.min((s.output_len - s.generated).max(1)),
             max_seq: a.max_seq.max(s.seq_len()),
             max_final_seq: a.max_final_seq.max(s.final_seq_len()),
@@ -519,67 +545,140 @@ impl Aggregates {
     }
 }
 
-/// The decoding batch: its slots plus their [`Aggregates`], cached so that a
-/// step which completes nobody costs no rescan.
-///
-/// Steps that complete nobody shift `min_remaining` and `max_seq` by the
-/// steps taken; every membership change (push, take, a completion)
-/// updates or recomputes the cache in the mutator itself. In debug builds
-/// every read cross-checks it against a rescan.
-#[derive(Debug)]
-struct Batch {
-    slots: Vec<BatchSlot>,
-    cached: Aggregates,
+/// One batch member: its slot as it was on joining, and the batch clock then.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    slot: BatchSlot,
+    joined_at: usize,
 }
 
-impl Batch {
-    fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            cached: Aggregates::EMPTY,
+impl Member {
+    /// The member's slot at batch clock `clock`: one token per step since it
+    /// joined.
+    fn at(&self, clock: usize) -> BatchSlot {
+        BatchSlot {
+            generated: self.slot.generated + (clock - self.joined_at),
+            ..self.slot
         }
     }
 
+    /// The clock reading at which the member completes (see
+    /// [`Aggregates::with`] for the degenerate zero-output case).
+    fn completes_at(&self) -> usize {
+        self.joined_at + (self.slot.output_len - self.slot.generated).max(1)
+    }
+}
+
+/// The decoding batch on one step clock (see "A step-clock batch" in the
+/// module docs). A step that completes every member (a static batch
+/// draining) walks the members once instead of popping the heap. In debug
+/// builds every aggregates read cross-checks the cache against a rescan.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Members in join order; `None` is a tombstone.
+    members: Vec<Option<Member>>,
+    /// Members that are not tombstones.
+    live: usize,
+    /// Decode steps applied since the batch was created.
+    clock: usize,
+    /// Ids of the members that joined with nothing generated and have not
+    /// decoded a step since.
+    fresh: Vec<usize>,
+    /// `(completion clock, index into members)` of every live member.
+    completions: BinaryHeap<Reverse<(usize, usize)>>,
+    /// The latest completion clock of a live member (0 when empty): members
+    /// only leave at the earliest one, so it stays exact until they all
+    /// leave at once.
+    drains_at: usize,
+    /// The longest current sequence (0 when empty).
+    max_seq: usize,
+    /// The longest final sequence (0 when empty).
+    max_final_seq: usize,
+}
+
+impl Batch {
     /// The cached aggregates.
     fn aggregates(&self) -> Aggregates {
+        let cached = Aggregates {
+            min_remaining: self
+                .completions
+                .peek()
+                .map_or(usize::MAX, |&Reverse((at, _))| at - self.clock),
+            max_seq: self.max_seq,
+            max_final_seq: self.max_final_seq,
+        };
         debug_assert_eq!(
-            self.cached,
-            Aggregates::EMPTY.with(&self.slots),
+            cached,
+            Aggregates::EMPTY.with(self.current()),
             "cached batch aggregates diverged from a rescan"
         );
-        self.cached
+        debug_assert_eq!(
+            self.drains_at,
+            self.members
+                .iter()
+                .flatten()
+                .map(Member::completes_at)
+                .max()
+                .unwrap_or(0),
+            "cached drain clock diverged from a rescan"
+        );
+        cached
     }
 
-    fn slots(&self) -> &[BatchSlot] {
-        &self.slots
+    /// The members' current slots, in batch order.
+    fn current(&self) -> impl Iterator<Item = BatchSlot> + '_ {
+        self.members.iter().flatten().map(|m| m.at(self.clock))
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.live
     }
 
     fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.live == 0
     }
 
     /// Appends `slot`; a join only widens the aggregates.
     fn push(&mut self, slot: BatchSlot) {
-        self.cached = self.cached.with(std::slice::from_ref(&slot));
-        self.slots.push(slot);
+        let member = Member {
+            slot,
+            joined_at: self.clock,
+        };
+        if slot.generated == 0 {
+            self.fresh.push(slot.id);
+        }
+        self.completions
+            .push(Reverse((member.completes_at(), self.members.len())));
+        self.drains_at = self.drains_at.max(member.completes_at());
+        self.members.push(Some(member));
+        self.live += 1;
+        self.max_seq = self.max_seq.max(slot.seq_len());
+        self.max_final_seq = self.max_final_seq.max(slot.final_seq_len());
     }
 
-    /// Empties the batch, returning its slots in order.
+    /// Empties the batch, returning its current slots in order.
     fn take(&mut self) -> Vec<BatchSlot> {
-        self.cached = Aggregates::EMPTY;
-        std::mem::take(&mut self.slots)
+        let slots = self.current().collect();
+        self.clear();
+        slots
     }
 
-    /// Applies `steps` decode steps to every slot, in batch order: a slot
-    /// producing its first token is handed to `first_token`, and one reaching
-    /// its output budget to `complete`, then leaves the batch. `steps` must
-    /// not exceed `min_remaining`, so only the last step can complete anyone;
-    /// steps that complete nobody are one plain pass, with no `retain`.
-    /// Returns whether anyone completed.
+    /// Empties the batch, keeping every allocation.
+    fn clear(&mut self) {
+        self.members.clear();
+        self.completions.clear();
+        self.fresh.clear();
+        self.live = 0;
+        self.drains_at = 0;
+        self.max_seq = 0;
+        self.max_final_seq = 0;
+    }
+
+    /// Applies `steps` decode steps to the batch: a member producing its
+    /// first token is handed to `first_token`, and one reaching its output
+    /// budget to `complete` (in batch order), then leaves the batch. `steps`
+    /// must not exceed `min_remaining`, so only the last step can complete
+    /// anyone. Returns whether anyone completed.
     fn advance(
         &mut self,
         steps: usize,
@@ -587,33 +686,60 @@ impl Batch {
         mut complete: impl FnMut(usize),
     ) -> bool {
         let min_remaining = self.aggregates().min_remaining;
-        debug_assert!(steps >= 1 && steps <= min_remaining);
-        for slot in &mut self.slots {
-            if slot.generated == 0 {
-                first_token(slot.id);
-            }
-            slot.generated += steps;
+        debug_assert!(!self.is_empty() && steps >= 1 && steps <= min_remaining);
+        for &id in &self.fresh {
+            first_token(id);
         }
+        self.fresh.clear();
+        self.clock += steps;
+        self.max_seq += steps;
         if steps < min_remaining {
-            self.cached.min_remaining -= steps;
-            self.cached.max_seq += steps;
             return false;
         }
-        let mut survivors = Aggregates::EMPTY;
-        self.slots.retain(|r| {
-            // Degenerate zero-output requests overshoot by the one step that
-            // completes them; everyone else lands exactly.
-            debug_assert!(r.generated <= r.output_len.max(1));
-            let done = r.generated >= r.output_len;
-            if done {
-                complete(r.id);
-            } else {
-                survivors = survivors.with(std::slice::from_ref(r));
+        if self.clock == self.drains_at {
+            for member in self.members.iter().flatten() {
+                complete(member.slot.id);
             }
-            !done
-        });
-        self.cached = survivors;
+            self.clear();
+            return true;
+        }
+        let mut held_a_max = false;
+        while let Some(&Reverse((at, index))) = self.completions.peek() {
+            if at > self.clock {
+                break;
+            }
+            self.completions.pop();
+            let member = self.members[index].take().expect("completed twice");
+            complete(member.slot.id);
+            self.live -= 1;
+            held_a_max |= member.at(self.clock).seq_len() == self.max_seq
+                || member.slot.final_seq_len() == self.max_final_seq;
+        }
+        if self.members.len() - self.live > self.live {
+            self.compact();
+        }
+        if held_a_max {
+            let rescan = Aggregates::EMPTY.with(self.current());
+            self.max_seq = rescan.max_seq;
+            self.max_final_seq = rescan.max_final_seq;
+        }
         true
+    }
+
+    /// Drops the tombstones, keeping batch order, and re-indexes the
+    /// completion heap (reusing its allocation).
+    fn compact(&mut self) {
+        self.members.retain(Option::is_some);
+        let mut heap = std::mem::take(&mut self.completions).into_vec();
+        heap.clear();
+        heap.extend(
+            self.members
+                .iter()
+                .flatten()
+                .enumerate()
+                .map(|(index, m)| Reverse((m.completes_at(), index))),
+        );
+        self.completions = BinaryHeap::from(heap);
     }
 }
 
@@ -858,7 +984,7 @@ impl<'a> Session<'a> {
             requests: Vec::new(),
             queue: FifoQueue::default(),
             prefilling: Vec::new(),
-            running: Batch::new(),
+            running: Batch::default(),
             evicted: Vec::new(),
             preemption: PreemptionStats::default(),
             work: None,
@@ -1572,11 +1698,12 @@ impl<'a> Session<'a> {
             queue: self.queue.as_slice(),
             running: self.running.len(),
             max_batch: engine.config.max_batch,
-            batch: self.running.slots(),
             evicted: &self.evicted,
             capacity_bytes: engine.capacity_bytes,
             admission_mode: mode,
             memory: &engine.memory,
+            decoding: &self.running,
+            slots: OnceCell::new(),
             anchor_seq: match mode {
                 AdmissionMode::FinalSeqLen => aggregates.max_final_seq,
                 AdmissionMode::LiveOccupancy => aggregates.max_seq,
@@ -1630,12 +1757,7 @@ impl<'a> Session<'a> {
                 // The dispatch arm walks the batch and ignores ids that hold
                 // no slot; validation only needs to know the set is non-empty
                 // after that filter.
-                if self
-                    .running
-                    .slots()
-                    .iter()
-                    .any(|slot| victims.contains(&slot.id))
-                {
+                if view.batch().iter().any(|slot| victims.contains(&slot.id)) {
                     Action::Preempt { victims }
                 } else {
                     degrade(self.running.is_empty())
@@ -2277,5 +2399,174 @@ mod tests {
                 ..TraceRequest::default()
             },
         );
+    }
+}
+
+/// The step-clock [`Batch`] against the per-slot batch it replaced.
+#[cfg(test)]
+mod batch_model {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-slot decoding batch: every slot counts its own `generated`,
+    /// applying steps walks every slot, and a completion `retain`s the
+    /// survivors and refolds their [`Aggregates`]. The reference model of
+    /// [`Batch`].
+    #[derive(Debug)]
+    struct PerSlotBatch {
+        slots: Vec<BatchSlot>,
+        cached: Aggregates,
+    }
+
+    impl PerSlotBatch {
+        fn new() -> Self {
+            Self {
+                slots: Vec::new(),
+                cached: Aggregates::EMPTY,
+            }
+        }
+
+        fn aggregates(&self) -> Aggregates {
+            assert_eq!(
+                self.cached,
+                Aggregates::EMPTY.with(self.slots.iter().copied()),
+                "cached batch aggregates diverged from a rescan"
+            );
+            self.cached
+        }
+
+        fn push(&mut self, slot: BatchSlot) {
+            self.cached = self.cached.with([slot]);
+            self.slots.push(slot);
+        }
+
+        fn take(&mut self) -> Vec<BatchSlot> {
+            self.cached = Aggregates::EMPTY;
+            std::mem::take(&mut self.slots)
+        }
+
+        fn advance(
+            &mut self,
+            steps: usize,
+            mut first_token: impl FnMut(usize),
+            mut complete: impl FnMut(usize),
+        ) -> bool {
+            let min_remaining = self.aggregates().min_remaining;
+            assert!(steps >= 1 && steps <= min_remaining);
+            for slot in &mut self.slots {
+                if slot.generated == 0 {
+                    first_token(slot.id);
+                }
+                slot.generated += steps;
+            }
+            if steps < min_remaining {
+                self.cached.min_remaining -= steps;
+                self.cached.max_seq += steps;
+                return false;
+            }
+            let mut survivors = Aggregates::EMPTY;
+            self.slots.retain(|r| {
+                assert!(r.generated <= r.output_len.max(1));
+                let done = r.generated >= r.output_len;
+                if done {
+                    complete(r.id);
+                } else {
+                    survivors = survivors.with([*r]);
+                }
+                !done
+            });
+            self.cached = survivors;
+            true
+        }
+    }
+
+    /// Both batches applying the same steps: their first-token ids (as a
+    /// set), completion order and completed flag.
+    fn advance_both(
+        batch: &mut Batch,
+        reference: &mut PerSlotBatch,
+        steps: usize,
+    ) -> Result<(), TestCaseError> {
+        let (mut firsts, mut done) = (Vec::new(), Vec::new());
+        let (mut ref_firsts, mut ref_done) = (Vec::new(), Vec::new());
+        let completed = batch.advance(steps, |id| firsts.push(id), |id| done.push(id));
+        let ref_completed =
+            reference.advance(steps, |id| ref_firsts.push(id), |id| ref_done.push(id));
+        firsts.sort_unstable();
+        ref_firsts.sort_unstable();
+        prop_assert_eq!(firsts, ref_firsts, "first-token ids");
+        prop_assert_eq!(done, ref_done, "completion order");
+        prop_assert_eq!(completed, ref_completed);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random scripts of joins (fresh, restored mid-decode, and
+        /// zero-output slots), preempt-style take-and-re-push, restores of
+        /// the taken victims, and advances of up to the steps to the next
+        /// completion — small lengths, so simultaneous completions, ties on
+        /// the longest sequences and compactions are frequent. After every
+        /// operation both batches hold the same slots with the same
+        /// aggregates.
+        #[test]
+        fn step_clock_batch_matches_per_slot_batch(
+            script in prop::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..160),
+        ) {
+            let (mut batch, mut reference) = (Batch::default(), PerSlotBatch::new());
+            let mut evicted: Vec<BatchSlot> = Vec::new();
+            let mut next_id = 0;
+            for (op, a, b) in script {
+                let mut join = |generated: usize, output_len: usize| {
+                    next_id += 1;
+                    BatchSlot {
+                        id: next_id,
+                        prompt_len: a % 16,
+                        output_len,
+                        generated,
+                        tenant: 0,
+                        priority: 0,
+                    }
+                };
+                let joining = match op {
+                    0 | 1 => Some(join(0, 1 + b % 12)),
+                    2 => {
+                        let output_len = 2 + b % 12;
+                        Some(join(1 + a % (output_len - 1), output_len))
+                    }
+                    3 => Some(join(0, 0)),
+                    4 => {
+                        let taken = batch.take();
+                        prop_assert_eq!(&taken, &reference.take(), "take");
+                        for slot in taken {
+                            if (slot.id + a) % 3 == 0 {
+                                evicted.push(slot);
+                            } else {
+                                batch.push(slot);
+                                reference.push(slot);
+                            }
+                        }
+                        None
+                    }
+                    5 if !evicted.is_empty() => Some(evicted.remove(0)),
+                    _ if !reference.slots.is_empty() => {
+                        let min_remaining = reference.aggregates().min_remaining;
+                        let steps = if a % 2 == 0 { min_remaining } else { 1 + b % min_remaining };
+                        advance_both(&mut batch, &mut reference, steps)?;
+                        None
+                    }
+                    _ => None,
+                };
+                if let Some(slot) = joining {
+                    batch.push(slot);
+                    reference.push(slot);
+                }
+                prop_assert_eq!(batch.aggregates(), reference.aggregates());
+                prop_assert_eq!(batch.len(), reference.slots.len());
+                prop_assert_eq!(batch.current().collect::<Vec<_>>(), reference.slots.clone());
+            }
+            prop_assert_eq!(batch.take(), reference.take(), "final take");
+            prop_assert!(batch.is_empty());
+        }
     }
 }

@@ -370,7 +370,8 @@ impl MemoryPressureEviction {
     /// eviction order (empty if the batch is not above the high watermark or
     /// has a single occupant — the policy never evicts the last runner).
     fn select_victims(&self, view: &EngineView<'_>) -> Vec<usize> {
-        if view.batch.len() <= 1
+        let batch = view.batch();
+        if batch.len() <= 1
             || view.occupancy_bytes() <= Self::watermark_bytes(view, self.high_watermark)
         {
             return Vec::new();
@@ -380,30 +381,29 @@ impl MemoryPressureEviction {
         // (injection order) rather than slice position — restored requests
         // rejoin the slice at the tail, but their ids still say how old they
         // are.
-        let mut order: Vec<usize> = (0..view.batch.len()).collect();
+        let mut order: Vec<usize> = (0..batch.len()).collect();
         match self.victims {
             // Longest sequence first; ties to the newer (higher-id) request.
             VictimOrder::LongestSequence => order.sort_by_key(|&i| {
                 (
-                    std::cmp::Reverse(view.batch[i].seq_len()),
-                    std::cmp::Reverse(view.batch[i].id),
+                    std::cmp::Reverse(batch[i].seq_len()),
+                    std::cmp::Reverse(batch[i].id),
                 )
             }),
             VictimOrder::Newest => {
-                order.sort_by_key(|&i| std::cmp::Reverse(view.batch[i].id));
+                order.sort_by_key(|&i| std::cmp::Reverse(batch[i].id));
             }
         }
-        let mut evicted = vec![false; view.batch.len()];
+        let mut evicted = vec![false; batch.len()];
         let mut victims = Vec::new();
         for &candidate in &order {
-            if victims.len() + 1 >= view.batch.len() {
+            if victims.len() + 1 >= batch.len() {
                 break; // keep at least one runner
             }
             evicted[candidate] = true;
-            victims.push(view.batch[candidate].id);
-            let remaining = view.batch.len() - victims.len();
-            let max_seq = view
-                .batch
+            victims.push(batch[candidate].id);
+            let remaining = batch.len() - victims.len();
+            let max_seq = batch
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !evicted[*i])
@@ -422,11 +422,15 @@ impl MemoryPressureEviction {
     /// progress).
     fn resumable(&self, view: &EngineView<'_>) -> usize {
         let count = view.fitting_prefix(
-            view.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(1),
+            view.batch()
+                .iter()
+                .map(BatchSlot::seq_len)
+                .max()
+                .unwrap_or(1),
             Self::watermark_bytes(view, self.low_watermark),
             view.evicted.iter().map(|e| e.slot.seq_len()),
         );
-        if count == 0 && view.batch.is_empty() && !view.evicted.is_empty() {
+        if count == 0 && view.running == 0 && !view.evicted.is_empty() {
             1 // a request that does not fit under the watermark alone never will
         } else {
             count
@@ -440,12 +444,15 @@ impl MemoryPressureEviction {
     /// evictions.
     fn admissible_under_watermark(&self, view: &EngineView<'_>) -> usize {
         let count = view.fitting_prefix(
-            view.batch.iter().map(BatchSlot::seq_len).max().unwrap_or(0),
+            view.batch()
+                .iter()
+                .map(BatchSlot::seq_len)
+                .max()
+                .unwrap_or(0),
             Self::watermark_bytes(view, self.high_watermark),
             view.queue.iter().map(|w| w.request.prompt_len),
         );
-        if count == 0 && view.batch.is_empty() && view.evicted.is_empty() && !view.queue.is_empty()
-        {
+        if count == 0 && view.running == 0 && view.evicted.is_empty() && !view.queue.is_empty() {
             1 // nothing fits alone: admit it anyway rather than deadlock
         } else {
             count

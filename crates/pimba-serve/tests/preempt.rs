@@ -287,7 +287,7 @@ impl Scheduler for ScriptedPreempt {
 
     fn decide(&mut self, view: &EngineView<'_>) -> Action {
         if !self.evicted_once {
-            if let Some(slot) = view.batch.iter().find(|s| s.id == self.victim) {
+            if let Some(slot) = view.batch().iter().find(|s| s.id == self.victim) {
                 if slot.generated >= 3 {
                     self.evicted_once = true;
                     return Action::Preempt {

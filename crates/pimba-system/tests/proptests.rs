@@ -2,6 +2,7 @@
 //! ordering between the system design points, and monotonicity in the workload size.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
+use pimba_models::ops::OpKind;
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::serving::ServingSimulator;
 use proptest::prelude::*;
@@ -28,41 +29,59 @@ fn batch() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Every (model, system) pair: all seven families at both scales, on all
-/// five systems at the matching deployment scale.
-fn every_model_and_system() -> Vec<(ModelConfig, ServingSimulator)> {
-    let families = [
-        ModelFamily::RetNet,
-        ModelFamily::Gla,
-        ModelFamily::Hgrn2,
-        ModelFamily::Mamba2,
-        ModelFamily::Zamba2,
-        ModelFamily::Opt,
-        ModelFamily::Llama,
-    ];
-    let systems = [
-        SystemKind::Gpu,
-        SystemKind::GpuQuant,
-        SystemKind::GpuPim,
-        SystemKind::Pimba,
-        SystemKind::NeuPims,
-    ];
-    let mut pairs = Vec::new();
+const FAMILIES: [ModelFamily; 7] = [
+    ModelFamily::RetNet,
+    ModelFamily::Gla,
+    ModelFamily::Hgrn2,
+    ModelFamily::Mamba2,
+    ModelFamily::Zamba2,
+    ModelFamily::Opt,
+    ModelFamily::Llama,
+];
+
+const SYSTEMS: [SystemKind; 5] = [
+    SystemKind::Gpu,
+    SystemKind::GpuQuant,
+    SystemKind::GpuPim,
+    SystemKind::Pimba,
+    SystemKind::NeuPims,
+];
+
+/// Every model preset (all seven families at both scales) with the five
+/// systems at the matching deployment scale, in [`SYSTEMS`] order.
+fn every_model_with_systems() -> Vec<(ModelConfig, Vec<ServingSimulator>)> {
+    let mut models = Vec::new();
     for scale in ModelScale::ALL {
-        for family in families {
-            for kind in systems {
-                let config = match scale {
-                    ModelScale::Small => SystemConfig::small_scale(kind),
-                    ModelScale::Large => SystemConfig::large_scale(kind),
-                };
-                pairs.push((
-                    ModelConfig::preset(family, scale),
-                    ServingSimulator::new(config),
-                ));
-            }
+        for family in FAMILIES {
+            let sims = SYSTEMS
+                .iter()
+                .map(|&kind| {
+                    ServingSimulator::new(match scale {
+                        ModelScale::Small => SystemConfig::small_scale(kind),
+                        ModelScale::Large => SystemConfig::large_scale(kind),
+                    })
+                })
+                .collect();
+            models.push((ModelConfig::preset(family, scale), sims));
         }
     }
-    pairs
+    models
+}
+
+/// Every (model, system) pair of [`every_model_with_systems`].
+fn every_model_and_system() -> Vec<(ModelConfig, ServingSimulator)> {
+    every_model_with_systems()
+        .into_iter()
+        .flat_map(|(model, sims)| sims.into_iter().map(move |sim| (model.clone(), sim)))
+        .collect()
+}
+
+/// The simulator of `kind` among one model's [`SYSTEMS`].
+fn on(sims: &[ServingSimulator], kind: SystemKind) -> &ServingSimulator {
+    &sims[SYSTEMS
+        .iter()
+        .position(|&k| k == kind)
+        .expect("a compared system")]
 }
 
 proptest! {
@@ -148,5 +167,79 @@ proptest! {
         let large = sim.memory_usage_bytes(&model, b + 8, seq);
         prop_assert!(small > 0.0);
         prop_assert!(large >= small);
+    }
+
+    /// Memory use never falls when the batch or the sequence grows by one,
+    /// and neither quantizing the state (GPU+Q against GPU) nor Pimba's MX8
+    /// state (against GPU+PIM's fp16) ever takes more bytes. No slack.
+    #[test]
+    fn memory_is_monotone_and_ordered(b in 1usize..256, seq in 1usize..8192) {
+        for (model, sims) in every_model_with_systems() {
+            for sim in &sims {
+                let name = sim.config().kind.name();
+                let base = sim.memory_usage_bytes(&model, b, seq);
+                prop_assert!(sim.memory_usage_bytes(&model, b + 1, seq) >= base, "{} {name}: batch {b}", model.family);
+                prop_assert!(sim.memory_usage_bytes(&model, b, seq + 1) >= base, "{} {name}: seq {seq}", model.family);
+            }
+            let memory = |kind| on(&sims, kind).memory_usage_bytes(&model, b, seq);
+            prop_assert!(memory(SystemKind::GpuQuant) <= memory(SystemKind::Gpu), "{} GPU+Q", model.family);
+            prop_assert!(memory(SystemKind::Pimba) <= memory(SystemKind::GpuPim), "{} Pimba", model.family);
+        }
+    }
+
+    /// An op class is never slower on a system with more PIM capability for
+    /// it: Pimba's state update against GPU+PIM's and the GPU's, and NeuPIMs'
+    /// and Pimba's attention against the GPU's. No slack.
+    #[test]
+    fn pim_offload_never_slows_its_op_class(b in 1usize..256, seq in 1usize..8192) {
+        for (model, sims) in every_model_with_systems() {
+            let op = |kind, class| {
+                on(&sims, kind).generation_step(&model, b, seq).latency_of(class)
+            };
+            let state_update = |kind| op(kind, OpKind::StateUpdate);
+            let attention = |kind| op(kind, OpKind::Attention);
+            let family = model.family;
+            prop_assert!(state_update(SystemKind::Pimba) <= state_update(SystemKind::GpuPim), "{family}: b {b} seq {seq}");
+            prop_assert!(state_update(SystemKind::Pimba) <= state_update(SystemKind::Gpu), "{family}: b {b} seq {seq}");
+            prop_assert!(attention(SystemKind::NeuPims) <= attention(SystemKind::Gpu), "{family}: b {b} seq {seq}");
+            prop_assert!(attention(SystemKind::Pimba) <= attention(SystemKind::Gpu), "{family}: b {b} seq {seq}");
+        }
+    }
+
+    /// Every part of a step's energy is non-negative, and the total never
+    /// falls when the batch or the sequence grows by one. No slack.
+    #[test]
+    fn step_energy_is_non_negative_and_grows_with_work(b in 1usize..256, seq in 1usize..8192) {
+        for (model, sim) in every_model_and_system() {
+            let name = sim.config().kind.name();
+            let energy = sim.step_energy(&model, b, seq);
+            let parts = [
+                energy.state_update_io_pj,
+                energy.state_update_compute_pj,
+                energy.attention_io_pj,
+                energy.attention_compute_pj,
+                energy.gemm_pj,
+                energy.others_pj,
+            ];
+            prop_assert!(parts.iter().all(|&pj| pj >= 0.0), "{} {name}: {energy:?}", model.family);
+            let total = energy.total_pj();
+            prop_assert!(sim.step_energy(&model, b + 1, seq).total_pj() >= total, "{} {name}: batch {b}", model.family);
+            prop_assert!(sim.step_energy(&model, b, seq + 1).total_pj() >= total, "{} {name}: seq {seq}", model.family);
+        }
+    }
+
+    /// The op classes of a step sum to its total. Within a relative 1e-12,
+    /// not exactly: `total_ns` adds the operators in execution order, and the
+    /// per-class sum regroups them.
+    #[test]
+    fn op_classes_sum_to_the_step_total(b in 1usize..256, seq in 1usize..8192) {
+        for (model, sim) in every_model_and_system() {
+            let step = sim.generation_step(&model, b, seq);
+            let by_class: f64 = OpKind::ALL.iter().map(|&kind| step.latency_of(kind)).sum();
+            prop_assert!(
+                (by_class - step.total_ns).abs() <= 1e-12 * step.total_ns,
+                "{} {}: {by_class} vs {}", model.family, sim.config().kind.name(), step.total_ns
+            );
+        }
     }
 }
