@@ -1,14 +1,22 @@
 //! Serving-engine hot-loop throughput: per-step event loop vs macro-step
 //! fast-forwarding, on identical traces.
 //!
-//! For every (scenario × policy) cell the same trace is simulated twice on the
-//! Pimba system — once with `fast_forward: false` (the step-by-step oracle:
-//! one event, one scheduler call, one dense-table latency read and one
-//! step-clock batch update per decode step, on the same single-flight
-//! event source and the same latency tables) and once with
-//! `fast_forward: true` — and the two `SimResult`s are asserted
-//! **bit-identical** before any number is reported. The speedup therefore
-//! measures macro-step fast-forwarding alone.
+//! Every cell simulates the same trace twice — once with
+//! `fast_forward: false` (the step-by-step oracle: one event, one scheduler
+//! call, one dense-table latency read and one step-clock batch update per
+//! decode step, on the same single-flight event source and the same latency
+//! tables) and once with `fast_forward: true` — and the two `SimResult`s
+//! are asserted **bit-identical** before any number is reported. The
+//! speedup therefore measures macro-step fast-forwarding alone. Two groups
+//! of cells:
+//!
+//! * Mamba-2 on Pimba at seq bucket 64, every (scenario × policy): an
+//!   attention-free step whose latency holds at every length;
+//! * Llama and Zamba2 on Pimba and the GPU at seq bucket 1, both scenarios
+//!   under continuous batching: attention makes every decode step a new
+//!   bucket, so fast-forward folds across bucket crossings over runs of
+//!   table entries.
+//!
 //! Reported per cell: wall time, simulation events per second of wall time,
 //! and the wall-time speedup. Writes `results/BENCH_serve_hotloop.json`.
 //!
@@ -45,6 +53,9 @@ fn scenarios() -> [Scenario; 2] {
 }
 
 struct Cell {
+    system: &'static str,
+    model: &'static str,
+    seq_bucket: usize,
     scenario: String,
     policy: &'static str,
     events: u64,
@@ -58,13 +69,42 @@ struct Cell {
 /// A realistic SLO-constrained replica: decode batches capped at 64 (between
 /// the GPU's and Pimba's `max_batch_within_slo` capacity under the
 /// `serving_traffic` interactive SLO), seq-bucketed latency lookups.
-fn engine_config(fast_forward: bool) -> EngineConfig {
+fn engine_config(seq_bucket: usize, fast_forward: bool) -> EngineConfig {
     EngineConfig {
         max_batch: 64,
-        seq_bucket: 64,
+        seq_bucket,
         fast_forward,
         ..EngineConfig::default()
     }
+}
+
+/// One group of bench cells: a model on a system at one seq bucket, over
+/// every listed scenario and policy.
+struct Group {
+    system: SystemKind,
+    family: ModelFamily,
+    seq_bucket: usize,
+    policies: Vec<PolicyKind>,
+}
+
+fn groups() -> Vec<Group> {
+    let mut groups = vec![Group {
+        system: SystemKind::Pimba,
+        family: ModelFamily::Mamba2,
+        seq_bucket: 64,
+        policies: policies().to_vec(),
+    }];
+    for system in [SystemKind::Pimba, SystemKind::Gpu] {
+        for family in [ModelFamily::Llama, ModelFamily::Zamba2] {
+            groups.push(Group {
+                system,
+                family,
+                seq_bucket: 1,
+                policies: vec![PolicyKind::Continuous],
+            });
+        }
+    }
+    groups
 }
 
 fn simulate(
@@ -72,22 +112,22 @@ fn simulate(
     model: &ModelConfig,
     trace: &pimba_serve::traffic::Trace,
     policy: PolicyKind,
-    fast_forward: bool,
+    config: EngineConfig,
 ) -> SimResult {
     let mut scheduler = policy.build();
-    Engine::new(sim, model, engine_config(fast_forward)).run(trace, scheduler.as_mut())
+    Engine::new(sim, model, config).run(trace, scheduler.as_mut())
 }
 
 fn bench_cells(c: &mut Criterion) {
     let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let trace = Scenario::reasoning().generate(24.0, requests_per_cell(), 2025);
-    c.bench_function("serve_hotloop_reasoning_continuous_per_step", |b| {
-        b.iter(|| simulate(&sim, &model, &trace, PolicyKind::Continuous, false))
-    });
-    c.bench_function("serve_hotloop_reasoning_continuous_fast_forward", |b| {
-        b.iter(|| simulate(&sim, &model, &trace, PolicyKind::Continuous, true))
-    });
+    for (name, fast_forward) in [("per_step", false), ("fast_forward", true)] {
+        let config = engine_config(64, fast_forward);
+        c.bench_function(&format!("serve_hotloop_reasoning_continuous_{name}"), |b| {
+            b.iter(|| simulate(&sim, &model, &trace, PolicyKind::Continuous, config))
+        });
+    }
 }
 
 fn record_results(_c: &mut Criterion) {
@@ -95,8 +135,6 @@ fn record_results(_c: &mut Criterion) {
         println!("(bench filter given — skipping hot-loop recording)");
         return;
     }
-    let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
-    let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let n = requests_per_cell();
 
     // Opt-in self-profiling: with PIMBA_PROFILE set, the process-wide phase
@@ -109,41 +147,57 @@ fn record_results(_c: &mut Criterion) {
     }
 
     let mut cells: Vec<Cell> = Vec::new();
-    for scenario in scenarios() {
-        // A saturating arrival rate: deep queues and full batches are the
-        // regime the hot loop matters in.
-        let trace = scenario.generate(24.0, n, 2025);
-        for policy in policies() {
-            // Divergence gate first: the engines must agree bit for bit.
-            let per_step = simulate(&sim, &model, &trace, policy, false);
-            let fast = simulate(&sim, &model, &trace, policy, true);
-            assert_eq!(
-                per_step,
-                fast,
-                "fast-forward diverged from the per-step oracle on {}/{}",
-                scenario.name,
-                policy.name()
-            );
-            assert_eq!(per_step.outcomes.len(), trace.len(), "requests lost");
-            let events = per_step.telemetry.events;
+    for group in groups() {
+        let model = ModelConfig::preset(group.family, ModelScale::Small);
+        let sim = ServingSimulator::new(SystemConfig::small_scale(group.system));
+        for scenario in scenarios() {
+            // A saturating arrival rate: deep queues and full batches are the
+            // regime the hot loop matters in.
+            let trace = scenario.generate(24.0, n, 2025);
+            for &policy in &group.policies {
+                let per_step_config = engine_config(group.seq_bucket, false);
+                let fast_config = engine_config(group.seq_bucket, true);
+                // Divergence gate first: the engines must agree bit for bit.
+                let per_step = simulate(&sim, &model, &trace, policy, per_step_config);
+                let fast = simulate(&sim, &model, &trace, policy, fast_config);
+                assert_eq!(
+                    per_step,
+                    fast,
+                    "fast-forward diverged from the per-step oracle on {}/{}/{}/{}",
+                    group.system.name(),
+                    group.family.name(),
+                    scenario.name,
+                    policy.name()
+                );
+                assert_eq!(per_step.outcomes.len(), trace.len(), "requests lost");
+                let events = per_step.telemetry.events;
 
-            let per_step_s =
-                bench::median_secs(5, || simulate(&sim, &model, &trace, policy, false));
-            let fast_s = bench::median_secs(5, || simulate(&sim, &model, &trace, policy, true));
-            cells.push(Cell {
-                scenario: scenario.name.clone(),
-                policy: policy.name(),
-                events,
-                per_step_ms: per_step_s * 1e3,
-                fast_forward_ms: fast_s * 1e3,
-                speedup: per_step_s / fast_s,
-                per_step_events_per_s: events as f64 / per_step_s,
-                fast_forward_events_per_s: events as f64 / fast_s,
-            });
+                let per_step_s = bench::median_secs(5, || {
+                    simulate(&sim, &model, &trace, policy, per_step_config)
+                });
+                let fast_s =
+                    bench::median_secs(5, || simulate(&sim, &model, &trace, policy, fast_config));
+                cells.push(Cell {
+                    system: group.system.name(),
+                    model: group.family.name(),
+                    seq_bucket: group.seq_bucket,
+                    scenario: scenario.name.clone(),
+                    policy: policy.name(),
+                    events,
+                    per_step_ms: per_step_s * 1e3,
+                    fast_forward_ms: fast_s * 1e3,
+                    speedup: per_step_s / fast_s,
+                    per_step_events_per_s: events as f64 / per_step_s,
+                    fast_forward_events_per_s: events as f64 / fast_s,
+                });
+            }
         }
     }
 
     let header = [
+        "system",
+        "model",
+        "bucket",
         "scenario",
         "policy",
         "events",
@@ -157,6 +211,9 @@ fn record_results(_c: &mut Criterion) {
         .iter()
         .map(|c| {
             vec![
+                c.system.to_string(),
+                c.model.to_string(),
+                c.seq_bucket.to_string(),
                 c.scenario.to_string(),
                 c.policy.to_string(),
                 c.events.to_string(),
@@ -179,10 +236,14 @@ fn record_results(_c: &mut Criterion) {
         .iter()
         .map(|c| {
             format!(
-                "    {{\"scenario\": \"{}\", \"policy\": \"{}\", \"events\": {}, \
+                "    {{\"system\": \"{}\", \"model\": \"{}\", \"seq_bucket\": {}, \
+                 \"scenario\": \"{}\", \"policy\": \"{}\", \"events\": {}, \
                  \"per_step_ms\": {:.4}, \"fast_forward_ms\": {:.4}, \"speedup\": {:.2}, \
                  \"per_step_events_per_s\": {:.0}, \"fast_forward_events_per_s\": {:.0}, \
                  \"bit_identical\": true}}",
+                c.system,
+                c.model,
+                c.seq_bucket,
                 c.scenario,
                 c.policy,
                 c.events,
@@ -195,7 +256,7 @@ fn record_results(_c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"serve_hotloop\",\n  \"system\": \"Pimba\",\n  \
+        "{{\n  \"bench\": \"serve_hotloop\",\n  \
          \"requests_per_cell\": {n},\n  \"rate_rps\": 24.0,\n  \"cells\": [\n{}\n  ]\n}}\n",
         json_cells.join(",\n"),
     );

@@ -46,11 +46,15 @@ fn assert_in_readme(table: &str) {
 /// The `serve_hotloop` table: per-step oracle vs fast-forward engine.
 fn hotloop_table(artifact: &Json) -> String {
     let mut table = String::from(
-        "| scenario | policy | per-step | fast-forward | speedup |\n|---|---|---:|---:|---:|\n",
+        "| system | model | seq bucket | scenario | policy | per-step | fast-forward | speedup |\n\
+         |---|---|---:|---|---|---:|---:|---:|\n",
     );
     for cell in list(artifact, "cells") {
         table += &format!(
-            "| {} | {} | {:.2} ms | {:.2} ms | {:.1}× |\n",
+            "| {} | {} | {} | {} | {} | {:.2} ms | {:.2} ms | {:.1}× |\n",
+            text(cell, "system"),
+            text(cell, "model"),
+            num(cell, "seq_bucket"),
             text(cell, "scenario"),
             text(cell, "policy"),
             num(cell, "per_step_ms"),

@@ -18,16 +18,36 @@ pub(crate) struct KernelEfficiency {
     pub(crate) memory: f64,
 }
 
+/// The roofline denominators of one operator kind on one device: peak
+/// rates scaled by the kind's efficiency.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct KernelRates {
+    /// Achieved FLOP/s.
+    flops_per_s: f64,
+    /// Achieved bytes/s.
+    bytes_per_s: f64,
+}
+
 /// Analytic latency model for GPU kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuKernelModel {
     device: GpuDevice,
+    /// Per operator kind, indexed by `OpKind as usize`: derived once here
+    /// rather than per kernel.
+    rates: [KernelRates; OpKind::ALL.len()],
 }
 
 impl GpuKernelModel {
     /// Builds the model for `device`.
     pub fn new(device: GpuDevice) -> Self {
-        Self { device }
+        let rates = OpKind::ALL.map(|kind| {
+            let eff = Self::efficiency(kind);
+            KernelRates {
+                flops_per_s: device.fp16_tflops * 1e12 * eff.compute,
+                bytes_per_s: device.mem_bw_gbps * 1e9 * eff.memory,
+            }
+        });
+        Self { device, rates }
     }
 
     /// The underlying device.
@@ -36,7 +56,7 @@ impl GpuKernelModel {
     }
 
     /// Efficiency factors for one operator kind.
-    pub(crate) fn efficiency(&self, kind: OpKind) -> KernelEfficiency {
+    pub(crate) fn efficiency(kind: OpKind) -> KernelEfficiency {
         match kind {
             // Dense projections hit the tensor cores hard and stream weights well.
             OpKind::Gemm => KernelEfficiency {
@@ -72,9 +92,9 @@ impl GpuKernelModel {
         if cost.flops == 0.0 && cost.total_bytes() == 0.0 {
             return 0.0;
         }
-        let eff = self.efficiency(kind);
-        let compute_ns = cost.flops / (self.device.fp16_tflops * 1e12 * eff.compute) * 1e9;
-        let memory_ns = cost.total_bytes() / (self.device.mem_bw_gbps * 1e9 * eff.memory) * 1e9;
+        let rates = self.rates[kind as usize];
+        let compute_ns = cost.flops / rates.flops_per_s * 1e9;
+        let memory_ns = cost.total_bytes() / rates.bytes_per_s * 1e9;
         compute_ns.max(memory_ns) + self.device.kernel_overhead_ns
     }
 
@@ -82,9 +102,9 @@ impl GpuKernelModel {
     /// (the GPU+Q baseline): identical compute, reduced bytes (already reflected in the
     /// cost), plus a small dequantization overhead on the compute side.
     pub fn quantized_kernel_latency_ns(&self, kind: OpKind, cost: &OpCost) -> f64 {
-        let eff = self.efficiency(kind);
-        let compute_ns = cost.flops * 1.1 / (self.device.fp16_tflops * 1e12 * eff.compute) * 1e9;
-        let memory_ns = cost.total_bytes() / (self.device.mem_bw_gbps * 1e9 * eff.memory) * 1e9;
+        let rates = self.rates[kind as usize];
+        let compute_ns = cost.flops * 1.1 / rates.flops_per_s * 1e9;
+        let memory_ns = cost.total_bytes() / rates.bytes_per_s * 1e9;
         compute_ns.max(memory_ns) + self.device.kernel_overhead_ns
     }
 
@@ -104,6 +124,23 @@ mod tests {
 
     fn model() -> GpuKernelModel {
         GpuKernelModel::new(GpuDevice::a100())
+    }
+
+    #[test]
+    fn rates_are_indexed_by_kind() {
+        let m = model();
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+            let eff = GpuKernelModel::efficiency(kind);
+            assert_eq!(
+                m.rates[i].flops_per_s,
+                m.device.fp16_tflops * 1e12 * eff.compute
+            );
+            assert_eq!(
+                m.rates[i].bytes_per_s,
+                m.device.mem_bw_gbps * 1e9 * eff.memory
+            );
+        }
     }
 
     #[test]

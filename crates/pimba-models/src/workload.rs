@@ -201,8 +201,8 @@ impl GenerationWorkload {
     /// whose cost or shape depends on the sequence length — every other operator is a
     /// function of `(config, batch, formats)` alone. Seq-invariant fast paths (the
     /// sweep-row evaluator of `pimba-system`) exploit this by evaluating the rest of
-    /// the step once and calling this helper per sequence length; because the full
-    /// workload builder delegates to the same function, the two can never disagree
+    /// the step once and costing [`AttentionRow::op`] per sequence length; because
+    /// this function builds its operator the same way, the two can never disagree
     /// on a single bit of the attention cost.
     pub fn attention_op(
         config: &ModelConfig,
@@ -210,32 +210,7 @@ impl GenerationWorkload {
         seq_len: usize,
         formats: StorageFormats,
     ) -> Option<OpInstance> {
-        if Self::step_is_seq_invariant(config) {
-            return None;
-        }
-        let b = batch as f64;
-        let act_bytes = formats.activations.bytes_per_value();
-        let kv_bytes = formats.kv_cache.bytes_per_value();
-        let layers = config.n_attention_layers as f64;
-        let heads = config.n_heads as f64;
-        let dh = config.dim_head as f64;
-        let s = seq_len as f64;
-        let cost = OpCost::new(
-            4.0 * b * layers * heads * s * dh,
-            b * layers * heads * (2.0 * s * dh * kv_bytes + 2.0 * dh * act_bytes),
-            b * layers * heads * (2.0 * dh * kv_bytes + dh * act_bytes),
-        );
-        Some(OpInstance::new(
-            OpKind::Attention,
-            cost,
-            OpShape::Attention {
-                batch,
-                layers: config.n_attention_layers,
-                heads: config.n_heads,
-                dim_head: config.dim_head,
-                seq_len,
-            },
-        ))
+        AttentionRow::new(config, batch, formats).map(|row| row.op(seq_len))
     }
 
     /// Builds the workload of a whole prefill over `prompt_len` tokens. Prefill is
@@ -311,6 +286,89 @@ impl GenerationWorkload {
     /// Total device memory footprint (parameters + states + KV caches) in bytes.
     pub fn total_memory_bytes(&self) -> f64 {
         self.param_bytes() + self.state_bytes() + self.kv_bytes()
+    }
+}
+
+/// The attention operator of one `(config, batch, formats)` row with its
+/// seq-invariant factors derived once: [`AttentionRow::op`] builds the
+/// operator at any sequence length with the same multiplications, in the
+/// same left-to-right order, as building it anew.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttentionRow {
+    batch: usize,
+    layers: usize,
+    heads: usize,
+    dim_head: usize,
+    /// `4·b·L·H`: the FLOP count before the sequence length and head
+    /// width multiply in.
+    flops_prefix: f64,
+    /// `b·L·H`: the batch-wide head count both byte terms scale by.
+    batch_heads: f64,
+    dim_head_f: f64,
+    kv_bytes: f64,
+    /// `2·dh·act`: the query and output activations read per head.
+    activation_read: f64,
+    /// The whole write term: one new key/value and one output per head.
+    bytes_written: f64,
+}
+
+impl AttentionRow {
+    /// The row of `config` at `batch`, or `None` for attention-free models
+    /// ([`GenerationWorkload::step_is_seq_invariant`]).
+    pub fn new(config: &ModelConfig, batch: usize, formats: StorageFormats) -> Option<Self> {
+        if GenerationWorkload::step_is_seq_invariant(config) {
+            return None;
+        }
+        let b = batch as f64;
+        let act_bytes = formats.activations.bytes_per_value();
+        let kv_bytes = formats.kv_cache.bytes_per_value();
+        let layers = config.n_attention_layers as f64;
+        let heads = config.n_heads as f64;
+        let dh = config.dim_head as f64;
+        let batch_heads = b * layers * heads;
+        Some(Self {
+            batch,
+            layers: config.n_attention_layers,
+            heads: config.n_heads,
+            dim_head: config.dim_head,
+            flops_prefix: 4.0 * b * layers * heads,
+            batch_heads,
+            dim_head_f: dh,
+            kv_bytes,
+            activation_read: 2.0 * dh * act_bytes,
+            bytes_written: batch_heads * (2.0 * dh * kv_bytes + dh * act_bytes),
+        })
+    }
+
+    /// The operator's cost at `seq_len` cached tokens.
+    pub fn cost(&self, seq_len: usize) -> OpCost {
+        let s = seq_len as f64;
+        let dh = self.dim_head_f;
+        OpCost::new(
+            self.flops_prefix * s * dh,
+            self.batch_heads * (2.0 * s * dh * self.kv_bytes + self.activation_read),
+            self.bytes_written,
+        )
+    }
+
+    /// The operator at `seq_len` cached tokens.
+    pub fn op(&self, seq_len: usize) -> OpInstance {
+        OpInstance::new(
+            OpKind::Attention,
+            self.cost(seq_len),
+            OpShape::Attention {
+                batch: self.batch,
+                layers: self.layers,
+                heads: self.heads,
+                dim_head: self.dim_head,
+                seq_len,
+            },
+        )
+    }
+
+    /// `(batch, layers, heads, dim_head)` of the operator's shape.
+    pub fn shape(&self) -> (usize, usize, usize, usize) {
+        (self.batch, self.layers, self.heads, self.dim_head)
     }
 }
 

@@ -13,7 +13,7 @@
 //! spanning two banks, area-matched to Pimba); `NeuPimsLike` is the comparator of
 //! Figure 15.
 
-use crate::kernels::{self, PimLatency};
+use crate::kernels::{self, DeviceMode, PimLatency};
 use pimba_dram::geometry::DramGeometry;
 use pimba_dram::timing::TimingParams;
 use pimba_models::ops::OpShape;
@@ -131,7 +131,7 @@ impl PimDesign {
 
     /// `tCCD_L` slots a unit needs per attention column (read only — scores and the
     /// attend accumulation never write the KV cache back).
-    pub fn attention_slots_per_column(&self) -> u64 {
+    pub(crate) fn attention_slots_per_column(&self) -> u64 {
         match self.kind {
             PimDesignKind::Pimba => 1,
             PimDesignKind::PipelinedPerBank | PimDesignKind::NeuPimsLike => 1,
@@ -171,6 +171,12 @@ impl PimDesign {
     /// Latency of a full state-update operator in nanoseconds (convenience wrapper).
     pub fn state_update_latency_ns(&self, shape: &OpShape) -> Option<f64> {
         self.state_update_latency(shape).map(|l| l.latency_ns)
+    }
+
+    /// The seq-invariant factors of this design's attention latency (see
+    /// [`DeviceMode`]).
+    pub fn attention_mode(&self) -> DeviceMode {
+        DeviceMode::new(self, false, self.attention_slots_per_column())
     }
 
     /// Latency (and energy) of executing a full attention operator (score + attend) on

@@ -61,24 +61,63 @@ fn refresh_penalty(design: &PimDesign) -> f64 {
     t.t_refi as f64 / (t.t_refi - t.t_rfc) as f64
 }
 
-fn device_latency(
-    design: &PimDesign,
-    total_elements: f64,
+/// The per-(design, mode) factors of an operator's PIM latency: everything
+/// but the element count it streams. A caller costing one mode at many sizes
+/// (a step table fills the attention operator of one batch row at every
+/// sequence length) derives them once with [`PimDesign::attention_mode`];
+/// [`attention_latency`] and [`state_update_latency`] derive them per call.
+/// Both paths evaluate the same formula through one private method.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceMode {
     writes_back: bool,
-    slots_per_column: u64,
-) -> PimLatency {
-    let g = design.geometry;
-    let t = design.timing;
-    let elems_per_col = design.elements_per_column() as f64;
-    let columns_total = (total_elements / elems_per_col).ceil();
-    let pcs = g.pseudo_channels() as f64;
-    let columns_per_pc = (columns_total / pcs).ceil();
-    let columns_per_group = (g.banks_per_pseudo_channel() * g.columns_per_row()) as f64;
-    let groups = (columns_per_pc / columns_per_group).max(1.0);
+    elems_per_col: f64,
+    pseudo_channels: f64,
+    columns_per_group: f64,
+    group_cycles: f64,
+    refresh_penalty: f64,
+    cycle_ns: f64,
+}
 
-    let group_cycles = row_group_cycles(design, slots_per_column, writes_back);
-    let cycles = groups * group_cycles * refresh_penalty(design);
-    let latency_ns = cycles * t.cycle_ns();
+impl DeviceMode {
+    /// The mode of `design` streaming with `slots_per_column` `tCCD_L` slots
+    /// per column, writing results back or not.
+    pub(crate) fn new(design: &PimDesign, writes_back: bool, slots_per_column: u64) -> Self {
+        let g = design.geometry;
+        Self {
+            writes_back,
+            elems_per_col: design.elements_per_column() as f64,
+            pseudo_channels: g.pseudo_channels() as f64,
+            columns_per_group: (g.banks_per_pseudo_channel() * g.columns_per_row()) as f64,
+            group_cycles: row_group_cycles(design, slots_per_column, writes_back),
+            refresh_penalty: refresh_penalty(design),
+            cycle_ns: design.timing.cycle_ns(),
+        }
+    }
+
+    /// Columns streamed device-wide for `total_elements`, and the cycles of
+    /// the critical pseudo-channel.
+    fn columns_and_cycles(&self, total_elements: f64) -> (f64, f64) {
+        let columns_total = (total_elements / self.elems_per_col).ceil();
+        let columns_per_pc = (columns_total / self.pseudo_channels).ceil();
+        let groups = (columns_per_pc / self.columns_per_group).max(1.0);
+        (
+            columns_total,
+            groups * self.group_cycles * self.refresh_penalty,
+        )
+    }
+
+    /// Latency in nanoseconds of streaming `total_elements` — the
+    /// [`PimLatency::latency_ns`] of the full operator costing, without its
+    /// energy accounting.
+    pub fn latency_ns(&self, total_elements: f64) -> f64 {
+        self.columns_and_cycles(total_elements).1 * self.cycle_ns
+    }
+}
+
+fn device_latency(design: &PimDesign, mode: &DeviceMode, total_elements: f64) -> PimLatency {
+    let g = design.geometry;
+    let (columns_total, cycles) = mode.columns_and_cycles(total_elements);
+    let latency_ns = cycles * mode.cycle_ns;
 
     // Energy accounting: every column is an internal access; every touched row is an
     // activation; operands/results cross the IO pins once per chunk.
@@ -91,7 +130,7 @@ fn device_latency(
         column_pj: columns_total
             * col_bits
             * model.column_pj_per_bit
-            * if writes_back { 2.0 } else { 1.0 },
+            * if mode.writes_back { 2.0 } else { 1.0 },
         io_pj: io_transfers * col_bits * model.io_pj_per_bit,
         pim_compute_pj: columns_total * g.column_bytes as f64 * model.pim_compute_pj_per_byte,
     };
@@ -125,12 +164,8 @@ pub fn state_update_latency(design: &PimDesign, shape: &OpShape) -> PimLatency {
     };
     let total_elements =
         batch as f64 * layers as f64 * heads as f64 * dim_head as f64 * dim_state as f64;
-    device_latency(
-        design,
-        total_elements,
-        true,
-        design.state_update_slots_per_column(),
-    )
+    let mode = DeviceMode::new(design, true, design.state_update_slots_per_column());
+    device_latency(design, &mode, total_elements)
 }
 
 /// Latency of a full attention operator (score + attend over the whole KV cache) on
@@ -150,15 +185,21 @@ pub fn attention_latency(design: &PimDesign, shape: &OpShape) -> PimLatency {
     else {
         panic!("attention_latency requires an Attention shape");
     };
-    // Keys are streamed in the score phase, values in the attend phase.
     let total_elements =
-        2.0 * batch as f64 * layers as f64 * heads as f64 * dim_head as f64 * seq_len as f64;
-    device_latency(
-        design,
-        total_elements,
-        false,
-        design.attention_slots_per_column(),
-    )
+        attention_elements_per_token(batch, layers, heads, dim_head) * seq_len as f64;
+    device_latency(design, &design.attention_mode(), total_elements)
+}
+
+/// KV elements an attention operator streams per cached token: keys in the
+/// score phase, values in the attend phase. Times the sequence length, this
+/// is the element count [`attention_latency`] costs.
+pub fn attention_elements_per_token(
+    batch: usize,
+    layers: usize,
+    heads: usize,
+    dim_head: usize,
+) -> f64 {
+    2.0 * batch as f64 * layers as f64 * heads as f64 * dim_head as f64
 }
 
 #[cfg(test)]

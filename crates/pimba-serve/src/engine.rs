@@ -61,11 +61,14 @@
 //!   bit for bit) plus the running telemetry sums, folded over every
 //!   event-free stretch in one loop, instead of an event push/pop, a
 //!   scheduler consult, a latency lookup and a batch bookkeeping update.
-//!   A segment of constant membership runs to the next completion; seq-bucket
-//!   crossings inside it re-read the step latency in line (never, for a
-//!   seq-invariant table), and — when nothing is waiting — completions are
-//!   absorbed without leaving the macro-step; first-token and completion
-//!   times are reconstructed exactly.
+//!   A segment of constant membership runs to the next completion. Its
+//!   event-free stretches fold across seq-bucket crossings: the latency
+//!   table hands the fold a run of consecutive bucket latencies within one
+//!   page ([`StepLatencyTable::step_run`]; one entry of unbounded length
+//!   for a seq-invariant table), so a step that enters a new bucket costs
+//!   an array read, not a table call. When nothing is waiting, completions
+//!   are absorbed without leaving the macro-step; first-token and
+//!   completion times are reconstructed exactly.
 //! * **A step-clock batch** (both modes) — every member decodes one token
 //!   per step, so the batch keeps one clock instead of a per-slot token
 //!   count: a member is its slot on joining plus the clock ticks since.
@@ -114,7 +117,7 @@
 //! one macro-step. A crash or a queue cancellation drops the park.
 
 use crate::event::{EventKind, SingleFlightEvents};
-use crate::metrics::{PreemptionStats, RequestOutcome, SimResult, Telemetry};
+use crate::metrics::{self, PreemptionStats, RequestOutcome, SimResult, StepRun, Telemetry};
 use crate::sched::{Action, DecodeStability, Scheduler};
 use crate::traffic::{Trace, TraceRequest};
 use pimba_models::config::ModelConfig;
@@ -1021,14 +1024,9 @@ impl<'a> Session<'a> {
         self.compute_scale = scale;
     }
 
-    /// Applies the compute-latency multiplier. The `== 1.0` guard keeps the
-    /// default path byte-for-byte free of the multiplication.
+    /// Applies the compute-latency multiplier (see [`metrics::scaled`]).
     fn scaled(&self, latency_ns: f64) -> f64 {
-        if self.compute_scale == 1.0 {
-            latency_ns
-        } else {
-            latency_ns * self.compute_scale
-        }
+        metrics::scaled(latency_ns, self.compute_scale)
     }
 
     /// Injects one arrival at `request.arrival_ns` under the caller's `id`
@@ -1405,13 +1403,6 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Latency of one decode step over `batch` requests whose longest
-    /// sequence is `seq_len`, under the compute scale.
-    fn step_latency_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
-        let raw = self.steps.step_ns(batch, seq_len);
-        self.scaled(raw)
-    }
-
     /// Marginal cost of extending one request's prefill from `already` to
     /// `already + tokens` prompt tokens, as the difference of cumulative
     /// batch-1 prefills. This charges each chunk for attention against the
@@ -1435,12 +1426,14 @@ impl<'a> Session<'a> {
     /// the event queue. The macro-step is built from *segments* of constant
     /// batch membership: a segment ends only at the earliest request
     /// completion (or at an interrupt, below). Within a segment the longest
-    /// sequence after `executed` steps is `seq0 + executed`, so the step
-    /// latency is re-read in line from the latency table whenever that length
-    /// enters a new seq bucket — and never when the table reports the step
-    /// seq-invariant (an attention-free model). What hands control back to
-    /// the dispatcher depends on the scheduler's certified
-    /// [`DecodeStability`]:
+    /// sequence after `executed` steps is `seq0 + executed`, so step `k`
+    /// costs the latency of the bucket holding `seq0 + k`. Event-free
+    /// stretches fold over a run of those bucket latencies read from the
+    /// latency table at once, up to the table page's end (a seq-invariant
+    /// table, an attention-free model, answers one entry for every length);
+    /// the loop re-reads the latency only where a fold or a boundary step
+    /// left off. What hands control back to the dispatcher depends on the
+    /// scheduler's certified [`DecodeStability`]:
     ///
     /// * completions do at [`DecodeStability::UntilAdmissible`] only when
     ///   something is waiting at that moment, and at
@@ -1497,7 +1490,10 @@ impl<'a> Session<'a> {
             } = self.running.aggregates();
             let seq0 = max_seq.max(1);
             let occupancy = self.running.len();
-            let mut step_ns = self.step_latency_ns(occupancy, seq0);
+            // The table's latency of the current bucket, and the same
+            // under the compute scale.
+            let mut raw_ns = self.steps.step_ns(occupancy, seq0);
+            let mut step_ns = self.scaled(raw_ns);
             let mut last_seq = bucket_end(seq0);
             let absorb_arrivals = match stability {
                 DecodeStability::UntilBatchDrains => true,
@@ -1513,17 +1509,19 @@ impl<'a> Session<'a> {
                 // entering a new bucket it costs what the table says there.
                 let seq = seq0 + executed;
                 if seq > last_seq {
-                    step_ns = self.step_latency_ns(occupancy, seq);
+                    raw_ns = self.steps.step_ns(occupancy, seq);
+                    step_ns = self.scaled(raw_ns);
                     last_seq = bucket_end(seq);
                 }
                 // Fast region: while the next pending event and the co-sim
-                // horizon are both beyond the step being executed, the step
-                // is not the segment's last and the latency holds, nothing
-                // can change the batch or the queue — the per-step work
-                // collapses to the `now + step` time chain, committed to
-                // telemetry in one bit-identical fold. The slow path below
-                // then handles the next boundary step (park, absorb or
-                // completion), or the loop re-reads the latency.
+                // horizon are both beyond the step being executed and the
+                // step is not the segment's last, nothing can change the
+                // batch or the queue — the per-step work collapses to the
+                // `now + step` time chain over the table's run of bucket
+                // latencies, committed to telemetry in one bit-identical
+                // fold. The slow path below then handles the next boundary
+                // step (park, absorb or completion), or the loop re-reads
+                // the latency where the run ended.
                 if to_completion - executed > 1 {
                     let pending = self.events.peek_time_ns().unwrap_or(f64::INFINITY);
                     let bound = if horizon_ns < pending {
@@ -1531,10 +1529,35 @@ impl<'a> Session<'a> {
                     } else {
                         pending
                     };
+                    let first_steps = last_seq - seq + 1;
+                    let mut max_steps = to_completion - executed - 1;
+                    let mut entries = 1;
+                    if max_steps > first_steps {
+                        // Size the run to the steps the fold may take:
+                        // latencies never fall as sequences grow, so no
+                        // more than `(bound - now) / step_ns + 1` fit
+                        // before the bound. An estimate short of the truth
+                        // only ends the fold early.
+                        let fit = ((bound - self.now_ns) / step_ns) as usize;
+                        max_steps = max_steps.min(fit.saturating_add(1));
+                        entries += max_steps.saturating_sub(first_steps).div_ceil(bucket);
+                    }
+                    // A fold within the current bucket needs no table read.
+                    let latencies = if entries == 1 {
+                        std::slice::from_ref(&raw_ns)
+                    } else {
+                        self.steps.step_run(occupancy, seq, entries)
+                    };
+                    let run = StepRun {
+                        latencies,
+                        first_steps,
+                        steps_per_entry: bucket,
+                        compute_scale: self.compute_scale,
+                    };
                     let (folded, now) = self.telemetry.record_chain_until(
                         self.now_ns,
-                        step_ns,
-                        (to_completion - executed - 1).min(last_seq - seq + 1),
+                        run,
+                        max_steps,
                         bound,
                         self.queue.len(),
                         occupancy,

@@ -87,6 +87,28 @@ pub struct TelemetryStats {
     pub mean_queue_depth: f64,
 }
 
+/// A latency under a compute-latency multiplier. The `== 1.0` guard keeps
+/// the default path byte-for-byte free of the multiplication.
+pub(crate) fn scaled(latency_ns: f64, compute_scale: f64) -> f64 {
+    if compute_scale == 1.0 {
+        latency_ns
+    } else {
+        latency_ns * compute_scale
+    }
+}
+
+/// Consecutive decode-step latencies a telemetry fold advances over, as a
+/// latency table reads them: `latencies[0]` holds for the first
+/// `first_steps` steps and every later entry for `steps_per_entry` steps
+/// (one seq bucket each), each under `compute_scale` (see [`scaled`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepRun<'a> {
+    pub(crate) latencies: &'a [f64],
+    pub(crate) first_steps: usize,
+    pub(crate) steps_per_entry: usize,
+    pub(crate) compute_scale: f64,
+}
+
 /// The streaming telemetry collector of one engine run: exact aggregates of
 /// the queue/occupancy state, updated at every event in constant memory.
 #[derive(Debug, Clone, Default)]
@@ -128,21 +150,22 @@ impl Telemetry {
         self.events += 1;
     }
 
-    /// Advances the chained timestamp `start_ns + step_ns`, `(start_ns +
-    /// step_ns) + step_ns`, … while it stays strictly below `bound_ns` (at
-    /// most `max_steps` times), recording every visited timestamp as one
-    /// sample at the given queue depth and occupancy. The accumulation
-    /// performs exactly the floating-point operations the same number of
-    /// [`record`](Self::record) calls would, so aggregates stay bit-identical
-    /// to per-step recording; the first event (which pins the span's start)
-    /// must already have been recorded. Returns how many steps were taken
-    /// and the final timestamp. The hot decode loop of the serving engine
-    /// uses this to collapse event-free step stretches into one
+    /// Advances the chained timestamp `start_ns + step`, then that plus
+    /// the next step, and so on, over the decode-step latencies of `run`,
+    /// while it stays strictly below `bound_ns` (at most `max_steps` times),
+    /// recording every visited timestamp as one sample at the given queue
+    /// depth and occupancy. The accumulation performs exactly the
+    /// floating-point operations the same number of [`record`](Self::record)
+    /// calls would, so aggregates stay bit-identical to per-step recording;
+    /// the first event (which pins the span's start) must already have been
+    /// recorded. Returns how many steps were taken and the final timestamp.
+    /// The hot decode loop of the serving engine uses this to collapse
+    /// event-free step stretches, across seq-bucket crossings, into one
     /// latency-bound float chain.
     pub(crate) fn record_chain_until(
         &mut self,
         start_ns: f64,
-        step_ns: f64,
+        run: StepRun<'_>,
         max_steps: usize,
         bound_ns: f64,
         queue_depth: usize,
@@ -159,19 +182,30 @@ impl Telemetry {
         let mut last_ns = self.last_ns;
         let mut time_ns = start_ns;
         let mut count = 0usize;
-        while count < max_steps {
-            let t_next = time_ns + step_ns;
-            if t_next >= bound_ns {
+        'run: for (i, &raw_ns) in run.latencies.iter().enumerate() {
+            let step_ns = scaled(raw_ns, run.compute_scale);
+            let steps = if i == 0 {
+                run.first_steps
+            } else {
+                run.steps_per_entry
+            };
+            for _ in 0..steps.min(max_steps - count) {
+                let t_next = time_ns + step_ns;
+                if t_next >= bound_ns {
+                    break 'run;
+                }
+                time_ns = t_next;
+                let elapsed = t_next - last_ns;
+                weighted += last_occupancy * elapsed;
+                weighted_queue += last_queue * elapsed;
+                last_ns = t_next;
+                last_queue = queue;
+                last_occupancy = occupancy;
+                count += 1;
+            }
+            if count == max_steps {
                 break;
             }
-            time_ns = t_next;
-            let elapsed = t_next - last_ns;
-            weighted += last_occupancy * elapsed;
-            weighted_queue += last_queue * elapsed;
-            last_ns = t_next;
-            last_queue = queue;
-            last_occupancy = occupancy;
-            count += 1;
         }
         if count > 0 {
             self.weighted_queue_ns = weighted_queue;

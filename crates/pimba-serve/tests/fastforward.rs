@@ -3,7 +3,8 @@
 //! queue-depth and occupancy integrals see every event) and makespan — over
 //! random traces, all three shipped schedulers, both system families, an
 //! attention-free, a hybrid and a transformer model (seq-invariant steps, and
-//! latencies re-read at bucket crossings inside a segment), and compute
+//! latencies read in runs of seq buckets and folded across bucket crossings
+//! and table page edges inside a segment), and compute
 //! scales of 1, 0.5 and 3 (the slowdown windows of fleet fault injection), all
 //! through the folded time chain. A session driven through dense windows
 //! foreign to its events, as a fleet drives it, must stay bit-identical too
@@ -23,6 +24,9 @@ use proptest::prelude::*;
 const SYSTEMS: [SystemKind; 2] = [SystemKind::Gpu, SystemKind::Pimba];
 const MODELS: [ModelFamily; 3] = [ModelFamily::Mamba2, ModelFamily::Zamba2, ModelFamily::Llama];
 const COMPUTE_SCALES: [f64; 3] = [1.0, 0.5, 3.0];
+/// Seq buckets 3 and 100 do not divide a latency table's 256-slot page, so
+/// a fold's runs end at page edges that fall mid-bucket in sequence terms.
+const SEQ_BUCKETS: [usize; 5] = [1, 3, 32, 64, 100];
 const POLICIES: [PolicyKind; 3] = [
     PolicyKind::FcfsStatic,
     PolicyKind::Continuous,
@@ -155,7 +159,7 @@ proptest! {
         rate_rps in 1.0f64..48.0,
         n_requests in 10usize..50,
         seed in 0u64..u64::MAX,
-        seq_bucket_idx in 0usize..3,
+        seq_bucket_idx in 0usize..SEQ_BUCKETS.len(),
         max_batch in 2usize..64,
         scale_idx in 0usize..COMPUTE_SCALES.len(),
     ) {
@@ -167,7 +171,7 @@ proptest! {
             rate_rps,
             n_requests,
             seed,
-            [1usize, 32, 64][seq_bucket_idx],
+            SEQ_BUCKETS[seq_bucket_idx],
             max_batch,
             COMPUTE_SCALES[scale_idx],
         );

@@ -41,8 +41,7 @@
 //!   time goes. Wall time never feeds back into simulated time.
 
 use netline::{Json, JsonLines, LineError};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -412,31 +411,120 @@ pub struct MetricSeries {
     pub(crate) value: MetricValue,
 }
 
-type SeriesKey = (String, Vec<(String, String)>);
+/// Appends the injective encoding of the sorted label set of `labels` to
+/// `out`: every key and value as its byte length in decimal, `:`, then its
+/// bytes, in `(key, value)` order (ties keep call order, as a stable sort
+/// would). The length prefixes make any label text safe, separators
+/// included. `order` is the sort's working buffer, reused across calls.
+fn encode_labels(out: &mut String, order: &mut Vec<usize>, labels: &[(&str, &str)]) {
+    order.clear();
+    order.extend(0..labels.len());
+    // Insertion sort: label sets are short and usually arrive sorted.
+    for i in 1..order.len() {
+        let mut j = i;
+        while j > 0 && labels[order[j - 1]] > labels[order[j]] {
+            order.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+    for &i in order.iter() {
+        let (key, value) = labels[i];
+        for part in [key, value] {
+            push_decimal(out, part.len());
+            out.push(':');
+            out.push_str(part);
+        }
+    }
+}
+
+/// Appends `n` in decimal, without the formatting machinery.
+fn push_decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// The labels [`encode_labels`] encoded into `key`, in their sorted order.
+fn decode_labels(key: &str) -> Vec<(String, String)> {
+    /// Splits the next length-prefixed part off the front of `rest`.
+    fn take(rest: &mut &str) -> String {
+        let (len, tail) = rest.split_once(':').expect("a length-prefixed label");
+        let (part, tail) = tail.split_at(len.parse().expect("a label length"));
+        *rest = tail;
+        part.to_string()
+    }
+    let mut rest = key;
+    let mut labels = Vec::new();
+    while !rest.is_empty() {
+        let key = take(&mut rest);
+        labels.push((key, take(&mut rest)));
+    }
+    labels
+}
+
+/// The series of a [`MetricsHub`]: by name, then by encoded label set.
+#[derive(Debug, Default)]
+struct Registry {
+    series: BTreeMap<String, HashMap<String, MetricValue>>,
+    /// The reused buffers each call sorts and encodes its label set in.
+    key: String,
+    order: Vec<usize>,
+}
+
+impl Registry {
+    /// Applies `update` to the series `(name, labels)`, or creates it as
+    /// `init()` — the only point that allocates, and only for a new series.
+    fn upsert(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> MetricValue,
+        update: impl FnOnce(&mut MetricValue),
+    ) {
+        self.key.clear();
+        encode_labels(&mut self.key, &mut self.order, labels);
+        match self.series.get_mut(name) {
+            Some(by_labels) => match by_labels.get_mut(self.key.as_str()) {
+                Some(value) => update(value),
+                None => {
+                    by_labels.insert(self.key.clone(), init());
+                }
+            },
+            None => {
+                let by_labels = HashMap::from([(self.key.clone(), init())]);
+                self.series.insert(name.to_string(), by_labels);
+            }
+        }
+    }
+}
 
 /// A clone-to-share registry of named metric series. Like [`TraceSink`], a
 /// default-constructed hub is disabled and every recording call is a single
 /// branch; an enabled hub is only ever *written* by the simulation layers, so
 /// attaching one cannot change results.
 ///
-/// Labels are sorted on entry, and [`MetricsHub::snapshot`] iterates the
-/// underlying `BTreeMap`, so snapshots are deterministic regardless of
-/// recording order or thread interleaving.
+/// Series are stored by name, then by their label set sorted and encoded as
+/// one string. Each call encodes its labels into a buffer the registry
+/// reuses and allocates only when it creates a series, so updating an
+/// existing series is allocation-free. [`MetricsHub::snapshot`] decodes the
+/// labels and orders series by name, then labels, so snapshots are
+/// deterministic regardless of recording order or thread interleaving.
 ///
-/// Every call builds its series key and takes the registry's one lock, so
-/// exporters fold per-sample data locally and publish each series once: a
-/// run's per-request latencies are folded per tenant into local
-/// [`Histogram`]s and published with [`MetricsHub::merge_histogram`].
+/// Every call takes the registry's one lock, so exporters fold per-sample
+/// data locally and publish each series once: a run's per-request latencies
+/// are folded per tenant into local [`Histogram`]s and published with
+/// [`MetricsHub::merge_histogram`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    inner: Option<Arc<Mutex<BTreeMap<SeriesKey, MetricValue>>>>,
+    inner: Option<Arc<Mutex<Registry>>>,
 }
 
 impl MetricsHub {
     /// An enabled, empty hub.
     pub fn new() -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(BTreeMap::new()))),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -451,50 +539,52 @@ impl MetricsHub {
         self.inner.is_some()
     }
 
-    fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        (name.to_string(), labels)
+    fn upsert(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> MetricValue,
+        update: impl FnOnce(&mut MetricValue),
+    ) {
+        let Some(inner) = &self.inner else { return };
+        let mut registry = inner.lock().expect("metrics registry poisoned");
+        registry.upsert(name, labels, init, update);
     }
 
     /// Adds `delta` to a counter series (created at zero).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(Self::key(name, labels))
-            .or_insert(MetricValue::Counter(0))
-        {
-            MetricValue::Counter(n) => *n += delta,
-            other => *other = MetricValue::Counter(delta),
-        }
+        self.upsert(
+            name,
+            labels,
+            || MetricValue::Counter(delta),
+            |value| match value {
+                MetricValue::Counter(n) => *n += delta,
+                other => *other = MetricValue::Counter(delta),
+            },
+        );
     }
 
     /// Sets a gauge series to `value`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        map.insert(Self::key(name, labels), MetricValue::Gauge(value));
+        self.upsert(
+            name,
+            labels,
+            || MetricValue::Gauge(value),
+            |slot| *slot = MetricValue::Gauge(value),
+        );
     }
 
     /// Records one sample into a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-        {
+        let fresh = || {
+            let mut h = Histogram::default();
+            h.observe(value);
+            MetricValue::Histogram(h)
+        };
+        self.upsert(name, labels, fresh, |slot| match slot {
             MetricValue::Histogram(h) => h.observe(value),
-            other => {
-                let mut h = Histogram::default();
-                h.observe(value);
-                *other = MetricValue::Histogram(h);
-            }
-        }
+            other => *other = fresh(),
+        });
     }
 
     /// Adds a locally filled histogram into a histogram series in one call:
@@ -509,23 +599,17 @@ impl MetricsHub {
     /// samples adds the two sums at once, so its `sum` may differ in the last
     /// ulp from observing every sample in turn.
     pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], hist: &Histogram) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        match map.entry(Self::key(name, labels)) {
-            Entry::Occupied(mut entry) => match entry.get_mut() {
-                MetricValue::Histogram(h) => {
-                    h.count += hist.count;
-                    h.sum += hist.sum;
-                    for (total, n) in h.buckets.iter_mut().zip(&hist.buckets) {
-                        *total += n;
-                    }
+        let fresh = || MetricValue::Histogram(hist.clone());
+        self.upsert(name, labels, fresh, |slot| match slot {
+            MetricValue::Histogram(h) => {
+                h.count += hist.count;
+                h.sum += hist.sum;
+                for (total, n) in h.buckets.iter_mut().zip(&hist.buckets) {
+                    *total += n;
                 }
-                other => *other = MetricValue::Histogram(hist.clone()),
-            },
-            Entry::Vacant(entry) => {
-                entry.insert(MetricValue::Histogram(hist.clone()));
             }
-        }
+            other => *other = fresh(),
+        });
     }
 
     /// A deterministic (name, then labels) ordered snapshot of every series.
@@ -534,16 +618,18 @@ impl MetricsHub {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|((name, labels), value)| MetricSeries {
+        let registry = inner.lock().expect("metrics registry poisoned");
+        let mut out = Vec::new();
+        for (name, by_labels) in &registry.series {
+            let start = out.len();
+            out.extend(by_labels.iter().map(|(key, value)| MetricSeries {
                 name: name.clone(),
-                labels: labels.clone(),
+                labels: decode_labels(key),
                 value: value.clone(),
-            })
-            .collect()
+            }));
+            out[start..].sort_unstable_by(|a, b| a.labels.cmp(&b.labels));
+        }
+        out
     }
 
     /// Renders the snapshot as one canonical JSON object:
@@ -551,43 +637,49 @@ impl MetricsHub {
     /// Histograms list only their non-empty buckets as `[index, count]`
     /// pairs.
     pub fn to_json(&self) -> String {
-        let series = self.snapshot().into_iter().map(|series| {
-            let labels = series
-                .labels
-                .into_iter()
-                .map(|(k, v)| Json::Arr(vec![Json::Str(k), Json::Str(v)]))
-                .collect();
-            let mut fields = vec![
-                ("name", Json::Str(series.name)),
-                ("labels", Json::Arr(labels)),
-            ];
-            match series.value {
-                MetricValue::Counter(n) => {
-                    fields.extend([("kind", Json::str("counter")), ("value", Json::uint(n))]);
-                }
-                MetricValue::Gauge(v) => {
-                    fields.extend([("kind", Json::str("gauge")), ("value", Json::Num(v))]);
-                }
-                MetricValue::Histogram(h) => {
-                    let buckets = h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &n)| n > 0)
-                        .map(|(b, &n)| Json::Arr(vec![Json::uint(b as u64), Json::uint(n)]))
-                        .collect();
-                    fields.extend([
-                        ("kind", Json::str("histogram")),
-                        ("count", Json::uint(h.count)),
-                        ("sum", Json::Num(h.sum)),
-                        ("buckets", Json::Arr(buckets)),
-                    ]);
-                }
-            }
-            Json::obj(fields)
-        });
-        Json::obj(vec![("metrics", Json::Arr(series.collect()))]).render()
+        render_metrics_json(self.snapshot())
     }
+}
+
+/// The canonical JSON of a [`MetricsHub::snapshot`] (see
+/// [`MetricsHub::to_json`]).
+fn render_metrics_json(snapshot: Vec<MetricSeries>) -> String {
+    let series = snapshot.into_iter().map(|series| {
+        let labels = series
+            .labels
+            .into_iter()
+            .map(|(k, v)| Json::Arr(vec![Json::Str(k), Json::Str(v)]))
+            .collect();
+        let mut fields = vec![
+            ("name", Json::Str(series.name)),
+            ("labels", Json::Arr(labels)),
+        ];
+        match series.value {
+            MetricValue::Counter(n) => {
+                fields.extend([("kind", Json::str("counter")), ("value", Json::uint(n))]);
+            }
+            MetricValue::Gauge(v) => {
+                fields.extend([("kind", Json::str("gauge")), ("value", Json::Num(v))]);
+            }
+            MetricValue::Histogram(h) => {
+                let buckets = h
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &n)| n > 0)
+                    .map(|(b, &n)| Json::Arr(vec![Json::uint(b as u64), Json::uint(n)]))
+                    .collect();
+                fields.extend([
+                    ("kind", Json::str("histogram")),
+                    ("count", Json::uint(h.count)),
+                    ("sum", Json::Num(h.sum)),
+                    ("buckets", Json::Arr(buckets)),
+                ]);
+            }
+        }
+        Json::obj(fields)
+    });
+    Json::obj(vec![("metrics", Json::Arr(series.collect()))]).render()
 }
 
 // ---------------------------------------------------------------------------
@@ -702,6 +794,7 @@ pub fn profile_report_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn disabled_sink_never_runs_the_closure() {
@@ -878,6 +971,200 @@ mod tests {
         let off = MetricsHub::disabled();
         off.merge_histogram("x", &[], &local);
         assert!(off.snapshot().is_empty());
+    }
+
+    /// The registry as it was before series were stored by name and then
+    /// by encoded labels, kept verbatim as the reference model of
+    /// `registry_matches_the_btreemap_reference`.
+    mod reference {
+        use super::super::{render_metrics_json, Histogram, MetricSeries, MetricValue};
+        use std::collections::btree_map::Entry;
+        use std::collections::BTreeMap;
+        use std::sync::{Arc, Mutex};
+
+        type SeriesKey = (String, Vec<(String, String)>);
+
+        #[derive(Debug, Clone, Default)]
+        pub(super) struct MetricsHub {
+            inner: Option<Arc<Mutex<BTreeMap<SeriesKey, MetricValue>>>>,
+        }
+
+        impl MetricsHub {
+            pub(super) fn new() -> Self {
+                Self {
+                    inner: Some(Arc::new(Mutex::new(BTreeMap::new()))),
+                }
+            }
+
+            fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+                let mut labels: Vec<(String, String)> = labels
+                    .iter()
+                    .map(|&(k, v)| (k.to_string(), v.to_string()))
+                    .collect();
+                labels.sort();
+                (name.to_string(), labels)
+            }
+
+            pub(super) fn counter(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
+                let Some(inner) = &self.inner else { return };
+                let mut map = inner.lock().expect("metrics registry poisoned");
+                match map
+                    .entry(Self::key(name, labels))
+                    .or_insert(MetricValue::Counter(0))
+                {
+                    MetricValue::Counter(n) => *n += delta,
+                    other => *other = MetricValue::Counter(delta),
+                }
+            }
+
+            pub(super) fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+                let Some(inner) = &self.inner else { return };
+                let mut map = inner.lock().expect("metrics registry poisoned");
+                map.insert(Self::key(name, labels), MetricValue::Gauge(value));
+            }
+
+            pub(super) fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+                let Some(inner) = &self.inner else { return };
+                let mut map = inner.lock().expect("metrics registry poisoned");
+                match map
+                    .entry(Self::key(name, labels))
+                    .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
+                {
+                    MetricValue::Histogram(h) => h.observe(value),
+                    other => {
+                        let mut h = Histogram::default();
+                        h.observe(value);
+                        *other = MetricValue::Histogram(h);
+                    }
+                }
+            }
+
+            pub(super) fn merge_histogram(
+                &self,
+                name: &str,
+                labels: &[(&str, &str)],
+                hist: &Histogram,
+            ) {
+                let Some(inner) = &self.inner else { return };
+                let mut map = inner.lock().expect("metrics registry poisoned");
+                match map.entry(Self::key(name, labels)) {
+                    Entry::Occupied(mut entry) => match entry.get_mut() {
+                        MetricValue::Histogram(h) => {
+                            h.count += hist.count;
+                            h.sum += hist.sum;
+                            for (total, n) in h.buckets.iter_mut().zip(&hist.buckets) {
+                                *total += n;
+                            }
+                        }
+                        other => *other = MetricValue::Histogram(hist.clone()),
+                    },
+                    Entry::Vacant(entry) => {
+                        entry.insert(MetricValue::Histogram(hist.clone()));
+                    }
+                }
+            }
+
+            pub(super) fn snapshot(&self) -> Vec<MetricSeries> {
+                let Some(inner) = &self.inner else {
+                    return Vec::new();
+                };
+                inner
+                    .lock()
+                    .expect("metrics registry poisoned")
+                    .iter()
+                    .map(|((name, labels), value)| MetricSeries {
+                        name: name.clone(),
+                        labels: labels.clone(),
+                        value: value.clone(),
+                    })
+                    .collect()
+            }
+
+            pub(super) fn to_json(&self) -> String {
+                render_metrics_json(self.snapshot())
+            }
+        }
+    }
+
+    /// Names and label texts that prefix each other, compare differently
+    /// as numbers and as strings, are empty, or hold the label encoding's
+    /// separator and digits.
+    const NAMES: [&str; 4] = ["ttft", "ttft_ms", "t:1", ""];
+    const LABEL_TEXT: [&str; 8] = ["cell", "cel", "9", "10", "", ":", "1:x", "tenant"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn registry_matches_the_btreemap_reference(
+            ops in prop::collection::vec(0u64..u64::MAX, 1..48),
+        ) {
+            let hub = MetricsHub::new();
+            let reference = reference::MetricsHub::new();
+            for op in ops {
+                // Each field of the operation comes from its own bits.
+                let bits = |shift: u32, modulus: u64| ((op >> shift) % modulus) as usize;
+                let name = NAMES[bits(0, NAMES.len() as u64)];
+                let labels: Vec<(&str, &str)> = (0..bits(4, 4))
+                    .map(|i| {
+                        let text = |shift| LABEL_TEXT[bits(shift, LABEL_TEXT.len() as u64)];
+                        (text(8 + 8 * i as u32), text(12 + 8 * i as u32))
+                    })
+                    .collect();
+                let value = (op >> 40) as f64 / 4096.0;
+                match bits(36, 4) {
+                    0 => {
+                        hub.counter(name, &labels, op >> 56);
+                        reference.counter(name, &labels, op >> 56);
+                    }
+                    1 => {
+                        hub.gauge(name, &labels, value);
+                        reference.gauge(name, &labels, value);
+                    }
+                    2 => {
+                        hub.observe(name, &labels, value);
+                        reference.observe(name, &labels, value);
+                    }
+                    _ => {
+                        let mut local = Histogram::default();
+                        for sample in [value, value * 1e-3, 7.0][..1 + bits(2, 3)].iter() {
+                            local.observe(*sample);
+                        }
+                        hub.merge_histogram(name, &labels, &local);
+                        reference.merge_histogram(name, &labels, &local);
+                    }
+                }
+                prop_assert_eq!(hub.snapshot(), reference.snapshot());
+                prop_assert_eq!(hub.to_json(), reference.to_json());
+            }
+        }
+    }
+
+    #[test]
+    fn label_encoding_is_injective_and_sorted() {
+        let encode = |labels: &[(&str, &str)]| {
+            let mut key = String::new();
+            encode_labels(&mut key, &mut Vec::new(), labels);
+            key
+        };
+        // Concatenations that would collide without length prefixes.
+        assert_ne!(encode(&[("a", "b:c")]), encode(&[("a:b", "c")]));
+        assert_ne!(encode(&[("1:a", "")]), encode(&[("1", "a")]));
+        assert_eq!(
+            encode(&[("b", "1"), ("a", "2")]),
+            encode(&[("a", "2"), ("b", "1")])
+        );
+        for labels in [
+            &[][..],
+            &[("", "")][..],
+            &[("x", "2"), ("x", "10"), (":", "3:a")][..],
+        ] {
+            let mut sorted: Vec<(String, String)> = labels
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            sorted.sort();
+            assert_eq!(decode_labels(&encode(labels)), sorted);
+        }
     }
 
     #[test]

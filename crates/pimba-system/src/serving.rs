@@ -8,7 +8,8 @@ use pimba_dram::energy::EnergyCounters;
 use pimba_gpu::kernels::GpuKernelModel;
 use pimba_models::config::ModelConfig;
 use pimba_models::ops::{OpCost, OpInstance, OpKind, OpShape};
-use pimba_models::workload::GenerationWorkload;
+use pimba_models::workload::{AttentionRow, GenerationWorkload};
+use pimba_pim::kernels::{attention_elements_per_token, DeviceMode};
 use std::sync::Arc;
 
 /// Where an operator executed.
@@ -126,6 +127,9 @@ impl RequestLatency {
 pub struct ServingSimulator {
     config: SystemConfig,
     gpu: GpuKernelModel,
+    /// The seq-invariant factors of the PIM attention latency when this
+    /// system offloads attention.
+    attention_mode: Option<DeviceMode>,
     cache: Option<Arc<LatencyCache>>,
 }
 
@@ -150,7 +154,17 @@ impl ServingSimulator {
 
     fn build(config: SystemConfig, cache: Option<Arc<LatencyCache>>) -> Self {
         let gpu = GpuKernelModel::new(config.cluster.device.clone());
-        Self { config, gpu, cache }
+        let attention_mode = config
+            .pim
+            .as_ref()
+            .filter(|_| config.offloads_attention())
+            .map(|pim| pim.attention_mode());
+        Self {
+            config,
+            gpu,
+            attention_mode,
+            cache,
+        }
     }
 
     /// The system configuration being simulated.
@@ -177,12 +191,26 @@ impl ServingSimulator {
         cost.scaled(1.0 / self.config.cluster.tensor_parallel as f64)
     }
 
-    fn gpu_latency(&self, op: &OpInstance) -> f64 {
-        let cost = self.shard_cost(&op.cost);
-        if self.config.kind == SystemKind::GpuQuant && op.kind.is_pim_offloadable() {
-            self.gpu.quantized_kernel_latency_ns(op.kind, &cost)
+    fn gpu_latency(&self, kind: OpKind, cost: &OpCost) -> f64 {
+        let cost = self.shard_cost(cost);
+        if self.config.kind == SystemKind::GpuQuant && kind.is_pim_offloadable() {
+            self.gpu.quantized_kernel_latency_ns(kind, &cost)
         } else {
-            self.gpu.kernel_latency_ns(op.kind, &cost)
+            self.gpu.kernel_latency_ns(kind, &cost)
+        }
+    }
+
+    /// Latency of the attention operator of `attention`'s row at `seq_len`
+    /// on the side [`ServingSimulator::evaluate_op`] picks for it, with the
+    /// same bits, but without building the operator's shape or the PIM's
+    /// energy counters.
+    fn attention_ns(&self, attention: &AttentionFill, seq_len: usize) -> f64 {
+        match &self.attention_mode {
+            Some(mode) => {
+                let elements = attention.elements_per_token * seq_len as f64;
+                mode.latency_ns(elements) / self.config.cluster.tensor_parallel as f64
+            }
+            None => self.gpu_latency(OpKind::Attention, &attention.row.cost(seq_len)),
         }
     }
 
@@ -210,7 +238,7 @@ impl ServingSimulator {
         // Operand transfer / result readback is part of the PIM schedule.
         let (side, latency_ns) = match self.pim_latency(op) {
             Some((pim_ns, _)) => (ExecutionSide::Pim, pim_ns),
-            None => (ExecutionSide::Gpu, self.gpu_latency(op)),
+            None => (ExecutionSide::Gpu, self.gpu_latency(op.kind, &op.cost)),
         };
         OpLatency {
             kind: op.kind,
@@ -246,28 +274,40 @@ impl ServingSimulator {
         // skipped and every other operator ignores it (the single invariant
         // `GenerationWorkload::attention_op` exists to encode).
         let workload = self.step_workload(model, batch, 1);
-        let mut pre = Vec::new();
-        let mut post = Vec::new();
-        let mut seen_attention = false;
+        let attention = AttentionRow::new(model, batch, self.config.formats).map(|row| {
+            let (batch, layers, heads, dim_head) = row.shape();
+            Box::new(AttentionFill {
+                row,
+                elements_per_token: attention_elements_per_token(batch, layers, heads, dim_head),
+            })
+        });
+        let communication = self.communication_op(model, batch);
+        // Exact capacity, so boxing the operators does not reallocate.
+        let mut ops = Vec::with_capacity(
+            workload.ops.len() - usize::from(attention.is_some())
+                + usize::from(communication.is_some()),
+        );
+        let mut pre_len = None;
         for op in &workload.ops {
             if op.kind == OpKind::Attention {
-                seen_attention = true;
-                continue;
-            }
-            let latency = self.evaluate_op(op);
-            if seen_attention {
-                post.push(latency);
+                pre_len = Some(ops.len());
             } else {
-                pre.push(latency);
+                ops.push(self.evaluate_op(op));
             }
         }
-        post.extend(self.communication_op(model, batch));
+        let pre_len = pre_len.unwrap_or(ops.len());
+        ops.extend(communication);
+        let ops = ops.into_boxed_slice();
+        let pre_ns = ops[..pre_len]
+            .iter()
+            .fold(0.0, |total, op| total + op.latency_ns);
         StepFunction {
             sim: self,
-            model,
             batch,
-            pre,
-            post,
+            ops,
+            pre_len,
+            pre_ns,
+            attention,
             memory: MemoryModel::new(&self.config, model),
         }
     }
@@ -415,22 +455,37 @@ impl ServingSimulator {
 ///
 /// Built by [`ServingSimulator::step_function`]. Everything that does not
 /// depend on the sequence length — all operators except attention, the
-/// tensor-parallel communication, the memory model — is evaluated exactly once
-/// at construction; per sequence length only the attention operator is
-/// evaluated. Sum order matches
+/// tensor-parallel communication, the memory model, the sum of the operators
+/// preceding attention and the seq-invariant factors of attention itself — is
+/// evaluated exactly once at construction; per sequence length only the
+/// attention latency is evaluated, from those factors. Sum order matches
 /// [`ServingSimulator::generation_step`] term for term, so totals are
-/// bit-identical, not merely close.
+/// bit-identical, not merely close. One is built per batch row of a
+/// [`StepLatencyTable`](crate::table::StepLatencyTable), so the attention
+/// factors sit behind a box and the struct stays small.
 #[derive(Debug, Clone)]
 pub struct StepFunction<'a> {
     sim: &'a ServingSimulator,
-    model: &'a ModelConfig,
     batch: usize,
-    /// Evaluated operators preceding attention in workload order.
-    pre: Vec<OpLatency>,
-    /// Evaluated operators following attention (communication last).
-    post: Vec<OpLatency>,
+    /// Evaluated operators in workload order without attention
+    /// (communication last).
+    ops: Box<[OpLatency]>,
+    /// How many of `ops` precede attention.
+    pre_len: usize,
+    /// The latencies of `ops[..pre_len]` added in order from `0.0`.
+    pre_ns: f64,
+    /// The attention operator, `None` for attention-free models.
+    attention: Option<Box<AttentionFill>>,
     /// Closed-form memory accounting of this `(system, model)`.
     memory: MemoryModel<'a>,
+}
+
+/// The seq-invariant part of one step-function row's attention operator.
+#[derive(Debug, Clone)]
+struct AttentionFill {
+    row: AttentionRow,
+    /// KV elements the PIM streams per cached token.
+    elements_per_token: f64,
 }
 
 impl StepFunction<'_> {
@@ -442,17 +497,13 @@ impl StepFunction<'_> {
     /// The full latency breakdown of one generation step at `seq_len` —
     /// bit-identical to `generation_step(model, batch, seq_len)`.
     pub fn breakdown(&self, seq_len: usize) -> StepBreakdown {
-        let mut ops = Vec::with_capacity(self.pre.len() + self.post.len() + 1);
-        ops.extend_from_slice(&self.pre);
-        if let Some(op) = GenerationWorkload::attention_op(
-            self.model,
-            self.batch,
-            seq_len,
-            self.sim.config.formats,
-        ) {
-            ops.push(self.sim.evaluate_op(&op));
+        let (pre, post) = self.ops.split_at(self.pre_len);
+        let mut ops = Vec::with_capacity(self.ops.len() + 1);
+        ops.extend_from_slice(pre);
+        if let Some(attention) = &self.attention {
+            ops.push(self.sim.evaluate_op(&attention.row.op(seq_len)));
         }
-        ops.extend_from_slice(&self.post);
+        ops.extend_from_slice(post);
         let total_ns = ops.iter().map(|o| o.latency_ns).sum();
         StepBreakdown { ops, total_ns }
     }
@@ -460,22 +511,15 @@ impl StepFunction<'_> {
     /// The total step latency at `seq_len` without materializing the
     /// breakdown — the same additions in the same order as
     /// [`StepFunction::breakdown`]'s `total_ns` (and therefore as
-    /// `generation_step`), just with no per-call allocation. This is the fill
+    /// `generation_step`), starting from the cached pre-attention sum, with
+    /// no per-call allocation and no energy accounting. This is the fill
     /// path of the dense [`StepLatencyTable`](crate::table::StepLatencyTable).
     pub fn total_ns(&self, seq_len: usize) -> f64 {
-        let mut total = 0.0;
-        for op in &self.pre {
-            total += op.latency_ns;
+        let mut total = self.pre_ns;
+        if let Some(attention) = &self.attention {
+            total += self.sim.attention_ns(attention, seq_len);
         }
-        if let Some(op) = GenerationWorkload::attention_op(
-            self.model,
-            self.batch,
-            seq_len,
-            self.sim.config.formats,
-        ) {
-            total += self.sim.evaluate_op(&op).latency_ns;
-        }
-        for op in &self.post {
+        for op in &self.ops[self.pre_len..] {
             total += op.latency_ns;
         }
         total
@@ -658,6 +702,13 @@ mod tests {
         assert!(
             h100.generation_throughput(&m, 128, 2048) > a100.generation_throughput(&m, 128, 2048)
         );
+    }
+
+    #[test]
+    fn step_functions_stay_small() {
+        // Step tables hold one per batch row; the attention factors sit
+        // behind a box so that caching them does not grow the row.
+        assert!(std::mem::size_of::<StepFunction<'_>>() <= 112);
     }
 
     #[test]

@@ -19,7 +19,15 @@
 //! same entry, and the engine never re-reads it as sequences grow
 //! ([`StepLatencyTable::seq_invariant`]).
 //!
-//! Step entries fill through a per-row [`StepFunction`]; prefill entries fill
+//! A caller walking a growing sequence reads consecutive buckets of one row
+//! in one call ([`StepLatencyTable::step_run`]): the run stops at its page's
+//! end, and its missing entries fill in one pass. The engine's folded decode
+//! path reads this way, so a decode step entering a new bucket costs an array
+//! read rather than a table call; a seq-invariant table answers a run of one
+//! entry that holds at every length.
+//!
+//! Step entries fill through a per-row [`StepFunction`], which derives
+//! everything but the attention latency once per row; prefill entries fill
 //! from the backing [`ServingSimulator`], whose prefill cache computes a
 //! prefill repeated across the cells of a grid once globally. A table entry
 //! stores the exact `f64` the simulator returns; reads are bit-identical to
@@ -61,15 +69,14 @@ impl DenseRows {
         }
     }
 
-    /// The memoized value at `(batch, slot)`, computing it on first access;
-    /// `None` when the coordinates fall outside the table (the caller falls
-    /// back to the simulator).
-    fn get_or_fill(
-        &mut self,
-        batch: usize,
-        slot: usize,
-        fill: impl FnOnce() -> f64,
-    ) -> Option<f64> {
+    /// The entries of `slot`'s page of row `batch` from `slot` to the page's
+    /// end, allocating the row's page directory and the page on first
+    /// touch; `None` when the coordinates fall outside the table (the caller
+    /// falls back to the simulator).
+    // Forced inline: left out of line, it cost the one-entry read of the
+    // per-step decode path about 1.5 ns (a third) in a release micro-bench.
+    #[inline(always)]
+    fn page_from(&mut self, batch: usize, slot: usize) -> Option<&mut [f64]> {
         if slot >= self.slots {
             return None;
         }
@@ -79,13 +86,47 @@ impl DenseRows {
             *row = vec![None; slots.div_ceil(PAGE)].into_boxed_slice();
         }
         let page = slot / PAGE;
-        let entry = &mut row[page].get_or_insert_with(|| {
+        let entries = row[page].get_or_insert_with(|| {
             vec![f64::NAN; PAGE.min(slots - page * PAGE)].into_boxed_slice()
-        })[slot % PAGE];
+        });
+        Some(&mut entries[slot % PAGE..])
+    }
+
+    /// The memoized value at `(batch, slot)`, computing it on first access;
+    /// `None` outside the table.
+    fn get_or_fill(
+        &mut self,
+        batch: usize,
+        slot: usize,
+        fill: impl FnOnce() -> f64,
+    ) -> Option<f64> {
+        let entry = &mut self.page_from(batch, slot)?[0];
         if entry.is_nan() {
             *entry = fill();
         }
         Some(*entry)
+    }
+
+    /// The memoized values of up to `max_len` consecutive slots of row
+    /// `batch` from `slot`, all within `slot`'s page (the run ends early at
+    /// the page's end), computing each missing entry as `fill(slot index)`
+    /// in one pass; `None` outside the table.
+    fn run_or_fill(
+        &mut self,
+        batch: usize,
+        slot: usize,
+        max_len: usize,
+        mut fill: impl FnMut(usize) -> f64,
+    ) -> Option<&[f64]> {
+        let rest = self.page_from(batch, slot)?;
+        let len = max_len.min(rest.len());
+        let run = &mut rest[..len];
+        for (offset, entry) in run.iter_mut().enumerate() {
+            if entry.is_nan() {
+                *entry = fill(slot + offset);
+            }
+        }
+        Some(run)
     }
 }
 
@@ -93,10 +134,15 @@ impl DenseRows {
 /// the per-run fast path of the serving engine's hot loop.
 ///
 /// Entries fill through a per-batch-row [`StepFunction`]: the seq-invariant
-/// operators are evaluated once per row and only the attention operator is
-/// evaluated per bucket, bit-identical to `generation_step` (its fill path
-/// sums the same values in the same order). An attention-free model has no per-bucket operator, so
-/// its table holds one slot per row.
+/// operators, their sum and the seq-invariant factors of attention are
+/// evaluated once per row and only the attention latency is evaluated per
+/// bucket, bit-identical to `generation_step` (its fill path sums the same
+/// values in the same order). An attention-free model has no per-bucket
+/// operator, so its table holds one slot per row.
+///
+/// [`StepLatencyTable::step_run`] reads consecutive buckets of one row at
+/// once, so a caller walking a growing sequence (the engine's folded decode
+/// path) pays one call per page rather than one per bucket.
 #[derive(Debug)]
 pub struct StepLatencyTable<'a> {
     sim: &'a ServingSimulator,
@@ -106,6 +152,9 @@ pub struct StepLatencyTable<'a> {
     rows: DenseRows,
     /// One lazily built seq-invariant evaluator per batch row.
     step_fns: Vec<Option<StepFunction<'a>>>,
+    /// The answer of the last one-entry run read outside the table's rows
+    /// (or from a seq-invariant table), which the run borrows.
+    fallback: f64,
 }
 
 impl<'a> StepLatencyTable<'a> {
@@ -132,6 +181,7 @@ impl<'a> StepLatencyTable<'a> {
             seq_invariant,
             rows: DenseRows::new(slots, max_batch),
             step_fns: vec![None; max_batch + 1],
+            fallback: f64::NAN,
         }
     }
 
@@ -162,6 +212,34 @@ impl<'a> StepLatencyTable<'a> {
             }
             // Beyond the declared batch bound: answer from the simulator.
             None => sim.generation_step(model, batch, bucketed).total_ns,
+        }
+    }
+
+    /// The step latencies of `batch` requests at consecutive seq buckets,
+    /// starting at the one holding `seq_len`: entry `i` is
+    /// [`step_ns`](Self::step_ns) at `seq_len`'s bucket plus `i` buckets.
+    /// The run holds between one and `max_slots` entries and never crosses
+    /// a page; its missing entries fill in one pass. A seq-invariant table
+    /// answers one entry, which holds at every length, and so does a read
+    /// outside the table's bounds.
+    pub fn step_run(&mut self, batch: usize, seq_len: usize, max_slots: usize) -> &[f64] {
+        let bucket = self.seq_bucket;
+        let bucketed = round_up(seq_len.max(1), bucket);
+        let slot = bucketed / bucket;
+        let (sim, model) = (self.sim, self.model);
+        match self.step_fns.get_mut(batch) {
+            Some(step_fn) if !self.seq_invariant && slot < self.rows.slots => {
+                let step_fn = step_fn.get_or_insert_with(|| sim.step_function(model, batch));
+                self.rows
+                    .run_or_fill(batch, slot, max_slots, |filled| {
+                        step_fn.total_ns(bucketed + (filled - slot) * bucket)
+                    })
+                    .expect("the row and slot lie inside the table")
+            }
+            _ => {
+                self.fallback = self.step_ns(batch, seq_len);
+                std::slice::from_ref(&self.fallback)
+            }
         }
     }
 }
@@ -323,6 +401,46 @@ mod tests {
             .collect();
         assert_eq!(pages(&steps.rows), touched);
         assert_eq!(pages(&prefills.rows), touched);
+    }
+
+    #[test]
+    fn slot_runs_equal_per_slot_reads_up_to_page_edges_and_the_last_slot() {
+        let (sim, model) = setup();
+        for bucket in [1usize, 3, 100] {
+            // Three pages and a partial fourth of 18 slots.
+            let max_seq = (3 * PAGE + 17) * bucket;
+            let mut runs = StepLatencyTable::new(&sim, &model, bucket, 4, max_seq);
+            let mut reads = StepLatencyTable::new(&sim, &model, bucket, 4, max_seq);
+            let last_slot = max_seq / bucket;
+            for (seq, max_slots) in [
+                (1, 1),
+                (1, 2 * PAGE),
+                (bucket * (PAGE - 3) + 1, 10),
+                (bucket * PAGE, 5),
+                (bucket * (2 * PAGE + 1), PAGE),
+                (bucket * (last_slot - 2), 10),
+                (max_seq, 4),
+            ] {
+                let slot = seq.div_ceil(bucket);
+                let run = runs.step_run(3, seq, max_slots).to_vec();
+                // The run stops at `max_slots`, its page's end or the table's.
+                let page_end = (slot / PAGE + 1) * PAGE;
+                let expected = max_slots.min(page_end - slot).min(last_slot + 1 - slot);
+                assert_eq!(run.len(), expected, "bucket {bucket} seq {seq}");
+                for (i, &ns) in run.iter().enumerate() {
+                    let at = (slot + i) * bucket;
+                    assert_eq!(ns.to_bits(), reads.step_ns(3, at).to_bits(), "seq {at}");
+                    assert_eq!(ns, sim.generation_step(&model, 3, at).total_ns);
+                }
+            }
+            // Past the last slot, and past the batch bound, a read answers
+            // one entry from the simulator.
+            for (batch, seq) in [(3, max_seq + 1), (3, max_seq + 5 * bucket), (9, 7)] {
+                let run = runs.step_run(batch, seq, 8).to_vec();
+                let bucketed = seq.div_ceil(bucket) * bucket;
+                assert_eq!(run, [sim.generation_step(&model, batch, bucketed).total_ns]);
+            }
+        }
     }
 
     #[test]

@@ -86,18 +86,44 @@ fn cached_steps_are_bit_identical_to_uncached() {
 /// The row evaluator behind `StepLatencyTable`: one `StepFunction` per
 /// (system, model, batch) answers every sequence length with the bits of a
 /// point-by-point `generation_step` and `memory_usage_bytes` on a fresh
-/// uncached simulator.
+/// uncached simulator — both its breakdown and the table's fill path
+/// `total_ns`, which costs attention from factors hoisted out of the
+/// sequence length. Covers every system kind (NeuPIMs included) on one
+/// A100, on eight A100s with tensor parallelism, and on eight H100s, whose
+/// PIM designs are HBM3, and lengths around a table page edge.
 #[test]
 fn step_function_matches_direct_uncached_evaluation() {
-    for system in systems() {
+    let kinds = SystemKind::MAIN_COMPARISON
+        .into_iter()
+        .chain([SystemKind::NeuPims]);
+    let scaled_systems = kinds.flat_map(|kind| {
+        [
+            (SystemConfig::small_scale(kind), ModelScale::Small),
+            (SystemConfig::large_scale(kind), ModelScale::Large),
+            (SystemConfig::h100_large_scale(kind), ModelScale::Large),
+        ]
+    });
+    for (system, scale) in scaled_systems {
         let cached = ServingSimulator::new(system.clone());
         let uncached = ServingSimulator::uncached(system);
-        for model in &models() {
+        let families = [
+            ModelFamily::RetNet,
+            ModelFamily::Mamba2,
+            ModelFamily::Zamba2,
+            ModelFamily::Opt,
+            ModelFamily::Llama,
+        ];
+        for family in families {
+            let model = &ModelConfig::preset(family, scale);
             for batch in [16usize, 64, 128] {
                 let step_fn = cached.step_function(model, batch);
-                for seq in [512usize, 1024, 2048, 4096] {
-                    let context =
-                        format!("{} {} b{batch} s{seq}", cached.config().kind, model.label());
+                for seq in [1usize, 255, 256, 257, 512, 1024, 2048, 4096, 8191] {
+                    let context = format!(
+                        "{} tp{} {} b{batch} s{seq}",
+                        cached.config().kind,
+                        cached.config().cluster.tensor_parallel,
+                        model.label()
+                    );
                     let row = step_fn.breakdown(seq);
                     let direct = uncached.generation_step(model, batch, seq);
                     assert_eq!(row.ops.len(), direct.ops.len(), "{context}");
@@ -106,6 +132,7 @@ fn step_function_matches_direct_uncached_evaluation() {
                         assert_bits_eq(a.latency_ns, b.latency_ns, &context);
                     }
                     assert_bits_eq(row.total_ns, direct.total_ns, &context);
+                    assert_bits_eq(step_fn.total_ns(seq), direct.total_ns, &context);
                     assert_bits_eq(
                         step_fn.memory_bytes(seq),
                         uncached.memory_usage_bytes(model, batch, seq),
