@@ -28,6 +28,10 @@
 //! is dedicated to that stream; use a second connection to cancel or poll
 //! (`examples/serviced_client.rs` does exactly that).
 //!
+//! A submission's events leave in batches: whatever the job has published
+//! by the time the connection thread wakes goes out in one write. A reader
+//! gets the same lines in the same order, possibly several per read.
+//!
 //! `record` events embed the canonical record rendering verbatim:
 //! the `data` value's bytes are exactly what [`crate::spec`]'s `render_*`
 //! functions produce, which is the byte-identity surface the tests and the
@@ -445,11 +449,13 @@ pub fn event_line(id: JobId, event: &JobEvent) -> String {
     }
 }
 
-/// Streams a submission's events until the terminal one. The writer failing
+/// Streams a submission's events until the terminal one. Every event already
+/// queued when one arrives leaves with it in one write. The writer failing
 /// (client gone) cancels the job.
 fn stream_events(conn: &mut LineConn, queue: &Arc<JobQueue>, id: u64, events: &Receiver<JobEvent>) {
+    let mut batch = Vec::new();
     loop {
-        let event = match events.recv_timeout(Duration::from_millis(500)) {
+        let mut event = match events.recv_timeout(Duration::from_millis(500)) {
             Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => continue,
             // All senders dropped without a terminal event cannot happen
@@ -457,7 +463,17 @@ fn stream_events(conn: &mut LineConn, queue: &Arc<JobQueue>, id: u64, events: &R
             // safe rather than spin.
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        if conn.write_line(&event_line(id, &event)).is_err() {
+        loop {
+            batch.push(event_line(id, &event));
+            if event.is_terminal() {
+                break;
+            }
+            match events.try_recv() {
+                Ok(next) => event = next,
+                Err(_) => break,
+            }
+        }
+        if conn.write_lines(batch.drain(..)).is_err() {
             // Client gone mid-stream: stop wasting cycles on its job.
             queue.cancel(id);
             return;

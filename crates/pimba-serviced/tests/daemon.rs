@@ -285,14 +285,16 @@ fn submits_with_a_bad_priority_or_timeout_are_rejected_not_defaulted() {
     daemon.stop();
 }
 
-/// Reads one reply line off a raw connection and parses it.
+/// Reads one line off a raw connection, asserting it is whole (ends in
+/// `\n`), and parses it.
 fn reply(reader: &mut BufReader<std::net::TcpStream>) -> Json {
-    let mut line = String::new();
+    let mut line = Vec::new();
     assert!(
-        reader.read_line(&mut line).unwrap() > 0,
+        reader.read_until(b'\n', &mut line).unwrap() > 0,
         "connection closed"
     );
-    Json::parse(line.trim_end()).unwrap()
+    assert_eq!(line.pop(), Some(b'\n'), "every line ends in a newline");
+    Json::parse(std::str::from_utf8(&line).unwrap()).unwrap()
 }
 
 #[test]
@@ -331,6 +333,110 @@ fn a_request_that_is_not_utf8_gets_an_error_and_the_connection_survives() {
     stream.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
     let stats = reply(&mut reader);
     assert_eq!(stats.get("event").unwrap().as_str(), Some("stats"));
+    daemon.stop();
+}
+
+/// Submits `spec` over a raw socket and checks the stream line by line:
+/// `accepted`, one `progress` per cell in order, the records, `done`, and
+/// nothing after it (the next line answers the following request). Returns
+/// the records' `data` bytes.
+fn raw_submission(
+    stream: &mut std::net::TcpStream,
+    reader: &mut BufReader<std::net::TcpStream>,
+    spec: &Json,
+    cells: usize,
+) -> Vec<String> {
+    writeln!(stream, r#"{{"cmd":"submit","spec":{}}}"#, spec.render()).unwrap();
+    let accepted = reply(reader);
+    assert_eq!(accepted.get("event").unwrap().as_str(), Some("accepted"));
+    let job = accepted.get("job").unwrap().as_i64().unwrap();
+    for done in 1..=cells {
+        let progress = reply(reader);
+        assert_eq!(
+            progress.render(),
+            format!(r#"{{"event":"progress","job":{job},"done":{done},"total":{cells}}}"#)
+        );
+    }
+    let prefix = format!(r#"{{"event":"record","job":{job},"data":"#);
+    let records = (0..cells)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let data = line
+                .strip_prefix(&prefix)
+                .and_then(|rest| rest.strip_suffix("}\n"))
+                .unwrap_or_else(|| panic!("not a whole record line: {line:?}"));
+            data.to_string()
+        })
+        .collect();
+    assert_eq!(
+        reply(reader).render(),
+        format!(r#"{{"event":"done","job":{job},"records":{cells}}}"#)
+    );
+    stream.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
+    let next = reply(reader);
+    assert_eq!(next.get("event").unwrap().as_str(), Some("stats"));
+    records
+}
+
+#[test]
+fn a_raw_stream_carries_every_event_as_one_whole_line() {
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let Experiment::Fleet(grid) = Experiment::from_json(&fleet_spec()).unwrap() else {
+        panic!("fleet spec must parse as a fleet grid");
+    };
+    let direct: Vec<String> = FleetRunner::new()
+        .run(&grid)
+        .iter()
+        .map(render_fleet_record)
+        .collect();
+    let cold = raw_submission(&mut stream, &mut reader, &fleet_spec(), direct.len());
+    assert_eq!(cold, direct);
+    // Warm: every cell is a memo hit, so the records and `done` leave in one
+    // burst; the lines must not change.
+    let warm = raw_submission(&mut stream, &mut reader, &fleet_spec(), direct.len());
+    assert_eq!(warm, direct);
+    daemon.stop();
+}
+
+#[test]
+fn a_submitter_that_disconnects_mid_stream_gets_its_job_cancelled() {
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut submitter = netline::LineConn::connect(daemon.addr()).unwrap();
+    submitter
+        .write_line(&format!(
+            r#"{{"cmd":"submit","spec":{}}}"#,
+            big_spec().render()
+        ))
+        .unwrap();
+    let accepted = Json::parse(&submitter.read_line().unwrap().unwrap()).unwrap();
+    assert_eq!(accepted.get("event").unwrap().as_str(), Some("accepted"));
+    let job = accepted.get("job").unwrap().as_i64().unwrap();
+    let progress = Json::parse(&submitter.read_line().unwrap().unwrap()).unwrap();
+    assert_eq!(progress.get("event").unwrap().as_str(), Some("progress"));
+    drop(submitter);
+
+    // The daemon notices on its next failed write and cancels; a job that
+    // finished first reads `done`.
+    let mut poller = netline::LineConn::connect(daemon.addr()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        poller
+            .write_line(&format!(r#"{{"cmd":"status","job":{job}}}"#))
+            .unwrap();
+        let status = Json::parse(&poller.read_line().unwrap().unwrap()).unwrap();
+        let state = status.get("state").unwrap().as_str().unwrap();
+        if state == "cancelled" || state == "done" {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job {job} still {state} long after its submitter left"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     daemon.stop();
 }
 

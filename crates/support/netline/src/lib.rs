@@ -757,6 +757,9 @@ impl Stopper {
 pub struct LineConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Outgoing bytes, reused across writes so that a line, or a batch of
+    /// lines, goes out in one `write_all`.
+    out: Vec<u8>,
     /// The bytes of a line whose newline has not arrived yet: a read that
     /// times out keeps them here for the next [`LineConn::read_line`].
     partial: Vec<u8>,
@@ -777,6 +780,7 @@ impl LineConn {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            out: Vec::new(),
             partial: Vec::new(),
         })
     }
@@ -806,13 +810,28 @@ impl LineConn {
         })
     }
 
-    /// Writes one line (appending `\n`) and flushes. The line must not itself
-    /// contain a newline — that would desynchronize the framing.
+    /// Writes one line, appending `\n`. The line must not itself contain a
+    /// newline — that would desynchronize the framing.
     pub fn write_line(&mut self, line: &str) -> io::Result<()> {
-        debug_assert!(!line.contains('\n'), "line payloads must be newline-free");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.write_lines([line])
+    }
+
+    /// Writes several lines, each with `\n` appended, in one `write_all`. A
+    /// reader gets the same bytes as from one [`LineConn::write_line`] per
+    /// line, possibly several per read. No line may itself contain a newline.
+    pub fn write_lines<I>(&mut self, lines: I) -> io::Result<()>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        self.out.clear();
+        for line in lines {
+            let line = line.as_ref();
+            debug_assert!(!line.contains('\n'), "line payloads must be newline-free");
+            self.out.extend_from_slice(line.as_bytes());
+            self.out.push(b'\n');
+        }
+        self.writer.write_all(&self.out)
     }
 
     /// Bounds how long a [`LineConn::read_line`] may block (`None` = forever).
@@ -1117,5 +1136,44 @@ mod tests {
 
         stopper.stop();
         server_thread.join().unwrap();
+    }
+
+    /// A connected pair: a client [`LineConn`] and the raw accepted stream.
+    fn conn_pair() -> (LineConn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = LineConn::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (conn, stream)
+    }
+
+    #[test]
+    fn write_lines_sends_every_line_whole_and_in_order() {
+        // A 4 MiB line: more than a socket usually takes in one `write`, so
+        // `write_all` is likely to send it in pieces.
+        let long = "ü".repeat(2 << 20);
+        let batch = ["first", "", "grüße, 世界 🚀", long.as_str(), "last"];
+        let (mut sender, stream) = conn_pair();
+        let mut receiver = LineConn::from_stream(stream).unwrap();
+        // Write from a second thread: the batch can outgrow the socket
+        // buffers before anything reads it.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                sender.write_lines(batch).unwrap();
+            });
+            for line in batch {
+                assert_eq!(receiver.read_line().unwrap().as_deref(), Some(line));
+            }
+        });
+
+        // A one-line batch and `write_line` put the same bytes on the wire;
+        // an empty batch puts none.
+        let (mut sender, mut stream) = conn_pair();
+        sender.write_lines(["grüße"]).unwrap();
+        sender.write_lines(Vec::<String>::new()).unwrap();
+        sender.write_line("grüße").unwrap();
+        drop(sender);
+        let mut wire = Vec::new();
+        std::io::Read::read_to_end(&mut stream, &mut wire).unwrap();
+        assert_eq!(wire, "grüße\ngrüße\n".as_bytes());
     }
 }

@@ -95,6 +95,13 @@ fn main() {
     let first = client.collect(job).expect("stream");
     let cold_wall = cold_start.elapsed().as_secs_f64();
     assert_eq!(first.state, "done");
+    // One progress event per cell, memo hits included: the daemon batches
+    // its writes but must neither drop nor merge an event.
+    assert_eq!(
+        first.progress_events,
+        first.records.len(),
+        "one progress event per cell"
+    );
     println!(
         "job {job}: {} records, {} progress events, {:.1} ms",
         first.records.len(),
@@ -128,6 +135,11 @@ fn main() {
     let warm_wall = warm_start.elapsed().as_secs_f64();
     assert_eq!(second.state, "done");
     assert_eq!(second.records, first.records, "warm re-run diverged");
+    assert_eq!(
+        second.progress_events,
+        second.records.len(),
+        "one progress event per cell on the warm re-run"
+    );
     println!(
         "warm re-run: {:.2} ms (first run {:.2} ms, byte-identical)",
         warm_wall * 1e3,
