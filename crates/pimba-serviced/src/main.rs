@@ -4,8 +4,9 @@
 //!
 //! * **one-shot** — `pimba-serviced --spec FILE [--spec FILE …]`: run each
 //!   spec file through the queue, print its event stream on stdout exactly
-//!   as the daemon streams it (accepted, progress, record, then one terminal
-//!   `done`/`failed`/`cancelled`/`timed_out` line), and exit non-zero on any
+//!   as the daemon streams it (accepted, progress, then one terminal
+//!   `failed`/`cancelled`/`timed_out` line, or the records, the trace if the
+//!   spec asked for one, and `done`), and exit non-zero on any
 //!   unreadable or invalid spec (reported on stderr) or job that did not
 //!   finish `done`. SIGINT / SIGTERM cancels the running job, prints its
 //!   stream through the terminal `cancelled` line, submits no further spec
@@ -21,7 +22,7 @@
 
 use netline::Json;
 use pimba_serviced::queue::{JobEvent, JobQueue};
-use pimba_serviced::server::{accepted_line, event_line, Daemon, DaemonConfig};
+use pimba_serviced::server::{accepted_line, event_lines, Daemon, DaemonConfig};
 use pimba_serviced::spec::parse_submission;
 use pimba_serviced::store::ResultStore;
 use std::path::PathBuf;
@@ -199,7 +200,7 @@ fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
             })
             .and_then(|(experiment, trace)| {
                 queue
-                    .submit_traced(experiment, 0, None, trace)
+                    .submit(experiment, 0, None, trace)
                     .map_err(|e| e.to_string())
             });
         let (id, events) = match submitted {
@@ -212,12 +213,11 @@ fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
         };
         println!("{}", accepted_line(id));
         // A signal cancels the job; its stream still runs to the terminal
-        // `cancelled` line. The timeout only bounds how long a signal waits
-        // for the next event before the cancel is sent.
-        let mut cancelled = false;
+        // `cancelled` line, after which the queue closes it. The timeout only
+        // bounds how long a signal waits for the next event before the
+        // cancel is sent.
         loop {
-            if !cancelled && STOP.load(Ordering::SeqCst) {
-                cancelled = true;
+            if STOP.load(Ordering::SeqCst) {
                 queue.cancel(id);
             }
             let event = match events.recv_timeout(Duration::from_millis(100)) {
@@ -225,11 +225,10 @@ fn run_one_shot(args: &Args, store: ResultStore) -> ExitCode {
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => break,
             };
-            println!("{}", event_line(id, &event));
-            if event.is_terminal() {
-                failed |= !matches!(event, JobEvent::Done { .. });
-                break;
-            }
+            failed |= !matches!(event, JobEvent::Progress { .. } | JobEvent::Done { .. });
+            let mut lines = Vec::new();
+            event_lines(id, &event, &mut lines);
+            println!("{}", lines.join("\n"));
         }
     }
     queue.shutdown();

@@ -1,28 +1,39 @@
 //! The daemon's job queue: a bounded worker pool draining a priority heap of
 //! experiments, with per-job cancellation, timeouts, and streamed events.
 //!
-//! Jobs are ordered by `(priority desc, submission seq asc)` — higher
-//! priorities first, FIFO within a priority. Each job carries a cooperative
-//! cancel flag wired into the grid runners' [`RunControl`]; cancellation and
-//! timeouts therefore take effect at *cell* granularity (a multi-second cell
-//! finishes before the flag is observed — cells that completed stay in the
-//! memo, they are complete and correct). Every state change is fanned out to
-//! the job's subscribers as [`JobEvent`]s over an `mpsc` channel; the daemon
-//! turns those into protocol lines.
+//! Jobs are ordered by `(priority desc, submission order asc)`. All queue
+//! state is one `JobTable` under one mutex. The table has no threads and no
+//! atomics: its methods are plain transitions (submit, claim, progress,
+//! finish — a cancel finishes a job `cancelled` — and drain), and the caller
+//! passes the clock in, so a test drives it through any interleaving.
+//! Workers and a condvar wrap it.
+//!
+//! A job streams [`JobEvent`]s over an `mpsc` channel: progress, then one
+//! terminal event — [`JobEvent::Done`] carries the records (and trace) — and
+//! the channel closes. A terminal job ignores every later transition.
+//! Cancelling a job or passing its deadline ends it at once; a running job's
+//! cells stop at the next cell boundary through the cancel flag of the grid
+//! runners' [`RunControl`] (finished cells stay in the memo: they are
+//! correct).
+//!
+//! Dropping the queue without [`JobQueue::shutdown`] drains it without
+//! waiting: queued jobs end `cancelled`, running jobs run to their end, then
+//! each worker exits, and the last one out drops the store.
 
 use crate::spec::Experiment;
 use crate::store::ResultStore;
 use pimba_system::obs::MetricsHub;
-use pimba_system::sweep::RunControl;
+use pimba_system::sweep::{RunAborted, RunControl};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Job identifier, unique within one daemon process.
+/// Job identifier, unique within one daemon process, increasing in
+/// submission order.
 pub type JobId = u64;
 
 /// Lifecycle of a job.
@@ -42,27 +53,25 @@ pub enum JobState {
     TimedOut,
 }
 
+/// Protocol names of the states, in declaration order.
+const STATE_NAMES: [&str; 6] = [
+    "queued",
+    "running",
+    "done",
+    "failed",
+    "cancelled",
+    "timed_out",
+];
+
 impl JobState {
     /// Protocol name of the state.
     pub fn name(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-            JobState::TimedOut => "timed_out",
-        }
-    }
-
-    /// Whether the job can no longer change state.
-    pub(crate) fn is_terminal(&self) -> bool {
-        !matches!(self, JobState::Queued | JobState::Running)
+        STATE_NAMES[*self as usize]
     }
 }
 
 /// One streamed job notification.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum JobEvent {
     /// `done` of `total` cells finished.
     Progress {
@@ -71,16 +80,14 @@ pub enum JobEvent {
         /// Total cells in the experiment.
         total: usize,
     },
-    /// One canonical JSONL record line (see [`crate::spec`]).
-    Record(String),
-    /// The run's canonical JSONL event trace — emitted once, after the last
-    /// record and before [`JobEvent::Done`], and only when the job was
-    /// submitted with trace capture (the spec's `"trace": true`).
-    Trace(String),
-    /// Terminal: all records streamed.
+    /// Terminal: the job ran to the end.
     Done {
-        /// Number of records produced.
-        records: usize,
+        /// The canonical JSONL record lines (see [`crate::spec`]), in grid
+        /// order.
+        records: Vec<String>,
+        /// The run's canonical JSONL event trace, when the job was submitted
+        /// with trace capture (the spec's `"trace": true`).
+        trace: Option<String>,
     },
     /// Terminal: the job panicked.
     Failed(String),
@@ -91,12 +98,15 @@ pub enum JobEvent {
 }
 
 impl JobEvent {
-    /// Whether the event ends the job's stream.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobEvent::Done { .. } | JobEvent::Failed(_) | JobEvent::Cancelled | JobEvent::TimedOut
-        )
+    /// The state a terminal event leaves its job in.
+    fn terminal_state(&self) -> Option<JobState> {
+        match self {
+            JobEvent::Progress { .. } => None,
+            JobEvent::Done { .. } => Some(JobState::Done),
+            JobEvent::Failed(_) => Some(JobState::Failed),
+            JobEvent::Cancelled => Some(JobState::Cancelled),
+            JobEvent::TimedOut => Some(JobState::TimedOut),
+        }
     }
 }
 
@@ -117,102 +127,184 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
-    priority: i64,
-    seq: u64,
-    id: JobId,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: higher priority wins; earlier submission breaks ties.
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct JobEntry {
-    experiment: Experiment,
+struct Job {
+    /// Taken by the claim; dropped unrun if the job ends queued.
+    experiment: Option<Experiment>,
     trace: bool,
-    state: JobState,
-    cancel: Arc<AtomicBool>,
-    timed_out: Arc<AtomicBool>,
     timeout: Option<Duration>,
+    /// Set at the claim from `timeout`.
+    deadline: Option<Instant>,
+    /// The run's cooperative stop flag, raised when the job ends.
+    cancel: Arc<AtomicBool>,
+    state: JobState,
     done: usize,
     total: usize,
-    finished_seq: Option<u64>,
-    subscribers: Vec<Sender<JobEvent>>,
+    finish_seq: Option<u64>,
+    /// The submitter's stream; dropped after the terminal event.
+    events: Option<Sender<JobEvent>>,
 }
 
+/// What a worker takes from the table to run a job.
+struct Claim {
+    id: JobId,
+    experiment: Experiment,
+    trace: bool,
+    cancel: Arc<AtomicBool>,
+}
+
+/// Every piece of queue state, changed only by its transitions.
 #[derive(Default)]
-struct HeapState {
-    heap: BinaryHeap<HeapEntry>,
-    next_seq: u64,
+struct JobTable {
+    /// `(priority, Reverse(id))`: the max-heap pops the highest priority,
+    /// then the earliest submission. Entries of jobs that ended while queued
+    /// stay until popped.
+    heap: BinaryHeap<(i64, Reverse<JobId>)>,
+    jobs: HashMap<JobId, Job>,
+    /// The last id handed out; ids start at 1.
+    last_id: JobId,
+    /// Jobs ended so far: the next terminal job's `finish_seq`.
+    finished: u64,
     draining: bool,
+    /// Jobs per state, indexed by `JobState as usize`.
+    counts: [usize; STATE_NAMES.len()],
+    /// Worker threads still in their loop.
+    workers: usize,
 }
 
-struct QueueInner {
-    heap: Mutex<HeapState>,
-    available: Condvar,
-    jobs: Mutex<HashMap<JobId, JobEntry>>,
-    next_id: AtomicU64,
-    finish_counter: AtomicU64,
-    store: ResultStore,
-    metrics: MetricsHub,
-    default_timeout: Option<Duration>,
-}
+impl JobTable {
+    fn submit(
+        &mut self,
+        experiment: Experiment,
+        priority: i64,
+        timeout: Option<Duration>,
+        trace: bool,
+    ) -> Result<(JobId, Receiver<JobEvent>), SubmitError> {
+        if self.draining {
+            return Err(SubmitError::Draining);
+        }
+        self.last_id += 1;
+        let id = self.last_id;
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            total: experiment.total_cells(),
+            experiment: Some(experiment),
+            trace,
+            timeout,
+            deadline: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            state: JobState::Queued,
+            done: 0,
+            finish_seq: None,
+            events: Some(tx),
+        };
+        self.jobs.insert(id, job);
+        self.counts[JobState::Queued as usize] += 1;
+        self.heap.push((priority, Reverse(id)));
+        Ok((id, rx))
+    }
 
-impl QueueInner {
-    /// Fans `event` out to the job's subscribers and applies its state
-    /// transition. Terminal events drop the subscriber list (closing the
-    /// streams).
-    fn publish(&self, id: JobId, event: JobEvent) {
-        let mut jobs = self.jobs.lock().unwrap();
-        let Some(job) = jobs.get_mut(&id) else {
+    /// Pops the next queued job and marks it running, its deadline counted
+    /// from `now`. `None` when nothing is queued.
+    fn claim(&mut self, now: Instant) -> Option<Claim> {
+        while let Some((_, Reverse(id))) = self.heap.pop() {
+            let job = self.jobs.get_mut(&id).expect("heap entries name jobs");
+            if job.state != JobState::Queued {
+                continue;
+            }
+            job.state = JobState::Running;
+            job.deadline = job.timeout.map(|t| now + t);
+            self.counts[JobState::Queued as usize] -= 1;
+            self.counts[JobState::Running as usize] += 1;
+            return Some(Claim {
+                id,
+                experiment: job
+                    .experiment
+                    .take()
+                    .expect("a queued job has its experiment"),
+                trace: job.trace,
+                cancel: Arc::clone(&job.cancel),
+            });
+        }
+        None
+    }
+
+    /// A running job finished `done` of `total` cells at `now`; past its
+    /// deadline, it times out instead.
+    fn progress(&mut self, id: JobId, done: usize, total: usize, now: Instant) {
+        let running = |job: &&mut Job| job.state == JobState::Running;
+        let Some(job) = self.jobs.get_mut(&id).filter(running) else {
             return;
         };
-        match &event {
-            JobEvent::Progress { done, total } => {
-                job.done = *done;
-                job.total = *total;
-            }
-            JobEvent::Done { .. } => job.state = JobState::Done,
-            JobEvent::Failed(_) => job.state = JobState::Failed,
-            JobEvent::Cancelled => job.state = JobState::Cancelled,
-            JobEvent::TimedOut => job.state = JobState::TimedOut,
-            JobEvent::Record(_) | JobEvent::Trace(_) => {}
+        if job.deadline.is_some_and(|deadline| now >= deadline) {
+            self.finish(id, JobEvent::TimedOut);
+            return;
         }
-        job.subscribers
-            .retain(|sub| sub.send(event.clone()).is_ok());
-        if job.state.is_terminal() {
-            if job.finished_seq.is_none() {
-                job.finished_seq = Some(self.finish_counter.fetch_add(1, Ordering::Relaxed));
-            }
-            job.subscribers.clear();
+        job.done = done;
+        job.total = total;
+        if let Some(events) = &job.events {
+            let _ = events.send(JobEvent::Progress { done, total });
+        }
+    }
+
+    /// Ends a live job with the terminal `event`: stamps its finish order,
+    /// raises its stop flag, sends the event and closes the stream. `false`
+    /// if the job is unknown or has already ended, which ignores the event.
+    fn finish(&mut self, id: JobId, event: JobEvent) -> bool {
+        let live = |job: &&mut Job| matches!(job.state, JobState::Queued | JobState::Running);
+        let Some(job) = self.jobs.get_mut(&id).filter(live) else {
+            return false;
+        };
+        let state = event.terminal_state().expect("jobs end on terminal events");
+        self.counts[job.state as usize] -= 1;
+        self.counts[state as usize] += 1;
+        job.state = state;
+        job.finish_seq = Some(self.finished);
+        self.finished += 1;
+        job.experiment = None;
+        job.cancel.store(true, Ordering::SeqCst);
+        if let Some(events) = job.events.take() {
+            let _ = events.send(event);
+        }
+        true
+    }
+
+    /// Refuses further submissions and cancels every queued job.
+    fn drain(&mut self) {
+        self.draining = true;
+        while let Some((_, Reverse(id))) = self.heap.pop() {
+            self.finish(id, JobEvent::Cancelled);
         }
     }
 }
 
-/// The priority job queue and its worker pool. Dropping the queue without
-/// [`JobQueue::shutdown`] aborts workers at the next heap wait (jobs in
-/// flight still complete); prefer an explicit shutdown.
+struct Shared {
+    table: Mutex<JobTable>,
+    /// Signalled when a job is queued, the table drains, or a worker exits.
+    available: Condvar,
+    store: ResultStore,
+    metrics: MetricsHub,
+}
+
+impl Shared {
+    fn table(&self) -> std::sync::MutexGuard<'_, JobTable> {
+        self.table
+            .lock()
+            .expect("no thread panics while changing the job table")
+    }
+}
+
+/// The priority job queue and its worker pool. Dropping it drains it without
+/// waiting for running jobs (see the [module docs](self)); prefer an explicit
+/// [`JobQueue::shutdown`], which also flushes the store.
 pub struct JobQueue {
-    inner: Arc<QueueInner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    shared: Arc<Shared>,
+    default_timeout: Option<Duration>,
 }
 
 impl std::fmt::Debug for JobQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobQueue")
-            .field("jobs", &self.inner.jobs.lock().unwrap().len())
+            .field("jobs", &self.shared.table().jobs.len())
             .finish_non_exhaustive()
     }
 }
@@ -221,31 +313,29 @@ impl JobQueue {
     /// Starts `workers` worker threads (clamped to ≥ 1) over `store`.
     /// `default_timeout` bounds jobs that do not set their own.
     pub fn start(store: ResultStore, workers: usize, default_timeout: Option<Duration>) -> Self {
-        let inner = Arc::new(QueueInner {
-            heap: Mutex::new(HeapState::default()),
+        let workers = workers.max(1);
+        let shared = Arc::new(Shared {
+            table: Mutex::new(JobTable {
+                workers,
+                ..JobTable::default()
+            }),
             available: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            finish_counter: AtomicU64::new(0),
             store,
             metrics: MetricsHub::new(),
-            default_timeout,
         });
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(inner))
-            })
-            .collect();
+        for _ in 0..workers {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&shared));
+        }
         Self {
-            inner,
-            workers: Mutex::new(handles),
+            shared,
+            default_timeout,
         }
     }
 
     /// The shared result store.
     pub fn store(&self) -> &ResultStore {
-        &self.inner.store
+        &self.shared.store
     }
 
     /// The queue-wide metrics registry: every job's run publishes its series
@@ -253,237 +343,412 @@ impl JobQueue {
     /// write-only from the runners, the registry never feeds back into
     /// results (see [`pimba_system::obs`]).
     pub fn metrics(&self) -> &MetricsHub {
-        &self.inner.metrics
+        &self.shared.metrics
     }
 
     /// Enqueues an experiment. Returns the job id and the event stream (the
-    /// submitter's subscription). Higher `priority` runs earlier.
+    /// submitter's subscription). Higher `priority` runs earlier. With
+    /// `trace`, a job that runs to the end carries the run's canonical JSONL
+    /// event trace in its [`JobEvent::Done`].
     pub fn submit(
-        &self,
-        experiment: Experiment,
-        priority: i64,
-        timeout: Option<Duration>,
-    ) -> Result<(JobId, Receiver<JobEvent>), SubmitError> {
-        self.submit_traced(experiment, priority, timeout, false)
-    }
-
-    /// [`JobQueue::submit`] with opt-in trace capture: a `trace` job streams
-    /// one [`JobEvent::Trace`] (the run's canonical JSONL event trace) after
-    /// its records and before [`JobEvent::Done`].
-    pub fn submit_traced(
         &self,
         experiment: Experiment,
         priority: i64,
         timeout: Option<Duration>,
         trace: bool,
     ) -> Result<(JobId, Receiver<JobEvent>), SubmitError> {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let total = experiment.total_cells();
-        {
-            let mut heap = self.inner.heap.lock().unwrap();
-            if heap.draining {
-                return Err(SubmitError::Draining);
-            }
-            let mut jobs = self.inner.jobs.lock().unwrap();
-            jobs.insert(
-                id,
-                JobEntry {
-                    experiment,
-                    trace,
-                    state: JobState::Queued,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    timed_out: Arc::new(AtomicBool::new(false)),
-                    timeout: timeout.or(self.inner.default_timeout),
-                    done: 0,
-                    total,
-                    finished_seq: None,
-                    subscribers: vec![tx],
-                },
-            );
-            let seq = heap.next_seq;
-            heap.next_seq += 1;
-            heap.heap.push(HeapEntry { priority, seq, id });
+        let timeout = timeout.or(self.default_timeout);
+        let submitted = self
+            .shared
+            .table()
+            .submit(experiment, priority, timeout, trace);
+        if submitted.is_ok() {
+            self.shared.available.notify_one();
         }
-        self.inner.available.notify_one();
-        Ok((id, rx))
+        submitted
     }
 
     /// Requests cancellation. `true` if the job exists and was not already
-    /// terminal. Queued jobs terminate immediately; running jobs stop at the
-    /// next cell boundary.
+    /// terminal. The job ends `cancelled` at once; a running job's cells stop
+    /// at the next cell boundary.
     pub fn cancel(&self, id: JobId) -> bool {
-        let flagged = {
-            let jobs = self.inner.jobs.lock().unwrap();
-            match jobs.get(&id) {
-                Some(job) if !job.state.is_terminal() => {
-                    job.cancel.store(true, Ordering::SeqCst);
-                    job.state == JobState::Queued
-                }
-                _ => return false,
-            }
-        };
-        if flagged {
-            // Still queued: the worker that eventually pops it would publish
-            // Cancelled, but that could be arbitrarily late — do it now. The
-            // worker skips entries whose state is already terminal.
-            self.publish_if_not_terminal(id, JobEvent::Cancelled);
-        }
-        true
-    }
-
-    fn publish_if_not_terminal(&self, id: JobId, event: JobEvent) {
-        let already = {
-            let jobs = self.inner.jobs.lock().unwrap();
-            jobs.get(&id).is_none_or(|job| job.state.is_terminal())
-        };
-        if !already {
-            self.inner.publish(id, event);
-        }
+        self.shared.table().finish(id, JobEvent::Cancelled)
     }
 
     /// `(state, done, total)` of a job, if it exists.
     pub fn status(&self, id: JobId) -> Option<(JobState, usize, usize)> {
-        let jobs = self.inner.jobs.lock().unwrap();
-        jobs.get(&id).map(|job| (job.state, job.done, job.total))
+        let table = self.shared.table();
+        table
+            .jobs
+            .get(&id)
+            .map(|job| (job.state, job.done, job.total))
     }
 
     /// The job's position in queue-wide completion order (0 = first job to
     /// reach a terminal state), or `None` while it is still queued/running.
     /// Unlike wall-clock comparisons this is race-free: the sequence is
-    /// stamped under the jobs lock at the terminal transition.
+    /// stamped under the table lock at the terminal transition.
     pub fn finish_seq(&self, id: JobId) -> Option<u64> {
-        let jobs = self.inner.jobs.lock().unwrap();
-        jobs.get(&id).and_then(|job| job.finished_seq)
+        let table = self.shared.table();
+        table.jobs.get(&id).and_then(|job| job.finish_seq)
     }
 
-    /// Per-state job counts, for the `stats` command.
-    pub fn state_counts(&self) -> Vec<(JobState, usize)> {
-        let jobs = self.inner.jobs.lock().unwrap();
-        let mut counts: Vec<(JobState, usize)> = Vec::new();
-        for job in jobs.values() {
-            match counts.iter_mut().find(|(s, _)| *s == job.state) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((job.state, 1)),
-            }
-        }
-        counts
+    /// `(state name, jobs)` for every state in [`JobState`] declaration
+    /// order, for the `stats` command.
+    pub fn state_counts(&self) -> Vec<(&'static str, usize)> {
+        STATE_NAMES
+            .into_iter()
+            .zip(self.shared.table().counts)
+            .collect()
     }
 
     /// Stops accepting submissions, cancels queued (unstarted) jobs, lets
-    /// running jobs finish, joins every worker, and flushes the store to
-    /// stable storage. A failed flush is logged to stderr and counted in
-    /// [`ResultStore::sync_errors`].
+    /// running jobs finish, waits for every worker to exit, and flushes the
+    /// store to stable storage. A failed flush is logged to stderr and
+    /// counted in [`ResultStore::sync_errors`].
     pub fn shutdown(&self) {
-        let queued: Vec<JobId> = {
-            let mut heap = self.inner.heap.lock().unwrap();
-            heap.draining = true;
-            heap.heap.drain().map(|entry| entry.id).collect()
-        };
-        for id in queued {
-            self.publish_if_not_terminal(id, JobEvent::Cancelled);
-        }
-        self.inner.available.notify_all();
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-        if let Err(e) = self.inner.store.sync() {
+        let mut table = self.shared.table();
+        table.drain();
+        self.shared.available.notify_all();
+        drop(
+            self.shared
+                .available
+                .wait_while(table, |table| table.workers > 0)
+                .expect("no thread panics while changing the job table"),
+        );
+        if let Err(e) = self.shared.store.sync() {
             eprintln!("pimba-serviced: store sync at shutdown failed: {e}");
         }
     }
 }
 
-fn worker_loop(inner: Arc<QueueInner>) {
-    loop {
-        let entry = {
-            let mut heap = inner.heap.lock().unwrap();
-            loop {
-                if let Some(entry) = heap.heap.pop() {
-                    break entry;
-                }
-                if heap.draining {
-                    return;
-                }
-                heap = inner.available.wait(heap).unwrap();
-            }
-        };
-        run_job(&inner, entry.id);
+impl Drop for JobQueue {
+    fn drop(&mut self) {
+        // A poisoned table has no worker left to wake.
+        if let Ok(mut table) = self.shared.table.lock() {
+            table.drain();
+        }
+        self.shared.available.notify_all();
     }
 }
 
-fn run_job(inner: &Arc<QueueInner>, id: JobId) {
-    // Claim: snapshot what the run needs and flip Queued → Running. A job
-    // cancelled while queued is already terminal — skip it.
-    let (experiment, trace, cancel, timed_out, timeout) = {
-        let mut jobs = inner.jobs.lock().unwrap();
-        let Some(job) = jobs.get_mut(&id) else { return };
-        if job.state.is_terminal() {
-            return;
-        }
-        job.state = JobState::Running;
-        (
-            job.experiment.clone(),
-            job.trace,
-            Arc::clone(&job.cancel),
-            Arc::clone(&job.timed_out),
-            job.timeout,
-        )
-    };
-
-    let deadline = timeout.map(|t| Instant::now() + t);
-    let progress_inner = Arc::clone(inner);
-    let progress_cancel = Arc::clone(&cancel);
-    let progress_timed_out = Arc::clone(&timed_out);
-    let control = RunControl::new()
-        .with_cancel(Arc::clone(&cancel))
-        .with_metrics(inner.metrics.clone())
-        .with_progress(Arc::new(move |done, total| {
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    progress_timed_out.store(true, Ordering::SeqCst);
-                    progress_cancel.store(true, Ordering::SeqCst);
+fn worker_loop(shared: &Arc<Shared>) {
+    loop {
+        let claim = {
+            let mut table = shared.table();
+            loop {
+                if let Some(claim) = table.claim(Instant::now()) {
+                    break claim;
                 }
+                if table.draining {
+                    table.workers -= 1;
+                    shared.available.notify_all();
+                    return;
+                }
+                table = shared
+                    .available
+                    .wait(table)
+                    .expect("no thread panics while changing the job table");
             }
-            progress_inner.publish(id, JobEvent::Progress { done, total });
+        };
+        run_job(shared, claim);
+    }
+}
+
+fn run_job(shared: &Arc<Shared>, claim: Claim) {
+    let id = claim.id;
+    let progress = Arc::clone(shared);
+    let control = RunControl::new()
+        .with_cancel(claim.cancel)
+        .with_metrics(shared.metrics.clone())
+        .with_progress(Arc::new(move |done, total| {
+            progress.table().progress(id, done, total, Instant::now());
         }));
 
     // A panicking cell must not take the worker (and the daemon) down with
     // it; the runners' own threads propagate panics to this join point.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        experiment.run_traced(&inner.store, &control, trace)
+        claim
+            .experiment
+            .run_traced(&shared.store, &control, claim.trace)
     }));
 
-    match outcome {
-        Ok(Ok((lines, trace_jsonl))) => {
-            let records = lines.len();
-            for line in lines {
-                inner.publish(id, JobEvent::Record(line));
-            }
-            if let Some(trace) = trace_jsonl {
-                inner.publish(id, JobEvent::Trace(trace));
-            }
-            inner.publish(id, JobEvent::Done { records });
-            // Results are on the heap already; make them durable eagerly so a
-            // crash right after "done" still leaves a warm store.
-            if let Err(e) = inner.store.sync() {
-                eprintln!("pimba-serviced: job {id}: store sync failed: {e}");
-            }
-        }
-        Ok(Err(_aborted)) => {
-            if timed_out.load(Ordering::SeqCst) {
-                inner.publish(id, JobEvent::TimedOut);
-            } else {
-                inner.publish(id, JobEvent::Cancelled);
-            }
-        }
-        Err(panic) => {
-            let message = panic
+    let event = match outcome {
+        Ok(Ok((records, trace))) => JobEvent::Done { records, trace },
+        // The run stops only on the flag its job's end raised: the table
+        // ignores this.
+        Ok(Err(RunAborted)) => JobEvent::Cancelled,
+        Err(panic) => JobEvent::Failed(
+            panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_string());
-            inner.publish(id, JobEvent::Failed(message));
+                .unwrap_or_else(|| "job panicked".to_string()),
+        ),
+    };
+    let completed = matches!(event, JobEvent::Done { .. });
+    shared.table().finish(id, event);
+    if completed {
+        // Results are on the heap already; make them durable eagerly so a
+        // crash right after "done" still leaves a warm store.
+        if let Err(e) = shared.store.sync() {
+            eprintln!("pimba-serviced: job {id}: store sync failed: {e}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netline::Json;
+    use proptest::prelude::*;
+    use std::sync::mpsc::TryRecvError;
+
+    /// One transition, as a submitter, a worker or the clock makes it.
+    #[derive(Debug, Clone)]
+    enum Cmd {
+        Submit { priority: i64, timeout_ms: u64 },
+        Claim,
+        Progress { job: JobId, done: usize },
+        Finish { job: JobId, outcome: u8 },
+        Cancel { job: JobId },
+        Drain,
+        Tick { ms: u64 },
+    }
+
+    fn cmd() -> impl Strategy<Value = Cmd> {
+        prop_oneof![
+            (0i64..3, 0u64..4).prop_map(|(priority, timeout_ms)| Cmd::Submit {
+                priority,
+                timeout_ms
+            }),
+            Just(Cmd::Claim),
+            (1u64..9, 1usize..5).prop_map(|(job, done)| Cmd::Progress { job, done }),
+            (1u64..9, 0u8..3).prop_map(|(job, outcome)| Cmd::Finish { job, outcome }),
+            (0u64..9).prop_map(|job| Cmd::Cancel { job }),
+            // Mostly the clock ticks; a drain, which ends every later
+            // submission, comes about once in 56 commands.
+            (0u64..8).prop_map(|n| match n {
+                0 => Cmd::Drain,
+                n => Cmd::Tick { ms: n % 2 + 1 },
+            }),
+        ]
+    }
+
+    /// The terminal event a worker reports for `outcome`.
+    fn outcome_event(job: JobId, outcome: u8) -> JobEvent {
+        match outcome {
+            0 => JobEvent::Done {
+                records: vec![format!("record of {job}")],
+                trace: job.is_multiple_of(2).then(String::new),
+            },
+            1 => JobEvent::Failed("panicked".to_string()),
+            _ => JobEvent::Cancelled,
+        }
+    }
+
+    /// The reference model: every job in a vector, its events in a list.
+    struct ModelJob {
+        priority: i64,
+        timeout_ms: u64,
+        deadline_ms: Option<u64>,
+        state: JobState,
+        done: usize,
+        finish_seq: Option<u64>,
+        events: Vec<JobEvent>,
+    }
+
+    #[derive(Default)]
+    struct Model {
+        jobs: Vec<ModelJob>,
+        draining: bool,
+        finished: u64,
+        now_ms: u64,
+    }
+
+    /// What a transition answers its caller.
+    #[derive(Debug, PartialEq)]
+    enum Reply {
+        Submitted(Option<JobId>),
+        Claimed(Option<JobId>),
+        Cancelled(bool),
+        Nothing,
+    }
+
+    impl Model {
+        fn job(&mut self, id: JobId) -> Option<&mut ModelJob> {
+            self.jobs.get_mut((id as usize).checked_sub(1)?)
+        }
+
+        /// The queued jobs in claim order: priority desc, then id asc.
+        fn queued(&self) -> Vec<JobId> {
+            let mut queued: Vec<JobId> = (1..=self.jobs.len() as JobId)
+                .filter(|&id| self.jobs[id as usize - 1].state == JobState::Queued)
+                .collect();
+            queued.sort_by_key(|&id| (Reverse(self.jobs[id as usize - 1].priority), id));
+            queued
+        }
+
+        fn end(&mut self, id: JobId, event: JobEvent) -> bool {
+            let seq = self.finished;
+            let Some(job) = self.job(id).filter(|job| job.finish_seq.is_none()) else {
+                return false;
+            };
+            job.state = event.terminal_state().unwrap();
+            job.finish_seq = Some(seq);
+            job.events.push(event);
+            self.finished += 1;
+            true
+        }
+
+        fn step(&mut self, cmd: &Cmd) -> Reply {
+            match *cmd {
+                Cmd::Submit { .. } if self.draining => Reply::Submitted(None),
+                Cmd::Submit {
+                    priority,
+                    timeout_ms,
+                } => {
+                    self.jobs.push(ModelJob {
+                        priority,
+                        timeout_ms,
+                        deadline_ms: None,
+                        state: JobState::Queued,
+                        done: 0,
+                        finish_seq: None,
+                        events: Vec::new(),
+                    });
+                    Reply::Submitted(Some(self.jobs.len() as JobId))
+                }
+                Cmd::Claim => {
+                    let next = self.queued().first().copied();
+                    if let Some(id) = next {
+                        let now_ms = self.now_ms;
+                        let job = self.job(id).unwrap();
+                        job.state = JobState::Running;
+                        job.deadline_ms = (job.timeout_ms > 0).then_some(now_ms + job.timeout_ms);
+                    }
+                    Reply::Claimed(next)
+                }
+                Cmd::Progress { job: id, done } => {
+                    let now_ms = self.now_ms;
+                    match self.job(id) {
+                        Some(job) if job.state == JobState::Running => {
+                            if job.deadline_ms.is_some_and(|d| now_ms >= d) {
+                                self.end(id, JobEvent::TimedOut);
+                            } else {
+                                job.done = done;
+                                job.events.push(JobEvent::Progress { done, total: 1 });
+                            }
+                        }
+                        _ => {}
+                    }
+                    Reply::Nothing
+                }
+                Cmd::Finish { job, outcome } => {
+                    self.end(job, outcome_event(job, outcome));
+                    Reply::Nothing
+                }
+                Cmd::Cancel { job } => Reply::Cancelled(self.end(job, JobEvent::Cancelled)),
+                Cmd::Drain => {
+                    self.draining = true;
+                    for id in self.queued() {
+                        self.end(id, JobEvent::Cancelled);
+                    }
+                    Reply::Nothing
+                }
+                Cmd::Tick { ms } => {
+                    self.now_ms += ms;
+                    Reply::Nothing
+                }
+            }
+        }
+    }
+
+    /// The same transition on the table under test.
+    fn apply(
+        table: &mut JobTable,
+        streams: &mut Vec<Receiver<JobEvent>>,
+        start: Instant,
+        now_ms: &mut u64,
+        cmd: &Cmd,
+    ) -> Reply {
+        let now = start + Duration::from_millis(*now_ms);
+        match *cmd {
+            Cmd::Submit {
+                priority,
+                timeout_ms,
+            } => {
+                let timeout = (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms));
+                let submitted = table.submit(what_if(), priority, timeout, false);
+                Reply::Submitted(submitted.ok().map(|(id, events)| {
+                    streams.push(events);
+                    id
+                }))
+            }
+            Cmd::Claim => Reply::Claimed(table.claim(now).map(|claim| {
+                assert!(
+                    !claim.cancel.load(Ordering::SeqCst),
+                    "claimed a stopped job"
+                );
+                claim.id
+            })),
+            Cmd::Progress { job, done } => {
+                table.progress(job, done, 1, now);
+                Reply::Nothing
+            }
+            Cmd::Finish { job, outcome } => {
+                table.finish(job, outcome_event(job, outcome));
+                Reply::Nothing
+            }
+            Cmd::Cancel { job } => Reply::Cancelled(table.finish(job, JobEvent::Cancelled)),
+            Cmd::Drain => {
+                table.drain();
+                Reply::Nothing
+            }
+            Cmd::Tick { ms } => {
+                *now_ms += ms;
+                Reply::Nothing
+            }
+        }
+    }
+
+    fn what_if() -> Experiment {
+        let spec = r#"{"kind":"what_if","model":{"family":"mamba2","scale":"small"},
+            "systems":["pimba"],"scenarios":["chat"],"rates_rps":[8.0]}"#;
+        Experiment::from_json(&Json::parse(spec).unwrap()).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn the_table_follows_its_reference_model(cmds in prop::collection::vec(cmd(), 1..60)) {
+            let mut model = Model::default();
+            let mut table = JobTable::default();
+            let mut streams = Vec::new();
+            let mut seen: Vec<Vec<JobEvent>> = Vec::new();
+            let (start, mut now_ms) = (Instant::now(), 0);
+            for (step, cmd) in cmds.iter().enumerate() {
+                let want = model.step(cmd);
+                let got = apply(&mut table, &mut streams, start, &mut now_ms, cmd);
+                prop_assert_eq!(got, want, "step {} {:?}", step, cmd);
+                seen.resize_with(streams.len(), Vec::new);
+                let mut counts = [0; STATE_NAMES.len()];
+                for (i, (stream, job)) in streams.iter().zip(&model.jobs).enumerate() {
+                    let id = i as JobId + 1;
+                    seen[i].extend(stream.try_iter());
+                    // Every event the model expects, in order: so exactly one
+                    // terminal event per ended job, and nothing after it.
+                    prop_assert_eq!(&seen[i], &job.events, "job {} events after step {}", id, step);
+                    let closed = matches!(stream.try_recv(), Err(TryRecvError::Disconnected));
+                    prop_assert_eq!(closed, job.finish_seq.is_some(), "job {} stream", id);
+                    let entry = &table.jobs[&id];
+                    prop_assert_eq!(entry.state, job.state, "job {} state", id);
+                    prop_assert_eq!(entry.done, job.done, "job {} done", id);
+                    prop_assert_eq!(entry.finish_seq, job.finish_seq, "job {} finish_seq", id);
+                    prop_assert_eq!(entry.cancel.load(Ordering::SeqCst), job.finish_seq.is_some());
+                    counts[job.state as usize] += 1;
+                }
+                prop_assert_eq!(table.counts, counts, "state counts after step {}", step);
+            }
         }
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! | request | response lines |
 //! |---|---|
-//! | `{"cmd":"submit","spec":{…},"priority":1,"timeout_ms":60000}` | `{"event":"accepted","job":N}` then streamed `progress`/`record` lines, ending in one terminal `done`/`cancelled`/`timed_out`/`failed` line. A spec with `"trace":true` additionally streams one `{"event":"trace","job":N,"data":"…"}` line (the run's canonical JSONL event trace, JSON-escaped) before `done`. |
+//! | `{"cmd":"submit","spec":{…},"priority":1,"timeout_ms":60000}` | `{"event":"accepted","job":N}`, one `progress` line per finished cell, then one terminal line: `cancelled`, `timed_out` or `failed`, or for a job that ran to the end one `record` line per cell in grid order followed by `{"event":"done","job":N,"records":R}`. A spec with `"trace":true` puts one `{"event":"trace","job":N,"data":"…"}` line (the run's canonical JSONL event trace, JSON-escaped) between the last `record` and `done`. |
 //! | `{"cmd":"cancel","job":N}` | `{"event":"cancelling","job":N}` (or `error`) |
 //! | `{"cmd":"status","job":N}` | `{"event":"status","job":N,"state":…,"done":…,"total":…}` |
-//! | `{"cmd":"stats"}` | `{"event":"stats","store":{…},"jobs":{…}}` — `store` holds each memo's `traces` and `cells` hit/miss counters, and each cell segment's `name` and `len_bytes` |
+//! | `{"cmd":"stats"}` | `{"event":"stats","store":{…},"jobs":{…}}` — `store` holds each memo's `traces` and `cells` hit/miss counters, and each cell segment's `name` and `len_bytes`; `jobs` counts the daemon's jobs per state, every state in the fixed order `queued`, `running`, `done`, `failed`, `cancelled`, `timed_out` |
 //! | `{"cmd":"metrics"}` | `{"event":"metrics","data":{"metrics":[…]}}` — the queue-wide metrics registry snapshot |
 //! | `{"cmd":"query","fingerprint":"…32 hex…"}` | `{"event":"result","memo":…,"fingerprint":…,"data":{…}}` (or `error`) — one stored cell record by fingerprint, as enumerated by `list` |
 //! | `{"cmd":"list"}` | `{"event":"list","traffic_cells":N,"fleet_cells":M,"cells":[{"memo":…,"fingerprint":…},…]}` |
@@ -30,7 +30,9 @@
 //!
 //! A submission's events leave in batches: whatever the job has published
 //! by the time the connection thread wakes goes out in one write. A reader
-//! gets the same lines in the same order, possibly several per read.
+//! gets the same lines in the same order, possibly several per read. A job's
+//! records and trace reach the connection inside its terminal event, so they
+//! and the `done` line always leave in one write.
 //!
 //! `record` events embed the canonical record rendering verbatim:
 //! the `data` value's bytes are exactly what [`crate::spec`]'s `render_*`
@@ -52,7 +54,7 @@ use netline::{Json, LineConn, LineServer, Stopper};
 use pimba_system::memo::Fingerprint;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -132,12 +134,10 @@ impl Daemon {
 
     /// Requests shutdown and waits for the drain: accept loop and connection
     /// threads first, then the queue's workers, then the store flush.
-    pub fn stop(mut self) {
-        self.stopper.stop();
-        if let Some(handle) = self.server_thread.take() {
-            let _ = handle.join();
-        }
-        self.queue.shutdown();
+    pub fn stop(self) {
+        let queue = Arc::clone(&self.queue);
+        drop(self);
+        queue.shutdown();
     }
 }
 
@@ -259,7 +259,7 @@ fn handle_connection(mut conn: LineConn, queue: &Arc<JobQueue>, stopper: &Stoppe
                     queue
                         .state_counts()
                         .into_iter()
-                        .map(|(state, n)| (state.name().to_string(), Json::Int(n as i64)))
+                        .map(|(state, n)| (state.to_string(), Json::Int(n as i64)))
                         .collect(),
                 );
                 let line = Json::obj(vec![
@@ -377,7 +377,7 @@ fn handle_submit(conn: &mut LineConn, queue: &Arc<JobQueue>, request: &Json) {
             return;
         }
     };
-    let (id, events) = match queue.submit_traced(experiment, priority, timeout, trace) {
+    let (id, events) = match queue.submit(experiment, priority, timeout, trace) {
         Ok(pair) => pair,
         Err(SubmitError::Draining) => {
             let _ = conn.write_line(&error_line("cmd", "daemon is shutting down"));
@@ -403,82 +403,68 @@ pub fn accepted_line(id: JobId) -> String {
     .render()
 }
 
-/// The protocol line of one job event — what the daemon streams to a
-/// submitter and the binary's one-shot mode prints.
-pub fn event_line(id: JobId, event: &JobEvent) -> String {
+/// Renders one job event as its protocol lines, pushed onto `lines` — what
+/// the daemon streams to a submitter and the binary's one-shot mode prints.
+/// [`JobEvent::Done`] renders as one `record` line per record, then the
+/// `trace` line if the job carries a trace, then `done`.
+pub fn event_lines(id: JobId, event: &JobEvent, lines: &mut Vec<String>) {
     let job = Json::Int(id as i64);
-    match event {
+    let line = match event {
         JobEvent::Progress { done, total } => Json::obj(vec![
             ("event", Json::str("progress")),
             ("job", job),
             ("done", Json::Int(*done as i64)),
             ("total", Json::Int(*total as i64)),
-        ])
-        .render(),
-        // Embed the canonical bytes verbatim: the envelope is built by
-        // concatenation, not re-rendering, so the `data` value is exactly the
-        // canonical record line.
-        JobEvent::Record(data) => format!("{{\"event\":\"record\",\"job\":{id},\"data\":{data}}}"),
-        // Unlike records, the trace spans many lines — ship it as one
-        // JSON-escaped string value (clients recover the exact bytes by
-        // unescaping).
-        JobEvent::Trace(data) => Json::obj(vec![
-            ("event", Json::str("trace")),
-            ("job", job),
-            ("data", Json::str(data)),
-        ])
-        .render(),
-        JobEvent::Done { records } => Json::obj(vec![
-            ("event", Json::str("done")),
-            ("job", job),
-            ("records", Json::Int(*records as i64)),
-        ])
-        .render(),
+        ]),
+        JobEvent::Done { records, trace } => {
+            // Embed the canonical bytes verbatim: the envelope is built by
+            // concatenation, not re-rendering, so the `data` value is exactly
+            // the canonical record line.
+            lines.extend(
+                records
+                    .iter()
+                    .map(|data| format!("{{\"event\":\"record\",\"job\":{id},\"data\":{data}}}")),
+            );
+            // Unlike records, the trace spans many lines — ship it as one
+            // JSON-escaped string value (clients recover the exact bytes by
+            // unescaping).
+            if let Some(data) = trace {
+                let data = Json::str(data).render();
+                lines.push(format!(
+                    "{{\"event\":\"trace\",\"job\":{id},\"data\":{data}}}"
+                ));
+            }
+            Json::obj(vec![
+                ("event", Json::str("done")),
+                ("job", job),
+                ("records", Json::Int(records.len() as i64)),
+            ])
+        }
         JobEvent::Failed(message) => Json::obj(vec![
             ("event", Json::str("failed")),
             ("job", job),
             ("message", Json::str(message)),
-        ])
-        .render(),
-        JobEvent::Cancelled => {
-            Json::obj(vec![("event", Json::str("cancelled")), ("job", job)]).render()
-        }
-        JobEvent::TimedOut => {
-            Json::obj(vec![("event", Json::str("timed_out")), ("job", job)]).render()
-        }
-    }
+        ]),
+        JobEvent::Cancelled => Json::obj(vec![("event", Json::str("cancelled")), ("job", job)]),
+        JobEvent::TimedOut => Json::obj(vec![("event", Json::str("timed_out")), ("job", job)]),
+    };
+    lines.push(line.render());
 }
 
-/// Streams a submission's events until the terminal one. Every event already
-/// queued when one arrives leaves with it in one write. The writer failing
-/// (client gone) cancels the job.
+/// Streams a submission's events until the terminal one, after which the
+/// queue closes the channel. Every event already queued when one arrives
+/// leaves with it in one write. The writer failing (client gone) cancels the
+/// job.
 fn stream_events(conn: &mut LineConn, queue: &Arc<JobQueue>, id: u64, events: &Receiver<JobEvent>) {
     let mut batch = Vec::new();
-    loop {
-        let mut event = match events.recv_timeout(Duration::from_millis(500)) {
-            Ok(event) => event,
-            Err(RecvTimeoutError::Timeout) => continue,
-            // All senders dropped without a terminal event cannot happen
-            // (publish clears subscribers only on terminal states), but be
-            // safe rather than spin.
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        loop {
-            batch.push(event_line(id, &event));
-            if event.is_terminal() {
-                break;
-            }
-            match events.try_recv() {
-                Ok(next) => event = next,
-                Err(_) => break,
-            }
+    while let Ok(event) = events.recv() {
+        event_lines(id, &event, &mut batch);
+        for event in events.try_iter() {
+            event_lines(id, &event, &mut batch);
         }
         if conn.write_lines(batch.drain(..)).is_err() {
             // Client gone mid-stream: stop wasting cycles on its job.
             queue.cancel(id);
-            return;
-        }
-        if event.is_terminal() {
             return;
         }
     }

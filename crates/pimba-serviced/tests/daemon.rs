@@ -53,20 +53,42 @@ fn big_spec() -> Json {
     .unwrap()
 }
 
+/// 192 fleet cells of 100000 requests (about 16 s on 2 cores in a release
+/// build): a job a cancel lands in long before it could end `done`.
+fn long_fleet_spec() -> Json {
+    Json::parse(
+        r#"{"kind":"fleet_grid","model":{"family":"mamba2","scale":"small"},
+            "systems":["gpu","pimba"],"scenarios":["chat","reasoning"],
+            "rates_rps":[4.0,8.0,12.0,16.0,20.0,24.0,28.0,32.0],
+            "replicas":[2,4],"routers":["round_robin","jsq","po2"],
+            "requests_per_cell":100000,"seed":7}"#,
+    )
+    .unwrap()
+}
+
+/// 8 traffic cells of 20000 requests: about a second of cells after the
+/// first one reports, in a debug build.
+fn slow_spec() -> Json {
+    Json::parse(
+        r#"{"kind":"traffic_grid","model":{"family":"mamba2","scale":"small"},
+            "systems":["gpu","pimba"],"scenarios":["chat"],
+            "rates_rps":[4.0,8.0,12.0,16.0],"requests_per_cell":20000,"seed":5}"#,
+    )
+    .unwrap()
+}
+
 /// Drains a submission's event stream to its terminal event.
 fn drain(events: &Receiver<JobEvent>) -> (Vec<String>, &'static str) {
-    let mut records = Vec::new();
     loop {
         match events
             .recv_timeout(Duration::from_secs(120))
             .expect("event")
         {
-            JobEvent::Progress { .. } | JobEvent::Trace(_) => {}
-            JobEvent::Record(line) => records.push(line),
-            JobEvent::Done { .. } => return (records, "done"),
-            JobEvent::Failed(_) => return (records, "failed"),
-            JobEvent::Cancelled => return (records, "cancelled"),
-            JobEvent::TimedOut => return (records, "timed_out"),
+            JobEvent::Progress { .. } => {}
+            JobEvent::Done { records, .. } => return (records, "done"),
+            JobEvent::Failed(_) => return (Vec::new(), "failed"),
+            JobEvent::Cancelled => return (Vec::new(), "cancelled"),
+            JobEvent::TimedOut => return (Vec::new(), "timed_out"),
         }
     }
 }
@@ -117,12 +139,12 @@ fn higher_priority_jobs_run_first() {
     // calls below) so both later submissions stay queued together; the heap
     // then decides their order.
     let blocker = Experiment::from_json(&big_spec()).unwrap();
-    let (_, blocker_events) = queue.submit(blocker, 100, None).unwrap();
+    let (_, blocker_events) = queue.submit(blocker, 100, None, false).unwrap();
 
     let low = Experiment::from_json(&traffic_spec()).unwrap();
     let high = Experiment::from_json(&fleet_spec()).unwrap();
-    let (low_id, low_events) = queue.submit(low, 0, None).unwrap();
-    let (high_id, high_events) = queue.submit(high, 5, None).unwrap();
+    let (low_id, low_events) = queue.submit(low, 0, None, false).unwrap();
+    let (high_id, high_events) = queue.submit(high, 5, None, false).unwrap();
 
     drain(&blocker_events);
     let (_, low_state) = drain(&low_events);
@@ -144,7 +166,7 @@ fn cancellation_stops_running_and_queued_jobs() {
 
     // Running job: cancel at the first cell boundary.
     let (running_id, running_events) = queue
-        .submit(Experiment::from_json(&big_spec()).unwrap(), 0, None)
+        .submit(Experiment::from_json(&big_spec()).unwrap(), 0, None, false)
         .unwrap();
     let cancelled = match running_events
         .recv_timeout(Duration::from_secs(120))
@@ -167,10 +189,20 @@ fn cancellation_stops_running_and_queued_jobs() {
     // Queued job behind a blocker: cancelling must terminate it immediately,
     // before any worker touches it.
     let (_, blocker_events) = queue
-        .submit(Experiment::from_json(&traffic_spec()).unwrap(), 10, None)
+        .submit(
+            Experiment::from_json(&traffic_spec()).unwrap(),
+            10,
+            None,
+            false,
+        )
         .unwrap();
     let (queued_id, queued_events) = queue
-        .submit(Experiment::from_json(&fleet_spec()).unwrap(), 0, None)
+        .submit(
+            Experiment::from_json(&fleet_spec()).unwrap(),
+            0,
+            None,
+            false,
+        )
         .unwrap();
     assert!(queue.cancel(queued_id));
     let (records, state) = drain(&queued_events);
@@ -187,6 +219,42 @@ fn cancellation_stops_running_and_queued_jobs() {
 }
 
 #[test]
+fn dropping_the_queue_cancels_queued_jobs_and_lets_running_ones_finish() {
+    let store = ResultStore::in_memory();
+    let memo = std::sync::Arc::clone(&store.traffic);
+    let queue = JobQueue::start(store, 1, None);
+    let (_, running) = queue
+        .submit(Experiment::from_json(&slow_spec()).unwrap(), 0, None, false)
+        .unwrap();
+    let (_, queued) = queue
+        .submit(
+            Experiment::from_json(&traffic_spec()).unwrap(),
+            0,
+            None,
+            false,
+        )
+        .unwrap();
+    // The single worker has claimed the first job once it reports a cell;
+    // the second waits behind its remaining 7 cells.
+    assert!(matches!(
+        running.recv_timeout(Duration::from_secs(120)),
+        Ok(JobEvent::Progress { .. })
+    ));
+    drop(queue);
+    assert_eq!(drain(&queued).1, "cancelled");
+    assert_eq!(drain(&running).1, "done");
+    // The worker then exits, and the store goes with it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while std::sync::Arc::strong_count(&memo) > 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a worker still holds the store"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
 fn a_one_millisecond_timeout_times_out() {
     let queue = JobQueue::start(ResultStore::in_memory(), 1, None);
     let (id, events) = queue
@@ -194,6 +262,7 @@ fn a_one_millisecond_timeout_times_out() {
             Experiment::from_json(&big_spec()).unwrap(),
             0,
             Some(Duration::from_nanos(1)),
+            false,
         )
         .unwrap();
     let (_, state) = drain(&events);
@@ -337,14 +406,16 @@ fn a_request_that_is_not_utf8_gets_an_error_and_the_connection_survives() {
 }
 
 /// Submits `spec` over a raw socket and checks the stream line by line:
-/// `accepted`, one `progress` per cell in order, the records, `done`, and
-/// nothing after it (the next line answers the following request). Returns
-/// the records' `data` bytes.
+/// `accepted`, one `progress` per cell in order, the records, the one `trace`
+/// line carrying `trace` if the spec asks for a trace, `done`, and nothing
+/// after it (the next line answers the following request). Returns the
+/// records' `data` bytes.
 fn raw_submission(
     stream: &mut std::net::TcpStream,
     reader: &mut BufReader<std::net::TcpStream>,
     spec: &Json,
     cells: usize,
+    trace: Option<&str>,
 ) -> Vec<String> {
     writeln!(stream, r#"{{"cmd":"submit","spec":{}}}"#, spec.render()).unwrap();
     let accepted = reply(reader);
@@ -369,6 +440,23 @@ fn raw_submission(
             data.to_string()
         })
         .collect();
+    if let Some(trace) = trace {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let envelope = format!(r#"{{"event":"trace","job":{job},"data":""#);
+        assert!(line.starts_with(&envelope), "not a trace line: {line:?}");
+        assert!(line.ends_with("\"}\n"), "not a whole trace line: {line:?}");
+        let data = Json::parse(&line).unwrap();
+        let data = data.get("data").and_then(Json::as_str).unwrap();
+        // Cells register their trace tracks in the order the runner's
+        // threads reach them, so only the set of lines is pinned.
+        let sorted = |text: &str| {
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            lines.sort();
+            lines
+        };
+        assert_eq!(sorted(data), sorted(trace));
+    }
     assert_eq!(
         reply(reader).render(),
         format!(r#"{{"event":"done","job":{job},"records":{cells}}}"#)
@@ -392,12 +480,43 @@ fn a_raw_stream_carries_every_event_as_one_whole_line() {
         .iter()
         .map(render_fleet_record)
         .collect();
-    let cold = raw_submission(&mut stream, &mut reader, &fleet_spec(), direct.len());
+    let cold = raw_submission(&mut stream, &mut reader, &fleet_spec(), direct.len(), None);
     assert_eq!(cold, direct);
     // Warm: every cell is a memo hit, so the records and `done` leave in one
     // burst; the lines must not change.
-    let warm = raw_submission(&mut stream, &mut reader, &fleet_spec(), direct.len());
+    let warm = raw_submission(&mut stream, &mut reader, &fleet_spec(), direct.len(), None);
     assert_eq!(warm, direct);
+    daemon.stop();
+
+    // Traced, on a cold store so that the trace holds events: the trace line
+    // sits between the last record and `done`, and carries the events of a
+    // direct traced run.
+    let mut traced_spec = fleet_spec();
+    let Json::Obj(pairs) = &mut traced_spec else {
+        panic!("spec fixtures are objects")
+    };
+    pairs.push(("trace".to_string(), Json::Bool(true)));
+    let (_, trace) = Experiment::from_json(&fleet_spec())
+        .unwrap()
+        .run_traced(
+            &ResultStore::in_memory(),
+            &pimba_system::sweep::RunControl::new(),
+            true,
+        )
+        .unwrap();
+    let trace = trace.expect("a traced run returns its trace");
+    assert!(!trace.is_empty(), "a cold traced run records events");
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let traced = raw_submission(
+        &mut stream,
+        &mut reader,
+        &traced_spec,
+        direct.len(),
+        Some(&trace),
+    );
+    assert_eq!(traced, direct);
     daemon.stop();
 }
 
@@ -408,7 +527,7 @@ fn a_submitter_that_disconnects_mid_stream_gets_its_job_cancelled() {
     submitter
         .write_line(&format!(
             r#"{{"cmd":"submit","spec":{}}}"#,
-            big_spec().render()
+            long_fleet_spec().render()
         ))
         .unwrap();
     let accepted = Json::parse(&submitter.read_line().unwrap().unwrap()).unwrap();
@@ -418,8 +537,8 @@ fn a_submitter_that_disconnects_mid_stream_gets_its_job_cancelled() {
     assert_eq!(progress.get("event").unwrap().as_str(), Some("progress"));
     drop(submitter);
 
-    // The daemon notices on its next failed write and cancels; a job that
-    // finished first reads `done`.
+    // The daemon's write fails within two more cells, and it cancels the job,
+    // which has more than a hundred cells left.
     let mut poller = netline::LineConn::connect(daemon.addr()).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
     loop {
@@ -427,13 +546,14 @@ fn a_submitter_that_disconnects_mid_stream_gets_its_job_cancelled() {
             .write_line(&format!(r#"{{"cmd":"status","job":{job}}}"#))
             .unwrap();
         let status = Json::parse(&poller.read_line().unwrap().unwrap()).unwrap();
-        let state = status.get("state").unwrap().as_str().unwrap();
-        if state == "cancelled" || state == "done" {
-            break;
+        match status.get("state").unwrap().as_str().unwrap() {
+            "cancelled" => break,
+            "queued" | "running" => {}
+            other => panic!("job {job} ended {other}, not cancelled"),
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "job {job} still {state} long after its submitter left"
+            "job {job} still runs long after its submitter left"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -746,6 +866,25 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         assert_eq!(keys, ["name", "len_bytes"]);
         assert_eq!(seg.get("len_bytes").and_then(Json::as_i64), Some(0));
     }
+    // Every job state, always in the same order: this daemon ran two jobs.
+    let Some(Json::Obj(jobs)) = stats.get("jobs") else {
+        panic!("stats.jobs is an object: {}", stats.render())
+    };
+    let jobs: Vec<(&str, i64)> = jobs
+        .iter()
+        .map(|(state, n)| (state.as_str(), n.as_i64().unwrap()))
+        .collect();
+    assert_eq!(
+        jobs,
+        [
+            ("queued", 0),
+            ("running", 0),
+            ("done", 2),
+            ("failed", 0),
+            ("cancelled", 0),
+            ("timed_out", 0)
+        ]
+    );
     let store = stats.get("store").expect("stats.store");
     assert_eq!(
         store.get("sync_errors").and_then(Json::as_i64),
