@@ -280,7 +280,7 @@ fn record_results(_c: &mut Criterion) {
         let warm = runner.run(&grid);
         warm_times.push(warm_start.elapsed().as_secs_f64());
         assert!(warm == cold, "warm memo records diverged from cold run");
-        let (_, cell_stats) = memo.stats();
+        let cell_stats = memo.stats();
         assert!(
             cell_stats.hits as usize >= grid.len(),
             "warm run must answer every cell from the memo"

@@ -20,7 +20,7 @@ pub type FleetMemo = GridMemo<FleetRecord>;
 
 /// Schema tag of the [`FleetRecord`] codec (see [`pimba_serve::codec`] for
 /// the tagging convention).
-const FLEET_RECORD_SCHEMA: u8 = 2;
+const FLEET_RECORD_SCHEMA: u8 = 3;
 
 fn router_tag(router: RouterKind) -> u8 {
     match router {
@@ -111,6 +111,7 @@ mod tests {
     use super::*;
     use crate::runner::{FleetGrid, FleetRunner};
     use pimba_models::{ModelConfig, ModelFamily, ModelScale};
+    use pimba_serve::runner::persistent_memo;
     use pimba_serve::traffic::Scenario;
     use pimba_system::config::{SystemConfig, SystemKind};
     use std::sync::Arc;
@@ -151,7 +152,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let grid = small_grid();
 
-        let cold_memo = Arc::new(FleetMemo::persistent(&dir).expect("open store"));
+        let cold_memo = Arc::new(persistent_memo(&dir).expect("open store"));
         let cold = FleetRunner::new()
             .with_memo(Arc::clone(&cold_memo))
             .run(&grid);
@@ -159,11 +160,11 @@ mod tests {
         drop(cold_memo);
 
         // "Restart": a fresh process image would reload the same segments.
-        let warm_memo = Arc::new(FleetMemo::persistent(&dir).expect("reopen store"));
+        let warm_memo = Arc::new(persistent_memo(&dir).expect("reopen store"));
         let warm = FleetRunner::new()
             .with_memo(Arc::clone(&warm_memo))
             .run(&grid);
-        let (_, cells) = warm_memo.stats();
+        let cells = warm_memo.stats();
         assert_eq!(cells.misses, 0, "every cell must be a warm disk hit");
         assert_eq!(cells.hits as usize, grid.len());
         assert_eq!(warm, cold, "reloaded records are bit-identical");

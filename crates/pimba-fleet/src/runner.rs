@@ -4,8 +4,8 @@
 //!
 //! [`FleetGrid`] implements `pimba-serve`'s [`Grid`], so it shares the
 //! runner, the memo type and the front half (`run_grid`) with the
-//! traffic grid: traces are generated once per (scenario, rate) from split
-//! PCG streams and shared by every system, replica count and router, so any
+//! traffic grid: each (scenario, rate) trace is generated from its own split
+//! PCG stream and shared by every system, replica count and router, so any
 //! two cells differing in one axis are compared under *identical* arrivals;
 //! cells fan out over the runner's threads and come back in grid order,
 //! bit-identical for any worker-thread count (each cell is a pure function
@@ -19,7 +19,7 @@ use crate::router::RouterKind;
 use pimba_models::config::ModelConfig;
 use pimba_serve::engine::EngineConfig;
 use pimba_serve::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
-use pimba_serve::runner::{fold_trace, summarize_cell, Grid, GridAxes, GridCell, GridRunner};
+use pimba_serve::runner::{summarize_cell, Grid, GridAxes, GridCell, GridRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::SystemConfig;
@@ -112,8 +112,7 @@ pub struct FleetGrid {
     /// config, so memo cell keys stay unchanged.
     pub timeline_sample_every: usize,
     /// Fault schedule applied to every cell; `None` (the default) runs the
-    /// fault-free drivers. Folded into memo cell keys only when present, so
-    /// fault-free grids keep their existing memo entries byte-for-byte.
+    /// fault-free drivers.
     pub fault: Option<FaultPlan>,
 }
 
@@ -308,7 +307,7 @@ impl Grid for FleetGrid {
 
     fn key(&self, cell: &GridCell<'_>) -> Fingerprint {
         let config = cell_config(self, cell);
-        let builder = FingerprintBuilder::new()
+        FingerprintBuilder::new()
             .usize(cell.system)
             .usize(cell.scenario)
             .f64(self.rates_rps[cell.rate])
@@ -320,14 +319,10 @@ impl Grid for FleetGrid {
             .debug(&config.router)
             .debug(&config.policy)
             .debug(&config.engine)
-            .u64(config.seed);
-        // Folded only when present: fault-free grids keep the exact keys (and
-        // memo entries) they had before fault injection existed.
-        let builder = match &self.fault {
-            Some(plan) => builder.debug(plan),
-            None => builder,
-        };
-        fold_trace(builder, cell.trace).finish()
+            .u64(config.seed)
+            .debug(&self.fault)
+            .fingerprint(cell.trace_key())
+            .finish()
     }
 
     fn eval(
@@ -345,9 +340,9 @@ impl Grid for FleetGrid {
         }
         let result = match &self.fault {
             Some(plan) => fleet
-                .run_faulted(cell.trace, &config, plan)
+                .run_faulted(cell.trace(), &config, plan)
                 .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
-            None => fleet.run(cell.trace, &config),
+            None => fleet.run(cell.trace(), &config),
         };
         {
             let _export = profile_phase("metrics_export");

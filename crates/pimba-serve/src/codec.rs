@@ -7,14 +7,15 @@
 //! disk is `==` (and bit-for-bit equal field by field) to the record a fresh
 //! simulation would produce. Each top-level value opens with a one-byte
 //! schema tag; bumping the tag on a layout change makes old segments load as
-//! "undecodable" (skipped) instead of as garbage.
+//! "undecodable" (skipped) instead of as garbage. A change of the cell keys
+//! bumps it too, so records no key can reach any more are dropped at open.
 
 use crate::metrics::{Percentiles, PreemptionStats, TenantSummary, TrafficSummary};
 use crate::runner::{GridRecord, TrafficRecord};
 use pimba_system::persist::{encode_vec, ByteReader, ByteWriter, MemoValue};
 
 /// Schema tag of the [`TrafficRecord`] codec.
-const TRAFFIC_RECORD_SCHEMA: u8 = 1;
+const TRAFFIC_RECORD_SCHEMA: u8 = 2;
 
 /// Encode a [`Percentiles`] triple by f64 bit pattern.
 pub(crate) fn encode_percentiles(out: &mut ByteWriter, p: &Percentiles) {

@@ -16,7 +16,7 @@
 //!
 //! Policies can *remove* work, not just add it: [`Action::Preempt`]
 //! checkpoints running requests' decoding state off device (priced by
-//! [`EngineConfig::checkpoint_link`] over
+//! [`CHECKPOINT_LINK`] over
 //! [`MemoryModel::dynamic_bytes`] at the *current* sequence length — a few
 //! tens of constant megabytes for an SU-LLM state, a context-proportional
 //! KV cache for a transformer), and [`Action::Resume`] ships it back, with
@@ -131,6 +131,14 @@ use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// The link checkpoint/restore state transfers are priced over
+/// ([`Action::Preempt`] / [`Action::Resume`]): a victim's
+/// [`MemoryModel::dynamic_bytes`] at its current sequence length ships at
+/// [`StateTransferModel::transfer_ns`], and the engine blocks for the
+/// transfer (the paper's no-overlap execution model). Irrelevant — and
+/// cost-free — for policies that never preempt.
+pub const CHECKPOINT_LINK: StateTransferModel = StateTransferModel::nvlink();
+
 /// How the admission probe anchors request footprints against the memory
 /// budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,13 +188,6 @@ pub struct EngineConfig {
     /// The default [`AdmissionMode::FinalSeqLen`] reproduces the
     /// pre-preemption engine bit for bit.
     pub admission: AdmissionMode,
-    /// The link checkpoint/restore state transfers are priced over
-    /// ([`Action::Preempt`] / [`Action::Resume`]): a victim's
-    /// [`MemoryModel::dynamic_bytes`] at its current sequence length ships at
-    /// [`StateTransferModel::transfer_ns`], and the engine blocks for the
-    /// transfer (the paper's no-overlap execution model). Irrelevant — and
-    /// cost-free — for policies that never preempt.
-    pub checkpoint_link: StateTransferModel,
 }
 
 impl Default for EngineConfig {
@@ -198,7 +199,6 @@ impl Default for EngineConfig {
             fast_forward: true,
             timeline_sample_every: 1,
             admission: AdmissionMode::FinalSeqLen,
-            checkpoint_link: StateTransferModel::nvlink(),
         }
     }
 }
@@ -1826,13 +1826,12 @@ impl<'a> Session<'a> {
                 // Move the victims out of the batch now (they stop decoding
                 // immediately) and block for the checkpoint transfer: one
                 // per-victim setup plus its state bytes over the link.
-                let link = engine.config.checkpoint_link;
                 let now_ns = self.now_ns;
                 let mut latency_ns = 0.0;
                 for slot in self.running.take() {
                     if victims.contains(&slot.id) {
                         let bytes = engine.memory.dynamic_bytes(1, slot.seq_len());
-                        latency_ns += link.transfer_ns(bytes);
+                        latency_ns += CHECKPOINT_LINK.transfer_ns(bytes);
                         self.preemption.evictions += 1;
                         self.preemption.checkpoint_bytes += bytes;
                         self.trace.emit(|| {
@@ -1858,7 +1857,7 @@ impl<'a> Session<'a> {
             Action::Resume { count } => {
                 let latency_ns: f64 = self.evicted[..count]
                     .iter()
-                    .map(|e| engine.config.checkpoint_link.transfer_ns(e.state_bytes))
+                    .map(|e| CHECKPOINT_LINK.transfer_ns(e.state_bytes))
                     .sum();
                 self.preemption.resumes += count as u64;
                 self.preemption.restore_bytes += self.evicted[..count]

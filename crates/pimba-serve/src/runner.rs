@@ -8,26 +8,27 @@
 //! simulation; the runner fans the cells out with the shared
 //! [`parallel_map`] over its builder-configured thread count (every
 //! available core by default). Each grid point is a whole discrete-event
-//! simulation. Traces are generated once per (scenario, rate) from split PCG
-//! streams and shared by every system, so systems are compared under
+//! simulation. Each (scenario, rate) trace is generated from its own split
+//! PCG stream and shared by every system, so systems are compared under
 //! *identical* arrival sequences; records come back in grid order and are
 //! bit-identical for any thread count.
 //!
 //! An attached [`GridMemo`] answers repeated cells without simulating them.
-//! Only cells persist across restarts (one segment file per record type);
-//! traces are memoized within the process, and SLO capacity searches rerun.
+//! It holds cells only, and persists them across restarts (one segment file
+//! per record type). A cell's key names its trace by the generator's inputs,
+//! so a memo hit builds no trace; SLO capacity searches rerun.
 
 use crate::engine::{AdmissionMode, Engine, EngineConfig};
 use crate::metrics::{
     RequestOutcome, SloSpec, TelemetryStats, TenantSlos, TenantSummary, TrafficSummary,
 };
 use crate::sched::PolicyKind;
-use crate::traffic::{Scenario, Trace};
+use crate::traffic::{Scenario, Trace, TRACE_GENERATOR_VERSION};
 use pimba_models::config::ModelConfig;
 use pimba_system::config::SystemConfig;
-use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
+use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStore};
 use pimba_system::obs::{profile_phase, TraceRecorder, TraceSink};
-use pimba_system::persist::{LoadReport, MemoValue};
+use pimba_system::persist::MemoValue;
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
     available_cores, max_batch_within_slo, parallel_map, RunAborted, RunControl,
@@ -35,14 +36,12 @@ use pimba_system::sweep::{
 use rand::rngs::Pcg32;
 use rand::Rng;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Folds a trace's raw request bits into `builder` — the content identity of
-/// the arrival stream, independent of how it was generated. The trace half of
-/// every memoized grid-cell key (the other half fingerprints the cell's
-/// config).
-pub fn fold_trace(mut builder: FingerprintBuilder, trace: &Trace) -> FingerprintBuilder {
-    builder = builder.usize(trace.requests.len());
+/// The content address of a trace's raw request bits, independent of how it
+/// was generated.
+pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
+    let mut builder = FingerprintBuilder::new().usize(trace.requests.len());
     for r in &trace.requests {
         builder = builder
             .f64(r.arrival_ns)
@@ -51,12 +50,7 @@ pub fn fold_trace(mut builder: FingerprintBuilder, trace: &Trace) -> Fingerprint
             .u64(u64::from(r.tenant))
             .u64(u64::from(r.priority));
     }
-    builder
-}
-
-/// The content address of a trace on its own.
-pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
-    fold_trace(FingerprintBuilder::new(), trace).finish()
+    builder.finish()
 }
 
 /// A grid cell record a [`GridMemo`] persists: its codec plus the name of
@@ -68,118 +62,38 @@ pub trait GridRecord: MemoValue {
     const SEGMENT: &'static str;
 }
 
-/// The memo of one [`Grid`]'s evaluations — share one (behind an [`Arc`])
-/// across every run that should reuse results. Every artifact a run produces
-/// is keyed by a [`Fingerprint`] of its complete input identity (see
+/// The memo of one [`Grid`]'s cells — share one (behind an [`Arc`]) across
+/// every run that should reuse results. Every cell is keyed by a
+/// [`Fingerprint`] of its complete input identity (see
 /// [`pimba_system::memo`] for the purity contract), so re-running a grid with
 /// one knob changed only pays for the cells whose inputs changed. Execution
-/// knobs that cannot change bits — thread counts — are
-/// deliberately excluded, so any run warms the memo for any other. The memo
-/// holds results only: a cell it misses is simulated cold, from its first
-/// arrival.
+/// knobs that cannot change bits — thread counts — are deliberately
+/// excluded, so any run warms the memo for any other. A warm hit skips the
+/// whole simulation and returns bytes identical to a cold run; a cell the
+/// memo misses is simulated cold, from its first arrival.
 ///
-/// Two stores: whole cells, which a persistent memo mirrors to disk, and
-/// arrival traces, which live in the process only. A trace costs about as
-/// much to generate as to decode, and a process generates only the traces
-/// its grids use, where opening a store would decode every stored one. SLO
-/// capacity searches are not memoized: a search costs about as much as a
-/// keyed lookup.
+/// The memo holds cells only. A cell key names its trace by the generator's
+/// inputs (see [`GridCell::trace_key`]), so a hit builds no trace; each run
+/// builds the traces of the cells it misses. SLO capacity searches are not
+/// memoized: a search costs about as much as a keyed lookup.
 ///
 /// `R` is the cell record, [`Grid::Record`]: [`TrafficMemo`] holds
 /// [`TrafficGrid`]'s, `pimba_fleet`'s `FleetMemo` the fleet grid's. A
 /// [`GridRunner`] attaches one through [`GridRunner::with_memo`] and drives
-/// it through `run_grid`.
-#[derive(Debug)]
-pub struct GridMemo<R> {
-    /// Per-(scenario, rate, request-count, seed) arrival traces, in memory
-    /// only.
-    traces: MemoStore<Trace>,
-    /// Fully evaluated grid cells: a warm hit skips the whole simulation and
-    /// returns bytes identical to a cold run.
-    cells: MemoStore<R>,
-}
+/// it through `run_grid`; [`persistent_memo`] opens one on disk.
+pub type GridMemo<R> = MemoStore<R>;
 
 /// The memo of [`TrafficRunner`] grids.
 pub type TrafficMemo = GridMemo<TrafficRecord>;
 
-// Manual impl: the derive would demand `R: Default`.
-impl<R> Default for GridMemo<R> {
-    fn default() -> Self {
-        Self {
-            traces: MemoStore::new(),
-            cells: MemoStore::new(),
-        }
-    }
-}
-
-impl<R> GridMemo<R> {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A memo whose cells persist under `dir` (created if absent): they
-    /// append to a crash-safe segment file named by [`GridRecord::SEGMENT`]
-    /// (see [`pimba_system::persist`]), and cells persisted by earlier
-    /// processes are loaded up front, so repeated what-ifs across restarts
-    /// are warm hits returning bit-identical records. Traces start empty.
-    pub fn persistent(dir: &Path) -> std::io::Result<Self>
-    where
-        R: GridRecord,
-    {
-        std::fs::create_dir_all(dir)?;
-        Ok(Self {
-            traces: MemoStore::new(),
-            cells: MemoStore::persistent(&dir.join(format!("{}.seg", R::SEGMENT)))?,
-        })
-    }
-
-    /// Forces persisted cells to stable storage (no-op for in-memory memos).
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.cells.sync()
-    }
-
-    /// Failed cell appends (see [`MemoStore::append_errors`]).
-    pub fn append_errors(&self) -> u64 {
-        self.cells.append_errors()
-    }
-
-    /// The cells segment's disk-load report (`None` in memory).
-    pub fn load_report(&self) -> Option<LoadReport> {
-        self.cells.load_report()
-    }
-
-    /// `(traces, cells)` hit/miss counters.
-    pub fn stats(&self) -> (MemoStats, MemoStats) {
-        (self.traces.stats(), self.cells.stats())
-    }
-
-    /// Number of memoized grid cells.
-    pub fn cells_stored(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Every memoized cell fingerprint, sorted by `(hi, lo)` words (a
-    /// deterministic enumeration order).
-    pub fn cell_keys(&self) -> Vec<Fingerprint> {
-        self.cells.keys()
-    }
-
-    /// The memoized record under exactly `key`, if any — the lookup behind
-    /// the serving daemon's `query` verb. Counts as a hit/miss in
-    /// [`GridMemo::stats`] like any other cell lookup.
-    pub fn cell(&self, key: Fingerprint) -> Option<Arc<R>> {
-        self.cells.get(key)
-    }
-
-    /// `(name, len_bytes)` of the cells segment (zero bytes in memory) — the
-    /// size the daemon's `stats` verb reports.
-    pub fn segment_stats(&self) -> (&'static str, u64)
-    where
-        R: GridRecord,
-    {
-        (R::SEGMENT, self.cells.len_bytes())
-    }
+/// A memo whose cells persist under `dir` (created if absent): they append to
+/// a crash-safe segment file named by [`GridRecord::SEGMENT`] (see
+/// [`pimba_system::persist`]), and cells persisted by earlier processes are
+/// loaded up front, so repeated what-ifs across restarts are warm hits
+/// returning bit-identical records.
+pub fn persistent_memo<R: GridRecord>(dir: &Path) -> std::io::Result<GridMemo<R>> {
+    std::fs::create_dir_all(dir)?;
+    MemoStore::persistent(&dir.join(format!("{}.seg", R::SEGMENT)))
 }
 
 /// The SLO batch-capacity search of one (system, scenario) pair: the largest
@@ -224,6 +138,17 @@ pub struct GridAxes<'g> {
     pub cells_per_point: usize,
 }
 
+/// The arrival trace of one (scenario, rate) point, shared by every cell of
+/// the point: its key, the `(scenario, rate, requests, seed)` it is generated
+/// from, and the trace once the first of the point's cells to simulate has
+/// built it.
+#[derive(Debug)]
+struct LazyTrace<'g> {
+    key: Fingerprint,
+    inputs: (&'g Scenario, f64, usize, u64),
+    trace: OnceLock<Trace>,
+}
+
 /// One cell of a `run_grid` run, handed to its grid's [`Grid::key`] and
 /// [`Grid::eval`].
 #[derive(Debug)]
@@ -238,10 +163,30 @@ pub struct GridCell<'g> {
     pub rate: usize,
     /// The system's simulator, shared by all of its cells.
     pub sim: &'g ServingSimulator,
-    /// The (scenario, rate) trace, shared by every cell of that point.
-    pub trace: &'g Trace,
     /// The per-replica batch cap of the (system, scenario).
     pub max_batch: usize,
+    trace: &'g LazyTrace<'g>,
+}
+
+impl GridCell<'_> {
+    /// The content address of the (scenario, rate) trace, made from the
+    /// inputs that generate it: [`TRACE_GENERATOR_VERSION`], the scenario,
+    /// the rate, the request count and the trace seed. [`Grid::key`] folds
+    /// this key in place of the trace's requests.
+    pub fn trace_key(&self) -> Fingerprint {
+        self.trace.key
+    }
+
+    /// The (scenario, rate) trace, shared by every cell of that point and
+    /// built by the first one that asks. Only [`Grid::eval`] reads it, so a
+    /// memo hit builds no trace.
+    pub fn trace(&self) -> &Trace {
+        self.trace.trace.get_or_init(|| {
+            let _gen = profile_phase("trace_gen");
+            let (scenario, rate_rps, requests, seed) = self.trace.inputs;
+            scenario.generate(rate_rps, requests, seed)
+        })
+    }
 }
 
 /// A grid a [`GridRunner`] evaluates: its shared axes, the memo key of each
@@ -295,19 +240,18 @@ pub fn summarize_cell(
 /// (system, scenario, rate) point as `i / cells_per_point`, rate fastest, so
 /// grids order cells system-major with their own axes innermost. Builds one
 /// simulator per system (sharing a prefill cache across that system's
-/// cells), one trace per (scenario, rate)
-/// shared by every system, and one batch cap per (system, scenario) — traces
-/// memoized when a `memo` is attached. Then fans the
-/// cells out over `threads` workers: each is looked up in the memo under
-/// [`Grid::key`] and evaluated by [`Grid::eval`] on a miss (or always,
-/// without a memo). Records come back in grid order; per-cell progress and
-/// cell-granular cancellation follow `control` — a cancelled run returns
-/// [`RunAborted`], and cells finished before the flag went up stay in the
-/// memo.
+/// cells) and one batch cap per (system, scenario), and keys one trace per
+/// (scenario, rate), shared by every system and built by the first of its
+/// cells to be evaluated. Then fans the cells out over `threads` workers:
+/// each is looked up in the memo under [`Grid::key`] and evaluated by
+/// [`Grid::eval`] on a miss (or always, without a memo). Records come back
+/// in grid order; per-cell progress and cell-granular cancellation follow
+/// `control` — a cancelled run returns [`RunAborted`], and cells finished
+/// before the flag went up stay in the memo.
 ///
-/// `eval` runs only on a miss, so a memo-warm cell records nothing onto
-/// `recorder` and exports nothing to `control`'s metrics hub: both gain
-/// per-cell entries only for the cells this run simulated.
+/// `eval` runs only on a miss, so a memo-warm cell builds no trace, records
+/// nothing onto `recorder` and exports nothing to `control`'s metrics hub:
+/// all three happen only for the cells this run simulated.
 pub(crate) fn run_grid<G: Grid>(
     threads: usize,
     grid: &G,
@@ -332,26 +276,25 @@ pub(crate) fn run_grid<G: Grid>(
         .collect();
 
     // Each trace draws from its own stream of the grid seed.
-    let traces: Vec<Arc<Trace>> = (0..scenarios * rates)
+    let traces: Vec<LazyTrace<'_>> = (0..scenarios * rates)
         .map(|point| {
             let (scenario, rate) = (
                 &axes.scenarios[point / rates],
                 axes.rates_rps[point % rates],
             );
-            let stream = point as u64;
-            let trace_seed = Pcg32::new_stream(axes.seed, stream).next_u64();
-            let generate = || scenario.generate(rate, axes.requests_per_cell, trace_seed);
-            match memo {
-                Some(memo) => {
-                    let key = FingerprintBuilder::new()
-                        .debug(scenario)
-                        .f64(rate)
-                        .usize(axes.requests_per_cell)
-                        .u64(trace_seed)
-                        .finish();
-                    memo.traces.get_or_insert_with(key, generate)
-                }
-                None => Arc::new(generate()),
+            let seed = Pcg32::new_stream(axes.seed, point as u64).next_u64();
+            let key = FingerprintBuilder::new()
+                .u64(TRACE_GENERATOR_VERSION)
+                .debug(scenario)
+                .f64(rate)
+                .usize(axes.requests_per_cell)
+                .u64(seed)
+                .finish();
+            let inputs = (scenario, rate, axes.requests_per_cell, seed);
+            LazyTrace {
+                key,
+                inputs,
+                trace: OnceLock::new(),
             }
         })
         .collect();
@@ -384,12 +327,12 @@ pub(crate) fn run_grid<G: Grid>(
             scenario,
             rate,
             sim: &sims[system],
-            trace: &traces[scenario * rates + rate],
             max_batch: max_batches[system * scenarios + scenario],
+            trace: &traces[scenario * rates + rate],
         };
         let eval = || grid.eval(&cell, recorder, control);
         let record = match memo {
-            Some(memo) => (*memo.cells.get_or_insert_with(grid.key(&cell), eval)).clone(),
+            Some(memo) => (*memo.get_or_insert_with(grid.key(&cell), eval)).clone(),
             None => eval(),
         };
         let mut done = completed.lock().expect("progress lock poisoned");
@@ -440,8 +383,8 @@ impl<G: Grid> GridRunner<G> {
         self
     }
 
-    /// Attaches a [`GridMemo`]: traces and whole cells are looked up before
-    /// simulating and stored after. Re-running a grid against a warm memo
+    /// Attaches a [`GridMemo`]: whole cells are looked up before simulating
+    /// and stored after. Re-running a grid against a warm memo
     /// returns records byte-identical to a cold run without stepping a single
     /// engine.
     pub fn with_memo(mut self, memo: Arc<GridMemo<G::Record>>) -> Self {
@@ -621,7 +564,6 @@ impl TrafficGrid {
             fast_forward: self.fast_forward,
             timeline_sample_every: self.timeline_sample_every,
             admission: self.admission,
-            ..EngineConfig::default()
         }
     }
 }
@@ -665,7 +607,7 @@ impl Grid for TrafficGrid {
     }
 
     fn key(&self, cell: &GridCell<'_>) -> Fingerprint {
-        let builder = FingerprintBuilder::new()
+        FingerprintBuilder::new()
             .usize(cell.system)
             .usize(cell.scenario)
             .f64(self.rates_rps[cell.rate])
@@ -674,8 +616,9 @@ impl Grid for TrafficGrid {
             .debug(&self.slo)
             .debug(&self.tenant_slos)
             .debug(&self.policy)
-            .debug(&self.engine_config(cell.max_batch));
-        fold_trace(builder, cell.trace).finish()
+            .debug(&self.engine_config(cell.max_batch))
+            .fingerprint(cell.trace_key())
+            .finish()
     }
 
     fn eval(
@@ -684,15 +627,14 @@ impl Grid for TrafficGrid {
         recorder: Option<&Arc<TraceRecorder>>,
         control: &RunControl,
     ) -> TrafficRecord {
-        let (sim, trace) = (cell.sim, cell.trace);
         let engine_config = self.engine_config(cell.max_batch);
-        let engine = Engine::new(sim, &self.model, engine_config);
+        let engine = Engine::new(cell.sim, &self.model, engine_config);
         let mut policy = self.policy.build();
         let sink = match recorder {
             Some(recorder) => recorder.track(&format!("cell {}", cell.index)),
             None => TraceSink::disabled(),
         };
-        let result = engine.run_traced(trace, policy.as_mut(), sink);
+        let result = engine.run_traced(cell.trace(), policy.as_mut(), sink);
         {
             let _export = profile_phase("metrics_export");
             let index = cell.index.to_string();
@@ -740,16 +682,13 @@ mod tests {
         let grid = small_grid();
         let memo = Arc::new(TrafficMemo::new());
         let cold = TrafficRunner::new().with_memo(memo.clone()).run(&grid);
-        let (traces, cells) = memo.stats();
-        assert_eq!(cells.misses as usize, grid.len());
-        let cold_trace_misses = traces.misses;
+        assert_eq!(memo.stats().misses as usize, grid.len());
 
         let warm = TrafficRunner::new().with_memo(memo.clone()).run(&grid);
         assert_eq!(warm, cold, "warm records must be byte-identical");
-        let (traces, cells) = memo.stats();
+        let cells = memo.stats();
         assert_eq!(cells.hits as usize, grid.len(), "every cell from the store");
         assert_eq!(cells.misses as usize, grid.len(), "no warm recomputation");
-        assert_eq!(traces.misses, cold_trace_misses, "no warm trace generation");
 
         // The memo is invisible in the results.
         assert_eq!(TrafficRunner::new().run(&grid), cold);

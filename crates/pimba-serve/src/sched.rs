@@ -72,7 +72,7 @@ pub enum Action {
     /// decoding state (recurrent state + KV cache at the *current* sequence
     /// length, [`MemoryModel::dynamic_bytes`](pimba_system::memory::MemoryModel::dynamic_bytes))
     /// is shipped over the engine's checkpoint link
-    /// ([`EngineConfig::checkpoint_link`](crate::engine::EngineConfig::checkpoint_link))
+    /// ([`CHECKPOINT_LINK`](crate::engine::CHECKPOINT_LINK))
     /// and the engine blocks for the transfer. Victims keep their generation
     /// progress and wait in [`EngineView::evicted`] until a
     /// [`Action::Resume`] brings them back — checkpoint/restore, never

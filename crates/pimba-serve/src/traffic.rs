@@ -300,7 +300,8 @@ impl Scenario {
     /// Generates `n_requests` arrivals at a mean rate of `rate_rps`
     /// requests/second. Deterministic in `(self, rate_rps, n_requests, seed)`;
     /// arrival times, window durations and lengths draw from independent
-    /// [`Pcg32`] streams of `seed`.
+    /// [`Pcg32`] streams of `seed`. Any change to its output must bump
+    /// [`TRACE_GENERATOR_VERSION`].
     pub fn generate(&self, rate_rps: f64, n_requests: usize, seed: u64) -> Trace {
         assert!(rate_rps > 0.0, "arrival rate must be positive");
         let mut arrivals_rng = Pcg32::new_stream(seed, 0);
@@ -350,6 +351,13 @@ impl Scenario {
         Trace { requests }
     }
 }
+
+/// The version of [`Scenario::generate`]'s output. Memoized grid cells name
+/// their trace by the generator's inputs plus this version, not by the
+/// trace's requests, so a change to the generated requests must bump it (the
+/// golden test `tests/trace_generator.rs` fails until it does); stores keyed
+/// under the old version then miss instead of answering with stale cells.
+pub const TRACE_GENERATOR_VERSION: u64 = 1;
 
 /// Generates one merged multi-tenant trace: every scenario of `mix`
 /// contributes an equal share of the total arrival rate and of the request

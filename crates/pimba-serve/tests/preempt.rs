@@ -5,7 +5,7 @@
 //! nearly free.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
-use pimba_serve::engine::{AdmissionMode, Engine, EngineConfig, EngineView};
+use pimba_serve::engine::{AdmissionMode, Engine, EngineConfig, EngineView, CHECKPOINT_LINK};
 use pimba_serve::sched::{
     Action, ContinuousBatching, MemoryPressureEviction, Scheduler, VictimOrder,
 };
@@ -346,7 +346,7 @@ fn scripted_preempt_prices_transfers_exactly_and_resumes_not_restarts() {
     let expected_bytes = memory.dynamic_bytes(1, 256 + 3);
     assert_eq!(p.checkpoint_bytes, expected_bytes);
     assert_eq!(p.restore_bytes, expected_bytes);
-    let expected_stall = config.checkpoint_link.transfer_ns(expected_bytes);
+    let expected_stall = CHECKPOINT_LINK.transfer_ns(expected_bytes);
     assert_eq!(p.checkpoint_stall_ns, expected_stall);
     assert_eq!(p.restore_stall_ns, expected_stall);
     // Checkpoint-restore, not restart: the victim completes strictly later

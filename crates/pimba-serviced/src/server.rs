@@ -10,7 +10,7 @@
 //! | `{"cmd":"submit","spec":{…},"priority":1,"timeout_ms":60000}` | `{"event":"accepted","job":N}`, one `progress` line per finished cell, then one terminal line: `cancelled`, `timed_out` or `failed`, or for a job that ran to the end one `record` line per cell in grid order followed by `{"event":"done","job":N,"records":R}`. A spec with `"trace":true` puts one `{"event":"trace","job":N,"data":"…"}` line (the run's canonical JSONL event trace, JSON-escaped) between the last `record` and `done`. |
 //! | `{"cmd":"cancel","job":N}` | `{"event":"cancelling","job":N}` (or `error`) |
 //! | `{"cmd":"status","job":N}` | `{"event":"status","job":N,"state":…,"done":…,"total":…}` |
-//! | `{"cmd":"stats"}` | `{"event":"stats","store":{…},"jobs":{…}}` — `store` holds each memo's `traces` and `cells` hit/miss counters, and each cell segment's `name` and `len_bytes`; `jobs` counts the daemon's jobs per state, every state in the fixed order `queued`, `running`, `done`, `failed`, `cancelled`, `timed_out` |
+//! | `{"cmd":"stats"}` | `{"event":"stats","store":{…},"jobs":{…}}` — `store` holds each memo's `cells` hit/miss counters, and each cell segment's `name` and `len_bytes`; `jobs` counts the daemon's jobs per state, every state in the fixed order `queued`, `running`, `done`, `failed`, `cancelled`, `timed_out` |
 //! | `{"cmd":"metrics"}` | `{"event":"metrics","data":{"metrics":[…]}}` — the queue-wide metrics registry snapshot |
 //! | `{"cmd":"query","fingerprint":"…32 hex…"}` | `{"event":"result","memo":…,"fingerprint":…,"data":{…}}` (or `error`) — one stored cell record by fingerprint, as enumerated by `list` |
 //! | `{"cmd":"list"}` | `{"event":"list","traffic_cells":N,"fleet_cells":M,"cells":[{"memo":…,"fingerprint":…},…]}` |
@@ -295,13 +295,13 @@ fn handle_connection(mut conn: LineConn, queue: &Arc<JobQueue>, stopper: &Stoppe
                 // Embed the canonical record bytes verbatim, like `record`
                 // events: a queried cell is byte-identical to its streamed
                 // form.
-                let line = if let Some(record) = queue.store().traffic.cell(fp) {
+                let line = if let Some(record) = queue.store().traffic.get(fp) {
                     format!(
                         "{{\"event\":\"result\",\"memo\":\"traffic\",\
                          \"fingerprint\":\"{hex}\",\"data\":{}}}",
                         render_traffic_record(&record)
                     )
-                } else if let Some(record) = queue.store().fleet.cell(fp) {
+                } else if let Some(record) = queue.store().fleet.get(fp) {
                     format!(
                         "{{\"event\":\"result\",\"memo\":\"fleet\",\
                          \"fingerprint\":\"{hex}\",\"data\":{}}}",

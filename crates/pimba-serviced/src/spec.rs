@@ -95,8 +95,9 @@ const KINDS: [&str; 4] = ["traffic_grid", "fleet_grid", "slo_capacity", "what_if
 pub(crate) const MAX_REQUESTS_PER_CELL: usize = 1_000_000;
 
 /// The most trace requests a spec may make a grid build: one trace of
-/// `requests_per_cell` requests per (scenario, rate), all built in memory
-/// before any cell runs. Admits four full [`MAX_REQUESTS_PER_CELL`] traces.
+/// `requests_per_cell` requests per (scenario, rate), each held in memory
+/// from its first missed cell until the grid ends. Admits four full
+/// [`MAX_REQUESTS_PER_CELL`] traces.
 pub(crate) const MAX_TRACE_REQUESTS: usize = 4 * MAX_REQUESTS_PER_CELL;
 
 /// The largest entry a fleet spec's `replicas` list may hold.
@@ -800,8 +801,9 @@ mod tests {
         assert_eq!(err.field, "replicas");
         assert!(err.message.contains("1024"), "{err}");
 
-        // Every (scenario, rate) trace is built up front, so their total is
-        // bounded too: full-size traces up to the limit, and no further.
+        // A cold grid may hold every (scenario, rate) trace at once, so their
+        // total is bounded too: full-size traces up to the limit, and no
+        // further.
         let traffic = |scenarios: &str, rates: usize| {
             let rates: Vec<String> = (1..=rates).map(|r| r.to_string()).collect();
             Json::parse(&format!(

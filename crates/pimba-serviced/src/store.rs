@@ -4,9 +4,9 @@
 //! In-memory mode answers repeated queries within one process; persistent
 //! mode ([`ResultStore::persistent`]) roots both memos' crash-safe cell
 //! segments in one directory (`traffic_cells.seg` and `fleet_cells.seg` —
-//! see [`GridMemo::persistent`](pimba_serve::runner::GridMemo::persistent)),
-//! so identical specs are warm, byte-identical hits across daemon restarts.
-//! Traces are memoized per process and never written. The store never
+//! see [`persistent_memo`]), so identical specs are warm, byte-identical hits
+//! across daemon restarts. The store holds cells only; a job builds the
+//! traces of the cells it misses and drops them when it ends. The store never
 //! touches other files in its directory: the `*_traces.seg` and
 //! `*_capacity.seg` files earlier builds wrote are left as they are, and may
 //! be deleted by hand. The store needs no maintenance: each segment drops
@@ -16,7 +16,8 @@
 
 use netline::Json;
 use pimba_fleet::memo::FleetMemo;
-use pimba_serve::runner::TrafficMemo;
+use pimba_fleet::runner::FleetRecord;
+use pimba_serve::runner::{persistent_memo, GridRecord, TrafficMemo, TrafficRecord};
 use pimba_system::memo::{Fingerprint, MemoStats};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,9 +26,9 @@ use std::sync::Arc;
 /// The shared traffic + fleet memo pair, optionally disk-backed.
 #[derive(Debug)]
 pub struct ResultStore {
-    /// Traffic-grid memo (traces, cells).
+    /// Traffic-grid cell memo.
     pub traffic: Arc<TrafficMemo>,
-    /// Fleet-grid memo (traces, cells).
+    /// Fleet-grid cell memo.
     pub fleet: Arc<FleetMemo>,
     dir: Option<PathBuf>,
     /// Distinct live cells loaded at open (0 for in-memory stores).
@@ -53,9 +54,10 @@ impl ResultStore {
     /// truncated, not fatal, and segments holding dead records are rewritten
     /// to their live ones.
     pub fn persistent(dir: &Path) -> std::io::Result<Self> {
-        let (traffic, fleet) = (TrafficMemo::persistent(dir)?, FleetMemo::persistent(dir)?);
+        let (traffic, fleet): (TrafficMemo, FleetMemo) =
+            (persistent_memo(dir)?, persistent_memo(dir)?);
         Ok(Self {
-            loaded: traffic.cells_stored() + fleet.cells_stored(),
+            loaded: traffic.len() + fleet.len(),
             traffic: Arc::new(traffic),
             fleet: Arc::new(fleet),
             dir: Some(dir.to_path_buf()),
@@ -90,39 +92,25 @@ impl ResultStore {
         self.traffic.append_errors() + self.fleet.append_errors()
     }
 
-    /// Every stored cell fingerprint as `(memo, fingerprint)` pairs — traffic
-    /// cells first, each list sorted — for the protocol's `list` command.
-    pub fn cell_keys(&self) -> Vec<(&'static str, Fingerprint)> {
-        let tag = |memo: &'static str| move |fp| (memo, fp);
-        self.traffic
-            .cell_keys()
-            .into_iter()
-            .map(tag("traffic"))
-            .chain(self.fleet.cell_keys().into_iter().map(tag("fleet")))
-            .collect()
-    }
-
     /// The store's contents as a JSON object for the daemon's `list`
     /// command: per-memo cell counts plus every cell fingerprint rendered as
-    /// 32 hex digits, in [`ResultStore::cell_keys`] order.
+    /// 32 hex digits, traffic cells first, each memo's sorted.
     pub fn list_json(&self) -> Json {
-        let render = |(memo, fp): (&'static str, Fingerprint)| {
-            let (hi, lo) = fp.words();
-            Json::obj(vec![
-                ("memo", Json::str(memo)),
-                ("fingerprint", Json::Str(format!("{hi:016x}{lo:016x}"))),
-            ])
+        let render = |memo: &'static str| {
+            move |fp: Fingerprint| {
+                let (hi, lo) = fp.words();
+                Json::obj(vec![
+                    ("memo", Json::str(memo)),
+                    ("fingerprint", Json::Str(format!("{hi:016x}{lo:016x}"))),
+                ])
+            }
         };
+        let traffic = self.traffic.keys().into_iter().map(render("traffic"));
+        let fleet = self.fleet.keys().into_iter().map(render("fleet"));
         Json::obj(vec![
-            (
-                "traffic_cells",
-                Json::Int(self.traffic.cells_stored() as i64),
-            ),
-            ("fleet_cells", Json::Int(self.fleet.cells_stored() as i64)),
-            (
-                "cells",
-                Json::Arr(self.cell_keys().into_iter().map(render).collect()),
-            ),
+            ("traffic_cells", Json::Int(self.traffic.len() as i64)),
+            ("fleet_cells", Json::Int(self.fleet.len() as i64)),
+            ("cells", Json::Arr(traffic.chain(fleet).collect())),
         ])
     }
 
@@ -134,21 +122,16 @@ impl ResultStore {
     }
 
     /// The store's state as a JSON object for the daemon's `stats` command:
-    /// the loaded cells, failed syncs and appends, per-memo `traces` and
-    /// `cells` hit/miss counters plus one `segments` entry per memo's cell
-    /// segment with its name and size (zero for in-memory stores).
+    /// the loaded cells, failed syncs and appends, per-memo `cells` hit/miss
+    /// counters plus one `segments` entry per memo's cell segment with its
+    /// name and size (zero for in-memory stores).
     pub fn stats_json(&self) -> Json {
-        fn stats(label: &str, s: (MemoStats, MemoStats)) -> (String, Json) {
-            let one = |m: MemoStats| {
-                Json::obj(vec![
-                    ("hits", Json::Int(m.hits as i64)),
-                    ("misses", Json::Int(m.misses as i64)),
-                ])
-            };
-            (
-                label.to_string(),
-                Json::obj(vec![("traces", one(s.0)), ("cells", one(s.1))]),
-            )
+        fn stats(label: &str, m: MemoStats) -> (String, Json) {
+            let cells = Json::obj(vec![
+                ("hits", Json::Int(m.hits as i64)),
+                ("misses", Json::Int(m.misses as i64)),
+            ]);
+            (label.to_string(), Json::obj(vec![("cells", cells)]))
         }
         let mut pairs = vec![
             ("persistent".to_string(), Json::Bool(self.dir.is_some())),
@@ -166,20 +149,23 @@ impl ResultStore {
             ),
             (
                 "cells_stored".to_string(),
-                Json::Int((self.traffic.cells_stored() + self.fleet.cells_stored()) as i64),
+                Json::Int((self.traffic.len() + self.fleet.len()) as i64),
             ),
         ];
         pairs.push(stats("traffic", self.traffic.stats()));
         pairs.push(stats("fleet", self.fleet.stats()));
-        let segments: Vec<Json> = [self.traffic.segment_stats(), self.fleet.segment_stats()]
-            .into_iter()
-            .map(|(name, len_bytes)| {
-                Json::obj(vec![
-                    ("name", Json::str(name)),
-                    ("len_bytes", Json::Int(len_bytes as i64)),
-                ])
-            })
-            .collect();
+        let segments: Vec<Json> = [
+            (TrafficRecord::SEGMENT, self.traffic.len_bytes()),
+            (FleetRecord::SEGMENT, self.fleet.len_bytes()),
+        ]
+        .into_iter()
+        .map(|(name, len_bytes)| {
+            Json::obj(vec![
+                ("name", Json::str(name)),
+                ("len_bytes", Json::Int(len_bytes as i64)),
+            ])
+        })
+        .collect();
         pairs.push(("segments".to_string(), Json::Arr(segments)));
         Json::Obj(pairs)
     }

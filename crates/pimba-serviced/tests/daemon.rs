@@ -695,7 +695,7 @@ fn kill_nine_mid_job_leaves_a_loadable_warm_store() {
         )
         .unwrap();
     assert_eq!(resumed, pristine);
-    let (_, cells) = store.traffic.stats();
+    let cells = store.traffic.stats();
     assert!(cells.hits > 0, "the resumed run must reuse persisted cells");
 
     let _ = std::fs::remove_dir_all(&dir);

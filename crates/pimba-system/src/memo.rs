@@ -11,8 +11,9 @@
 //! Correctness rests on the callers' discipline, stated here once: a stored
 //! value must be a **pure function of its fingerprinted inputs**, and the
 //! fingerprint must cover *every* input that can change the value (the grid
-//! runners fold in the full `Debug` rendering of their configs plus the raw
-//! bits of every trace request). Simulation outputs are deterministic
+//! runners fold in the full `Debug` rendering of their configs plus the key
+//! of the cell's trace, made from the generator's inputs and version).
+//! Simulation outputs are deterministic
 //! bit-for-bit, so a hit returns exactly the bytes a fresh simulation would
 //! produce — asserted by the warm-grid tests and the `fleet_parallel` bench
 //! gate on every run.
@@ -99,6 +100,11 @@ impl FingerprintBuilder {
     /// which render every field and are tiny compared to traces.
     pub fn debug(self, value: &impl std::fmt::Debug) -> Self {
         self.bytes(format!("{value:?}").as_bytes())
+    }
+
+    /// Folds another fingerprint, such as the key of a shared input.
+    pub fn fingerprint(self, value: Fingerprint) -> Self {
+        self.u64(value.0).u64(value.1)
     }
 
     /// The accumulated fingerprint.

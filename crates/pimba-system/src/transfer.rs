@@ -34,7 +34,7 @@ pub struct StateTransferModel {
 impl StateTransferModel {
     /// An A100-class NVLink/NVSwitch fabric: 300 GB/s effective per-direction
     /// bandwidth, 15 µs per-transfer setup.
-    pub fn nvlink() -> Self {
+    pub const fn nvlink() -> Self {
         Self {
             link_gbps: 300.0,
             base_latency_us: 15.0,

@@ -1,11 +1,14 @@
-//! The `metrics_export` profile phase, end to end: a profiled grid with a
-//! metrics hub records one `metrics_export` call per simulated cell, in the
+//! The `metrics_export` and `trace_gen` profile phases, end to end: a
+//! profiled grid with a metrics hub records one `metrics_export` call per
+//! simulated cell and one `trace_gen` call per (scenario, rate) point, in the
 //! traffic and in the fleet runner, and profiling leaves records and metric
-//! bytes unchanged. Memo hits simulate nothing and so export nothing.
+//! bytes unchanged. Memo hits simulate nothing, so they export nothing and
+//! build no trace.
 //!
 //! The phase profiler is process-global, so this file holds a single test:
 //! no other test in the binary can record phases concurrently.
 
+use pimba::fleet::router::RouterKind;
 use pimba::fleet::runner::{FleetGrid, FleetRunner};
 use pimba::models::{ModelConfig, ModelFamily, ModelScale};
 use pimba::serve::runner::{TrafficGrid, TrafficMemo, TrafficRunner};
@@ -17,17 +20,18 @@ use pimba::system::obs::{
 use pimba::system::sweep::RunControl;
 use std::sync::Arc;
 
-/// `metrics_export` calls recorded since the last reset.
-fn export_calls() -> u64 {
+/// Calls of the profile phase `phase` recorded since the last reset.
+fn calls(phase: &str) -> u64 {
     profile_report()
         .into_iter()
-        .find(|(name, _)| *name == "metrics_export")
+        .find(|(name, _)| *name == phase)
         .map_or(0, |(_, stat)| stat.calls)
 }
 
 /// Runs `run` against a fresh hub, unprofiled and then profiled, and
-/// returns both outputs, both hub snapshots and the profiled export calls.
-fn profiled<T>(run: impl Fn(&RunControl) -> T) -> ((T, String), (T, String), u64) {
+/// returns both outputs, both hub snapshots and the profiled run's
+/// `metrics_export` and `trace_gen` calls.
+fn profiled<T>(run: impl Fn(&RunControl) -> T) -> ((T, String), (T, String), [u64; 2]) {
     let hub = MetricsHub::new();
     let plain = run(&RunControl::new().with_metrics(hub.clone()));
     let plain = (plain, hub.to_json());
@@ -36,7 +40,8 @@ fn profiled<T>(run: impl Fn(&RunControl) -> T) -> ((T, String), (T, String), u64
     enable_profiling();
     let out = run(&RunControl::new().with_metrics(hub.clone()));
     disable_profiling();
-    ((out, hub.to_json()), plain, export_calls())
+    let phases = [calls("metrics_export"), calls("trace_gen")];
+    ((out, hub.to_json()), plain, phases)
 }
 
 #[test]
@@ -60,13 +65,15 @@ fn metrics_export_is_profiled_once_per_simulated_cell() {
             .expect("uncancelled run")
     });
     assert_eq!(got, plain, "profiling changed traffic records or metrics");
-    assert_eq!(calls, traffic.len() as u64);
+    let points = traffic.scenarios.len() * traffic.rates_rps.len();
+    assert_eq!(calls, [traffic.len(), points].map(|n| n as u64));
 
     let fleet = FleetGrid::new(model)
         .with_systems(systems)
         .with_scenarios(vec![Scenario::chat()])
         .with_rates(vec![20.0])
         .with_replica_counts(vec![1, 3])
+        .with_routers(vec![RouterKind::RoundRobin, RouterKind::Jsq])
         .with_requests_per_cell(16)
         .with_seq_bucket(32);
     let (got, plain, calls) = profiled(|control| {
@@ -76,9 +83,10 @@ fn metrics_export_is_profiled_once_per_simulated_cell() {
             .expect("uncancelled run")
     });
     assert_eq!(got, plain, "profiling changed fleet records or metrics");
-    assert_eq!(calls, fleet.len() as u64);
+    assert_eq!(calls, [fleet.len() as u64, 1]);
 
-    // A warm re-run over a memo simulates no cell, so it exports nothing.
+    // A warm re-run over a memo simulates no cell, so it exports nothing and
+    // builds no trace.
     let runner = TrafficRunner::new().with_memo(Arc::new(TrafficMemo::new()));
     let cold = runner.run(&traffic);
     let (warm, _, calls) = profiled(|control| {
@@ -91,6 +99,10 @@ fn metrics_export_is_profiled_once_per_simulated_cell() {
         !warm.1.contains("serve_"),
         "a memo hit exported cell series"
     );
-    assert_eq!(calls, 0);
+    assert_eq!(
+        calls,
+        [0, 0],
+        "a memo hit exported metrics or built a trace"
+    );
     reset_profiling();
 }
